@@ -14,7 +14,7 @@
 //! (`maybe_run_child`), exactly like `mpirun --backend socket`.
 
 use mvr_bench::write_json;
-use mvr_core::{Payload, Rank};
+use mvr_core::{NodeId, Payload, Rank};
 use mvr_mpi::{MpiResult, Source, Tag};
 use mvr_obs::{parse_dump, validate_records, InvariantMonitor, SpanSet};
 use mvr_runtime::proc::{maybe_run_child, run_proc, ProcOptions};
@@ -224,8 +224,10 @@ fn main() {
     opts.timeout = Duration::from_secs(90);
     // The pinned fault plan: a rank dies mid-stream, then an EL replica
     // dies while the quorum gate is hot. Both are real SIGKILLs.
-    opts.kills = vec![(Rank(1), Duration::from_millis(45))];
-    opts.el_kills = vec![(2, Duration::from_millis(70))];
+    opts.kills = vec![
+        (NodeId::Computing(Rank(1)), Duration::from_millis(45)),
+        (NodeId::EventLogger(2), Duration::from_millis(70)),
+    ];
     opts.obs_dir = Some(obs_dir.clone());
     // Aggregated live health on an ephemeral port, discovered through
     // the address file and scraped while the run is in flight.
@@ -279,13 +281,11 @@ fn main() {
     if report.detections.is_empty() {
         fail("expected fail-stop detections");
     }
-    if !report.violations.is_empty() {
-        fail(&format!("invariant violations: {:?}", report.violations));
-    }
-    let Some(dump) = &report.merged_dump else {
+    // (A live-monitor violation fails `run_proc` itself.)
+    let Some(merge) = &report.merge else {
         fail("no merged flight-recorder dump");
     };
-    strict_audit(dump);
+    strict_audit(&merge.jsonl);
     // The live stream shipped complete: no child staged past capacity.
     for (node, snap) in &report.telemetry {
         if snap.dropped_total > 0 {

@@ -80,9 +80,12 @@ impl Default for TcpConfig {
 /// Commands consumed by a per-peer connection actor, in FIFO order with
 /// the frames themselves.
 enum Cmd {
-    Frame(Vec<u8>),
-    /// The route changed (peer reincarnated elsewhere): drop the current
-    /// stream and redial.
+    /// A frame, and the route generation it was addressed to: a frame
+    /// queued for a route that has since moved belongs to the peer's
+    /// dead incarnation and must never reach its successor.
+    Frame(Vec<u8>, u64),
+    /// The route changed (peer reincarnated elsewhere): wake up, drop
+    /// the current stream and redial.
     Reroute,
 }
 
@@ -96,7 +99,9 @@ struct Shared {
     incarnation: u64,
     cfg: TcpConfig,
     events: Sender<TransportEvent>,
-    routes: Mutex<HashMap<NodeId, String>>,
+    /// Address of each peer and its generation, bumped whenever the
+    /// address changes (the peer reincarnated elsewhere).
+    routes: Mutex<HashMap<NodeId, (String, u64)>>,
     peers: Mutex<HashMap<NodeId, PeerState>>,
     closed: AtomicBool,
     /// Application frames accepted by `send` but not yet written to a
@@ -165,6 +170,14 @@ impl Shared {
 
     fn closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
+    }
+
+    fn route(&self, peer: NodeId) -> Option<(String, u64)> {
+        self.routes.lock().get(&peer).cloned()
+    }
+
+    fn generation(&self, peer: NodeId) -> Option<u64> {
+        self.routes.lock().get(&peer).map(|route| route.1)
     }
 }
 
@@ -250,8 +263,23 @@ impl Transport for TcpTransport {
     }
 
     fn set_route(&self, peer: NodeId, addr: String) {
-        let prev = self.shared.routes.lock().insert(peer, addr);
-        if prev.is_some() {
+        let moved = {
+            let mut routes = self.shared.routes.lock();
+            match routes.get_mut(&peer) {
+                // Re-announcing a known address is not a reincarnation.
+                Some((known, _)) if *known == addr => false,
+                Some((known, generation)) => {
+                    *known = addr;
+                    *generation += 1;
+                    true
+                }
+                None => {
+                    routes.insert(peer, (addr, 0));
+                    false
+                }
+            }
+        };
+        if moved {
             // Existing actor must abandon its stream and redial.
             if let Some(tx) = self.writers.lock().get(&peer) {
                 let _ = tx.send(Cmd::Reroute);
@@ -269,14 +297,14 @@ impl Transport for TcpTransport {
                 max: self.shared.cfg.max_frame,
             });
         }
+        let Some(generation) = self.shared.generation(peer) else {
+            return Err(TransportError::NoRoute(peer));
+        };
         let frame = encode_frame(0, &payload);
         let mut writers = self.writers.lock();
         let tx = match writers.entry(peer) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
-                if !self.shared.routes.lock().contains_key(&peer) {
-                    return Err(TransportError::NoRoute(peer));
-                }
                 let (tx, rx) = unbounded();
                 let shared = self.shared.clone();
                 thread::Builder::new()
@@ -287,7 +315,7 @@ impl Transport for TcpTransport {
             }
         };
         self.shared.inflight.fetch_add(1, Ordering::AcqRel);
-        tx.send(Cmd::Frame(frame)).map_err(|_| {
+        tx.send(Cmd::Frame(frame, generation)).map_err(|_| {
             self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
             TransportError::Closed
         })
@@ -452,6 +480,10 @@ fn writer_actor(peer: NodeId, rx: Receiver<Cmd>, shared: Arc<Shared>) {
     let mut fail_since: Option<Instant> = None;
     let mut attempt: u32 = 0;
     let mut announced_dial_fail = false;
+    // Generation of the route `conn` was (or is being) dialed at.
+    let mut generation = 0;
+    // A frame addressed past `generation`, held while we catch up.
+    let mut held: Option<Cmd> = None;
     loop {
         if shared.closed() {
             if out_link_up {
@@ -462,10 +494,17 @@ fn writer_actor(peer: NodeId, rx: Receiver<Cmd>, shared: Arc<Shared>) {
         if conn.is_none() {
             // (Re)dial — backoff with jitter, reusing the dispatcher's
             // doubling idiom.
-            let addr = match shared.routes.lock().get(&peer).cloned() {
-                Some(a) => a,
-                None => return,
+            let Some((addr, latest)) = shared.route(peer) else {
+                return;
             };
+            if latest != generation {
+                // First dial of a new address: it owes nothing to the
+                // old one's failures.
+                generation = latest;
+                fail_since = None;
+                attempt = 0;
+                announced_dial_fail = false;
+            }
             match dial(&addr, &shared) {
                 Ok(stream) => {
                     conn = Some(stream);
@@ -496,7 +535,7 @@ fn writer_actor(peer: NodeId, rx: Receiver<Cmd>, shared: Arc<Shared>) {
                         while let Ok(cmd) = rx.try_recv() {
                             match cmd {
                                 Cmd::Reroute => break,
-                                Cmd::Frame(_) => {
+                                Cmd::Frame(..) => {
                                     shared.inflight.fetch_sub(1, Ordering::AcqRel);
                                 }
                             }
@@ -508,13 +547,47 @@ fn writer_actor(peer: NodeId, rx: Receiver<Cmd>, shared: Arc<Shared>) {
                         xorshift(&mut jitter) % (capped.as_micros().max(1) as u64 / 2 + 1),
                     );
                     attempt = attempt.saturating_add(1);
-                    thread::sleep(capped + j);
+                    // A reroute ends the wait: the new address deserves
+                    // an immediate dial, not the old one's backoff.
+                    let until = Instant::now() + capped + j;
+                    let rerouted = || shared.generation(peer) != Some(generation);
+                    while Instant::now() < until && !shared.closed() && !rerouted() {
+                        thread::sleep(Duration::from_millis(1));
+                    }
                     continue;
                 }
             }
         }
-        match rx.recv_timeout(cfg.heartbeat) {
-            Ok(Cmd::Frame(frame)) => {
+        let cmd = match held.take() {
+            Some(cmd) => Ok(cmd),
+            None => rx.recv_timeout(cfg.heartbeat),
+        };
+        let moved = match &cmd {
+            Ok(Cmd::Frame(_, addressed)) => *addressed > generation,
+            Ok(Cmd::Reroute) => shared.generation(peer) != Some(generation),
+            Err(_) => false,
+        };
+        if moved {
+            // The peer reincarnated elsewhere: abandon the stream — the
+            // redial above picks the new route up. A frame already
+            // addressed to it waits for that.
+            if let Ok(cmd @ Cmd::Frame(..)) = cmd {
+                held = Some(cmd);
+            }
+            conn = None;
+            if out_link_up {
+                shared.link_down(peer, DownCause::Closed);
+                out_link_up = false;
+            }
+            continue;
+        }
+        match cmd {
+            Ok(Cmd::Frame(_, addressed)) if addressed < generation => {
+                // Queued for the dead incarnation's address: fail-stop
+                // links do not deliver a predecessor's traffic.
+                shared.inflight.fetch_sub(1, Ordering::AcqRel);
+            }
+            Ok(Cmd::Frame(frame, _)) => {
                 let result = conn.as_mut().expect("connected").write_all(&frame);
                 // Written or lost, the frame left the queue either way.
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -530,16 +603,8 @@ fn writer_actor(peer: NodeId, rx: Receiver<Cmd>, shared: Arc<Shared>) {
                     }
                 }
             }
-            Ok(Cmd::Reroute) => {
-                conn = None;
-                if out_link_up {
-                    shared.link_down(peer, DownCause::Closed);
-                    out_link_up = false;
-                }
-                fail_since = None;
-                attempt = 0;
-                announced_dial_fail = false;
-            }
+            // A reroute the redial path already caught up with.
+            Ok(Cmd::Reroute) => {}
             Err(RecvTimeoutError::Timeout) => {
                 // Idle: keep the peer's silence detector fed.
                 if let Some(stream) = conn.as_mut() {
@@ -760,6 +825,37 @@ mod tests {
             TransportEvent::Frame { payload, .. } if payload == b"two"
         ))
         .is_some());
+    }
+
+    #[test]
+    fn frames_queued_for_a_dead_route_never_reach_the_reincarnation() {
+        let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        let b1 = TcpTransport::bind(cn(1), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        a.set_route(cn(1), b1.local_addr().unwrap());
+        a.send(cn(1), b"live".to_vec()).unwrap();
+        let live = |e: &TransportEvent| matches!(e, TransportEvent::Frame { .. });
+        assert!(wait_for(&b1, Duration::from_secs(5), live).is_some());
+        // The peer dies; traffic to it piles up behind the failing dial.
+        drop(b1);
+        for _ in 0..20 {
+            a.send(cn(1), b"stale".to_vec()).unwrap();
+            thread::sleep(Duration::from_millis(2));
+        }
+        let b2 = TcpTransport::bind(cn(1), "127.0.0.1:0", 2, quick_cfg()).unwrap();
+        a.set_route(cn(1), b2.local_addr().unwrap());
+        a.send(cn(1), b"fresh".to_vec()).unwrap();
+        // The successor sees the post-reroute frame first — none of its
+        // predecessor's — and nothing stale trails in behind it.
+        let first = wait_for(&b2, Duration::from_secs(5), live);
+        assert!(
+            matches!(&first, Some(TransportEvent::Frame { payload, .. }) if payload == b"fresh"),
+            "{first:?}"
+        );
+        assert!(wait_for(&b2, Duration::from_millis(200), live).is_none());
+        // Re-announcing the same address is not a reroute.
+        a.set_route(cn(1), b2.local_addr().unwrap());
+        a.send(cn(1), b"again".to_vec()).unwrap();
+        assert!(wait_for(&b2, Duration::from_secs(5), live).is_some());
     }
 
     #[test]

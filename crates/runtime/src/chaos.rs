@@ -1,5 +1,5 @@
-//! The seeded crash-storm driver: randomized, replayable kill schedules
-//! executed against a live deployment.
+//! Seeded crash storms: randomized, replayable kill schedules for a
+//! live deployment, executed by the supervisor's fault plan.
 //!
 //! Where `mvr_net::chaos` places faults at exact points of a node's own
 //! message history (count triggers), this module models the *volatile
@@ -11,12 +11,7 @@
 //! ([`ChaosConfig::plan`]), so any failing soak run is reproducible from
 //! the seed its harness printed.
 
-use mvr_core::{NodeId, Rank};
-use mvr_net::Fabric;
-use mvr_obs::{ProtoEvent, Recorder};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use mvr_core::Rank;
 use std::time::Duration;
 
 /// Parameters of a randomized crash storm.
@@ -141,8 +136,8 @@ impl ChaosConfig {
     }
 }
 
-/// What the chaos driver actually did during a run.
-#[derive(Clone, Debug)]
+/// What the supervisor's fault plan actually did during a run.
+#[derive(Clone, Debug, Default)]
 pub struct ChaosReport {
     /// The full planned schedule (print this — plus the seed — to replay).
     pub plan: Vec<ChaosEvent>,
@@ -152,112 +147,6 @@ pub struct ChaosReport {
     pub cs_kills: u64,
     /// Event-logger replica kills executed.
     pub el_kills: u64,
-}
-
-/// The background thread walking a [`ChaosConfig::plan`] against the
-/// fabric. Owned by the dispatcher; stopped and joined at teardown.
-pub(crate) struct ChaosDriver {
-    handle: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-    plan: Vec<ChaosEvent>,
-    rank_kills: Arc<AtomicU64>,
-    cs_kills: Arc<AtomicU64>,
-    el_kills: Arc<AtomicU64>,
-}
-
-impl ChaosDriver {
-    pub(crate) fn spawn(fabric: Fabric, cfg: &ChaosConfig, world: u32, obs: Recorder) -> Self {
-        let plan = cfg.plan(world);
-        let stop = Arc::new(AtomicBool::new(false));
-        let rank_kills = Arc::new(AtomicU64::new(0));
-        let cs_kills = Arc::new(AtomicU64::new(0));
-        let el_kills = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let plan = plan.clone();
-            let stop = stop.clone();
-            let rank_kills = rank_kills.clone();
-            let cs_kills = cs_kills.clone();
-            let el_kills = el_kills.clone();
-            std::thread::Builder::new()
-                .name("chaos-driver".into())
-                .spawn(move || {
-                    'events: for ev in &plan {
-                        // Sleep in small chunks so a finished run does not
-                        // wait out the remaining schedule.
-                        let mut left = ev.after;
-                        while !left.is_zero() {
-                            if stop.load(Ordering::Acquire) {
-                                break 'events;
-                            }
-                            let chunk = left.min(Duration::from_millis(2));
-                            std::thread::sleep(chunk);
-                            left = left.saturating_sub(chunk);
-                        }
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        for v in &ev.victims {
-                            // Atomic: the dispatcher must never observe
-                            // the daemon dead while the co-located process
-                            // slot is still alive (it would race a respawn
-                            // into the half-killed group).
-                            fabric.kill_group(&mvr_net::fail_stop_group(*v));
-                            obs.record(
-                                0,
-                                ProtoEvent::ChaosKill {
-                                    victim: v.0,
-                                    rekill: ev.rekill,
-                                },
-                            );
-                            rank_kills.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if ev.kill_checkpoint_server {
-                            fabric.kill(NodeId::CheckpointServer(0));
-                            obs.record(
-                                0,
-                                ProtoEvent::ServiceKill {
-                                    service: "cs".into(),
-                                },
-                            );
-                            cs_kills.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Some(flat) = ev.kill_el_replica {
-                            fabric.kill(NodeId::EventLogger(flat));
-                            obs.record(
-                                0,
-                                ProtoEvent::ServiceKill {
-                                    service: format!("el{flat}"),
-                                },
-                            );
-                            el_kills.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                })
-                .expect("spawn chaos driver")
-        };
-        ChaosDriver {
-            handle: Some(handle),
-            stop,
-            plan,
-            rank_kills,
-            cs_kills,
-            el_kills,
-        }
-    }
-
-    /// Stop the storm, join the thread, and report what was executed.
-    pub(crate) fn finish(mut self) -> ChaosReport {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        ChaosReport {
-            plan: std::mem::take(&mut self.plan),
-            rank_kills: self.rank_kills.load(Ordering::Relaxed),
-            cs_kills: self.cs_kills.load(Ordering::Relaxed),
-            el_kills: self.el_kills.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]

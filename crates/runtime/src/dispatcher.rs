@@ -1,23 +1,19 @@
-//! The dispatcher — the `mpirun` of the deployment (§4.7).
+//! The in-process launcher — the `mpirun` of the thread deployment (§4.7).
 //!
 //! "The execution monitor first launches the execution of the different
 //! programs (CS, EL, SC, CN), and then monitors the execution potentially
-//! re-launching the crashed programs." Faults are detected as
-//! disconnections (our fabric kill) and crashed nodes are reincarnated
-//! with `restart = true`, which drives the ROLLBACK → DownloadEL →
-//! RESTART1/RESTART2 → replay recovery.
-//!
-//! The restart policy is non-blocking: crashed ranks are *scheduled* for
-//! respawn at a deadline (detection + relaunch latency, with exponential
-//! backoff on repeat crashes) while the dispatcher keeps processing other
-//! exits — so overlapping crashes of several ranks are handled
-//! concurrently, and a configured `restart_delay` never freezes the
-//! monitor itself. A per-rank restart budget bounds pathological crash
-//! loops, and with `auto_restart` off a crash fails the run immediately
-//! with [`ClusterError::RankLost`] instead of hanging until the timeout.
+//! re-launching the crashed programs." Every supervision decision —
+//! respawn back-off, the restart budget, service revival, the fault plan,
+//! the end of the run — is made by the shared `Supervisor` core; this
+//! module only launches node threads on the [`Fabric`], reports what it
+//! observes (a dead fabric slot is the disconnect the paper trusts as the
+//! failure verdict; exits carry results) and carries out the core's
+//! actions: reincarnate a node with `restart = true`, which drives the
+//! ROLLBACK → DownloadEL → RESTART1/RESTART2 → replay recovery, or kill
+//! one as the fault plan orders.
 
 use crate::baseline::{default_cms, spawn_channel_memories};
-use crate::chaos::{ChaosConfig, ChaosDriver, ChaosReport};
+use crate::chaos::{ChaosConfig, ChaosReport};
 use crate::messages::DispatcherMsg;
 use crate::node::{
     register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
@@ -26,24 +22,27 @@ use crate::services::{
     spawn_checkpoint_scheduler, spawn_checkpoint_server_on, spawn_el_replica, spawn_event_loggers,
     SchedulerConfig,
 };
+pub use crate::supervisor::ClusterError;
+use crate::supervisor::{put, Action, Event, Supervisor};
 use mvr_ckpt::CheckpointStore;
 use mvr_core::{BatchPolicy, ElAddr, Metrics, NodeId, Payload, Rank};
-use mvr_eventlog::{EventLogStore, ShardMap};
+use mvr_eventlog::EventLogStore;
 use mvr_net::{Fabric, Mailbox, TurbulenceConfig};
 use mvr_obs::{
-    timing_families, window_families, HealthServer, InvariantMonitor, LogHistogram, PromPage,
-    ProtoEvent, ProtocolTimings, Recorder, RecorderConfig, RecorderHub, Violation, WindowRing,
-    DISPATCHER_RANK,
+    HealthServer, InvariantMonitor, PromPage, ProtoEvent, ProtocolTimings, Recorder,
+    RecorderConfig, RecorderHub, DISPATCHER_RANK,
 };
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Housekeeping cadence of the dispatcher loop while it waits for exits:
-/// due-respawn dispatch, dead-service revival, metrics drain.
+/// Housekeeping cadence of the launcher loop while it waits for exits:
+/// the fabric liveness scan and the metrics drain.
 const POLL_TICK: Duration = Duration::from_millis(10);
 
 /// Deployment parameters (the "program file" of §4.7).
@@ -75,13 +74,17 @@ pub struct ClusterConfig {
     pub max_rank_restarts: u32,
     /// Event-batching policy of the V2 daemons (lazy by default).
     pub batch: BatchPolicy,
+    /// Timed fail-stop kills, as time since launch (`mpirun --kill`).
+    /// Executed, like the chaos storm, by the supervisor's fault plan:
+    /// a kill waits for its victim's current incarnation to be ready.
+    pub kills: Vec<(NodeId, Duration)>,
     /// Seeded randomized crash storm driven against the deployment.
     pub chaos: Option<ChaosConfig>,
     /// Seeded fabric-level turbulence (per-link delays, crash-on-Nth
     /// send/receive triggers, scheduled kills).
     pub turbulence: Option<TurbulenceConfig>,
-    /// Flight-recorder settings for every engine, the dispatcher and the
-    /// chaos driver. Disabled by default — the fast path is one relaxed
+    /// Flight-recorder settings for every engine and the dispatcher.
+    /// Disabled by default — the fast path is one relaxed
     /// atomic load per would-be record. `MVR_ENGINE_TRACE=1` in the
     /// environment force-enables recording with the stderr mirror (the
     /// successor of the old ad-hoc eprintln tracing).
@@ -123,6 +126,7 @@ impl Default for ClusterConfig {
             restart_delay: Duration::ZERO,
             max_rank_restarts: 256,
             batch: BatchPolicy::default(),
+            kills: Vec::new(),
             chaos: None,
             turbulence: None,
             obs: RecorderConfig::default(),
@@ -133,66 +137,6 @@ impl Default for ClusterConfig {
         }
     }
 }
-
-/// Why a run failed.
-#[derive(Debug)]
-pub enum ClusterError {
-    /// Not all ranks finished in time (includes a per-rank status dump).
-    Timeout(String),
-    /// An application rank failed with a non-crash error.
-    AppFailed {
-        /// The failing rank.
-        rank: Rank,
-        /// Its error.
-        error: String,
-    },
-    /// A rank crashed while `auto_restart` was off: without the execution
-    /// monitor's relaunch there is no recovery path, so the run fails
-    /// immediately instead of idling until the timeout.
-    RankLost {
-        /// The crashed rank.
-        rank: Rank,
-    },
-    /// A rank exceeded [`ClusterConfig::max_rank_restarts`]
-    /// reincarnations — the configured bound on crash loops.
-    RestartBudgetExhausted {
-        /// The crash-looping rank.
-        rank: Rank,
-        /// Reincarnations performed for it before giving up.
-        restarts: u32,
-    },
-    /// The online invariant monitor ([`ClusterConfig::monitor`]) caught
-    /// a protocol-invariant violation; the run halted at the first one.
-    InvariantViolated {
-        /// The first violation, with rank, clocks and detail.
-        violation: Violation,
-    },
-}
-
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::Timeout(s) => write!(f, "cluster run timed out: {s}"),
-            ClusterError::AppFailed { rank, error } => {
-                write!(f, "rank {rank} failed: {error}")
-            }
-            ClusterError::RankLost { rank } => {
-                write!(f, "rank {rank} crashed and auto_restart is disabled")
-            }
-            ClusterError::RestartBudgetExhausted { rank, restarts } => {
-                write!(
-                    f,
-                    "rank {rank} exhausted its restart budget ({restarts} restarts)"
-                )
-            }
-            ClusterError::InvariantViolated { violation } => {
-                write!(f, "protocol invariant violated: {violation}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ClusterError {}
 
 /// Fault-injection handle, cloneable and usable from any thread while the
 /// dispatcher waits.
@@ -277,13 +221,11 @@ pub struct Cluster {
     exit_tx: mpsc::Sender<NodeExit>,
     exit_rx: mpsc::Receiver<NodeExit>,
     handles: Vec<JoinHandle<()>>,
-    restarts: u64,
-    service_restarts: u64,
     disp_mb: Mailbox<DispatcherMsg>,
-    final_metrics: Vec<Option<Metrics>>,
-    final_timings: Vec<Option<ProtocolTimings>>,
-    chaos: Option<ChaosDriver>,
-    chaos_report: Option<ChaosReport>,
+    /// Every supervision decision.
+    core: Supervisor,
+    /// Launch time: the origin of the core's clock.
+    start: Instant,
     /// Registry of every incarnation's flight recorder (shared epoch).
     hub: Arc<RecorderHub>,
     /// The dispatcher's own recorder (pseudo-rank `DISPATCHER_RANK`).
@@ -293,19 +235,13 @@ pub struct Cluster {
     cs_store: Arc<Mutex<CheckpointStore>>,
     /// One unique-event counter per event-logger replica, flat-indexed
     /// (V2 only).
-    el_events_ever: Vec<Arc<std::sync::atomic::AtomicU64>>,
+    el_events_ever: Vec<Arc<AtomicU64>>,
     /// Each EL replica's shared ledger, flat-indexed. The store outlives
     /// its service thread, so a killed replica keeps its events and a
     /// revival absorbs a live peer's ledger into it before respawning.
     el_stores: Vec<Arc<Mutex<EventLogStore>>>,
-    /// Online invariant monitor, when enabled (sinks every record).
-    monitor: Option<Arc<InvariantMonitor>>,
     /// Live health endpoint, when enabled.
     health: Option<HealthServer>,
-    /// Ring of recent metrics windows over the merged interval
-    /// histograms, published on the health page next to the cumulative
-    /// families.
-    windows: WindowRing,
 }
 
 impl Cluster {
@@ -330,13 +266,11 @@ impl Cluster {
         let hub = RecorderHub::new(obs_cfg);
         // Attach the monitor before minting ANY recorder: only recorders
         // minted after `set_sink` feed it.
-        let monitor = if cfg.monitor {
+        let monitor = cfg.monitor.then(|| {
             let m = InvariantMonitor::new();
             hub.set_sink(m.clone());
-            Some(m)
-        } else {
-            None
-        };
+            m
+        });
         let health = cfg.health_addr.as_deref().and_then(|addr| {
             HealthServer::bind(addr)
                 .map_err(|e| eprintln!("health endpoint bind({addr}) failed: {e}"))
@@ -381,55 +315,34 @@ impl Cluster {
             RuntimeProtocol::P4 => {}
         }
 
-        // Register every node before starting any, so initial sends never
-        // race a half-registered peer.
-        let slots: Vec<_> = (0..cfg.world)
-            .map(|r| register_node(&fabric, Rank(r)))
-            .collect();
-        for (r, s) in slots.into_iter().enumerate() {
-            let ncfg = NodeConfig {
-                rank: Rank(r as u32),
-                world: cfg.world,
-                protocol: cfg.protocol,
-                el_shards: cfg.el_shards,
-                el_replicas: cfg.el_replicas,
-                channel_memories: default_cms(cfg.world),
-                batch: cfg.batch,
-                restart: false,
-                recorder: hub.recorder(r as u32),
-            };
-            handles.extend(start_node(s, ncfg, app.clone(), exit_tx.clone()));
-        }
-
-        let chaos = cfg
-            .chaos
-            .as_ref()
-            .map(|c| ChaosDriver::spawn(fabric.clone(), c, cfg.world, disp_rec.clone()));
-
-        let world = cfg.world as usize;
-        Cluster {
+        let core = Supervisor::new(&cfg, disp_rec.clone(), monitor);
+        let mut cluster = Cluster {
             fabric,
             cfg,
             app,
             exit_tx,
             exit_rx,
             handles,
-            restarts: 0,
-            service_restarts: 0,
             disp_mb,
-            final_metrics: vec![None; world],
-            final_timings: vec![None; world],
-            chaos,
-            chaos_report: None,
+            core,
+            start: Instant::now(),
             hub,
             disp_rec,
             cs_store,
             el_events_ever,
             el_stores,
-            monitor,
             health,
-            windows: WindowRing::with_defaults(0),
+        };
+
+        // Register every node before starting any, so initial sends never
+        // race a half-registered peer.
+        let slots: Vec<_> = (0..cluster.cfg.world)
+            .map(|r| register_node(&cluster.fabric, Rank(r)))
+            .collect();
+        for (r, s) in slots.into_iter().enumerate() {
+            cluster.start_rank(Rank(r as u32), s, false);
         }
+        cluster
     }
 
     /// Address of the live health endpoint, when one is serving
@@ -448,7 +361,7 @@ impl Cluster {
     /// Per-event-logger live counters of cumulative unique events
     /// logged. Clone before `wait`/`wait_report`; read after the run to
     /// assert delivery-conservation invariants.
-    pub fn el_event_counters(&self) -> Vec<Arc<std::sync::atomic::AtomicU64>> {
+    pub fn el_event_counters(&self) -> Vec<Arc<AtomicU64>> {
         self.el_events_ever.clone()
     }
 
@@ -463,7 +376,7 @@ impl Cluster {
 
     /// Number of node reincarnations performed so far.
     pub fn restarts(&self) -> u64 {
-        self.restarts
+        self.core.restarts
     }
 
     /// As [`wait`](Self::wait), additionally reporting the dispatcher's
@@ -474,70 +387,50 @@ impl Cluster {
         let results = me.wait_inner(timeout)?;
         let mut report = RunReport {
             results,
-            restarts: me.restarts,
-            service_restarts: me.service_restarts,
-            chaos: me.chaos_report.take(),
+            restarts: me.core.restarts,
+            service_restarts: me.core.service_restarts,
+            chaos: me.core.chaos_report(),
             ..Default::default()
         };
-        for m in me.final_metrics.iter().flatten() {
+        for (m, t) in me.core.finals.iter().flatten() {
             report.recoveries += m.recoveries;
             report.replays_completed += m.replays_completed;
             report.replayed_deliveries += m.replayed_deliveries;
             report.duplicates_dropped += m.duplicates_dropped;
             report.retransmissions += m.retransmissions;
-        }
-        for t in me.final_timings.iter().flatten() {
             report.timings.merge(t);
+            report.rank_metrics.push(*m);
         }
-        report.rank_metrics = me.final_metrics.iter().flatten().copied().collect();
         Ok(report)
     }
 
-    /// Run the dispatcher loop until every rank has finished (restarting
+    /// Run the launcher loop until every rank has finished (restarting
     /// crashed nodes), then tear everything down and return the per-rank
     /// results.
-    pub fn wait(mut self, timeout: Duration) -> Result<Vec<Payload>, ClusterError> {
-        self.wait_inner(timeout)
-    }
-
-    /// The reincarnation deadline for a rank's `attempt`-th respawn:
-    /// `restart_delay` with exponential backoff, capped at 64×.
-    fn backoff(&self, attempt: u32) -> Duration {
-        self.cfg.restart_delay * (1u32 << attempt.min(6))
+    pub fn wait(self, timeout: Duration) -> Result<Vec<Payload>, ClusterError> {
+        self.wait_report(timeout).map(|report| report.results)
     }
 
     fn drain_dispatcher_mailbox(&mut self) {
-        while let Ok(Some(msg)) = self.disp_mb.try_recv() {
-            match msg {
-                DispatcherMsg::Finalized {
-                    rank,
-                    metrics,
-                    timings,
-                } => {
-                    // Later incarnations overwrite: the finishing state of
-                    // the incarnation that actually completed wins.
-                    self.final_metrics[rank.idx()] = Some(metrics);
-                    self.final_timings[rank.idx()] = Some(timings);
-                }
-            }
+        while let Ok(Some(DispatcherMsg::Finalized {
+            rank,
+            metrics,
+            timings,
+        })) = self.disp_mb.try_recv()
+        {
+            self.core.finalized(rank, metrics, timings);
         }
     }
 
-    /// Record a run failure as a harness-level `Divergence` and, when a
-    /// dump directory is configured and recording is on, write the merged
-    /// flight-recorder timeline there. The triage note — naming the dump
-    /// paths and the rank/protocol-phase of the first divergence — goes
-    /// to stderr so it lands next to the failing harness's output.
-    fn fail_dump(&mut self, detail: &str) {
-        self.disp_rec.record(
-            0,
-            ProtoEvent::Divergence {
-                detail: detail.to_string(),
-            },
-        );
-        if let Some(dir) = self.cfg.obs_dump_dir.clone() {
+    /// When a dump directory is configured and recording is on, write
+    /// the merged flight-recorder timeline of a failed run there. The
+    /// triage note — naming the dump paths and the rank/protocol-phase
+    /// of the first divergence — goes to stderr so it lands next to the
+    /// failing harness's output.
+    fn fail_dump(&self) {
+        if let Some(dir) = &self.cfg.obs_dump_dir {
             if self.hub.is_enabled() {
-                match self.hub.dump(&dir, "crash") {
+                match self.hub.dump(dir, "crash") {
                     Ok(paths) => eprintln!("{}", paths.summary()),
                     Err(e) => eprintln!("flight-recorder dump failed: {e}"),
                 }
@@ -546,497 +439,200 @@ impl Cluster {
     }
 
     fn wait_inner(&mut self, timeout: Duration) -> Result<Vec<Payload>, ClusterError> {
-        let deadline = Instant::now() + timeout;
-        let world = self.cfg.world as usize;
-        let mut results: Vec<Option<Payload>> = vec![None; world];
-        let mut finished = vec![false; world];
-        // A pending (scheduled, not yet performed) respawn per rank.
-        let mut respawn_at: Vec<Option<Instant>> = vec![None; world];
-        // Reincarnations per rank, driving backoff and the budget.
-        let mut attempts = vec![0u32; world];
-
-        while finished.iter().any(|f| !f) {
-            let now = Instant::now();
-
-            // Halt at the first invariant violation the online monitor
-            // caught since the previous tick.
-            if let Some(v) = self.monitor.as_ref().and_then(|m| m.violation()) {
-                let err = ClusterError::InvariantViolated { violation: v };
-                self.fail_dump(&err.to_string());
-                self.teardown();
-                return Err(err);
-            }
-
-            // Refresh the live health page.
-            if self.health.is_some() {
-                let page = self.render_health(&finished, &attempts, true);
-                if let Some(h) = &self.health {
-                    h.publish(page);
+        self.core.deadline = Some(self.start.elapsed() + timeout);
+        // Threads on the fabric are ready the moment they are spawned.
+        let launched = self.core.nodes();
+        let mut events: VecDeque<Event> = launched
+            .map(|(node, incarnation, _)| Event::Ready { node, incarnation })
+            .collect();
+        loop {
+            // The fabric's liveness is the failure verdict (§4.7 trusts
+            // a disconnect): it covers planned kills, external fault
+            // handles and turbulence triggers alike, and it is always
+            // about the incarnation currently registered.
+            for (node, incarnation, up) in self.core.nodes() {
+                if up && !self.fabric.is_alive(node) {
+                    events.push_back(Event::Down {
+                        node,
+                        incarnation,
+                        cause: "fabric slot dead".into(),
+                    });
                 }
             }
+            self.drain_dispatcher_mailbox();
+            events.push_back(Event::Tick);
 
-            // Perform respawns whose deadline has passed.
-            for (r, slot) in respawn_at.iter_mut().enumerate() {
-                if slot.is_some_and(|t| t <= now) {
-                    *slot = None;
-                    self.respawn(Rank(r as u32));
-                }
-            }
-
-            if self.cfg.auto_restart && self.cfg.protocol == RuntimeProtocol::V2 {
-                // Revive killed-but-finished daemons: a finished rank's
-                // daemon still serves its sender log to replaying peers,
-                // so a chaos kill after its Finish must not strand them.
-                // The revived incarnation re-runs deterministically and
-                // re-finishes with the same payload. Revivals do not
-                // consume the restart budget (they stop, silently, once
-                // it is exhausted — peers then time out, which is the
-                // budget doing its job).
-                for r in 0..world {
-                    if finished[r]
-                        && respawn_at[r].is_none()
-                        && attempts[r] < self.cfg.max_rank_restarts
-                        && !self.fabric.is_alive(NodeId::Computing(Rank(r as u32)))
-                    {
-                        respawn_at[r] = Some(now + self.backoff(attempts[r]));
-                        attempts[r] = attempts[r].saturating_add(1);
-                        self.disp_rec.record(
-                            0,
-                            ProtoEvent::RespawnScheduled {
-                                rank: r as u32,
-                                attempt: attempts[r] as u64,
-                            },
-                        );
-                    }
-                }
-                // Relaunch a crashed checkpoint server (§4.3/§4.7). It
-                // resumes from stable storage: every image acked before
-                // the crash is served again, so ranks whose event logs
-                // were truncated against those images stay recoverable.
-                // Only ranks that never checkpointed restart from
-                // scratch — §4.3's "at worst".
-                if !self.fabric.is_alive(NodeId::CheckpointServer(0)) {
-                    self.handles.push(spawn_checkpoint_server_on(
-                        &self.fabric,
-                        self.cs_store.clone(),
-                    ));
-                    self.service_restarts += 1;
-                }
-                // Revive crashed event-logger replicas — replicated
-                // deployments only. With R = 1 a dead EL stays dead
-                // and the system stalls at the pessimism gate (§4.5:
-                // the EL is assumed reliable; the R = 1 tests pin that
-                // stall). With R > 1 the survivors keep serving the
-                // quorum, and the dead replica is respawned on its
-                // surviving ledger after absorbing a live same-shard
-                // peer's snapshot, so it returns holding every event
-                // the quorum ever acked.
-                if self.cfg.el_replicas > 1 {
-                    let replicas = self.cfg.el_replicas;
-                    for shard in 0..self.cfg.el_shards {
-                        for replica in 0..replicas {
-                            let addr = ElAddr { shard, replica };
-                            let flat = addr.flat(replicas);
-                            if self.fabric.is_alive(NodeId::EventLogger(flat)) {
-                                continue;
-                            }
-                            // Absorb EVERY live peer, not just one:
-                            // with overlapping EL crash windows the
-                            // peers may hold different subsets, and an
-                            // ack watermark computed over a ledger with
-                            // holes would falsely claim the missing
-                            // events durable. The union over all live
-                            // peers is hole-free whenever at most
-                            // R − Q replicas are down at once (any
-                            // event's write set of ≥ Q intersects the
-                            // ≥ Q live peers).
-                            let snapshots: Vec<EventLogStore> = (0..replicas)
-                                .filter(|&p| p != replica)
-                                .map(|p| ElAddr { shard, replica: p }.flat(replicas))
-                                .filter(|&f| self.fabric.is_alive(NodeId::EventLogger(f)))
-                                .map(|f| self.el_stores[f as usize].lock().clone())
-                                .collect();
-                            let caught_up = {
-                                let mut store = self.el_stores[flat as usize].lock();
-                                for snap in &snapshots {
-                                    store.absorb(snap);
+            let mut killed = false;
+            while let Some(ev) = events.pop_front() {
+                for action in self.core.step(self.start.elapsed(), ev) {
+                    match action {
+                        Action::Spawn {
+                            node,
+                            incarnation,
+                            restart,
+                        } => {
+                            self.spawn(node, restart);
+                            events.push_back(Event::Ready { node, incarnation });
+                        }
+                        Action::Kill { node } => {
+                            killed = true;
+                            match node {
+                                // Atomic: the daemon must never be seen
+                                // dead while the co-located process slot
+                                // is still alive.
+                                NodeId::Computing(r) => {
+                                    self.fabric.kill_group(&mvr_net::fail_stop_group(r))
                                 }
-                                store.total_logged()
-                            };
-                            self.el_events_ever[flat as usize]
-                                .store(caught_up, std::sync::atomic::Ordering::Relaxed);
-                            self.handles.push(spawn_el_replica(
-                                &self.fabric,
-                                addr,
-                                replicas,
-                                self.el_events_ever[flat as usize].clone(),
-                                self.el_stores[flat as usize].clone(),
-                            ));
-                            self.service_restarts += 1;
-                            self.disp_rec.record(
-                                0,
-                                ProtoEvent::ElReplicaRevive {
-                                    shard,
-                                    replica,
-                                    caught_up,
-                                },
-                            );
+                                other => self.fabric.kill(other),
+                            }
+                        }
+                        Action::Fail(err) => {
+                            self.fail_dump();
+                            self.teardown();
+                            return Err(err);
+                        }
+                        Action::Done => {
+                            self.drain_dispatcher_mailbox();
+                            self.publish_health(false);
+                            self.teardown();
+                            return Ok(self
+                                .core
+                                .take_results()
+                                .into_iter()
+                                .map(|p| p.expect("all finished"))
+                                .collect());
                         }
                     }
                 }
             }
-
-            self.drain_dispatcher_mailbox();
-
-            if deadline.saturating_duration_since(now).is_zero() {
-                let status: Vec<String> = (0..world)
-                    .map(|r| {
-                        format!(
-                            "rank {r}: finished={} alive={} proc_alive={} restarts={}",
-                            finished[r],
-                            self.fabric.is_alive(NodeId::Computing(Rank(r as u32))),
-                            self.fabric.is_alive(NodeId::Process(Rank(r as u32))),
-                            attempts[r]
-                        )
-                    })
-                    .collect();
-                let err = ClusterError::Timeout(status.join("; "));
-                self.fail_dump(&err.to_string());
-                self.teardown();
-                return Err(err);
+            if self.health.is_some() && self.core.health_due(self.start.elapsed()) {
+                self.publish_health(true);
+            }
+            if killed {
+                // Observe our own kill right away instead of sleeping on it.
+                continue;
             }
 
             // Sleep until the next interesting instant: an exit arriving,
-            // a scheduled respawn coming due, the deadline, or the next
-            // housekeeping tick.
-            let mut wake = deadline.min(now + POLL_TICK);
-            if let Some(t) = respawn_at.iter().flatten().min() {
-                wake = wake.min(*t);
-            }
-            let exit = match self
-                .exit_rx
-                .recv_timeout(wake.saturating_duration_since(now))
-            {
+            // a respawn or planned kill coming due, the deadline, or the
+            // next housekeeping tick.
+            let idle = self.core.idle_for(self.start.elapsed(), POLL_TICK);
+            let exit = match self.exit_rx.recv_timeout(idle) {
                 Ok(e) => e,
                 Err(mpsc::RecvTimeoutError::Timeout) => continue,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     unreachable!("dispatcher holds a sender")
                 }
             };
-            let r = exit.rank.idx();
             if self.disp_rec.trace_stderr() {
-                eprintln!(
-                    "[disp] exit rank={} outcome={:?} respawn_at_set={} attempts={}",
-                    r,
-                    match &exit.outcome {
-                        Outcome::Finished(_) => "Finished",
-                        Outcome::Killed => "Killed",
-                        Outcome::Failed(_) => "Failed",
-                    },
-                    respawn_at[r].is_some(),
-                    attempts[r]
-                );
+                eprintln!("[disp] exit rank={} outcome={:?}", exit.rank, exit.outcome);
             }
             match exit.outcome {
-                Outcome::Finished(p) => {
-                    results[r] = Some(p);
-                    finished[r] = true;
-                }
-                Outcome::Killed => {
-                    finished[r] = false;
-                    results[r] = None;
-                    if self.cfg.protocol == RuntimeProtocol::P4 {
-                        // No fault tolerance: a crash kills the run, as
-                        // with the real MPICH-P4.
-                        let err = ClusterError::AppFailed {
-                            rank: exit.rank,
-                            error: "node crashed under MPICH-P4 (no fault tolerance)".into(),
-                        };
-                        self.fail_dump(&err.to_string());
-                        self.teardown();
-                        return Err(err);
-                    }
-                    if !self.cfg.auto_restart {
-                        let err = ClusterError::RankLost { rank: exit.rank };
-                        self.fail_dump(&err.to_string());
-                        self.teardown();
-                        return Err(err);
-                    }
-                    if attempts[r] >= self.cfg.max_rank_restarts {
-                        let err = ClusterError::RestartBudgetExhausted {
-                            rank: exit.rank,
-                            restarts: attempts[r],
-                        };
-                        self.fail_dump(&err.to_string());
-                        self.teardown();
-                        return Err(err);
-                    }
-                    // Schedule, don't sleep: other ranks' exits (and
-                    // overlapping crashes) keep being processed while
-                    // this reincarnation waits out its delay.
-                    if respawn_at[r].is_none() {
-                        respawn_at[r] = Some(Instant::now() + self.backoff(attempts[r]));
-                        attempts[r] += 1;
-                        self.disp_rec.record(
-                            0,
-                            ProtoEvent::RespawnScheduled {
-                                rank: r as u32,
-                                attempt: attempts[r] as u64,
-                            },
-                        );
-                    }
-                }
-                Outcome::Failed(error) => {
-                    let err = ClusterError::AppFailed {
-                        rank: exit.rank,
-                        error,
-                    };
-                    self.fail_dump(&err.to_string());
-                    self.teardown();
-                    return Err(err);
-                }
+                Outcome::Finished(payload) => events.push_back(Event::Result {
+                    rank: exit.rank,
+                    payload,
+                }),
+                Outcome::Failed(detail) => events.push_back(Event::Failed {
+                    rank: exit.rank,
+                    detail,
+                }),
+                // A crash report names no incarnation and may be stale;
+                // it only wakes the loop — the liveness scan above is
+                // the verdict.
+                Outcome::Killed => {}
             }
         }
-        self.drain_dispatcher_mailbox();
-        // A violation recorded after the last poll tick (e.g. by the
-        // final rank's finishing burst) must still fail the run.
-        if let Some(v) = self.monitor.as_ref().and_then(|m| m.violation()) {
-            let err = ClusterError::InvariantViolated { violation: v };
-            self.fail_dump(&err.to_string());
-            self.teardown();
-            return Err(err);
-        }
-        if self.health.is_some() {
-            let page = self.render_health(&finished, &attempts, false);
-            if let Some(h) = &self.health {
-                h.publish(page);
-            }
-        }
-        self.teardown();
-        Ok(results
-            .into_iter()
-            .map(|p| p.expect("all finished"))
-            .collect())
     }
 
-    /// Render the Prometheus-style text health page: run state, restart
-    /// budget, per-rank liveness/incarnations, EL counters, monitor
-    /// progress and the merged protocol latency histograms — cumulative
-    /// and windowed (the ring of recent windows plus the in-progress
-    /// one). Every family carries `# HELP`/`# TYPE` via [`PromPage`],
-    /// the formatter shared with the multi-process supervisor's page.
-    fn render_health(&mut self, finished: &[bool], attempts: &[u32], running: bool) -> String {
-        let mut page = PromPage::new("mpich-v2 runtime live health");
-        page.sample(
-            "mvr_up",
-            "gauge",
-            "1 while the deployment is running, 0 once it has finished.",
-            "",
-            if running { 1 } else { 0 },
-        );
-        page.sample(
-            "mvr_world",
-            "gauge",
-            "Number of computing ranks in the deployment.",
-            "",
-            self.cfg.world,
-        );
-        page.sample(
-            "mvr_restarts_total",
-            "counter",
-            "Computing-rank restarts performed since boot.",
-            "",
-            self.restarts,
-        );
-        page.sample(
-            "mvr_service_restarts_total",
-            "counter",
-            "Service-node (EL/CS) restarts performed since boot.",
-            "",
-            self.service_restarts,
-        );
+    fn publish_health(&mut self, running: bool) {
+        let Some(health) = &self.health else { return };
+        let counters = self.el_events_ever.iter();
+        let el_events: Vec<u64> = counters.map(|c| c.load(Ordering::Relaxed)).collect();
+        let finals = self.core.finals.iter().enumerate();
+        let rank_timings: Vec<(Rank, ProtocolTimings)> = finals
+            .filter_map(|(r, f)| f.as_ref().map(|(_, t)| (Rank(r as u32), t.clone())))
+            .collect();
         // Lock-free (atomic depth counter): safe to sample every tick.
-        page.sample(
-            "mvr_dispatcher_mailbox_depth",
-            "gauge",
-            "Messages waiting in the dispatcher mailbox.",
-            "",
-            self.disp_mb.len(),
-        );
-        page.sample(
-            "mvr_restart_budget_per_rank",
-            "gauge",
-            "Maximum restarts allowed per rank before the run fails.",
-            "",
-            self.cfg.max_rank_restarts,
-        );
-        for (r, (&fin, &att)) in finished.iter().zip(attempts).enumerate() {
-            let alive = self.fabric.is_alive(NodeId::Computing(Rank(r as u32)));
-            let l = format!("rank=\"{r}\"");
-            page.sample(
-                "mvr_rank_alive",
-                "gauge",
-                "1 while the rank's current incarnation is live.",
-                &l,
-                if alive { 1 } else { 0 },
-            );
-            page.sample(
-                "mvr_rank_finished",
-                "gauge",
-                "1 once the rank has returned its result.",
-                &l,
-                if fin { 1 } else { 0 },
-            );
-            page.sample(
-                "mvr_rank_incarnations",
-                "counter",
-                "Incarnations launched for the rank.",
-                &l,
-                att,
-            );
-            page.sample(
-                "mvr_rank_restart_budget_remaining",
-                "gauge",
-                "Restarts left in the rank's budget.",
-                &l,
-                self.cfg.max_rank_restarts.saturating_sub(att),
-            );
-        }
-        for (i, c) in self.el_events_ever.iter().enumerate() {
-            page.sample(
-                "mvr_el_events_total",
-                "counter",
-                "Unique events held by the event-logger replica's ledger.",
-                &format!("el=\"{i}\""),
-                c.load(std::sync::atomic::Ordering::Relaxed),
-            );
-        }
-        // Per-shard merged view: a shard's unique-event count is the max
-        // across its replicas (each counter is monotone over the same
-        // dedup domain; the max is what a read quorum would reconstruct).
-        if !self.el_events_ever.is_empty() {
-            let replicas = self.cfg.el_replicas.max(1) as usize;
-            let per_replica: Vec<u64> = self
-                .el_events_ever
-                .iter()
-                .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-                .collect();
-            for (shard, chunk) in per_replica.chunks(replicas).enumerate() {
-                page.sample(
-                    "mvr_el_shard_unique_events",
-                    "counter",
-                    "Unique events a read quorum of the shard would reconstruct (max across replicas).",
-                    &format!("shard=\"{shard}\""),
-                    chunk.iter().copied().max().unwrap_or(0),
-                );
-            }
-            // Per-shard ack RTT: fold each rank's ack-RTT histogram into
-            // the shard the consistent hash assigns it to.
-            let shards = self.cfg.el_shards.max(1);
-            let map = ShardMap::new(shards);
-            let mut per_shard = vec![LogHistogram::default(); shards as usize];
-            for (r, t) in self.final_timings.iter().enumerate() {
-                if let Some(t) = t {
-                    per_shard[map.shard_for(Rank(r as u32)) as usize].merge(&t.el_ack_rtt);
-                }
-            }
-            for (shard, h) in per_shard.iter().enumerate() {
-                let s = h.summary();
-                let l = format!("shard=\"{shard}\"");
-                page.sample(
-                    "mvr_el_shard_ack_rtt_count",
-                    "counter",
-                    "Ack-RTT samples folded into the shard.",
-                    &l,
-                    s.count,
-                );
-                page.sample(
-                    "mvr_el_shard_ack_rtt_p99_ns",
-                    "gauge",
-                    "99th-percentile event-log ack RTT (ns) for the shard.",
-                    &l,
-                    s.p99,
-                );
-            }
-        }
-        match &self.monitor {
-            Some(m) => {
-                page.sample(
-                    "mvr_monitor_enabled",
-                    "gauge",
-                    "1 when the online invariant monitor is attached.",
-                    "",
-                    1,
-                );
-                page.sample(
-                    "mvr_monitor_records_total",
-                    "counter",
-                    "Flight records the invariant monitor has consumed.",
-                    "",
-                    m.records_seen(),
-                );
-                page.sample(
-                    "mvr_monitor_violations",
-                    "gauge",
-                    "1 once the monitor has caught an invariant violation.",
-                    "",
-                    if m.violation().is_some() { 1 } else { 0 },
-                );
-            }
-            None => {
-                page.sample(
-                    "mvr_monitor_enabled",
-                    "gauge",
-                    "1 when the online invariant monitor is attached.",
-                    "",
-                    0,
-                );
-            }
-        }
-        let mut timings = ProtocolTimings::new();
-        for t in self.final_timings.iter().flatten() {
-            timings.merge(t);
-        }
-        // Windowed view: advance the ring on the dispatcher's shared
-        // epoch clock, then publish the retained windows next to the
-        // cumulative families.
-        self.windows.advance(self.disp_rec.now_ns(), &timings);
-        timing_families(
-            &mut page,
-            &[
-                ("gate_wait", &timings.gate_wait),
-                ("el_ack_rtt", &timings.el_ack_rtt),
-                ("ckpt_store", &timings.ckpt_store),
-                ("replay", &timings.replay),
-            ],
-        );
-        let closed: Vec<_> = self.windows.closed().collect();
-        let current = self.windows.current(self.disp_rec.now_ns(), &timings);
-        window_families(&mut page, &closed, &current);
-        page.finish()
+        let depth = self.disp_mb.len();
+        let extras = |page: &mut PromPage| put(page, "mvr_dispatcher_mailbox_depth", "", depth);
+        let page = self
+            .core
+            .render_health(running, &rank_timings, &el_events, &[], extras);
+        health.publish(page);
     }
 
-    fn respawn(&mut self, rank: Rank) {
-        // Idempotence: a finished rank killed by chaos is both revived by
-        // the liveness scan *and* reported through its daemon's stale
-        // `Killed` exit — the second scheduled respawn must not run into
-        // the already-live reincarnation. (Only the dispatcher thread
-        // registers ranks, so this check cannot race a registration.)
-        if self.fabric.is_alive(NodeId::Computing(rank)) {
-            if self.disp_rec.trace_stderr() {
-                eprintln!("[disp] respawn r{}: skipped, computing alive", rank.0);
+    /// Launch a (re)incarnation of `node` on the fabric.
+    fn spawn(&mut self, node: NodeId, restart: bool) {
+        match node {
+            NodeId::Computing(rank) => {
+                if self.disp_rec.trace_stderr() {
+                    eprintln!("[disp] respawn r{}: reincarnating", rank.0);
+                }
+                // Enforce fail-stop before reincarnating: a kill that
+                // raced the two-step registration below can leave the
+                // co-located process slot alive after its daemon died.
+                self.fabric.kill(NodeId::Process(rank));
+                let slots = register_node(&self.fabric, rank);
+                self.start_rank(rank, slots, restart);
             }
-            return;
+            // Relaunch a crashed checkpoint server (§4.3/§4.7). It
+            // resumes from stable storage: every image acked before the
+            // crash is served again, so ranks whose event logs were
+            // truncated against those images stay recoverable. Only
+            // ranks that never checkpointed restart from scratch —
+            // §4.3's "at worst".
+            NodeId::CheckpointServer(_) => self.handles.push(spawn_checkpoint_server_on(
+                &self.fabric,
+                self.cs_store.clone(),
+            )),
+            // Revive a crashed event-logger replica on its surviving
+            // ledger after absorbing its live same-shard peers, so it
+            // returns holding every event the quorum ever acked.
+            NodeId::EventLogger(flat) => {
+                let replicas = self.cfg.el_replicas;
+                let addr = ElAddr::from_flat(flat, replicas);
+                // Absorb EVERY live peer, not just one: with overlapping
+                // EL crash windows the peers may hold different subsets,
+                // and an ack watermark computed over a ledger with holes
+                // would falsely claim the missing events durable. The
+                // union over all live peers is hole-free whenever at
+                // most R − Q replicas are down at once (any event's
+                // write set of ≥ Q intersects the ≥ Q live peers).
+                let snapshots: Vec<EventLogStore> = (0..replicas)
+                    .filter(|&p| p != addr.replica)
+                    .map(|replica| ElAddr { replica, ..addr }.flat(replicas))
+                    .filter(|&f| self.fabric.is_alive(NodeId::EventLogger(f)))
+                    .map(|f| self.el_stores[f as usize].lock().clone())
+                    .collect();
+                let caught_up = {
+                    let mut store = self.el_stores[flat as usize].lock();
+                    for snap in &snapshots {
+                        store.absorb(snap);
+                    }
+                    store.total_logged()
+                };
+                self.el_events_ever[flat as usize].store(caught_up, Ordering::Relaxed);
+                self.handles.push(spawn_el_replica(
+                    &self.fabric,
+                    addr,
+                    replicas,
+                    self.el_events_ever[flat as usize].clone(),
+                    self.el_stores[flat as usize].clone(),
+                ));
+                self.disp_rec.record(
+                    0,
+                    ProtoEvent::ElReplicaRevive {
+                        shard: addr.shard,
+                        replica: addr.replica,
+                        caught_up,
+                    },
+                );
+            }
+            other => unreachable!("{other} is not a supervised node"),
         }
-        if self.disp_rec.trace_stderr() {
-            eprintln!("[disp] respawn r{}: reincarnating", rank.0);
-        }
-        // Enforce fail-stop before reincarnating: a kill that raced the
-        // two-step registration below can leave the co-located process
-        // slot alive after its daemon died.
-        self.fabric.kill(NodeId::Process(rank));
-        self.restarts += 1;
-        let slots = register_node(&self.fabric, rank);
+    }
+
+    fn start_rank(&mut self, rank: Rank, slots: crate::node::NodeSlots, restart: bool) {
         let ncfg = NodeConfig {
             rank,
             world: self.cfg.world,
@@ -1045,7 +641,7 @@ impl Cluster {
             el_replicas: self.cfg.el_replicas,
             channel_memories: default_cms(self.cfg.world),
             batch: self.cfg.batch,
-            restart: true,
+            restart,
             recorder: self.hub.recorder(rank.0),
         };
         self.handles.extend(start_node(
@@ -1057,10 +653,6 @@ impl Cluster {
     }
 
     fn teardown(&mut self) {
-        // Stop the storm first so no kill races the shutdown below.
-        if let Some(driver) = self.chaos.take() {
-            self.chaos_report = Some(driver.finish());
-        }
         self.fabric.clear_turbulence();
         // Kill everything; threads unwind on their mailbox errors.
         for r in 0..self.cfg.world {

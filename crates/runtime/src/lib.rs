@@ -37,6 +37,7 @@ pub mod node;
 pub mod proc;
 pub mod progfile;
 pub mod services;
+pub(crate) mod supervisor;
 
 pub use channel::DaemonChannel;
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosReport};

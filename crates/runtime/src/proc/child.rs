@@ -1,13 +1,17 @@
 //! Child-process side of the multi-process deployment.
 //!
 //! `mpirun --backend socket` re-executes its own binary once per
-//! deployment node with an `MVR_PROC_ROLE` environment describing what
-//! to host; [`maybe_run_child`] is the early-main hook that detects this
-//! and never returns for children. Each child binds a **fresh ephemeral
-//! port** (bind `:0`), announces it to the supervisor with a `Hello`,
-//! and receives the full address map back — which is why reincarnation
-//! never fights `TIME_WAIT`: a revived replica or restarted rank simply
-//! announces a new port instead of rebinding the old one.
+//! deployment node with one environment variable, [`ENV_CHILD`], holding
+//! the serialised `ChildSpec` — everything the child needs to know,
+//! written once by the supervisor and read once here.
+//! [`maybe_run_child`] is the early-main hook that detects this and never
+//! returns for children. Each child binds a **fresh ephemeral port**
+//! (bind `:0`), announces it to the supervisor with a `Hello`, and
+//! receives the full address map back — which is why reincarnation never
+//! fights `TIME_WAIT`: a revived replica or restarted rank simply
+//! announces a new port instead of rebinding the old one. Once its node
+//! is doing its job it reports `Ready`; the supervisor's fault plan holds
+//! kills aimed at it until then.
 //!
 //! The protocol code running inside a child is the unchanged in-process
 //! runtime; only the [`super::gateway`] is socket-aware.
@@ -23,65 +27,20 @@ use mvr_obs::{
     RotateConfig, SendDisposition, TeeSink, TelemetrySink, TelemetrySnapshot,
 };
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Exit code when startup never completed (no address map, bad env).
+/// Exit code when startup never completed (no address map, bad spec).
 pub const EXIT_STARTUP: i32 = 3;
 /// Exit code when the supervisor's endpoint died under the child.
 pub const EXIT_ORPHANED: i32 = 86;
 
-/// Environment variable carrying the role spec
-/// (`cn:<rank>` | `el:<shard>:<replica>` | `cs`).
-pub const ENV_ROLE: &str = "MVR_PROC_ROLE";
-/// Supervisor's `host:port`.
-pub const ENV_PARENT: &str = "MVR_PROC_PARENT";
-/// Shared recorder epoch, unix nanoseconds.
-pub const ENV_EPOCH_NS: &str = "MVR_PROC_EPOCH_NS";
-/// Supervisor-assigned incarnation of this child.
-pub const ENV_INCARNATION: &str = "MVR_PROC_INCARNATION";
-/// World size.
-pub const ENV_WORLD: &str = "MVR_PROC_WORLD";
-/// Event-logger shards.
-pub const ENV_SHARDS: &str = "MVR_PROC_SHARDS";
-/// Replicas per shard.
-pub const ENV_REPLICAS: &str = "MVR_PROC_REPLICAS";
-/// Set to `1` when this incarnation must recover (rank) or catch up
-/// from a sibling (EL replica).
-pub const ENV_RESTART: &str = "MVR_PROC_RESTART";
-/// Directory for the crash-surviving JSONL event stream (optional).
-pub const ENV_OBS: &str = "MVR_PROC_OBS";
-/// Application spec, e.g. `ring 500` (rank children only).
-pub const ENV_APP: &str = "MVR_PROC_APP";
-/// Declared `host:port` to bind on first launch (from a program file).
-/// Reincarnations ignore it and bind ephemeral — the `TIME_WAIT` fix.
-pub const ENV_BIND: &str = "MVR_PROC_BIND";
-/// Fail-stop detector read-timeout override, milliseconds (optional).
-pub const ENV_FAIL_AFTER_MS: &str = "MVR_PROC_FAIL_AFTER_MS";
-/// Signed nanosecond shift applied to this child's recorder epoch —
-/// injected clock skew for testing the skew-corrected merge. A
-/// positive value makes the child's timestamps read early (a clock
-/// running behind), which the merge solver must raise back.
-pub const ENV_EPOCH_SKEW_NS: &str = "MVR_PROC_EPOCH_SKEW_NS";
-/// Set to `1` to make a rank child record a deliberate pessimism-gate
-/// violation at startup — the end-to-end probe of the parent's live
-/// cluster-wide invariant monitor.
-pub const ENV_INJECT_VIOLATION: &str = "MVR_PROC_INJECT_VIOLATION";
-/// Flush cadence of the durable JSONL stream (default 1: one
-/// `write(2)` per record, the SIGKILL-durable setting).
-pub const ENV_STREAM_FLUSH_EVERY: &str = "MVR_PROC_STREAM_FLUSH_EVERY";
-/// Signed clock-drift rate in parts-per-billion applied to this
-/// child's recorder clock — injected oscillator error for testing the
-/// drift-aware (piecewise) skew correction on the merge path.
-pub const ENV_DRIFT_PPB: &str = "MVR_PROC_DRIFT_PPB";
-/// Rotate the durable JSONL stream after this many records per
-/// segment (0 / unset = never).
-pub const ENV_ROTATE_RECORDS: &str = "MVR_PROC_ROTATE_RECORDS";
-/// Rotate the durable JSONL stream once a segment exceeds this many
-/// bytes (0 / unset = never).
-pub const ENV_ROTATE_BYTES: &str = "MVR_PROC_ROTATE_BYTES";
+/// The one environment variable of the parent→child hand-off: a
+/// hex-encoded bincode `ChildSpec`.
+pub const ENV_CHILD: &str = "MVR_PROC_CHILD";
 
 /// Staging capacity of the live telemetry buffer between drains.
 const TELEMETRY_CAPACITY: usize = 8192;
@@ -91,12 +50,65 @@ const TELEMETRY_BATCH: usize = 512;
 /// records are staged, so the parent's aggregated health stays fresh.
 const TELEMETRY_CADENCE: Duration = Duration::from_millis(100);
 
-fn env(name: &str) -> Option<String> {
-    std::env::var(name).ok()
+/// Everything one child incarnation is told by the supervisor.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub(crate) struct ChildSpec {
+    /// The node this process hosts (rank, EL replica or the CS).
+    pub node: NodeId,
+    pub incarnation: u64,
+    /// This incarnation must recover (rank) or catch up from a sibling
+    /// (EL replica).
+    pub restart: bool,
+    /// The supervisor's `host:port`.
+    pub parent: String,
+    pub world: u32,
+    pub el_shards: u32,
+    pub el_replicas: u32,
+    /// Application spec, e.g. `ring 500` (rank children only).
+    pub app: String,
+    /// Declared `host:port` to bind (first launch only; reincarnations
+    /// bind ephemeral — the `TIME_WAIT` fix).
+    pub bind: Option<String>,
+    /// Fail-stop detector read-timeout override, milliseconds.
+    pub fail_after_ms: Option<u64>,
+    /// Directory for the crash-surviving JSONL event stream.
+    pub obs_dir: Option<String>,
+    /// Shared recorder epoch, unix nanoseconds.
+    pub epoch_ns: u64,
+    /// Injected clock skew: a positive shift moves this child's epoch
+    /// later, so its timestamps read early — what a slow wall clock does
+    /// to a real node, and what the merge solver must raise back.
+    pub epoch_skew_ns: i64,
+    /// Injected oscillator error of the recorder clock, parts per billion.
+    pub drift_ppb: i64,
+    /// Rotate the JSONL stream after this many records / bytes per
+    /// segment (0 = never).
+    pub rotate_records: u64,
+    pub rotate_bytes: u64,
+    /// Record a deliberate pessimism-gate violation at startup — the
+    /// end-to-end probe of the parent's live invariant monitor.
+    pub inject_violation: bool,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    env(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+impl ChildSpec {
+    /// The value of [`ENV_CHILD`] for this spec.
+    pub(crate) fn to_env(&self) -> String {
+        let bytes = bincode::serialize(self).expect("ChildSpec serializes");
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn from_env(hex: &str) -> Option<ChildSpec> {
+        let byte = |i| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok();
+        let bytes: Vec<u8> = (0..hex.len()).step_by(2).map(byte).collect::<Option<_>>()?;
+        bincode::deserialize(&bytes).ok()
+    }
+
+    fn topology(&self) -> Topology {
+        Topology {
+            world: self.world,
+            el_total: self.el_shards * self.el_replicas,
+        }
+    }
 }
 
 fn die(detail: &str) -> ! {
@@ -105,98 +117,32 @@ fn die(detail: &str) -> ! {
 }
 
 /// Detector configuration shared by supervisor and children, with the
-/// read-timeout threshold overridable from the environment.
-pub fn transport_config() -> TcpConfig {
+/// read-timeout threshold optionally overridden.
+pub fn transport_config(fail_after: Option<Duration>) -> TcpConfig {
     let mut cfg = TcpConfig::default();
-    if let Some(ms) = env(ENV_FAIL_AFTER_MS).and_then(|v| v.parse().ok()) {
-        cfg.fail_after = Duration::from_millis(ms);
-        cfg.heartbeat = (cfg.fail_after / 4).max(Duration::from_millis(5));
+    if let Some(fail_after) = fail_after {
+        cfg.fail_after = fail_after;
+        cfg.heartbeat = (fail_after / 4).max(Duration::from_millis(5));
     }
     cfg
 }
 
-/// The early-main hook: when `MVR_PROC_ROLE` is set this process is a
+/// The early-main hook: when [`ENV_CHILD`] is set this process is a
 /// deployment child — run the role and **never return**. Returns
 /// `false` (quickly, no side effects) in ordinary invocations.
 ///
-/// `make_app` resolves the `MVR_PROC_APP` spec to the application a
-/// rank child runs; EL/CS children never call it.
+/// `make_app` resolves the spec's application string to the application
+/// a rank child runs; EL/CS children never call it.
 pub fn maybe_run_child(make_app: &dyn Fn(&str) -> Option<Arc<dyn MpiApp>>) -> bool {
-    let role = match env(ENV_ROLE) {
-        Some(r) => r,
-        None => return false,
+    let Ok(hex) = std::env::var(ENV_CHILD) else {
+        return false;
     };
-    let parent = env(ENV_PARENT).unwrap_or_else(|| die("missing MVR_PROC_PARENT"));
-    let parts: Vec<&str> = role.split(':').collect();
-    match parts.as_slice() {
-        ["cn", rank] => {
-            let rank = Rank(rank.parse().unwrap_or_else(|_| die("bad rank in role")));
-            run_rank(rank, &parent, make_app)
-        }
-        ["el", shard, replica] => {
-            let addr = ElAddr {
-                shard: shard.parse().unwrap_or_else(|_| die("bad shard in role")),
-                replica: replica
-                    .parse()
-                    .unwrap_or_else(|_| die("bad replica in role")),
-            };
-            run_el(addr, &parent)
-        }
-        ["cs"] => run_cs(&parent),
-        _ => die(&format!("unknown role spec '{role}'")),
-    }
-}
-
-struct ChildEnv {
-    topo: Topology,
-    replicas: u32,
-    incarnation: u64,
-    restart: bool,
-    epoch_ns: u64,
-    epoch_skew_ns: i64,
-    drift_ppb: i64,
-    inject_violation: bool,
-    stream_flush_every: u32,
-    rotate_records: u64,
-    rotate_bytes: u64,
-    obs_dir: Option<String>,
-}
-
-impl ChildEnv {
-    /// The recorder epoch this child actually uses: the deployment-wide
-    /// epoch shifted by any injected skew. A positive skew moves the
-    /// epoch later, so every timestamp this child records reads early —
-    /// exactly what a slow wall clock does to a real node.
-    fn local_epoch_ns(&self) -> u64 {
-        self.epoch_ns.saturating_add_signed(self.epoch_skew_ns)
-    }
-}
-
-fn child_env() -> ChildEnv {
-    let world = env_u64(ENV_WORLD, 0) as u32;
-    if world == 0 {
-        die("missing MVR_PROC_WORLD");
-    }
-    let shards = env_u64(ENV_SHARDS, 1) as u32;
-    let replicas = env_u64(ENV_REPLICAS, 1) as u32;
-    ChildEnv {
-        topo: Topology {
-            world,
-            el_total: shards * replicas,
-        },
-        replicas,
-        incarnation: env_u64(ENV_INCARNATION, 0),
-        restart: env(ENV_RESTART).as_deref() == Some("1"),
-        epoch_ns: env_u64(ENV_EPOCH_NS, 0),
-        epoch_skew_ns: env(ENV_EPOCH_SKEW_NS)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        drift_ppb: env(ENV_DRIFT_PPB).and_then(|v| v.parse().ok()).unwrap_or(0),
-        inject_violation: env(ENV_INJECT_VIOLATION).as_deref() == Some("1"),
-        stream_flush_every: env_u64(ENV_STREAM_FLUSH_EVERY, 1).max(1) as u32,
-        rotate_records: env_u64(ENV_ROTATE_RECORDS, 0),
-        rotate_bytes: env_u64(ENV_ROTATE_BYTES, 0),
-        obs_dir: env(ENV_OBS),
+    let spec = ChildSpec::from_env(&hex).unwrap_or_else(|| die("malformed MVR_PROC_CHILD"));
+    match spec.node {
+        NodeId::Computing(rank) => run_rank(rank, &spec, make_app),
+        NodeId::EventLogger(flat) => run_el(flat, &spec),
+        NodeId::CheckpointServer(_) => run_cs(&spec),
+        other => die(&format!("not a child role: {other}")),
     }
 }
 
@@ -204,15 +150,15 @@ fn child_env() -> ChildEnv {
 /// supervisor. Always ships at least one frame (possibly record-free)
 /// so the cumulative snapshot — counters, histograms, drop count —
 /// reaches the parent even across quiet stretches.
-fn ship_telemetry(gateway: &Gateway, tel: &TelemetrySink, node: &str, incarnation: u64) {
+fn ship_telemetry(gateway: &Gateway, tel: &TelemetrySink, spec: &ChildSpec) {
     loop {
         let records = tel.drain(TELEMETRY_BATCH);
         let done = records.len() < TELEMETRY_BATCH;
         gateway.send_to(
             NodeId::Dispatcher,
             &WireMsg::Telemetry {
-                node: node.to_string(),
-                incarnation,
+                node: spec.node.to_string(),
+                incarnation: spec.incarnation,
                 records,
                 snapshot: tel.snapshot(),
             },
@@ -223,63 +169,54 @@ fn ship_telemetry(gateway: &Gateway, tel: &TelemetrySink, node: &str, incarnatio
     }
 }
 
-/// Bind the endpoint on an ephemeral port, route to the supervisor,
-/// start the gateway and announce ourselves.
-fn open_endpoint(
-    node: NodeId,
-    parent: &str,
-    fabric: &Fabric,
-    role: GatewayRole,
-    ce: &ChildEnv,
-) -> Gateway {
+/// Bind the endpoint, route to the supervisor, start the gateway,
+/// announce ourselves, and block until the supervisor's address map
+/// covers the *whole* deployment (every peer this node may ever
+/// address). Acting on a partial map would let an early sender hit
+/// `NoRoute` and silently lose a frame on a healthy channel — a loss the
+/// protocol only repairs through the failure path, so it must never
+/// happen outside one. This holds at restart too: recovery opens with
+/// `Restart1` and `DownloadEL` traffic, and a concurrently-down peer's
+/// entry returns with its reincarnation's hello (each hello
+/// re-broadcasts the map), so the wait terminates.
+fn connect(spec: &ChildSpec, fabric: &Fabric, role: GatewayRole) -> Gateway {
+    let (me, topo) = (spec.node, spec.topology());
+    let cfg = transport_config(spec.fail_after_ms.map(Duration::from_millis));
     // A program file may declare a fixed first-launch port; respawned
     // incarnations always take a fresh ephemeral one, so revival never
     // waits out `TIME_WAIT` on the previous incarnation's socket.
-    let declared = env(ENV_BIND).filter(|_| ce.incarnation == 0);
+    let declared = spec.bind.as_deref().filter(|_| spec.incarnation == 0);
     let transport = declared
         .and_then(|addr| {
-            TcpTransport::bind(node, &addr, ce.incarnation, transport_config())
+            TcpTransport::bind(me, addr, spec.incarnation, cfg.clone())
                 .map_err(|e| eprintln!("mvr child: declared bind {addr}: {e}; using ephemeral"))
                 .ok()
         })
         .map_or_else(
-            || TcpTransport::bind(node, "127.0.0.1:0", ce.incarnation, transport_config()),
+            || TcpTransport::bind(me, "127.0.0.1:0", spec.incarnation, cfg.clone()),
             Ok,
         )
         .unwrap_or_else(|e| die(&format!("bind failed: {e}")));
-    let local = transport
+    let addr = transport
         .local_addr()
         .unwrap_or_else(|| die("no local addr"));
     let transport: Arc<dyn Transport> = Arc::new(transport);
-    transport.set_route(NodeId::Dispatcher, parent.to_string());
-    let gateway = Gateway::start(transport, fabric, role, ce.topo);
-    gateway.send_to(
-        NodeId::Dispatcher,
-        &WireMsg::Hello {
-            node,
-            addr: local,
-            incarnation: ce.incarnation,
-        },
-    );
-    gateway
-}
+    transport.set_route(NodeId::Dispatcher, spec.parent.clone());
+    let gateway = Gateway::start(transport, fabric, role, topo);
+    let incarnation = spec.incarnation;
+    let hello = WireMsg::Hello {
+        node: me,
+        addr,
+        incarnation,
+    };
+    gateway.send_to(NodeId::Dispatcher, &hello);
 
-/// Block until the supervisor's address map covers the *whole*
-/// deployment (every peer this node may ever address). Acting on a
-/// partial map would let an early sender hit `NoRoute` and silently
-/// lose a frame on a healthy channel — a loss the protocol only
-/// repairs through the failure path, so it must never happen outside
-/// one. This holds at restart too: recovery opens with `Restart1` and
-/// `DownloadEL` traffic, and a concurrently-down peer's entry returns
-/// with its reincarnation's hello (each hello re-broadcasts the map),
-/// so the wait terminates. Startup is abandoned after `deadline`.
-fn await_address_map(gateway: &Gateway, me: NodeId, ce: &ChildEnv, deadline: Duration) {
     let mut required: Vec<NodeId> = vec![NodeId::Dispatcher];
-    required.extend((0..ce.topo.world).map(|r| NodeId::Computing(Rank(r))));
-    required.extend((0..ce.topo.el_total).map(NodeId::EventLogger));
+    required.extend((0..topo.world).map(|r| NodeId::Computing(Rank(r))));
+    required.extend((0..topo.el_total).map(NodeId::EventLogger));
     required.push(NodeId::CheckpointServer(0));
     required.retain(|n| *n != me);
-    let until = Instant::now() + deadline;
+    let until = Instant::now() + Duration::from_secs(15);
     loop {
         let left = until.saturating_duration_since(Instant::now());
         if left.is_zero() {
@@ -289,10 +226,8 @@ fn await_address_map(gateway: &Gateway, me: NodeId, ce: &ChildEnv, deadline: Dur
             Ok(Control::Msg {
                 msg: WireMsg::AddressMap(entries),
                 ..
-            }) => {
-                if required.iter().all(|n| entries.iter().any(|(e, _)| e == n)) {
-                    return;
-                }
+            }) if required.iter().all(|n| entries.iter().any(|(e, _)| e == n)) => {
+                return gateway;
             }
             Ok(_) => continue,
             Err(_) => die("gateway stopped before address map"),
@@ -300,50 +235,76 @@ fn await_address_map(gateway: &Gateway, me: NodeId, ce: &ChildEnv, deadline: Dur
     }
 }
 
-fn run_rank(rank: Rank, parent: &str, make_app: &dyn Fn(&str) -> Option<Arc<dyn MpiApp>>) -> ! {
-    let ce = child_env();
-    let app_spec = env(ENV_APP).unwrap_or_else(|| die("missing MVR_PROC_APP"));
-    let app = make_app(&app_spec).unwrap_or_else(|| die(&format!("unknown app '{app_spec}'")));
+/// Tell the supervisor this incarnation is doing its job.
+fn report_ready(gateway: &Gateway, spec: &ChildSpec) {
+    let (node, incarnation) = (spec.node, spec.incarnation);
+    gateway.send_to(NodeId::Dispatcher, &WireMsg::Ready { node, incarnation });
+}
 
+/// Serve until the supervisor says we are done: run `each_tick`, then
+/// wait up to `tick` for a control message, which goes to `on_msg`
+/// unless it ends the process — `Shutdown` (after `before_exit`) or the
+/// loss of the supervisor. Peer losses are the supervisor's to
+/// adjudicate; the protocol sees them as in-flight loss + `Restart1`.
+fn serve(
+    gateway: &Gateway,
+    tick: Duration,
+    mut each_tick: impl FnMut(),
+    mut on_msg: impl FnMut(NodeId, WireMsg),
+    before_exit: impl Fn(),
+) -> ! {
+    loop {
+        each_tick();
+        match gateway.control().recv_timeout(tick) {
+            Ok(Control::Msg {
+                msg: WireMsg::Shutdown,
+                ..
+            }) => {
+                before_exit();
+                std::process::exit(0)
+            }
+            Ok(Control::Msg { from, msg }) => on_msg(from, msg),
+            Ok(Control::PeerDown {
+                peer: NodeId::Dispatcher,
+                ..
+            })
+            | Err(mpsc::RecvTimeoutError::Disconnected) => std::process::exit(EXIT_ORPHANED),
+            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
+        }
+    }
+}
+
+fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<dyn MpiApp>>) -> ! {
+    let app = make_app(&spec.app).unwrap_or_else(|| die(&format!("unknown app '{}'", spec.app)));
     let fabric = Fabric::new();
     let slots = register_node(&fabric, rank);
-    let gateway = open_endpoint(
-        NodeId::Computing(rank),
-        parent,
-        &fabric,
-        GatewayRole::Rank(rank),
-        &ce,
-    );
-    await_address_map(
-        &gateway,
-        NodeId::Computing(rank),
-        &ce,
-        Duration::from_secs(15),
-    );
+    let gateway = connect(spec, &fabric, GatewayRole::Rank(rank));
 
     // Per-incarnation recorder over the deployment-wide epoch (shifted
-    // by any injected skew); streamed to disk so a SIGKILL loses at most
-    // the unflushed cadence tail (nothing, at the default cadence of 1),
-    // and teed into the bounded telemetry buffer for live shipping.
+    // by any injected skew); streamed to disk with one `write(2)` per
+    // record so a SIGKILL loses nothing, and teed into the bounded
+    // telemetry buffer for live shipping.
     let rec_config = RecorderConfig {
-        enabled: ce.obs_dir.is_some(),
-        stream_flush_every: ce.stream_flush_every,
-        clock_drift_ppb: ce.drift_ppb,
+        enabled: spec.obs_dir.is_some(),
+        clock_drift_ppb: spec.drift_ppb,
         ..Default::default()
     };
-    let hub = RecorderHub::with_epoch(rec_config, epoch_from_unix_ns(ce.local_epoch_ns()));
+    let epoch_ns = spec.epoch_ns.saturating_add_signed(spec.epoch_skew_ns);
+    let hub = RecorderHub::with_epoch(rec_config, epoch_from_unix_ns(epoch_ns));
     let mut telemetry: Option<Arc<TelemetrySink>> = None;
-    if let Some(dir) = &ce.obs_dir {
+    if let Some(dir) = &spec.obs_dir {
         let tel = Arc::new(TelemetrySink::new(TELEMETRY_CAPACITY));
-        let path = format!("{dir}/cn{}-i{}.jsonl", rank.0, ce.incarnation);
-        let mut sinks: Vec<Arc<dyn RecordSink>> = vec![tel.clone()];
+        let path = format!("{dir}/cn{}-i{}.jsonl", rank.0, spec.incarnation);
         // Long-horizon runs rotate the durable stream into bounded
         // segments (indexed in a sidecar, merged like any input);
         // with both thresholds 0 this is exactly the single-file path.
         let rotate = RotateConfig {
-            max_records: ce.rotate_records,
-            max_bytes: ce.rotate_bytes,
+            max_records: spec.rotate_records,
+            max_bytes: spec.rotate_bytes,
         };
+        // The stream goes first: a record the telemetry buffer has seen
+        // is already on disk.
+        let mut sinks: Vec<Arc<dyn RecordSink>> = Vec::new();
         if let Ok(sink) = JsonlStreamSink::with_rotation(
             std::path::Path::new(&path),
             rec_config.stream_flush_every,
@@ -351,6 +312,7 @@ fn run_rank(rank: Rank, parent: &str, make_app: &dyn Fn(&str) -> Option<Arc<dyn 
         ) {
             sinks.push(Arc::new(sink));
         }
+        sinks.push(tel.clone());
         hub.set_sink(Arc::new(TeeSink(sinks)));
         telemetry = Some(tel);
     }
@@ -360,13 +322,13 @@ fn run_rank(rank: Rank, parent: &str, make_app: &dyn Fn(&str) -> Option<Arc<dyn 
         slots,
         NodeConfig {
             rank,
-            world: ce.topo.world,
+            world: spec.world,
             protocol: RuntimeProtocol::V2,
-            el_shards: ce.topo.el_total / ce.replicas.max(1),
-            el_replicas: ce.replicas,
+            el_shards: spec.el_shards,
+            el_replicas: spec.el_replicas,
             channel_memories: 0,
             batch: Default::default(),
-            restart: ce.restart,
+            restart: spec.restart,
             recorder: hub.recorder(rank.0),
         },
         app,
@@ -379,9 +341,9 @@ fn run_rank(rank: Rank, parent: &str, make_app: &dyn Fn(&str) -> Option<Arc<dyn 
     // rank's stream. The phantom peer and near-max clocks keep the
     // injection from colliding with real protocol state; the parent's
     // cluster-wide monitor must fail the run on the Wire send.
-    if ce.inject_violation {
+    if spec.inject_violation {
         let r = hub.recorder(rank.0);
-        let phantom = ce.topo.world + 7;
+        let phantom = spec.world + 7;
         r.record(
             u64::MAX - 1,
             ProtoEvent::Deliver {
@@ -402,12 +364,12 @@ fn run_rank(rank: Rank, parent: &str, make_app: &dyn Fn(&str) -> Option<Arc<dyn 
         );
     }
 
-    // Serve until the supervisor says we are done: a finished rank keeps
-    // its endpoint up (peers may still replay against us), exactly like
-    // a finished in-process node keeps its mailbox registered.
-    let node_name = format!("cn{}", rank.0);
+    // A finished rank keeps its endpoint up (peers may still replay
+    // against us), exactly like a finished in-process node keeps its
+    // mailbox registered.
     let mut last_ship = Instant::now();
-    loop {
+    let mut ready = false;
+    let each_tick = || {
         if let Ok(exit) = exit_rx.try_recv() {
             match exit.outcome {
                 Outcome::Finished(result) => {
@@ -420,7 +382,7 @@ fn run_rank(rank: Rank, parent: &str, make_app: &dyn Fn(&str) -> Option<Arc<dyn 
                     // telemetry, drain the outbound socket queues, die.
                     hub.flush_sink();
                     if let Some(tel) = &telemetry {
-                        ship_telemetry(&gateway, tel, &node_name, ce.incarnation);
+                        ship_telemetry(&gateway, tel, spec);
                     }
                     gateway.transport().flush(Duration::from_secs(2));
                     std::process::exit(1);
@@ -430,69 +392,42 @@ fn run_rank(rank: Rank, parent: &str, make_app: &dyn Fn(&str) -> Option<Arc<dyn 
                 Outcome::Killed => {}
             }
         }
+        // Ready = node threads started and, when this incarnation
+        // streams flight records, the first one is on disk: a kill held
+        // for readiness then always finds a stream to cut short.
+        if !ready && telemetry.as_ref().is_none_or(|tel| tel.pending() > 0) {
+            ready = true;
+            report_ready(&gateway, spec);
+        }
         if let Some(tel) = &telemetry {
             // Ship staged records promptly, and a snapshot-only frame on
             // the cadence otherwise — off the protocol hot path either
             // way (this is the supervision loop, not a daemon thread).
             if tel.pending() > 0 || last_ship.elapsed() >= TELEMETRY_CADENCE {
-                ship_telemetry(&gateway, tel, &node_name, ce.incarnation);
+                ship_telemetry(&gateway, tel, spec);
                 last_ship = Instant::now();
             }
         }
-        match gateway.control().recv_timeout(Duration::from_millis(5)) {
-            Ok(Control::Msg {
-                msg: WireMsg::Shutdown,
-                ..
-            }) => {
-                // `exit` skips destructors: flush the (possibly
-                // buffered) stream sink explicitly before leaving.
-                hub.flush_sink();
-                std::process::exit(0)
-            }
-            Ok(Control::PeerDown {
-                peer: NodeId::Dispatcher,
-                ..
-            }) => std::process::exit(EXIT_ORPHANED),
-            // Peer-rank losses are the supervisor's to adjudicate; the
-            // protocol sees them as in-flight loss + eventual Restart1.
-            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => std::process::exit(EXIT_ORPHANED),
-        }
-    }
+    };
+    // `exit` skips destructors: flush the stream sink before leaving.
+    let tick = Duration::from_millis(5);
+    serve(&gateway, tick, each_tick, |_, _| {}, || hub.flush_sink())
 }
 
-fn run_el(addr: ElAddr, parent: &str) -> ! {
-    let ce = child_env();
-    let flat = addr.flat(ce.replicas);
+fn run_el(flat: u32, spec: &ChildSpec) -> ! {
+    let replicas = spec.el_replicas;
+    let addr = ElAddr::from_flat(flat, replicas);
     let fabric = Fabric::new();
-    let gateway = open_endpoint(
-        NodeId::EventLogger(flat),
-        parent,
-        &fabric,
-        GatewayRole::EventLogger(flat),
-        &ce,
-    );
-    await_address_map(
-        &gateway,
-        NodeId::EventLogger(flat),
-        &ce,
-        Duration::from_secs(15),
-    );
-
+    let gateway = connect(spec, &fabric, GatewayRole::EventLogger(flat));
     let store = Arc::new(Mutex::new(mvr_eventlog::EventLogStore::new()));
 
     // Revival: catch up from a same-shard sibling before opening for
     // business, then tell the supervisor how much we absorbed (§4.5's
     // replicated-ledger failover, now across real processes).
-    if ce.restart && ce.replicas > 1 {
-        for k in 0..ce.replicas {
-            if k != addr.replica {
-                let sib = addr.shard * ce.replicas + k;
-                gateway.send_to(
-                    NodeId::EventLogger(sib),
-                    &WireMsg::ElFetch { shard: addr.shard },
-                );
-            }
+    if spec.restart && replicas > 1 {
+        for replica in (0..replicas).filter(|k| *k != addr.replica) {
+            let sibling = NodeId::EventLogger(ElAddr { replica, ..addr }.flat(replicas));
+            gateway.send_to(sibling, &WireMsg::ElFetch { shard: addr.shard });
         }
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut caught_up = None;
@@ -517,19 +452,19 @@ fn run_el(addr: ElAddr, parent: &str) -> ! {
     }
 
     let counter = Arc::new(AtomicU64::new(0));
-    let _handle = spawn_el_replica(&fabric, addr, ce.replicas, counter.clone(), store.clone());
+    let _handle = spawn_el_replica(&fabric, addr, replicas, counter.clone(), store.clone());
+    report_ready(&gateway, spec);
 
-    let node_name = format!("el{flat}");
     let mut last_ship = Instant::now();
-    loop {
+    let each_tick = || {
         // Ship the ledger counter on the telemetry cadence so the
         // parent's health page carries live per-shard EL progress.
-        if ce.obs_dir.is_some() && last_ship.elapsed() >= TELEMETRY_CADENCE {
+        if spec.obs_dir.is_some() && last_ship.elapsed() >= TELEMETRY_CADENCE {
             gateway.send_to(
                 NodeId::Dispatcher,
                 &WireMsg::Telemetry {
-                    node: node_name.clone(),
-                    incarnation: ce.incarnation,
+                    node: spec.node.to_string(),
+                    incarnation: spec.incarnation,
                     records: Vec::new(),
                     snapshot: TelemetrySnapshot {
                         el_events: counter.load(Ordering::Relaxed),
@@ -539,64 +474,31 @@ fn run_el(addr: ElAddr, parent: &str) -> ! {
             );
             last_ship = Instant::now();
         }
-        match gateway.control().recv_timeout(Duration::from_millis(25)) {
-            Ok(Control::Msg {
-                from,
-                msg: WireMsg::ElFetch { .. },
-            }) => {
-                // A reviving sibling wants our ledger.
-                let snap = store.lock().clone();
-                gateway.send_to(from, &WireMsg::ElSnapshot { store: snap });
-            }
-            Ok(Control::Msg {
-                msg: WireMsg::Shutdown,
-                ..
-            }) => std::process::exit(0),
-            Ok(Control::PeerDown {
-                peer: NodeId::Dispatcher,
-                ..
-            }) => std::process::exit(EXIT_ORPHANED),
-            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => std::process::exit(EXIT_ORPHANED),
+    };
+    let on_msg = |from, msg| {
+        // A reviving sibling wants our ledger.
+        if let WireMsg::ElFetch { .. } = msg {
+            let snap = store.lock().clone();
+            gateway.send_to(from, &WireMsg::ElSnapshot { store: snap });
         }
-    }
+    };
+    serve(
+        &gateway,
+        Duration::from_millis(25),
+        each_tick,
+        on_msg,
+        || {},
+    )
 }
 
-fn run_cs(parent: &str) -> ! {
-    let ce = child_env();
+fn run_cs(spec: &ChildSpec) -> ! {
     let fabric = Fabric::new();
-    let gateway = open_endpoint(
-        NodeId::CheckpointServer(0),
-        parent,
-        &fabric,
-        GatewayRole::CheckpointServer,
-        &ce,
-    );
-    await_address_map(
-        &gateway,
-        NodeId::CheckpointServer(0),
-        &ce,
-        Duration::from_secs(15),
-    );
-
+    let gateway = connect(spec, &fabric, GatewayRole::CheckpointServer);
     // A reincarnated checkpoint server starts empty: the paper's §4.3
     // verdict applies ("affected nodes restart from scratch, at worst").
     // Real deployments would back this with a disk directory.
     let store = Arc::new(Mutex::new(mvr_ckpt::CheckpointStore::new()));
     let _handle = spawn_checkpoint_server_on(&fabric, store);
-
-    loop {
-        match gateway.control().recv_timeout(Duration::from_millis(25)) {
-            Ok(Control::Msg {
-                msg: WireMsg::Shutdown,
-                ..
-            }) => std::process::exit(0),
-            Ok(Control::PeerDown {
-                peer: NodeId::Dispatcher,
-                ..
-            }) => std::process::exit(EXIT_ORPHANED),
-            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => std::process::exit(EXIT_ORPHANED),
-        }
-    }
+    report_ready(&gateway, spec);
+    serve(&gateway, Duration::from_millis(25), || {}, |_, _| {}, || {})
 }

@@ -7,10 +7,11 @@
 //!
 //! - [`wire`] — the bincode-framed cross-process protocol;
 //! - [`gateway`] — the transport↔fabric bridge each process runs;
-//! - [`child`] — role runners re-executed from the launcher binary;
-//! - [`parent`] — the supervising dispatcher: process launch, address
-//!   maps, fail-stop detection, respawn with backoff, real-`SIGKILL`
-//!   chaos, graceful teardown, dump merging;
+//! - [`child`] — role runners re-executed from the launcher binary,
+//!   configured by the one serialised hand-off struct;
+//! - [`parent`] — the process launcher under the shared supervision
+//!   core: process launch, address maps, reaper and fail-stop detector
+//!   verdicts, real `SIGKILL`s, graceful teardown, dump merging;
 //! - [`sig`] — the minimal `kill(2)`/`signal(2)` FFI this needs.
 
 pub mod child;

@@ -1,48 +1,47 @@
-//! The supervising dispatcher of the multi-process deployment: spawns
-//! ranks, event-logger replicas and the checkpoint server as **real OS
-//! processes**, watches them through the socket fail-stop detector, and
-//! maps detector verdicts onto the same recovery actions the in-process
-//! dispatcher takes — respawn with backoff for ranks, immediate revival
-//! for service replicas.
+//! The process launcher of the multi-process deployment: spawns ranks,
+//! event-logger replicas and the checkpoint server as **real OS
+//! processes** and carries out the shared `Supervisor` core's
+//! decisions over them — exactly the rules the in-process launcher runs
+//! under. This module only does the I/O: `Command` + the one-variable
+//! `ChildSpec` hand-off, the gateway control channel (hello/address
+//! map, ready, results, telemetry), the reaper and the socket fail-stop
+//! detector as sources of `Down` verdicts, real `SIGKILL`s for the fault
+//! plan's kills, graceful teardown and the merged flight-recorder dump.
 //!
 //! Failure authority is deliberately centralized here (mirroring the
 //! paper's dispatcher, §4.2): children never act on their own peer-down
 //! observations — a lost link is indistinguishable from in-flight loss,
 //! which the protocol already tolerates — so only the supervisor turns
-//! "socket died" into "node died", respawn decisions stay
-//! race-free, and a network blip cannot split the deployment.
-//!
-//! Chaos kills are **real `SIGKILL`s** delivered on the schedule of
-//! [`ChaosConfig::plan`] — the same pure-function-of-seed plan the
-//! in-process storm replays, so a pinned plan reproduces identically
-//! over sockets.
+//! "socket died" into "node died", respawn decisions stay race-free, and
+//! a network blip cannot split the deployment.
 
-use super::child::{
-    transport_config, ENV_APP, ENV_DRIFT_PPB, ENV_EPOCH_NS, ENV_EPOCH_SKEW_NS, ENV_FAIL_AFTER_MS,
-    ENV_INCARNATION, ENV_INJECT_VIOLATION, ENV_OBS, ENV_PARENT, ENV_REPLICAS, ENV_RESTART,
-    ENV_ROLE, ENV_ROTATE_BYTES, ENV_ROTATE_RECORDS, ENV_SHARDS, ENV_STREAM_FLUSH_EVERY, ENV_WORLD,
-};
+use super::child::{transport_config, ChildSpec, ENV_CHILD};
 use super::gateway::{Control, Gateway, GatewayRole, Topology};
 use super::sig;
 use super::wire::WireMsg;
 use crate::chaos::ChaosConfig;
+use crate::dispatcher::{ClusterConfig, ClusterError};
 use crate::services::{spawn_checkpoint_scheduler, SchedulerConfig};
+use crate::supervisor::{put, Action, Event, Supervisor};
 use mvr_core::{Metrics, NodeId, Payload, Rank};
 use mvr_net::{Fabric, TcpTransport, Transport};
 use mvr_obs::{
-    merge_dump_files, timing_families, unix_now_ns, window_families, HealthServer,
-    InvariantMonitor, JsonlStreamSink, LogHistogram, MergeSummary, PromPage, ProtoEvent,
-    ProtocolTimings, Recorder, RecorderConfig, RecorderHub, TelemetrySnapshot, Violation,
-    WindowRing, DISPATCHER_RANK,
+    merge_dump_files, unix_now_ns, HealthServer, InvariantMonitor, JsonlStreamSink, LogHistogram,
+    MergeSummary, PromPage, ProtoEvent, ProtocolTimings, Recorder, RecorderConfig, RecorderHub,
+    TelemetrySnapshot, DISPATCHER_RANK,
 };
-use std::collections::HashMap;
-use std::path::Path;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::collections::{BTreeMap, VecDeque};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of one multi-process run.
+/// Reaper cadence: the longest the loop sleeps on the control channel.
+const POLL_TICK: Duration = Duration::from_millis(2);
+
+/// Configuration of one multi-process run. Restart policy (back-off
+/// base, per-rank budget) is the [`ClusterConfig`] default.
 #[derive(Clone, Debug)]
 pub struct ProcOptions {
     /// Number of computing ranks.
@@ -57,18 +56,13 @@ pub struct ProcOptions {
     pub app_spec: String,
     /// Wall-clock budget for the whole run.
     pub timeout: Duration,
-    /// Timed real-`SIGKILL`s of ranks (`--kill r@ms`).
-    pub kills: Vec<(Rank, Duration)>,
-    /// Timed real-`SIGKILL`s of EL replicas, by flat index.
-    pub el_kills: Vec<(u32, Duration)>,
-    /// Timed real-`SIGKILL`s of the checkpoint server.
-    pub cs_kills: Vec<Duration>,
+    /// Timed real-`SIGKILL`s, as time since launch, of ranks
+    /// (`--kill r@ms`), EL replicas by flat index (`--el-kill`) and the
+    /// checkpoint server (`--cs-kill`). A kill waits for its victim's
+    /// current incarnation to report ready.
+    pub kills: Vec<(NodeId, Duration)>,
     /// Seeded crash storm, replayed as real signals.
     pub chaos: Option<ChaosConfig>,
-    /// Base detection-to-respawn delay (doubled per repeat crash).
-    pub restart_delay: Duration,
-    /// Restart budget per rank.
-    pub max_rank_restarts: u32,
     /// Directory for per-process JSONL event streams + merged dump.
     pub obs_dir: Option<PathBuf>,
     /// Bind a live health endpoint here (e.g. `"127.0.0.1:0"`).
@@ -99,9 +93,6 @@ pub struct ProcOptions {
     /// Make this rank record a deliberate pessimism-gate violation at
     /// startup (live-monitor end-to-end probe).
     pub inject_violation: Option<Rank>,
-    /// Flush cadence of children's durable JSONL streams (1 = one
-    /// `write(2)` per record, the SIGKILL-durable default).
-    pub stream_flush_every: u32,
     /// Fail-stop detector read-timeout override for every endpoint.
     pub fail_after: Option<Duration>,
     /// Declared first-launch bind addresses from a program file's
@@ -122,11 +113,7 @@ impl ProcOptions {
             app_spec: app_spec.into(),
             timeout: Duration::from_secs(120),
             kills: Vec::new(),
-            el_kills: Vec::new(),
-            cs_kills: Vec::new(),
             chaos: None,
-            restart_delay: Duration::from_millis(2),
-            max_rank_restarts: 40,
             obs_dir: None,
             health_addr: None,
             health_addr_file: None,
@@ -136,7 +123,6 @@ impl ProcOptions {
             rotate_records: 0,
             rotate_bytes: 0,
             inject_violation: None,
-            stream_flush_every: 1,
             fail_after: None,
             binds: Vec::new(),
             exe: std::env::current_exe().unwrap_or_else(|_| PathBuf::from("mpirun")),
@@ -158,15 +144,11 @@ pub struct ProcReport {
     pub detections: Vec<(String, String)>,
     /// Per-rank engine metrics from the final incarnations.
     pub rank_metrics: Vec<(Rank, Metrics)>,
-    /// Violations reported by children (normally empty).
-    pub violations: Vec<(String, String)>,
-    /// Path of the merged flight-recorder dump, when `obs_dir` was set.
-    pub merged_dump: Option<PathBuf>,
-    /// Full merge summary — record/drop counters, the skew estimate and
+    /// Summary of the merged flight-recorder dump, when `obs_dir` was
+    /// set — its path, record/drop counters, the skew estimate and
     /// applied offsets, first-divergence triage.
     pub merge: Option<MergeSummary>,
-    /// Final telemetry snapshot per child node (display name order),
-    /// when telemetry was live.
+    /// Final telemetry snapshot per child node, when telemetry was live.
     pub telemetry: Vec<(String, TelemetrySnapshot)>,
 }
 
@@ -175,119 +157,91 @@ pub struct ProcReport {
 pub enum ProcError {
     /// The wall-clock budget expired.
     Timeout,
-    /// A rank's application reported an error.
-    RankFailed {
-        /// The failing rank.
-        rank: Rank,
-        /// Its error.
-        detail: String,
-    },
-    /// A rank crashed more often than the restart budget allows.
-    RestartBudgetExhausted(Rank),
     /// Child launch / endpoint setup failed.
     Launch(String),
-    /// The live cluster-wide invariant monitor caught a cross-process
-    /// protocol violation; the run was failed at detection time.
-    InvariantViolated(Violation),
     /// `SIGINT`/`SIGTERM` hit the supervisor; children were torn down.
     Interrupted,
+    /// The supervision core failed the run: an application error, an
+    /// exhausted restart budget, or a cross-process protocol violation
+    /// caught by the live invariant monitor.
+    Supervision(ClusterError),
+}
+
+impl From<ClusterError> for ProcError {
+    fn from(err: ClusterError) -> ProcError {
+        match err {
+            ClusterError::Timeout(_) => ProcError::Timeout,
+            other => ProcError::Supervision(other),
+        }
+    }
 }
 
 impl std::fmt::Display for ProcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProcError::Timeout => write!(f, "run timed out"),
-            ProcError::RankFailed { rank, detail } => {
-                write!(f, "rank {rank} failed: {detail}")
-            }
-            ProcError::RestartBudgetExhausted(r) => {
-                write!(f, "rank {r} exhausted its restart budget")
-            }
             ProcError::Launch(e) => write!(f, "launch failed: {e}"),
-            ProcError::InvariantViolated(v) => write!(f, "{v}"),
             ProcError::Interrupted => write!(f, "interrupted; children torn down"),
+            ProcError::Supervision(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ProcError {}
 
-/// One scheduled real-signal kill.
-#[derive(Clone, Debug)]
-struct PlannedKill {
-    at: Duration,
-    target: NodeId,
-    rekill: bool,
-}
-
-/// Supervisor-side state of one child slot.
-struct Slot {
+/// Launcher-side state of one child slot.
+#[derive(Default)]
+struct ChildSlot {
     child: Option<Child>,
     pid: u32,
-    incarnation: u64,
+    /// The address the current incarnation announced, once it has.
     addr: Option<String>,
-    restarts: u32,
-    /// Down verdict for the current incarnation already handled
-    /// (detector and reaper can both observe the same death).
-    down_handled: bool,
-    respawn_at: Option<Instant>,
 }
 
 /// Run a full multi-process deployment to completion. See module docs.
 pub fn run_proc(opts: ProcOptions) -> Result<ProcReport, ProcError> {
-    let mut sup = Supervisor::launch(&opts)?;
-    let verdict = sup.supervise(&opts);
+    let mut launcher = Launcher::launch(&opts)?;
+    let verdict = launcher.supervise();
     // Graceful teardown in every outcome: broadcast Shutdown, wait with
     // a deadline, escalate SIGTERM → SIGKILL, reap everything.
-    sup.teardown();
-    let report = sup.take_report(&opts);
-    match verdict {
-        Ok(()) => report,
-        Err(e) => Err(e),
-    }
+    launcher.teardown();
+    let report = launcher.take_report();
+    verdict.and(report)
 }
 
-struct Supervisor {
+struct Launcher<'a> {
+    opts: &'a ProcOptions,
+    /// Every supervision decision.
+    core: Supervisor,
+    /// Launch time: the origin of the core's clock.
+    start: Instant,
     gateway: Gateway,
     local_addr: String,
-    fabric: Fabric,
+    /// Hosts the checkpoint scheduler; kept alive for its thread.
+    _fabric: Fabric,
     hub: Arc<RecorderHub>,
     recorder: Recorder,
-    slots: HashMap<NodeId, Slot>,
-    results: Vec<Option<Payload>>,
-    rank_metrics: Vec<(Rank, Metrics)>,
-    detections: Vec<(String, String)>,
-    violations: Vec<(String, String)>,
-    restarts: u32,
-    service_restarts: u32,
+    slots: BTreeMap<NodeId, ChildSlot>,
     epoch_ns: u64,
     health: Option<HealthServer>,
     /// The cluster-wide online invariant monitor, fed every child's
     /// live telemetry records as they arrive.
     monitor: Option<Arc<InvariantMonitor>>,
-    /// Latest cumulative telemetry snapshot per child, keyed by display
-    /// name; the incarnation guards against a late frame from a
-    /// superseded process overwriting its replacement's counters.
-    telemetry: HashMap<String, (u64, TelemetrySnapshot)>,
-    /// Ring of recent metrics windows over the aggregated child
-    /// interval histograms, published on the health page next to the
-    /// cumulative families.
-    windows: WindowRing,
-    shutting_down: bool,
+    /// Latest cumulative telemetry snapshot per child; the incarnation
+    /// guards against a late frame from a superseded process overwriting
+    /// its replacement's counters.
+    telemetry: BTreeMap<NodeId, (u64, TelemetrySnapshot)>,
 }
 
-impl Supervisor {
-    fn launch(opts: &ProcOptions) -> Result<Supervisor, ProcError> {
+impl<'a> Launcher<'a> {
+    fn launch(opts: &'a ProcOptions) -> Result<Launcher<'a>, ProcError> {
         sig::install_shutdown_handler();
         let epoch_ns = unix_now_ns();
-        let hub = RecorderHub::with_epoch(
-            if opts.obs_dir.is_some() {
-                RecorderConfig::enabled()
-            } else {
-                RecorderConfig::default()
-            },
-            mvr_obs::epoch_from_unix_ns(epoch_ns),
-        );
+        let rec_config = match opts.obs_dir {
+            Some(_) => RecorderConfig::enabled(),
+            None => RecorderConfig::default(),
+        };
+        let hub = RecorderHub::with_epoch(rec_config, mvr_obs::epoch_from_unix_ns(epoch_ns));
         if let Some(dir) = &opts.obs_dir {
             std::fs::create_dir_all(dir).map_err(|e| ProcError::Launch(format!("obs dir: {e}")))?;
             if let Ok(sink) = JsonlStreamSink::create(&dir.join("disp.jsonl")) {
@@ -296,11 +250,7 @@ impl Supervisor {
         }
         let recorder = hub.recorder(DISPATCHER_RANK);
 
-        let mut cfg = transport_config();
-        if let Some(fa) = opts.fail_after {
-            cfg.fail_after = fa;
-            cfg.heartbeat = (fa / 4).max(Duration::from_millis(5));
-        }
+        let cfg = transport_config(opts.fail_after);
         let transport = TcpTransport::bind(NodeId::Dispatcher, "127.0.0.1:0", 0, cfg)
             .map_err(|e| ProcError::Launch(format!("bind: {e}")))?;
         let local_addr = transport
@@ -334,435 +284,213 @@ impl Supervisor {
             }
         }
 
-        let mut sup = Supervisor {
+        let monitor = opts.monitor.then(InvariantMonitor::new);
+        // The supervision rules are the in-process defaults (V2,
+        // auto-restart, same back-off and budget) over this topology.
+        let policy = ClusterConfig {
+            world: opts.world,
+            el_shards: opts.el_shards,
+            el_replicas: opts.el_replicas,
+            kills: opts.kills.clone(),
+            chaos: opts.chaos.clone(),
+            ..Default::default()
+        };
+        let core = Supervisor::new(&policy, recorder.clone(), monitor.clone());
+        let mut launcher = Launcher {
+            opts,
+            core,
+            start: Instant::now(),
             gateway,
             local_addr,
-            fabric,
+            _fabric: fabric,
             hub,
             recorder,
-            slots: HashMap::new(),
-            results: (0..opts.world).map(|_| None).collect(),
-            rank_metrics: Vec::new(),
-            detections: Vec::new(),
-            violations: Vec::new(),
-            restarts: 0,
-            service_restarts: 0,
+            slots: BTreeMap::new(),
             epoch_ns,
             health,
-            monitor: opts.monitor.then(InvariantMonitor::new),
-            telemetry: HashMap::new(),
-            windows: WindowRing::with_defaults(0),
-            shutting_down: false,
+            monitor,
+            telemetry: BTreeMap::new(),
         };
-
-        let mut nodes: Vec<NodeId> = (0..opts.world)
-            .map(|r| NodeId::Computing(Rank(r)))
-            .collect();
-        for f in 0..topo.el_total {
-            nodes.push(NodeId::EventLogger(f));
-        }
-        nodes.push(NodeId::CheckpointServer(0));
+        let nodes: Vec<NodeId> = launcher.core.nodes().map(|(node, ..)| node).collect();
         for node in nodes {
-            sup.spawn_child(opts, node, 0, false)?;
+            launcher.spawn_child(node, 0, false)?;
         }
-        Ok(sup)
-    }
-
-    fn role_spec(node: NodeId, opts: &ProcOptions) -> String {
-        match node {
-            NodeId::Computing(r) => format!("cn:{}", r.0),
-            NodeId::EventLogger(f) => {
-                format!("el:{}:{}", f / opts.el_replicas, f % opts.el_replicas)
-            }
-            NodeId::CheckpointServer(_) => "cs".into(),
-            other => panic!("not a child role: {other}"),
-        }
+        Ok(launcher)
     }
 
     fn spawn_child(
         &mut self,
-        opts: &ProcOptions,
         node: NodeId,
         incarnation: u64,
         restart: bool,
     ) -> Result<(), ProcError> {
-        let mut cmd = Command::new(&opts.exe);
-        cmd.env(ENV_ROLE, Self::role_spec(node, opts))
-            .env(ENV_PARENT, &self.local_addr)
-            .env(ENV_EPOCH_NS, self.epoch_ns.to_string())
-            .env(ENV_INCARNATION, incarnation.to_string())
-            .env(ENV_WORLD, opts.world.to_string())
-            .env(ENV_SHARDS, opts.el_shards.to_string())
-            .env(ENV_REPLICAS, opts.el_replicas.to_string())
-            .env(ENV_APP, &opts.app_spec)
-            .stdin(Stdio::null());
-        if restart {
-            cmd.env(ENV_RESTART, "1");
-        }
-        if incarnation == 0 {
-            if let Some((_, addr)) = opts.binds.iter().find(|(n, _)| *n == node) {
-                cmd.env(super::child::ENV_BIND, addr);
-            }
-        }
-        if let Some(dir) = &opts.obs_dir {
-            cmd.env(ENV_OBS, dir);
-        }
-        if opts.stream_flush_every > 1 {
-            cmd.env(ENV_STREAM_FLUSH_EVERY, opts.stream_flush_every.to_string());
-        }
-        if opts.rotate_records > 0 {
-            cmd.env(ENV_ROTATE_RECORDS, opts.rotate_records.to_string());
-        }
-        if opts.rotate_bytes > 0 {
-            cmd.env(ENV_ROTATE_BYTES, opts.rotate_bytes.to_string());
-        }
-        if let NodeId::Computing(r) = node {
-            if let Some((_, skew)) = opts.epoch_skew.iter().find(|(sr, _)| *sr == r) {
-                cmd.env(ENV_EPOCH_SKEW_NS, skew.to_string());
-            }
-            if let Some((_, ppb)) = opts.epoch_drift.iter().find(|(dr, _)| *dr == r) {
-                cmd.env(ENV_DRIFT_PPB, ppb.to_string());
-            }
-            if opts.inject_violation == Some(r) {
-                cmd.env(ENV_INJECT_VIOLATION, "1");
-            }
-        }
-        if let Some(fa) = opts.fail_after {
-            cmd.env(ENV_FAIL_AFTER_MS, fa.as_millis().to_string());
-        }
+        let opts = self.opts;
+        let of_rank = |table: &[(Rank, i64)]| {
+            let hit = table.iter().find(|(r, _)| NodeId::Computing(*r) == node);
+            hit.map_or(0, |(_, v)| *v)
+        };
+        let bind = opts.binds.iter().find(|(n, _)| *n == node);
+        let spec = ChildSpec {
+            node,
+            incarnation,
+            restart,
+            parent: self.local_addr.clone(),
+            world: opts.world,
+            el_shards: opts.el_shards,
+            el_replicas: opts.el_replicas,
+            app: opts.app_spec.clone(),
+            bind: bind.map(|(_, addr)| addr.clone()),
+            fail_after_ms: opts.fail_after.map(|d| d.as_millis() as u64),
+            obs_dir: opts.obs_dir.as_ref().map(|d| d.display().to_string()),
+            epoch_ns: self.epoch_ns,
+            epoch_skew_ns: of_rank(&opts.epoch_skew),
+            drift_ppb: of_rank(&opts.epoch_drift),
+            rotate_records: opts.rotate_records,
+            rotate_bytes: opts.rotate_bytes,
+            inject_violation: opts.inject_violation.map(NodeId::Computing) == Some(node),
+        };
+        let slot = self.slots.entry(node).or_default();
         // Enforce the fail-stop verdict before replacing the slot: if
         // the detector declared the old incarnation dead while the OS
         // process still lingers (wedged rather than exited), two
         // incarnations of the same rank must never run concurrently.
-        if let Some(mut old) = self.slots.get_mut(&node).and_then(|s| s.child.take()) {
+        if let Some(mut old) = slot.child.take() {
             sig::send_signal(old.id(), sig::SIGKILL);
             let _ = old.wait();
         }
-        let child = cmd
+        let child = Command::new(&opts.exe)
+            .env(ENV_CHILD, spec.to_env())
+            .stdin(Stdio::null())
             .spawn()
             .map_err(|e| ProcError::Launch(format!("spawn {node}: {e}")))?;
         let pid = child.id();
         println!("mpirun: launched {node} pid={pid} incarnation={incarnation}");
-        self.slots.insert(
-            node,
-            Slot {
-                child: Some(child),
-                pid,
-                incarnation,
-                addr: None,
-                restarts: self.slots.get(&node).map(|s| s.restarts).unwrap_or(0),
-                down_handled: false,
-                respawn_at: None,
-            },
-        );
+        *slot = ChildSlot {
+            child: Some(child),
+            pid,
+            addr: None,
+        };
         Ok(())
     }
 
-    /// Current address map: every known child address plus our own.
-    fn address_map(&self) -> WireMsg {
-        let mut entries: Vec<(NodeId, String)> =
-            vec![(NodeId::Dispatcher, self.local_addr.clone())];
-        for (node, slot) in &self.slots {
-            if let Some(addr) = &slot.addr {
-                entries.push((*node, addr.clone()));
-            }
-        }
-        WireMsg::AddressMap(entries)
+    /// Send every connected child the current address map — every known
+    /// child address plus our own — `newcomer` last, so its peers have
+    /// its new address on the wire before it can start talking to them.
+    fn broadcast_address_map(&self, newcomer: NodeId) {
+        let known = self
+            .slots
+            .iter()
+            .filter_map(|(n, s)| Some((*n, s.addr.clone()?)));
+        let mut entries = vec![(NodeId::Dispatcher, self.local_addr.clone())];
+        entries.extend(known);
+        let connected = entries[1..].iter().map(|(n, _)| *n);
+        let others = connected.filter(|n| *n != newcomer).chain([newcomer]);
+        let map = WireMsg::AddressMap(entries.clone());
+        others.for_each(|node| self.gateway.send_to(node, &map));
     }
 
-    fn broadcast_address_map(&self) {
-        let map = self.address_map();
-        for (node, slot) in &self.slots {
-            if slot.addr.is_some() {
-                self.gateway.send_to(*node, &map);
-            }
-        }
-    }
-
-    /// Flatten the option kills and the chaos plan into one absolute
-    /// schedule — a pure function of the options, so a pinned plan
-    /// replays the identical signal sequence.
-    fn kill_schedule(opts: &ProcOptions) -> Vec<PlannedKill> {
-        let mut kills: Vec<PlannedKill> = Vec::new();
-        for (r, at) in &opts.kills {
-            kills.push(PlannedKill {
-                at: *at,
-                target: NodeId::Computing(*r),
-                rekill: false,
-            });
-        }
-        for (f, at) in &opts.el_kills {
-            kills.push(PlannedKill {
-                at: *at,
-                target: NodeId::EventLogger(*f),
-                rekill: false,
-            });
-        }
-        for at in &opts.cs_kills {
-            kills.push(PlannedKill {
-                at: *at,
-                target: NodeId::CheckpointServer(0),
-                rekill: false,
-            });
-        }
-        if let Some(chaos) = &opts.chaos {
-            let mut t = Duration::ZERO;
-            for ev in chaos.plan(opts.world) {
-                t += ev.after;
-                for v in &ev.victims {
-                    kills.push(PlannedKill {
-                        at: t,
-                        target: NodeId::Computing(*v),
-                        rekill: ev.rekill,
-                    });
-                }
-                if ev.kill_checkpoint_server {
-                    kills.push(PlannedKill {
-                        at: t,
-                        target: NodeId::CheckpointServer(0),
-                        rekill: false,
-                    });
-                }
-                if let Some(f) = ev.kill_el_replica {
-                    kills.push(PlannedKill {
-                        at: t,
-                        target: NodeId::EventLogger(f),
-                        rekill: false,
-                    });
-                }
-            }
-        }
-        kills.sort_by_key(|k| k.at);
-        kills
-    }
-
-    fn supervise(&mut self, opts: &ProcOptions) -> Result<(), ProcError> {
-        let start = Instant::now();
-        let mut kills = Self::kill_schedule(opts);
-        let mut next_health = Instant::now();
-
+    fn supervise(&mut self) -> Result<(), ProcError> {
+        self.core.deadline = Some(self.opts.timeout);
+        let mut events: VecDeque<Event> = VecDeque::new();
         loop {
-            let now = Instant::now();
-            if now.duration_since(start) > opts.timeout {
-                return Err(ProcError::Timeout);
-            }
             if sig::shutdown_requested() {
                 println!("mpirun: interrupt — tearing children down");
                 return Err(ProcError::Interrupted);
             }
-
-            // Deliver due planned kills — real SIGKILLs.
-            while kills
-                .first()
-                .is_some_and(|k| now.duration_since(start) >= k.at)
-            {
-                let k = kills.remove(0);
-                self.deliver_kill(&k);
+            // Exited children feed the same verdicts as the socket
+            // detector; the core keeps whichever arrives first.
+            for (node, status) in self.reap() {
+                println!("mpirun: {node} exited ({status})");
+                events.push_back(Event::Down {
+                    node,
+                    incarnation: self.core.incarnation(node),
+                    cause: status.to_string(),
+                });
             }
-
-            // Reap exited children; unexpected deaths feed the same
-            // down-handling as the socket detector (whichever is first).
-            self.reap_children(opts)?;
-
-            // Due respawns.
-            let due: Vec<NodeId> = self
-                .slots
-                .iter()
-                .filter(|(_, s)| s.respawn_at.is_some_and(|t| t <= now))
-                .map(|(n, _)| *n)
-                .collect();
-            for node in due {
-                let inc = self.slots[&node].incarnation + 1;
-                if let Some(slot) = self.slots.get_mut(&node) {
-                    slot.respawn_at = None;
+            events.push_back(Event::Tick);
+            while let Some(ev) = events.pop_front() {
+                for action in self.core.step(self.start.elapsed(), ev) {
+                    match action {
+                        Action::Spawn {
+                            node,
+                            incarnation,
+                            restart,
+                        } => self.spawn_child(node, incarnation, restart)?,
+                        Action::Kill { node } => {
+                            if let Some(slot) = self.slots.get(&node).filter(|s| s.child.is_some())
+                            {
+                                println!("mpirun: SIGKILL {node} pid={}", slot.pid);
+                                sig::send_signal(slot.pid, sig::SIGKILL);
+                            }
+                        }
+                        Action::Fail(err) => {
+                            self.crash_dump();
+                            return Err(err.into());
+                        }
+                        Action::Done => return Ok(()),
+                    }
                 }
-                self.spawn_child(opts, node, inc, true)?;
-                match node {
-                    NodeId::Computing(_) => self.restarts += 1,
-                    _ => self.service_restarts += 1,
-                }
             }
-
-            if self.health.is_some() && now >= next_health {
-                self.publish_health(opts, start);
-                next_health = now + Duration::from_millis(100);
+            let now = self.start.elapsed();
+            if self.health.is_some() && self.core.health_due(now) {
+                self.publish_health();
             }
-
-            // Drain the control plane.
-            match self
-                .gateway
-                .control()
-                .recv_timeout(Duration::from_millis(2))
-            {
-                Ok(ctl) => self.handle_control(opts, ctl)?,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            let idle = self.core.idle_for(now, POLL_TICK);
+            match self.gateway.control().recv_timeout(idle) {
+                Ok(ctl) => self.on_control(ctl, &mut events),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(ProcError::Launch("gateway pump died".into()))
                 }
             }
-
-            if kills.is_empty() && self.results.iter().all(|r| r.is_some()) {
-                return Ok(());
-            }
         }
     }
 
-    fn deliver_kill(&mut self, k: &PlannedKill) {
-        let Some(slot) = self.slots.get(&k.target) else {
-            return;
-        };
-        if slot.child.is_none() {
-            return; // currently down; its respawn is already scheduled
-        }
-        println!("mpirun: SIGKILL {} pid={}", k.target, slot.pid);
-        match k.target {
-            NodeId::Computing(r) => self.recorder.record(
-                0,
-                ProtoEvent::ChaosKill {
-                    victim: r.0,
-                    rekill: k.rekill,
-                },
-            ),
-            NodeId::EventLogger(f) => self.recorder.record(
-                0,
-                ProtoEvent::ServiceKill {
-                    service: format!("el{f}"),
-                },
-            ),
-            _ => self.recorder.record(
-                0,
-                ProtoEvent::ServiceKill {
-                    service: "cs".into(),
-                },
-            ),
-        }
-        sig::send_signal(slot.pid, sig::SIGKILL);
-    }
-
-    fn reap_children(&mut self, opts: &ProcOptions) -> Result<(), ProcError> {
-        let nodes: Vec<NodeId> = self.slots.keys().copied().collect();
-        for node in nodes {
-            let slot = self.slots.get_mut(&node).expect("slot exists");
-            let Some(child) = slot.child.as_mut() else {
-                continue;
-            };
-            match child.try_wait() {
-                Ok(Some(status)) => {
-                    let kind = exit_kind(&status);
-                    slot.child = None;
-                    if !self.shutting_down && !slot.down_handled {
-                        println!("mpirun: {node} exited ({kind})");
-                        self.handle_down(opts, node, kind)?;
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// One death, one verdict: called by detector PeerDown or reaper,
-    /// whichever fires first for this incarnation.
-    fn handle_down(
-        &mut self,
-        opts: &ProcOptions,
-        node: NodeId,
-        cause: String,
-    ) -> Result<(), ProcError> {
-        let Some(slot) = self.slots.get_mut(&node) else {
-            return Ok(());
-        };
-        if slot.down_handled {
-            return Ok(());
-        }
-        slot.down_handled = true;
-        slot.addr = None;
-        self.detections.push((format!("{node}"), cause));
-        match node {
-            NodeId::Computing(r) => {
-                // A rank that already delivered its result does not come
-                // back; the survivors are only waiting for teardown.
-                if self.results[r.0 as usize].is_some() {
-                    return Ok(());
-                }
-                let slot = self.slots.get_mut(&node).expect("slot exists");
-                let attempt = slot.restarts as u64 + 1;
-                if slot.restarts >= opts.max_rank_restarts {
-                    return Err(ProcError::RestartBudgetExhausted(r));
-                }
-                slot.restarts += 1;
-                // The dispatcher's backoff idiom: doubled per repeat
-                // crash of the same rank, capped at 64×.
-                let factor = 1u32 << (slot.restarts - 1).min(6);
-                slot.respawn_at = Some(Instant::now() + opts.restart_delay * factor);
-                self.recorder
-                    .record(0, ProtoEvent::RespawnScheduled { rank: r.0, attempt });
-            }
-            _ => {
-                slot.restarts += 1;
-                slot.respawn_at = Some(Instant::now() + opts.restart_delay);
-            }
-        }
-        Ok(())
-    }
-
-    fn handle_control(&mut self, opts: &ProcOptions, ctl: Control) -> Result<(), ProcError> {
+    /// Translate one control-plane message or detector event.
+    fn on_control(&mut self, ctl: Control, events: &mut VecDeque<Event>) {
         match ctl {
-            Control::Msg { from: _, msg } => match msg {
+            Control::Msg { msg, .. } => match msg {
                 WireMsg::Hello {
                     node,
                     addr,
                     incarnation,
                 } => {
                     self.gateway.transport().set_route(node, addr.clone());
-                    if let Some(slot) = self.slots.get_mut(&node) {
-                        // A hello from a superseded incarnation (e.g. a
-                        // zombie that raced its own SIGKILL) is ignored.
-                        if incarnation == slot.incarnation {
+                    // A hello from a superseded incarnation (e.g. a
+                    // zombie that raced its own SIGKILL) is ignored.
+                    if incarnation == self.core.incarnation(node) {
+                        if let Some(slot) = self.slots.get_mut(&node) {
                             slot.addr = Some(addr);
-                            self.broadcast_address_map();
+                            self.broadcast_address_map(node);
                         }
                     }
                 }
-                WireMsg::RankResult { rank, result } => {
-                    if let Some(cell) = self.results.get_mut(rank.0 as usize) {
-                        *cell = Some(result);
-                    }
+                WireMsg::Ready { node, incarnation } => {
+                    events.push_back(Event::Ready { node, incarnation })
                 }
+                WireMsg::RankResult { rank, result } => events.push_back(Event::Result {
+                    rank,
+                    payload: result,
+                }),
                 WireMsg::RankFailed { rank, detail } => {
-                    return Err(ProcError::RankFailed { rank, detail });
+                    events.push_back(Event::Failed { rank, detail })
                 }
                 WireMsg::Finalized {
                     rank,
                     metrics,
-                    timings: _,
-                } => {
-                    self.rank_metrics.retain(|(r, _)| *r != rank);
-                    self.rank_metrics.push((rank, metrics));
-                }
+                    timings,
+                } => self.core.finalized(rank, metrics, timings),
                 WireMsg::ElRevived {
                     shard,
                     replica,
                     caught_up,
                 } => {
-                    self.recorder.record(
-                        0,
-                        ProtoEvent::ElReplicaRevive {
-                            shard,
-                            replica,
-                            caught_up,
-                        },
-                    );
-                }
-                WireMsg::Violation { node, detail } => {
-                    self.recorder.record(
-                        0,
-                        ProtoEvent::Divergence {
-                            detail: detail.clone(),
-                        },
-                    );
-                    self.violations.push((node, detail));
+                    let event = ProtoEvent::ElReplicaRevive {
+                        shard,
+                        replica,
+                        caught_up,
+                    };
+                    self.recorder.record(0, event);
                 }
                 WireMsg::Telemetry {
                     node,
@@ -770,23 +498,20 @@ impl Supervisor {
                     records,
                     snapshot,
                 } => {
-                    // Merged live stream → cluster-wide monitor. Frames
+                    // Merged live stream → cluster-wide monitor (the core
+                    // polls it for a verdict on its next step). Frames
                     // are FIFO per child and the monitor's state is
                     // per-rank, so arrival order across children is
                     // irrelevant — the same argument that lets the
                     // in-process monitor run inline.
-                    if let Some(m) = self.monitor.clone() {
+                    if let Some(m) = &self.monitor {
                         m.observe_all(&records);
-                        if let Some(v) = m.violation() {
-                            return Err(self.fail_violation(opts, node, v));
-                        }
                     }
-                    let entry = self
-                        .telemetry
-                        .entry(node)
-                        .or_insert_with(|| (incarnation, TelemetrySnapshot::default()));
-                    if incarnation >= entry.0 {
-                        *entry = (incarnation, snapshot);
+                    if let Ok(node) = node.parse::<NodeId>() {
+                        let entry = self.telemetry.entry(node).or_default();
+                        if incarnation >= entry.0 {
+                            *entry = (incarnation, snapshot);
+                        }
                     }
                 }
                 // Data-plane messages are routed inside the gateway;
@@ -794,374 +519,119 @@ impl Supervisor {
                 _ => {}
             },
             Control::PeerUp { peer, incarnation } => {
-                self.recorder.record(
-                    0,
-                    ProtoEvent::TransportUp {
-                        peer: format!("{peer}"),
-                        incarnation,
-                    },
-                );
+                let peer = peer.to_string();
+                self.recorder
+                    .record(0, ProtoEvent::TransportUp { peer, incarnation });
             }
             Control::PeerDown {
                 peer,
                 incarnation,
                 cause,
             } => {
-                self.recorder.record(
-                    0,
-                    ProtoEvent::TransportDown {
-                        peer: format!("{peer}"),
-                        cause: format!("{cause}"),
-                    },
-                );
-                // A verdict naming an incarnation older than the one we
-                // launched is about a death already handled — e.g. the
-                // synthetic down the transport emits when a respawned
-                // child's hello supersedes a lingering old link. Acting
-                // on it would re-kill the healthy replacement and turn
-                // one failure into a respawn storm.
-                let stale = self
-                    .slots
-                    .get(&peer)
-                    .is_some_and(|s| incarnation < s.incarnation);
-                if !self.shutting_down && !stale {
-                    self.handle_down(opts, peer, format!("{cause}"))?;
+                let cause = cause.to_string();
+                let event = ProtoEvent::TransportDown {
+                    peer: peer.to_string(),
+                    cause: cause.clone(),
+                };
+                self.recorder.record(0, event);
+                if let Some(slot) = self.slots.get_mut(&peer) {
+                    if incarnation >= self.core.incarnation(peer) {
+                        slot.addr = None;
+                    }
                 }
+                events.push_back(Event::Down {
+                    node: peer,
+                    incarnation,
+                    cause,
+                });
             }
         }
-        Ok(())
     }
 
     /// The per-child JSONL streams eligible for merging (the merged and
     /// crash outputs themselves excluded).
     fn dump_inputs(dir: &Path) -> Vec<PathBuf> {
-        let mut inputs: Vec<PathBuf> = std::fs::read_dir(dir)
-            .map(|rd| {
-                rd.filter_map(|e| e.ok())
-                    .map(|e| e.path())
-                    .filter(|p| {
-                        p.extension().is_some_and(|x| x == "jsonl")
-                            && p.file_name()
-                                .is_some_and(|n| n != "merged.jsonl" && n != "crash.jsonl")
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let is_stream = |p: &PathBuf| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.ends_with(".jsonl") && name != "merged.jsonl" && name != "crash.jsonl"
+        };
+        let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+        let mut inputs: Vec<PathBuf> = entries.map(|e| e.path()).filter(is_stream).collect();
         inputs.sort();
         inputs
     }
 
-    /// Fail the run on a live invariant violation, with the same triage
-    /// a post-mortem gets: a `Divergence` record, a merged crash dump of
-    /// everything the children have streamed so far, and the triage
-    /// note on stderr.
-    fn fail_violation(&mut self, opts: &ProcOptions, node: String, v: Violation) -> ProcError {
-        self.recorder.record(
-            0,
-            ProtoEvent::Divergence {
-                detail: format!("live monitor: {v}"),
-            },
-        );
-        self.violations.push((node, v.to_string()));
-        if let Some(dir) = &opts.obs_dir {
+    /// Triage for a failing run, at detection time: a merged crash dump
+    /// of everything the children have streamed so far (the core already
+    /// left the `Divergence` record), with the note on stderr.
+    fn crash_dump(&self) {
+        if let Some(dir) = &self.opts.obs_dir {
             self.hub.flush_sink();
             match merge_dump_files(&Self::dump_inputs(dir), &dir.join("crash.jsonl")) {
                 Ok(summary) => eprintln!("{}", summary.summary()),
                 Err(e) => eprintln!("mpirun: crash dump merge failed: {e}"),
             }
         }
-        ProcError::InvariantViolated(v)
     }
 
-    fn publish_health(&mut self, opts: &ProcOptions, start: Instant) {
-        if self.health.is_none() {
-            return;
-        }
-        let mut page = PromPage::new(&format!(
-            "mvr multi-process deployment, up {:?}",
-            start.elapsed()
-        ));
-        page.sample(
-            "mvr_up",
-            "gauge",
-            "1 while the deployment is running, 0 once it has finished.",
-            "",
-            1,
-        );
-        page.sample(
-            "mvr_proc_results",
-            "gauge",
-            "Computing ranks that have returned their result.",
-            "",
-            self.results.iter().filter(|r| r.is_some()).count(),
-        );
-        page.sample(
-            "mvr_proc_restarts",
-            "counter",
-            "Computing-rank child restarts performed since boot.",
-            "",
-            self.restarts,
-        );
-        page.sample(
-            "mvr_proc_service_restarts",
-            "counter",
-            "Service-node (EL/CS) child restarts performed since boot.",
-            "",
-            self.service_restarts,
-        );
-        page.sample(
-            "mvr_proc_detections",
-            "counter",
-            "Child-failure detections recorded since boot.",
-            "",
-            self.detections.len(),
-        );
-        let mut nodes: Vec<&NodeId> = self.slots.keys().collect();
-        nodes.sort();
-        for node in &nodes {
-            let s = &self.slots[*node];
-            page.sample(
-                "mvr_proc_child",
-                "gauge",
-                "1 while the node's child process is spawned and connected.",
-                &format!("node=\"{node}\",incarnation=\"{}\"", s.incarnation),
-                if s.child.is_some() && s.addr.is_some() {
-                    1
-                } else {
-                    0
-                },
-            );
-        }
-        // Dispatcher-parity per-rank series (same names the in-process
-        // health page exports, so dashboards work on either backend).
-        for node in &nodes {
-            if let NodeId::Computing(r) = node {
-                let s = &self.slots[*node];
-                let l = format!("rank=\"{}\"", r.0);
-                page.sample(
-                    "mvr_rank_alive",
-                    "gauge",
-                    "1 while the rank's current incarnation is live.",
-                    &l,
-                    if s.child.is_some() && s.addr.is_some() {
-                        1
-                    } else {
-                        0
-                    },
-                );
-                page.sample(
-                    "mvr_rank_incarnations",
-                    "counter",
-                    "Incarnations launched for the rank.",
-                    &l,
-                    s.incarnation,
-                );
-            }
-        }
-        match &self.monitor {
-            Some(m) => {
-                page.sample(
-                    "mvr_monitor_enabled",
-                    "gauge",
-                    "1 when the online invariant monitor is attached.",
-                    "",
-                    1,
-                );
-                page.sample(
-                    "mvr_monitor_records_total",
-                    "counter",
-                    "Flight records the invariant monitor has consumed.",
-                    "",
-                    m.records_seen(),
-                );
-                page.sample(
-                    "mvr_monitor_violations",
-                    "gauge",
-                    "1 once the monitor has caught an invariant violation.",
-                    "",
-                    if m.violation().is_some() { 1 } else { 0 },
-                );
-            }
-            None => page.sample(
-                "mvr_monitor_enabled",
-                "gauge",
-                "1 when the online invariant monitor is attached.",
-                "",
-                0,
-            ),
-        }
-        // Aggregated child telemetry: per-node liveness of the live
-        // stream (record/drop counters), per-shard EL ledger progress,
-        // and the cluster-wide merged protocol-interval histograms —
-        // cumulative plus the ring of recent windows.
-        let mut tel: Vec<(&String, &TelemetrySnapshot)> =
-            self.telemetry.iter().map(|(n, (_, s))| (n, s)).collect();
-        tel.sort_by_key(|(n, _)| n.as_str());
-        let mut timings = ProtocolTimings::new();
+    /// The shared health page, fed from live child telemetry: per-rank
+    /// protocol timings, per-replica EL ledger progress and the merged
+    /// quorum-wait histogram; plus the process plane's own families.
+    fn publish_health(&mut self) {
+        let mut rank_timings: Vec<(Rank, ProtocolTimings)> = Vec::new();
+        let mut el_events = vec![0u64; (self.opts.el_shards * self.opts.el_replicas) as usize];
         let mut quorum_wait = LogHistogram::new();
-        let mut shard_events: HashMap<u32, u64> = HashMap::new();
-        for (node, snap) in &tel {
-            let l = format!("node=\"{node}\"");
-            page.sample(
-                "mvr_telemetry_records_total",
-                "counter",
-                "Flight records the child offered to its telemetry sink.",
-                &l,
-                snap.records_total,
-            );
-            page.sample(
-                "mvr_telemetry_dropped_total",
-                "counter",
-                "Records the child's bounded telemetry buffer dropped (live stream has holes).",
-                &l,
-                snap.dropped_total,
-            );
-            if let Some(flat) = node.strip_prefix("el").and_then(|v| v.parse::<u32>().ok()) {
-                // A shard's unique-event count is the max across its
-                // replicas — each counter is monotone over the same
-                // dedup domain (the in-process page's rule).
-                let shard = flat / opts.el_replicas.max(1);
-                let e = shard_events.entry(shard).or_insert(0);
-                *e = (*e).max(snap.el_events);
-            } else {
-                timings.merge(&snap.timings);
-                quorum_wait.merge(&snap.quorum_wait);
-            }
-        }
-        let mut shards: Vec<(u32, u64)> = shard_events.into_iter().collect();
-        shards.sort_unstable();
-        for (shard, events) in shards {
-            page.sample(
-                "mvr_el_shard_unique_events",
-                "counter",
-                "Unique events a read quorum of the shard would reconstruct (max across replicas).",
-                &format!("shard=\"{shard}\""),
-                events,
-            );
-        }
-        self.windows.advance(self.recorder.now_ns(), &timings);
-        timing_families(
-            &mut page,
-            &[
-                ("gate_wait", &timings.gate_wait),
-                ("el_ack_rtt", &timings.el_ack_rtt),
-                ("ckpt_store", &timings.ckpt_store),
-                ("replay", &timings.replay),
-                ("quorum_wait", &quorum_wait),
-            ],
-        );
-        let closed: Vec<_> = self.windows.closed().collect();
-        let current = self.windows.current(self.recorder.now_ns(), &timings);
-        window_families(&mut page, &closed, &current);
-        if let Some(h) = &self.health {
-            h.publish(page.finish());
-        }
-    }
-
-    /// Graceful teardown: `Shutdown` broadcast → bounded wait → SIGTERM
-    /// → bounded wait → SIGKILL → reap. No orphans, whatever happened.
-    fn teardown(&mut self) {
-        self.shutting_down = true;
-        for (node, slot) in &self.slots {
-            if slot.child.is_some() && slot.addr.is_some() {
-                self.gateway.send_to(*node, &WireMsg::Shutdown);
-            }
-        }
-        let mut phase = 0; // 0 = polite, 1 = SIGTERM sent, 2 = SIGKILL sent
-        let mut deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let mut alive = 0;
-            for slot in self.slots.values_mut() {
-                if let Some(child) = slot.child.as_mut() {
-                    match child.try_wait() {
-                        Ok(Some(_)) => slot.child = None,
-                        _ => alive += 1,
-                    }
+        for (node, (_, snap)) in &self.telemetry {
+            match node {
+                NodeId::Computing(r) => {
+                    rank_timings.push((*r, snap.timings.clone()));
+                    quorum_wait.merge(&snap.quorum_wait);
                 }
-            }
-            if alive == 0 {
-                break;
-            }
-            if Instant::now() >= deadline {
-                phase += 1;
-                let sig_no = if phase == 1 {
-                    sig::SIGTERM
-                } else {
-                    sig::SIGKILL
-                };
-                for slot in self.slots.values() {
-                    if slot.child.is_some() {
-                        sig::send_signal(slot.pid, sig_no);
-                    }
+                NodeId::EventLogger(f) if (*f as usize) < el_events.len() => {
+                    el_events[*f as usize] = snap.el_events
                 }
-                if phase >= 2 {
-                    // SIGKILL cannot be ignored: block on the reaps.
-                    for slot in self.slots.values_mut() {
-                        if let Some(mut child) = slot.child.take() {
-                            let _ = child.wait();
-                        }
-                    }
-                    break;
-                }
-                deadline = Instant::now() + Duration::from_secs(1);
+                _ => {}
             }
-            std::thread::sleep(Duration::from_millis(5));
         }
-        self.gateway.stop();
-        if let Some(h) = self.health.take() {
-            h.stop();
-        }
-        // Keep the supervisor's fabric alive until here so the scheduler
-        // thread can drain; it dies with the process otherwise.
-        let _ = &self.fabric;
-    }
-
-    fn take_report(&mut self, opts: &ProcOptions) -> Result<ProcReport, ProcError> {
-        let (merged_dump, merge) = match &opts.obs_dir {
-            Some(dir) => {
-                let out = dir.join("merged.jsonl");
-                match merge_dump_files(&Self::dump_inputs(dir), &out) {
-                    Ok(summary) => (Some(out), Some(summary)),
-                    Err(e) => {
-                        eprintln!("mpirun: dump merge failed: {e}");
-                        (None, None)
-                    }
-                }
+        let (slots, telemetry) = (&self.slots, &self.telemetry);
+        let detections = self.core.detections.len();
+        let extras = |page: &mut PromPage| {
+            put(page, "mvr_proc_detections", "", detections);
+            for (node, s) in slots {
+                let l = format!("node=\"{node}\"");
+                let connected = s.child.is_some() && s.addr.is_some();
+                put(page, "mvr_proc_child", &l, u8::from(connected));
             }
-            None => (None, None),
+            for (node, (_, snap)) in telemetry {
+                let l = format!("node=\"{node}\"");
+                put(page, "mvr_telemetry_records_total", &l, snap.records_total);
+                put(page, "mvr_telemetry_dropped_total", &l, snap.dropped_total);
+            }
         };
-        let mut telemetry: Vec<(String, TelemetrySnapshot)> = std::mem::take(&mut self.telemetry)
-            .into_iter()
-            .map(|(n, (_, s))| (n, s))
-            .collect();
-        telemetry.sort_by(|a, b| a.0.cmp(&b.0));
-        let _ = &self.hub;
-        let mut results = Vec::with_capacity(self.results.len());
-        for (r, cell) in std::mem::take(&mut self.results).into_iter().enumerate() {
-            match cell {
-                Some(p) => results.push(p),
-                None => return Err(ProcError::Launch(format!("rank {r} produced no result"))),
+        let more = [("quorum_wait", &quorum_wait)];
+        let page = self
+            .core
+            .render_health(true, &rank_timings, &el_events, &more, extras);
+        if let Some(h) = &self.health {
+            h.publish(page);
+        }
+    }
+
+    /// Reap the children that have exited since the last call.
+    fn reap(&mut self) -> Vec<(NodeId, ExitStatus)> {
+        let mut exited = Vec::new();
+        for (node, slot) in &mut self.slots {
+            let child = slot.child.as_mut();
+            if let Some(status) = child.and_then(|c| c.try_wait().ok().flatten()) {
+                slot.child = None;
+                exited.push((*node, status));
             }
         }
-        let mut rank_metrics = std::mem::take(&mut self.rank_metrics);
-        rank_metrics.sort_by_key(|(r, _)| r.0);
-        Ok(ProcReport {
-            results,
-            restarts: self.restarts,
-            service_restarts: self.service_restarts,
-            detections: std::mem::take(&mut self.detections),
-            rank_metrics,
-            violations: std::mem::take(&mut self.violations),
-            merged_dump,
-            merge,
-            telemetry,
-        })
+        exited
     }
-}
 
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        // Orphan safety: whatever path unwound us, no child survives.
+    /// `SIGKILL` cannot be ignored: signal and block on every reap.
+    fn kill_all(&mut self) {
         for slot in self.slots.values_mut() {
             if let Some(mut child) = slot.child.take() {
                 sig::send_signal(slot.pid, sig::SIGKILL);
@@ -1169,62 +639,70 @@ impl Drop for Supervisor {
             }
         }
     }
-}
 
-/// Classify how a child exited (clean / error code / signal).
-fn exit_kind(status: &std::process::ExitStatus) -> String {
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::ExitStatusExt;
-        if let Some(sig_no) = status.signal() {
-            return match sig_no {
-                sig::SIGKILL => "killed (SIGKILL)".into(),
-                sig::SIGTERM => "terminated (SIGTERM)".into(),
-                other => format!("signal {other}"),
-            };
+    /// Graceful teardown: `Shutdown` broadcast → bounded wait → SIGTERM
+    /// → bounded wait → SIGKILL → reap. No orphans, whatever happened.
+    fn teardown(&mut self) {
+        for (node, slot) in &self.slots {
+            if slot.child.is_some() && slot.addr.is_some() {
+                self.gateway.send_to(*node, &WireMsg::Shutdown);
+            }
+        }
+        for (signal, grace) in [(None, 2), (Some(sig::SIGTERM), 1)] {
+            for slot in self.slots.values().filter(|s| s.child.is_some()) {
+                if let Some(signal) = signal {
+                    sig::send_signal(slot.pid, signal);
+                }
+            }
+            let deadline = Instant::now() + Duration::from_secs(grace);
+            loop {
+                self.reap();
+                let alive = self.slots.values().any(|s| s.child.is_some());
+                if !alive || Instant::now() >= deadline {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        self.kill_all();
+        self.gateway.stop();
+        if let Some(h) = self.health.take() {
+            h.stop();
         }
     }
-    match status.code() {
-        Some(0) => "clean exit".into(),
-        Some(code) => format!("exit code {code}"),
-        None => "unknown exit".into(),
-    }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kill_schedule_is_plan_pure() {
-        let mut opts = ProcOptions::new(4, "ring 10");
-        opts.kills = vec![(Rank(1), Duration::from_millis(10))];
-        opts.chaos = Some(ChaosConfig {
-            seed: 7,
-            kills: 5,
-            el_kill_pct: 50,
-            el_total: 2,
-            cs_kill_pct: 30,
-            ..Default::default()
+    fn take_report(&mut self) -> Result<ProcReport, ProcError> {
+        let merge = self.opts.obs_dir.as_ref().and_then(|dir| {
+            merge_dump_files(&Self::dump_inputs(dir), &dir.join("merged.jsonl"))
+                .map_err(|e| eprintln!("mpirun: dump merge failed: {e}"))
+                .ok()
         });
-        let a = Supervisor::kill_schedule(&opts);
-        let b = Supervisor::kill_schedule(&opts);
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.target, y.target);
-            assert_eq!(x.rekill, y.rekill);
-        }
-        // Sorted by time.
-        assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
+        let telemetry = std::mem::take(&mut self.telemetry);
+        let missing = |r| ProcError::Launch(format!("rank {r} produced no result"));
+        let results = self.core.take_results().into_iter().enumerate();
+        let finals = self.core.finals.iter().enumerate();
+        Ok(ProcReport {
+            results: results
+                .map(|(r, p)| p.ok_or_else(|| missing(r)))
+                .collect::<Result<_, _>>()?,
+            restarts: self.core.restarts as u32,
+            service_restarts: self.core.service_restarts as u32,
+            detections: std::mem::take(&mut self.core.detections),
+            rank_metrics: finals
+                .filter_map(|(r, f)| Some((Rank(r as u32), f.as_ref()?.0)))
+                .collect(),
+            merge,
+            telemetry: telemetry
+                .into_iter()
+                .map(|(n, (_, s))| (n.to_string(), s))
+                .collect(),
+        })
     }
+}
 
-    #[test]
-    fn exit_kind_classifies_codes() {
-        let st = std::process::Command::new("true").status().unwrap();
-        assert_eq!(exit_kind(&st), "clean exit");
-        let st = std::process::Command::new("false").status().unwrap();
-        assert_eq!(exit_kind(&st), "exit code 1");
+impl Drop for Launcher<'_> {
+    fn drop(&mut self) {
+        // Orphan safety: whatever path unwound us, no child survives.
+        self.kill_all();
     }
 }

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// One message between two OS processes of a socket deployment.
 ///
-/// Control-plane variants (`Hello` … `Violation`) flow between the
+/// Control-plane variants (`Hello` … `Ready`, `Finalized` … `Telemetry`) flow between the
 /// supervising dispatcher and its children; data-plane variants wrap the
 /// unchanged protocol envelopes of the in-process runtime.
 #[allow(clippy::large_enum_variant)]
@@ -42,6 +42,16 @@ pub enum WireMsg {
     AddressMap(Vec<(NodeId, String)>),
     /// Orderly-teardown request from the supervisor.
     Shutdown,
+    /// "This incarnation of `node` is doing its job": its flight-record
+    /// stream is open and its node threads run. The supervisor's fault
+    /// plan holds kills aimed at a node until its current incarnation
+    /// has said so.
+    Ready {
+        /// The node reporting.
+        node: NodeId,
+        /// Its incarnation.
+        incarnation: u64,
+    },
 
     /// Daemon-to-daemon protocol message (`DaemonMsg::Peer`).
     Peer {
@@ -133,14 +143,6 @@ pub enum WireMsg {
         replica: u32,
         /// Events absorbed from the sibling snapshot.
         caught_up: u64,
-    },
-
-    /// Invariant-monitor violation detected inside a child.
-    Violation {
-        /// Node (display form) the violation was observed on.
-        node: String,
-        /// Violation detail.
-        detail: String,
     },
 
     /// Live telemetry batch from a child: staged flight records plus a

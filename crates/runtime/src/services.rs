@@ -90,11 +90,6 @@ pub fn spawn_event_loggers(
     (handles, counters, stores)
 }
 
-/// Spawn the checkpoint server with a private, volatile store.
-pub fn spawn_checkpoint_server(fabric: &Fabric) -> JoinHandle<()> {
-    spawn_checkpoint_server_on(fabric, Arc::new(Mutex::new(CheckpointStore::new())))
-}
-
 /// Spawn the checkpoint server serving a shared store — the *stable
 /// storage* that survives crashes of the server process itself. The
 /// dispatcher passes the same store to every CS incarnation, so images

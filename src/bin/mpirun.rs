@@ -15,17 +15,19 @@
 //!   process, the benchmarking substrate;
 //! - `socket`: every rank, event-logger replica and the checkpoint
 //!   server is a **real OS process** speaking length-prefixed frames
-//!   over TCP, watched by a socket fail-stop detector; `--kill` become
-//!   real `SIGKILL`s and recovery runs across process boundaries.
+//!   over TCP, watched by a socket fail-stop detector; `--kill`,
+//!   `--el-kill` and `--cs-kill` become real `SIGKILL`s and recovery
+//!   runs across process boundaries.
 //!
 //! Demo applications (deterministic, resumable, self-verifying):
-//! `ring [iters]`, `allreduce [iters]`, `cg [n]`, `stencil [n] [steps]`.
+//! `ring [iters]`, `allreduce [iters]`, `fanout [msgs]`, `cg [n]`,
+//! `stencil [n] [steps]`.
 
-use mpich_v::core::{Payload, Rank};
+use mpich_v::core::{NodeId, Payload, Rank};
 use mpich_v::mpi::{MpiResult, ReduceOp, Source, Tag};
 use mpich_v::runtime::proc::{maybe_run_child, run_proc, ProcOptions};
 use mpich_v::runtime::progfile;
-use mpich_v::runtime::{Cluster, ClusterConfig, MpiApp, NodeMpi, RuntimeProtocol, SchedulerConfig};
+use mpich_v::runtime::{Cluster, ClusterConfig, MpiApp, NodeMpi, RuntimeProtocol};
 use mpich_v::workloads as mvr_workloads;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,166 +40,121 @@ fn usage() -> ! {
          [--timeout <secs>] [--obs-dir <dir>] [--health <addr>] \
          [--fail-after <ms>] [--drift <rank>@<ppb>]... \
          [--rotate-records <N>] [--rotate-bytes <N>] <app> [args...]\n\
-         apps: ring [iters] | allreduce [iters] | cg [n] | stencil [n] [steps]"
+         apps: ring [iters] | allreduce [iters] | fanout [msgs] | cg [n] | stencil [n] [steps]"
     );
     std::process::exit(2);
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    InProcess,
-    Socket,
+/// The next argument parsed as a `T`, or the usage message.
+fn next<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    let value = args.next().and_then(|v| v.parse().ok());
+    value.unwrap_or_else(|| usage())
 }
 
-struct Options {
-    np: u32,
-    protocol: RuntimeProtocol,
-    backend: Backend,
-    pgfile: Option<String>,
-    kills: Vec<(Rank, Duration)>,
-    el_kills: Vec<(u32, Duration)>,
-    cs_kills: Vec<Duration>,
-    el_replicas: u32,
-    checkpoints: bool,
-    timeout: Duration,
-    obs_dir: Option<String>,
-    health: Option<String>,
-    fail_after: Option<Duration>,
-    drifts: Vec<(Rank, i64)>,
-    rotate_records: u64,
-    rotate_bytes: u64,
-    app: String,
-    app_args: Vec<u64>,
+/// The next argument as a time in milliseconds (`30` or `30ms`).
+fn next_ms(args: &mut impl Iterator<Item = String>) -> Duration {
+    millis(&next::<String>(args))
 }
 
-fn parse_at_ms(spec: &str) -> Option<(u32, Duration)> {
-    let (idx, when) = spec.split_once('@')?;
-    let idx: u32 = idx.parse().ok()?;
-    let ms: u64 = when.trim_end_matches("ms").parse().ok()?;
-    Some((idx, Duration::from_millis(ms)))
+fn millis(text: &str) -> Duration {
+    let ms = text.trim_end_matches("ms").parse().ok();
+    Duration::from_millis(ms.unwrap_or_else(|| usage()))
 }
 
-fn parse_args() -> Options {
-    let mut opt = Options {
-        np: 4,
-        protocol: RuntimeProtocol::V2,
-        backend: Backend::InProcess,
-        pgfile: None,
-        kills: Vec::new(),
-        el_kills: Vec::new(),
-        cs_kills: Vec::new(),
-        el_replicas: 1,
-        checkpoints: true,
-        timeout: Duration::from_secs(120),
-        obs_dir: None,
-        health: None,
-        fail_after: None,
-        drifts: Vec::new(),
-        rotate_records: 0,
-        rotate_bytes: 0,
-        app: String::new(),
-        app_args: Vec::new(),
-    };
+/// The next argument as `<index>@<value>`.
+fn next_at(args: &mut impl Iterator<Item = String>) -> (u32, String) {
+    let spec: String = next(args);
+    let pair = spec.split_once('@');
+    let pair = pair.and_then(|(idx, value)| Some((idx.parse().ok()?, value.to_string())));
+    pair.unwrap_or_else(|| usage())
+}
 
-    let mut app = None;
+/// Parse the command line straight into the deployment description both
+/// backends launch from: `(socket backend?, protocol, options)`.
+fn parse_args() -> (bool, RuntimeProtocol, ProcOptions) {
+    let mut o = ProcOptions::new(4, "");
+    let (mut socket, mut protocol) = (false, RuntimeProtocol::V2);
+    let (mut pgfile, mut checkpoints) = (None::<String>, true);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let args = &mut args;
         match a.as_str() {
-            "-np" | "--np" => {
-                opt.np = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "-np" | "--np" => o.world = next(args),
             "--protocol" => {
-                opt.protocol = match args.next().as_deref() {
-                    Some("v2") => RuntimeProtocol::V2,
-                    Some("v1") => RuntimeProtocol::V1,
-                    Some("p4") => RuntimeProtocol::P4,
+                protocol = match next::<String>(args).as_str() {
+                    "v2" => RuntimeProtocol::V2,
+                    "v1" => RuntimeProtocol::V1,
+                    "p4" => RuntimeProtocol::P4,
                     _ => usage(),
-                };
+                }
             }
             "--backend" => {
-                opt.backend = match args.next().as_deref() {
-                    Some("inproc") | Some("in-process") => Backend::InProcess,
-                    Some("socket") | Some("tcp") => Backend::Socket,
+                socket = match next::<String>(args).as_str() {
+                    "inproc" | "in-process" => false,
+                    "socket" | "tcp" => true,
                     _ => usage(),
-                };
+                }
             }
-            "--pgfile" => opt.pgfile = Some(args.next().unwrap_or_else(|| usage())),
+            "--pgfile" => pgfile = Some(next(args)),
             "--kill" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let (rank, at) = parse_at_ms(&spec).unwrap_or_else(|| usage());
-                opt.kills.push((Rank(rank), at));
+                let (rank, at) = next_at(args);
+                o.kills.push((NodeId::Computing(Rank(rank)), millis(&at)));
             }
             "--el-kill" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                opt.el_kills
-                    .push(parse_at_ms(&spec).unwrap_or_else(|| usage()));
+                let (flat, at) = next_at(args);
+                o.kills.push((NodeId::EventLogger(flat), millis(&at)));
             }
-            "--cs-kill" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let ms: u64 = spec
-                    .trim_end_matches("ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                opt.cs_kills.push(Duration::from_millis(ms));
-            }
-            "--el-replicas" => {
-                opt.el_replicas = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--no-checkpoints" => opt.checkpoints = false,
-            "--timeout" => {
-                opt.timeout = Duration::from_secs(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--obs-dir" => opt.obs_dir = Some(args.next().unwrap_or_else(|| usage())),
-            "--health" => opt.health = Some(args.next().unwrap_or_else(|| usage())),
-            "--fail-after" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|v| v.trim_end_matches("ms").parse().ok())
-                    .unwrap_or_else(|| usage());
-                opt.fail_after = Some(Duration::from_millis(ms));
-            }
+            "--cs-kill" => o.kills.push((NodeId::CheckpointServer(0), next_ms(args))),
+            "--el-replicas" => o.el_replicas = next(args),
+            "--no-checkpoints" => checkpoints = false,
+            "--timeout" => o.timeout = Duration::from_secs(next(args)),
+            "--obs-dir" => o.obs_dir = Some(next::<String>(args).into()),
+            "--health" => o.health_addr = Some(next(args)),
+            "--fail-after" => o.fail_after = Some(next_ms(args)),
+            // rank@ppb: inject a clock-drift rate (parts per billion,
+            // may be negative) into one rank's recorder.
             "--drift" => {
-                // rank@ppb: inject a clock-drift rate (parts per
-                // billion, may be negative) into one rank's recorder.
-                let spec = args.next().unwrap_or_else(|| usage());
-                let (rank, ppb) = spec.split_once('@').unwrap_or_else(|| usage());
-                let rank: u32 = rank.parse().unwrap_or_else(|_| usage());
-                let ppb: i64 = ppb.parse().unwrap_or_else(|_| usage());
-                opt.drifts.push((Rank(rank), ppb));
+                let (rank, ppb) = next_at(args);
+                let ppb = ppb.parse().unwrap_or_else(|_| usage());
+                o.epoch_drift.push((Rank(rank), ppb));
             }
-            "--rotate-records" => {
-                opt.rotate_records = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--rotate-bytes" => {
-                opt.rotate_bytes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "-h" | "--help" => usage(),
-            other if other.starts_with('-') => usage(),
-            other => {
-                app = Some(other.to_string());
-                opt.app_args = args.by_ref().filter_map(|v| v.parse().ok()).collect();
+            "--rotate-records" => o.rotate_records = next(args),
+            "--rotate-bytes" => o.rotate_bytes = next(args),
+            app if !app.starts_with('-') => {
+                let numbers = args.filter(|v| v.parse::<u64>().is_ok());
+                let spec: Vec<String> = std::iter::once(a.clone()).chain(numbers).collect();
+                o.app_spec = spec.join(" ");
                 break;
             }
+            _ => usage(),
         }
     }
-    opt.app = app.unwrap_or_else(|| usage());
-    opt
+    if o.app_spec.is_empty() {
+        usage();
+    }
+
+    // Resolve the deployment description.
+    let pf = match &pgfile {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                eprintln!("mpirun: cannot read {path}: {e}");
+                std::process::exit(1);
+            });
+            progfile::parse(&text).unwrap_or_else(|e| {
+                eprintln!("mpirun: {e}");
+                std::process::exit(1);
+            })
+        }
+        None => progfile::default_for(o.world),
+    };
+    if pgfile.is_some() {
+        o.world = pf.world();
+    }
+    let scheduler = pf.scheduler.clone().map(|(_, c)| c).unwrap_or_default();
+    o.checkpointing = (checkpoints && protocol == RuntimeProtocol::V2).then_some(scheduler);
+    o.el_shards = pf.event_loggers.len().max(1) as u32;
+    o.binds = pf.bind_map(o.el_replicas);
+    (socket, protocol, o)
 }
 
 // ---------------------------------------------------------------------
@@ -249,6 +206,36 @@ fn allreduce_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiRes
     }
 }
 
+/// Rank 0 streams `msgs` tokens to every other rank and returns at once;
+/// the others consume theirs slowly (1 ms each). Rank 0 is therefore long
+/// finished — its volatile sender log the only copy of what it sent —
+/// while its peers still receive: the supervision corner where a finished
+/// rank must be revived.
+fn fanout(msgs: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
+    move |mpi, restored| {
+        let (mut i, mut acc): (u32, u64) = match &restored {
+            Some(p) => bincode::deserialize(p.as_slice()).unwrap(),
+            None => (0, 0),
+        };
+        while i < msgs {
+            let token = ((i as u64) << 8) | 0x5a;
+            if mpi.rank().0 == 0 {
+                for q in 1..mpi.size() {
+                    mpi.send(Rank(q), 9, &token.to_le_bytes())?;
+                }
+            } else {
+                let (_, _, body) = mpi.recv(Source::Rank(Rank(0)), Tag::Value(9))?;
+                let got = u64::from_le_bytes(body.as_slice().try_into().unwrap());
+                acc = acc.wrapping_mul(31).wrapping_add(got);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            i += 1;
+            mpi.checkpoint_site(&bincode::serialize(&(i, acc)).unwrap())?;
+        }
+        Ok(Payload::from_vec(acc.to_le_bytes().to_vec()))
+    }
+}
+
 /// Resolve an application spec (`"ring 40"`) to a runnable app. Used by
 /// the launcher itself and — via the child hook — by every re-executed
 /// rank process, so both backends run the very same application object.
@@ -261,8 +248,14 @@ fn make_app(spec: &str) -> Option<Arc<dyn MpiApp>> {
     match name {
         "ring" => Some(Arc::new(ring(arg0.unwrap_or(500) as u32))),
         "allreduce" => Some(Arc::new(allreduce_app(arg0.unwrap_or(300) as u32))),
+        "fanout" => Some(Arc::new(fanout(arg0.unwrap_or(500) as u32))),
         "cg" => {
-            let ccfg = mvr_workloads_cg_config(arg0.unwrap_or(768) as usize);
+            let n = arg0.unwrap_or(768) as usize;
+            let ccfg = mvr_workloads::CgConfig {
+                n,
+                max_iter: (2 * n) as u32,
+                tol: 1e-10,
+            };
             Some(Arc::new(
                 move |mpi: &mut NodeMpi, restored: Option<Payload>| {
                     let st = restored.map(|p| bincode::deserialize(p.as_slice()).unwrap());
@@ -290,179 +283,82 @@ fn make_app(spec: &str) -> Option<Arc<dyn MpiApp>> {
 
 fn main() {
     // Child hook first: `--backend socket` re-executes this binary per
-    // deployment node with MVR_PROC_ROLE set; those invocations run the
-    // role and never return.
+    // deployment node with MVR_PROC_CHILD set; those invocations run
+    // the role and never return.
     maybe_run_child(&make_app);
 
-    let opt = parse_args();
-
-    // Resolve the deployment description.
-    let pf = match &opt.pgfile {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("mpirun: cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            match progfile::parse(&text) {
-                Ok(pf) => pf,
-                Err(e) => {
-                    eprintln!("mpirun: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => progfile::default_for(opt.np),
-    };
-    let world = if opt.pgfile.is_some() {
-        pf.world()
-    } else {
-        opt.np
-    };
-
-    let checkpointing = if opt.checkpoints && opt.protocol == RuntimeProtocol::V2 {
-        Some(
-            pf.scheduler
-                .clone()
-                .map(|(_, c)| c)
-                .unwrap_or_else(SchedulerConfig::default),
-        )
-    } else {
-        None
-    };
-    let el_shards = pf.event_loggers.len().max(1) as u32;
-
+    let (socket, protocol, opts) = parse_args();
     println!(
         "mpirun: {} ranks, protocol {:?}, backend {}, {} event logger shard(s) x{}, checkpoints {}",
-        world,
-        opt.protocol,
-        match opt.backend {
-            Backend::InProcess => "inproc",
-            Backend::Socket => "socket",
-        },
-        el_shards,
-        opt.el_replicas,
-        if checkpointing.is_some() { "on" } else { "off" }
+        opts.world,
+        protocol,
+        if socket { "socket" } else { "inproc" },
+        opts.el_shards,
+        opts.el_replicas,
+        if opts.checkpointing.is_some() {
+            "on"
+        } else {
+            "off"
+        }
     );
-
-    let spec = std::iter::once(opt.app.clone())
-        .chain(opt.app_args.iter().map(|v| v.to_string()))
-        .collect::<Vec<_>>()
-        .join(" ");
-    let Some(app) = make_app(&spec) else {
-        eprintln!("mpirun: unknown app '{}'", opt.app);
+    let Some(app) = make_app(&opts.app_spec) else {
+        eprintln!("mpirun: unknown app '{}'", opts.app_spec);
         usage();
     };
-
-    match opt.backend {
-        Backend::InProcess => run_inproc(&opt, world, el_shards, checkpointing, app),
-        Backend::Socket => run_socket(&opt, &pf, world, el_shards, checkpointing, &spec),
+    let outcome = if socket {
+        run_socket(protocol, opts)
+    } else {
+        run_inproc(protocol, opts, app)
+    };
+    if let Err(e) = outcome {
+        eprintln!("mpirun: {e}");
+        std::process::exit(1);
     }
 }
 
 fn run_inproc(
-    opt: &Options,
-    world: u32,
-    el_shards: u32,
-    checkpointing: Option<SchedulerConfig>,
+    protocol: RuntimeProtocol,
+    opts: ProcOptions,
     app: Arc<dyn MpiApp>,
-) {
-    if !opt.el_kills.is_empty() || !opt.cs_kills.is_empty() {
-        eprintln!("mpirun: --el-kill/--cs-kill need --backend socket");
-        std::process::exit(2);
-    }
+) -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ClusterConfig {
-        world,
-        protocol: opt.protocol,
-        el_shards,
-        el_replicas: opt.el_replicas,
-        checkpointing,
+        world: opts.world,
+        protocol,
+        el_shards: opts.el_shards,
+        el_replicas: opts.el_replicas,
+        checkpointing: opts.checkpointing,
+        kills: opts.kills,
         ..Default::default()
     };
-    let cluster = Cluster::launch(cfg, app);
-
-    // Fault injection.
-    let handle = cluster.fault_handle();
-    let kills = opt.kills.clone();
-    let killer = std::thread::spawn(move || {
-        for (rank, at) in kills {
-            std::thread::sleep(at);
-            println!("mpirun: injecting crash of rank {rank}");
-            handle.kill(rank);
-        }
-    });
-
-    match cluster.wait(opt.timeout) {
-        Ok(results) => {
-            killer.join().ok();
-            print_results(&results);
-            println!("mpirun: run completed");
-        }
-        Err(e) => {
-            killer.join().ok();
-            eprintln!("mpirun: {e}");
-            std::process::exit(1);
-        }
-    }
+    let report = Cluster::launch(cfg, app).wait_report(opts.timeout)?;
+    print_results(&report.results, report.restarts, report.service_restarts);
+    Ok(())
 }
 
 fn run_socket(
-    opt: &Options,
-    pf: &progfile::ProgramFile,
-    world: u32,
-    el_shards: u32,
-    checkpointing: Option<SchedulerConfig>,
-    spec: &str,
-) {
-    if opt.protocol != RuntimeProtocol::V2 {
+    protocol: RuntimeProtocol,
+    opts: ProcOptions,
+) -> Result<(), Box<dyn std::error::Error>> {
+    if protocol != RuntimeProtocol::V2 {
         eprintln!("mpirun: --backend socket supports protocol v2 only");
         std::process::exit(2);
     }
-    let mut popts = ProcOptions::new(world, spec);
-    popts.el_shards = el_shards;
-    popts.el_replicas = opt.el_replicas;
-    popts.checkpointing = checkpointing;
-    popts.timeout = opt.timeout;
-    popts.kills = opt.kills.clone();
-    popts.el_kills = opt.el_kills.clone();
-    popts.cs_kills = opt.cs_kills.clone();
-    popts.obs_dir = opt.obs_dir.clone().map(Into::into);
-    popts.health_addr = opt.health.clone();
-    popts.fail_after = opt.fail_after;
-    popts.epoch_drift = opt.drifts.clone();
-    popts.rotate_records = opt.rotate_records;
-    popts.rotate_bytes = opt.rotate_bytes;
-    popts.binds = pf.bind_map(opt.el_replicas);
-
-    match run_proc(popts) {
-        Ok(report) => {
-            print_results(&report.results);
-            for (peer, cause) in &report.detections {
-                println!("mpirun: detected loss of {peer} ({cause})");
-            }
-            if let Some(merge) = &report.merge {
-                println!("mpirun: {}", merge.summary());
-            } else if let Some(dump) = &report.merged_dump {
-                println!("mpirun: merged flight-recorder dump at {}", dump.display());
-            }
-            println!(
-                "mpirun: run completed ({} rank restarts, {} service restarts)",
-                report.restarts, report.service_restarts
-            );
-            if !report.violations.is_empty() {
-                for (node, detail) in &report.violations {
-                    eprintln!("mpirun: VIOLATION on {node}: {detail}");
-                }
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("mpirun: {e}");
-            std::process::exit(1);
-        }
+    let report = run_proc(opts)?;
+    for (peer, cause) in &report.detections {
+        println!("mpirun: detected loss of {peer} ({cause})");
     }
+    if let Some(merge) = &report.merge {
+        println!("mpirun: {}", merge.summary());
+    }
+    print_results(
+        &report.results,
+        report.restarts.into(),
+        report.service_restarts.into(),
+    );
+    Ok(())
 }
 
-fn print_results(results: &[Payload]) {
+fn print_results(results: &[Payload], restarts: u64, service_restarts: u64) {
     for (r, p) in results.iter().enumerate() {
         println!(
             "rank {r}: {} result bytes ({})",
@@ -470,6 +366,9 @@ fn print_results(results: &[Payload]) {
             hex8(p.as_slice())
         );
     }
+    println!(
+        "mpirun: run completed ({restarts} rank restarts, {service_restarts} service restarts)"
+    );
 }
 
 fn hex8(bytes: &[u8]) -> String {
@@ -478,12 +377,4 @@ fn hex8(bytes: &[u8]) -> String {
         .take(8)
         .map(|b| format!("{b:02x}"))
         .collect::<String>()
-}
-
-fn mvr_workloads_cg_config(n: usize) -> mvr_workloads::CgConfig {
-    mvr_workloads::CgConfig {
-        n,
-        max_iter: (2 * n) as u32,
-        tol: 1e-10,
-    }
 }

@@ -7,9 +7,12 @@
 //! full path is covered: progfile → process launch → hello/address-map
 //! handshake → framed TCP data plane → supervisor verdicts → respawn.
 
-use mpich_v::core::Rank;
-use mpich_v::obs::{parse_dump, parse_record_line, validate_records, InvariantMonitor};
+use mpich_v::core::{NodeId, Rank};
+use mpich_v::obs::{
+    parse_dump, parse_record_line, validate_records, InvariantMonitor, RecorderConfig,
+};
 use mpich_v::runtime::proc::{run_proc, sig, ProcError, ProcOptions};
+use mpich_v::runtime::ClusterError;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -160,6 +163,84 @@ fn el_replica_sigkill_revives_and_completes() {
         "EL replica revival missing:\n{text}"
     );
     assert_eq!(result_lines(&text).len(), 4, "results missing:\n{text}");
+}
+
+/// Run `body` once per backend, concurrently: the parity tests hold one
+/// behaviour to both launchers with one set of assertions.
+fn on_both_backends(body: impl Fn(&str) + Sync) {
+    std::thread::scope(|s| {
+        for backend in ["inproc", "socket"] {
+            let body = &body;
+            s.spawn(move || body(backend));
+        }
+    });
+}
+
+#[test]
+fn finished_rank_killed_while_a_peer_still_needs_its_log_is_revived() {
+    // `fanout`: rank 0 has sent everything and returned its result within
+    // the first second; ranks 1 and 2 consume for ≥ 2.5 s. Killing rank 0
+    // then destroys the only copy of the messages not yet received, and
+    // killing rank 1 afterwards makes it re-request even the early ones:
+    // unless the supervisor revives the *finished* rank 0 (which re-runs
+    // to rebuild its sender log), the survivors starve and the run times
+    // out. The socket supervisor used to return early for finished ranks.
+    on_both_backends(|backend| {
+        let run = |kills: &[&str]| {
+            let mut args = vec!["-np", "3", "--backend", backend, "--timeout", "30"];
+            args.extend_from_slice(kills);
+            args.extend_from_slice(&["fanout", "2500"]);
+            run_capture(&args)
+        };
+        let (clean, code) = run(&[]);
+        assert_eq!(code, Some(0), "{backend}: fault-free run failed:\n{clean}");
+        let (text, code) = run(&["--kill", "0@1200ms", "--kill", "1@1600ms"]);
+        assert_eq!(
+            code,
+            Some(0),
+            "{backend}: finished rank not revived:\n{text}"
+        );
+        assert_eq!(
+            result_lines(&text),
+            result_lines(&clean),
+            "{backend}: recovery changed the results:\n{text}"
+        );
+        // Both kills landed, each cost exactly one reincarnation, and
+        // reviving the finished rank did not fail the run on its budget.
+        assert!(
+            text.contains("run completed (2 rank restarts, 0 service restarts)"),
+            "{backend}:\n{text}"
+        );
+    });
+}
+
+#[test]
+fn unreplicated_event_logger_killed_stays_dead_and_the_run_stalls() {
+    // §4.5: with R = 1 the event logger is assumed reliable. Killing it
+    // must stall the run at the pessimism gate on BOTH backends — the
+    // socket supervisor used to respawn it with an empty ledger, which
+    // would have acked events it never stored. A healthy `ring 2000`
+    // finishes well inside the timeout, so only a stall can run it out.
+    on_both_backends(|backend| {
+        let (text, code) = run_capture(&[
+            "-np",
+            "3",
+            "--backend",
+            backend,
+            "--timeout",
+            "8",
+            "--el-kill",
+            "0@20ms",
+            "ring",
+            "2000",
+        ]);
+        assert_eq!(code, Some(1), "{backend}: run must stall:\n{text}");
+        assert!(text.contains("timed out"), "{backend}:\n{text}");
+        assert!(
+            !text.contains("launched el0 pid") || !text.contains("incarnation=1"),
+            "{backend}: the R = 1 event logger must not come back:\n{text}"
+        );
+    });
 }
 
 #[test]
@@ -322,7 +403,7 @@ fn injected_gate_violation_is_caught_live_by_parent() {
     let (mut opts, dir) = proc_opts("live_violation", 2, "ring 200");
     opts.inject_violation = Some(Rank(1));
     match run_proc(opts) {
-        Err(ProcError::InvariantViolated(v)) => {
+        Err(ProcError::Supervision(ClusterError::InvariantViolated { violation: v })) => {
             assert_eq!(v.invariant, "pessimism-gate", "wrong invariant: {v}");
             assert_eq!(
                 v.rank, 1,
@@ -351,8 +432,12 @@ fn default_flush_cadence_survives_sigkill_without_partial_lines() {
     // Default stream_flush_every = 1: one write(2) per record. A real
     // SIGKILL mid-stream must leave the victim's incarnation-0 stream
     // non-empty and cleanly parseable to the last byte.
-    assert_eq!(opts.stream_flush_every, 1, "durable default changed");
-    opts.kills = vec![(Rank(1), Duration::from_millis(30))];
+    assert_eq!(
+        RecorderConfig::default().stream_flush_every,
+        1,
+        "durable default changed"
+    );
+    opts.kills = vec![(NodeId::Computing(Rank(1)), Duration::from_millis(30))];
     opts.fail_after = Some(Duration::from_millis(250));
     let report = run_proc(opts).expect("killed run recovers");
     assert!(report.restarts >= 1, "the SIGKILL must have landed");
