@@ -1,11 +1,12 @@
-//! Hot path — before/after microbenchmarks for the zero-copy fabric rework.
+//! Hot path — microbenchmarks of the fabric's receive path.
 //!
 //! The fabric's receive path moved from one mutex+condvar queue per node
 //! (every `send` and every poll took the lock and signalled the condvar)
 //! to one bounded lock-free SPSC ring per sender-receiver pair with an
-//! eventcount parker and a batched `recv_many` drain. This harness pits
-//! the retained pre-rework mailbox (`mvr_net::mailbox::legacy`, kept
-//! verbatim as the baseline) against the ring mailbox at three layers:
+//! eventcount parker and a batched `recv_many` drain. The old mailbox is
+//! gone; what it cost is frozen in [`BEFORE_NS`], measured once on the
+//! machine that made the switch, and this harness times the ring
+//! mailbox beside it at three layers:
 //!
 //! * `latency_one_way` — small-message one-way latency: a same-thread
 //!   two-queue ping-pong (enqueue → dequeue → reply → dequeue, halved),
@@ -13,26 +14,23 @@
 //!   Same-thread on purpose: it measures the queue, not the kernel
 //!   scheduler, and is deterministic on any core count.
 //! * `mailbox_enqueue_dequeue` — the daemon select-loop shape: bursts
-//!   from 4 sender lanes into one mailbox, drained with `recv_many`
-//!   (the legacy mailbox drains message-at-a-time; it has no batch
-//!   primitive — that asymmetry is the point of the rework).
+//!   from 4 sender lanes into one mailbox, drained with `recv_many`.
 //! * `spsc_ring` — the raw ring: a `u64` stream through one lane,
 //!   no payload, exercising wraparound.
 //!
 //! Two cross-thread rows (`xthread_*`) are reported for context but not
 //! gated: on a single-CPU host they time the scheduler, not the queue.
 //!
-//! Full runs write `results/BENCH_hotpath.json` with before/after columns
-//! and enforce the acceptance floors (≥2× small-message latency, ≥4×
-//! mailbox throughput); `--smoke`/`--quick` runs a reduced sweep without
-//! touching the committed JSON.
+//! Full runs write `results/BENCH_hotpath.json` — the frozen `before`
+//! column next to a fresh `after` — and enforce the acceptance floors
+//! (≥2× small-message latency, ≥4× mailbox throughput);
+//! `--smoke`/`--quick` runs a reduced sweep without touching the
+//! committed JSON.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use mvr_bench::{fmt_bytes, print_table, write_json};
 use mvr_core::Payload;
-use mvr_net::mailbox::legacy::{LegacyMailCore, LegacyMailbox};
 use mvr_net::mailbox::{bench_lanes, bench_pair};
 use serde::Serialize;
 
@@ -40,7 +38,7 @@ use serde::Serialize;
 struct Row {
     metric: &'static str,
     msg_bytes: u64,
-    /// ns per message on the legacy mutex+condvar mailbox.
+    /// ns per message on the retired mutex+condvar mailbox (frozen).
     before_ns: f64,
     /// ns per message on the SPSC-ring mailbox.
     after_ns: f64,
@@ -53,24 +51,6 @@ struct Row {
 /// only ever slow a run down, so the minimum is the queue's cost.
 fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
     (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
-/// One-way latency on the legacy mailbox: same-thread ping-pong through
-/// two queues, halved.
-fn latency_legacy(bytes: usize, iters: usize) -> f64 {
-    let core_ab = LegacyMailCore::new();
-    let core_ba = LegacyMailCore::new();
-    let rx_b = LegacyMailbox::new(Arc::clone(&core_ab));
-    let rx_a = LegacyMailbox::new(Arc::clone(&core_ba));
-    let ball = Payload::filled(7, bytes);
-    let start = Instant::now();
-    for _ in 0..iters {
-        assert!(core_ab.push(ball.clone()));
-        let m = rx_b.try_recv().unwrap().expect("ping queued");
-        assert!(core_ba.push(m));
-        let _ = rx_a.try_recv().unwrap().expect("pong queued");
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64 / 2.0
 }
 
 /// One-way latency on the ring mailbox (one SPSC lane per direction,
@@ -89,27 +69,8 @@ fn latency_ring(bytes: usize, iters: usize) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64 / 2.0
 }
 
-/// Daemon-shaped throughput on the legacy mailbox: bursts of 128
-/// messages (4 senders × 32), drained message-at-a-time — `recv` is the
-/// legacy mailbox's only drain primitive.
-fn tput_legacy(bursts: usize, bytes: usize) -> f64 {
-    let core = LegacyMailCore::new();
-    let rx = LegacyMailbox::new(Arc::clone(&core));
-    let ball = Payload::filled(3, bytes);
-    let start = Instant::now();
-    for _ in 0..bursts {
-        for _ in 0..128 {
-            assert!(core.push(ball.clone()));
-        }
-        for _ in 0..128 {
-            let _ = rx.recv().expect("bench mailbox killed");
-        }
-    }
-    start.elapsed().as_nanos() as f64 / (bursts * 128) as f64
-}
-
-/// Daemon-shaped throughput on the ring mailbox: the same bursts spread
-/// over 4 SPSC lanes, drained with `recv_many` (the daemon loop's
+/// Daemon-shaped throughput on the ring mailbox: bursts of 128 messages
+/// spread over 4 SPSC lanes, drained with `recv_many` (the daemon loop's
 /// `DAEMON_DRAIN_BATCH` shape).
 fn tput_ring(bursts: usize, bytes: usize) -> f64 {
     let (senders, rx) = bench_lanes::<Payload>(256, 4);
@@ -133,22 +94,6 @@ fn tput_ring(bursts: usize, bytes: usize) -> f64 {
 
 /// Raw-ring stream: `u64`s through one lane, same thread, bursts under
 /// the ring capacity so the fast path (and its wraparound) is what runs.
-fn spsc_legacy(msgs: usize) -> f64 {
-    let core = LegacyMailCore::new();
-    let rx = LegacyMailbox::new(Arc::clone(&core));
-    let bursts = msgs / 128;
-    let start = Instant::now();
-    for b in 0..bursts {
-        for i in 0..128u64 {
-            assert!(core.push(b as u64 * 128 + i));
-        }
-        for _ in 0..128 {
-            let _ = rx.recv().expect("bench mailbox killed");
-        }
-    }
-    start.elapsed().as_nanos() as f64 / (bursts * 128) as f64
-}
-
 fn spsc_ring(msgs: usize) -> f64 {
     let (tx, rx) = bench_pair::<u64>(256);
     let bursts = msgs / 128;
@@ -169,31 +114,6 @@ fn spsc_ring(msgs: usize) -> f64 {
 
 /// Cross-thread stream, blocking consumer — reported for context only
 /// (on a single-CPU host this times context switches, not the queue).
-fn xthread_legacy(per: usize, producers: usize) -> f64 {
-    let core = LegacyMailCore::new();
-    let rx = LegacyMailbox::new(Arc::clone(&core));
-    let start = Instant::now();
-    let threads: Vec<_> = (0..producers)
-        .map(|_| {
-            let core = Arc::clone(&core);
-            std::thread::spawn(move || {
-                for i in 0..per as u64 {
-                    assert!(core.push(i));
-                }
-            })
-        })
-        .collect();
-    let total = per * producers;
-    for _ in 0..total {
-        let _ = rx.recv().expect("bench mailbox killed");
-    }
-    let ns = start.elapsed().as_nanos() as f64 / total as f64;
-    for t in threads {
-        t.join().unwrap();
-    }
-    ns
-}
-
 fn xthread_ring(per: usize, producers: usize) -> f64 {
     let (senders, rx) = bench_lanes::<u64>(256, producers);
     let start = Instant::now();
@@ -221,6 +141,20 @@ fn xthread_ring(per: usize, producers: usize) -> f64 {
     ns
 }
 
+/// ns per message on the retired mutex+condvar mailbox, by row: the
+/// `before_ns` column of `results/BENCH_hotpath.json` as committed with
+/// the ring rework.
+const BEFORE_NS: [(&str, u64, f64); 8] = [
+    ("latency_one_way", 0, 189.288408),
+    ("latency_one_way", 64, 183.5945335),
+    ("latency_one_way", 256, 196.9012795),
+    ("mailbox_enqueue_dequeue", 64, 201.6258544921875),
+    ("mailbox_enqueue_dequeue", 256, 199.5185361328125),
+    ("spsc_ring", 8, 186.047935),
+    ("xthread_stream_1p", 8, 387.805544),
+    ("xthread_stream_4p", 8, 208.7308255),
+];
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
     let (lat_iters, tput_bursts, spsc_msgs, xthread_per) = if smoke {
@@ -231,64 +165,31 @@ fn main() {
     let reps = if smoke { 2 } else { 5 };
 
     // Warm up: fault in code paths before the measured windows.
-    latency_legacy(64, lat_iters / 10 + 1);
     latency_ring(64, lat_iters / 10 + 1);
-    tput_legacy(tput_bursts / 10 + 1, 64);
     tput_ring(tput_bursts / 10 + 1, 64);
 
-    let mut out = Vec::new();
-    for &bytes in &[0usize, 64, 256] {
-        let before = best_of(reps, || latency_legacy(bytes, lat_iters));
-        let after = best_of(reps, || latency_ring(bytes, lat_iters));
-        out.push(Row {
-            metric: "latency_one_way",
-            msg_bytes: bytes as u64,
-            before_ns: before,
-            after_ns: after,
-            speedup: before / after,
-            gated: true,
-        });
-    }
-    for &bytes in &[64usize, 256] {
-        let before = best_of(reps, || tput_legacy(tput_bursts, bytes));
-        let after = best_of(reps, || tput_ring(tput_bursts, bytes));
-        out.push(Row {
-            metric: "mailbox_enqueue_dequeue",
-            msg_bytes: bytes as u64,
-            before_ns: before,
-            after_ns: after,
-            speedup: before / after,
-            gated: true,
-        });
-    }
-    {
-        let before = best_of(reps, || spsc_legacy(spsc_msgs));
-        let after = best_of(reps, || spsc_ring(spsc_msgs));
-        out.push(Row {
-            metric: "spsc_ring",
-            msg_bytes: 8,
-            before_ns: before,
-            after_ns: after,
-            speedup: before / after,
-            gated: false,
-        });
-    }
-    for &producers in &[1usize, 4] {
-        let before = best_of(reps, || xthread_legacy(xthread_per, producers));
-        let after = best_of(reps, || xthread_ring(xthread_per, producers));
-        out.push(Row {
-            metric: if producers == 1 {
-                "xthread_stream_1p"
-            } else {
-                "xthread_stream_4p"
-            },
-            msg_bytes: 8,
-            before_ns: before,
-            after_ns: after,
-            speedup: before / after,
-            gated: false,
-        });
-    }
+    let out: Vec<Row> = BEFORE_NS
+        .iter()
+        .map(|&(metric, msg_bytes, before_ns)| {
+            let bytes = msg_bytes as usize;
+            let after_ns = best_of(reps, || match metric {
+                "latency_one_way" => latency_ring(bytes, lat_iters),
+                "mailbox_enqueue_dequeue" => tput_ring(tput_bursts, bytes),
+                "spsc_ring" => spsc_ring(spsc_msgs),
+                "xthread_stream_1p" => xthread_ring(xthread_per, 1),
+                "xthread_stream_4p" => xthread_ring(xthread_per, 4),
+                other => unreachable!("no driver for row {other}"),
+            });
+            Row {
+                metric,
+                msg_bytes,
+                before_ns,
+                after_ns,
+                speedup: before_ns / after_ns,
+                gated: matches!(metric, "latency_one_way" | "mailbox_enqueue_dequeue"),
+            }
+        })
+        .collect();
 
     let rows: Vec<Vec<String>> = out
         .iter()
@@ -304,13 +205,13 @@ fn main() {
         })
         .collect();
     print_table(
-        "hot path — legacy mutex mailbox vs lock-free SPSC rings",
+        "hot path — retired mutex mailbox (frozen) vs lock-free SPSC rings",
         &["metric", "msg", "before_ns", "after_ns", "speedup", "gated"],
         &rows,
     );
     println!(
-        "\nreading: `before` is the retained pre-rework mutex+condvar mailbox\n\
-         (mvr_net::mailbox::legacy), `after` the per-pair SPSC rings with the\n\
+        "\nreading: `before` is the pre-rework mutex+condvar mailbox as last\n\
+         measured (frozen, not re-run), `after` the per-pair SPSC rings with the\n\
          batched recv_many drain. latency is one-way queue traversal (half a\n\
          same-thread two-queue ping-pong); throughput is 4 sender lanes bursting\n\
          into one mailbox. xthread rows are context, not gated — on a 1-CPU host\n\

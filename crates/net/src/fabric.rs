@@ -38,6 +38,16 @@
 //! killed incarnation has either fully landed (it was accepted before
 //! the crash) or will fail `SenderDead` — no zombie delivery after the
 //! kill, exactly as the registry-lock version guaranteed.
+//!
+//! ## Nodes that live elsewhere
+//!
+//! A node hosted by another OS process is registered with
+//! [`Fabric::register_sink`]: it has no mailbox, and a send to it runs
+//! the sink on the sending thread — which is how a daemon writes its own
+//! socket instead of queueing for a relay. A sink is a wire, not a
+//! mailbox: the send succeeds once the message is handed over, and what
+//! happens to it afterwards is in-flight loss or delivery, as on any
+//! asynchronous channel.
 
 use crate::chaos::{Turbulence, TurbulenceConfig, TurbulenceStats};
 use crate::error::{RecvError, SendError};
@@ -81,10 +91,20 @@ impl SendGuard {
     }
 }
 
-/// One cached route: a type-erased `Lane<M>` bound to the destination
-/// incarnation that was live at resolve time.
-struct Route {
-    lane: Box<dyn Any + Send>,
+/// What a send to a node that lives elsewhere runs (see module docs).
+type Sink<M> = Arc<dyn Fn(M) + Send + Sync>;
+
+/// One cached route, type-erased.
+enum Route {
+    /// A `Lane<M>` bound to the destination incarnation that was live
+    /// at resolve time.
+    Lane(Box<dyn Any + Send>),
+    /// The `Sink<M>` of a node that lives elsewhere.
+    Sink(Box<dyn Any + Send>),
+}
+
+fn wrong_type(to: NodeId) -> ! {
+    panic!("node {to} registered with a different message type")
 }
 
 /// Cached view of the installed turbulence layer, refreshed by epoch.
@@ -158,7 +178,8 @@ impl Identity {
 struct Slot {
     generation: u64,
     alive: bool,
-    /// `Arc<MailCore<M>>` behind `dyn Any`.
+    /// `Arc<MailCore<M>>` — or the `Sink<M>` of a node that lives
+    /// elsewhere — behind `dyn Any`.
     core: Box<dyn Any + Send + Sync>,
     /// Type-erased kill hook (closes + empties the mailbox).
     kill: Box<dyn Fn() + Send + Sync>,
@@ -259,24 +280,9 @@ impl Fabric {
         let core = MailCore::<M>::new(self.ring_capacity.load(Ordering::SeqCst));
         let mailbox = Mailbox::new(core.clone());
         let guard = SendGuard::new();
-        let mut reg = self.reg.write();
-        if let Some(slot) = reg.slots.get(&node) {
-            assert!(!slot.alive, "node {node} is already registered and alive");
-        }
-        reg.next_generation += 1;
-        let generation = reg.next_generation;
         let kill_core = core.clone();
-        reg.slots.insert(
-            node,
-            Slot {
-                generation,
-                alive: true,
-                core: Box::new(core),
-                kill: Box::new(move || kill_core.kill()),
-                guard: guard.clone(),
-            },
-        );
-        drop(reg);
+        let kill = Box::new(move || kill_core.kill());
+        let generation = self.insert_slot(node, Box::new(core), kill, guard.clone());
         (
             mailbox,
             Identity {
@@ -291,6 +297,44 @@ impl Fabric {
                 }),
             },
         )
+    }
+
+    /// Register `node` as living elsewhere: it gets no mailbox, and every
+    /// message sent to it is handed to `sink` on the sending thread (see
+    /// module docs). Panics like [`register`](Self::register) if the node
+    /// is registered and alive.
+    pub fn register_sink<M: Send + 'static>(
+        &self,
+        node: NodeId,
+        sink: impl Fn(M) + Send + Sync + 'static,
+    ) {
+        let sink: Sink<M> = Arc::new(sink);
+        self.insert_slot(node, Box::new(sink), Box::new(|| {}), SendGuard::new());
+    }
+
+    /// Install `node`'s next incarnation; returns its generation.
+    fn insert_slot(
+        &self,
+        node: NodeId,
+        core: Box<dyn Any + Send + Sync>,
+        kill: Box<dyn Fn() + Send + Sync>,
+        guard: Arc<SendGuard>,
+    ) -> u64 {
+        let mut reg = self.reg.write();
+        if let Some(slot) = reg.slots.get(&node) {
+            assert!(!slot.alive, "node {node} is already registered and alive");
+        }
+        reg.next_generation += 1;
+        let generation = reg.next_generation;
+        let slot = Slot {
+            generation,
+            alive: true,
+            core,
+            kill,
+            guard,
+        };
+        reg.slots.insert(node, slot);
+        generation
     }
 
     /// Crash `node`: close and empty its mailbox; all of its future sends
@@ -371,10 +415,16 @@ impl Fabric {
             .get(&to)
             .filter(|s| s.alive)
             .ok_or(SendError::Disconnected(to))?;
+        if let Some(sink) = slot.core.downcast_ref::<Sink<M>>() {
+            let sink = sink.clone();
+            drop(reg);
+            sink(msg);
+            return Ok(());
+        }
         let core = slot
             .core
             .downcast_ref::<Arc<MailCore<M>>>()
-            .unwrap_or_else(|| panic!("node {to} registered with a different message type"));
+            .unwrap_or_else(|| wrong_type(to));
         if core.push_control(msg) {
             Ok(())
         } else {
@@ -419,9 +469,15 @@ impl Fabric {
         {
             let routes = from.routes.borrow();
             if let Some(route) = routes.get(&to) {
-                let lane = route.lane.downcast_ref::<Lane<M>>().unwrap_or_else(|| {
-                    panic!("node {to} registered with a different message type")
-                });
+                let lane = match route {
+                    Route::Lane(lane) => lane.downcast_ref::<Lane<M>>(),
+                    Route::Sink(sink) => {
+                        sink.downcast_ref::<Sink<M>>()
+                            .unwrap_or_else(|| wrong_type(to))(msg);
+                        return Ok(());
+                    }
+                };
+                let lane = lane.unwrap_or_else(|| wrong_type(to));
                 if !lane.is_closed() {
                     match self.guarded_push(from, to, lane, msg) {
                         Ok(()) => return Ok(()),
@@ -439,7 +495,8 @@ impl Fabric {
     }
 
     /// Slow path: look the destination up in the registry, attach a
-    /// fresh SPSC lane to its current incarnation, cache it, push.
+    /// fresh SPSC lane to its current incarnation (or take its sink),
+    /// cache it, push.
     fn resolve_and_push<M: Send + 'static>(
         &self,
         from: &Identity,
@@ -455,19 +512,23 @@ impl Fabric {
                     return Err((SendError::Disconnected(to), msg));
                 }
             };
+            if let Some(sink) = slot.core.downcast_ref::<Sink<M>>() {
+                let sink = sink.clone();
+                drop(reg);
+                sink(msg);
+                let route = Route::Sink(Box::new(sink));
+                from.routes.borrow_mut().insert(to, route);
+                return Ok(());
+            }
             let core = slot
                 .core
                 .downcast_ref::<Arc<MailCore<M>>>()
-                .unwrap_or_else(|| panic!("node {to} registered with a different message type"));
+                .unwrap_or_else(|| wrong_type(to));
             Lane::attach(core)
         };
         let res = self.guarded_push(from, to, &lane, msg);
-        from.routes.borrow_mut().insert(
-            to,
-            Route {
-                lane: Box::new(lane),
-            },
-        );
+        let route = Route::Lane(Box::new(lane));
+        from.routes.borrow_mut().insert(to, route);
         res
     }
 
@@ -704,6 +765,24 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
             spammer.join().unwrap();
         }
+    }
+
+    /// A node registered as a sink has no mailbox and no thread: both
+    /// send paths run the sink before they return, on the caller.
+    #[test]
+    fn sends_to_a_sink_node_run_the_sink_on_the_sending_thread() {
+        let f = Fabric::new();
+        let (_mb0, id0) = f.register::<u32>(cn(0));
+        let (seen_tx, seen) = std::sync::mpsc::channel();
+        f.register_sink(cn(1), move |m: u32| {
+            let _ = seen_tx.send((m, thread::current().id()));
+        });
+        let me = thread::current().id();
+        id0.send(cn(1), 1u32).unwrap(); // resolves the route
+        id0.send(cn(1), 2u32).unwrap(); // cached route
+        f.send_from_reliable(cn(1), 3u32).unwrap();
+        let got: Vec<_> = seen.try_iter().collect();
+        assert_eq!(got, [(1, me), (2, me), (3, me)]);
     }
 
     #[test]

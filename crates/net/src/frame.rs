@@ -131,14 +131,21 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The header that goes in front of `payload` on the wire.
+pub fn frame_header(flags: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[0..2].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    header[2] = FRAME_VERSION;
+    header[3] = flags;
+    header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[8..16].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    header
+}
+
 /// Encode one frame into `out` (header + payload appended).
 pub fn encode_frame_into(flags: u8, payload: &[u8], out: &mut Vec<u8>) {
     out.reserve(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.push(FRAME_VERSION);
-    out.push(flags);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(flags, payload));
     out.extend_from_slice(payload);
 }
 

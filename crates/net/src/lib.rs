@@ -35,4 +35,4 @@ pub use frame::{encode_frame, Frame, FrameDecoder, FrameError};
 pub use mailbox::Mailbox;
 pub use mem::{MemNet, MemTransport};
 pub use tcp::{TcpConfig, TcpTransport};
-pub use transport::{DownCause, Transport, TransportError, TransportEvent};
+pub use transport::{DownCause, FrameSink, Transport, TransportError, TransportEvent};

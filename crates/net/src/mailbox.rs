@@ -383,121 +383,6 @@ pub fn bench_lanes<M>(ring_capacity: usize, producers: usize) -> (Vec<BenchSende
     (senders, Mailbox::new(core))
 }
 
-/// The pre-rework mutex+condvar mailbox, retained verbatim as the
-/// *before* baseline of the `hotpath` bench (BENCH_hotpath.json compares
-/// this against the SPSC-ring mailbox above). Not used by the fabric.
-pub mod legacy {
-    use crate::error::RecvError;
-    use parking_lot::{Condvar, Mutex};
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    /// Shared core of the legacy mailbox: one mutex-protected queue.
-    pub struct LegacyMailCore<M> {
-        queue: Mutex<VecDeque<M>>,
-        cv: Condvar,
-        killed: AtomicBool,
-    }
-
-    impl<M> LegacyMailCore<M> {
-        /// A fresh legacy core.
-        pub fn new() -> Arc<Self> {
-            Arc::new(LegacyMailCore {
-                queue: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-                killed: AtomicBool::new(false),
-            })
-        }
-
-        /// Enqueue a message; returns false if the mailbox is closed.
-        pub fn push(&self, m: M) -> bool {
-            if self.killed.load(Ordering::Acquire) {
-                return false;
-            }
-            let mut q = self.queue.lock();
-            if self.killed.load(Ordering::Acquire) {
-                return false;
-            }
-            q.push_back(m);
-            drop(q);
-            self.cv.notify_one();
-            true
-        }
-
-        /// Close and empty the mailbox.
-        pub fn kill(&self) {
-            let mut q = self.queue.lock();
-            self.killed.store(true, Ordering::Release);
-            q.clear();
-            drop(q);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Receiving end of the legacy mailbox.
-    pub struct LegacyMailbox<M> {
-        core: Arc<LegacyMailCore<M>>,
-    }
-
-    impl<M> LegacyMailbox<M> {
-        /// Wrap a legacy core.
-        pub fn new(core: Arc<LegacyMailCore<M>>) -> Self {
-            LegacyMailbox { core }
-        }
-
-        /// Blocking receive.
-        pub fn recv(&self) -> Result<M, RecvError> {
-            let mut q = self.core.queue.lock();
-            loop {
-                if self.core.killed.load(Ordering::Acquire) {
-                    return Err(RecvError::Killed);
-                }
-                if let Some(m) = q.pop_front() {
-                    return Ok(m);
-                }
-                self.core.cv.wait(&mut q);
-            }
-        }
-
-        /// Blocking receive with a timeout. Same contract as
-        /// [`Mailbox::recv_timeout`]: a kill beats a concurrent timeout,
-        /// and a message that raced the deadline is still delivered.
-        ///
-        /// [`Mailbox::recv_timeout`]: crate::Mailbox::recv_timeout
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<M, RecvError> {
-            let deadline = Instant::now() + timeout;
-            let mut q = self.core.queue.lock();
-            loop {
-                if self.core.killed.load(Ordering::Acquire) {
-                    return Err(RecvError::Killed);
-                }
-                if let Some(m) = q.pop_front() {
-                    return Ok(m);
-                }
-                if self.core.cv.wait_until(&mut q, deadline).timed_out() {
-                    if self.core.killed.load(Ordering::Acquire) {
-                        return Err(RecvError::Killed);
-                    }
-                    return match q.pop_front() {
-                        Some(m) => Ok(m),
-                        None => Err(RecvError::Timeout),
-                    };
-                }
-            }
-        }
-
-        /// Non-blocking receive; `Ok(None)` when empty.
-        pub fn try_recv(&self) -> Result<Option<M>, RecvError> {
-            if self.core.killed.load(Ordering::Acquire) {
-                return Err(RecvError::Killed);
-            }
-            Ok(self.core.queue.lock().pop_front())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,119 +613,5 @@ mod tests {
             h.join().unwrap();
         }
         assert!(mb.is_empty());
-    }
-
-    mod legacy_baseline {
-        use crate::error::RecvError;
-        use crate::mailbox::legacy::{LegacyMailCore, LegacyMailbox};
-        use crate::mailbox::{Lane, MailCore, Mailbox};
-        use std::time::{Duration, Instant};
-
-        #[test]
-        fn legacy_still_works_as_bench_baseline() {
-            let core = LegacyMailCore::new();
-            let mb = LegacyMailbox::new(core.clone());
-            assert!(core.push(1u32));
-            assert_eq!(mb.recv().unwrap(), 1);
-            core.kill();
-            assert!(!core.push(2));
-            assert_eq!(mb.recv(), Err(RecvError::Killed));
-        }
-
-        // The legacy mailbox is the semantic reference for the ring
-        // rework: every observable behaviour the protocol relies on —
-        // timeout expiry, kill-empties-channels, stale incarnations
-        // fenced off from their successor — must be identical across
-        // the two implementations. A hotpath-bench comparison is only
-        // honest if both sides play the same game.
-
-        #[test]
-        fn parity_recv_timeout_expiry() {
-            // Both mailboxes time out on silence...
-            let lcore = LegacyMailCore::<u32>::new();
-            let lmb = LegacyMailbox::new(lcore.clone());
-            let rcore = MailCore::<u32>::new(8);
-            let rmb = Mailbox::new(rcore.clone());
-            let t0 = Instant::now();
-            assert_eq!(
-                lmb.recv_timeout(Duration::from_millis(30)),
-                Err(RecvError::Timeout)
-            );
-            assert!(t0.elapsed() >= Duration::from_millis(25));
-            let t0 = Instant::now();
-            assert_eq!(
-                rmb.recv_timeout(Duration::from_millis(30)),
-                Err(RecvError::Timeout)
-            );
-            assert!(t0.elapsed() >= Duration::from_millis(25));
-            // ...and both deliver a queued message without waiting out
-            // the deadline.
-            assert!(lcore.push(7));
-            assert!(rcore.push_control(7));
-            assert_eq!(lmb.recv_timeout(Duration::from_secs(5)), Ok(7));
-            assert_eq!(rmb.recv_timeout(Duration::from_secs(5)), Ok(7));
-        }
-
-        #[test]
-        fn parity_kill_empties_channels() {
-            // §4.1: a crash empties every channel of the crashed
-            // process. Queued messages must not survive the kill in
-            // either implementation, and recv reports Killed, never a
-            // stale message.
-            let lcore = LegacyMailCore::<u32>::new();
-            let lmb = LegacyMailbox::new(lcore.clone());
-            assert!(lcore.push(1));
-            lcore.kill();
-            assert_eq!(
-                lmb.recv_timeout(Duration::from_secs(1)),
-                Err(RecvError::Killed)
-            );
-            assert!(!lcore.push(2));
-
-            let rcore = MailCore::<u32>::new(8);
-            let rmb = Mailbox::new(rcore.clone());
-            let lane = Lane::attach(&rcore);
-            assert!(lane.push(1).is_ok());
-            rcore.kill();
-            assert_eq!(
-                rmb.recv_timeout(Duration::from_secs(1)),
-                Err(RecvError::Killed)
-            );
-            assert!(lane.push(2).is_err());
-            assert_eq!(rmb.len(), 0, "kill + drain leaves no accounted depth");
-        }
-
-        #[test]
-        fn parity_stale_incarnation_fencing() {
-            // A sender still holding the dead incarnation's mailbox
-            // handle must not be able to reach the successor: the new
-            // incarnation gets a fresh core, and pushes into the killed
-            // one keep failing. (The fabric enforces this by minting a
-            // new core per registration; the mailbox-level contract is
-            // that a killed core never accepts or yields anything.)
-            let old = LegacyMailCore::<u32>::new();
-            let _old_mb = LegacyMailbox::new(old.clone());
-            old.kill();
-            let new = LegacyMailCore::<u32>::new();
-            let new_mb = LegacyMailbox::new(new.clone());
-            assert!(!old.push(1), "stale legacy handle stays fenced");
-            assert!(new.push(2));
-            assert_eq!(new_mb.recv_timeout(Duration::from_secs(1)), Ok(2));
-
-            let old = MailCore::<u32>::new(8);
-            let old_lane = Lane::attach(&old);
-            let _old_mb = Mailbox::new(old.clone());
-            old.kill();
-            let new = MailCore::<u32>::new(8);
-            let new_mb = Mailbox::new(new.clone());
-            let new_lane = Lane::attach(&new);
-            assert!(old_lane.push(1).is_err(), "stale ring lane stays fenced");
-            assert!(new_lane.push(2).is_ok());
-            assert_eq!(new_mb.recv_timeout(Duration::from_secs(1)), Ok(2));
-            assert!(
-                new_mb.is_empty(),
-                "nothing from the dead incarnation leaked across"
-            );
-        }
     }
 }

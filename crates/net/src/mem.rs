@@ -5,9 +5,13 @@
 //! socket backend provides — FIFO frames, `PeerUp` on attach,
 //! `PeerDown` broadcast on [`MemNet::kill`]. It exists so the gateway
 //! layer and the fail-stop plumbing can be tested transport-generically
-//! (and deterministically) without opening sockets.
+//! (and deterministically) without opening sockets. `send` runs the
+//! destination's [`FrameSink`] on the caller's thread: when it returns
+//! the frame is wherever that sink puts it.
 
-use crate::transport::{DownCause, Transport, TransportError, TransportEvent};
+use crate::transport::{
+    event_sink, DownCause, FrameSink, Transport, TransportError, TransportEvent,
+};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use mvr_core::ids::NodeId;
 use parking_lot::Mutex;
@@ -17,6 +21,7 @@ use std::time::Duration;
 
 struct Endpoint {
     events: Sender<TransportEvent>,
+    sink: FrameSink,
     incarnation: u64,
 }
 
@@ -60,6 +65,7 @@ impl MemNet {
         hub.endpoints.insert(
             node,
             Endpoint {
+                sink: event_sink(tx.clone()),
                 events: tx,
                 incarnation,
             },
@@ -112,19 +118,22 @@ impl Transport for MemTransport {
     fn set_route(&self, _peer: NodeId, _addr: String) {}
 
     fn send(&self, peer: NodeId, payload: Vec<u8>) -> Result<(), TransportError> {
-        let hub = self.hub.lock();
-        if !hub.endpoints.contains_key(&self.node) {
-            return Err(TransportError::Closed);
-        }
-        match hub.endpoints.get(&peer) {
-            Some(ep) => {
-                let _ = ep.events.send(TransportEvent::Frame {
-                    from: self.node,
-                    payload,
-                });
-                Ok(())
+        let sink = {
+            let hub = self.hub.lock();
+            if !hub.endpoints.contains_key(&self.node) {
+                return Err(TransportError::Closed);
             }
-            None => Err(TransportError::PeerDown(peer)),
+            let ep = hub.endpoints.get(&peer);
+            ep.ok_or(TransportError::PeerDown(peer))?.sink.clone()
+        };
+        // Outside the hub lock: a sink may itself send.
+        sink(self.node, payload);
+        Ok(())
+    }
+
+    fn set_frame_sink(&self, sink: FrameSink) {
+        if let Some(ep) = self.hub.lock().endpoints.get_mut(&self.node) {
+            ep.sink = sink;
         }
     }
 
@@ -184,6 +193,23 @@ mod tests {
             }
         }
         assert_eq!(seen, (0..10).collect::<Vec<u8>>());
+    }
+
+    /// `send` runs the destination's sink itself: the frame is there
+    /// when it returns, and only liveness is left on the event queue.
+    #[test]
+    fn frame_sink_has_the_frame_when_send_returns() {
+        let net = MemNet::new();
+        let a = net.attach(cn(0));
+        let b = net.attach(cn(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        b.set_frame_sink(Arc::new(move |from, payload| {
+            let _ = tx.send((from, payload));
+        }));
+        a.send(cn(1), vec![9]).unwrap();
+        assert_eq!(rx.try_recv(), Ok((cn(0), vec![9])));
+        let mut left = std::iter::from_fn(|| b.poll_event(Duration::ZERO));
+        assert!(left.all(|e| matches!(e, TransportEvent::PeerUp { .. })));
     }
 
     #[test]

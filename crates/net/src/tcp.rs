@@ -1,17 +1,29 @@
 //! TCP socket [`Transport`] backend with fail-stop detection.
 //!
-//! Topology: every endpoint binds one listener; for each destination it
-//! actually talks to, a **per-peer connection actor** (one thread) owns
-//! a dialed outbound stream and drains a FIFO frame queue into it —
-//! preserving per-destination ordering across reconnects. Transient
-//! dial/write errors are retried with capped exponential backoff plus
-//! deterministic jitter (the same idiom the dispatcher uses for rank
-//! respawn); only after `dial_deadline` of continuous failure does the
-//! link degrade to a fail-stop verdict.
+//! Topology: every endpoint binds one listener and keeps, for each
+//! destination it actually talks to, one dialled outbound **link**. The
+//! thread that calls [`Transport::send`] writes the link's socket itself,
+//! under the link's lock — lock order is the per-destination FIFO. A
+//! frame sent while the link is down (first dial, redial, reroute) waits
+//! in the link's pending queue, tagged with the route generation it was
+//! addressed to; the **per-peer actor** (one thread) that dials drains
+//! that queue under the same lock the moment the stream is up, so there
+//! is one write path and queued frames precede inline ones. Beyond that
+//! the actor only redials — capped exponential backoff plus deterministic
+//! jitter (the same idiom the dispatcher uses for rank respawn), a
+//! fail-stop verdict after `dial_deadline` of continuous failure —
+//! follows reroutes, and pings an idle link.
+//!
+//! A write that fails, or that the peer does not drain within
+//! `fail_after` (the stream's write timeout), kills the link: the frame
+//! is lost, the link goes down like any other and the actor redials.
+//! Fail-stop links do not hide holes behind silent retransmission.
 //!
 //! Detection is reader-driven. Each accepted connection starts with a
 //! hello frame naming the dialer and its incarnation, after which the
-//! dialer keeps the stream warm with heartbeat pings. The acceptor maps
+//! dialer keeps the stream warm with heartbeat pings. The connection's
+//! reader thread hands every verified application frame to the
+//! endpoint's [`FrameSink`] and maps
 //!
 //! * EOF / connection reset        → [`DownCause::Eof`] / [`DownCause::Io`]
 //! * silence beyond `fail_after`   → [`DownCause::ReadTimeout`]
@@ -24,18 +36,18 @@
 //! followed by `PeerUp` (new), so reincarnation is never mistaken for
 //! continuity.
 
-use crate::frame::{
-    encode_frame, FrameDecoder, FLAG_HELLO, FLAG_PING, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+use crate::frame::{frame_header, Frame, FrameDecoder, FLAG_HELLO, FLAG_PING, MAX_FRAME_PAYLOAD};
+use crate::transport::{
+    event_sink, DownCause, FrameSink, Transport, TransportError, TransportEvent,
 };
-use crate::transport::{DownCause, Transport, TransportError, TransportEvent};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use mvr_core::ids::NodeId;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -77,18 +89,6 @@ impl Default for TcpConfig {
     }
 }
 
-/// Commands consumed by a per-peer connection actor, in FIFO order with
-/// the frames themselves.
-enum Cmd {
-    /// A frame, and the route generation it was addressed to: a frame
-    /// queued for a route that has since moved belongs to the peer's
-    /// dead incarnation and must never reach its successor.
-    Frame(Vec<u8>, u64),
-    /// The route changed (peer reincarnated elsewhere): wake up, drop
-    /// the current stream and redial.
-    Reroute,
-}
-
 struct PeerState {
     links: usize,
     incarnation: u64,
@@ -99,13 +99,15 @@ struct Shared {
     incarnation: u64,
     cfg: TcpConfig,
     events: Sender<TransportEvent>,
+    /// Where readers put application frames.
+    sink: RwLock<FrameSink>,
     /// Address of each peer and its generation, bumped whenever the
     /// address changes (the peer reincarnated elsewhere).
     routes: Mutex<HashMap<NodeId, (String, u64)>>,
     peers: Mutex<HashMap<NodeId, PeerState>>,
     closed: AtomicBool,
-    /// Application frames accepted by `send` but not yet written to a
-    /// socket (or dropped by fail-stop) — what `flush` waits on.
+    /// Application frames accepted by `send` that wait for a link (not
+    /// yet written, nor dropped by fail-stop) — what `flush` waits on.
     inflight: AtomicU64,
 }
 
@@ -181,11 +183,72 @@ impl Shared {
     }
 }
 
+/// The outbound half of the connection to one peer. Whoever holds the
+/// lock around it may write the stream.
+struct Link {
+    /// The dialled stream; `None` while the actor (re)dials. A live
+    /// stream is one link in `Shared::peers`.
+    stream: Option<TcpStream>,
+    /// Route generation `stream` was (or is being) dialled at.
+    generation: u64,
+    /// Frames that found the link down, oldest first, each with the
+    /// route generation it was addressed to: one queued for a route that
+    /// has since moved belongs to the peer's dead incarnation and must
+    /// never reach its successor. Empty whenever a sender finds `stream`
+    /// up at its generation — the actor drains it before unlocking.
+    pending: VecDeque<(Vec<u8>, u64)>,
+    /// When the stream last carried bytes; pings only fill silence.
+    last_write: Instant,
+}
+
+impl Link {
+    /// Write one frame, or lose it and the link with it. A stream that
+    /// took part of a frame cannot take another, so any error — the
+    /// write timeout included — is the link's death.
+    fn write(&mut self, shared: &Shared, peer: NodeId, flags: u8, payload: &[u8]) -> bool {
+        let Some(stream) = self.stream.as_mut() else {
+            return false;
+        };
+        match write_frame(stream, flags, payload) {
+            Ok(()) => {
+                self.last_write = Instant::now();
+                true
+            }
+            Err(e) => {
+                self.close(shared, peer, DownCause::Io(format!("write failed: {e}")));
+                false
+            }
+        }
+    }
+
+    fn close(&mut self, shared: &Shared, peer: NodeId, cause: DownCause) {
+        if self.stream.take().is_some() {
+            shared.link_down(peer, cause);
+        }
+    }
+}
+
+/// A [`Link`] and the signal that wakes its actor: a write failed, the
+/// route moved, or the transport closed.
+struct PeerLink {
+    link: Mutex<Link>,
+    wake: Condvar,
+}
+
+impl PeerLink {
+    /// Wake the actor. Taken under the link lock so that the actor is
+    /// either waiting (and hears it) or yet to look at what changed.
+    fn wake(&self) {
+        let _link = self.link.lock();
+        self.wake.notify_one();
+    }
+}
+
 /// Socket-backed [`Transport`] endpoint.
 pub struct TcpTransport {
     shared: Arc<Shared>,
     listener_addr: String,
-    writers: Mutex<HashMap<NodeId, Sender<Cmd>>>,
+    links: Mutex<HashMap<NodeId, Arc<PeerLink>>>,
     events: Mutex<Receiver<TransportEvent>>,
 }
 
@@ -221,13 +284,13 @@ impl TcpTransport {
         cfg: TcpConfig,
     ) -> std::io::Result<TcpTransport> {
         let listener = TcpListener::bind(bind_addr)?;
-        listener.set_nonblocking(true)?;
         let listener_addr = listener.local_addr()?.to_string();
         let (ev_tx, ev_rx) = unbounded();
         let shared = Arc::new(Shared {
             node,
             incarnation,
             cfg,
+            sink: RwLock::new(event_sink(ev_tx.clone())),
             events: ev_tx,
             routes: Mutex::new(HashMap::new()),
             peers: Mutex::new(HashMap::new()),
@@ -242,7 +305,7 @@ impl TcpTransport {
         Ok(TcpTransport {
             shared,
             listener_addr,
-            writers: Mutex::new(HashMap::new()),
+            links: Mutex::new(HashMap::new()),
             events: Mutex::new(ev_rx),
         })
     }
@@ -250,6 +313,29 @@ impl TcpTransport {
     /// The peer currently known incarnation, if any (diagnostics).
     pub fn incarnation_of(&self, peer: NodeId) -> Option<u64> {
         self.shared.peers.lock().get(&peer).map(|s| s.incarnation)
+    }
+
+    /// The link to `peer`, starting its actor at first use.
+    fn link_to(&self, peer: NodeId) -> Arc<PeerLink> {
+        let mut links = self.links.lock();
+        let link = links.entry(peer).or_insert_with(|| {
+            let link = Arc::new(PeerLink {
+                link: Mutex::new(Link {
+                    stream: None,
+                    generation: 0,
+                    pending: VecDeque::new(),
+                    last_write: Instant::now(),
+                }),
+                wake: Condvar::new(),
+            });
+            let (actor_link, shared) = (link.clone(), self.shared.clone());
+            thread::Builder::new()
+                .name(format!("tcp-out-{}-{peer}", self.shared.node))
+                .spawn(move || link_actor(peer, &actor_link, &shared))
+                .expect("spawn link actor");
+            link
+        });
+        link.clone()
     }
 }
 
@@ -280,9 +366,10 @@ impl Transport for TcpTransport {
             }
         };
         if moved {
-            // Existing actor must abandon its stream and redial.
-            if let Some(tx) = self.writers.lock().get(&peer) {
-                let _ = tx.send(Cmd::Reroute);
+            // An existing actor must abandon its stream and redial.
+            let link = self.links.lock().get(&peer).cloned();
+            if let Some(link) = link {
+                link.wake();
             }
         }
     }
@@ -297,28 +384,26 @@ impl Transport for TcpTransport {
                 max: self.shared.cfg.max_frame,
             });
         }
-        let Some(generation) = self.shared.generation(peer) else {
+        let Some(addressed) = self.shared.generation(peer) else {
             return Err(TransportError::NoRoute(peer));
         };
-        let frame = encode_frame(0, &payload);
-        let mut writers = self.writers.lock();
-        let tx = match writers.entry(peer) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let (tx, rx) = unbounded();
-                let shared = self.shared.clone();
-                thread::Builder::new()
-                    .name(format!("tcp-out-{}-{peer}", self.shared.node))
-                    .spawn(move || writer_actor(peer, rx, shared))
-                    .expect("spawn writer actor");
-                e.insert(tx)
+        let peer_link = self.link_to(peer);
+        let mut link = peer_link.link.lock();
+        if addressed == link.generation && link.stream.is_some() {
+            if !link.write(&self.shared, peer, 0, &payload) {
+                // Lost with the link; the verdict is on the event queue.
+                peer_link.wake.notify_one();
             }
-        };
-        self.shared.inflight.fetch_add(1, Ordering::AcqRel);
-        tx.send(Cmd::Frame(frame, generation)).map_err(|_| {
-            self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            TransportError::Closed
-        })
+            return Ok(());
+        }
+        // Addressed to a route the link has already left: the frame
+        // belongs to the dead incarnation. Otherwise it waits for the
+        // actor, which is dialling or about to hear of the reroute.
+        if addressed >= link.generation {
+            link.pending.push_back((payload, addressed));
+            self.shared.inflight.fetch_add(1, Ordering::AcqRel);
+        }
+        Ok(())
     }
 
     fn flush(&self, timeout: Duration) -> bool {
@@ -334,14 +419,24 @@ impl Transport for TcpTransport {
         }
     }
 
+    fn set_frame_sink(&self, sink: FrameSink) {
+        *self.shared.sink.write() = sink;
+    }
+
     fn poll_event(&self, timeout: Duration) -> Option<TransportEvent> {
         self.events.lock().recv_timeout(timeout).ok()
     }
 
     fn shutdown(&self) {
-        self.shared.closed.store(true, Ordering::Release);
-        // Dropping the queues wakes every writer actor.
-        self.writers.lock().clear();
+        if self.shared.closed.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Every actor closes its stream on the way out; the accept loop
+        // sits in a blocking `accept` until a connection arrives.
+        for (_, link) in self.links.lock().drain() {
+            link.wake();
+        }
+        let _ = TcpStream::connect(&self.listener_addr);
     }
 }
 
@@ -352,288 +447,257 @@ impl Drop for TcpTransport {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.closed() {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if shared.closed() {
+            return;
+        }
+        match stream {
+            Ok(stream) => {
                 let conn_shared = shared.clone();
-                let name = format!("tcp-in-{}", shared.node);
                 let _ = thread::Builder::new()
-                    .name(name)
-                    .spawn(move || reader_conn(stream, conn_shared));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
+                    .name(format!("tcp-in-{}", shared.node))
+                    .spawn(move || greet_conn(stream, conn_shared));
             }
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
 }
 
-/// Serve one accepted connection: handshake, then decode data frames
-/// until the dialer dies (EOF / error / silence) — the fail-stop
-/// detection point.
-fn reader_conn(stream: TcpStream, shared: Arc<Shared>) {
-    let cfg = shared.cfg.clone();
-    let _ = stream.set_nodelay(true);
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    // Short read timeout so the loop can check both the silence window
-    // and transport shutdown frequently.
-    let tick = cfg
-        .heartbeat
-        .min(Duration::from_millis(50))
-        .max(Duration::from_millis(5));
-    if stream.set_read_timeout(Some(tick)).is_err() {
-        return;
-    }
-    let mut stream = stream;
-    let mut decoder = FrameDecoder::with_max_payload(cfg.max_frame);
-    let mut peer: Option<NodeId> = None;
+/// Decode the frames of one accepted connection into `on_frame` until
+/// it breaks with a result or the link fails: EOF, an I/O error,
+/// `fail_after` of silence, a codec violation, transport shutdown.
+fn read_frames<T>(
+    stream: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    shared: &Shared,
+    mut on_frame: impl FnMut(Frame) -> ControlFlow<Result<T, DownCause>>,
+) -> Result<T, DownCause> {
     let mut buf = vec![0u8; 64 * 1024];
     let mut last_byte = Instant::now();
-    let down = |peer: &Option<NodeId>, cause: DownCause, shared: &Shared| {
-        if let Some(p) = peer {
-            shared.link_down(*p, cause);
-        }
-    };
     loop {
+        loop {
+            match decoder.next_frame() {
+                Ok(Some(frame)) => {
+                    if let ControlFlow::Break(done) = on_frame(frame) {
+                        return done;
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => return Err(DownCause::Corrupt(e.to_string())),
+            }
+        }
         if shared.closed() {
-            down(&peer, DownCause::Closed, &shared);
-            return;
+            return Err(DownCause::Closed);
         }
         match stream.read(&mut buf) {
-            Ok(0) => {
-                down(&peer, DownCause::Eof, &shared);
-                return;
-            }
+            Ok(0) => return Err(DownCause::Eof),
             Ok(n) => {
                 last_byte = Instant::now();
                 decoder.push(&buf[..n]);
-                loop {
-                    match decoder.next_frame() {
-                        Ok(Some(frame)) => {
-                            if frame.flags & FLAG_HELLO != 0 {
-                                match decode_hello(&frame.payload) {
-                                    Some((node, incarnation)) if peer.is_none() => {
-                                        peer = Some(node);
-                                        shared.link_up(node, incarnation);
-                                    }
-                                    _ => {
-                                        down(
-                                            &peer,
-                                            DownCause::Corrupt("bad hello".into()),
-                                            &shared,
-                                        );
-                                        return;
-                                    }
-                                }
-                            } else if frame.flags & FLAG_PING != 0 {
-                                // Keep-alive: its bytes already fed the
-                                // silence timer.
-                            } else if let Some(from) = peer {
-                                let _ = shared.events.send(TransportEvent::Frame {
-                                    from,
-                                    payload: frame.payload,
-                                });
-                            } else {
-                                // Data before hello: protocol violation.
-                                down(
-                                    &peer,
-                                    DownCause::Corrupt("frame before hello".into()),
-                                    &shared,
-                                );
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            down(&peer, DownCause::Corrupt(e.to_string()), &shared);
-                            return;
-                        }
-                    }
-                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if last_byte.elapsed() > cfg.fail_after {
-                    down(&peer, DownCause::ReadTimeout, &shared);
-                    return;
+                if last_byte.elapsed() > shared.cfg.fail_after {
+                    return Err(DownCause::ReadTimeout);
                 }
             }
-            Err(e) => {
-                down(&peer, DownCause::Io(e.to_string()), &shared);
-                return;
-            }
+            Err(e) => return Err(DownCause::Io(e.to_string())),
         }
     }
 }
 
-/// Per-peer connection actor: owns the outbound stream to `peer`,
-/// drains the FIFO command queue into it, reconnects on transient
-/// failure with capped exponential backoff + jitter, and degrades to a
-/// fail-stop verdict only after `dial_deadline` of continuous failure.
-fn writer_actor(peer: NodeId, rx: Receiver<Cmd>, shared: Arc<Shared>) {
-    let cfg = shared.cfg.clone();
+/// Greet one accepted connection: read the hello that names the dialer,
+/// then serve the link from a thread that carries the peer in its name.
+/// A connection that fails before its hello has no one to blame.
+fn greet_conn(mut stream: TcpStream, shared: Arc<Shared>) {
+    let _ = stream.set_nodelay(true);
+    // Short read timeout so the reader can check both the silence
+    // window and transport shutdown frequently.
+    let tick = shared
+        .cfg
+        .heartbeat
+        .clamp(Duration::from_millis(5), Duration::from_millis(50));
+    if stream.set_read_timeout(Some(tick)).is_err() {
+        return;
+    }
+    let mut decoder = FrameDecoder::with_max_payload(shared.cfg.max_frame);
+    let hello = read_frames(&mut stream, &mut decoder, &shared, |frame| {
+        let hello = match frame.flags & FLAG_HELLO {
+            0 => None,
+            _ => decode_hello(&frame.payload),
+        };
+        ControlFlow::Break(hello.ok_or(DownCause::Corrupt("frame before hello".into())))
+    });
+    let Ok((peer, incarnation)) = hello else {
+        return;
+    };
+    shared.link_up(peer, incarnation);
+    let name = format!("tcp-in-{}-{peer}", shared.node);
+    let reader = thread::Builder::new().name(name).spawn({
+        let shared = shared.clone();
+        move || reader_conn(stream, decoder, peer, &shared)
+    });
+    if reader.is_err() {
+        shared.link_down(peer, DownCause::Io("no reader thread".into()));
+    }
+}
+
+/// Serve one greeted connection: every application frame goes to the
+/// endpoint's sink, until the dialer dies (EOF / error / silence) — the
+/// fail-stop detection point.
+fn reader_conn(mut stream: TcpStream, mut decoder: FrameDecoder, peer: NodeId, shared: &Shared) {
+    let end = read_frames::<()>(&mut stream, &mut decoder, shared, |frame| {
+        if frame.flags & FLAG_HELLO != 0 {
+            return ControlFlow::Break(Err(DownCause::Corrupt("bad hello".into())));
+        }
+        // A keep-alive's bytes already fed the silence timer.
+        if frame.flags & FLAG_PING == 0 {
+            (shared.sink.read())(peer, frame.payload);
+        }
+        ControlFlow::Continue(())
+    });
+    if let Err(cause) = end {
+        shared.link_down(peer, cause);
+    }
+}
+
+/// Per-peer link actor: dials `peer` — reconnecting on failure with
+/// capped exponential backoff + jitter, degrading to a fail-stop verdict
+/// only after `dial_deadline` of continuous failure — hands the pending
+/// frames to each fresh stream, and keeps an idle one warm with pings.
+fn link_actor(peer: NodeId, me: &PeerLink, shared: &Shared) {
+    let cfg = &shared.cfg;
     let mut jitter = cfg.jitter_seed ^ hash_node(peer) | 1;
-    let mut conn: Option<TcpStream> = None;
-    let mut out_link_up = false;
     let mut fail_since: Option<Instant> = None;
     let mut attempt: u32 = 0;
     let mut announced_dial_fail = false;
-    // Generation of the route `conn` was (or is being) dialed at.
-    let mut generation = 0;
-    // A frame addressed past `generation`, held while we catch up.
-    let mut held: Option<Cmd> = None;
+    let mut link = me.link.lock();
     loop {
         if shared.closed() {
-            if out_link_up {
-                shared.link_down(peer, DownCause::Closed);
-            }
+            return link.close(shared, peer, DownCause::Closed);
+        }
+        let Some((addr, latest)) = shared.route(peer) else {
             return;
-        }
-        if conn.is_none() {
-            // (Re)dial — backoff with jitter, reusing the dispatcher's
-            // doubling idiom.
-            let Some((addr, latest)) = shared.route(peer) else {
-                return;
-            };
-            if latest != generation {
-                // First dial of a new address: it owes nothing to the
-                // old one's failures.
-                generation = latest;
-                fail_since = None;
-                attempt = 0;
-                announced_dial_fail = false;
-            }
-            match dial(&addr, &shared) {
-                Ok(stream) => {
-                    conn = Some(stream);
-                    fail_since = None;
-                    attempt = 0;
-                    announced_dial_fail = false;
-                    shared.link_up(peer, 0);
-                    out_link_up = true;
-                }
-                Err(_) => {
-                    let since = *fail_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() > cfg.dial_deadline {
-                        if out_link_up {
-                            shared.link_down(peer, DownCause::DialFailed(addr.clone()));
-                            out_link_up = false;
-                        } else if !announced_dial_fail {
-                            // Never-reached peer: surface the verdict
-                            // once so the supervisor can act on it.
-                            let _ = shared.events.send(TransportEvent::PeerDown {
-                                peer,
-                                incarnation: shared.known_incarnation(peer),
-                                cause: DownCause::DialFailed(addr.clone()),
-                            });
-                            announced_dial_fail = true;
-                        }
-                        // Fail-stop: stale frames must not reach a
-                        // future reincarnation.
-                        while let Ok(cmd) = rx.try_recv() {
-                            match cmd {
-                                Cmd::Reroute => break,
-                                Cmd::Frame(..) => {
-                                    shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                                }
-                            }
-                        }
-                    }
-                    let exp = cfg.dial_base.saturating_mul(1u32 << attempt.min(7));
-                    let capped = exp.min(cfg.dial_cap);
-                    let j = Duration::from_micros(
-                        xorshift(&mut jitter) % (capped.as_micros().max(1) as u64 / 2 + 1),
-                    );
-                    attempt = attempt.saturating_add(1);
-                    // A reroute ends the wait: the new address deserves
-                    // an immediate dial, not the old one's backoff.
-                    let until = Instant::now() + capped + j;
-                    let rerouted = || shared.generation(peer) != Some(generation);
-                    while Instant::now() < until && !shared.closed() && !rerouted() {
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                    continue;
-                }
-            }
-        }
-        let cmd = match held.take() {
-            Some(cmd) => Ok(cmd),
-            None => rx.recv_timeout(cfg.heartbeat),
         };
-        let moved = match &cmd {
-            Ok(Cmd::Frame(_, addressed)) => *addressed > generation,
-            Ok(Cmd::Reroute) => shared.generation(peer) != Some(generation),
-            Err(_) => false,
-        };
-        if moved {
-            // The peer reincarnated elsewhere: abandon the stream — the
-            // redial above picks the new route up. A frame already
-            // addressed to it waits for that.
-            if let Ok(cmd @ Cmd::Frame(..)) = cmd {
-                held = Some(cmd);
-            }
-            conn = None;
-            if out_link_up {
-                shared.link_down(peer, DownCause::Closed);
-                out_link_up = false;
+        if link.generation != latest {
+            // The peer reincarnated elsewhere: abandon the stream. The
+            // new address owes nothing to the old one's failures.
+            link.close(shared, peer, DownCause::Closed);
+            link.generation = latest;
+            fail_since = None;
+            attempt = 0;
+            announced_dial_fail = false;
+        }
+        if link.stream.is_some() {
+            // Up: all that is left to do is keep the peer's silence
+            // detector fed.
+            match cfg.heartbeat.checked_sub(link.last_write.elapsed()) {
+                Some(quiet) if !quiet.is_zero() => {
+                    me.wake.wait_for(&mut link, quiet);
+                }
+                _ => {
+                    link.write(shared, peer, FLAG_PING, &[]);
+                }
             }
             continue;
         }
-        match cmd {
-            Ok(Cmd::Frame(_, addressed)) if addressed < generation => {
-                // Queued for the dead incarnation's address: fail-stop
-                // links do not deliver a predecessor's traffic.
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            }
-            Ok(Cmd::Frame(frame, _)) => {
-                let result = conn.as_mut().expect("connected").write_all(&frame);
-                // Written or lost, the frame left the queue either way.
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                if result.is_err() {
-                    // Transient write failure: drop the stream and let
-                    // the redial path decide transient vs. fail-stop.
-                    // The frame is lost — fail-stop links do not hide
-                    // holes behind silent retransmission.
-                    conn = None;
-                    if out_link_up {
-                        shared.link_down(peer, DownCause::Io("write failed".into()));
-                        out_link_up = false;
+        // Down: dial without the lock — senders queue meanwhile.
+        drop(link);
+        let dialled = dial(&addr, shared);
+        link = me.link.lock();
+        match dialled {
+            Ok(stream) => {
+                fail_since = None;
+                attempt = 0;
+                announced_dial_fail = false;
+                if shared.generation(peer) != Some(latest) {
+                    continue;
+                }
+                link.stream = Some(stream);
+                link.last_write = Instant::now();
+                shared.link_up(peer, 0);
+                // One write path: what waited for the link goes out
+                // before anything a sender writes inline. A frame
+                // addressed past this route stays: the reroute check
+                // above deals with it.
+                let due = |link: &Link| link.pending.front().is_some_and(|f| f.1 <= latest);
+                while link.stream.is_some() && due(&link) {
+                    let (payload, addressed) = link.pending.pop_front().expect("front is due");
+                    shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                    // Queued for the dead incarnation's address:
+                    // fail-stop links do not deliver a predecessor's
+                    // traffic.
+                    if addressed == latest {
+                        link.write(shared, peer, 0, &payload);
                     }
                 }
             }
-            // A reroute the redial path already caught up with.
-            Ok(Cmd::Reroute) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle: keep the peer's silence detector fed.
-                if let Some(stream) = conn.as_mut() {
-                    if stream.write_all(&encode_frame(FLAG_PING, &[])).is_err() {
-                        conn = None;
-                        if out_link_up {
-                            shared.link_down(peer, DownCause::Io("ping failed".into()));
-                            out_link_up = false;
-                        }
+            Err(_) => {
+                let since = *fail_since.get_or_insert_with(Instant::now);
+                if since.elapsed() > cfg.dial_deadline {
+                    if !announced_dial_fail {
+                        // Surface the verdict once so the supervisor
+                        // can act on it.
+                        let _ = shared.events.send(TransportEvent::PeerDown {
+                            peer,
+                            incarnation: shared.known_incarnation(peer),
+                            cause: DownCause::DialFailed(addr.clone()),
+                        });
+                        announced_dial_fail = true;
                     }
+                    // Fail-stop: stale frames must not reach a future
+                    // reincarnation.
+                    let queued = link.pending.len();
+                    link.pending.retain(|(_, addressed)| *addressed > latest);
+                    let dropped = (queued - link.pending.len()) as u64;
+                    shared.inflight.fetch_sub(dropped, Ordering::AcqRel);
                 }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                if out_link_up {
-                    shared.link_down(peer, DownCause::Closed);
+                let exp = cfg.dial_base.saturating_mul(1u32 << attempt.min(7));
+                let capped = exp.min(cfg.dial_cap);
+                let j = Duration::from_micros(
+                    xorshift(&mut jitter) % (capped.as_micros().max(1) as u64 / 2 + 1),
+                );
+                attempt = attempt.saturating_add(1);
+                // A reroute ends the wait: the new address deserves an
+                // immediate dial, not the old one's backoff.
+                let until = Instant::now() + capped + j;
+                while Instant::now() < until
+                    && !shared.closed()
+                    && shared.generation(peer) == Some(latest)
+                {
+                    me.wake.wait_until(&mut link, until);
                 }
-                return;
             }
         }
     }
 }
 
 /// Dial `addr` and perform the hello handshake (announce ourselves).
-fn dial(addr: &str, shared: &Shared) -> std::io::Result<TcpStream> {
+fn dial(addr: &str, shared: &Shared) -> io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
-    let hello = encode_frame(FLAG_HELLO, &hello_payload(shared.node, shared.incarnation));
-    stream.write_all(&hello)?;
+    // A sender writes this stream itself: a peer that stopped reading
+    // must cost it a bounded wait and a verdict, not a hang.
+    stream.set_write_timeout(Some(shared.cfg.fail_after))?;
+    let hello = hello_payload(shared.node, shared.incarnation);
+    write_frame(&mut stream, FLAG_HELLO, &hello)?;
     Ok(stream)
+}
+
+/// Write one frame, header and payload in one vectored write — the
+/// payload goes from the caller's buffer to the socket uncopied.
+fn write_frame(stream: &mut TcpStream, flags: u8, payload: &[u8]) -> io::Result<()> {
+    let header = frame_header(flags, payload);
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn hash_node(node: NodeId) -> u64 {
@@ -644,12 +708,10 @@ fn hash_node(node: NodeId) -> u64 {
     h.finish()
 }
 
-// Silence an unused-constant lint if header length is only used in docs.
-const _: usize = FRAME_HEADER_LEN;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use mvr_core::ids::{NodeId, Rank};
 
     fn cn(r: u32) -> NodeId {
@@ -738,6 +800,147 @@ mod tests {
         }
         // An idle transport flushes immediately.
         assert!(a.flush(Duration::from_millis(1)));
+    }
+
+    fn up(peer: NodeId) -> impl Fn(&TransportEvent) -> bool {
+        move |e| matches!(e, TransportEvent::PeerUp { peer: p, .. } if *p == peer)
+    }
+
+    /// Collect `n` application frames, in arrival order.
+    fn frames(t: &TcpTransport, n: usize) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        while got.len() < n {
+            match wait_for(t, Duration::from_secs(10), |e| {
+                matches!(e, TransportEvent::Frame { .. })
+            }) {
+                Some(TransportEvent::Frame { payload, .. }) => got.push(payload),
+                _ => panic!("only {}/{n} frames arrived", got.len()),
+            }
+        }
+        got
+    }
+
+    /// On an established link the sender writes the socket itself:
+    /// nothing is left for `flush` to wait for when `send` returns.
+    #[test]
+    fn send_on_an_established_link_leaves_nothing_to_flush() {
+        let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        let b = TcpTransport::bind(cn(1), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        a.set_route(cn(1), b.local_addr().unwrap());
+        a.send(cn(1), b"dial".to_vec()).unwrap();
+        assert!(wait_for(&a, Duration::from_secs(5), up(cn(1))).is_some());
+        a.send(cn(1), b"inline".to_vec()).unwrap();
+        assert!(a.flush(Duration::ZERO), "an inline write is not in flight");
+        assert_eq!(frames(&b, 2), [b"dial".to_vec(), b"inline".to_vec()]);
+    }
+
+    /// Frames that waited for the first dial go out, in order, before
+    /// anything written inline once the link is up.
+    #[test]
+    fn frames_queued_before_the_link_is_up_precede_inline_ones() {
+        // A port nobody listens on yet: the dial fails, the frames wait.
+        let port = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let cfg = TcpConfig {
+            dial_deadline: Duration::from_secs(60),
+            ..quick_cfg()
+        };
+        let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, cfg).unwrap();
+        a.set_route(cn(1), port.to_string());
+        for i in 0..5u8 {
+            a.send(cn(1), vec![i]).unwrap();
+        }
+        assert!(!a.flush(Duration::ZERO), "nobody to write to yet");
+        let b = TcpTransport::bind(cn(1), &port.to_string(), 1, quick_cfg()).unwrap();
+        assert!(wait_for(&a, Duration::from_secs(5), up(cn(1))).is_some());
+        for i in 5..10u8 {
+            a.send(cn(1), vec![i]).unwrap();
+        }
+        assert!(a.flush(Duration::ZERO));
+        let got: Vec<u8> = frames(&b, 10).iter().map(|f| f[0]).collect();
+        assert_eq!(got, (0..10).collect::<Vec<u8>>());
+    }
+
+    /// Two threads writing one link: frames of very different sizes
+    /// arrive whole and in each sender's order.
+    #[test]
+    fn concurrent_senders_interleave_whole_frames_in_sender_order() {
+        const PER: u32 = 200;
+        let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        let b = TcpTransport::bind(cn(1), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        a.set_route(cn(1), b.local_addr().unwrap());
+        let frame = |sender: u8, seq: u32, len: usize| {
+            let mut f = vec![sender; len];
+            f[1..5].copy_from_slice(&seq.to_le_bytes());
+            f
+        };
+        let got = thread::scope(|s| {
+            for (sender, len) in [(1u8, 64), (2u8, 64 << 10)] {
+                let a = &a;
+                s.spawn(move || {
+                    for seq in 0..PER {
+                        a.send(cn(1), frame(sender, seq, len)).unwrap();
+                    }
+                });
+            }
+            frames(&b, 2 * PER as usize)
+        });
+        for (sender, len) in [(1u8, 64), (2u8, 64 << 10)] {
+            let of_sender = got.iter().filter(|f| f[0] == sender);
+            let expected = (0..PER).map(|seq| frame(sender, seq, len));
+            assert!(of_sender.eq(expected.collect::<Vec<_>>().iter()));
+        }
+    }
+
+    /// A peer that accepts the hello and then stops reading costs the
+    /// sender one bounded wait and a fail-stop verdict — not a hang.
+    #[test]
+    fn a_peer_that_stops_reading_fails_the_link_instead_of_hanging_the_sender() {
+        let deaf = TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = TcpConfig {
+            fail_after: Duration::from_millis(100),
+            ..quick_cfg()
+        };
+        let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, cfg).unwrap();
+        a.set_route(cn(9), deaf.local_addr().unwrap().to_string());
+        a.send(cn(9), b"dial".to_vec()).unwrap();
+        let _held = deaf.accept().unwrap();
+        assert!(wait_for(&a, Duration::from_secs(5), up(cn(9))).is_some());
+        // Inline writes from here on: push past the socket buffers.
+        // The send that times out has the verdict queued when it returns.
+        let down = (0..4096).find_map(|_| {
+            a.send(cn(9), vec![7u8; 64 << 10]).unwrap();
+            a.poll_event(Duration::ZERO)
+        });
+        assert!(
+            matches!(
+                &down,
+                Some(TransportEvent::PeerDown { peer, cause: DownCause::Io(_), .. }) if *peer == cn(9)
+            ),
+            "a timed-out write is a dead link: {down:?}"
+        );
+    }
+
+    /// With a sink installed, the connection's reader delivers frames
+    /// there; the event queue keeps only liveness.
+    #[test]
+    fn frame_sink_takes_frames_off_the_event_queue() {
+        let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        let b = TcpTransport::bind(cn(1), "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        let (tx, rx) = unbounded();
+        b.set_frame_sink(Arc::new(move |from, payload| {
+            let reader = thread::current().name().map(str::to_owned);
+            let _ = tx.send((from, payload, reader));
+        }));
+        a.set_route(cn(1), b.local_addr().unwrap());
+        a.send(cn(1), b"sunk".to_vec()).unwrap();
+        let (from, payload, reader) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((from, payload), (cn(0), b"sunk".to_vec()));
+        assert_eq!(reader.as_deref(), Some("tcp-in-cn1-cn0"));
+        assert!(wait_for(&b, Duration::from_secs(5), up(cn(0))).is_some());
+        assert!(b.poll_event(Duration::ZERO).is_none());
     }
 
     #[test]

@@ -12,13 +12,36 @@
 //! Two backends implement the trait: [`MemTransport`](crate::MemTransport)
 //! (an in-memory hub, used by transport-generic tests) and
 //! [`TcpTransport`](crate::TcpTransport) (length-prefixed frames over
-//! real sockets, per-peer connection actors, reconnect with capped
-//! exponential backoff + jitter, and read-silence/EOF fail-stop
-//! detection).
+//! real sockets, written by the sending thread itself; a per-peer actor
+//! only dials — capped exponential backoff + jitter — and pings; the
+//! readers are the read-silence/EOF fail-stop detector).
+//!
+//! Neither backend puts a thread of its own between a frame and its
+//! consumer: `send` carries the frame to the wire (or, in memory, all
+//! the way into the peer's [`FrameSink`]) on the caller's thread, and
+//! the receiving side runs the sink on the connection's reader.
 
+use crossbeam_channel::Sender;
 use mvr_core::ids::NodeId;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Where an endpoint puts each verified inbound application frame: it
+/// is called with the sending node and the payload, on the thread that
+/// took the frame off the link (the connection's reader; for the
+/// in-memory backend, the sender). It must not block on that link's
+/// peer. Until [`Transport::set_frame_sink`] replaces it, the sink of
+/// an endpoint queues [`TransportEvent::Frame`] for
+/// [`Transport::poll_event`].
+pub type FrameSink = Arc<dyn Fn(NodeId, Vec<u8>) + Send + Sync>;
+
+/// The sink every endpoint starts with: frames join `events`.
+pub(crate) fn event_sink(events: Sender<TransportEvent>) -> FrameSink {
+    Arc::new(move |from, payload| {
+        let _ = events.send(TransportEvent::Frame { from, payload });
+    })
+}
 
 /// Why a peer link was declared down. The cause is diagnostic only —
 /// every variant triggers the same fail-stop reaction upstream.
@@ -144,14 +167,16 @@ pub trait Transport: Send + Sync {
     /// without addressing this is a no-op.
     fn set_route(&self, peer: NodeId, addr: String);
 
-    /// Queue `payload` for FIFO delivery to `peer`. Returns once the
-    /// frame is accepted by the per-peer actor — delivery remains
-    /// asynchronous and fail-stop.
+    /// Send `payload` to `peer`, FIFO with every other frame for that
+    /// peer. The caller's thread writes an established link itself;
+    /// while the link is down the frame waits for it. `Ok` means the
+    /// frame was accepted — delivery remains asynchronous and fail-stop:
+    /// a frame lost with its link surfaces as `PeerDown`, not here.
     fn send(&self, peer: NodeId, payload: Vec<u8>) -> Result<(), TransportError>;
 
     /// Wait up to `timeout` for every frame accepted by [`send`] to be
     /// handed to the OS (or dropped by a fail-stop verdict). Returns
-    /// `true` once the outbound queues are empty, `false` on timeout.
+    /// `true` once no frame waits for a link, `false` on timeout.
     /// The explicit teardown primitive: a process about to `exit`
     /// flushes instead of sleeping an arbitrary grace period. Backends
     /// that deliver synchronously return `true` immediately.
@@ -160,6 +185,11 @@ pub trait Transport: Send + Sync {
     fn flush(&self, _timeout: Duration) -> bool {
         true
     }
+
+    /// Replace this endpoint's [`FrameSink`]. Frames already queued for
+    /// [`poll_event`](Transport::poll_event) stay there; liveness
+    /// events always do.
+    fn set_frame_sink(&self, sink: FrameSink);
 
     /// Wait up to `timeout` for the next transport event.
     fn poll_event(&self, timeout: Duration) -> Option<TransportEvent>;

@@ -14,12 +14,14 @@
 //! kills aimed at it until then.
 //!
 //! The protocol code running inside a child is the unchanged in-process
-//! runtime; only the [`super::gateway`] is socket-aware.
+//! runtime; only the [`super::gateway`] is socket-aware. The role loops
+//! below are also where the transport's detector events are looked at —
+//! once per [`Gateway::poll`], so within one tick.
 
 use super::gateway::{Control, Gateway, GatewayRole, Topology};
 use super::wire::WireMsg;
 use crate::node::{register_node, start_node, MpiApp, NodeConfig, Outcome, RuntimeProtocol};
-use crate::services::{spawn_checkpoint_server_on, spawn_el_replica};
+use crate::services::{serve_el_replica, spawn_checkpoint_server_on};
 use mvr_core::{ElAddr, NodeId, Rank};
 use mvr_net::{Fabric, TcpConfig, TcpTransport, Transport};
 use mvr_obs::{
@@ -222,15 +224,15 @@ fn connect(spec: &ChildSpec, fabric: &Fabric, role: GatewayRole) -> Gateway {
         if left.is_zero() {
             die("no complete address map from supervisor");
         }
-        match gateway.control().recv_timeout(left) {
+        match gateway.poll(left.min(Duration::from_millis(25))) {
             Ok(Control::Msg {
                 msg: WireMsg::AddressMap(entries),
                 ..
             }) if required.iter().all(|n| entries.iter().any(|(e, _)| e == n)) => {
                 return gateway;
             }
-            Ok(_) => continue,
-            Err(_) => die("gateway stopped before address map"),
+            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => die("gateway gone before address map"),
         }
     }
 }
@@ -255,7 +257,7 @@ fn serve(
 ) -> ! {
     loop {
         each_tick();
-        match gateway.control().recv_timeout(tick) {
+        match gateway.poll(tick) {
             Ok(Control::Msg {
                 msg: WireMsg::Shutdown,
                 ..
@@ -418,6 +420,10 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
     let replicas = spec.el_replicas;
     let addr = ElAddr::from_flat(flat, replicas);
     let fabric = Fabric::new();
+    // Registered before the hello announces our address: daemons that
+    // get the complete address map before we do may log events at once,
+    // and a request dropped on a healthy link is never resent.
+    let seat = fabric.register(NodeId::EventLogger(flat));
     let gateway = connect(spec, &fabric, GatewayRole::EventLogger(flat));
     let store = Arc::new(Mutex::new(mvr_eventlog::EventLogStore::new()));
 
@@ -432,7 +438,7 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut caught_up = None;
         while caught_up.is_none() && Instant::now() < deadline {
-            match gateway.control().recv_timeout(Duration::from_millis(20)) {
+            match gateway.poll(Duration::from_millis(20)) {
                 Ok(Control::Msg {
                     msg: WireMsg::ElSnapshot { store: snap },
                     ..
@@ -452,7 +458,7 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
     }
 
     let counter = Arc::new(AtomicU64::new(0));
-    let _handle = spawn_el_replica(&fabric, addr, replicas, counter.clone(), store.clone());
+    let _handle = serve_el_replica(seat, addr, replicas, counter.clone(), store.clone());
     report_ready(&gateway, spec);
 
     let mut last_ship = Instant::now();
@@ -493,12 +499,13 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
 
 fn run_cs(spec: &ChildSpec) -> ! {
     let fabric = Fabric::new();
-    let gateway = connect(spec, &fabric, GatewayRole::CheckpointServer);
     // A reincarnated checkpoint server starts empty: the paper's §4.3
     // verdict applies ("affected nodes restart from scratch, at worst").
     // Real deployments would back this with a disk directory.
     let store = Arc::new(Mutex::new(mvr_ckpt::CheckpointStore::new()));
+    // Serving before the hello announces our address (see `run_el`).
     let _handle = spawn_checkpoint_server_on(&fabric, store);
+    let gateway = connect(spec, &fabric, GatewayRole::CheckpointServer);
     report_ready(&gateway, spec);
     serve(&gateway, Duration::from_millis(25), || {}, |_, _| {}, || {})
 }

@@ -436,11 +436,11 @@ impl<'a> Launcher<'a> {
                 self.publish_health();
             }
             let idle = self.core.idle_for(now, POLL_TICK);
-            match self.gateway.control().recv_timeout(idle) {
+            match self.gateway.poll(idle) {
                 Ok(ctl) => self.on_control(ctl, &mut events),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ProcError::Launch("gateway pump died".into()))
+                    return Err(ProcError::Launch("gateway endpoint gone".into()))
                 }
             }
         }

@@ -5,7 +5,7 @@ use crate::messages::DaemonMsg;
 use mvr_ckpt::{CheckpointStore, CkptPacket, NodeStatus, Policy, Scheduler};
 use mvr_core::{ElAddr, NodeId, Rank, SchedMsg};
 use mvr_eventlog::{ElPacket, EventLogStore};
-use mvr_net::{Fabric, RecvError};
+use mvr_net::{Fabric, Identity, Mailbox, RecvError};
 use parking_lot::Mutex;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -25,8 +25,22 @@ pub fn spawn_el_replica(
     counter: Arc<AtomicU64>,
     store: Arc<Mutex<EventLogStore>>,
 ) -> JoinHandle<()> {
-    let flat = addr.flat(replicas);
-    let (mb, identity) = fabric.register::<ElPacket>(NodeId::EventLogger(flat));
+    let seat = fabric.register::<ElPacket>(NodeId::EventLogger(addr.flat(replicas)));
+    serve_el_replica(seat, addr, replicas, counter, store)
+}
+
+/// [`spawn_el_replica`] on a mailbox registered earlier: a replica that
+/// peers can reach before it is ready to answer (a process announces its
+/// address, then catches up from a sibling) registers first, so their
+/// requests wait in the mailbox instead of being dropped, and serves
+/// once it is caught up.
+pub fn serve_el_replica(
+    (mb, identity): (Mailbox<ElPacket>, Identity),
+    addr: ElAddr,
+    replicas: u32,
+    counter: Arc<AtomicU64>,
+    store: Arc<Mutex<EventLogStore>>,
+) -> JoinHandle<()> {
     // Unreplicated deployments keep the historical thread names.
     let name = if replicas <= 1 {
         format!("el-{}", addr.shard)
