@@ -89,47 +89,13 @@ fn main() {
                 );
                 strict_failures.push(format!("{} records dropped", h.dropped));
             }
-            if !h.offsets.is_empty() {
-                // Skew corrections the merge already applied: the body's
-                // timestamps include these per-rank shifts.
-                let rendered: Vec<String> = h
-                    .offsets
-                    .iter()
-                    .map(|o| format!("rank {}: {:+.3}ms", o.rank, o.offset_ns as f64 / 1e6))
-                    .collect();
-                println!("  clock-skew offsets applied: {}", rendered.join(", "));
-            }
             if !h.track.is_empty() {
-                // Piecewise-linear drift tracks: the merge applied a
-                // time-varying correction, not a constant shift.
-                let rendered: Vec<String> = h
-                    .track
-                    .iter()
-                    .map(|t| {
-                        let first = *t.anchors.first().unwrap_or(&0);
-                        let last = *t.anchors.last().unwrap_or(&0);
-                        let span_ns = t
-                            .seg_ns
-                            .saturating_mul(t.anchors.len().saturating_sub(1) as u64);
-                        let drift_ppm = if span_ns > 0 {
-                            (last - first) as f64 / span_ns as f64 * 1e6
-                        } else {
-                            0.0
-                        };
-                        format!(
-                            "rank {}: {} anchor(s), {:+.3}ms -> {:+.3}ms (drift {:+.1}ppm)",
-                            t.rank,
-                            t.anchors.len(),
-                            first as f64 / 1e6,
-                            last as f64 / 1e6,
-                            drift_ppm
-                        )
-                    })
-                    .collect();
-                println!(
-                    "  drift-aware offset tracks applied: {}",
-                    rendered.join("; ")
-                );
+                // Clock correction the merge already applied: the body's
+                // timestamps include these per-rank shifts.
+                println!("  clock correction applied:");
+                for t in &h.track {
+                    println!("    rank {}: {}", t.rank, t.track());
+                }
             }
             if !h.unconstrained.is_empty() {
                 let ranks: Vec<String> = h.unconstrained.iter().map(|r| r.to_string()).collect();

@@ -8,9 +8,7 @@
 //!      round-trips through the wire encoding, per-rank wall clocks are
 //!      monotone, and per-rank logical clocks are monotone except across
 //!      recovery resets ([`mvr_obs::validate_records`]);
-//!   3. the dumped JSONL is byte-identical to re-rendering the timeline
-//!      (the vendored `serde_json` is write-only, so "parse and compare"
-//!      is done in reverse: regenerate and string-compare);
+//!   3. the dumped JSONL is byte-identical to re-rendering the timeline;
 //!   4. the Chrome-trace/Perfetto export exists and is non-trivial;
 //!   5. the timeline actually captured the storm (chaos kills) and the
 //!      protocol reacting to it (restart/recovery records).
@@ -160,9 +158,7 @@ fn main() {
     let mut canonical = header_line(&DumpHeader {
         records: timeline.len() as u64,
         dropped: paths.dropped,
-        offsets: Vec::new(),
-        track: Vec::new(),
-        unconstrained: Vec::new(),
+        ..DumpHeader::default()
     });
     canonical.push('\n');
     for rec in &timeline {

@@ -20,17 +20,14 @@
 //! noise floor so nanosecond jitter on near-zero metrics cannot fail
 //! a gate.
 //!
-//! Profiles serialize to integer-only JSON (the vendored write-only
-//! `serde_json`) and parse back through this crate's own
-//! [`parse`](crate::parse) — the same no-floats discipline as the dump
-//! format, so baselines can be committed and diffed as text.
+//! Profiles serialize to integer-only JSON and parse back through the
+//! same derive — the same no-floats discipline as the dump format, so
+//! baselines can be committed and diffed as text.
 
 use crate::causal::CausalGraph;
 use crate::event::{FlightRecord, ProtoEvent};
-use crate::hist::HistSummary;
-use crate::jsonparse::{parse, Json};
 use crate::timings::{ProtocolTimings, TimingSummary};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Timing deltas below this many nanoseconds are never flagged —
@@ -40,7 +37,7 @@ pub const NOISE_FLOOR_NS: u64 = 1_000;
 pub const NOISE_FLOOR_EVENTS: u64 = 8;
 
 /// A run's compact performance profile, reduced from a merged dump.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunProfile {
     /// Records in the source timeline.
     pub records: u64,
@@ -107,57 +104,7 @@ impl RunProfile {
 
     /// Parse a profile previously rendered by [`RunProfile::to_json`].
     pub fn parse(text: &str) -> Result<RunProfile, String> {
-        let v = parse(text)?;
-        let hist = |v: &Json, key: &str| -> Result<HistSummary, String> {
-            let h = v.get(key).ok_or_else(|| format!("missing {key}"))?;
-            let f = |k: &str| -> Result<u64, String> {
-                h.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{key}.{k}: expected unsigned integer"))
-            };
-            Ok(HistSummary {
-                count: f("count")?,
-                sum: f("sum")?,
-                min: f("min")?,
-                max: f("max")?,
-                p50: f("p50")?,
-                p90: f("p90")?,
-                p99: f("p99")?,
-            })
-        };
-        let map = |key: &str| -> Result<BTreeMap<String, u64>, String> {
-            match v.get(key) {
-                Some(Json::Obj(fields)) => fields
-                    .iter()
-                    .map(|(k, val)| {
-                        val.as_u64()
-                            .map(|n| (k.clone(), n))
-                            .ok_or_else(|| format!("{key}.{k}: expected unsigned integer"))
-                    })
-                    .collect(),
-                Some(_) => Err(format!("{key}: expected object")),
-                None => Err(format!("missing {key}")),
-            }
-        };
-        let timings = v.get("timings").ok_or("missing timings")?;
-        Ok(RunProfile {
-            records: v
-                .get("records")
-                .and_then(Json::as_u64)
-                .ok_or("missing records")?,
-            timings: TimingSummary {
-                gate_wait: hist(timings, "gate_wait")?,
-                el_ack_rtt: hist(timings, "el_ack_rtt")?,
-                ckpt_store: hist(timings, "ckpt_store")?,
-                replay: hist(timings, "replay")?,
-            },
-            critical_total_ns: v
-                .get("critical_total_ns")
-                .and_then(Json::as_u64)
-                .ok_or("missing critical_total_ns")?,
-            critical: map("critical")?,
-            events: map("events")?,
-        })
+        serde_json::from_str(text).map_err(|e| e.to_string())
     }
 }
 

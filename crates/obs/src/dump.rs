@@ -2,15 +2,17 @@
 //! Chrome-trace/Perfetto export, schema validation, and first-divergence
 //! triage.
 //!
-//! The vendored `serde_json` is write-only (no parser), so validation
-//! works structurally: every record is round-tripped through bincode
-//! and re-rendered to JSON for byte comparison against the dump file,
-//! and the per-rank logical clocks are checked for monotonicity
-//! (allowing the resets that legitimately accompany recovery).
+//! The dump format is what `#[derive(Serialize, Deserialize)]` on
+//! [`FlightRecord`] and [`DumpHeader`] says it is: one JSON object per
+//! line, written with `serde_json::to_string` and read back with
+//! `serde_json::from_str`. The readers here ([`parse_record_line`],
+//! [`parse_header_line`], [`parse_dump`]) add only what a JSONL file
+//! needs on top — header-or-record detection on line 1 and `line N:`
+//! error context.
 
 use crate::event::{FlightRecord, ProtoEvent};
-use crate::skew::{RankOffset, RankTrack, SkewEstimate};
-use serde::Serialize;
+use crate::skew::{RankTrack, SkewEstimate};
+use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
@@ -114,7 +116,7 @@ pub fn jsonl_line(rec: &FlightRecord) -> String {
 /// Metadata carried by the first line of a JSONL dump, so a reader can
 /// tell a complete timeline from a ring-truncated one without access to
 /// the live hub.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DumpHeader {
     /// Records in the dump body (lines after the header).
     pub records: u64,
@@ -122,28 +124,26 @@ pub struct DumpHeader {
     /// Non-zero means the timeline is truncated and causal analysis
     /// can report spurious orphan spans.
     pub dropped: u64,
-    /// Per-rank clock offsets the skew-corrected merge applied to the
-    /// body's timestamps (see [`crate::estimate_skew`]). Empty for
-    /// single-process dumps, skew-free merges, and merges corrected by
-    /// a piecewise `track` (which supersedes constant offsets).
-    pub offsets: Vec<RankOffset>,
-    /// Per-rank piecewise-linear offset tracks the drift-aware merge
-    /// applied (see [`crate::estimate_skew_drift`]). Empty unless the
-    /// clocks drifted enough that constant offsets left inversions.
+    /// Per-rank clock-offset tracks the merge applied to the body's
+    /// timestamps (see [`crate::estimate_skew`]); one anchor is a
+    /// constant offset. Empty for single-process dumps and skew-free
+    /// merges.
+    #[serde(default)]
     pub track: Vec<RankTrack>,
     /// Ranks present in the body with zero causal edges: their offset
     /// is 0 by construction, not by evidence. Explicit so a reader can
     /// tell "measured clean" from "never measured".
+    #[serde(default)]
     pub unconstrained: Vec<u32>,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct HeaderLine {
     header: DumpHeader,
 }
 
 /// Render the dump-header line (no trailing newline):
-/// `{"header":{"records":N,"dropped":N,"offsets":[...]}}`.
+/// `{"header":{"records":N,"dropped":N,"track":[...],"unconstrained":[...]}}`.
 pub fn header_line(header: &DumpHeader) -> String {
     serde_json::to_string(&HeaderLine {
         header: header.clone(),
@@ -151,39 +151,70 @@ pub fn header_line(header: &DumpHeader) -> String {
     .expect("DumpHeader serializes to JSON")
 }
 
+/// Decode one JSONL record line.
+pub fn parse_record_line(line: &str) -> Result<FlightRecord, String> {
+    serde_json::from_str(line).map_err(|e| e.to_string())
+}
+
+/// Decode a header line, or `None` if the line is not a header. Keys
+/// this build does not know are ignored and absent `track` /
+/// `unconstrained` lists read as empty, so headers written by earlier
+/// builds (whose `offsets` array described a correction already applied
+/// to the body) still load.
+pub fn parse_header_line(line: &str) -> Option<DumpHeader> {
+    serde_json::from_str::<HeaderLine>(line)
+        .ok()
+        .map(|h| h.header)
+}
+
+enum Line {
+    Header(DumpHeader),
+    Record(FlightRecord),
+}
+
+/// One non-blank line of a JSONL dump, by its zero-based line index:
+/// the header if it is line 0 and reads as one, a record otherwise.
+fn parse_line(i: usize, line: &str) -> Result<Line, String> {
+    if i == 0 {
+        if let Some(h) = parse_header_line(line) {
+            return Ok(Line::Header(h));
+        }
+    }
+    parse_record_line(line)
+        .map(Line::Record)
+        .map_err(|e| format!("line {}: {e}", i + 1))
+}
+
+/// Decode a whole JSONL dump: optional header line, then records.
+pub fn parse_dump(text: &str) -> Result<(Option<DumpHeader>, Vec<FlightRecord>), String> {
+    let mut header = None;
+    let mut records = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match parse_line(i, line)? {
+            Line::Header(h) => header = Some(h),
+            Line::Record(rec) => records.push(rec),
+        }
+    }
+    Ok((header, records))
+}
+
 /// Write the merged timeline as JSONL: one header line, then one record
 /// per line.
 pub fn write_jsonl(path: &Path, timeline: &[FlightRecord], dropped: u64) -> std::io::Result<()> {
-    write_jsonl_with_offsets(path, timeline, dropped, Vec::new())
-}
-
-/// [`write_jsonl`] with applied skew offsets recorded in the header.
-pub fn write_jsonl_with_offsets(
-    path: &Path,
-    timeline: &[FlightRecord],
-    dropped: u64,
-    offsets: Vec<RankOffset>,
-) -> std::io::Result<()> {
-    write_jsonl_with_skew(path, timeline, dropped, offsets, Vec::new(), Vec::new())
-}
-
-/// [`write_jsonl`] with the full skew story — constant offsets,
-/// piecewise tracks, and unconstrained ranks — recorded in the header.
-pub fn write_jsonl_with_skew(
-    path: &Path,
-    timeline: &[FlightRecord],
-    dropped: u64,
-    offsets: Vec<RankOffset>,
-    track: Vec<RankTrack>,
-    unconstrained: Vec<u32>,
-) -> std::io::Result<()> {
-    let mut out = header_line(&DumpHeader {
+    let header = DumpHeader {
         records: timeline.len() as u64,
         dropped,
-        offsets,
-        track,
-        unconstrained,
-    });
+        ..DumpHeader::default()
+    };
+    write_dump(path, &header, timeline)
+}
+
+fn write_dump(path: &Path, header: &DumpHeader, timeline: &[FlightRecord]) -> std::io::Result<()> {
+    let mut out = header_line(header);
     out.push('\n');
     for rec in timeline {
         out.push_str(&jsonl_line(rec));
@@ -360,28 +391,6 @@ pub struct RotateConfig {
     pub max_bytes: u64,
 }
 
-impl RotateConfig {
-    /// `true` when either threshold is set.
-    pub fn is_enabled(&self) -> bool {
-        self.max_records > 0 || self.max_bytes > 0
-    }
-}
-
-/// One completed or active segment in a rotated stream's index.
-#[derive(Clone, Debug, Serialize)]
-struct SegmentIndexEntry {
-    path: String,
-    records: u64,
-    bytes: u64,
-}
-
-#[derive(Serialize)]
-struct SegmentIndexFile {
-    base: String,
-    active: String,
-    segments: Vec<SegmentIndexEntry>,
-}
-
 struct StreamState {
     file: std::fs::File,
     /// Lines rendered but not yet handed to `write(2)`. Only non-empty
@@ -395,7 +404,6 @@ struct StreamState {
     seg: u32,
     seg_records: u64,
     seg_bytes: u64,
-    closed: Vec<SegmentIndexEntry>,
 }
 
 impl StreamState {
@@ -410,77 +418,24 @@ impl StreamState {
         self.pending = 0;
     }
 
-    fn segment_path(&self, seg: u32) -> PathBuf {
-        if seg == 0 {
-            return self.base.clone();
-        }
+    /// Close the active segment and open the next one. A failed
+    /// rotation keeps streaming into the old file — observability
+    /// degrades, the run does not.
+    fn rotate_segment(&mut self) {
+        self.flush();
         let stem = self
             .base
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("stream");
-        self.base.with_file_name(format!("{stem}.seg{seg}.jsonl"))
-    }
-
-    /// Close the active segment and open the next one, rewriting the
-    /// segment index so offline tooling can enumerate the set without
-    /// globbing. A failed rotation keeps streaming into the old file —
-    /// observability degrades, the run does not.
-    fn rotate_segment(&mut self) {
-        self.flush();
-        self.closed.push(SegmentIndexEntry {
-            path: self
-                .segment_path(self.seg)
-                .file_name()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string(),
-            records: self.seg_records,
-            bytes: self.seg_bytes,
-        });
-        let next = self.segment_path(self.seg + 1);
-        match std::fs::File::create(&next) {
-            Ok(f) => {
-                self.file = f;
-                self.seg += 1;
-                self.seg_records = 0;
-                self.seg_bytes = 0;
-            }
-            Err(_) => {
-                self.closed.pop();
-                return;
-            }
-        }
-        let index = SegmentIndexFile {
-            base: self
-                .base
-                .file_name()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string(),
-            active: self
-                .segment_path(self.seg)
-                .file_name()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string(),
-            segments: self.closed.clone(),
-        };
-        if let Ok(body) = serde_json::to_string(&index) {
-            let _ = std::fs::write(segment_index_path(&self.base), body);
+        let next = format!("{stem}.seg{}.jsonl", self.seg + 1);
+        if let Ok(f) = std::fs::File::create(self.base.with_file_name(next)) {
+            self.file = f;
+            self.seg += 1;
+            self.seg_records = 0;
+            self.seg_bytes = 0;
         }
     }
-}
-
-/// Where a rotated [`JsonlStreamSink`]'s segment index lives:
-/// `{stem}.segments.json` next to the base file. Not a `.jsonl`, so
-/// merge-input discovery never mistakes it for a timeline.
-pub fn segment_index_path(base: &Path) -> PathBuf {
-    let stem = base
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("stream");
-    base.with_file_name(format!("{stem}.segments.json"))
 }
 
 /// A [`RecordSink`](crate::monitor::RecordSink) that streams every
@@ -498,12 +453,11 @@ pub fn segment_index_path(base: &Path) -> PathBuf {
 /// syscalls on the recording thread.
 /// With rotation enabled ([`with_rotation`](Self::with_rotation)), the
 /// stream is cut into bounded segment files — `base.jsonl`,
-/// `{stem}.seg1.jsonl`, `{stem}.seg2.jsonl`, … — plus a
-/// `{stem}.segments.json` index, so a week-long soak never holds (or
-/// re-reads) one gigabyte file. Segment 0 keeps the base name, so
-/// consumers of the unrotated layout keep working, and every segment
-/// keeps the `.jsonl` extension, so [`merge_dump_files`] input
-/// discovery picks rotated segments up unchanged.
+/// `{stem}.seg1.jsonl`, `{stem}.seg2.jsonl`, … — so a week-long soak
+/// never holds (or re-reads) one gigabyte file. Segment 0 keeps the
+/// base name, so consumers of the unrotated layout keep working, and
+/// every segment keeps the `.jsonl` extension, so [`merge_dump_files`]
+/// input discovery picks rotated segments up unchanged.
 pub struct JsonlStreamSink {
     flush_every: u32,
     state: parking_lot::Mutex<StreamState>,
@@ -544,7 +498,6 @@ impl JsonlStreamSink {
                 seg: 0,
                 seg_records: 0,
                 seg_bytes: 0,
-                closed: Vec::new(),
             }),
         })
     }
@@ -617,7 +570,7 @@ pub struct MergeSummary {
     pub records: u64,
     /// Summed drop count across the inputs.
     pub dropped: u64,
-    /// The clock-skew estimate (offsets already applied to the output).
+    /// The clock-skew estimate (tracks already applied to the output).
     pub skew: SkewEstimate,
     /// First-divergence triage over the corrected timeline.
     pub triage: Option<Triage>,
@@ -652,12 +605,12 @@ impl MergeSummary {
 /// segment of every process merges through the same path, headerless
 /// files contributing only records.
 ///
-/// Before writing, per-rank clock corrections are estimated from the
-/// timeline's causal edges ([`crate::estimate_skew_drift`]) and
-/// applied, so cross-process skew — constant *or* drifting — cannot
-/// render a delivery before its send; the applied offsets or piecewise
-/// tracks land in the output header, along with ranks whose offset is
-/// unconstrained by any causal edge. Residual inversions (infeasible
+/// Before writing, per-rank clock-offset tracks are estimated from the
+/// timeline's causal edges ([`crate::estimate_skew`]) and applied, so
+/// cross-process skew — constant *or* drifting — cannot render a
+/// delivery before its send; the applied tracks land in the output
+/// header, along with ranks whose offset is unconstrained by any
+/// causal edge. Residual inversions (infeasible
 /// clock model) are reported loudly in the summary, never hidden. A
 /// Perfetto export of the corrected timeline is written next to the
 /// JSONL.
@@ -682,36 +635,25 @@ pub fn merge_dump_files(inputs: &[PathBuf], output: &Path) -> std::io::Result<Me
             if line.is_empty() {
                 continue;
             }
-            if i == 0 {
-                if let Some(h) = crate::jsonparse::parse_header_line(line) {
-                    dropped += h.dropped;
-                    continue;
-                }
+            match parse_line(i, line).map_err(invalid)? {
+                Line::Header(h) => dropped += h.dropped,
+                Line::Record(rec) => all.push(rec),
             }
-            all.push(
-                crate::jsonparse::parse_record_line(line)
-                    .map_err(|e| invalid(format!("line {}: {e}", i + 1)))?,
-            );
         }
     }
-    let skew = crate::skew::estimate_skew_drift(&all);
-    if skew.track.is_empty() {
-        crate::skew::apply_offsets(&mut all, &skew.offsets);
-    } else {
-        crate::skew::apply_track(&mut all, &skew.track);
-    }
+    let skew = crate::skew::estimate_skew(&all);
+    crate::skew::apply_track(&mut all, &skew.track);
     all.sort_by_key(|r| (r.ts_ns, r.rank, r.clock, r.event.kind_index()));
     if let Some(parent) = output.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    write_jsonl_with_skew(
-        output,
-        &all,
+    let header = DumpHeader {
+        records: all.len() as u64,
         dropped,
-        skew.header_offsets(),
-        skew.header_track(),
-        skew.unconstrained.clone(),
-    )?;
+        track: skew.header_track(),
+        unconstrained: skew.unconstrained.clone(),
+    };
+    write_dump(output, &header, &all)?;
     let trace = output.with_extension("trace.json");
     write_chrome_trace(&trace, &all)?;
     Ok(MergeSummary {
@@ -868,9 +810,7 @@ mod tests {
             header_line(&DumpHeader {
                 records: 2,
                 dropped: 3,
-                offsets: Vec::new(),
-                track: Vec::new(),
-                unconstrained: Vec::new(),
+                ..DumpHeader::default()
             })
         );
         assert_eq!(lines.next().unwrap(), jsonl_line(&tl[0]));
@@ -900,14 +840,12 @@ mod tests {
         assert_eq!(summary.dropped, 0);
         assert!(!summary.skew.is_correction());
         assert!(summary.trace.exists(), "{:?}", summary.trace);
-        let (h, records) =
-            crate::jsonparse::parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
+        let (h, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
         assert_eq!(
             h,
             Some(DumpHeader {
                 records: 3,
                 dropped: 0,
-                offsets: Vec::new(),
                 track: Vec::new(),
                 // The send was never delivered and rank 1 only restarted:
                 // neither rank's clock is tied to the other by evidence,
@@ -948,17 +886,13 @@ mod tests {
         let summary = merge_dump_files(&[a_path, b_path], &merged).unwrap();
         assert_eq!(summary.skew.inversions_before, 1);
         assert_eq!(summary.skew.inversions_after, 0);
-        assert_eq!(summary.skew.offsets[&1], 4_000_000);
         let body = std::fs::read_to_string(&merged).unwrap();
-        let (h, records) = crate::jsonparse::parse_dump(&body).unwrap();
+        let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
-        assert_eq!(
-            h.offsets,
-            vec![crate::skew::RankOffset {
-                rank: 1,
-                offset_ns: 4_000_000,
-            }]
-        );
+        // A constant skew is a one-anchor track.
+        assert_eq!(h.track.len(), 1);
+        assert_eq!(h.track[0].rank, 1);
+        assert_eq!(h.track[0].anchors, vec![4_000_000]);
         // Corrected order: send strictly precedes deliver.
         assert_eq!(records[0].rank, 0);
         assert_eq!(records[1].ts_ns, 6_000_000);
@@ -989,7 +923,7 @@ mod tests {
         drop(sink);
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 6);
-        let (_, records) = crate::jsonparse::parse_dump(&body).unwrap();
+        let (_, records) = parse_dump(&body).unwrap();
         assert_eq!(records.len(), 6);
     }
 
@@ -1024,18 +958,11 @@ mod tests {
             4,
             "segment 0 capped at max_records"
         );
-        // The index names the closed segments and the active one.
-        let idx = std::fs::read_to_string(segment_index_path(&base)).unwrap();
-        assert!(idx.contains("\"cn0-i0.jsonl\""), "{idx}");
-        assert!(idx.contains("\"cn0-i0.seg1.jsonl\""), "{idx}");
-        assert!(idx.contains("\"records\":4"), "{idx}");
-        assert!(idx.contains("\"active\":\"cn0-i0.seg2.jsonl\""), "{idx}");
         // Merging the segments restores the full, ordered timeline.
         let merged = dir.join("merged.jsonl");
         let summary = merge_dump_files(&[base, seg1, seg2], &merged).unwrap();
         assert_eq!(summary.records, 10);
-        let (_, records) =
-            crate::jsonparse::parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
+        let (_, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
         let clocks: Vec<u64> = records.iter().map(|r| r.clock).collect();
         assert_eq!(clocks, (1..=10).collect::<Vec<_>>());
     }
@@ -1120,14 +1047,16 @@ mod tests {
         assert_eq!(summary.skew.inversions_after, 0, "{}", summary.summary());
         assert!(!summary.skew.track.is_empty());
         let body = std::fs::read_to_string(&merged).unwrap();
-        let (h, records) = crate::jsonparse::parse_dump(&body).unwrap();
+        let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
-        // The track (not constant offsets) is what the header records.
-        assert!(h.offsets.is_empty());
         assert!(h.track.iter().any(|t| t.rank == 1 && t.anchors.len() >= 3));
         assert_eq!(crate::skew::count_inversions(&records), 0);
         assert!(validate_records(&records).is_ok());
-        assert!(summary.summary().contains("drift-corrected"));
+        assert!(
+            summary.summary().contains("drift +"),
+            "{}",
+            summary.summary()
+        );
     }
 
     #[test]
@@ -1147,5 +1076,248 @@ mod tests {
         let s = truncated.summary();
         assert!(s.contains("WARNING"), "{s}");
         assert!(s.contains("7 record(s) lost"), "{s}");
+    }
+
+    // ---- the reader: derived types through `serde_json::from_str` ----
+
+    use crate::diff::RunProfile;
+    use crate::event::arbitrary;
+    use crate::hist::HistSummary;
+    use crate::timings::TimingSummary;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    #[test]
+    fn every_event_kind_roundtrips_through_the_writer() {
+        let mut rng = TestRng::deterministic();
+        for _ in 0..32 {
+            for rec in arbitrary::one_of_each_kind(&mut rng) {
+                let line = jsonl_line(&rec);
+                let back = parse_record_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(back, rec, "{line}");
+                let pretty = serde_json::to_string_pretty(&rec).unwrap();
+                assert_eq!(parse_record_line(&pretty), Ok(rec), "{pretty}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_extremes_roundtrip() {
+        let rec = rec(
+            u32::MAX,
+            u64::MAX,
+            u64::MAX,
+            ProtoEvent::Finish { clock: 0 },
+        );
+        assert_eq!(parse_record_line(&jsonl_line(&rec)), Ok(rec));
+        let hdr = DumpHeader {
+            records: u64::MAX,
+            dropped: 0,
+            track: vec![RankTrack {
+                rank: 0,
+                start_ns: u64::MAX,
+                seg_ns: 1,
+                anchors: vec![i64::MIN, -1, 0, i64::MAX],
+            }],
+            unconstrained: vec![u32::MAX],
+        };
+        assert_eq!(parse_header_line(&header_line(&hdr)), Some(hdr));
+    }
+
+    fn arb_header() -> impl Strategy<Value = DumpHeader> {
+        let track = (
+            0u32..=u32::MAX,
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            collection::vec(i64::MIN..i64::MAX, 0..6),
+        )
+            .prop_map(|(rank, start_ns, seg_ns, anchors)| RankTrack {
+                rank,
+                start_ns,
+                seg_ns,
+                anchors,
+            });
+        (
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            collection::vec(track, 0..4),
+            collection::vec(0u32..=u32::MAX, 0..4),
+        )
+            .prop_map(|(records, dropped, track, unconstrained)| DumpHeader {
+                records,
+                dropped,
+                track,
+                unconstrained,
+            })
+    }
+
+    fn arb_profile() -> impl Strategy<Value = RunProfile> {
+        let hist = collection::vec(0u64..=u64::MAX, 7).prop_map(|v| HistSummary {
+            count: v[0],
+            sum: v[1],
+            min: v[2],
+            max: v[3],
+            p50: v[4],
+            p90: v[5],
+            p99: v[6],
+        });
+        let counters = || {
+            collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX), 0..6).prop_map(|pairs| {
+                let mut rng = TestRng::deterministic();
+                pairs
+                    .into_iter()
+                    .map(|(k, v)| (format!("{k}-{}", arbitrary::text(&mut rng)), v))
+                    .collect::<std::collections::BTreeMap<String, u64>>()
+            })
+        };
+        (
+            collection::vec(hist, 4),
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            counters(),
+            counters(),
+        )
+            .prop_map(
+                |(h, records, critical_total_ns, critical, events)| RunProfile {
+                    records,
+                    timings: TimingSummary {
+                        gate_wait: h[0],
+                        el_ack_rtt: h[1],
+                        ckpt_store: h[2],
+                        replay: h[3],
+                    },
+                    critical_total_ns,
+                    critical,
+                    events,
+                },
+            )
+    }
+
+    proptest! {
+        #[test]
+        fn generated_headers_roundtrip(hdr in arb_header()) {
+            let line = header_line(&hdr);
+            prop_assert_eq!(parse_header_line(&line), Some(hdr), "{}", line);
+        }
+
+        #[test]
+        fn generated_profiles_roundtrip_compact_and_pretty(p in arb_profile()) {
+            prop_assert_eq!(RunProfile::parse(&p.to_json()).as_ref(), Ok(&p));
+            let compact = serde_json::to_string(&p).unwrap();
+            prop_assert_eq!(RunProfile::parse(&compact), Ok(p));
+        }
+    }
+
+    /// Every prefix of `line` and every single-byte substitution must
+    /// come back as `Err` or as some value — never a panic.
+    fn mangle(line: &str, parse: impl Fn(&str)) {
+        for end in 0..line.len() {
+            if line.is_char_boundary(end) {
+                parse(&line[..end]);
+            }
+        }
+        let mut bytes = line.as_bytes().to_vec();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for b in [
+                b'"', b'\\', b'{', b'}', b'[', b']', b',', b':', b'-', b'.', b'0', b'u', b' ',
+            ] {
+                bytes[i] = b;
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    parse(text);
+                }
+            }
+            bytes[i] = original;
+        }
+    }
+
+    #[test]
+    fn truncated_and_corrupted_lines_never_panic() {
+        let mut rng = TestRng::deterministic();
+        for rec in arbitrary::one_of_each_kind(&mut rng) {
+            mangle(&jsonl_line(&rec), |text| {
+                let _ = parse_record_line(text);
+                let _ = parse_dump(text);
+            });
+        }
+        let hdr = arb_header().generate(&mut rng);
+        mangle(&header_line(&hdr), |text| {
+            let _ = parse_header_line(text);
+        });
+        let profile = arb_profile().generate(&mut rng);
+        mangle(&serde_json::to_string(&profile).unwrap(), |text| {
+            let _ = RunProfile::parse(text);
+        });
+    }
+
+    #[test]
+    fn a_truncated_record_line_is_an_error() {
+        let line = jsonl_line(&rec(1, 2, 3, send(0, 2, 8)));
+        for end in 0..line.len() {
+            assert!(parse_record_line(&line[..end]).is_err(), "{}", &line[..end]);
+        }
+    }
+
+    #[test]
+    fn floats_and_unknown_event_tags_are_errors_naming_the_offender() {
+        let err =
+            parse_record_line(r#"{"rank":0,"clock":1,"ts_ns":1.5,"event":{"Finish":{"clock":1}}}"#)
+                .unwrap_err();
+        assert!(err.contains("`1.5` is not a 64-bit integer"), "{err}");
+        let err =
+            parse_record_line(r#"{"rank":0,"clock":1,"ts_ns":1,"event":{"Teleport":{"clock":1}}}"#)
+                .unwrap_err();
+        assert!(
+            err.contains("unknown variant `Teleport` of ProtoEvent"),
+            "{err}"
+        );
+        let err = parse_record_line(r#"{"rank":0,"clock":1,"ts_ns":1,"event":{"Finish":{}}}"#)
+            .unwrap_err();
+        assert!(err.contains("missing field `clock`"), "{err}");
+        let err = parse_dump("{\"header\":{\"records\":0,\"dropped\":0}}\nnot json\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn dump_with_header_parses() {
+        let rec = rec(0, 1, 10, ProtoEvent::Finish { clock: 1 });
+        let hdr = DumpHeader {
+            records: 1,
+            dropped: 2,
+            ..DumpHeader::default()
+        };
+        let text = format!("{}\n{}\n", header_line(&hdr), jsonl_line(&rec));
+        assert_eq!(parse_dump(&text), Ok((Some(hdr), vec![rec])));
+    }
+
+    #[test]
+    fn headerless_dump_still_parses() {
+        let rec = rec(0, 1, 10, ProtoEvent::Restart1 { rank: 0 });
+        let text = format!("{}\n", jsonl_line(&rec));
+        assert_eq!(parse_dump(&text), Ok((None, vec![rec])));
+    }
+
+    #[test]
+    fn headers_written_by_earlier_builds_still_parse() {
+        // Before the piecewise track existed: constant `offsets`, no
+        // `track` / `unconstrained` keys. The offsets were applied to
+        // the body when it was written, so ignoring them loses nothing.
+        let line = r#"{"header":{"records":5,"dropped":1,"offsets":[{"rank":2,"offset_ns":300}]}}"#;
+        assert_eq!(
+            parse_header_line(line),
+            Some(DumpHeader {
+                records: 5,
+                dropped: 1,
+                ..DumpHeader::default()
+            })
+        );
+        // The parent commit's shape: all three lists present.
+        let line = r#"{"header":{"records":7,"dropped":0,"offsets":[],"track":[{"rank":1,"start_ns":1000000,"seg_ns":250000,"anchors":[0,5000,-20,11000]}],"unconstrained":[3,9]}}"#;
+        let h = parse_header_line(line).expect("parent-format header parses");
+        assert_eq!(h.track[0].anchors, vec![0, 5_000, -20, 11_000]);
+        assert_eq!(h.unconstrained, vec![3, 9]);
+        // The original header: counters only.
+        let h = parse_header_line(r#"{"header":{"records":2,"dropped":0}}"#).expect("parses");
+        assert_eq!((h.records, h.track.len()), (2, 0));
     }
 }

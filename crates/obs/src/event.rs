@@ -345,132 +345,170 @@ pub struct FlightRecord {
 /// driver and harnesses rather than a computing rank.
 pub const DISPATCHER_RANK: u32 = u32::MAX;
 
+/// Generated test vocabulary, kept beside the schema so that adding a
+/// variant or a field is an edit to this file alone: every test that
+/// needs "one of each kind" walks [`next_kind`](arbitrary::next_kind)
+/// instead of keeping its own list.
+#[cfg(test)]
+pub(crate) mod arbitrary {
+    use super::*;
+    use proptest::TestRng;
+
+    /// Text that stresses a JSON string: quotes, backslashes, control
+    /// characters, non-ASCII.
+    pub fn text(rng: &mut TestRng) -> String {
+        const PALETTE: [char; 16] = [
+            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1b}', '\u{7f}', 'é',
+            '日', '\u{2028}', '😀',
+        ];
+        (0..rng.below(9))
+            .map(|_| PALETTE[rng.below(PALETTE.len() as u64) as usize])
+            .collect()
+    }
+
+    /// An event of the kind declared after `prev`'s — the first kind
+    /// for `None`, `None` after the last — with fields drawn from
+    /// `rng`. The `match` has no wildcard arm, so a new variant does not
+    /// compile until it is linked into the chain here.
+    pub fn next_kind(prev: Option<&ProtoEvent>, rng: &mut TestRng) -> Option<ProtoEvent> {
+        use ProtoEvent::*;
+        let mut n = || rng.next_u64();
+        Some(match prev {
+            None => Send {
+                to: n() as u32,
+                clock: n(),
+                bytes: n(),
+                disposition: [
+                    SendDisposition::Wire,
+                    SendDisposition::Gated,
+                    SendDisposition::Suppressed,
+                ][(n() % 3) as usize],
+            },
+            Some(Send { .. }) => GateDefer {
+                to: n() as u32,
+                clock: n(),
+                queued: n(),
+            },
+            Some(GateDefer { .. }) => GateOpen {
+                released: n(),
+                waited_ns: n(),
+            },
+            Some(GateOpen { .. }) => Deliver {
+                from: n() as u32,
+                sender_clock: n(),
+                receiver_clock: n(),
+                replay: n() % 2 == 0,
+            },
+            Some(Deliver { .. }) => DuplicateDropped {
+                from: n() as u32,
+                sender_clock: n(),
+            },
+            Some(DuplicateDropped { .. }) => ElShip {
+                events: n(),
+                from_clock: n(),
+                up_to: n(),
+            },
+            Some(ElShip { .. }) => ElAck {
+                up_to: n(),
+                batches_retired: n(),
+                rtt_ns: n(),
+            },
+            Some(ElAck { .. }) => CkptBegin {
+                seq: n(),
+                bytes: n(),
+            },
+            Some(CkptBegin { .. }) => CkptCommit {
+                seq: n(),
+                store_ns: n(),
+            },
+            Some(CkptCommit { .. }) => CkptGc {
+                peer: n() as u32,
+                bytes_freed: n(),
+            },
+            Some(CkptGc { .. }) => Restart1 { rank: n() as u32 },
+            Some(Restart1 { .. }) => Restart2 {
+                peer: n() as u32,
+                watermark: n(),
+            },
+            Some(Restart2 { .. }) => RecoveryBegin {
+                restored_clock: n(),
+            },
+            Some(RecoveryBegin { .. }) => ReplayStep {
+                from: n() as u32,
+                sender_clock: n(),
+                receiver_clock: n(),
+            },
+            Some(ReplayStep { .. }) => ReplayDone {
+                replayed: n(),
+                replay_ns: n(),
+            },
+            Some(ReplayDone { .. }) => ChaosKill {
+                victim: n() as u32,
+                rekill: n() % 2 == 0,
+            },
+            Some(ChaosKill { .. }) => ServiceKill { service: text(rng) },
+            Some(ServiceKill { .. }) => Finish { clock: n() },
+            Some(Finish { .. }) => RespawnScheduled {
+                rank: n() as u32,
+                attempt: n(),
+            },
+            Some(RespawnScheduled { .. }) => Divergence { detail: text(rng) },
+            Some(Divergence { .. }) => ElReplicaAck {
+                shard: n() as u32,
+                replica: n() as u32,
+                up_to: n(),
+            },
+            Some(ElReplicaAck { .. }) => ElReplicaRevive {
+                shard: n() as u32,
+                replica: n() as u32,
+                caught_up: n(),
+            },
+            Some(ElReplicaRevive { .. }) => TransportUp {
+                incarnation: n(),
+                peer: text(rng),
+            },
+            Some(TransportUp { .. }) => TransportDown {
+                peer: text(rng),
+                cause: text(rng),
+            },
+            Some(TransportDown { .. }) => return None,
+        })
+    }
+
+    /// One record of every event kind, in declaration order.
+    pub fn one_of_each_kind(rng: &mut TestRng) -> Vec<FlightRecord> {
+        let mut out: Vec<FlightRecord> = Vec::new();
+        while let Some(event) = next_kind(out.last().map(|r| &r.event), rng) {
+            out.push(FlightRecord {
+                rank: rng.next_u64() as u32,
+                clock: rng.next_u64(),
+                ts_ns: rng.next_u64(),
+                event,
+            });
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn serde_roundtrip_all_kinds() {
-        let samples = vec![
-            ProtoEvent::Send {
-                to: 1,
-                clock: 2,
-                bytes: 3,
-                disposition: SendDisposition::Wire,
-            },
-            ProtoEvent::Send {
-                to: 1,
-                clock: 3,
-                bytes: 3,
-                disposition: SendDisposition::Suppressed,
-            },
-            ProtoEvent::GateDefer {
-                to: 1,
-                clock: 2,
-                queued: 4,
-            },
-            ProtoEvent::GateOpen {
-                released: 4,
-                waited_ns: 900,
-            },
-            ProtoEvent::Deliver {
-                from: 0,
-                sender_clock: 9,
-                receiver_clock: 10,
-                replay: true,
-            },
-            ProtoEvent::DuplicateDropped {
-                from: 2,
-                sender_clock: 5,
-            },
-            ProtoEvent::ElShip {
-                events: 8,
-                from_clock: 37,
-                up_to: 44,
-            },
-            ProtoEvent::ElAck {
-                up_to: 44,
-                batches_retired: 2,
-                rtt_ns: 1200,
-            },
-            ProtoEvent::CkptBegin {
-                seq: 3,
-                bytes: 4096,
-            },
-            ProtoEvent::CkptCommit {
-                seq: 3,
-                store_ns: 88_000,
-            },
-            ProtoEvent::CkptGc {
-                peer: 1,
-                bytes_freed: 512,
-            },
-            ProtoEvent::Restart1 { rank: 2 },
-            ProtoEvent::Restart2 {
-                peer: 0,
-                watermark: 17,
-            },
-            ProtoEvent::RecoveryBegin { restored_clock: 12 },
-            ProtoEvent::ReplayStep {
-                from: 1,
-                sender_clock: 6,
-                receiver_clock: 13,
-            },
-            ProtoEvent::ReplayDone {
-                replayed: 5,
-                replay_ns: 70_000,
-            },
-            ProtoEvent::ChaosKill {
-                victim: 3,
-                rekill: false,
-            },
-            ProtoEvent::ServiceKill {
-                service: "cs".into(),
-            },
-            ProtoEvent::Finish { clock: 99 },
-            ProtoEvent::RespawnScheduled {
-                rank: 3,
-                attempt: 2,
-            },
-            ProtoEvent::Divergence {
-                detail: "rank 1 payload mismatch".into(),
-            },
-            ProtoEvent::ElReplicaAck {
-                shard: 1,
-                replica: 0,
-                up_to: 44,
-            },
-            ProtoEvent::ElReplicaRevive {
-                shard: 1,
-                replica: 1,
-                caught_up: 37,
-            },
-            ProtoEvent::TransportUp {
-                peer: "cn3".into(),
-                incarnation: 2,
-            },
-            ProtoEvent::TransportDown {
-                peer: "el0".into(),
-                cause: "read-timeout".into(),
-            },
-        ];
-        let mut kinds = std::collections::BTreeSet::new();
-        for (i, ev) in samples.into_iter().enumerate() {
-            let rec = FlightRecord {
-                rank: i as u32,
-                clock: i as u64,
-                ts_ns: 1000 + i as u64,
-                event: ev,
-            };
-            let enc = bincode::serialize(&rec).unwrap();
+        let mut rng = proptest::TestRng::deterministic();
+        let records = arbitrary::one_of_each_kind(&mut rng);
+        for (i, rec) in records.iter().enumerate() {
+            let enc = bincode::serialize(rec).unwrap();
             let dec: FlightRecord = bincode::deserialize(&enc).unwrap();
-            assert_eq!(rec, dec);
+            assert_eq!(*rec, dec);
             assert!(!rec.event.kind().is_empty());
             assert!(!rec.event.phase().is_empty());
-            kinds.insert((rec.event.kind_index(), rec.event.kind()));
+            // The chain walks the vocabulary in declaration order, so
+            // `kind_index` is injective and gap-free over it.
+            assert_eq!(rec.event.kind_index() as usize, i, "{:?}", rec.event);
         }
-        // kind_index is injective over the vocabulary (the two Send
-        // samples share one ordinal by design).
-        assert_eq!(kinds.len(), 24);
+        let kinds: std::collections::BTreeSet<_> = records.iter().map(|r| r.event.kind()).collect();
+        assert_eq!(kinds.len(), records.len(), "kind() names are distinct");
     }
 }

@@ -26,7 +26,6 @@ mod dump;
 mod event;
 mod health;
 mod hist;
-mod jsonparse;
 mod monitor;
 mod prom;
 mod recorder;
@@ -39,20 +38,18 @@ mod window;
 pub use causal::{write_flow_trace, CausalGraph, CriticalPath, CriticalStep, EdgeCat};
 pub use diff::{compare, DiffReport, MetricDelta, RunProfile, NOISE_FLOOR_EVENTS, NOISE_FLOOR_NS};
 pub use dump::{
-    header_line, jsonl_line, merge_dump_files, segment_index_path, triage, validate_records,
-    write_chrome_trace, write_jsonl, DumpHeader, DumpPaths, JsonlStreamSink, MergeSummary,
-    RotateConfig, TeeSink, Triage,
+    header_line, jsonl_line, merge_dump_files, parse_dump, parse_header_line, parse_record_line,
+    triage, validate_records, write_chrome_trace, write_jsonl, DumpHeader, DumpPaths,
+    JsonlStreamSink, MergeSummary, RotateConfig, TeeSink, Triage,
 };
 pub use event::{FlightRecord, ProtoEvent, SendDisposition, DISPATCHER_RANK};
 pub use health::HealthServer;
 pub use hist::{HistSummary, LogHistogram};
-pub use jsonparse::{parse, parse_dump, parse_header_line, parse_record_line, Json};
 pub use monitor::{InvariantMonitor, RecordSink, Violation};
 pub use prom::{timing_families, window_families, PromPage};
 pub use recorder::{epoch_from_unix_ns, unix_now_ns, Recorder, RecorderConfig, RecorderHub};
 pub use skew::{
-    apply_offsets, apply_track, count_inversions, estimate_skew, estimate_skew_drift, OffsetTrack,
-    RankOffset, RankTrack, SkewEstimate,
+    apply_track, count_inversions, estimate_skew, OffsetTrack, RankTrack, SkewEstimate,
 };
 pub use span::{DeliveryLeg, Orphan, OrphanKind, Span, SpanKey, SpanSet};
 pub use telemetry::{TelemetrySink, TelemetrySnapshot};

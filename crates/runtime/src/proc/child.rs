@@ -298,8 +298,8 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
         let tel = Arc::new(TelemetrySink::new(TELEMETRY_CAPACITY));
         let path = format!("{dir}/cn{}-i{}.jsonl", rank.0, spec.incarnation);
         // Long-horizon runs rotate the durable stream into bounded
-        // segments (indexed in a sidecar, merged like any input);
-        // with both thresholds 0 this is exactly the single-file path.
+        // segments (merged like any input); with both thresholds 0
+        // this is exactly the single-file path.
         let rotate = RotateConfig {
             max_records: spec.rotate_records,
             max_bytes: spec.rotate_bytes,

@@ -79,13 +79,12 @@ pub struct ProcOptions {
     pub epoch_skew: Vec<(Rank, i64)>,
     /// Per-rank injected clock-drift rates in parts-per-billion — the
     /// rank's recorder clock runs fast (positive) or slow (negative)
-    /// by this much, exercising the drift-aware piecewise merge
-    /// correction the way a real bad oscillator would.
+    /// by this much, exercising the merge's multi-anchor clock tracks
+    /// the way a real bad oscillator would.
     pub epoch_drift: Vec<(Rank, i64)>,
     /// Rotate children's durable JSONL streams after this many records
-    /// per segment (0 = never). Closed segments are indexed in a
-    /// `*.segments.json` sidecar and consumed by the merge like any
-    /// other input.
+    /// per segment (0 = never). Every segment keeps the `.jsonl`
+    /// extension, so the merge picks it up like any other input.
     pub rotate_records: u64,
     /// Rotate children's durable JSONL streams once a segment exceeds
     /// this many bytes (0 = never).

@@ -2557,9 +2557,7 @@ mod tests {
         let mut out = mvr_obs::header_line(&mvr_obs::DumpHeader {
             records: timeline.len() as u64,
             dropped: hub.dropped(),
-            offsets: Vec::new(),
-            track: Vec::new(),
-            unconstrained: Vec::new(),
+            ..mvr_obs::DumpHeader::default()
         });
         for rec in &timeline {
             out.push_str(&mvr_obs::jsonl_line(rec));

@@ -331,7 +331,7 @@ fn block_mul_acc(c: &mut [f64], a: &[f64], b: &[f64], nb: usize) {
 }
 
 /// Run (or resume) Cannon's algorithm; returns the global checksum
-/// Σᵢⱼ C[i][j] (verified against a closed-form single-node reference in
+/// `Σᵢⱼ C[i][j]` (verified against a closed-form single-node reference in
 /// the tests). Checkpoint sites sit between shift stages.
 pub fn cannon<C: Channel>(
     mpi: &mut Mpi<C>,
