@@ -26,7 +26,7 @@
 
 use mvr_core::{Payload, Rank};
 use mvr_mpi::{MpiResult, Source, Tag};
-use mvr_obs::{ProtoEvent, RecorderConfig, DISPATCHER_RANK};
+use mvr_obs::{ProtoEvent, DISPATCHER_RANK};
 use mvr_runtime::{
     ChaosConfig, Cluster, ClusterConfig, NodeMpi, SchedulerConfig, TurbulenceConfig,
 };
@@ -122,8 +122,8 @@ fn main() {
                 ..Default::default()
             }),
             turbulence: Some(TurbulenceConfig::delays(seed ^ 0x7A17, 50)),
-            obs: RecorderConfig::enabled(),
-            obs_dump_dir: Some(dump_dir.clone()),
+            // Recording on; a failing run leaves its merged timeline here.
+            obs_dir: Some(dump_dir.clone()),
             ..Default::default()
         };
         let cluster = Cluster::launch(cfg, stream_app(MSGS));
@@ -133,7 +133,7 @@ fn main() {
         let report = match cluster.wait_report(Duration::from_secs(120)) {
             Ok(r) => r,
             Err(e) => {
-                // The dispatcher already dumped the timeline (obs_dump_dir).
+                // The dispatcher already dumped the timeline (obs_dir).
                 eprintln!("seed {seed}: cluster error: {e}");
                 eprintln!("triage: flight-recorder dump in {}", dump_dir.display());
                 std::process::exit(1);

@@ -19,8 +19,8 @@
 use mvr_bench::{print_table, write_json};
 use mvr_core::{Payload, Rank};
 use mvr_mpi::{MpiResult, Source, Tag};
-use mvr_obs::{ProtoEvent, RecorderConfig, TimingSummary, DISPATCHER_RANK};
-use mvr_runtime::proc::{maybe_run_child, run_proc, ProcOptions};
+use mvr_obs::{ProtoEvent, TimingSummary, DISPATCHER_RANK};
+use mvr_runtime::proc::{maybe_run_child, run_proc};
 use mvr_runtime::{
     ChaosConfig, Cluster, ClusterConfig, NodeMpi, RunReport, SchedulerConfig, TurbulenceConfig,
 };
@@ -368,8 +368,8 @@ fn run_scenario(pattern: Pattern, storm: &Storm, seed: u64, dump_ok: bool) -> Sc
         chaos: Some(storm_chaos(storm, seed)),
         // Seeded per-link jitter rides along in every scenario.
         turbulence: Some(TurbulenceConfig::delays(seed ^ 0x7A17, 50)),
-        obs: RecorderConfig::enabled(),
-        obs_dump_dir: Some(dump_dir.clone()),
+        // Recording on; a failing run leaves its merged timeline here.
+        obs_dir: Some(dump_dir.clone()),
         ..Default::default()
     };
     let start = Instant::now();
@@ -413,7 +413,7 @@ fn run_scenario(pattern: Pattern, storm: &Storm, seed: u64, dump_ok: bool) -> Sc
                 (false, Some(format!("{detail}{note}")), Some(report))
             }
         },
-        // The dispatcher dumped the timeline on its way out (obs_dump_dir).
+        // The dispatcher dumped the timeline on its way out (obs_dir).
         Err(e) => (
             false,
             Some(format!("{e} [flight recorder: {}]", dump_dir.display())),
@@ -482,9 +482,9 @@ fn run_proc_scenario(seed: u64) -> ScenarioResult {
     let cs_kills = plan.iter().filter(|e| e.kill_checkpoint_server).count() as u64;
     let el_kills = plan.iter().filter(|e| e.kill_el_replica.is_some()).count() as u64;
 
-    let mut opts = ProcOptions::new(WORLD, format!("soak-ring {PROC_ITERS}"));
-    opts.el_shards = 1;
+    let mut opts = ClusterConfig::new(WORLD, format!("soak-ring {PROC_ITERS}"));
     opts.el_replicas = PROC_EL_REPLICAS;
+    opts.checkpointing = Some(SchedulerConfig::default());
     opts.timeout = TIMEOUT;
     opts.chaos = Some(chaos);
 

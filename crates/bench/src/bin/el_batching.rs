@@ -18,8 +18,6 @@ use serde::Serialize;
 #[derive(Serialize)]
 struct Row {
     workload: &'static str,
-    /// True for the self-tuning policy (`el_batch_max` is then its cap).
-    adaptive: bool,
     el_batch_max: u64,
     msgs_delivered: u64,
     el_events: u64,
@@ -113,17 +111,9 @@ fn main() {
     let mut rows = Vec::new();
     for (name, traces, nodes) in &workloads {
         let mut eager_makespan = 0;
-        // The fixed-threshold sweep, then the self-tuning policy capped at
-        // the sweep's largest constant — the ROADMAP claim is that it
-        // matches the best hand-tuned point without picking one.
-        for (adaptive, batch) in batch_sweep
-            .iter()
-            .map(|&b| (false, b))
-            .chain([(true, *batch_sweep.last().unwrap())])
-        {
+        for &batch in batch_sweep {
             let mut cfg = ClusterConfig::paper_cluster(Protocol::V2, *nodes);
             cfg.el_batch_max = batch;
-            cfg.el_batch_adaptive = adaptive;
             let rep = simulate(cfg, traces.clone());
             if batch == 1 {
                 eager_makespan = rep.makespan;
@@ -143,11 +133,7 @@ fn main() {
             );
             rows.push(vec![
                 name.to_string(),
-                if adaptive {
-                    format!("adapt≤{batch}")
-                } else {
-                    batch.to_string()
-                },
+                batch.to_string(),
                 rep.msgs_delivered.to_string(),
                 rep.el_events.to_string(),
                 rep.el_requests.to_string(),
@@ -158,7 +144,6 @@ fn main() {
             ]);
             out.push(Row {
                 workload: name,
-                adaptive,
                 el_batch_max: batch,
                 msgs_delivered: rep.msgs_delivered,
                 el_events: rep.el_events,
@@ -197,7 +182,7 @@ fn main() {
     // Self-check the acceptance claims so CI fails loudly if the model
     // drifts: batched burst workloads < 1.0, eager ≈ 1.0.
     for r in &out {
-        if r.el_batch_max == 1 && !r.adaptive {
+        if r.el_batch_max == 1 {
             assert!(
                 (r.round_trips_per_message - 1.0).abs() < 0.05,
                 "{}: eager logging should be ~1.0 rt/msg, got {}",
@@ -211,34 +196,6 @@ fn main() {
                 "{}: batching should amortize round-trips, got {}",
                 r.workload,
                 r.round_trips_per_message
-            );
-        }
-    }
-    // The self-tuning policy must track the best fixed threshold: on
-    // burst workloads it amortizes like the widest constant; on the
-    // adversarial ping-pong it must not regress the makespan (it narrows
-    // back to per-event flushes).
-    for (name, _, _) in &workloads {
-        let adapt = out
-            .iter()
-            .find(|r| r.workload == *name && r.adaptive)
-            .unwrap();
-        let best_fixed = out
-            .iter()
-            .filter(|r| r.workload == *name && !r.adaptive)
-            .map(|r| r.makespan_s)
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            adapt.makespan_s <= best_fixed * 1.10,
-            "{name}: adaptive makespan {:.4}s vs best fixed {:.4}s",
-            adapt.makespan_s,
-            best_fixed
-        );
-        if *name != "pingpong" {
-            assert!(
-                adapt.round_trips_per_message < 1.0,
-                "{name}: adaptive batching should amortize round-trips, got {}",
-                adapt.round_trips_per_message
             );
         }
     }

@@ -17,10 +17,7 @@
 
 use mvr_core::{Payload, Rank};
 use mvr_mpi::{MpiResult, Source, Tag};
-use mvr_obs::{
-    header_line, jsonl_line, validate_records, DumpHeader, ProtoEvent, RecorderConfig,
-    DISPATCHER_RANK,
-};
+use mvr_obs::{header_line, jsonl_line, validate_records, DumpHeader, ProtoEvent, DISPATCHER_RANK};
 use mvr_runtime::{
     ChaosConfig, Cluster, ClusterConfig, NodeMpi, SchedulerConfig, TurbulenceConfig,
 };
@@ -104,8 +101,8 @@ fn main() {
             ..Default::default()
         }),
         turbulence: Some(TurbulenceConfig::delays(SEED ^ 0x7A17, 50)),
-        obs: RecorderConfig::enabled(),
-        obs_dump_dir: Some(dump_dir.clone()),
+        // Recording on; a failing run leaves its merged timeline here.
+        obs_dir: Some(dump_dir.clone()),
         monitor: true,
         ..Default::default()
     };

@@ -17,8 +17,8 @@ use mvr_bench::write_json;
 use mvr_core::{NodeId, Payload, Rank};
 use mvr_mpi::{MpiResult, Source, Tag};
 use mvr_obs::{parse_dump, validate_records, InvariantMonitor, SpanSet};
-use mvr_runtime::proc::{maybe_run_child, run_proc, ProcOptions};
-use mvr_runtime::NodeMpi;
+use mvr_runtime::proc::{maybe_run_child, run_proc};
+use mvr_runtime::{ClusterConfig, NodeMpi, SchedulerConfig};
 use serde::{Deserialize, Serialize};
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
@@ -218,9 +218,10 @@ fn main() {
     let obs_dir = PathBuf::from("results").join("proc_smoke_obs");
     let _ = std::fs::remove_dir_all(&obs_dir);
 
-    let mut opts = ProcOptions::new(WORLD, format!("soak-ring {ITERS}"));
-    opts.el_shards = 1;
+    let mut opts = ClusterConfig::new(WORLD, format!("soak-ring {ITERS}"));
     opts.el_replicas = 3;
+    opts.checkpointing = Some(SchedulerConfig::default());
+    opts.monitor = true;
     opts.timeout = Duration::from_secs(90);
     // The pinned fault plan: a rank dies mid-stream, then an EL replica
     // dies while the quorum gate is hot. Both are real SIGKILLs.
@@ -234,7 +235,7 @@ fn main() {
     std::fs::create_dir_all(&obs_dir).unwrap_or_else(|e| fail(&format!("obs dir: {e}")));
     let addr_file = obs_dir.join("health.addr");
     opts.health_addr = Some("127.0.0.1:0".into());
-    opts.health_addr_file = Some(addr_file.clone());
+    opts.proc.health_addr_file = Some(addr_file.clone());
     let stop = Arc::new(AtomicBool::new(false));
     let page = Arc::new(Mutex::new(None));
     let scraper = spawn_health_scraper(addr_file, stop.clone(), page.clone());

@@ -155,9 +155,6 @@ pub struct V2Engine {
     handshaken: Option<std::collections::BTreeSet<Rank>>,
     /// When to ship accumulated reception events to the event logger.
     policy: BatchPolicy,
-    /// Current flush threshold under [`BatchPolicy::Adaptive`] (unused
-    /// otherwise): widened on fast EL acks, halved on gate deferrals.
-    adaptive_limit: usize,
     /// Delivered-but-not-yet-shipped reception events, in receiver-clock
     /// order. The gate already counts them as scheduled; they are volatile
     /// and die with a crash — which is safe, because no transmission can
@@ -230,7 +227,6 @@ impl V2Engine {
             app_waiting_probe: false,
             probes_since_delivery: 0,
             handshaken: None,
-            adaptive_limit: Self::adaptive_start(policy),
             policy,
             pending_events: Vec::new(),
             ckpt_pending: false,
@@ -441,9 +437,9 @@ impl V2Engine {
         self.gate.is_open()
     }
 
-    /// The active event-batching policy.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.policy
+    /// Data sends queued behind the closed gate, awaiting an EL ack.
+    pub fn gated_send_count(&self) -> usize {
+        self.gated.len()
     }
 
     /// Change the batching policy (e.g. after [`restore`](Self::restore),
@@ -451,7 +447,6 @@ impl V2Engine {
     /// new policy no longer tolerates the current backlog.
     pub fn set_batch_policy(&mut self, policy: BatchPolicy) {
         self.policy = policy;
-        self.adaptive_limit = Self::adaptive_start(policy);
         match policy {
             BatchPolicy::Immediate => self.flush_events(),
             BatchPolicy::Lazy { max_events } => {
@@ -459,31 +454,6 @@ impl V2Engine {
                     self.flush_events();
                 }
             }
-            BatchPolicy::Adaptive { .. } => {
-                if self.pending_events.len() >= self.adaptive_limit {
-                    self.flush_events();
-                }
-            }
-        }
-    }
-
-    /// Initial adaptive threshold: the conservative floor, widened only
-    /// once live acks prove the EL keeps up.
-    fn adaptive_start(policy: BatchPolicy) -> usize {
-        match policy {
-            BatchPolicy::Adaptive { min_events, .. } => min_events.max(1),
-            _ => 1,
-        }
-    }
-
-    /// The flush threshold currently in force: 1 under `Immediate`, the
-    /// constant under `Lazy`, and the live adapted value under
-    /// `Adaptive` (diagnostics and the `el_batching` bench).
-    pub fn effective_batch_limit(&self) -> usize {
-        match self.policy {
-            BatchPolicy::Immediate => 1,
-            BatchPolicy::Lazy { max_events } => max_events.max(1),
-            BatchPolicy::Adaptive { .. } => self.adaptive_limit,
         }
     }
 
@@ -586,12 +556,6 @@ impl V2Engine {
             self.outputs.push_back(Output::Transmit { to, msg });
         } else {
             self.metrics.gate_deferred_sends += 1;
-            // Adaptive narrowing: a queued send means the batch is
-            // sitting on the events whose ack this send now waits for —
-            // halve the threshold so future batches ship sooner.
-            if let BatchPolicy::Adaptive { min_events, .. } = self.policy {
-                self.adaptive_limit = (self.adaptive_limit / 2).max(min_events.max(1));
-            }
             let deferred_clock = match &msg {
                 PeerMsg::Data(d) => d.id.sender_clock,
                 _ => 0,
@@ -749,9 +713,6 @@ impl V2Engine {
                 // already queued behind the gate: their release needs the
                 // EL to ack this very event.
                 self.pending_events.len() >= max_events.max(1) || !self.gated.is_empty()
-            }
-            BatchPolicy::Adaptive { .. } => {
-                self.pending_events.len() >= self.adaptive_limit || !self.gated.is_empty()
             }
         };
         if must_flush {
@@ -960,7 +921,19 @@ impl V2Engine {
         // payload the peer still needs is covered by `resend_after`
         // (emission appends to SAVED before gating); purged clocks at or
         // below `last_received` were already received and need nothing.
-        self.gated.retain(|(to, _, _)| *to != from);
+        // A purged send leaves the queue unreleased; its wait is sampled
+        // all the same, so every deferred send is sampled exactly once.
+        let now = self.obs.now_ns();
+        let (metrics, timings) = (&mut self.metrics, &mut self.timings);
+        self.gated.retain(|(to, _, enqueued_ns)| {
+            if *to != from {
+                return true;
+            }
+            let waited = now.saturating_sub(*enqueued_ns);
+            metrics.gate_wait_ns += waited;
+            timings.gate_wait.record(waited);
+            false
+        });
         let resends: Vec<_> = self.saved.resend_after(from, last_received).collect();
         for s in resends {
             self.marks.on_transmit_to(from, s.sender_clock);
@@ -1014,21 +987,6 @@ impl V2Engine {
                 rtt_ns: oldest_rtt,
             },
         );
-        // Adaptive widening: the EL is demonstrably keeping up — every
-        // released send so far waited under budget at the p99 — so a
-        // bigger batch amortizes the next RTT at no gate-latency cost.
-        // (A gate-wait histogram with no samples means no send has ever
-        // waited: also under budget.)
-        if let BatchPolicy::Adaptive {
-            max_events,
-            gate_budget_ns,
-            ..
-        } = self.policy
-        {
-            if self.timings.gate_wait.quantile(0.99) <= gate_budget_ns {
-                self.adaptive_limit = (self.adaptive_limit * 2).min(max_events.max(1));
-            }
-        }
         if self.gate.on_ack(up_to) {
             self.flush_gated();
         }
@@ -1068,8 +1026,8 @@ impl V2Engine {
         if quorum_w > self.el_quorum_acked {
             self.el_quorum_acked = quorum_w;
             // Feed the quorum watermark through the single-ack path:
-            // batch retirement, RTT accounting, adaptive widening and
-            // the gate all see exactly one (coalesced) ack per quorum
+            // batch retirement, RTT accounting and the gate all see
+            // exactly one (coalesced) ack per quorum
             // advance. The extra el_acks_received bump above keeps the
             // per-replica traffic visible in the metrics.
             self.metrics.el_acks_received -= 1;
@@ -2016,95 +1974,6 @@ mod tests {
         assert_eq!(batches[0].events.len(), 3);
         assert_eq!(e.pending_event_count(), 0);
         assert_eq!(e.metrics().el_max_batch_events, 3);
-    }
-
-    #[test]
-    fn adaptive_policy_widens_on_fast_acks_and_narrows_on_gate_deferral() {
-        let mut e = V2Engine::fresh_with_policy(
-            Rank(1),
-            2,
-            BatchPolicy::Adaptive {
-                min_events: 1,
-                max_events: 8,
-                gate_budget_ns: u64::MAX,
-            },
-        );
-        assert_eq!(e.effective_batch_limit(), 1, "starts at the floor");
-
-        // At the floor the policy behaves like Immediate: one delivery,
-        // one flush.
-        e.handle(Input::AppRecv).unwrap();
-        feed_data(&mut e, Rank(0), 1);
-        assert_eq!(e.pending_event_count(), 0);
-        outs(&mut e);
-
-        // Every under-budget ack doubles the threshold, up to the cap.
-        for expect in [2usize, 4, 8, 8] {
-            let up_to = e.clock();
-            e.handle(Input::ElAck { up_to }).unwrap();
-            assert_eq!(e.effective_batch_limit(), expect);
-            outs(&mut e);
-        }
-
-        // With the widened limit, a burst of deliveries accumulates...
-        for h in 2..=3u64 {
-            e.handle(Input::AppRecv).unwrap();
-            feed_data(&mut e, Rank(0), h);
-        }
-        assert_eq!(e.pending_event_count(), 2);
-        // ...until a send queues behind the gate: the backlog flushes and
-        // the threshold halves.
-        e.handle(Input::AppSend {
-            dst: Rank(0),
-            payload: pl(9),
-        })
-        .unwrap();
-        assert_eq!(e.pending_event_count(), 0);
-        assert_eq!(e.effective_batch_limit(), 4, "deferral narrows");
-        assert_eq!(e.metrics().gate_deferred_sends, 1);
-        outs(&mut e);
-
-        // The releasing ack lets the gated payload out and re-widens.
-        let up_to = e.clock();
-        e.handle(Input::ElAck { up_to }).unwrap();
-        assert_eq!(data_out(&outs(&mut e)).len(), 1);
-        assert_eq!(e.effective_batch_limit(), 8);
-    }
-
-    #[test]
-    fn adaptive_policy_respects_floor_and_policy_reset() {
-        let mut e = V2Engine::fresh_with_policy(
-            Rank(1),
-            2,
-            BatchPolicy::Adaptive {
-                min_events: 2,
-                max_events: 16,
-                gate_budget_ns: u64::MAX,
-            },
-        );
-        assert_eq!(e.effective_batch_limit(), 2);
-        // Repeated deferrals never push the limit below the floor.
-        for round in 0..3u64 {
-            let h = round + 1;
-            e.handle(Input::AppRecv).unwrap();
-            feed_data(&mut e, Rank(0), h);
-            e.handle(Input::AppSend {
-                dst: Rank(0),
-                payload: pl(0),
-            })
-            .unwrap();
-            let up_to = e.clock();
-            e.handle(Input::ElAck { up_to }).unwrap();
-            outs(&mut e);
-        }
-        assert!(e.effective_batch_limit() >= 2);
-        // Switching policies re-seeds the threshold.
-        e.set_batch_policy(BatchPolicy::adaptive());
-        assert_eq!(e.effective_batch_limit(), 1);
-        e.set_batch_policy(BatchPolicy::Lazy { max_events: 5 });
-        assert_eq!(e.effective_batch_limit(), 5);
-        e.set_batch_policy(BatchPolicy::Immediate);
-        assert_eq!(e.effective_batch_limit(), 1);
     }
 
     /// The load-bearing invariant under any interleaving of deliveries,

@@ -65,40 +65,11 @@ pub enum BatchPolicy {
         /// Flush threshold: a batch never exceeds this many events.
         max_events: usize,
     },
-    /// Lazy batching whose flush threshold is tuned *online*, per engine,
-    /// from the live gate-wait histogram instead of a hand-picked
-    /// constant. The limit starts at `min_events` and doubles on every EL
-    /// ack while the observed gate-wait p99 stays under `gate_budget_ns`
-    /// (acks return fast enough that bigger batches are free); it halves
-    /// whenever a send actually queues behind the pessimism gate (the
-    /// batch then sits on the very events whose ack the send needs).
-    Adaptive {
-        /// Lower bound of the adapted flush threshold (≥ 1).
-        min_events: usize,
-        /// Upper bound of the adapted flush threshold.
-        max_events: usize,
-        /// Gate-wait p99 budget (ns) under which the limit may widen.
-        gate_budget_ns: u64,
-    },
 }
 
 impl BatchPolicy {
     /// Size bound of the default lazy policy.
     pub const DEFAULT_MAX_EVENTS: usize = 32;
-
-    /// Gate-wait p99 budget of [`BatchPolicy::adaptive`]: 100 µs, an
-    /// order of magnitude above a healthy in-process EL ack RTT.
-    pub const DEFAULT_GATE_BUDGET_NS: u64 = 100_000;
-
-    /// An adaptive policy with the default bounds (1..=256 events) and
-    /// gate budget.
-    pub fn adaptive() -> Self {
-        BatchPolicy::Adaptive {
-            min_events: 1,
-            max_events: 256,
-            gate_budget_ns: Self::DEFAULT_GATE_BUDGET_NS,
-        }
-    }
 }
 
 impl Default for BatchPolicy {

@@ -14,9 +14,11 @@
 //!   the trigger count, a whole fail-stop group of nodes is killed. Count
 //!   triggers place a crash at an exact point in a node's own causal
 //!   history (e.g. "mid-replay", "mid-checkpoint-upload"), which
-//!   wall-clock sleeps can never do reliably;
-//! * **scheduled kills** ([`ScheduledKill`]) — kill groups fired once the
-//!   fabric observes (on any traffic) that their deadline has elapsed.
+//!   wall-clock sleeps can never do reliably.
+//!
+//! Kills at a *time* are not this layer's business: the runtime's
+//! supervisor executes those (its fault plan holds each until the
+//! victim's current incarnation is ready).
 //!
 //! Determinism contract: the *schedule* — which node dies at which point
 //! of its own message history, and every injected delay value — is a pure
@@ -27,8 +29,7 @@
 use mvr_core::{NodeId, Rank};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Kill `kill` when `watch`'s monitored counter reaches `at`.
 ///
@@ -46,16 +47,6 @@ pub struct CountTrigger {
     pub kill: Vec<NodeId>,
 }
 
-/// Kill `kill` once `after` has elapsed since turbulence installation.
-/// Fires lazily, on the next fabric activity past the deadline.
-#[derive(Clone, Debug)]
-pub struct ScheduledKill {
-    /// Elapsed-time deadline.
-    pub after: Duration,
-    /// The fail-stop group to kill.
-    pub kill: Vec<NodeId>,
-}
-
 /// The seeded fault plan installed on a fabric.
 #[derive(Clone, Debug, Default)]
 pub struct TurbulenceConfig {
@@ -68,8 +59,6 @@ pub struct TurbulenceConfig {
     pub crash_on_send: Vec<CountTrigger>,
     /// Crash when a node's mailbox accepts its Nth message.
     pub crash_on_recv: Vec<CountTrigger>,
-    /// Elapsed-time kills.
-    pub kill_at: Vec<ScheduledKill>,
 }
 
 impl TurbulenceConfig {
@@ -87,19 +76,6 @@ impl TurbulenceConfig {
 /// its co-located MPI process (a machine crash takes both, §4.1).
 pub fn fail_stop_group(rank: Rank) -> Vec<NodeId> {
     vec![NodeId::Computing(rank), NodeId::Process(rank)]
-}
-
-/// Counters describing what the turbulence layer actually injected.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TurbulenceStats {
-    /// Sends that were delayed.
-    pub delays_injected: u64,
-    /// Total injected delay (µs).
-    pub delay_us_total: u64,
-    /// Count-trigger crashes fired (send + receive).
-    pub count_crashes: u64,
-    /// Scheduled kills fired.
-    pub scheduled_crashes: u64,
 }
 
 /// SplitMix64 finalizer: a statistically solid 64-bit mixer, used to
@@ -134,61 +110,17 @@ pub(crate) struct SendVerdict {
 
 pub(crate) struct Turbulence {
     cfg: TurbulenceConfig,
-    started: Instant,
     sends: Mutex<HashMap<NodeId, u64>>,
     recvs: Mutex<HashMap<NodeId, u64>>,
-    /// One fired flag per `kill_at` entry.
-    scheduled_fired: Mutex<Vec<bool>>,
-    delays_injected: AtomicU64,
-    delay_us_total: AtomicU64,
-    count_crashes: AtomicU64,
-    scheduled_crashes: AtomicU64,
 }
 
 impl Turbulence {
     pub(crate) fn new(cfg: TurbulenceConfig) -> Self {
-        let n = cfg.kill_at.len();
         Turbulence {
             cfg,
-            started: Instant::now(),
             sends: Mutex::new(HashMap::new()),
             recvs: Mutex::new(HashMap::new()),
-            scheduled_fired: Mutex::new(vec![false; n]),
-            delays_injected: AtomicU64::new(0),
-            delay_us_total: AtomicU64::new(0),
-            count_crashes: AtomicU64::new(0),
-            scheduled_crashes: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn stats(&self) -> TurbulenceStats {
-        TurbulenceStats {
-            delays_injected: self.delays_injected.load(Ordering::Relaxed),
-            delay_us_total: self.delay_us_total.load(Ordering::Relaxed),
-            count_crashes: self.count_crashes.load(Ordering::Relaxed),
-            scheduled_crashes: self.scheduled_crashes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Scheduled kill groups whose deadline has elapsed (each fires once).
-    pub(crate) fn due_scheduled(&self) -> Vec<Vec<NodeId>> {
-        if self.cfg.kill_at.is_empty() {
-            return Vec::new();
-        }
-        let elapsed = self.started.elapsed();
-        let mut fired = self.scheduled_fired.lock();
-        let mut due = Vec::new();
-        for (i, k) in self.cfg.kill_at.iter().enumerate() {
-            if !fired[i] && elapsed >= k.after {
-                fired[i] = true;
-                due.push(k.kill.clone());
-            }
-        }
-        if !due.is_empty() {
-            self.scheduled_crashes
-                .fetch_add(due.len() as u64, Ordering::Relaxed);
-        }
-        due
     }
 
     /// Account one send from `from` to `to`; decide delay and crash.
@@ -209,22 +141,14 @@ impl Turbulence {
                 .wrapping_add(node_code(from) << 32)
                 .wrapping_add(node_code(to) << 16)
                 .wrapping_add(count));
-            let us = h % (self.cfg.max_delay_us + 1);
-            if us > 0 {
-                self.delays_injected.fetch_add(1, Ordering::Relaxed);
-                self.delay_us_total.fetch_add(us, Ordering::Relaxed);
-            }
-            Duration::from_micros(us)
+            Duration::from_micros(h % (self.cfg.max_delay_us + 1))
         };
         let kill_sender_group = self
             .cfg
             .crash_on_send
             .iter()
             .find(|t| t.watch == from && t.at == count)
-            .map(|t| {
-                self.count_crashes.fetch_add(1, Ordering::Relaxed);
-                t.kill.clone()
-            });
+            .map(|t| t.kill.clone());
         SendVerdict {
             delay,
             kill_sender_group,
@@ -247,10 +171,7 @@ impl Turbulence {
             .crash_on_recv
             .iter()
             .find(|t| t.watch == to && t.at == count)
-            .map(|t| {
-                self.count_crashes.fetch_add(1, Ordering::Relaxed);
-                t.kill.clone()
-            })
+            .map(|t| t.kill.clone())
     }
 }
 
@@ -290,7 +211,6 @@ mod tests {
         let g = t.on_send(from, to).kill_sender_group.expect("3rd send");
         assert_eq!(g.len(), 2);
         assert!(t.on_send(from, to).kill_sender_group.is_none());
-        assert_eq!(t.stats().count_crashes, 1);
     }
 
     #[test]
@@ -318,22 +238,5 @@ mod tests {
             t.on_deliver(n).is_some(),
             "counter keeps running across the reincarnation"
         );
-        assert_eq!(t.stats().count_crashes, 2);
-    }
-
-    #[test]
-    fn scheduled_kill_fires_once_after_deadline() {
-        let t = Turbulence::new(TurbulenceConfig {
-            kill_at: vec![ScheduledKill {
-                after: Duration::from_millis(5),
-                kill: fail_stop_group(Rank(0)),
-            }],
-            ..Default::default()
-        });
-        assert!(t.due_scheduled().is_empty(), "not due yet");
-        std::thread::sleep(Duration::from_millis(8));
-        assert_eq!(t.due_scheduled().len(), 1);
-        assert!(t.due_scheduled().is_empty(), "fires once");
-        assert_eq!(t.stats().scheduled_crashes, 1);
     }
 }

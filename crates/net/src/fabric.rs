@@ -49,7 +49,7 @@
 //! happens to it afterwards is in-flight loss or delivery, as on any
 //! asynchronous channel.
 
-use crate::chaos::{Turbulence, TurbulenceConfig, TurbulenceStats};
+use crate::chaos::{Turbulence, TurbulenceConfig};
 use crate::error::{RecvError, SendError};
 use crate::mailbox::{Lane, MailCore, Mailbox};
 use crate::ring::DEFAULT_RING_CAPACITY;
@@ -242,11 +242,6 @@ impl Fabric {
         self.turb_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Injection counters of the installed chaos layer, if any.
-    pub fn turbulence_stats(&self) -> Option<TurbulenceStats> {
-        self.turb.read().as_ref().map(|t| t.stats())
-    }
-
     fn turbulence(&self) -> Option<Arc<Turbulence>> {
         self.turb.read().clone()
     }
@@ -261,14 +256,6 @@ impl Fabric {
             cache.epoch = epoch;
         }
         cache.layer.clone()
-    }
-
-    /// Execute scheduled (elapsed-time) kills that have come due. Called
-    /// on every turbulent send so a busy fabric fires them promptly.
-    fn fire_due_scheduled(&self, t: &Turbulence) {
-        for group in t.due_scheduled() {
-            self.kill_group(&group);
-        }
     }
 
     /// Register (or re-register after a crash) `node` with inbound message
@@ -444,7 +431,6 @@ impl Fabric {
             return Err((SendError::SenderDead, msg));
         }
         if let Some(t) = self.turbulence_cached(from) {
-            self.fire_due_scheduled(&t);
             let verdict = t.on_send(from.node, to);
             if !verdict.delay.is_zero() {
                 // Sleep on the sending thread, before enqueue: per-sender

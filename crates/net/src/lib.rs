@@ -28,7 +28,7 @@ pub(crate) mod ring;
 pub mod tcp;
 pub mod transport;
 
-pub use chaos::{fail_stop_group, CountTrigger, ScheduledKill, TurbulenceConfig, TurbulenceStats};
+pub use chaos::{fail_stop_group, CountTrigger, TurbulenceConfig};
 pub use error::{RecvError, SendError};
 pub use fabric::{Fabric, Identity};
 pub use frame::{encode_frame, Frame, FrameDecoder, FrameError};

@@ -20,7 +20,6 @@ use crate::event::{FlightRecord, ProtoEvent};
 use crate::hist::LogHistogram;
 use crate::monitor::RecordSink;
 use crate::timings::ProtocolTimings;
-use crate::window::{MetricsWindow, WindowRing};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -56,9 +55,6 @@ struct Inner {
     /// Timestamp of the first `ElReplicaAck` since the last quorum-level
     /// `ElAck` — the open edge of the current quorum-assembly window.
     quorum_open: Option<u64>,
-    /// Optional windowed view over `timings` (see [`WindowRing`]),
-    /// advanced by record timestamps as they stream through.
-    windows: Option<WindowRing>,
 }
 
 /// Bounded staging buffer between a child's recorder and its telemetry
@@ -80,20 +76,8 @@ impl TelemetrySink {
                 timings: ProtocolTimings::new(),
                 quorum_wait: LogHistogram::new(),
                 quorum_open: None,
-                windows: None,
             }),
         }
-    }
-
-    /// Like [`TelemetrySink::new`], additionally keeping a windowed
-    /// view of the interval histograms: a ring of `ring` closed
-    /// windows, each `window_ns` long, advanced by the record
-    /// timestamps streaming through the sink. Costs one extra u64
-    /// comparison per record on the recording thread.
-    pub fn with_windows(capacity: usize, window_ns: u64, ring: usize) -> Self {
-        let sink = TelemetrySink::new(capacity);
-        sink.inner.lock().windows = Some(WindowRing::new(0, window_ns, ring));
-        sink
     }
 
     /// Take up to `max` staged records, oldest first.
@@ -113,18 +97,6 @@ impl TelemetrySink {
         self.inner.lock().dropped_total
     }
 
-    /// The windowed view, if this sink was built with one: the retained
-    /// closed windows (oldest first) and the in-progress window as of
-    /// `now_ns`. `None` when windowing is off.
-    pub fn windows(&self, now_ns: u64) -> Option<(Vec<MetricsWindow>, MetricsWindow)> {
-        let mut inner = self.inner.lock();
-        let ring = inner.windows.take()?;
-        let closed: Vec<MetricsWindow> = ring.closed().cloned().collect();
-        let current = ring.current(now_ns, &inner.timings);
-        inner.windows = Some(ring);
-        Some((closed, current))
-    }
-
     /// Current cumulative snapshot (histograms and counters).
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let inner = self.inner.lock();
@@ -142,15 +114,6 @@ impl RecordSink for TelemetrySink {
     fn observe(&self, rec: &FlightRecord) {
         let mut inner = self.inner.lock();
         inner.records_total += 1;
-        // Advance the window ring (if any) BEFORE folding this record's
-        // durations: boundaries crossed up to `ts_ns` close over the
-        // pre-record totals, so the sample lands in the window that
-        // contains its timestamp. Also keeps empty windows closing on
-        // time when no duration samples arrive.
-        if let Some(mut ring) = inner.windows.take() {
-            ring.advance(rec.ts_ns, &inner.timings);
-            inner.windows = Some(ring);
-        }
         match &rec.event {
             ProtoEvent::GateOpen { waited_ns, .. } if *waited_ns > 0 => {
                 inner.timings.gate_wait.record(*waited_ns);
@@ -298,38 +261,6 @@ mod tests {
         // closed at the quorum ack (ts 300).
         assert_eq!(snap.quorum_wait.count(), 1);
         assert_eq!(snap.quorum_wait.sum(), 100);
-    }
-
-    #[test]
-    fn windowed_sink_attributes_samples_to_their_windows() {
-        let sink = TelemetrySink::with_windows(64, 1_000, 4);
-        assert!(
-            TelemetrySink::new(4).windows(0).is_none(),
-            "windowing is opt-in"
-        );
-        for (ts, waited) in [(100u64, 10u64), (600, 20), (1_500, 30)] {
-            sink.observe(&rec(
-                0,
-                1,
-                ts,
-                ProtoEvent::GateOpen {
-                    released: 1,
-                    waited_ns: waited,
-                },
-            ));
-        }
-        let (closed, current) = sink.windows(1_800).expect("windowing on");
-        // The ts=1_500 record closed window [0,1000) first, then folded
-        // into the new current window — no leakage across the boundary.
-        assert_eq!(closed.len(), 1);
-        assert_eq!(closed[0].timings.gate_wait.summary().count, 2);
-        assert_eq!(closed[0].timings.gate_wait.summary().sum, 30);
-        assert_eq!(current.start_ns, 1_000);
-        assert_eq!(current.end_ns, 1_800);
-        assert_eq!(current.timings.gate_wait.summary().count, 1);
-        assert_eq!(current.timings.gate_wait.summary().sum, 30);
-        // Cumulative view is untouched by windowing.
-        assert_eq!(sink.snapshot().timings.summary().gate_wait.count, 3);
     }
 
     #[test]

@@ -13,28 +13,27 @@
 //! one as the fault plan orders.
 
 use crate::baseline::{default_cms, spawn_channel_memories};
-use crate::chaos::{ChaosConfig, ChaosReport};
+use crate::chaos::ChaosReport;
+use crate::deploy::{Backend, ClusterConfig, Topology};
 use crate::messages::DispatcherMsg;
 use crate::node::{
     register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
 };
 use crate::services::{
     spawn_checkpoint_scheduler, spawn_checkpoint_server_on, spawn_el_replica, spawn_event_loggers,
-    SchedulerConfig,
 };
 pub use crate::supervisor::ClusterError;
-use crate::supervisor::{put, Action, Event, Supervisor};
+use crate::supervisor::{bind_health, put, Action, Event, Supervisor};
 use mvr_ckpt::CheckpointStore;
-use mvr_core::{BatchPolicy, ElAddr, Metrics, NodeId, Payload, Rank};
+use mvr_core::{ElAddr, Metrics, NodeId, Payload, Rank};
 use mvr_eventlog::EventLogStore;
-use mvr_net::{Fabric, Mailbox, TurbulenceConfig};
+use mvr_net::{Fabric, Mailbox};
 use mvr_obs::{
-    HealthServer, InvariantMonitor, PromPage, ProtoEvent, ProtocolTimings, Recorder,
-    RecorderConfig, RecorderHub, DISPATCHER_RANK,
+    HealthServer, InvariantMonitor, PromPage, ProtoEvent, ProtocolTimings, Recorder, RecorderHub,
+    DISPATCHER_RANK,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -45,113 +44,19 @@ use std::time::{Duration, Instant};
 /// the fabric liveness scan and the metrics drain.
 const POLL_TICK: Duration = Duration::from_millis(10);
 
-/// Deployment parameters (the "program file" of §4.7).
-#[derive(Clone)]
-pub struct ClusterConfig {
-    /// Number of computing nodes / MPI processes.
-    pub world: u32,
-    /// Protocol stack (V2 default; V1/P4 are the paper's baselines).
-    pub protocol: RuntimeProtocol,
-    /// Number of event-logger shards (ranks are partitioned across them
-    /// by the consistent-hash [`mvr_eventlog::ShardMap`]).
-    pub el_shards: u32,
-    /// Replicas per event-logger shard. Above 1, each shard's ledger is
-    /// held R-way, daemons fan writes out to every replica, and the
-    /// pessimism gate opens on a majority quorum of acks — so a single
-    /// replica crash neither stalls the gate nor ends the run (the
-    /// dispatcher revives the replica and it catches up from a peer).
-    pub el_replicas: u32,
-    /// Enable the checkpoint subsystem with this scheduler configuration.
-    pub checkpointing: Option<SchedulerConfig>,
-    /// Automatically reincarnate killed nodes.
-    pub auto_restart: bool,
-    /// Detection + respawn latency before a reincarnation. Applied as a
-    /// *scheduled* deadline, not a blocking sleep, and doubled per repeat
-    /// crash of the same rank (capped at 64×).
-    pub restart_delay: Duration,
-    /// Maximum reincarnations of a single rank before the run fails with
-    /// [`ClusterError::RestartBudgetExhausted`].
-    pub max_rank_restarts: u32,
-    /// Event-batching policy of the V2 daemons (lazy by default).
-    pub batch: BatchPolicy,
-    /// Timed fail-stop kills, as time since launch (`mpirun --kill`).
-    /// Executed, like the chaos storm, by the supervisor's fault plan:
-    /// a kill waits for its victim's current incarnation to be ready.
-    pub kills: Vec<(NodeId, Duration)>,
-    /// Seeded randomized crash storm driven against the deployment.
-    pub chaos: Option<ChaosConfig>,
-    /// Seeded fabric-level turbulence (per-link delays, crash-on-Nth
-    /// send/receive triggers, scheduled kills).
-    pub turbulence: Option<TurbulenceConfig>,
-    /// Flight-recorder settings for every engine and the dispatcher.
-    /// Disabled by default — the fast path is one relaxed
-    /// atomic load per would-be record. `MVR_ENGINE_TRACE=1` in the
-    /// environment force-enables recording with the stderr mirror (the
-    /// successor of the old ad-hoc eprintln tracing).
-    pub obs: RecorderConfig,
-    /// When set, a failing run (timeout, app failure, lost rank,
-    /// exhausted restart budget) automatically dumps the merged
-    /// flight-recorder timeline — JSONL plus Chrome-trace/Perfetto
-    /// export — into this directory, printing the triage note to stderr.
-    pub obs_dump_dir: Option<PathBuf>,
-    /// Run the online invariant monitor: every flight record is checked
-    /// live against the pessimism-gate, watermark-monotonicity and
-    /// exactly-once invariants, and the run halts with
-    /// [`ClusterError::InvariantViolated`] on the first violation.
-    /// Implies flight recording (the monitor consumes the records).
-    /// Off by default — benchmark figures are unaffected.
-    pub monitor: bool,
-    /// Serve a live Prometheus-style text health page on this address
-    /// (e.g. `"127.0.0.1:0"`) for the duration of the run: protocol
-    /// latency histograms, EL counters, restart-budget state and
-    /// per-rank liveness/incarnations, refreshed every dispatcher tick.
-    /// Off by default.
-    pub health_addr: Option<String>,
-    /// Fast-path capacity (messages) of each SPSC fabric ring, applied
-    /// to every mailbox registered after launch. `None` keeps the fabric
-    /// default (256). Tiny capacities force the overflow spill lane —
-    /// used by the backpressure chaos tests.
-    pub ring_capacity: Option<usize>,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            world: 4,
-            protocol: RuntimeProtocol::V2,
-            el_shards: 1,
-            el_replicas: 1,
-            checkpointing: None,
-            auto_restart: true,
-            restart_delay: Duration::ZERO,
-            max_rank_restarts: 256,
-            batch: BatchPolicy::default(),
-            kills: Vec::new(),
-            chaos: None,
-            turbulence: None,
-            obs: RecorderConfig::default(),
-            obs_dump_dir: None,
-            monitor: false,
-            health_addr: None,
-            ring_capacity: None,
-        }
-    }
-}
-
 /// Fault-injection handle, cloneable and usable from any thread while the
 /// dispatcher waits.
 #[derive(Clone)]
 pub struct FaultHandle {
     fabric: Fabric,
-    world: u32,
-    el_replicas: u32,
+    topology: Topology,
 }
 
 impl FaultHandle {
     /// Crash a computing node (daemon + MPI process), fail-stop. The group
     /// dies atomically so the dispatcher never sees it half-killed.
     pub fn kill(&self, rank: Rank) {
-        assert!(rank.0 < self.world);
+        assert!(rank.0 < self.topology.world());
         self.fabric.kill_group(&mvr_net::fail_stop_group(rank));
     }
 
@@ -172,9 +77,8 @@ impl FaultHandle {
 
     /// Crash one replica of an event-logger shard.
     pub fn kill_el_replica(&self, shard: u32, replica: u32) {
-        self.fabric.kill(NodeId::EventLogger(
-            ElAddr { shard, replica }.flat(self.el_replicas),
-        ));
+        self.fabric
+            .kill(self.topology.el_node(ElAddr { shard, replica }));
     }
 
     /// Is the rank's current incarnation alive?
@@ -217,6 +121,7 @@ pub struct RunReport {
 pub struct Cluster {
     fabric: Fabric,
     cfg: ClusterConfig,
+    topology: Topology,
     app: Arc<dyn MpiApp>,
     exit_tx: mpsc::Sender<NodeExit>,
     exit_rx: mpsc::Receiver<NodeExit>,
@@ -246,7 +151,17 @@ pub struct Cluster {
 
 impl Cluster {
     /// Launch services and all computing nodes running `app`.
+    ///
+    /// # Panics
+    ///
+    /// When `cfg` does not describe an in-process deployment
+    /// ([`ClusterConfig::validate`] says which field); callers holding
+    /// untrusted input validate first.
     pub fn launch<A: MpiApp>(cfg: ClusterConfig, app: A) -> Cluster {
+        let topology = match cfg.validate(Backend::InProcess) {
+            Ok(topology) => topology,
+            Err(e) => panic!("cannot launch: {e}"),
+        };
         let fabric = Fabric::new();
         let app: Arc<dyn MpiApp> = Arc::new(app);
         let (exit_tx, exit_rx) = mpsc::channel();
@@ -259,8 +174,9 @@ impl Cluster {
             obs_cfg.enabled = true;
             obs_cfg.trace_stderr = true;
         }
-        // The monitor consumes live records, so it implies recording.
-        if cfg.monitor {
+        // The monitor consumes live records and a dump directory wants
+        // them, so either implies recording.
+        if cfg.monitor || cfg.obs_dir.is_some() {
             obs_cfg.enabled = true;
         }
         let hub = RecorderHub::new(obs_cfg);
@@ -271,10 +187,9 @@ impl Cluster {
             hub.set_sink(m.clone());
             m
         });
-        let health = cfg.health_addr.as_deref().and_then(|addr| {
-            HealthServer::bind(addr)
-                .map_err(|e| eprintln!("health endpoint bind({addr}) failed: {e}"))
-                .ok()
+        let health = bind_health(&cfg).unwrap_or_else(|e| {
+            eprintln!("health endpoint: {e}");
+            None
         });
         let disp_rec = hub.recorder(DISPATCHER_RANK);
 
@@ -295,8 +210,7 @@ impl Cluster {
         let mut el_stores = Vec::new();
         match cfg.protocol {
             RuntimeProtocol::V2 => {
-                let (el_handles, el_counters, stores) =
-                    spawn_event_loggers(&fabric, cfg.el_shards, cfg.el_replicas);
+                let (el_handles, el_counters, stores) = spawn_event_loggers(&fabric, topology);
                 handles.extend(el_handles);
                 el_events_ever = el_counters;
                 el_stores = stores;
@@ -315,10 +229,11 @@ impl Cluster {
             RuntimeProtocol::P4 => {}
         }
 
-        let core = Supervisor::new(&cfg, disp_rec.clone(), monitor);
+        let core = Supervisor::new(&cfg, topology, disp_rec.clone(), monitor);
         let mut cluster = Cluster {
             fabric,
             cfg,
+            topology,
             app,
             exit_tx,
             exit_rx,
@@ -336,11 +251,12 @@ impl Cluster {
 
         // Register every node before starting any, so initial sends never
         // race a half-registered peer.
-        let slots: Vec<_> = (0..cluster.cfg.world)
-            .map(|r| register_node(&cluster.fabric, Rank(r)))
+        let slots: Vec<_> = topology
+            .ranks()
+            .map(|r| (r, register_node(&cluster.fabric, r)))
             .collect();
-        for (r, s) in slots.into_iter().enumerate() {
-            cluster.start_rank(Rank(r as u32), s, false);
+        for (r, s) in slots {
+            cluster.start_rank(r, s, false);
         }
         cluster
     }
@@ -369,8 +285,7 @@ impl Cluster {
     pub fn fault_handle(&self) -> FaultHandle {
         FaultHandle {
             fabric: self.fabric.clone(),
-            world: self.cfg.world,
-            el_replicas: self.cfg.el_replicas.max(1),
+            topology: self.topology,
         }
     }
 
@@ -422,18 +337,16 @@ impl Cluster {
         }
     }
 
-    /// When a dump directory is configured and recording is on, write
-    /// the merged flight-recorder timeline of a failed run there. The
+    /// When a dump directory is configured, write the merged
+    /// flight-recorder timeline of a failed run there. The
     /// triage note — naming the dump paths and the rank/protocol-phase
     /// of the first divergence — goes to stderr so it lands next to the
     /// failing harness's output.
     fn fail_dump(&self) {
-        if let Some(dir) = &self.cfg.obs_dump_dir {
-            if self.hub.is_enabled() {
-                match self.hub.dump(dir, "crash") {
-                    Ok(paths) => eprintln!("{}", paths.summary()),
-                    Err(e) => eprintln!("flight-recorder dump failed: {e}"),
-                }
+        if let Some(dir) = &self.cfg.obs_dir {
+            match self.hub.dump(dir, "crash") {
+                Ok(paths) => eprintln!("{}", paths.summary()),
+                Err(e) => eprintln!("flight-recorder dump failed: {e}"),
             }
         }
     }
@@ -589,8 +502,7 @@ impl Cluster {
             // ledger after absorbing its live same-shard peers, so it
             // returns holding every event the quorum ever acked.
             NodeId::EventLogger(flat) => {
-                let replicas = self.cfg.el_replicas;
-                let addr = ElAddr::from_flat(flat, replicas);
+                let addr = self.topology.el_addr(flat);
                 // Absorb EVERY live peer, not just one: with overlapping
                 // EL crash windows the peers may hold different subsets,
                 // and an ack watermark computed over a ledger with holes
@@ -598,11 +510,14 @@ impl Cluster {
                 // union over all live peers is hole-free whenever at
                 // most R − Q replicas are down at once (any event's
                 // write set of ≥ Q intersects the ≥ Q live peers).
-                let snapshots: Vec<EventLogStore> = (0..replicas)
-                    .filter(|&p| p != addr.replica)
-                    .map(|replica| ElAddr { replica, ..addr }.flat(replicas))
-                    .filter(|&f| self.fabric.is_alive(NodeId::EventLogger(f)))
-                    .map(|f| self.el_stores[f as usize].lock().clone())
+                let snapshots: Vec<EventLogStore> = self
+                    .topology
+                    .siblings(addr)
+                    .filter(|peer| self.fabric.is_alive(*peer))
+                    .map(|peer| match peer {
+                        NodeId::EventLogger(f) => self.el_stores[f as usize].lock().clone(),
+                        other => unreachable!("{other} is not an event logger"),
+                    })
                     .collect();
                 let caught_up = {
                     let mut store = self.el_stores[flat as usize].lock();
@@ -614,8 +529,8 @@ impl Cluster {
                 self.el_events_ever[flat as usize].store(caught_up, Ordering::Relaxed);
                 self.handles.push(spawn_el_replica(
                     &self.fabric,
-                    addr,
-                    replicas,
+                    self.topology,
+                    flat,
                     self.el_events_ever[flat as usize].clone(),
                     self.el_stores[flat as usize].clone(),
                 ));
@@ -635,12 +550,8 @@ impl Cluster {
     fn start_rank(&mut self, rank: Rank, slots: crate::node::NodeSlots, restart: bool) {
         let ncfg = NodeConfig {
             rank,
-            world: self.cfg.world,
+            topology: self.topology,
             protocol: self.cfg.protocol,
-            el_shards: self.cfg.el_shards,
-            el_replicas: self.cfg.el_replicas,
-            channel_memories: default_cms(self.cfg.world),
-            batch: self.cfg.batch,
             restart,
             recorder: self.hub.recorder(rank.0),
         };
@@ -655,17 +566,16 @@ impl Cluster {
     fn teardown(&mut self) {
         self.fabric.clear_turbulence();
         // Kill everything; threads unwind on their mailbox errors.
-        for r in 0..self.cfg.world {
-            self.fabric.kill(NodeId::Computing(Rank(r)));
-            self.fabric.kill(NodeId::Process(Rank(r)));
+        for r in self.topology.ranks() {
+            self.fabric.kill_group(&mvr_net::fail_stop_group(r));
         }
-        for i in 0..self.cfg.el_shards * self.cfg.el_replicas.max(1) {
-            self.fabric.kill(NodeId::EventLogger(i));
+        // The services (the ranks again, which is a no-op).
+        for node in self.topology.nodes() {
+            self.fabric.kill(node);
         }
         for i in 0..default_cms(self.cfg.world) {
             self.fabric.kill(NodeId::ChannelMemory(i));
         }
-        self.fabric.kill(NodeId::CheckpointServer(0));
         self.fabric.kill(NodeId::CheckpointScheduler);
         self.fabric.kill(NodeId::Dispatcher);
         for h in self.handles.drain(..) {

@@ -31,6 +31,7 @@
 pub mod baseline;
 pub mod channel;
 pub mod chaos;
+pub mod deploy;
 pub mod dispatcher;
 pub mod messages;
 pub mod node;
@@ -41,14 +42,13 @@ pub(crate) mod supervisor;
 
 pub use channel::DaemonChannel;
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosReport};
-pub use dispatcher::{run_cluster, Cluster, ClusterConfig, ClusterError, FaultHandle, RunReport};
+pub use deploy::{Backend, ClusterConfig, ConfigError, ProcLaunch, Topology};
+pub use dispatcher::{run_cluster, Cluster, ClusterError, FaultHandle, RunReport};
 pub use node::{MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol};
 pub use services::SchedulerConfig;
 
 // Re-exported so chaos-soak harnesses need only this crate.
-pub use mvr_net::{
-    fail_stop_group, CountTrigger, ScheduledKill, TurbulenceConfig, TurbulenceStats,
-};
+pub use mvr_net::{fail_stop_group, CountTrigger, TurbulenceConfig};
 // Re-exported so conservation harnesses can reason about the shard
 // topology (which shard owns a rank, merged unique-event views) without
 // depending on mvr-eventlog directly.

@@ -9,14 +9,15 @@
 //! point — our cooperative substitution for Condor).
 
 use crate::channel::DaemonChannel;
+use crate::deploy::Topology;
 use crate::messages::{DaemonMsg, DispatcherMsg, ProcReply, ProcRequest};
 use mvr_ckpt::CkptPacket;
 use mvr_core::engine::{Input, Output};
 use mvr_core::{
-    BatchPolicy, CkptReply, CkptRequest, ElAddr, ElReply, ElRequest, NodeId, NodeImage, Payload,
-    Rank, ReceptionEvent, SchedMsg, V2Engine,
+    CkptReply, CkptRequest, ElReply, ElRequest, NodeId, NodeImage, Payload, Rank, ReceptionEvent,
+    SchedMsg, V2Engine,
 };
-use mvr_eventlog::{quorum_of, ElPacket, ShardMap};
+use mvr_eventlog::ElPacket;
 use mvr_mpi::{Mpi, MpiError, MpiResult};
 use mvr_net::{Fabric, Identity, Mailbox, RecvError, SendError};
 use std::sync::mpsc;
@@ -137,21 +138,12 @@ pub enum RuntimeProtocol {
 pub struct NodeConfig {
     /// This node's rank.
     pub rank: Rank,
-    /// World size.
-    pub world: u32,
+    /// The deployment's node layout: world size, and (V2) which
+    /// event-logger replicas hold this rank's events and how many of
+    /// their acks open the pessimism gate.
+    pub topology: Topology,
     /// Protocol stack.
     pub protocol: RuntimeProtocol,
-    /// Number of event-logger shards in the deployment (V2); ranks are
-    /// partitioned across shards by consistent hashing.
-    pub el_shards: u32,
-    /// Replicas per event-logger shard (V2). Above 1, the pessimism
-    /// gate opens on a majority quorum of replica acks.
-    pub el_replicas: u32,
-    /// Number of Channel Memories (V1).
-    pub channel_memories: u32,
-    /// Event-batching policy for the V2 engine (lazy flushing amortizes
-    /// the pessimism gate's event-logger round-trips).
-    pub batch: BatchPolicy,
     /// Whether this is a restart (fetch image, download events, recover).
     pub restart: bool,
     /// Flight recorder this incarnation writes protocol events into.
@@ -254,16 +246,17 @@ pub fn start_node(
                         }
                     }
                 }
-                RuntimeProtocol::V1 => crate::baseline::daemon_main_v1(
+                RuntimeProtocol::V1 => {
+                    let world = cfg.topology.world();
+                    let cms = crate::baseline::default_cms(world);
+                    crate::baseline::daemon_main_v1(daemon_mb, daemon_id, cfg.rank, world, cms)
+                }
+                RuntimeProtocol::P4 => crate::baseline::daemon_main_p4(
                     daemon_mb,
                     daemon_id,
                     cfg.rank,
-                    cfg.world,
-                    cfg.channel_memories,
+                    cfg.topology.world(),
                 ),
-                RuntimeProtocol::P4 => {
-                    crate::baseline::daemon_main_p4(daemon_mb, daemon_id, cfg.rank, cfg.world)
-                }
             }
         })
         .expect("spawn daemon thread");
@@ -321,6 +314,9 @@ struct Daemon {
     ckpt_armed: Option<u64>,
     /// The process finalized (we only serve the protocol from now on).
     finalized: bool,
+    /// The process is blocked in `finalize` while sends of its run still
+    /// sit behind the pessimism gate.
+    finish_pending: bool,
 }
 
 /// Union-merge several replicas' `DownloadEL` answers (each receiver-
@@ -363,12 +359,9 @@ fn daemon_main(
     cfg: NodeConfig,
 ) -> Result<(), DaemonEnd> {
     let rank = cfg.rank;
-    let el_replicas = cfg.el_replicas.max(1);
-    let el_quorum = quorum_of(el_replicas);
-    let shard = ShardMap::new(cfg.el_shards.max(1)).shard_for(rank);
-    let el_nodes: Vec<NodeId> = (0..el_replicas)
-        .map(|replica| NodeId::EventLogger(ElAddr { shard, replica }.flat(el_replicas)))
-        .collect();
+    let topology = cfg.topology;
+    let (el_replicas, el_quorum) = (topology.el_replicas(), topology.quorum());
+    let el_nodes: Vec<NodeId> = topology.replicas_of(topology.shard_of(rank)).collect();
     let cs_node = NodeId::CheckpointServer(0);
     let sched_node = NodeId::CheckpointScheduler;
 
@@ -422,13 +415,9 @@ fn daemon_main(
             Some(img) => {
                 restored_mpi = Some(img.mpi_state);
                 restored_app = Some(img.app_state);
-                // `restore` yields the default policy; apply the
-                // deployment's before any post-restart delivery.
-                let mut e = V2Engine::restore(img.engine);
-                e.set_batch_policy(cfg.batch);
-                e
+                V2Engine::restore(img.engine)
             }
-            None => V2Engine::fresh_with_policy(rank, cfg.world, cfg.batch),
+            None => V2Engine::fresh(rank, topology.world()),
         };
         // Attach the flight recorder before `begin_recovery` so the
         // RESTART1 / recovery-begin records land in the timeline.
@@ -481,7 +470,7 @@ fn daemon_main(
         engine.begin_recovery(merge_downloads(downloads));
         engine
     } else {
-        let mut engine = V2Engine::fresh_with_policy(rank, cfg.world, cfg.batch);
+        let mut engine = V2Engine::fresh(rank, topology.world());
         engine.set_recorder(cfg.recorder.clone());
         engine.set_el_replication(el_replicas, el_quorum);
         engine
@@ -499,6 +488,7 @@ fn daemon_main(
         restored_app,
         ckpt_armed: None,
         finalized: false,
+        finish_pending: false,
     };
 
     // Emit the RESTART1 broadcast (and any immediate outputs).
@@ -598,7 +588,33 @@ impl Daemon {
             DaemonMsg::Sched(_) => {}
             DaemonMsg::Cm(_) => { /* V1-only traffic; ignore under V2 */ }
         }
-        self.pump_outputs()
+        self.pump_outputs()?;
+        if self.finish_pending && self.engine.gated_send_count() == 0 {
+            self.finish()?;
+        }
+        Ok(())
+    }
+
+    /// Complete the process's `finalize`: every send of its run has left
+    /// the gate, so the final metrics are final — one gate-wait sample
+    /// per deferred send — and the process may return.
+    fn finish(&mut self) -> Result<(), DaemonEnd> {
+        self.finish_pending = false;
+        let clock = self.engine.clock();
+        self.engine
+            .recorder()
+            .record(clock, mvr_obs::ProtoEvent::Finish { clock });
+        let _ = self.identity.send(
+            NodeId::Dispatcher,
+            DispatcherMsg::Finalized {
+                rank: self.rank,
+                metrics: *self.engine.metrics(),
+                timings: self.engine.timings().clone(),
+            },
+        );
+        // Keep serving the protocol afterwards: peers may still need our
+        // sender log for their recovery.
+        self.to_proc(ProcReply::Done)
     }
 
     fn handle_proc(&mut self, req: ProcRequest) -> Result<(), DaemonEnd> {
@@ -681,21 +697,9 @@ impl Daemon {
                     .handle(Input::FlushEvents)
                     .expect("flush cannot diverge");
                 self.finalized = true;
-                let clock = self.engine.clock();
-                self.engine
-                    .recorder()
-                    .record(clock, mvr_obs::ProtoEvent::Finish { clock });
-                let _ = self.identity.send(
-                    NodeId::Dispatcher,
-                    DispatcherMsg::Finalized {
-                        rank: self.rank,
-                        metrics: *self.engine.metrics(),
-                        timings: self.engine.timings().clone(),
-                    },
-                );
-                self.to_proc(ProcReply::Done)?;
-                // Keep serving the protocol: peers may still need our
-                // sender log for their recovery.
+                // `handle` completes the finish once no send of the run
+                // is left behind the gate.
+                self.finish_pending = true;
             }
         }
         Ok(())

@@ -18,11 +18,12 @@
 //! below are also where the transport's detector events are looked at —
 //! once per [`Gateway::poll`], so within one tick.
 
-use super::gateway::{Control, Gateway, GatewayRole, Topology};
+use super::gateway::{Control, Gateway, GatewayRole};
 use super::wire::WireMsg;
+use crate::deploy::{ProcLaunch, Topology};
 use crate::node::{register_node, start_node, MpiApp, NodeConfig, Outcome, RuntimeProtocol};
 use crate::services::{serve_el_replica, spawn_checkpoint_server_on};
-use mvr_core::{ElAddr, NodeId, Rank};
+use mvr_core::{NodeId, Rank};
 use mvr_net::{Fabric, TcpConfig, TcpTransport, Transport};
 use mvr_obs::{
     epoch_from_unix_ns, JsonlStreamSink, ProtoEvent, RecordSink, RecorderConfig, RecorderHub,
@@ -52,8 +53,10 @@ const TELEMETRY_BATCH: usize = 512;
 /// records are staged, so the parent's aggregated health stays fresh.
 const TELEMETRY_CADENCE: Duration = Duration::from_millis(100);
 
-/// Everything one child incarnation is told by the supervisor.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Everything one child incarnation is told by the supervisor: the facts
+/// of this incarnation, and the two parts of the deployment description
+/// a process needs, embedded as they are.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub(crate) struct ChildSpec {
     /// The node this process hosts (rank, EL replica or the CS).
     pub node: NodeId,
@@ -63,54 +66,43 @@ pub(crate) struct ChildSpec {
     pub restart: bool,
     /// The supervisor's `host:port`.
     pub parent: String,
-    pub world: u32,
-    pub el_shards: u32,
-    pub el_replicas: u32,
-    /// Application spec, e.g. `ring 500` (rank children only).
-    pub app: String,
-    /// Declared `host:port` to bind (first launch only; reincarnations
-    /// bind ephemeral — the `TIME_WAIT` fix).
-    pub bind: Option<String>,
-    /// Fail-stop detector read-timeout override, milliseconds.
-    pub fail_after_ms: Option<u64>,
-    /// Directory for the crash-surviving JSONL event stream.
-    pub obs_dir: Option<String>,
     /// Shared recorder epoch, unix nanoseconds.
     pub epoch_ns: u64,
-    /// Injected clock skew: a positive shift moves this child's epoch
-    /// later, so its timestamps read early — what a slow wall clock does
-    /// to a real node, and what the merge solver must raise back.
-    pub epoch_skew_ns: i64,
-    /// Injected oscillator error of the recorder clock, parts per billion.
-    pub drift_ppb: i64,
-    /// Rotate the JSONL stream after this many records / bytes per
-    /// segment (0 = never).
-    pub rotate_records: u64,
-    pub rotate_bytes: u64,
-    /// Record a deliberate pessimism-gate violation at startup — the
-    /// end-to-end probe of the parent's live invariant monitor.
-    pub inject_violation: bool,
+    /// This incarnation's crash-surviving JSONL record stream; `None`
+    /// when the run is not recorded. A rank writes it; a service, which
+    /// records nothing, takes it as the order to ship telemetry.
+    pub stream: Option<String>,
+    pub topology: Topology,
+    pub launch: ProcLaunch,
 }
 
 impl ChildSpec {
     /// The value of [`ENV_CHILD`] for this spec.
     pub(crate) fn to_env(&self) -> String {
-        let bytes = bincode::serialize(self).expect("ChildSpec serializes");
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
+        hex(&bincode::serialize(self).expect("ChildSpec serializes"))
     }
 
-    fn from_env(hex: &str) -> Option<ChildSpec> {
+    /// Decode [`ENV_CHILD`]; `None` for anything but a well-formed spec
+    /// over a valid topology (the decoder trusts no count it is handed).
+    pub(crate) fn from_env(hex: &str) -> Option<ChildSpec> {
         let byte = |i| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok();
         let bytes: Vec<u8> = (0..hex.len()).step_by(2).map(byte).collect::<Option<_>>()?;
-        bincode::deserialize(&bytes).ok()
+        let spec: ChildSpec = bincode::deserialize(&bytes).ok()?;
+        let t = spec.topology;
+        (Topology::new(t.world(), t.el_shards(), t.el_replicas()) == Ok(t)).then_some(spec)
     }
 
-    fn topology(&self) -> Topology {
-        Topology {
-            world: self.world,
-            el_total: self.el_shards * self.el_replicas,
-        }
+    /// This node's entry in a per-rank injection table (0 when absent).
+    fn of_rank(&self, table: &[(Rank, i64)]) -> i64 {
+        let hit = table
+            .iter()
+            .find(|(r, _)| NodeId::Computing(*r) == self.node);
+        hit.map_or(0, |(_, v)| *v)
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn die(detail: &str) -> ! {
@@ -182,12 +174,15 @@ fn ship_telemetry(gateway: &Gateway, tel: &TelemetrySink, spec: &ChildSpec) {
 /// entry returns with its reincarnation's hello (each hello
 /// re-broadcasts the map), so the wait terminates.
 fn connect(spec: &ChildSpec, fabric: &Fabric, role: GatewayRole) -> Gateway {
-    let (me, topo) = (spec.node, spec.topology());
-    let cfg = transport_config(spec.fail_after_ms.map(Duration::from_millis));
+    let (me, topo) = (spec.node, spec.topology);
+    let cfg = transport_config(spec.launch.fail_after);
     // A program file may declare a fixed first-launch port; respawned
     // incarnations always take a fresh ephemeral one, so revival never
     // waits out `TIME_WAIT` on the previous incarnation's socket.
-    let declared = spec.bind.as_deref().filter(|_| spec.incarnation == 0);
+    let binds = spec.launch.binds.iter();
+    let declared = binds
+        .filter(|_| spec.incarnation == 0)
+        .find_map(|(n, addr)| (*n == me).then_some(addr.as_str()));
     let transport = declared
         .and_then(|addr| {
             TcpTransport::bind(me, addr, spec.incarnation, cfg.clone())
@@ -213,11 +208,8 @@ fn connect(spec: &ChildSpec, fabric: &Fabric, role: GatewayRole) -> Gateway {
     };
     gateway.send_to(NodeId::Dispatcher, &hello);
 
-    let mut required: Vec<NodeId> = vec![NodeId::Dispatcher];
-    required.extend((0..topo.world).map(|r| NodeId::Computing(Rank(r))));
-    required.extend((0..topo.el_total).map(NodeId::EventLogger));
-    required.push(NodeId::CheckpointServer(0));
-    required.retain(|n| *n != me);
+    let everyone = topo.nodes().chain([NodeId::Dispatcher]);
+    let required: Vec<NodeId> = everyone.filter(|n| *n != me).collect();
     let until = Instant::now() + Duration::from_secs(15);
     loop {
         let left = until.saturating_duration_since(Instant::now());
@@ -277,7 +269,8 @@ fn serve(
 }
 
 fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<dyn MpiApp>>) -> ! {
-    let app = make_app(&spec.app).unwrap_or_else(|| die(&format!("unknown app '{}'", spec.app)));
+    let app_spec = &spec.launch.app_spec;
+    let app = make_app(app_spec).unwrap_or_else(|| die(&format!("unknown app '{app_spec}'")));
     let fabric = Fabric::new();
     let slots = register_node(&fabric, rank);
     let gateway = connect(spec, &fabric, GatewayRole::Rank(rank));
@@ -287,28 +280,31 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
     // record so a SIGKILL loses nothing, and teed into the bounded
     // telemetry buffer for live shipping.
     let rec_config = RecorderConfig {
-        enabled: spec.obs_dir.is_some(),
-        clock_drift_ppb: spec.drift_ppb,
+        enabled: spec.stream.is_some(),
+        clock_drift_ppb: spec.of_rank(&spec.launch.epoch_drift),
         ..Default::default()
     };
-    let epoch_ns = spec.epoch_ns.saturating_add_signed(spec.epoch_skew_ns);
+    // A positive skew moves this child's epoch later, so its timestamps
+    // read early — what a slow wall clock does to a real node, and what
+    // the merge solver must raise back.
+    let skew_ns = spec.of_rank(&spec.launch.epoch_skew);
+    let epoch_ns = spec.epoch_ns.saturating_add_signed(skew_ns);
     let hub = RecorderHub::with_epoch(rec_config, epoch_from_unix_ns(epoch_ns));
     let mut telemetry: Option<Arc<TelemetrySink>> = None;
-    if let Some(dir) = &spec.obs_dir {
+    if let Some(path) = &spec.stream {
         let tel = Arc::new(TelemetrySink::new(TELEMETRY_CAPACITY));
-        let path = format!("{dir}/cn{}-i{}.jsonl", rank.0, spec.incarnation);
         // Long-horizon runs rotate the durable stream into bounded
         // segments (merged like any input); with both thresholds 0
         // this is exactly the single-file path.
         let rotate = RotateConfig {
-            max_records: spec.rotate_records,
-            max_bytes: spec.rotate_bytes,
+            max_records: spec.launch.rotate_records,
+            max_bytes: spec.launch.rotate_bytes,
         };
         // The stream goes first: a record the telemetry buffer has seen
         // is already on disk.
         let mut sinks: Vec<Arc<dyn RecordSink>> = Vec::new();
         if let Ok(sink) = JsonlStreamSink::with_rotation(
-            std::path::Path::new(&path),
+            std::path::Path::new(path),
             rec_config.stream_flush_every,
             rotate,
         ) {
@@ -324,12 +320,8 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
         slots,
         NodeConfig {
             rank,
-            world: spec.world,
+            topology: spec.topology,
             protocol: RuntimeProtocol::V2,
-            el_shards: spec.el_shards,
-            el_replicas: spec.el_replicas,
-            channel_memories: 0,
-            batch: Default::default(),
             restart: spec.restart,
             recorder: hub.recorder(rank.0),
         },
@@ -343,9 +335,9 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
     // rank's stream. The phantom peer and near-max clocks keep the
     // injection from colliding with real protocol state; the parent's
     // cluster-wide monitor must fail the run on the Wire send.
-    if spec.inject_violation {
+    if spec.launch.inject_violation == Some(rank) {
         let r = hub.recorder(rank.0);
-        let phantom = spec.world + 7;
+        let phantom = spec.topology.world() + 7;
         r.record(
             u64::MAX - 1,
             ProtoEvent::Deliver {
@@ -417,8 +409,8 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
 }
 
 fn run_el(flat: u32, spec: &ChildSpec) -> ! {
-    let replicas = spec.el_replicas;
-    let addr = ElAddr::from_flat(flat, replicas);
+    let topo = spec.topology;
+    let addr = topo.el_addr(flat);
     let fabric = Fabric::new();
     // Registered before the hello announces our address: daemons that
     // get the complete address map before we do may log events at once,
@@ -430,9 +422,8 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
     // Revival: catch up from a same-shard sibling before opening for
     // business, then tell the supervisor how much we absorbed (§4.5's
     // replicated-ledger failover, now across real processes).
-    if spec.restart && replicas > 1 {
-        for replica in (0..replicas).filter(|k| *k != addr.replica) {
-            let sibling = NodeId::EventLogger(ElAddr { replica, ..addr }.flat(replicas));
+    if spec.restart && topo.el_replicas() > 1 {
+        for sibling in topo.siblings(addr) {
             gateway.send_to(sibling, &WireMsg::ElFetch { shard: addr.shard });
         }
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -458,14 +449,14 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
     }
 
     let counter = Arc::new(AtomicU64::new(0));
-    let _handle = serve_el_replica(seat, addr, replicas, counter.clone(), store.clone());
+    let _handle = serve_el_replica(seat, topo, flat, counter.clone(), store.clone());
     report_ready(&gateway, spec);
 
     let mut last_ship = Instant::now();
     let each_tick = || {
         // Ship the ledger counter on the telemetry cadence so the
         // parent's health page carries live per-shard EL progress.
-        if spec.obs_dir.is_some() && last_ship.elapsed() >= TELEMETRY_CADENCE {
+        if spec.stream.is_some() && last_ship.elapsed() >= TELEMETRY_CADENCE {
             gateway.send_to(
                 NodeId::Dispatcher,
                 &WireMsg::Telemetry {
@@ -508,4 +499,146 @@ fn run_cs(spec: &ChildSpec) -> ! {
     let gateway = connect(spec, &fabric, GatewayRole::CheckpointServer);
     report_ready(&gateway, spec);
     serve(&gateway, Duration::from_millis(25), || {}, |_, _| {}, || {})
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Text with the characters a path, an app spec or an address can
+    /// carry, plus some that need more than one UTF-8 byte.
+    fn text() -> impl Strategy<Value = String> {
+        const ALPHABET: &[char] = &[
+            'a',
+            'Z',
+            '0',
+            '9',
+            ' ',
+            '/',
+            ':',
+            '.',
+            '-',
+            '_',
+            '"',
+            '\\',
+            'é',
+            '節',
+            '\u{1F980}',
+        ];
+        collection::vec(0..ALPHABET.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    fn node() -> impl Strategy<Value = NodeId> {
+        prop_oneof![
+            (0u32..64).prop_map(|r| NodeId::Computing(Rank(r))),
+            (0u32..64).prop_map(NodeId::EventLogger),
+            Just(NodeId::CheckpointServer(0)),
+        ]
+    }
+
+    fn per_rank() -> impl Strategy<Value = Vec<(Rank, i64)>> {
+        collection::vec((0u32..64, -1_000_000_000i64..1_000_000_000), 0..4)
+            .prop_map(|table| table.into_iter().map(|(r, v)| (Rank(r), v)).collect())
+    }
+
+    fn launch() -> impl Strategy<Value = ProcLaunch> {
+        let paths = (text(), (true, text()));
+        let detector = (true, 0u64..100_000);
+        let binds = collection::vec((node(), text()), 0..4);
+        let rotation = (0u64..1_000_000, 0u64..1_000_000_000);
+        let probes = (per_rank(), per_rank(), (true, 0u32..64));
+        (text(), paths, detector, binds, rotation, probes).prop_map(
+            |(app_spec, (exe, addr_file), fail_after, binds, rotation, probes)| ProcLaunch {
+                app_spec,
+                exe: exe.into(),
+                fail_after: fail_after.0.then(|| Duration::from_micros(fail_after.1)),
+                binds,
+                health_addr_file: addr_file.0.then(|| addr_file.1.into()),
+                rotate_records: rotation.0,
+                rotate_bytes: rotation.1,
+                epoch_skew: probes.0,
+                epoch_drift: probes.1,
+                inject_violation: probes.2 .0.then_some(Rank(probes.2 .1)),
+            },
+        )
+    }
+
+    fn spec() -> impl Strategy<Value = ChildSpec> {
+        let incarnation = (node(), 0u64..1_000, true, text());
+        let recording = (0u64..u64::MAX, (true, text()));
+        let counts = (1u32..64, 1u32..8, 1u32..8);
+        (incarnation, recording, counts, launch()).prop_map(
+            |((node, incarnation, restart, parent), (epoch_ns, stream), (w, s, r), launch)| {
+                ChildSpec {
+                    node,
+                    incarnation,
+                    restart,
+                    parent,
+                    epoch_ns,
+                    stream: stream.0.then_some(stream.1),
+                    topology: Topology::new(w, s, r).expect("counts are nonzero"),
+                    launch,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        /// What the supervisor writes into the one environment variable
+        /// is what the child reads back, whatever the spec holds.
+        #[test]
+        fn child_spec_round_trips_through_the_environment(spec in spec()) {
+            let hex = spec.to_env();
+            prop_assert_eq!(ChildSpec::from_env(&hex), Some(spec));
+        }
+
+        /// A cut-off or garbled variable is refused, never a panic and
+        /// never a spec over a topology `Topology::new` would reject.
+        #[test]
+        fn damaged_child_spec_is_refused(
+            spec in spec(),
+            cut in 0usize..4096,
+            flip in (0usize..4096, 1u8..16),
+        ) {
+            let hex = spec.to_env();
+            let cut = cut % hex.len();
+            prop_assert_eq!(ChildSpec::from_env(&hex[..cut]), None);
+            prop_assert_eq!(ChildSpec::from_env(&format!("{}zz", &hex[..cut & !1])), None);
+
+            // One hex digit changed: refused, or a *valid* other spec.
+            let (at, xor) = (flip.0 % hex.len(), flip.1);
+            let digit = u8::from_str_radix(&hex[at..at + 1], 16).expect("hex digit") ^ xor;
+            let garbled = format!("{}{digit:x}{}", &hex[..at], &hex[at + 1..]);
+            if let Some(other) = ChildSpec::from_env(&garbled) {
+                let t = other.topology;
+                prop_assert!(t.world() > 0 && t.el_shards() > 0 && t.el_replicas() > 0);
+                prop_assert!(t.el_shards().checked_mul(t.el_replicas()).is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn a_spec_over_an_invalid_topology_is_refused() {
+        #[derive(Serialize)]
+        struct Counts(u32, u32, u32);
+        let good = ChildSpec {
+            node: NodeId::CheckpointServer(0),
+            incarnation: 0,
+            restart: false,
+            parent: String::new(),
+            epoch_ns: 0,
+            stream: None,
+            topology: Topology::new(2, 1, 1).expect("valid"),
+            launch: ProcLaunch::default(),
+        };
+        // Same wire shape, replica count zeroed: only `from_env`'s
+        // re-validation stands between it and a divide by zero.
+        let valid = hex(&bincode::serialize(&Counts(2, 1, 1)).expect("serializes"));
+        let zeroed = hex(&bincode::serialize(&Counts(2, 1, 0)).expect("serializes"));
+        let env = good.to_env();
+        assert!(env.contains(&valid), "topology travels as three counts");
+        assert_eq!(ChildSpec::from_env(&env.replace(&valid, &zeroed)), None);
+    }
 }

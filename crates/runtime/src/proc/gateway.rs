@@ -28,6 +28,7 @@
 //! [`PeerDown`]: TransportEvent::PeerDown
 
 use super::wire::WireMsg;
+use crate::deploy::Topology;
 use crate::messages::{DaemonMsg, DispatcherMsg};
 use mvr_ckpt::CkptPacket;
 use mvr_core::{NodeId, Rank, SchedMsg};
@@ -50,15 +51,6 @@ pub enum GatewayRole {
     CheckpointServer,
     /// The supervising dispatcher (hosts the checkpoint scheduler).
     Supervisor,
-}
-
-/// Deployment shape the gateway needs to enumerate remote nodes.
-#[derive(Clone, Copy, Debug)]
-pub struct Topology {
-    /// Number of computing nodes.
-    pub world: u32,
-    /// Flat event-logger replica count (`shards × replicas`).
-    pub el_total: u32,
 }
 
 /// Everything the role glue (child main loop or supervisor) consumes
@@ -131,30 +123,35 @@ impl Gateway {
         role: GatewayRole,
         topo: Topology,
     ) -> Gateway {
-        let ranks = || (0..topo.world).map(Rank);
         match role {
             GatewayRole::Rank(me) => {
-                for q in ranks().filter(|q| *q != me) {
-                    remote::<DaemonMsg>(fabric, &transport, NodeId::Computing(q), |m| match m {
-                        DaemonMsg::Peer { from, msg } => Some(WireMsg::Peer { from, msg }),
-                        // Service replies never originate here.
-                        _ => None,
-                    });
+                // Every other supervised node is remote …
+                for node in topo.nodes().filter(|n| *n != NodeId::Computing(me)) {
+                    match node {
+                        NodeId::Computing(_) => {
+                            remote::<DaemonMsg>(fabric, &transport, node, |m| match m {
+                                DaemonMsg::Peer { from, msg } => Some(WireMsg::Peer { from, msg }),
+                                // Service replies never originate here.
+                                _ => None,
+                            })
+                        }
+                        NodeId::EventLogger(_) => {
+                            remote::<ElPacket>(fabric, &transport, node, |p| {
+                                Some(WireMsg::ElReq {
+                                    from: p.from,
+                                    req: p.req,
+                                })
+                            })
+                        }
+                        _ => remote::<CkptPacket>(fabric, &transport, node, |p| {
+                            Some(WireMsg::CkptReq {
+                                from: p.from,
+                                req: p.req,
+                            })
+                        }),
+                    }
                 }
-                for f in 0..topo.el_total {
-                    remote::<ElPacket>(fabric, &transport, NodeId::EventLogger(f), |p| {
-                        Some(WireMsg::ElReq {
-                            from: p.from,
-                            req: p.req,
-                        })
-                    });
-                }
-                remote::<CkptPacket>(fabric, &transport, NodeId::CheckpointServer(0), |p| {
-                    Some(WireMsg::CkptReq {
-                        from: p.from,
-                        req: p.req,
-                    })
-                });
+                // … and so are the two the supervisor's process hosts.
                 remote::<SchedMsg>(fabric, &transport, NodeId::CheckpointScheduler, |m| {
                     Some(WireMsg::SchedToScheduler { msg: m })
                 });
@@ -173,7 +170,7 @@ impl Gateway {
             }
             GatewayRole::EventLogger(_) => {
                 // Replicas answer daemons; every daemon is remote.
-                for q in ranks() {
+                for q in topo.ranks() {
                     remote::<DaemonMsg>(fabric, &transport, NodeId::Computing(q), |m| match m {
                         DaemonMsg::El { from, reply } => Some(WireMsg::ElRep { from, reply }),
                         _ => None,
@@ -181,7 +178,7 @@ impl Gateway {
                 }
             }
             GatewayRole::CheckpointServer => {
-                for q in ranks() {
+                for q in topo.ranks() {
                     remote::<DaemonMsg>(fabric, &transport, NodeId::Computing(q), |m| match m {
                         DaemonMsg::Ckpt(reply) => Some(WireMsg::CkptRep { reply }),
                         _ => None,
@@ -190,7 +187,7 @@ impl Gateway {
             }
             GatewayRole::Supervisor => {
                 // The scheduler's orders/status-requests to every daemon.
-                for q in ranks() {
+                for q in topo.ranks() {
                     remote::<DaemonMsg>(fabric, &transport, NodeId::Computing(q), |m| match m {
                         DaemonMsg::Sched(msg) => Some(WireMsg::SchedToDaemon { msg }),
                         _ => None,
@@ -383,10 +380,7 @@ mod tests {
     #[test]
     fn peer_message_is_in_the_remote_mailbox_when_send_returns() {
         let net = MemNet::new();
-        let topo = Topology {
-            world: 2,
-            el_total: 1,
-        };
+        let topo = Topology::new(2, 1, 1).expect("valid");
 
         let fab0 = Fabric::new();
         let fab1 = Fabric::new();
@@ -430,10 +424,7 @@ mod tests {
     #[test]
     fn a_peers_last_message_precedes_its_death_verdict() {
         let net = MemNet::new();
-        let topo = Topology {
-            world: 1,
-            el_total: 1,
-        };
+        let topo = Topology::new(1, 1, 1).expect("valid");
         let (sup_fab, rank_fab) = (Fabric::new(), Fabric::new());
         let ts: Arc<dyn Transport> = Arc::new(net.attach(NodeId::Dispatcher));
         let tr: Arc<dyn Transport> = Arc::new(net.attach(NodeId::Computing(Rank(0))));
@@ -460,10 +451,7 @@ mod tests {
     #[test]
     fn supervisor_routing_and_control() {
         let net = MemNet::new();
-        let topo = Topology {
-            world: 1,
-            el_total: 1,
-        };
+        let topo = Topology::new(1, 1, 1).expect("valid");
 
         let sup_fab = Fabric::new();
         let rank_fab = Fabric::new();

@@ -21,6 +21,6 @@ pub mod sig;
 pub mod wire;
 
 pub use child::{maybe_run_child, transport_config};
-pub use gateway::{Control, Gateway, GatewayRole, Topology};
+pub use gateway::{Control, Gateway, GatewayRole};
 pub use parent::{run_proc, ProcError, ProcOptions, ProcReport};
 pub use wire::WireMsg;

@@ -16,13 +16,13 @@
 //! a network blip cannot split the deployment.
 
 use super::child::{transport_config, ChildSpec, ENV_CHILD};
-use super::gateway::{Control, Gateway, GatewayRole, Topology};
+use super::gateway::{Control, Gateway, GatewayRole};
 use super::sig;
 use super::wire::WireMsg;
-use crate::chaos::ChaosConfig;
-use crate::dispatcher::{ClusterConfig, ClusterError};
-use crate::services::{spawn_checkpoint_scheduler, SchedulerConfig};
-use crate::supervisor::{put, Action, Event, Supervisor};
+use crate::deploy::{Backend, ClusterConfig, Topology};
+use crate::dispatcher::ClusterError;
+use crate::services::spawn_checkpoint_scheduler;
+use crate::supervisor::{bind_health, put, Action, Event, Supervisor};
 use mvr_core::{Metrics, NodeId, Payload, Rank};
 use mvr_net::{Fabric, TcpTransport, Transport};
 use mvr_obs::{
@@ -40,94 +40,8 @@ use std::time::{Duration, Instant};
 /// Reaper cadence: the longest the loop sleeps on the control channel.
 const POLL_TICK: Duration = Duration::from_millis(2);
 
-/// Configuration of one multi-process run. Restart policy (back-off
-/// base, per-rank budget) is the [`ClusterConfig`] default.
-#[derive(Clone, Debug)]
-pub struct ProcOptions {
-    /// Number of computing ranks.
-    pub world: u32,
-    /// Event-logger shards.
-    pub el_shards: u32,
-    /// Replicas per shard.
-    pub el_replicas: u32,
-    /// Checkpoint subsystem (scheduler runs inside the supervisor).
-    pub checkpointing: Option<SchedulerConfig>,
-    /// Application spec handed to rank children (`"ring 500"`).
-    pub app_spec: String,
-    /// Wall-clock budget for the whole run.
-    pub timeout: Duration,
-    /// Timed real-`SIGKILL`s, as time since launch, of ranks
-    /// (`--kill r@ms`), EL replicas by flat index (`--el-kill`) and the
-    /// checkpoint server (`--cs-kill`). A kill waits for its victim's
-    /// current incarnation to report ready.
-    pub kills: Vec<(NodeId, Duration)>,
-    /// Seeded crash storm, replayed as real signals.
-    pub chaos: Option<ChaosConfig>,
-    /// Directory for per-process JSONL event streams + merged dump.
-    pub obs_dir: Option<PathBuf>,
-    /// Bind a live health endpoint here (e.g. `"127.0.0.1:0"`).
-    pub health_addr: Option<String>,
-    /// Write the health endpoint's bound address (`host:port`) to this
-    /// file once listening — how tooling discovers an ephemeral port.
-    pub health_addr_file: Option<PathBuf>,
-    /// Run the cluster-wide online invariant monitor over the live
-    /// telemetry stream. Only effective with `obs_dir` set — children
-    /// ship telemetry only when recording is on.
-    pub monitor: bool,
-    /// Per-rank recorder-epoch shifts in nanoseconds — injected clock
-    /// skew for exercising the skew-corrected merge.
-    pub epoch_skew: Vec<(Rank, i64)>,
-    /// Per-rank injected clock-drift rates in parts-per-billion — the
-    /// rank's recorder clock runs fast (positive) or slow (negative)
-    /// by this much, exercising the merge's multi-anchor clock tracks
-    /// the way a real bad oscillator would.
-    pub epoch_drift: Vec<(Rank, i64)>,
-    /// Rotate children's durable JSONL streams after this many records
-    /// per segment (0 = never). Every segment keeps the `.jsonl`
-    /// extension, so the merge picks it up like any other input.
-    pub rotate_records: u64,
-    /// Rotate children's durable JSONL streams once a segment exceeds
-    /// this many bytes (0 = never).
-    pub rotate_bytes: u64,
-    /// Make this rank record a deliberate pessimism-gate violation at
-    /// startup (live-monitor end-to-end probe).
-    pub inject_violation: Option<Rank>,
-    /// Fail-stop detector read-timeout override for every endpoint.
-    pub fail_after: Option<Duration>,
-    /// Declared first-launch bind addresses from a program file's
-    /// `host:port` entries ([`crate::progfile::ProgramFile::bind_map`]).
-    pub binds: Vec<(NodeId, String)>,
-    /// Binary to re-exec as children (usually `current_exe`).
-    pub exe: PathBuf,
-}
-
-impl ProcOptions {
-    /// A small default deployment running `app_spec` with `world` ranks.
-    pub fn new(world: u32, app_spec: impl Into<String>) -> ProcOptions {
-        ProcOptions {
-            world,
-            el_shards: 1,
-            el_replicas: 1,
-            checkpointing: Some(SchedulerConfig::default()),
-            app_spec: app_spec.into(),
-            timeout: Duration::from_secs(120),
-            kills: Vec::new(),
-            chaos: None,
-            obs_dir: None,
-            health_addr: None,
-            health_addr_file: None,
-            monitor: true,
-            epoch_skew: Vec::new(),
-            epoch_drift: Vec::new(),
-            rotate_records: 0,
-            rotate_bytes: 0,
-            inject_violation: None,
-            fail_after: None,
-            binds: Vec::new(),
-            exe: std::env::current_exe().unwrap_or_else(|_| PathBuf::from("mpirun")),
-        }
-    }
-}
+/// The socket backend's historical name for the deployment description.
+pub type ProcOptions = ClusterConfig;
 
 /// What a completed multi-process run reports.
 #[derive(Debug)]
@@ -198,7 +112,7 @@ struct ChildSlot {
 }
 
 /// Run a full multi-process deployment to completion. See module docs.
-pub fn run_proc(opts: ProcOptions) -> Result<ProcReport, ProcError> {
+pub fn run_proc(opts: ClusterConfig) -> Result<ProcReport, ProcError> {
     let mut launcher = Launcher::launch(&opts)?;
     let verdict = launcher.supervise();
     // Graceful teardown in every outcome: broadcast Shutdown, wait with
@@ -209,7 +123,8 @@ pub fn run_proc(opts: ProcOptions) -> Result<ProcReport, ProcError> {
 }
 
 struct Launcher<'a> {
-    opts: &'a ProcOptions,
+    opts: &'a ClusterConfig,
+    topology: Topology,
     /// Every supervision decision.
     core: Supervisor,
     /// Launch time: the origin of the core's clock.
@@ -233,7 +148,12 @@ struct Launcher<'a> {
 }
 
 impl<'a> Launcher<'a> {
-    fn launch(opts: &'a ProcOptions) -> Result<Launcher<'a>, ProcError> {
+    fn launch(opts: &'a ClusterConfig) -> Result<Launcher<'a>, ProcError> {
+        let launch_err =
+            |what: &str, e: &dyn std::fmt::Display| ProcError::Launch(format!("{what}: {e}"));
+        let topology = opts
+            .validate(Backend::Socket)
+            .map_err(|e| ProcError::Launch(e.to_string()))?;
         sig::install_shutdown_handler();
         let epoch_ns = unix_now_ns();
         let rec_config = match opts.obs_dir {
@@ -242,61 +162,37 @@ impl<'a> Launcher<'a> {
         };
         let hub = RecorderHub::with_epoch(rec_config, mvr_obs::epoch_from_unix_ns(epoch_ns));
         if let Some(dir) = &opts.obs_dir {
-            std::fs::create_dir_all(dir).map_err(|e| ProcError::Launch(format!("obs dir: {e}")))?;
+            std::fs::create_dir_all(dir).map_err(|e| launch_err("obs dir", &e))?;
             if let Ok(sink) = JsonlStreamSink::create(&dir.join("disp.jsonl")) {
                 hub.set_sink(Arc::new(sink));
             }
         }
         let recorder = hub.recorder(DISPATCHER_RANK);
 
-        let cfg = transport_config(opts.fail_after);
+        let cfg = transport_config(opts.proc.fail_after);
         let transport = TcpTransport::bind(NodeId::Dispatcher, "127.0.0.1:0", 0, cfg)
-            .map_err(|e| ProcError::Launch(format!("bind: {e}")))?;
+            .map_err(|e| launch_err("bind", &e))?;
         let local_addr = transport
             .local_addr()
             .ok_or_else(|| ProcError::Launch("no local addr".into()))?;
         let transport: Arc<dyn Transport> = Arc::new(transport);
 
         let fabric = Fabric::new();
-        let topo = Topology {
-            world: opts.world,
-            el_total: opts.el_shards * opts.el_replicas,
-        };
-        let gateway = Gateway::start(transport, &fabric, GatewayRole::Supervisor, topo);
+        let gateway = Gateway::start(transport, &fabric, GatewayRole::Supervisor, topology);
         if let Some(sched) = &opts.checkpointing {
             spawn_checkpoint_scheduler(&fabric, opts.world, sched.clone());
         }
 
-        let health = match &opts.health_addr {
-            Some(addr) => Some(
-                HealthServer::bind(addr)
-                    .map_err(|e| ProcError::Launch(format!("health endpoint: {e}")))?,
-            ),
-            None => None,
-        };
+        let health = bind_health(opts).map_err(|e| launch_err("health endpoint", &e))?;
         if let Some(h) = &health {
             println!("mpirun: health endpoint at http://{}/", h.local_addr());
-            if let Some(path) = &opts.health_addr_file {
-                if let Err(e) = std::fs::write(path, h.local_addr().to_string()) {
-                    eprintln!("mpirun: health addr file {}: {e}", path.display());
-                }
-            }
         }
 
         let monitor = opts.monitor.then(InvariantMonitor::new);
-        // The supervision rules are the in-process defaults (V2,
-        // auto-restart, same back-off and budget) over this topology.
-        let policy = ClusterConfig {
-            world: opts.world,
-            el_shards: opts.el_shards,
-            el_replicas: opts.el_replicas,
-            kills: opts.kills.clone(),
-            chaos: opts.chaos.clone(),
-            ..Default::default()
-        };
-        let core = Supervisor::new(&policy, recorder.clone(), monitor.clone());
+        let core = Supervisor::new(opts, topology, recorder.clone(), monitor.clone());
         let mut launcher = Launcher {
             opts,
+            topology,
             core,
             start: Instant::now(),
             gateway,
@@ -323,30 +219,21 @@ impl<'a> Launcher<'a> {
         incarnation: u64,
         restart: bool,
     ) -> Result<(), ProcError> {
-        let opts = self.opts;
-        let of_rank = |table: &[(Rank, i64)]| {
-            let hit = table.iter().find(|(r, _)| NodeId::Computing(*r) == node);
-            hit.map_or(0, |(_, v)| *v)
-        };
-        let bind = opts.binds.iter().find(|(n, _)| *n == node);
+        let stream = self.opts.obs_dir.as_ref().map(|dir| {
+            // `cn3-i1.jsonl`: node and incarnation, so a reincarnation
+            // never appends to its predecessor's stream.
+            let file = dir.join(format!("{node}-i{incarnation}.jsonl"));
+            file.display().to_string()
+        });
         let spec = ChildSpec {
             node,
             incarnation,
             restart,
             parent: self.local_addr.clone(),
-            world: opts.world,
-            el_shards: opts.el_shards,
-            el_replicas: opts.el_replicas,
-            app: opts.app_spec.clone(),
-            bind: bind.map(|(_, addr)| addr.clone()),
-            fail_after_ms: opts.fail_after.map(|d| d.as_millis() as u64),
-            obs_dir: opts.obs_dir.as_ref().map(|d| d.display().to_string()),
             epoch_ns: self.epoch_ns,
-            epoch_skew_ns: of_rank(&opts.epoch_skew),
-            drift_ppb: of_rank(&opts.epoch_drift),
-            rotate_records: opts.rotate_records,
-            rotate_bytes: opts.rotate_bytes,
-            inject_violation: opts.inject_violation.map(NodeId::Computing) == Some(node),
+            stream,
+            topology: self.topology,
+            launch: self.opts.proc.clone(),
         };
         let slot = self.slots.entry(node).or_default();
         // Enforce the fail-stop verdict before replacing the slot: if
@@ -357,7 +244,7 @@ impl<'a> Launcher<'a> {
             sig::send_signal(old.id(), sig::SIGKILL);
             let _ = old.wait();
         }
-        let child = Command::new(&opts.exe)
+        let child = Command::new(&self.opts.proc.exe)
             .env(ENV_CHILD, spec.to_env())
             .stdin(Stdio::null())
             .spawn()
@@ -578,7 +465,7 @@ impl<'a> Launcher<'a> {
     /// quorum-wait histogram; plus the process plane's own families.
     fn publish_health(&mut self) {
         let mut rank_timings: Vec<(Rank, ProtocolTimings)> = Vec::new();
-        let mut el_events = vec![0u64; (self.opts.el_shards * self.opts.el_replicas) as usize];
+        let mut el_events = vec![0u64; self.topology.el_total() as usize];
         let mut quorum_wait = LogHistogram::new();
         for (node, (_, snap)) in &self.telemetry {
             match node {

@@ -25,9 +25,10 @@
 //! reincarnations always rebind a fresh ephemeral port — announced via
 //! their `Hello` — so revival never fights `TIME_WAIT` on the old one.
 
+use crate::deploy::Topology;
 use crate::services::SchedulerConfig;
 use mvr_ckpt::Policy;
-use mvr_core::{NodeId, Rank};
+use mvr_core::{ElAddr, NodeId, Rank};
 use std::time::Duration;
 
 /// A parsed deployment description.
@@ -54,17 +55,17 @@ impl ProgramFile {
     /// node. Entries without a port (plain hostnames) bind ephemeral.
     /// With replicated event loggers, an `el` line's declared port goes
     /// to replica 0 of its shard; other replicas bind ephemeral.
-    pub fn bind_map(&self, el_replicas: u32) -> Vec<(NodeId, String)> {
+    pub fn bind_map(&self, topology: &Topology) -> Vec<(NodeId, String)> {
         let mut map = Vec::new();
         for (i, entry) in self.computing.iter().enumerate() {
             if host_port(entry).is_some() {
                 map.push((NodeId::Computing(Rank(i as u32)), entry.clone()));
             }
         }
-        for (shard, entry) in self.event_loggers.iter().enumerate() {
+        for (shard, entry) in (0..).zip(&self.event_loggers) {
             if host_port(entry).is_some() {
-                let flat = shard as u32 * el_replicas.max(1);
-                map.push((NodeId::EventLogger(flat), entry.clone()));
+                let first = ElAddr { shard, replica: 0 };
+                map.push((topology.el_node(first), entry.clone()));
             }
         }
         if let Some(entry) = self.checkpoint_servers.first() {
@@ -297,12 +298,16 @@ sc store01 policy=adaptive interval_ms=7 seed=3
         assert_eq!(host_port(":4000"), None);
         assert_eq!(host_port("node01:notaport"), None);
 
-        let map = pf.bind_map(2);
+        let topology = Topology::new(pf.world(), 2, 2).expect("valid");
+        let mut pf = pf;
+        pf.event_loggers.swap(0, 1);
+        let map = pf.bind_map(&topology);
         assert_eq!(
             map,
             vec![
                 (NodeId::Computing(Rank(0)), "node01:4000".to_string()),
-                (NodeId::EventLogger(0), "logger01:5000".to_string()),
+                // Shard 1's declared port goes to its replica 0.
+                (NodeId::EventLogger(2), "logger01:5000".to_string()),
                 (NodeId::CheckpointServer(0), "store01:6000".to_string()),
             ]
         );

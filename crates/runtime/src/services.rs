@@ -1,9 +1,10 @@
 //! The auxiliary service threads of a deployment: event loggers, the
 //! checkpoint server and the checkpoint scheduler (Fig. 3).
 
+use crate::deploy::Topology;
 use crate::messages::DaemonMsg;
 use mvr_ckpt::{CheckpointStore, CkptPacket, NodeStatus, Policy, Scheduler};
-use mvr_core::{ElAddr, NodeId, Rank, SchedMsg};
+use mvr_core::{NodeId, Rank, SchedMsg};
 use mvr_eventlog::{ElPacket, EventLogStore};
 use mvr_net::{Fabric, Identity, Mailbox, RecvError};
 use parking_lot::Mutex;
@@ -12,21 +13,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Spawn one event-logger replica serving `addr`'s shard on a shared
-/// ledger. The ledger [`EventLogStore`] outlives the service thread —
+/// Spawn event-logger replica `flat` of `topology` on a shared ledger. The ledger [`EventLogStore`] outlives the service thread —
 /// the dispatcher keeps the `Arc` so a killed replica's events survive
 /// its thread, and a revival absorbs a live peer's ledger into the same
-/// store before respawning on it. Replies are stamped with `addr` so
-/// daemons can attribute acks to replicas for quorum accounting.
+/// store before respawning on it. Replies are stamped with the replica's
+/// address so daemons can attribute acks to replicas for quorum
+/// accounting.
 pub fn spawn_el_replica(
     fabric: &Fabric,
-    addr: ElAddr,
-    replicas: u32,
+    topology: Topology,
+    flat: u32,
     counter: Arc<AtomicU64>,
     store: Arc<Mutex<EventLogStore>>,
 ) -> JoinHandle<()> {
-    let seat = fabric.register::<ElPacket>(NodeId::EventLogger(addr.flat(replicas)));
-    serve_el_replica(seat, addr, replicas, counter, store)
+    let seat = fabric.register::<ElPacket>(NodeId::EventLogger(flat));
+    serve_el_replica(seat, topology, flat, counter, store)
 }
 
 /// [`spawn_el_replica`] on a mailbox registered earlier: a replica that
@@ -36,13 +37,14 @@ pub fn spawn_el_replica(
 /// once it is caught up.
 pub fn serve_el_replica(
     (mb, identity): (Mailbox<ElPacket>, Identity),
-    addr: ElAddr,
-    replicas: u32,
+    topology: Topology,
+    flat: u32,
     counter: Arc<AtomicU64>,
     store: Arc<Mutex<EventLogStore>>,
 ) -> JoinHandle<()> {
+    let addr = topology.el_addr(flat);
     // Unreplicated deployments keep the historical thread names.
-    let name = if replicas <= 1 {
+    let name = if topology.el_replicas() == 1 {
         format!("el-{}", addr.shard)
     } else {
         addr.to_string()
@@ -64,28 +66,23 @@ pub fn serve_el_replica(
         .expect("spawn event logger")
 }
 
-/// Spawn `shards × replicas` event-logger replicas, flat-indexed
-/// (`flat = shard * replicas + replica`). Ranks are partitioned across
-/// shards by the consistent-hash [`mvr_eventlog::ShardMap`]; every
-/// replica of a shard holds the full shard ledger. The second return
-/// value holds one live counter per replica exposing its cumulative
-/// *unique*-event count — the conservation tests fold these into the
-/// merged cluster view ([`mvr_eventlog::merged_unique_events`]) to
+/// Spawn every event-logger replica of `topology`, flat-indexed. The
+/// second return value holds one live counter per replica exposing its
+/// cumulative *unique*-event count — the conservation tests fold these
+/// into the merged cluster view ([`mvr_eventlog::merged_unique_events`]) to
 /// check that crash recovery never double-logged a logical delivery.
 /// The third holds each replica's shared ledger for crash-surviving
 /// revival.
 #[allow(clippy::type_complexity)]
 pub fn spawn_event_loggers(
     fabric: &Fabric,
-    shards: u32,
-    replicas: u32,
+    topology: Topology,
 ) -> (
     Vec<JoinHandle<()>>,
     Vec<Arc<AtomicU64>>,
     Vec<Arc<Mutex<EventLogStore>>>,
 ) {
-    let replicas = replicas.max(1);
-    let total = (shards * replicas) as usize;
+    let total = topology.el_total() as usize;
     let counters: Vec<Arc<AtomicU64>> = (0..total).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let stores: Vec<Arc<Mutex<EventLogStore>>> = (0..total)
         .map(|_| Arc::new(Mutex::new(EventLogStore::new())))
@@ -94,8 +91,8 @@ pub fn spawn_event_loggers(
         .map(|flat| {
             spawn_el_replica(
                 fabric,
-                ElAddr::from_flat(flat, replicas),
-                replicas,
+                topology,
+                flat,
                 counters[flat as usize].clone(),
                 stores[flat as usize].clone(),
             )

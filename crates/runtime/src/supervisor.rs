@@ -33,13 +33,12 @@
 //! - **the health page** — one Prometheus vocabulary for both backends.
 
 use crate::chaos::{ChaosEvent, ChaosReport};
-use crate::dispatcher::ClusterConfig;
+use crate::deploy::{ClusterConfig, Topology};
 use crate::node::RuntimeProtocol;
 use mvr_core::{Metrics, NodeId, Payload, Rank};
-use mvr_eventlog::ShardMap;
 use mvr_obs::{
-    timing_families, window_families, InvariantMonitor, LogHistogram, PromPage, ProtoEvent,
-    ProtocolTimings, Recorder, Violation, WindowRing,
+    timing_families, window_families, HealthServer, InvariantMonitor, LogHistogram, PromPage,
+    ProtoEvent, ProtocolTimings, Recorder, Violation, WindowRing,
 };
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -189,9 +188,10 @@ struct Slot {
 
 /// The supervision state machine. See the module docs for the rules.
 pub(crate) struct Supervisor {
-    /// The deployment's rules: world and protocol, EL topology,
-    /// `auto_restart`, `restart_delay`, `max_rank_restarts`.
+    /// The deployment's rules: protocol, `auto_restart`,
+    /// `restart_delay`, `max_rank_restarts`.
     policy: ClusterConfig,
+    topology: Topology,
     slots: BTreeMap<NodeId, Slot>,
     /// Undelivered planned kills, ordered by time.
     plan: Vec<PlannedKill>,
@@ -218,24 +218,23 @@ pub(crate) struct Supervisor {
 impl Supervisor {
     /// A supervisor over a freshly launched deployment: every rank (and,
     /// under V2, every event-logger replica and the checkpoint server)
-    /// is at incarnation 0, up, and not yet ready. `policy` supplies the
-    /// restart rules and the fault plan (`kills`, `chaos`); `recorder`
-    /// is the dispatcher's flight recorder; `monitor`, when given, is
-    /// polled for violations on every step.
+    /// is at incarnation 0, up, and not yet ready. `policy` is the
+    /// launcher's own deployment description — the restart rules and the
+    /// fault plan (`kills`, `chaos`) — and `topology` its validated node
+    /// layout; `recorder` is the dispatcher's flight recorder;
+    /// `monitor`, when given, is polled for violations on every step.
     pub fn new(
         policy: &ClusterConfig,
+        topology: Topology,
         recorder: Recorder,
         monitor: Option<Arc<InvariantMonitor>>,
     ) -> Supervisor {
         let policy = policy.clone();
-        let mut nodes: Vec<_> = (0..policy.world)
-            .map(|r| NodeId::Computing(Rank(r)))
-            .collect();
-        if policy.protocol == RuntimeProtocol::V2 {
-            let els = policy.el_shards * policy.el_replicas.max(1);
-            nodes.extend((0..els).map(NodeId::EventLogger));
-            nodes.push(NodeId::CheckpointServer(0));
-        }
+        // The baselines run no event logger and no checkpoint server.
+        let v2 = policy.protocol == RuntimeProtocol::V2;
+        let nodes = topology
+            .nodes()
+            .filter(|n| v2 || matches!(n, NodeId::Computing(_)));
         let fresh = || Slot {
             incarnation: 0,
             up: true,
@@ -244,8 +243,8 @@ impl Supervisor {
             respawn_at: None,
             result: None,
         };
-        let slots: BTreeMap<_, _> = nodes.into_iter().map(|n| (n, fresh())).collect();
-        let storm = policy.chaos.as_ref().map(|c| c.plan(policy.world));
+        let slots: BTreeMap<_, _> = nodes.map(|n| (n, fresh())).collect();
+        let storm = policy.chaos.as_ref().map(|c| c.plan(topology.world()));
         let chaos = ChaosReport {
             plan: storm.unwrap_or_default(),
             ..Default::default()
@@ -255,8 +254,9 @@ impl Supervisor {
         // never become ready; drop it instead of holding it forever.
         plan.retain(|k| slots.contains_key(&k.target));
         Supervisor {
-            finals: vec![None; policy.world as usize],
+            finals: vec![None; topology.world() as usize],
             policy,
+            topology,
             slots,
             plan,
             chaos,
@@ -415,7 +415,7 @@ impl Supervisor {
             // §4.5: the unreplicated event logger is assumed reliable. A
             // dead one stays dead — respawned empty it would ack events
             // it never stored.
-            NodeId::EventLogger(_) => policy.auto_restart && policy.el_replicas > 1,
+            NodeId::EventLogger(_) => policy.auto_restart && self.topology.el_replicas() > 1,
             _ => policy.auto_restart,
         };
         if revive {
@@ -553,7 +553,7 @@ impl Supervisor {
         let p = &mut page;
         let budget = self.policy.max_rank_restarts;
         put(p, "mvr_up", "", u8::from(running));
-        put(p, "mvr_world", "", self.policy.world);
+        put(p, "mvr_world", "", self.topology.world());
         put(p, "mvr_restarts_total", "", self.restarts);
         put(p, "mvr_service_restarts_total", "", self.service_restarts);
         put(p, "mvr_restart_budget_per_rank", "", budget);
@@ -571,19 +571,18 @@ impl Supervisor {
         // A shard's unique-event count is the max across its replicas:
         // each counter is monotone over the same dedup domain, and the
         // max is what a read quorum would reconstruct.
-        let replicas = self.policy.el_replicas.max(1) as usize;
+        let replicas = self.topology.el_replicas() as usize;
         for (shard, chunk) in el_events.chunks(replicas).enumerate() {
             let (l, unique) = (&format!("shard=\"{shard}\""), chunk.iter().max());
             put(p, "mvr_el_shard_unique_events", l, unique.unwrap_or(&0));
         }
         // Per-shard ack RTT: each rank's histogram folds into the shard
         // the consistent hash assigns it to.
-        let shards = self.policy.el_shards.max(1);
-        let map = ShardMap::new(shards);
-        let mut per_shard = vec![LogHistogram::default(); shards as usize];
+        let shards = self.topology.el_shards() as usize;
+        let mut per_shard = vec![LogHistogram::default(); shards];
         let mut timings = ProtocolTimings::new();
         for (rank, t) in rank_timings {
-            per_shard[map.shard_for(*rank) as usize].merge(&t.el_ack_rtt);
+            per_shard[self.topology.shard_of(*rank) as usize].merge(&t.el_ack_rtt);
             timings.merge(t);
         }
         for (shard, h) in per_shard.iter().enumerate() {
@@ -620,6 +619,21 @@ impl Supervisor {
         window_families(p, &closed, &self.windows.current(now_ns, &timings));
         page.finish()
     }
+}
+
+/// Bind the live health endpoint `cfg` asks for and leave its bound
+/// address in `proc.health_addr_file` when that is asked for too.
+pub(crate) fn bind_health(cfg: &ClusterConfig) -> std::io::Result<Option<HealthServer>> {
+    let Some(addr) = &cfg.health_addr else {
+        return Ok(None);
+    };
+    let server = HealthServer::bind(addr)?;
+    if let Some(path) = &cfg.proc.health_addr_file {
+        if let Err(e) = std::fs::write(path, server.local_addr().to_string()) {
+            eprintln!("health addr file {}: {e}", path.display());
+        }
+    }
+    Ok(Some(server))
 }
 
 /// Every family of the health page, as `name type help` — the in-process
@@ -691,7 +705,8 @@ mod tests {
         let hub = RecorderHub::new(RecorderConfig::enabled());
         let recorder = hub.recorder(DISPATCHER_RANK);
         policy.kills = kills.to_vec();
-        (Supervisor::new(&policy, recorder, None), hub)
+        let topology = policy.topology().expect("valid test topology");
+        (Supervisor::new(&policy, topology, recorder, None), hub)
     }
 
     fn down(node: NodeId, incarnation: u64) -> Event {

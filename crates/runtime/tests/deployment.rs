@@ -279,3 +279,32 @@ fn sixteen_rank_ring_with_scattered_kills() {
         );
     }
 }
+
+/// A description with a zero count never launches, on either backend,
+/// and the refusal names the field.
+#[test]
+fn both_launchers_refuse_a_zero_count_by_name() {
+    use mvr_runtime::proc::{run_proc, ProcError};
+    type Zero = fn(&mut ClusterConfig);
+    let zeroed: [(Zero, &str); 3] = [
+        (|c| c.world = 0, "world"),
+        (|c| c.el_shards = 0, "el_shards"),
+        (|c| c.el_replicas = 0, "el_replicas"),
+    ];
+    for (zero, field) in zeroed {
+        let mut cfg = ClusterConfig::new(2, "never launched");
+        zero(&mut cfg);
+        match run_proc(cfg.clone()) {
+            Err(ProcError::Launch(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+            other => panic!("{field} = 0 must not launch: {other:?}"),
+        }
+        let launch = std::panic::catch_unwind(|| {
+            Cluster::launch(cfg, |_: &mut NodeMpi, _: Option<Payload>| {
+                Ok(Payload::from_vec(Vec::new()))
+            })
+        });
+        let panic = launch.err().expect("in-process launch must refuse");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains(field), "{field}: {msg}");
+    }
+}

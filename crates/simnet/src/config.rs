@@ -103,15 +103,6 @@ pub struct ClusterConfig {
     /// gate at delivery, but the EL round-trip is paid per *batch*, with
     /// a forced flush whenever a send queues behind the gate.
     pub el_batch_max: u64,
-    /// V2 only: tune the batch threshold *online* per rank instead of
-    /// using `el_batch_max` as a fixed constant (mirrors the engine's
-    /// `BatchPolicy::Adaptive`). The per-rank limit starts at 1 and
-    /// doubles on every EL ack while the gate-wait p99 stays under
-    /// `el_gate_budget_ns`, halves whenever a send queues behind the
-    /// gate, and never exceeds `el_batch_max`.
-    pub el_batch_adaptive: bool,
-    /// Gate-wait p99 budget for adaptive widening (virtual ns).
-    pub el_gate_budget_ns: u64,
     /// Number of event-logger shards (ranks are partitioned round-robin).
     pub event_loggers: usize,
     /// V2 only: replicas per event-logger shard. Each shipped batch fans
@@ -157,8 +148,6 @@ impl ClusterConfig {
             el_service: usecs(4),
             event_bytes: 20,
             el_batch_max: 1,
-            el_batch_adaptive: false,
-            el_gate_budget_ns: 100_000,
             event_loggers: 1,
             el_replicas: 1,
             channel_memories: 0,

@@ -334,9 +334,6 @@ struct RankSim {
     /// batch-FIFO because every replica lane is symmetric and the
     /// owner's tx lane serializes the fan-out in batch order).
     el_ack_tally: u32,
-    /// Live batch threshold under `el_batch_adaptive` (unused otherwise):
-    /// doubled on under-budget acks, halved on gate deferrals.
-    el_limit: u64,
     ckpt_seq: u64,
     ckpt_begin_t: SimTime,
     replayed_n: u64,
@@ -384,7 +381,6 @@ impl RankSim {
             recv_clock: 0,
             el_ship_q: VecDeque::new(),
             el_ack_tally: 0,
-            el_limit: 1,
             ckpt_seq: 0,
             ckpt_begin_t: 0,
             replayed_n: 0,
@@ -881,16 +877,6 @@ impl Sim {
                 }
                 let rtt = self.now.saturating_sub(shipped);
                 self.el_ack_rtt.record(rtt);
-                // Adaptive widening: while released sends have waited
-                // under budget at the p99 (or never waited at all), a
-                // bigger batch amortizes the next RTT for free.
-                if self.cfg.el_batch_adaptive
-                    && self.gate_wait.quantile(0.99) <= self.cfg.el_gate_budget_ns
-                {
-                    let cap = self.cfg.el_batch_max.max(1);
-                    let rk = &mut self.ranks[owner];
-                    rk.el_limit = (rk.el_limit * 2).min(cap);
-                }
                 let up_to = {
                     let r = &mut self.ranks[owner];
                     debug_assert!(r.outstanding_acks as u64 >= events);
@@ -1166,11 +1152,7 @@ impl Sim {
         // Flush at the size threshold, or immediately when a send is
         // already queued behind the gate (its ack can otherwise never
         // arrive). `el_batch_max == 1` is the eager per-event baseline.
-        let limit = if self.cfg.el_batch_adaptive {
-            self.ranks[r].el_limit.max(1)
-        } else {
-            self.cfg.el_batch_max.max(1)
-        };
+        let limit = self.cfg.el_batch_max.max(1);
         if self.ranks[r].pending_el >= limit || !self.ranks[r].gated.is_empty() {
             self.flush_el(r);
         }
@@ -1235,13 +1217,6 @@ impl Sim {
                 }
                 SendSpec::Cts { .. } => None,
             };
-            // Adaptive narrowing: a queued send waits on exactly the
-            // events the current batch is sitting on — halve the
-            // threshold so future batches ship sooner.
-            if self.cfg.el_batch_adaptive {
-                let rk = &mut self.ranks[r];
-                rk.el_limit = (rk.el_limit / 2).max(1);
-            }
             self.ranks[r].gated.push_back((spec, self.now));
             if let Some((dst, clock)) = deferred {
                 let queued = self.ranks[r].gated.len() as u64;

@@ -10,14 +10,19 @@
 //! mpirun -np 4 --backend socket ring           # real OS processes + TCP
 //! ```
 //!
-//! Two deployment backends share every flag:
+//! The command line is parsed once into the one deployment description
+//! ([`ClusterConfig`]) both backends launch from; a flag either acts on
+//! the chosen backend or the launcher exits 2 naming the backend that
+//! cannot honour it (`ClusterConfig::validate`):
 //! - `inproc` (default): the in-process fabric — threads in one
-//!   process, the benchmarking substrate;
+//!   process, the benchmarking substrate. Refuses `--fail-after`,
+//!   `--drift`, `--rotate-records`, `--rotate-bytes` (no socket
+//!   detector, no per-process stream);
 //! - `socket`: every rank, event-logger replica and the checkpoint
 //!   server is a **real OS process** speaking length-prefixed frames
 //!   over TCP, watched by a socket fail-stop detector; `--kill`,
 //!   `--el-kill` and `--cs-kill` become real `SIGKILL`s and recovery
-//!   runs across process boundaries.
+//!   runs across process boundaries. Refuses `--protocol v1|p4`.
 //!
 //! Demo applications (deterministic, resumable, self-verifying):
 //! `ring [iters]`, `allreduce [iters]`, `fanout [msgs]`, `cg [n]`,
@@ -25,9 +30,9 @@
 
 use mpich_v::core::{NodeId, Payload, Rank};
 use mpich_v::mpi::{MpiResult, ReduceOp, Source, Tag};
-use mpich_v::runtime::proc::{maybe_run_child, run_proc, ProcOptions};
+use mpich_v::runtime::proc::{maybe_run_child, run_proc};
 use mpich_v::runtime::progfile;
-use mpich_v::runtime::{Cluster, ClusterConfig, MpiApp, NodeMpi, RuntimeProtocol};
+use mpich_v::runtime::{Backend, Cluster, ClusterConfig, MpiApp, NodeMpi, RuntimeProtocol};
 use mpich_v::workloads as mvr_workloads;
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,11 +74,11 @@ fn next_at(args: &mut impl Iterator<Item = String>) -> (u32, String) {
     pair.unwrap_or_else(|| usage())
 }
 
-/// Parse the command line straight into the deployment description both
-/// backends launch from: `(socket backend?, protocol, options)`.
-fn parse_args() -> (bool, RuntimeProtocol, ProcOptions) {
-    let mut o = ProcOptions::new(4, "");
-    let (mut socket, mut protocol) = (false, RuntimeProtocol::V2);
+/// Parse the command line into the one deployment description both
+/// backends launch from, checked against the chosen backend.
+fn parse_args() -> (Backend, ClusterConfig) {
+    let mut o = ClusterConfig::new(4, "");
+    let mut backend = Backend::InProcess;
     let (mut pgfile, mut checkpoints) = (None::<String>, true);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -81,7 +86,7 @@ fn parse_args() -> (bool, RuntimeProtocol, ProcOptions) {
         match a.as_str() {
             "-np" | "--np" => o.world = next(args),
             "--protocol" => {
-                protocol = match next::<String>(args).as_str() {
+                o.protocol = match next::<String>(args).as_str() {
                     "v2" => RuntimeProtocol::V2,
                     "v1" => RuntimeProtocol::V1,
                     "p4" => RuntimeProtocol::P4,
@@ -89,9 +94,9 @@ fn parse_args() -> (bool, RuntimeProtocol, ProcOptions) {
                 }
             }
             "--backend" => {
-                socket = match next::<String>(args).as_str() {
-                    "inproc" | "in-process" => false,
-                    "socket" | "tcp" => true,
+                backend = match next::<String>(args).as_str() {
+                    "inproc" | "in-process" => Backend::InProcess,
+                    "socket" | "tcp" => Backend::Socket,
                     _ => usage(),
                 }
             }
@@ -110,30 +115,30 @@ fn parse_args() -> (bool, RuntimeProtocol, ProcOptions) {
             "--timeout" => o.timeout = Duration::from_secs(next(args)),
             "--obs-dir" => o.obs_dir = Some(next::<String>(args).into()),
             "--health" => o.health_addr = Some(next(args)),
-            "--fail-after" => o.fail_after = Some(next_ms(args)),
+            "--fail-after" => o.proc.fail_after = Some(next_ms(args)),
             // rank@ppb: inject a clock-drift rate (parts per billion,
             // may be negative) into one rank's recorder.
             "--drift" => {
                 let (rank, ppb) = next_at(args);
                 let ppb = ppb.parse().unwrap_or_else(|_| usage());
-                o.epoch_drift.push((Rank(rank), ppb));
+                o.proc.epoch_drift.push((Rank(rank), ppb));
             }
-            "--rotate-records" => o.rotate_records = next(args),
-            "--rotate-bytes" => o.rotate_bytes = next(args),
+            "--rotate-records" => o.proc.rotate_records = next(args),
+            "--rotate-bytes" => o.proc.rotate_bytes = next(args),
             app if !app.starts_with('-') => {
                 let numbers = args.filter(|v| v.parse::<u64>().is_ok());
                 let spec: Vec<String> = std::iter::once(a.clone()).chain(numbers).collect();
-                o.app_spec = spec.join(" ");
+                o.proc.app_spec = spec.join(" ");
                 break;
             }
             _ => usage(),
         }
     }
-    if o.app_spec.is_empty() {
+    if o.proc.app_spec.is_empty() {
         usage();
     }
 
-    // Resolve the deployment description.
+    // Resolve the program file into the description.
     let pf = match &pgfile {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -151,10 +156,17 @@ fn parse_args() -> (bool, RuntimeProtocol, ProcOptions) {
         o.world = pf.world();
     }
     let scheduler = pf.scheduler.clone().map(|(_, c)| c).unwrap_or_default();
-    o.checkpointing = (checkpoints && protocol == RuntimeProtocol::V2).then_some(scheduler);
+    o.checkpointing = (checkpoints && o.protocol == RuntimeProtocol::V2).then_some(scheduler);
     o.el_shards = pf.event_loggers.len().max(1) as u32;
-    o.binds = pf.bind_map(o.el_replicas);
-    (socket, protocol, o)
+    // The live invariant monitor rides on the flight records.
+    o.monitor = o.obs_dir.is_some();
+    // Refused before anything is launched, with the usage exit code.
+    let topology = o.validate(backend).unwrap_or_else(|e| {
+        eprintln!("mpirun: {e}");
+        std::process::exit(2);
+    });
+    o.proc.binds = pf.bind_map(&topology);
+    (backend, o)
 }
 
 // ---------------------------------------------------------------------
@@ -287,28 +299,26 @@ fn main() {
     // the role and never return.
     maybe_run_child(&make_app);
 
-    let (socket, protocol, opts) = parse_args();
+    let (backend, cfg) = parse_args();
     println!(
-        "mpirun: {} ranks, protocol {:?}, backend {}, {} event logger shard(s) x{}, checkpoints {}",
-        opts.world,
-        protocol,
-        if socket { "socket" } else { "inproc" },
-        opts.el_shards,
-        opts.el_replicas,
-        if opts.checkpointing.is_some() {
+        "mpirun: {} ranks, protocol {:?}, backend {backend}, {} event logger shard(s) x{}, checkpoints {}",
+        cfg.world,
+        cfg.protocol,
+        cfg.el_shards,
+        cfg.el_replicas,
+        if cfg.checkpointing.is_some() {
             "on"
         } else {
             "off"
         }
     );
-    let Some(app) = make_app(&opts.app_spec) else {
-        eprintln!("mpirun: unknown app '{}'", opts.app_spec);
+    let Some(app) = make_app(&cfg.proc.app_spec) else {
+        eprintln!("mpirun: unknown app '{}'", cfg.proc.app_spec);
         usage();
     };
-    let outcome = if socket {
-        run_socket(protocol, opts)
-    } else {
-        run_inproc(protocol, opts, app)
+    let outcome = match backend {
+        Backend::Socket => run_socket(cfg),
+        Backend::InProcess => run_inproc(cfg, app),
     };
     if let Err(e) = outcome {
         eprintln!("mpirun: {e}");
@@ -316,34 +326,25 @@ fn main() {
     }
 }
 
-fn run_inproc(
-    protocol: RuntimeProtocol,
-    opts: ProcOptions,
-    app: Arc<dyn MpiApp>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = ClusterConfig {
-        world: opts.world,
-        protocol,
-        el_shards: opts.el_shards,
-        el_replicas: opts.el_replicas,
-        checkpointing: opts.checkpointing,
-        kills: opts.kills,
-        ..Default::default()
-    };
-    let report = Cluster::launch(cfg, app).wait_report(opts.timeout)?;
+fn run_inproc(cfg: ClusterConfig, app: Arc<dyn MpiApp>) -> Result<(), Box<dyn std::error::Error>> {
+    let (timeout, obs_dir) = (cfg.timeout, cfg.obs_dir.clone());
+    let cluster = Cluster::launch(cfg, app);
+    if let Some(addr) = cluster.health_addr() {
+        println!("mpirun: health endpoint at http://{addr}/");
+    }
+    let hub = cluster.recorder_hub();
+    let report = cluster.wait_report(timeout)?;
+    // A failed run left its crash dump on the way out; a completed one
+    // hands its records over here.
+    if let Some(dir) = obs_dir {
+        println!("mpirun: {}", hub.dump(&dir, "merged")?.summary());
+    }
     print_results(&report.results, report.restarts, report.service_restarts);
     Ok(())
 }
 
-fn run_socket(
-    protocol: RuntimeProtocol,
-    opts: ProcOptions,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if protocol != RuntimeProtocol::V2 {
-        eprintln!("mpirun: --backend socket supports protocol v2 only");
-        std::process::exit(2);
-    }
-    let report = run_proc(opts)?;
+fn run_socket(cfg: ClusterConfig) -> Result<(), Box<dyn std::error::Error>> {
+    let report = run_proc(cfg)?;
     for (peer, cause) in &report.detections {
         println!("mpirun: detected loss of {peer} ({cause})");
     }

@@ -11,8 +11,8 @@ use mpich_v::core::{NodeId, Rank};
 use mpich_v::obs::{
     parse_dump, parse_record_line, validate_records, InvariantMonitor, RecorderConfig,
 };
-use mpich_v::runtime::proc::{run_proc, sig, ProcError, ProcOptions};
-use mpich_v::runtime::ClusterError;
+use mpich_v::runtime::proc::{run_proc, sig, ProcError};
+use mpich_v::runtime::{ClusterConfig, ClusterError, SchedulerConfig};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -24,13 +24,15 @@ fn mpirun() -> Command {
 }
 
 /// A fresh per-test observability directory under the target dir, and a
-/// `ProcOptions` that re-executes the built `mpirun` binary as its
-/// children (the same child hook the CLI uses).
-fn proc_opts(test: &str, world: u32, app: &str) -> (ProcOptions, PathBuf) {
+/// deployment that re-executes the built `mpirun` binary as its children
+/// (the same child hook the CLI uses), checkpointing and monitored.
+fn proc_opts(test: &str, world: u32, app: &str) -> (ClusterConfig, PathBuf) {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(test);
     let _ = std::fs::remove_dir_all(&dir);
-    let mut opts = ProcOptions::new(world, app);
-    opts.exe = PathBuf::from(env!("CARGO_BIN_EXE_mpirun"));
+    let mut opts = ClusterConfig::new(world, app);
+    opts.checkpointing = Some(SchedulerConfig::default());
+    opts.monitor = true;
+    opts.proc.exe = PathBuf::from(env!("CARGO_BIN_EXE_mpirun"));
     opts.obs_dir = Some(dir.clone());
     opts.timeout = Duration::from_secs(60);
     (opts, dir)
@@ -249,7 +251,7 @@ fn skewed_epochs_are_corrected_in_merged_dump() {
     // Rank 1's recorder epoch is shifted 25ms late, so its raw
     // timestamps read 25ms early — every cross-rank deliver appears to
     // precede its send until the merge solves for the offset.
-    opts.epoch_skew = vec![(Rank(1), 25_000_000)];
+    opts.proc.epoch_skew = vec![(Rank(1), 25_000_000)];
     let report = run_proc(opts).expect("skewed run completes");
     let merge = report.merge.expect("merge summary present");
 
@@ -300,7 +302,7 @@ fn drifting_clock_is_corrected_by_piecewise_track_in_merged_dump() {
     // epoch shift, the error GROWS over the run, so a single offset
     // per incarnation cannot reconcile the bidirectional ring traffic
     // — the piecewise-linear track must kick in.
-    opts.epoch_drift = vec![(Rank(1), 30_000_000)];
+    opts.proc.epoch_drift = vec![(Rank(1), 30_000_000)];
     let report = run_proc(opts).expect("drifting run completes");
     let merge = report.merge.expect("merge summary present");
 
@@ -361,7 +363,7 @@ fn rotated_jsonl_segments_reassemble_in_merged_dump() {
     let (mut opts, dir) = proc_opts("rotated_segments", 2, "ring 40");
     // Tiny segments: every child stream rotates every 50 records, so
     // the merge must reassemble multiple segments per incarnation.
-    opts.rotate_records = 50;
+    opts.proc.rotate_records = 50;
     let report = run_proc(opts).expect("rotated run completes");
     let merge = report.merge.expect("merge summary present");
     assert!(merge.records > 0, "merged dump must carry records");
@@ -391,7 +393,7 @@ fn rotated_jsonl_segments_reassemble_in_merged_dump() {
 #[test]
 fn injected_gate_violation_is_caught_live_by_parent() {
     let (mut opts, dir) = proc_opts("live_violation", 2, "ring 200");
-    opts.inject_violation = Some(Rank(1));
+    opts.proc.inject_violation = Some(Rank(1));
     match run_proc(opts) {
         Err(ProcError::Supervision(ClusterError::InvariantViolated { violation: v })) => {
             assert_eq!(v.invariant, "pessimism-gate", "wrong invariant: {v}");
@@ -428,7 +430,7 @@ fn default_flush_cadence_survives_sigkill_without_partial_lines() {
         "durable default changed"
     );
     opts.kills = vec![(NodeId::Computing(Rank(1)), Duration::from_millis(30))];
-    opts.fail_after = Some(Duration::from_millis(250));
+    opts.proc.fail_after = Some(Duration::from_millis(250));
     let report = run_proc(opts).expect("killed run recovers");
     assert!(report.restarts >= 1, "the SIGKILL must have landed");
 
