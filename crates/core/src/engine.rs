@@ -141,6 +141,12 @@ pub struct V2Engine {
     /// order, so duplicates are detected by exact membership (plus `HR`
     /// for delivered clocks), never by a high-watermark on arrivals.
     recv_buffer: VecDeque<(Rank, u64, Payload)>,
+    /// Highest sender clock ever buffered per peer (indexed by rank).
+    /// An arrival above it (and above `HR`) is neither buffered nor
+    /// delivered and sorts after everything buffered from that peer, so
+    /// the in-order case appends without scanning `recv_buffer`. Lives
+    /// and dies with the buffer: recovery starts from a fresh engine.
+    buffered_high: Vec<u64>,
     /// Data transmissions waiting behind the pessimism gate (FIFO),
     /// each carrying its enqueue timestamp for the gate-wait histogram.
     gated: VecDeque<(Rank, PeerMsg, u64)>,
@@ -222,6 +228,7 @@ impl V2Engine {
             gate: PessimismGate::new(),
             mode: Mode::Normal,
             recv_buffer: VecDeque::new(),
+            buffered_high: vec![0; world as usize],
             gated: VecDeque::new(),
             app_waiting_recv: false,
             app_waiting_probe: false,
@@ -402,6 +409,18 @@ impl V2Engine {
         self.outputs.drain(..).collect()
     }
 
+    /// Take the oldest accumulated command, if any. The allocation-free
+    /// form of [`drain_outputs`](Self::drain_outputs) for hosts that
+    /// pump after every input.
+    pub fn pop_output(&mut self) -> Option<Output> {
+        self.outputs.pop_front()
+    }
+
+    /// Commands accumulated and not yet taken by the host.
+    pub fn outputs_pending(&self) -> usize {
+        self.outputs.len()
+    }
+
     /// Activity counters.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -455,6 +474,12 @@ impl V2Engine {
                 }
             }
         }
+    }
+
+    /// Arrived messages waiting in the receive buffer for an `AppRecv`
+    /// (live mode; replayed deliveries come from the plan instead).
+    pub fn recv_backlog(&self) -> usize {
+        self.recv_buffer.len()
     }
 
     /// Number of delivered receptions whose events have not been shipped
@@ -755,6 +780,8 @@ impl V2Engine {
                 );
                 continue;
             }
+            let high = &mut self.buffered_high[id.sender.idx()];
+            *high = (*high).max(id.sender_clock);
             self.recv_buffer
                 .push_back((id.sender, id.sender_clock, payload));
         }
@@ -826,6 +853,15 @@ impl V2Engine {
                 // arrived-but-undelivered ones sit in the buffer. Checked
                 // by membership, not watermark — see `recv_buffer`.
                 let already_delivered = self.marks.is_duplicate_from(from, h);
+                // In-order arrival (the FIFO-channel common case): above
+                // everything this peer ever had buffered, so it is not
+                // in the buffer and belongs at its end — no scan.
+                let high = &mut self.buffered_high[from.idx()];
+                if !already_delivered && h > *high {
+                    *high = h;
+                    self.recv_buffer.push_back((from, h, data.payload));
+                    return self.progress_delivery();
+                }
                 let already_buffered = self
                     .recv_buffer
                     .iter()
@@ -2113,6 +2149,56 @@ mod tests {
             2,
             "re-received messages are fresh lazily-batched events"
         );
+    }
+
+    #[test]
+    fn in_order_arrivals_append_without_hiding_late_or_duplicate_ones() {
+        // Two peers interleaved, each in order: the append fast path.
+        let mut e = V2Engine::fresh(Rank(2), 3);
+        for h in 1..=3 {
+            feed_data(&mut e, Rank(0), h);
+            feed_data(&mut e, Rank(1), h);
+        }
+        assert_eq!(e.recv_backlog(), 6);
+        // A duplicate of a buffered clock sits at or below the peer's
+        // high mark, so it still reaches the membership scan...
+        feed_data(&mut e, Rank(0), 2);
+        assert_eq!(e.metrics().duplicates_dropped, 1);
+        // ...and so does a late earlier clock behind a later one, which
+        // must sort into per-sender order, not append.
+        feed_data(&mut e, Rank(0), 6);
+        feed_data(&mut e, Rank(0), 5);
+        let mut from0 = Vec::new();
+        while e.recv_backlog() > 0 {
+            e.handle(Input::AppRecv).unwrap();
+            for x in outs(&mut e) {
+                if let Output::Deliver { from, payload } = x {
+                    if from == Rank(0) {
+                        from0.push(payload);
+                    }
+                }
+            }
+        }
+        assert_eq!(from0, vec![pl(1), pl(2), pl(3), pl(5), pl(6)]);
+        // Delivered clocks fall to HR even though the high mark is stale.
+        feed_data(&mut e, Rank(0), 6);
+        assert_eq!(e.metrics().duplicates_dropped, 2);
+        assert_eq!(e.recv_backlog(), 0);
+    }
+
+    #[test]
+    fn pop_output_yields_the_queue_in_order() {
+        let mut e = V2Engine::fresh(Rank(0), 2);
+        e.handle(Input::AppSend {
+            dst: Rank(1),
+            payload: pl(1),
+        })
+        .unwrap();
+        e.handle(Input::AppProbe).unwrap();
+        assert_eq!(e.outputs_pending(), 2);
+        assert!(matches!(e.pop_output(), Some(Output::Transmit { .. })));
+        assert_eq!(e.pop_output(), Some(Output::ProbeAnswer(false)));
+        assert_eq!(e.pop_output(), None);
     }
 
     #[test]

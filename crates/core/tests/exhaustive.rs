@@ -9,6 +9,11 @@
 //! execution is equivalent to a fault-free one (every planned message
 //! delivered exactly once, in per-pair order, with the right content).
 //!
+//! Under a lazy batch policy the explorer can also branch on the **host
+//! shipping a rank's pending events** at any state — the runtime's
+//! freedom to flush when it is about to go idle, or not until a send
+//! gates.
+//!
 //! This complements the scenario and property tests: those sample the
 //! space; this exhausts it (for small configurations).
 
@@ -259,6 +264,13 @@ impl World {
         self.run_apps();
     }
 
+    /// The host ships rank `r`'s pending reception events now.
+    fn host_flush(&mut self, r: usize) {
+        self.engines[r].handle(Input::FlushEvents).unwrap();
+        self.route_outputs(r);
+        self.run_apps();
+    }
+
     /// Take a checkpoint of rank `v` now, if the engine is quiescent.
     fn try_checkpoint(&mut self, v: usize) -> bool {
         self.engines[v].handle(Input::CheckpointOrder).unwrap();
@@ -316,6 +328,10 @@ struct Explorer {
     states_visited: u64,
     crash_runs: u64,
     max_states: u64,
+    /// Also branch on "the host flushes rank r now" wherever rank r has
+    /// unshipped events.
+    host_flushes: bool,
+    flush_branches: u64,
 }
 
 impl Explorer {
@@ -363,6 +379,19 @@ impl Explorer {
             }
         }
 
+        // Branch: the host ships any rank's pending events here. (The
+        // branch that does not is every other branch of this state.)
+        if self.host_flushes {
+            for r in 0..w.n() {
+                if w.engines[r].pending_event_count() > 0 {
+                    let mut fw = w.clone();
+                    fw.host_flush(r);
+                    self.flush_branches += 1;
+                    self.explore(fw, crashes_left, ckpts_left);
+                }
+            }
+        }
+
         if w.done() {
             w.check_equivalence(&self.expected);
             return;
@@ -393,6 +422,18 @@ fn run_exploration_with(
     ckpts: u32,
     max_states: u64,
 ) -> (u64, u64) {
+    let ex = explore_from_start(scripts, policy, crashes, ckpts, max_states, false);
+    (ex.states_visited, ex.crash_runs)
+}
+
+fn explore_from_start(
+    scripts: Vec<Vec<Op>>,
+    policy: BatchPolicy,
+    crashes: u32,
+    ckpts: u32,
+    max_states: u64,
+    host_flushes: bool,
+) -> Explorer {
     let expected = expected_per_source(&scripts);
     let mut world = World::new(scripts, policy);
     world.run_apps();
@@ -401,9 +442,11 @@ fn run_exploration_with(
         states_visited: 0,
         crash_runs: 0,
         max_states,
+        host_flushes,
+        flush_branches: 0,
     };
     ex.explore(world, crashes, ckpts);
-    (ex.states_visited, ex.crash_runs)
+    ex
 }
 
 // ---------------------------------------------------------------------
@@ -517,6 +560,60 @@ fn exhaustive_lazy_batching_fanin_with_crashes() {
     );
     assert!(states >= 20, "{states}");
     assert!(crash_runs >= 50, "{crash_runs}");
+}
+
+/// A batch bound no script reaches: the engine itself ships only when a
+/// send gates, so every other ship is the host's choice.
+const HOST_PACED: BatchPolicy = BatchPolicy::Lazy { max_events: 64 };
+
+#[test]
+fn exhaustive_host_flush_freedom_pingpong_with_crashes() {
+    // The runtime ships pending events when a driver is about to leave
+    // the node idle — a point the protocol does not define. Explore it
+    // as an action: at every state, for every rank with unshipped
+    // events, the host may flush now or leave it (until a later state,
+    // or until a send gates). Every schedule, with a crash of either
+    // rank at every state, must equal the fault-free run.
+    //
+    // Volleys of two, so a receiver sits between receptions with an
+    // unshipped event and no send of its own to force the flush.
+    let scripts = vec![
+        vec![Op::Send(1), Op::Send(1), Op::Recv, Op::Recv, Op::Send(1)],
+        vec![Op::Recv, Op::Recv, Op::Send(0), Op::Send(0), Op::Recv],
+    ];
+    let ex = explore_from_start(scripts, HOST_PACED, 1, 0, 2_000_000, true);
+    assert!(
+        ex.flush_branches >= 10,
+        "{} flush branches",
+        ex.flush_branches
+    );
+    assert!(ex.crash_runs >= 100, "{} crash runs", ex.crash_runs);
+}
+
+#[test]
+fn exhaustive_host_flush_freedom_fanin_with_crashes() {
+    // Fan-in: the receiver accumulates up to four unshipped events
+    // before its own sends gate, so the host's flush can split them into
+    // any sequence of batches, interleaved with the racing deliveries.
+    let scripts = vec![
+        vec![Op::Send(2), Op::Send(2), Op::Recv],
+        vec![Op::Send(2), Op::Send(2), Op::Recv],
+        vec![
+            Op::Recv,
+            Op::Recv,
+            Op::Recv,
+            Op::Recv,
+            Op::Send(0),
+            Op::Send(1),
+        ],
+    ];
+    let ex = explore_from_start(scripts, HOST_PACED, 1, 0, 8_000_000, true);
+    assert!(
+        ex.flush_branches >= 1_000,
+        "{} flush branches",
+        ex.flush_branches
+    );
+    assert!(ex.crash_runs >= 10_000, "{} crash runs", ex.crash_runs);
 }
 
 #[test]

@@ -105,6 +105,7 @@ pub fn daemon_main_v1(
                             size: world,
                             restored_mpi_state: None,
                             restored_app_state: None,
+                            node: None,
                         },
                     );
                 }
@@ -182,6 +183,7 @@ pub fn daemon_main_p4(mailbox: Mailbox<DaemonMsg>, identity: Identity, rank: Ran
                             size: world,
                             restored_mpi_state: None,
                             restored_app_state: None,
+                            node: None,
                         },
                     );
                 }

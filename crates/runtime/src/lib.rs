@@ -1,11 +1,11 @@
 //! # mvr-runtime — the MPICH-V2 runtime
 //!
-//! The live, multithreaded deployment of the protocol: per-node
-//! communication daemons hosting the `mvr-core` engine, MPI-process
-//! threads running user applications over the channel interface, the
-//! reliable services (event loggers, checkpoint server, checkpoint
-//! scheduler), and the dispatcher that launches, monitors, crashes and
-//! reincarnates nodes.
+//! The live, multithreaded deployment of the protocol: per node, one
+//! core hosting the `mvr-core` engine, driven by a communication-daemon
+//! thread (the node mailbox) and by the MPI-process thread (the user
+//! application's own channel calls); the reliable services (event
+//! loggers, checkpoint server, checkpoint scheduler); and the dispatcher
+//! that launches, monitors, crashes and reincarnates nodes.
 //!
 //! ```no_run
 //! use mvr_runtime::{run_cluster, ClusterConfig};

@@ -1,5 +1,6 @@
 //! Mailbox message types of the runtime's node kinds.
 
+use crate::node::NodeHandle;
 use mvr_core::{CkptReply, CmReply, ElAddr, ElReply, Metrics, Payload, PeerMsg, Rank, SchedMsg};
 
 /// Everything a communication daemon can receive — the analog of its
@@ -18,7 +19,8 @@ pub enum DaemonMsg {
         /// The protocol message.
         msg: PeerMsg,
     },
-    /// From the attached MPI process (the "UNIX socket").
+    /// From the attached MPI process (the "UNIX socket"): `Init` under
+    /// every protocol, the whole channel interface under the baselines.
     Proc(ProcRequest),
     /// From an event-logger replica. `from` identifies the shard
     /// replica so the daemon can fold per-replica acks into the quorum
@@ -39,7 +41,9 @@ pub enum DaemonMsg {
 
 /// Requests from the MPI process to its daemon, mirroring the channel
 /// interface (`PIbsend`, `PIbrecv`, `PInprobe`, `PIiInit`, `PIiFinish`)
-/// plus the cooperative-checkpoint handshake.
+/// plus the cooperative-checkpoint handshake. A V2 process sends only
+/// `Init` — its `InitOk` carries the node core the other calls are made
+/// on directly; the V1/P4 baseline daemons serve all of them.
 #[derive(Clone, Debug)]
 pub enum ProcRequest {
     /// `PIiInit`: the process is up; answer with `InitOk`.
@@ -68,7 +72,8 @@ pub enum ProcRequest {
     Finish,
 }
 
-/// Replies from the daemon to its MPI process.
+/// Replies from the daemon to its MPI process. Under V2 only `InitOk`
+/// and the wake-ups of a parked process (`Msg`, `Probe`, `Done`) travel.
 #[derive(Clone, Debug)]
 pub enum ProcReply {
     /// Answer to `Init`.
@@ -81,6 +86,9 @@ pub enum ProcReply {
         restored_mpi_state: Option<Payload>,
         /// Application state restored from a checkpoint, if any.
         restored_app_state: Option<Payload>,
+        /// V2: the node core the process drives for every later call.
+        /// `None` under the baselines, whose daemons own their engines.
+        node: Option<NodeHandle>,
     },
     /// A delivery (answer to `Brecv`).
     Msg {
