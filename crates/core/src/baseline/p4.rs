@@ -106,9 +106,15 @@ impl P4Engine {
         }
     }
 
-    /// Drain accumulated commands.
-    pub fn drain_outputs(&mut self) -> Vec<P4Output> {
-        self.outputs.drain(..).collect()
+    /// Take the oldest accumulated command, if any (the host pumps after
+    /// every input, like [`V2Engine::pop_output`](crate::V2Engine::pop_output)).
+    pub fn pop_output(&mut self) -> Option<P4Output> {
+        self.outputs.pop_front()
+    }
+
+    /// Commands accumulated and not yet taken by the host.
+    pub fn outputs_pending(&self) -> usize {
+        self.outputs.len()
     }
 
     /// Counters.
@@ -125,19 +131,22 @@ mod tests {
         Payload::from_vec(vec![n])
     }
 
+    fn outputs(e: &mut P4Engine) -> Vec<P4Output> {
+        std::iter::from_fn(|| e.pop_output()).collect()
+    }
+
     #[test]
     fn direct_send_and_receive() {
         let mut a = P4Engine::new(Rank(0));
         let mut b = P4Engine::new(Rank(1));
         a.app_send(Rank(1), pl(7));
-        let outs = a.drain_outputs();
-        let P4Output::Transmit { to, msg } = &outs[0] else {
+        let Some(P4Output::Transmit { to, msg }) = a.pop_output() else {
             panic!()
         };
-        assert_eq!(*to, Rank(1));
+        assert_eq!(to, Rank(1));
         b.app_recv();
-        b.on_peer(Rank(0), msg.clone());
-        let outs = b.drain_outputs();
+        b.on_peer(Rank(0), msg);
+        let outs = outputs(&mut b);
         assert!(matches!(&outs[..], [P4Output::Deliver { from, .. }] if *from == Rank(0)));
     }
 
@@ -149,19 +158,17 @@ mod tests {
         for _ in 0..10 {
             a.app_send(Rank(1), pl(0));
         }
-        let wire = a
-            .drain_outputs()
-            .into_iter()
-            .filter(|o| matches!(o, P4Output::Transmit { .. }))
-            .count();
-        assert_eq!(wire, 10);
+        assert_eq!(a.outputs_pending(), 10);
+        let outs = outputs(&mut a);
+        assert!(outs.iter().all(|o| matches!(o, P4Output::Transmit { .. })));
+        assert_eq!(a.outputs_pending(), 0);
     }
 
     #[test]
     fn probe_reports_buffer_state() {
         let mut b = P4Engine::new(Rank(1));
         b.app_probe();
-        assert_eq!(b.drain_outputs(), vec![P4Output::ProbeAnswer(false)]);
+        assert_eq!(outputs(&mut b), vec![P4Output::ProbeAnswer(false)]);
         b.on_peer(
             Rank(0),
             PeerMsg::Data(DataMsg {
@@ -171,6 +178,6 @@ mod tests {
             }),
         );
         b.app_probe();
-        assert_eq!(b.drain_outputs(), vec![P4Output::ProbeAnswer(true)]);
+        assert_eq!(outputs(&mut b), vec![P4Output::ProbeAnswer(true)]);
     }
 }

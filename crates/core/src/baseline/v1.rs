@@ -49,11 +49,6 @@ impl ChannelMemory {
         }
     }
 
-    /// The owning rank.
-    pub fn owner(&self) -> Rank {
-        self.owner
-    }
-
     /// Number of stored receptions.
     pub fn len(&self) -> usize {
         self.stored.len()
@@ -158,17 +153,6 @@ pub struct V1Engine {
     outputs: VecDeque<V1Output>,
 }
 
-/// The checkpointable state of a [`V1Engine`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct V1Snapshot {
-    /// Rank.
-    pub rank: Rank,
-    /// Send counter.
-    pub send_clock: u64,
-    /// Next reception index.
-    pub recv_seq: u64,
-}
-
 impl V1Engine {
     /// Fresh engine.
     pub fn new(rank: Rank) -> Self {
@@ -180,23 +164,6 @@ impl V1Engine {
             pending_probe: None,
             metrics: Metrics::new(),
             outputs: VecDeque::new(),
-        }
-    }
-
-    /// Restore from a checkpoint.
-    pub fn restore(s: V1Snapshot) -> Self {
-        let mut e = Self::new(s.rank);
-        e.send_clock = s.send_clock;
-        e.recv_seq = s.recv_seq;
-        e
-    }
-
-    /// Capture the checkpointable state.
-    pub fn snapshot(&self) -> V1Snapshot {
-        V1Snapshot {
-            rank: self.rank,
-            send_clock: self.send_clock,
-            recv_seq: self.recv_seq,
         }
     }
 
@@ -270,9 +237,15 @@ impl V1Engine {
         }
     }
 
-    /// Drain accumulated commands.
-    pub fn drain_outputs(&mut self) -> Vec<V1Output> {
-        self.outputs.drain(..).collect()
+    /// Take the oldest accumulated command, if any (the host pumps after
+    /// every input, like [`V2Engine::pop_output`](crate::V2Engine::pop_output)).
+    pub fn pop_output(&mut self) -> Option<V1Output> {
+        self.outputs.pop_front()
+    }
+
+    /// Commands accumulated and not yet taken by the host.
+    pub fn outputs_pending(&self) -> usize {
+        self.outputs.len()
     }
 
     /// Counters.
@@ -292,23 +265,17 @@ mod tests {
     /// Shuttle one engine's CM requests into the CMs and replies back.
     fn pump(engine: &mut V1Engine, cms: &mut [ChannelMemory]) -> Vec<(Rank, Payload)> {
         let mut delivered = Vec::new();
-        loop {
-            let outs = engine.drain_outputs();
-            if outs.is_empty() {
-                break;
-            }
-            for o in outs {
-                match o {
-                    V1Output::ToCm { owner, req } => {
-                        for r in cms[owner.idx()].handle(req) {
-                            // Replies to the requester only when it is the
-                            // owner or a PushAck.
-                            engine.on_cm_reply(r);
-                        }
+        while let Some(o) = engine.pop_output() {
+            match o {
+                V1Output::ToCm { owner, req } => {
+                    for r in cms[owner.idx()].handle(req) {
+                        // Replies to the requester only when it is the
+                        // owner or a PushAck.
+                        engine.on_cm_reply(r);
                     }
-                    V1Output::Deliver { from, payload } => delivered.push((from, payload)),
-                    V1Output::ProbeAnswer(_) => {}
                 }
+                V1Output::Deliver { from, payload } => delivered.push((from, payload)),
+                V1Output::ProbeAnswer(_) => {}
             }
         }
         delivered
@@ -405,15 +372,5 @@ mod tests {
                 pending: true
             }]
         );
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_sequence() {
-        let mut e = V1Engine::new(Rank(0));
-        e.app_send(Rank(1), pl(0));
-        let snap = e.snapshot();
-        let r = V1Engine::restore(snap);
-        assert_eq!(r.send_clock, 1);
-        assert_eq!(r.recv_seq, 0);
     }
 }

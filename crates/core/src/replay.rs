@@ -92,11 +92,16 @@ impl ReplayPlan {
     pub fn new(mut events: Vec<ReceptionEvent>) -> Self {
         events.sort_by_key(|e| e.receiver_clock);
         events.dedup_by_key(|e| e.receiver_clock);
+        // Sized once from the download: every logged reception is offered
+        // (and may wait in `pending`) exactly once, so the tables never
+        // grow through a doubling chain whose freed steps stay stranded in
+        // the daemon thread's allocator arena.
+        let n = events.len();
         ReplayPlan {
             events: events.into(),
-            pending: HashMap::new(),
+            pending: HashMap::with_capacity(n),
             future: VecDeque::new(),
-            offered: std::collections::HashSet::new(),
+            offered: std::collections::HashSet::with_capacity(n),
             probes_answered: 0,
         }
     }

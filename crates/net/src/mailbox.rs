@@ -352,8 +352,8 @@ impl<M> Lane<M> {
     }
 }
 
-/// A producer handle for one SPSC lane, as handed to the `hotpath`
-/// bench. Single producer per handle (the SPSC contract).
+/// A producer handle for one SPSC lane, as handed to the benchmark's
+/// `net.*` layer drivers. Single producer per handle (the SPSC contract).
 #[doc(hidden)]
 pub struct BenchSender<M>(Lane<M>);
 
@@ -364,8 +364,9 @@ impl<M> BenchSender<M> {
     }
 }
 
-/// Build a raw (producer lane, mailbox) pair outside the fabric — the
-/// `hotpath` bench's microbench handle, bypassing registry and routing.
+/// Build a raw (producer lane, mailbox) pair outside the fabric —
+/// bypassing registry and routing — for the benchmark's `net.ring_ns`
+/// (one lane, `benchmark/src/layers.rs`).
 #[doc(hidden)]
 pub fn bench_pair<M>(ring_capacity: usize) -> (BenchSender<M>, Mailbox<M>) {
     let (mut senders, mb) = bench_lanes(ring_capacity, 1);
@@ -373,7 +374,8 @@ pub fn bench_pair<M>(ring_capacity: usize) -> (BenchSender<M>, Mailbox<M>) {
 }
 
 /// Build `producers` independent SPSC lanes feeding one mailbox — the
-/// multi-producer shape of the `hotpath` throughput bench.
+/// daemon's multi-producer shape, drained with `recv_many` by the
+/// benchmark's `net.mailbox_drain_ns`.
 #[doc(hidden)]
 pub fn bench_lanes<M>(ring_capacity: usize, producers: usize) -> (Vec<BenchSender<M>>, Mailbox<M>) {
     let core = MailCore::new(ring_capacity);

@@ -2,25 +2,29 @@
 //! (pessimistic logging on reliable Channel Memories, §3.2) and the
 //! MPICH-P4 baseline (no fault tolerance).
 //!
-//! The MPI process side is identical to V2 (the channel interface hides
-//! the protocol, §4.4); only the daemon and the services differ:
+//! "The MPI process side is identical to V2" (the channel interface
+//! hides the protocol, §4.4), and so is the node: each baseline is a
+//! `NodeCore` behind the same [`NodeHandle`](crate::node::NodeHandle),
+//! driven by the same two threads — the process calls it inline and
+//! parks only when it has nothing to deliver, the daemon thread serves
+//! the node mailbox into it. Only the core and the services differ:
 //!
 //! * **V1** — every send is pushed to the *receiver's* Channel Memory;
-//!   receives pull reception `seq` numbers from the node's own CM. A
-//!   restarted process replays its receptions by re-pulling from its
-//!   reception index — recovery needs no cooperation from the other
-//!   computing nodes at all ("a process re-execution is independent of
-//!   the other processes of the system"). Our V1 hosting restarts from
-//!   scratch (no Condor images), which the CM replay makes exact.
+//!   receives pull reception `seq` numbers from the node's own CM, so a
+//!   receive or probe always parks until the CM answers. A restarted
+//!   process replays its receptions by re-pulling from its reception
+//!   index — recovery needs no cooperation from the other computing
+//!   nodes at all ("a process re-execution is independent of the other
+//!   processes of the system"). Our V1 hosting restarts from scratch (no
+//!   Condor images), which the CM replay makes exact.
 //! * **P4** — direct transmission. A crash is fatal to the run (there is
 //!   nothing to replay from), exactly like the real MPICH-P4.
 
-use crate::messages::{DaemonMsg, DispatcherMsg, ProcReply, ProcRequest};
+use crate::messages::{DaemonMsg, ProcReply};
+use crate::node::{NodeCore, NodeEnd, Port};
 use mvr_core::baseline::p4::{P4Engine, P4Output};
-use mvr_core::baseline::v1::{ChannelMemory, V1Engine, V1Output};
-use mvr_core::{CmReply, CmRequest, NodeId, Rank};
-use mvr_net::{Fabric, Identity, Mailbox, RecvError, SendError};
-use std::thread::JoinHandle;
+use mvr_core::baseline::v1::{V1Engine, V1Output};
+use mvr_core::{CmRequest, NodeId, Payload, Rank};
 
 /// One inbound request to a Channel Memory node: which owner's repository,
 /// who asked (for the reply route), and the request.
@@ -45,189 +49,154 @@ pub fn default_cms(world: u32) -> u32 {
     world.div_ceil(4).max(1)
 }
 
-/// Spawn the Channel Memory services. Each CM node hosts the repositories
-/// of every rank mapped to it.
-pub fn spawn_channel_memories(fabric: &Fabric, _world: u32, cms: u32) -> Vec<JoinHandle<()>> {
-    (0..cms.max(1))
-        .map(|i| {
-            let (mb, identity) = fabric.register::<CmPacket>(NodeId::ChannelMemory(i));
-            std::thread::Builder::new()
-                .name(format!("cm-{i}"))
-                .spawn(move || {
-                    let mut repos: std::collections::BTreeMap<Rank, ChannelMemory> =
-                        Default::default();
-                    loop {
-                        let pkt = match mb.recv() {
-                            Ok(p) => p,
-                            Err(RecvError::Killed) | Err(RecvError::Timeout) => return,
-                        };
-                        let repo = repos
-                            .entry(pkt.owner)
-                            .or_insert_with(|| ChannelMemory::new(pkt.owner));
-                        for reply in repo.handle(pkt.req) {
-                            // Push acks return to the pusher; messages and
-                            // probe answers to the owner.
-                            let to = match &reply {
-                                CmReply::PushAck => pkt.from,
-                                _ => pkt.owner,
-                            };
-                            let _ = identity.send(NodeId::Computing(to), DaemonMsg::Cm(reply));
-                        }
-                    }
-                })
-                .expect("spawn channel memory")
-        })
-        .collect()
+/// The P4 node core: direct transmission from the calling thread.
+pub(crate) struct P4Core {
+    engine: P4Engine,
+    port: Port,
 }
 
-/// The V1 communication-daemon loop.
-pub fn daemon_main_v1(
-    mailbox: Mailbox<DaemonMsg>,
-    identity: Identity,
-    rank: Rank,
-    world: u32,
-    cms: u32,
-) {
-    let mut engine = V1Engine::new(rank);
-    let mut finalized = false;
-    loop {
-        let msg = match mailbox.recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        match msg {
-            DaemonMsg::Proc(req) => match req {
-                ProcRequest::Init => {
-                    let _ = identity.send(
-                        NodeId::Process(rank),
-                        ProcReply::InitOk {
-                            rank,
-                            size: world,
-                            restored_mpi_state: None,
-                            restored_app_state: None,
-                            node: None,
-                        },
-                    );
-                }
-                ProcRequest::Bsend { dst, bytes } => engine.app_send(dst, bytes),
-                ProcRequest::Brecv => engine.app_recv(),
-                ProcRequest::Nprobe => engine.app_probe(),
-                ProcRequest::CkptPoll => {
-                    // V1 hosting restarts from scratch; no checkpoints.
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::CkptPending(false));
-                }
-                ProcRequest::CkptCommit { .. } => {
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::CkptCommitted);
-                }
-                ProcRequest::Finish => {
-                    finalized = true;
-                    let _ = identity.send(
-                        NodeId::Dispatcher,
-                        DispatcherMsg::Finalized {
-                            rank,
-                            metrics: *engine.metrics(),
-                            timings: Default::default(),
-                        },
-                    );
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::Done);
-                }
-            },
-            DaemonMsg::Cm(reply) => engine.on_cm_reply(reply),
-            // No peer traffic, EL, or checkpoint system in V1 hosting.
-            _ => {}
+impl P4Core {
+    pub(crate) fn new(port: Port) -> Self {
+        P4Core {
+            engine: P4Engine::new(port.rank),
+            port,
         }
-        for out in engine.drain_outputs() {
+    }
+
+    /// Perform every queued output; returns the answer to the process's
+    /// call, if the engine produced one.
+    fn pump(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        let mut answer = None;
+        while let Some(out) = self.engine.pop_output() {
             match out {
-                V1Output::ToCm { owner, req } => {
-                    let _ = identity.send(
-                        cm_for_rank(owner, cms),
-                        CmPacket {
-                            owner,
-                            from: rank,
-                            req,
-                        },
-                    );
+                // A dead peer loses the message: P4 has nothing to
+                // replay it from, and the supervisor fails the run.
+                P4Output::Transmit { to, msg } => drop(self.port.transmit(to, msg)?),
+                P4Output::Deliver { from, payload } => {
+                    answer = Some(ProcReply::Msg { from, payload })
                 }
-                V1Output::Deliver { from, payload } => {
-                    if identity
-                        .send(NodeId::Process(rank), ProcReply::Msg { from, payload })
-                        .is_err()
-                        && !finalized
-                    {
-                        return;
-                    }
-                }
-                V1Output::ProbeAnswer(b) => {
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::Probe(b));
-                }
+                P4Output::ProbeAnswer(b) => answer = Some(ProcReply::Probe(b)),
             }
         }
+        Ok(answer)
     }
 }
 
-/// The P4 communication-daemon loop (direct transmission).
-pub fn daemon_main_p4(mailbox: Mailbox<DaemonMsg>, identity: Identity, rank: Rank, world: u32) {
-    let mut engine = P4Engine::new(rank);
-    loop {
-        let msg = match mailbox.recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        match msg {
-            DaemonMsg::Proc(req) => match req {
-                ProcRequest::Init => {
-                    let _ = identity.send(
-                        NodeId::Process(rank),
-                        ProcReply::InitOk {
-                            rank,
-                            size: world,
-                            restored_mpi_state: None,
-                            restored_app_state: None,
-                            node: None,
-                        },
-                    );
-                }
-                ProcRequest::Bsend { dst, bytes } => engine.app_send(dst, bytes),
-                ProcRequest::Brecv => engine.app_recv(),
-                ProcRequest::Nprobe => engine.app_probe(),
-                ProcRequest::CkptPoll => {
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::CkptPending(false));
-                }
-                ProcRequest::CkptCommit { .. } => {
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::CkptCommitted);
-                }
-                ProcRequest::Finish => {
-                    let _ = identity.send(
-                        NodeId::Dispatcher,
-                        DispatcherMsg::Finalized {
-                            rank,
-                            metrics: *engine.metrics(),
-                            timings: Default::default(),
-                        },
-                    );
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::Done);
-                }
-            },
-            DaemonMsg::Peer { from, msg } => engine.on_peer(from, msg),
-            _ => {}
+impl NodeCore for P4Core {
+    fn on_daemon_msg(&mut self, msg: DaemonMsg) -> Result<(), NodeEnd> {
+        if let DaemonMsg::Peer { from, msg } = msg {
+            self.engine.on_peer(from, msg);
         }
-        for out in engine.drain_outputs() {
+        let answer = self.pump()?;
+        self.port.wake(answer)
+    }
+
+    fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd> {
+        self.engine.app_send(dst, bytes);
+        self.pump().map(drop)
+    }
+
+    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        self.engine.app_recv();
+        self.pump()
+    }
+
+    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        self.engine.app_probe();
+        self.pump()
+    }
+
+    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        self.port
+            .finalized(*self.engine.metrics(), Default::default())?;
+        Ok(Some(ProcReply::Done))
+    }
+
+    fn port(&self) -> &Port {
+        &self.port
+    }
+
+    fn outputs_pending(&self) -> usize {
+        self.engine.outputs_pending()
+    }
+}
+
+/// The V1 node core: sends and pulls go to Channel Memories from the
+/// calling thread; their answers come back through the node mailbox.
+pub(crate) struct V1Core {
+    engine: V1Engine,
+    port: Port,
+    cms: u32,
+}
+
+impl V1Core {
+    pub(crate) fn new(port: Port, world: u32) -> Self {
+        V1Core {
+            engine: V1Engine::new(port.rank),
+            port,
+            cms: default_cms(world),
+        }
+    }
+
+    /// Perform every queued output; returns the answer for the parked
+    /// process, if a CM reply produced one.
+    fn pump(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        let mut answer = None;
+        while let Some(out) = self.engine.pop_output() {
             match out {
-                P4Output::Transmit { to, msg } => {
-                    match identity.send(NodeId::Computing(to), DaemonMsg::Peer { from: rank, msg })
-                    {
-                        Ok(()) | Err(SendError::Disconnected(_)) => {}
-                        Err(SendError::SenderDead) => return,
-                    }
+                V1Output::ToCm { owner, req } => {
+                    let from = self.port.rank;
+                    let to = cm_for_rank(owner, self.cms);
+                    self.port.send(to, CmPacket { owner, from, req })?;
                 }
-                P4Output::Deliver { from, payload } => {
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::Msg { from, payload });
+                V1Output::Deliver { from, payload } => {
+                    answer = Some(ProcReply::Msg { from, payload })
                 }
-                P4Output::ProbeAnswer(b) => {
-                    let _ = identity.send(NodeId::Process(rank), ProcReply::Probe(b));
-                }
+                V1Output::ProbeAnswer(b) => answer = Some(ProcReply::Probe(b)),
             }
         }
+        Ok(answer)
+    }
+}
+
+impl NodeCore for V1Core {
+    fn on_daemon_msg(&mut self, msg: DaemonMsg) -> Result<(), NodeEnd> {
+        if let DaemonMsg::Cm(reply) = msg {
+            self.engine.on_cm_reply(reply);
+        }
+        let answer = self.pump()?;
+        self.port.wake(answer)
+    }
+
+    fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd> {
+        self.engine.app_send(dst, bytes);
+        self.pump().map(drop)
+    }
+
+    /// Always parks: the pull's answer comes back through the node
+    /// mailbox.
+    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        self.engine.app_recv();
+        self.pump()
+    }
+
+    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        self.engine.app_probe();
+        self.pump()
+    }
+
+    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+        self.port
+            .finalized(*self.engine.metrics(), Default::default())?;
+        Ok(Some(ProcReply::Done))
+    }
+
+    fn port(&self) -> &Port {
+        &self.port
+    }
+
+    fn outputs_pending(&self) -> usize {
+        self.engine.outputs_pending()
     }
 }
 

@@ -12,7 +12,7 @@
 //! ROLLBACK → DownloadEL → RESTART1/RESTART2 → replay recovery, or kill
 //! one as the fault plan orders.
 
-use crate::baseline::{default_cms, spawn_channel_memories};
+use crate::baseline::default_cms;
 use crate::chaos::ChaosReport;
 use crate::deploy::{Backend, ClusterConfig, Topology};
 use crate::messages::DispatcherMsg;
@@ -20,7 +20,8 @@ use crate::node::{
     register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
 };
 use crate::services::{
-    spawn_checkpoint_scheduler, spawn_checkpoint_server_on, spawn_el_replica, spawn_event_loggers,
+    spawn_channel_memories, spawn_checkpoint_scheduler, spawn_checkpoint_server_on,
+    spawn_el_replica, spawn_event_loggers,
 };
 pub use crate::supervisor::ClusterError;
 use crate::supervisor::{bind_health, put, Action, Event, Supervisor};
@@ -220,11 +221,7 @@ impl Cluster {
                 }
             }
             RuntimeProtocol::V1 => {
-                handles.extend(spawn_channel_memories(
-                    &fabric,
-                    cfg.world,
-                    default_cms(cfg.world),
-                ));
+                handles.extend(spawn_channel_memories(&fabric, default_cms(cfg.world)));
             }
             RuntimeProtocol::P4 => {}
         }

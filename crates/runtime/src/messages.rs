@@ -19,9 +19,6 @@ pub enum DaemonMsg {
         /// The protocol message.
         msg: PeerMsg,
     },
-    /// From the attached MPI process (the "UNIX socket"): `Init` under
-    /// every protocol, the whole channel interface under the baselines.
-    Proc(ProcRequest),
     /// From an event-logger replica. `from` identifies the shard
     /// replica so the daemon can fold per-replica acks into the quorum
     /// watermark its pessimism gate trusts.
@@ -39,71 +36,30 @@ pub enum DaemonMsg {
     Cm(CmReply),
 }
 
-/// Requests from the MPI process to its daemon, mirroring the channel
-/// interface (`PIbsend`, `PIbrecv`, `PInprobe`, `PIiInit`, `PIiFinish`)
-/// plus the cooperative-checkpoint handshake. A V2 process sends only
-/// `Init` — its `InitOk` carries the node core the other calls are made
-/// on directly; the V1/P4 baseline daemons serve all of them.
-#[derive(Clone, Debug)]
-pub enum ProcRequest {
-    /// `PIiInit`: the process is up; answer with `InitOk`.
-    Init,
-    /// `PIbsend`: fire-and-forget (acceptance = mailbox delivery).
-    Bsend {
-        /// Destination rank.
-        dst: Rank,
-        /// MPI-layer bytes.
-        bytes: Payload,
-    },
-    /// `PIbrecv`: answer with the next delivery (`Msg`).
-    Brecv,
-    /// `PInprobe`: answer with `Probe`.
-    Nprobe,
-    /// Checkpoint-site poll: answer with `CkptPending`.
-    CkptPoll,
-    /// Serialized MPI + application state for a pending checkpoint.
-    CkptCommit {
-        /// MPI-library state.
-        mpi_state: Payload,
-        /// Application state.
-        app_state: Payload,
-    },
-    /// `PIiFinish`: the process completed; answer with `Done`.
-    Finish,
-}
-
-/// Replies from the daemon to its MPI process. Under V2 only `InitOk`
-/// and the wake-ups of a parked process (`Msg`, `Probe`, `Done`) travel.
+/// What the daemon posts to its MPI process: the node, once, then only
+/// the wake-ups of a process parked on a call its core could not answer.
 #[derive(Clone, Debug)]
 pub enum ProcReply {
-    /// Answer to `Init`.
+    /// Posted as soon as the daemon's core exists (§4.4 `PIiInit`).
     InitOk {
-        /// This node's rank.
-        rank: Rank,
         /// World size.
         size: u32,
-        /// MPI-library state restored from a checkpoint, if any.
-        restored_mpi_state: Option<Payload>,
-        /// Application state restored from a checkpoint, if any.
-        restored_app_state: Option<Payload>,
-        /// V2: the node core the process drives for every later call.
-        /// `None` under the baselines, whose daemons own their engines.
-        node: Option<NodeHandle>,
+        /// The MPI-library and application state restored from a
+        /// checkpoint, if any.
+        restored: Option<(Payload, Payload)>,
+        /// The node core the process drives for every later call.
+        node: NodeHandle,
     },
-    /// A delivery (answer to `Brecv`).
+    /// A delivery for a parked receive.
     Msg {
         /// Original sender.
         from: Rank,
         /// MPI-layer bytes.
         payload: Payload,
     },
-    /// Answer to `Nprobe`.
+    /// The verdict for a parked probe.
     Probe(bool),
-    /// Answer to `CkptPoll`.
-    CkptPending(bool),
-    /// Answer to `CkptCommit` (the image is durably stored).
-    CkptCommitted,
-    /// Answer to `Finish`.
+    /// A parked `finalize` completed.
     Done,
 }
 

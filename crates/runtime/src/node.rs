@@ -1,12 +1,14 @@
-//! A computing node: one shared node core — the [`V2Engine`] with its
-//! routing, checkpoint-arming and finish state behind one lock — driven
-//! by two threads. The communication daemon thread drains the node
-//! mailbox (peer data, event-logger acks, checkpoint traffic, `RESTART`
-//! handshakes); the MPI-process thread runs the user application and
-//! makes its `send` / `recv` / `probe` / checkpoint / finish calls on the
-//! core directly, under the daemon's [`Identity`]. The process↔daemon
-//! mailbox pair carries `Init` once and, after that, only the wake-up of
-//! a process parked on a receive the engine could not answer.
+//! A computing node: one shared node core — the protocol engine with
+//! everything needed to act on its outputs, behind one lock — driven by
+//! two threads, whichever protocol the node runs (V2's core is here, the
+//! V1/P4 baselines' in [`crate::baseline`]). The communication daemon
+//! thread drains the node mailbox (peer data, event-logger acks,
+//! checkpoint and Channel Memory traffic, `RESTART` handshakes); the
+//! MPI-process thread runs the user application and makes its `send` /
+//! `recv` / `probe` / checkpoint / finish calls on the core directly,
+//! under the daemon's [`Identity`]. The daemon→process mailbox carries
+//! `InitOk` once and, after that, only the wake-up of a process parked on
+//! a call the core could not answer; nothing travels the other way.
 //!
 //! §4.4 puts the daemon between the MPI process and the wire ("the MPI
 //! process does not connect directly to all the other computing nodes.
@@ -16,18 +18,20 @@
 //! process supplies its image at a quiescent point — between two MPI
 //! calls, under the lock (our cooperative substitution for Condor).
 
+use crate::baseline::{P4Core, V1Core};
 use crate::channel::DaemonChannel;
 use crate::deploy::Topology;
-use crate::messages::{DaemonMsg, DispatcherMsg, ProcReply, ProcRequest};
+use crate::messages::{DaemonMsg, DispatcherMsg, ProcReply};
 use mvr_ckpt::CkptPacket;
 use mvr_core::engine::{Input, Output};
 use mvr_core::{
-    CkptReply, CkptRequest, ElReply, ElRequest, NodeId, NodeImage, Payload, Rank, ReceptionEvent,
-    SchedMsg, V2Engine,
+    CkptReply, CkptRequest, ElReply, ElRequest, Metrics, NodeId, NodeImage, Payload, PeerMsg, Rank,
+    ReceptionEvent, SchedMsg, V2Engine,
 };
 use mvr_eventlog::ElPacket;
 use mvr_mpi::{Mpi, MpiError, MpiResult};
 use mvr_net::{Fabric, Identity, Mailbox, RecvError, SendError};
+use mvr_obs::ProtocolTimings;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::mpsc;
@@ -168,18 +172,18 @@ pub struct NodeSlots {
     daemon_mb: Mailbox<DaemonMsg>,
     daemon_id: Identity,
     proc_mb: Mailbox<ProcReply>,
-    proc_id: Identity,
 }
 
-/// Register a (fresh or reincarnated) node on the fabric.
+/// Register a (fresh or reincarnated) node on the fabric. The process
+/// slot only receives: every send of the node goes out under the
+/// daemon's identity.
 pub fn register_node(fabric: &Fabric, rank: Rank) -> NodeSlots {
     let (daemon_mb, daemon_id) = fabric.register::<DaemonMsg>(NodeId::Computing(rank));
-    let (proc_mb, proc_id) = fabric.register::<ProcReply>(NodeId::Process(rank));
+    let (proc_mb, _) = fabric.register::<ProcReply>(NodeId::Process(rank));
     NodeSlots {
         daemon_mb,
         daemon_id,
         proc_mb,
-        proc_id,
     }
 }
 
@@ -194,7 +198,6 @@ pub fn start_node(
         daemon_mb,
         daemon_id,
         proc_mb,
-        proc_id,
     } = slots;
     let rank = cfg.rank;
     let daemon_exit_tx = exit_tx.clone();
@@ -205,52 +208,35 @@ pub fn start_node(
         .spawn(move || {
             // A kill unwinds silently (the dispatcher handles the
             // restart). A replay divergence is a bug in the application
-            // or the protocol — report it so the dispatcher fails the
-            // run instead of leaving the MPI process blocked forever on
-            // a daemon that no longer exists.
-            match cfg.protocol {
-                RuntimeProtocol::V2 => {
-                    // A panicking daemon (an engine invariant tripping)
-                    // leaves its fabric slots registered and alive: peers
-                    // keep sending into a mailbox nobody drains and the
-                    // run strands until the dispatcher timeout. Catch the
-                    // unwind and fail the run immediately instead.
-                    let obs = cfg.recorder.clone();
-                    let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        daemon_main(daemon_mb, daemon_id, cfg)
-                    }));
-                    if obs.trace_stderr() {
-                        eprintln!("[dmn r{}] daemon exit: {:?}", rank.0, end);
-                    }
-                    let failure = match end {
-                        Ok(Err(NodeEnd::Failed(detail))) => detail,
-                        Ok(_) => return,
-                        Err(panic) => record_panic(&obs, "daemon", panic.as_ref()),
-                    };
-                    let _ = daemon_exit_tx.send(NodeExit {
-                        rank,
-                        outcome: Outcome::Failed(failure),
-                    });
-                }
-                RuntimeProtocol::V1 => {
-                    let world = cfg.topology.world();
-                    let cms = crate::baseline::default_cms(world);
-                    crate::baseline::daemon_main_v1(daemon_mb, daemon_id, cfg.rank, world, cms)
-                }
-                RuntimeProtocol::P4 => crate::baseline::daemon_main_p4(
-                    daemon_mb,
-                    daemon_id,
-                    cfg.rank,
-                    cfg.topology.world(),
-                ),
+            // or the protocol, and so is a panicking daemon (an engine
+            // invariant tripping), which would leave its fabric slots
+            // registered and alive: peers would keep sending into a
+            // mailbox nobody drains and the run would strand until the
+            // dispatcher timeout. Report either so the dispatcher fails
+            // the run immediately.
+            let obs = cfg.recorder.clone();
+            let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                daemon_main(daemon_mb, daemon_id, cfg)
+            }));
+            if obs.trace_stderr() {
+                eprintln!("[dmn r{}] daemon exit: {:?}", rank.0, end);
             }
+            let failure = match end {
+                Ok(Err(NodeEnd::Failed(detail))) => detail,
+                Ok(_) => return,
+                Err(panic) => record_panic(&obs, "daemon", panic.as_ref()),
+            };
+            let _ = daemon_exit_tx.send(NodeExit {
+                rank,
+                outcome: Outcome::Failed(failure),
+            });
         })
         .expect("spawn daemon thread");
 
     let process = std::thread::Builder::new()
         .name(format!("mpi-{rank}"))
         .spawn(move || {
-            let chan = DaemonChannel::new(rank, proc_id, proc_mb);
+            let chan = DaemonChannel::new(rank, proc_mb);
             let run = || -> MpiResult<Payload> {
                 let (mut mpi, restored) = Mpi::init(chan)?;
                 let out = app.run(&mut mpi, restored)?;
@@ -300,9 +286,8 @@ pub(crate) enum NodeEnd {
     /// The incarnation was killed (mailbox closed / identity stale).
     Killed,
     /// A bug in the application or the protocol — the application
-    /// violated piecewise determinism during a replay, or a channel call
-    /// arrived by a path V2 does not have — reported to the dispatcher as
-    /// a run failure.
+    /// violated piecewise determinism during a replay — reported to the
+    /// dispatcher as a run failure.
     Failed(String),
 }
 
@@ -322,11 +307,11 @@ pub(crate) fn debug_assert_parkable() {
     );
 }
 
-/// The shared handle to a V2 node's core: what the daemon thread serves
-/// the node mailbox into, and what the MPI process receives in `InitOk`
-/// to make its channel calls on.
+/// The shared handle to a node's core: what the daemon thread serves the
+/// node mailbox into, and what the MPI process receives in `InitOk` to
+/// make its channel calls on.
 #[derive(Clone)]
-pub struct NodeHandle(Arc<Mutex<NodeCore>>);
+pub struct NodeHandle(Arc<Mutex<dyn NodeCore>>);
 
 impl std::fmt::Debug for NodeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -335,7 +320,7 @@ impl std::fmt::Debug for NodeHandle {
 }
 
 impl NodeHandle {
-    fn new(core: NodeCore) -> Self {
+    fn new(core: impl NodeCore + 'static) -> Self {
         NodeHandle(Arc::new(Mutex::new(core)))
     }
 
@@ -343,40 +328,167 @@ impl NodeHandle {
     /// the core, so the lock's scope is always one closure. On success
     /// the engine's output queue must have been pumped dry: the next
     /// driver to take the lock starts from a quiet engine.
+    ///
+    /// A killed incarnation's core is never entered again: a receive or
+    /// probe answered from a buffer makes no fabric send, so nothing else
+    /// would stop its process from consuming its backlog.
     pub(crate) fn with<T>(
         &self,
-        f: impl FnOnce(&mut NodeCore) -> Result<T, NodeEnd>,
+        f: impl FnOnce(&mut dyn NodeCore) -> Result<T, NodeEnd>,
     ) -> Result<T, NodeEnd> {
         let mut core = self.0.lock();
+        if !core.port().identity.is_live() {
+            return Err(NodeEnd::Killed);
+        }
         if cfg!(debug_assertions) {
             HOLDS_NODE_LOCK.set(true);
         }
-        let out = f(&mut core);
+        let out = f(&mut *core);
         if cfg!(debug_assertions) {
             HOLDS_NODE_LOCK.set(false);
         }
         debug_assert!(
-            out.is_err() || core.engine.outputs_pending() == 0,
+            out.is_err() || core.outputs_pending() == 0,
             "node lock released with unpumped engine outputs"
         );
         out
     }
+
+    /// One pass of the daemon driver: serve `batch` into the core, then
+    /// ship what must not wait while the node idles. On the first pass
+    /// `init` hands the process its node in the same lock hold, so the
+    /// process's first call sees the core exactly as that pass left it.
+    fn pass(&self, batch: &mut Vec<DaemonMsg>, init: Option<ProcReply>) -> Result<(), NodeEnd> {
+        self.with(|core| {
+            batch
+                .drain(..)
+                .try_for_each(|msg| core.on_daemon_msg(msg))?;
+            core.ship_pending()?;
+            init.map_or(Ok(()), |init| core.port().to_proc(init))
+        })
+    }
 }
 
-/// The node core: the protocol engine plus everything needed to act on
-/// its outputs. Thread-free — both drivers (the daemon thread for the
-/// node mailbox, the MPI process for its own channel calls) enter it
-/// through [`NodeHandle::with`], and every fabric send it makes goes out
-/// under the daemon's one [`Identity`], so per-destination FIFO, the
-/// fail-stop fence and send-count triggers see a single sender.
-pub(crate) struct NodeCore {
-    engine: V2Engine,
+/// A protocol's node core. Thread-free — both drivers (the daemon thread
+/// for the node mailbox, the MPI process for its own channel calls) enter
+/// it through [`NodeHandle::with`] — and every fabric send it makes goes
+/// out through its [`Port`], under the daemon's one [`Identity`], so
+/// per-destination FIFO, the fail-stop fence and send-count triggers see
+/// a single sender.
+pub(crate) trait NodeCore: Send {
+    /// The daemon driver: one message from the node mailbox.
+    fn on_daemon_msg(&mut self, msg: DaemonMsg) -> Result<(), NodeEnd>;
+
+    /// Called by whichever driver is about to leave the node idle: ship
+    /// what must not wait (V2: delivered-but-unlogged reception events).
+    fn ship_pending(&mut self) -> Result<(), NodeEnd> {
+        Ok(())
+    }
+
+    /// `PIbsend`; returns without waiting.
+    fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd>;
+
+    /// `PIbrecv`. The three calls that can wait — this, `app_probe` and
+    /// `app_finish` — answer with the same [`ProcReply`] either way:
+    /// inline (`Some`) when the core can answer on the spot, or — `None`,
+    /// the wait is now registered — as the one wake-up the daemon driver
+    /// posts to the reply mailbox the caller must park on.
+    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd>;
+
+    /// `PInprobe`.
+    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd>;
+
+    /// Checkpoint-site poll: whether a checkpoint is armed for the
+    /// process to commit. The baselines never take one (V1 restarts from
+    /// scratch, P4 not at all).
+    fn app_ckpt_poll(&mut self) -> Result<bool, NodeEnd> {
+        Ok(false)
+    }
+
+    /// Commit the process's serialized state into the armed checkpoint.
+    fn app_ckpt_commit(&mut self, _mpi_state: Payload, _app_state: Payload) -> Result<(), NodeEnd> {
+        unreachable!("commit without armed checkpoint")
+    }
+
+    /// `PIiFinish`.
+    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd>;
+
+    /// The node's fabric port.
+    fn port(&self) -> &Port;
+
+    /// Engine outputs not yet performed — zero whenever the lock is free.
+    fn outputs_pending(&self) -> usize;
+}
+
+/// A node's one fabric credential — the daemon's [`Identity`] — and the
+/// sends every core makes with it.
+pub(crate) struct Port {
     identity: Identity,
-    rank: Rank,
+    pub(crate) rank: Rank,
+}
+
+impl Port {
+    pub(crate) fn new(identity: Identity, rank: Rank) -> Self {
+        Port { identity, rank }
+    }
+
+    /// Send `msg` to `to`. Only our own death ends the incarnation; a
+    /// dead receiver (`Ok(false)`) is the caller's to judge.
+    pub(crate) fn send<M: Send + 'static>(&self, to: NodeId, msg: M) -> Result<bool, NodeEnd> {
+        match self.identity.send(to, msg) {
+            Ok(()) => Ok(true),
+            Err(SendError::SenderDead) => Err(NodeEnd::Killed),
+            Err(SendError::Disconnected(_)) => Ok(false),
+        }
+    }
+
+    /// Put a protocol message on the wire to a peer daemon; `Ok(false)`
+    /// if the peer is dead.
+    pub(crate) fn transmit(&self, to: Rank, msg: PeerMsg) -> Result<bool, NodeEnd> {
+        self.send(
+            NodeId::Computing(to),
+            DaemonMsg::Peer {
+                from: self.rank,
+                msg,
+            },
+        )
+    }
+
+    /// Post to the MPI process. Its slot dead while we live is a teardown
+    /// race: keep serving.
+    pub(crate) fn to_proc(&self, reply: ProcReply) -> Result<(), NodeEnd> {
+        self.send(NodeId::Process(self.rank), reply).map(drop)
+    }
+
+    /// Post an answer no inline call took: the process is parked on it.
+    pub(crate) fn wake(&self, answer: Option<ProcReply>) -> Result<(), NodeEnd> {
+        answer.map_or(Ok(()), |reply| self.to_proc(reply))
+    }
+
+    /// Report the finished run and its final counters to the dispatcher
+    /// (which may already be gone during teardown). The node keeps
+    /// serving the protocol afterwards: peers may still need it.
+    pub(crate) fn finalized(
+        &self,
+        metrics: Metrics,
+        timings: ProtocolTimings,
+    ) -> Result<(), NodeEnd> {
+        let rank = self.rank;
+        let msg = DispatcherMsg::Finalized {
+            rank,
+            metrics,
+            timings,
+        };
+        self.send(NodeId::Dispatcher, msg).map(drop)
+    }
+}
+
+/// The V2 node core: the protocol engine plus its routing, checkpoint
+/// arming and finish state.
+pub(crate) struct V2Core {
+    engine: V2Engine,
+    port: Port,
     route: Routing,
-    /// Restored process state to hand out at `Init`.
-    restored_mpi: Option<Payload>,
-    restored_app: Option<Payload>,
     /// The engine armed a checkpoint; the process commits its image at
     /// its next checkpoint site.
     ckpt_armed: Option<u64>,
@@ -451,36 +563,82 @@ fn merge_downloads(mut lists: Vec<Vec<ReceptionEvent>>) -> Vec<ReceptionEvent> {
     merged
 }
 
-/// The daemon thread: recover (on a restart), build the node core, then
-/// serve the node mailbox into it until the incarnation ends.
+/// Build this incarnation's core and hand it to the process: the first
+/// drain pass — over what V2's recovery exchange buffered, RESTART1
+/// included — ends by posting `InitOk` in the same lock hold.
+fn open(
+    mailbox: &Mailbox<DaemonMsg>,
+    identity: Identity,
+    cfg: &NodeConfig,
+) -> Result<NodeHandle, NodeEnd> {
+    let port = Port::new(identity, cfg.rank);
+    let world = cfg.topology.world();
+    let mut buffered = Vec::new();
+    let (node, restored) = match cfg.protocol {
+        RuntimeProtocol::V2 => {
+            let (core, restored) = V2Core::open(mailbox, port, cfg, &mut buffered)?;
+            (NodeHandle::new(core), restored)
+        }
+        RuntimeProtocol::V1 => (NodeHandle::new(V1Core::new(port, world)), None),
+        RuntimeProtocol::P4 => (NodeHandle::new(P4Core::new(port)), None),
+    };
+    let init = ProcReply::InitOk {
+        size: world,
+        restored,
+        node: node.clone(),
+    };
+    node.pass(&mut buffered, Some(init))?;
+    Ok(node)
+}
+
+/// The daemon thread: open the node core, then serve the node mailbox
+/// into it until the incarnation ends.
 fn daemon_main(
     mailbox: Mailbox<DaemonMsg>,
     identity: Identity,
     cfg: NodeConfig,
 ) -> Result<(), NodeEnd> {
-    let rank = cfg.rank;
-    let topology = cfg.topology;
-    let route = Routing::new(&topology, rank);
-    let (el_replicas, el_quorum) = (route.el_replicas, route.el_quorum);
+    let node = open(&mailbox, identity, &cfg)?;
+    // `recv_many` blocks for the first message, then drains the backlog
+    // in one batched pass — one wakeup and one lock hold amortize across
+    // a burst — which ships what it left pending before the thread goes
+    // back to sleep.
+    let mut batch: Vec<DaemonMsg> = Vec::with_capacity(DAEMON_DRAIN_BATCH);
+    loop {
+        debug_assert_parkable();
+        mailbox
+            .recv_many(&mut batch, DAEMON_DRAIN_BATCH)
+            .map_err(|_| NodeEnd::Killed)?;
+        node.pass(&mut batch, None)?;
+    }
+}
 
-    // ---- startup / recovery (ROLLBACK + DownloadEL + RESTART1) ----
-    let mut buffered: Vec<DaemonMsg> = Vec::new();
-    let mut restored_mpi = None;
-    let mut restored_app = None;
+impl V2Core {
+    /// This incarnation's core, and the process state it restored. On a
+    /// restart: ROLLBACK to the latest image, DownloadEL, and RESTART1
+    /// queued for the first drain pass; what else arrives meanwhile is
+    /// kept in `buffered` for that pass.
+    fn open(
+        mailbox: &Mailbox<DaemonMsg>,
+        port: Port,
+        cfg: &NodeConfig,
+        buffered: &mut Vec<DaemonMsg>,
+    ) -> Result<(Self, Option<(Payload, Payload)>), NodeEnd> {
+        let (rank, world) = (cfg.rank, cfg.topology.world());
+        let route = Routing::new(&cfg.topology, rank);
+        let identity = &port.identity;
 
-    let engine = if cfg.restart {
         // Fetch the latest image; a dead checkpoint server degrades to a
         // from-scratch restart ("may restart from scratch, at worst").
-        let image: Option<NodeImage> = match send_service_retrying(
-            &identity,
-            route.cs_node,
-            CkptPacket {
-                from: rank,
-                req: CkptRequest::GetLatest { rank },
-            },
-            4,
-        ) {
-            Ok(()) => {
+        let get_latest = CkptPacket {
+            from: rank,
+            req: CkptRequest::GetLatest { rank },
+        };
+        let image = match cfg
+            .restart
+            .then(|| send_service_retrying(identity, route.cs_node, get_latest, 4))
+        {
+            Some(Ok(())) => {
                 // Bounded wait: if the CS dies between accepting the
                 // request and answering, its relaunched instance will
                 // never reply to the stale query — degrade to scratch.
@@ -494,10 +652,7 @@ fn daemon_main(
                         Ok(DaemonMsg::Ckpt(CkptReply::Image {
                             clock: Some(_),
                             image,
-                        })) => match NodeImage::decode_blob(&image) {
-                            Ok(img) => break Some(img),
-                            Err(_) => break None,
-                        },
+                        })) => break NodeImage::decode_blob(&image).ok(),
                         Ok(DaemonMsg::Ckpt(CkptReply::Image { clock: None, .. })) => break None,
                         Ok(other) => buffered.push(other),
                         Err(RecvError::Timeout) => break None,
@@ -505,150 +660,88 @@ fn daemon_main(
                     }
                 }
             }
-            Err(SendError::SenderDead) => return Err(NodeEnd::Killed),
-            Err(_) => None,
+            Some(Err(SendError::SenderDead)) => return Err(NodeEnd::Killed),
+            Some(Err(_)) | None => None,
         };
-
+        let mut restored = None;
         let mut engine = match image {
             Some(img) => {
-                restored_mpi = Some(img.mpi_state);
-                restored_app = Some(img.app_state);
+                restored = Some((img.mpi_state, img.app_state));
                 V2Engine::restore(img.engine)
             }
-            None => V2Engine::fresh(rank, topology.world()),
+            None => V2Engine::fresh(rank, world),
         };
         // Attach the flight recorder before `begin_recovery` so the
         // RESTART1 / recovery-begin records land in the timeline.
         engine.set_recorder(cfg.recorder.clone());
-        engine.set_el_replication(el_replicas, el_quorum);
+        engine.set_el_replication(route.el_replicas, route.el_quorum);
 
-        // DownloadEL(H_p): with replication, ask every replica of our
-        // shard and union-merge a read quorum of answers — the write
-        // quorum that acked each event intersects it, so the merge holds
-        // every quorum-acked event even if one replica's copy is stale.
-        // Up to R − Q replicas may be dead (mid-revival); unreplicated
-        // (R = 1) the EL is the reliable component and a send failure
-        // past the retry window means the deployment is broken.
-        let after_clock = engine.clock();
-        let mut asked = 0u32;
-        for el_node in &route.el_nodes {
-            if send_service_retrying(
-                &identity,
-                *el_node,
-                ElPacket {
-                    from: rank,
-                    req: ElRequest::Download { rank, after_clock },
-                },
-                8,
-            )
-            .is_ok()
-            {
-                asked += 1;
-            }
-        }
-        if asked < el_quorum {
-            return Err(NodeEnd::Killed);
-        }
-        let mut answered: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        let mut downloads: Vec<Vec<ReceptionEvent>> = Vec::new();
-        while (answered.len() as u32) < el_quorum.min(asked) {
-            match mailbox.recv() {
-                Ok(DaemonMsg::El {
-                    from,
-                    reply: ElReply::Events(ev),
-                }) => {
-                    if answered.insert(from.replica) {
-                        downloads.push(ev);
-                    }
+        if cfg.restart {
+            // DownloadEL(H_p): with replication, ask every replica of our
+            // shard and union-merge a read quorum of answers — the write
+            // quorum that acked each event intersects it, so the merge
+            // holds every quorum-acked event even if one replica's copy is
+            // stale. Up to R − Q replicas may be dead (mid-revival);
+            // unreplicated (R = 1) the EL is the reliable component and a
+            // send failure past the retry window means the deployment is
+            // broken.
+            let after_clock = engine.clock();
+            let mut asked = 0u32;
+            for el_node in &route.el_nodes {
+                if send_service_retrying(
+                    identity,
+                    *el_node,
+                    ElPacket {
+                        from: rank,
+                        req: ElRequest::Download { rank, after_clock },
+                    },
+                    8,
+                )
+                .is_ok()
+                {
+                    asked += 1;
                 }
-                Ok(other) => buffered.push(other),
-                Err(_) => return Err(NodeEnd::Killed),
             }
+            if asked < route.el_quorum {
+                return Err(NodeEnd::Killed);
+            }
+            let mut answered: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
+            let mut downloads: Vec<Vec<ReceptionEvent>> = Vec::new();
+            while (answered.len() as u32) < route.el_quorum.min(asked) {
+                match mailbox.recv() {
+                    Ok(DaemonMsg::El {
+                        from,
+                        reply: ElReply::Events(ev),
+                    }) => {
+                        if answered.insert(from.replica) {
+                            downloads.push(ev);
+                        }
+                    }
+                    Ok(other) => buffered.push(other),
+                    Err(_) => return Err(NodeEnd::Killed),
+                }
+            }
+            engine.begin_recovery(merge_downloads(downloads));
         }
-        engine.begin_recovery(merge_downloads(downloads));
-        engine
-    } else {
-        let mut engine = V2Engine::fresh(rank, topology.world());
-        engine.set_recorder(cfg.recorder.clone());
-        engine.set_el_replication(el_replicas, el_quorum);
-        engine
-    };
-
-    let mut core = NodeCore::new(engine, identity, route);
-    core.restored_mpi = restored_mpi;
-    core.restored_app = restored_app;
-    let node = NodeHandle::new(core);
-
-    // Emit the RESTART1 broadcast (and any immediate outputs), then
-    // what arrived during the recovery exchange.
-    node.with(|core| {
-        core.pump()?;
-        buffered
-            .into_iter()
-            .try_for_each(|msg| core.on_daemon_msg(&node, msg))
-    })?;
-
-    // ---- main select loop ----
-    // `recv_many` blocks for the first message, then drains the backlog
-    // in one batched pass — one wakeup and one lock hold amortize across
-    // a burst — and ships what the pass left pending before going back
-    // to sleep (see `ship_pending`).
-    let mut batch: Vec<DaemonMsg> = Vec::with_capacity(DAEMON_DRAIN_BATCH);
-    loop {
-        debug_assert_parkable();
-        mailbox
-            .recv_many(&mut batch, DAEMON_DRAIN_BATCH)
-            .map_err(|_| NodeEnd::Killed)?;
-        node.with(|core| {
-            batch
-                .drain(..)
-                .try_for_each(|msg| core.on_daemon_msg(&node, msg))?;
-            core.ship_pending()
-        })?;
-    }
-}
-
-impl NodeCore {
-    fn new(engine: V2Engine, identity: Identity, route: Routing) -> Self {
-        NodeCore {
-            rank: engine.rank(),
+        let core = V2Core {
             engine,
-            identity,
+            port,
             route,
-            restored_mpi: None,
-            restored_app: None,
             ckpt_armed: None,
             recv_deferred: false,
             finalized: false,
             finish_pending: false,
-        }
+        };
+        Ok((core, restored))
     }
+}
 
+impl NodeCore for V2Core {
     // --- the daemon driver: the node mailbox ------------------------------
 
-    /// One message from the node mailbox. `node` is this core's own
-    /// handle, handed to the process in `InitOk`.
-    fn on_daemon_msg(&mut self, node: &NodeHandle, msg: DaemonMsg) -> Result<(), NodeEnd> {
+    fn on_daemon_msg(&mut self, msg: DaemonMsg) -> Result<(), NodeEnd> {
         match msg {
             DaemonMsg::Peer { from, msg } => self.feed(Input::Peer { from, msg })?,
-            DaemonMsg::Proc(ProcRequest::Init) => {
-                let reply = ProcReply::InitOk {
-                    rank: self.rank,
-                    size: self.engine.world(),
-                    restored_mpi_state: self.restored_mpi.take(),
-                    restored_app_state: self.restored_app.take(),
-                    node: Some(node.clone()),
-                };
-                self.to_proc(reply)?;
-            }
-            // Every other channel call is made on the core directly. One
-            // arriving here means the process never got its handle: fail
-            // the run rather than leave it parked on a reply nobody sends.
-            DaemonMsg::Proc(other) => {
-                return Err(self.fail(format!(
-                    "V2 daemon received {other:?} on its mailbox: channel calls run on the node core"
-                )));
-            }
             DaemonMsg::El {
                 from,
                 reply: ElReply::Ack { up_to },
@@ -671,10 +764,10 @@ impl NodeCore {
             } => { /* stale download reply */ }
             DaemonMsg::Ckpt(CkptReply::Stored { clock, .. }) => {
                 self.feed(Input::CheckpointStored)?;
-                let _ = self.identity.send(
+                let _ = self.port.identity.send(
                     self.route.sched_node,
                     SchedMsg::CheckpointDone {
-                        rank: self.rank,
+                        rank: self.port.rank,
                         clock,
                     },
                 );
@@ -683,7 +776,7 @@ impl NodeCore {
             DaemonMsg::Sched(SchedMsg::StatusRequest) => {
                 let m = self.engine.metrics();
                 let status = SchedMsg::Status {
-                    rank: self.rank,
+                    rank: self.port.rank,
                     logged_bytes: self.engine.logged_bytes(),
                     sent_bytes: m.bytes_sent,
                     recv_bytes: m.bytes_delivered,
@@ -693,7 +786,7 @@ impl NodeCore {
                     el_max_batch: m.el_max_batch_events,
                     timings: self.engine.timings().summary(),
                 };
-                let _ = self.identity.send(self.route.sched_node, status);
+                let _ = self.port.identity.send(self.route.sched_node, status);
             }
             DaemonMsg::Sched(SchedMsg::CheckpointOrder) => {
                 if !self.finalized {
@@ -716,20 +809,10 @@ impl NodeCore {
             if self.finish_pending {
                 self.finish_pending = false;
                 self.complete_finish()?;
-                self.to_proc(ProcReply::Done)?;
+                self.port.to_proc(ProcReply::Done)?;
             }
         }
         Ok(())
-    }
-
-    /// Pump where no inline call is being answered: an answer for the
-    /// process, if the engine produced one, can then only be for a
-    /// process parked on it, so it goes to the reply mailbox.
-    fn pump(&mut self) -> Result<(), NodeEnd> {
-        match self.pump_outputs()? {
-            Some(reply) => self.to_proc(reply),
-            None => Ok(()),
-        }
     }
 
     /// Ship delivered-but-unshipped reception events. Called by whichever
@@ -737,20 +820,21 @@ impl NodeCore {
     /// drain, the process before it parks and when an inline delivery
     /// emptied the receive buffer — so an idle node never sits on
     /// unlogged events, while a backlog being consumed batches up to the
-    /// engine's own flush points (a send gating, the size bound).
+    /// engine's own flush points (a send gating, the size bound). Also
+    /// performs what a restart queued (RESTART1) when no message of the
+    /// first drain pass did.
     fn ship_pending(&mut self) -> Result<(), NodeEnd> {
         if self.engine.pending_event_count() > 0 {
             self.feed(Input::FlushEvents)?;
-            self.pump()?;
         }
-        Ok(())
+        self.pump()
     }
 
     // --- the process driver: its own channel calls ------------------------
 
-    /// `PIbsend`. The engine decides between wire and gate; either way
-    /// the call returns without waiting.
-    pub(crate) fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd> {
+    /// The engine decides between wire and gate; either way the call
+    /// returns without waiting.
+    fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd> {
         self.feed(Input::AppSend {
             dst,
             payload: bytes,
@@ -759,10 +843,7 @@ impl NodeCore {
             .map(|answer| debug_assert!(answer.is_none()))
     }
 
-    /// `PIbrecv`. `Some` when the receive buffer (or the replay plan)
-    /// could answer on the spot; `None` when the wait is now registered
-    /// and the caller must park on its reply mailbox, which the daemon
-    /// driver fills with exactly one `Msg`.
+    /// Answered from the receive buffer or the replay plan when possible.
     ///
     /// A receive made while sends of this process wait behind the gate
     /// stands back until they have left, buffered messages or not: every
@@ -772,45 +853,30 @@ impl NodeCore {
     /// costs no batching — a delivery behind a gated send ships its event
     /// alone anyway — and a forwarder pays per message what a ping-pong
     /// does: one logger round trip, one wake-up.
-    pub(crate) fn app_recv(&mut self) -> Result<Option<(Rank, Payload)>, NodeEnd> {
-        self.check_live()?;
+    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
         if self.engine.gated_send_count() > 0 {
             self.recv_deferred = true;
             return Ok(None);
         }
         self.feed(Input::AppRecv)?;
-        match self.pump_outputs()? {
-            Some(ProcReply::Msg { from, payload }) => {
-                if self.engine.recv_backlog() == 0 {
-                    self.ship_pending()?;
-                }
-                Ok(Some((from, payload)))
-            }
-            None => {
-                self.ship_pending()?;
-                Ok(None)
-            }
-            Some(other) => unreachable!("a receive answered with {other:?}"),
+        let answer = self.pump_outputs()?;
+        if answer.is_none() || self.engine.recv_backlog() == 0 {
+            self.ship_pending()?;
         }
+        Ok(answer)
     }
 
-    /// `PInprobe`. `None` only during a replay whose logged probe
-    /// succeeded on a message not re-sent yet: the answer arrives as a
-    /// `Probe` on the reply mailbox.
-    pub(crate) fn app_probe(&mut self) -> Result<Option<bool>, NodeEnd> {
-        self.check_live()?;
+    /// `None` only during a replay whose logged probe succeeded on a
+    /// message not re-sent yet.
+    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
         self.feed(Input::AppProbe)?;
-        match self.pump_outputs()? {
-            Some(ProcReply::Probe(pending)) => Ok(Some(pending)),
-            None => Ok(None),
-            Some(other) => unreachable!("a probe answered with {other:?}"),
-        }
+        self.pump_outputs()
     }
 
-    /// Checkpoint-site poll: arm an ordered checkpoint if the protocol is
-    /// quiescent right now. The process is between two MPI calls and
-    /// holds the lock, so "now" is a call boundary by construction.
-    pub(crate) fn app_ckpt_poll(&mut self) -> Result<bool, NodeEnd> {
+    /// Arm an ordered checkpoint if the protocol is quiescent right now.
+    /// The process is between two MPI calls and holds the lock, so "now"
+    /// is a call boundary by construction.
+    fn app_ckpt_poll(&mut self) -> Result<bool, NodeEnd> {
         if self.ckpt_armed.is_none() {
             self.ckpt_armed = self.engine.try_arm_checkpoint();
             // Arming may have force-flushed pending events.
@@ -821,11 +887,7 @@ impl NodeCore {
 
     /// Snapshot the engine next to the process's serialized state and
     /// send the image to the checkpoint server.
-    pub(crate) fn app_ckpt_commit(
-        &mut self,
-        mpi_state: Payload,
-        app_state: Payload,
-    ) -> Result<(), NodeEnd> {
+    fn app_ckpt_commit(&mut self, mpi_state: Payload, app_state: Payload) -> Result<(), NodeEnd> {
         let clock = self
             .ckpt_armed
             .take()
@@ -841,12 +903,12 @@ impl NodeCore {
         // "overlapped": the process continues immediately; durability is
         // acked to the engine later.
         match send_service_retrying(
-            &self.identity,
+            &self.port.identity,
             self.route.cs_node,
             CkptPacket {
-                from: self.rank,
+                from: self.port.rank,
                 req: CkptRequest::Put {
-                    rank: self.rank,
+                    rank: self.port.rank,
                     clock,
                     // Zero-copy: segments alias the sender log's own
                     // buffers; nothing is serialized here.
@@ -860,10 +922,9 @@ impl NodeCore {
         }
     }
 
-    /// `PIiFinish`. `true` when the run is complete; `false` when sends
-    /// of the run still sit behind the gate — the caller parks until the
-    /// daemon driver, releasing the last of them, posts `Done`.
-    pub(crate) fn app_finish(&mut self) -> Result<bool, NodeEnd> {
+    /// Parks while sends of the run still sit behind the gate: the daemon
+    /// driver, releasing the last of them, posts `Done`.
+    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
         // Ship any still-pending reception events before going into
         // serve-only mode: the event log must cover every delivery the
         // finished run consumed.
@@ -872,22 +933,28 @@ impl NodeCore {
         self.finalized = true;
         if self.engine.gated_send_count() > 0 {
             self.finish_pending = true;
-            return Ok(false);
+            return Ok(None);
         }
-        self.complete_finish().map(|()| true)
+        self.complete_finish()?;
+        Ok(Some(ProcReply::Done))
     }
 
-    // --- shared by both drivers -------------------------------------------
+    fn port(&self) -> &Port {
+        &self.port
+    }
 
-    /// A recv or probe the engine answers from its buffer makes no fabric
-    /// send, so nothing else would stop a killed incarnation's process
-    /// from consuming its backlog; fail-stop means it stops now.
-    fn check_live(&self) -> Result<(), NodeEnd> {
-        if self.identity.is_live() {
-            Ok(())
-        } else {
-            Err(NodeEnd::Killed)
-        }
+    fn outputs_pending(&self) -> usize {
+        self.engine.outputs_pending()
+    }
+}
+
+impl V2Core {
+    /// Pump where no inline call is being answered: an answer for the
+    /// process, if the engine produced one, can then only be for a
+    /// process parked on it, so it goes to the reply mailbox.
+    fn pump(&mut self) -> Result<(), NodeEnd> {
+        let answer = self.pump_outputs()?;
+        self.port.wake(answer)
     }
 
     /// Feed one input to the engine. The outputs stay queued for the
@@ -910,42 +977,14 @@ impl NodeCore {
     }
 
     /// Every send of the process's run has left the gate, so the final
-    /// metrics are final — one gate-wait sample per deferred send. The
-    /// node keeps serving the protocol afterwards: peers may still need
-    /// our sender log for their recovery.
+    /// metrics are final — one gate-wait sample per deferred send.
     fn complete_finish(&mut self) -> Result<(), NodeEnd> {
         let clock = self.engine.clock();
         self.engine
             .recorder()
             .record(clock, mvr_obs::ProtoEvent::Finish { clock });
-        match self.identity.send(
-            NodeId::Dispatcher,
-            DispatcherMsg::Finalized {
-                rank: self.rank,
-                metrics: *self.engine.metrics(),
-                timings: self.engine.timings().clone(),
-            },
-        ) {
-            // A killed incarnation's run did not finish.
-            Err(SendError::SenderDead) => Err(NodeEnd::Killed),
-            // The dispatcher may already be gone during teardown.
-            _ => Ok(()),
-        }
-    }
-
-    fn to_proc(&self, reply: ProcReply) -> Result<(), NodeEnd> {
-        match self.identity.send(NodeId::Process(self.rank), reply) {
-            Ok(()) => Ok(()),
-            // The process died with us (kill) — unwind.
-            Err(SendError::SenderDead) => Err(NodeEnd::Killed),
-            // Process gone but we are alive: teardown race; keep serving.
-            Err(SendError::Disconnected(_)) => {
-                if self.engine.recorder().trace_stderr() {
-                    eprintln!("[dmn r{}] DROP proc reply (process slot dead)", self.rank.0);
-                }
-                Ok(())
-            }
-        }
+        self.port
+            .finalized(*self.engine.metrics(), self.engine.timings().clone())
     }
 
     /// Perform every queued engine output. Returns the one output that
@@ -959,29 +998,19 @@ impl NodeCore {
             match out {
                 Output::Transmit { to, msg } => {
                     let data_clock = match &msg {
-                        mvr_core::PeerMsg::Data(d) => Some(d.id.sender_clock),
+                        PeerMsg::Data(d) => Some(d.id.sender_clock),
                         _ => None,
                     };
-                    match self.identity.send(
-                        NodeId::Computing(to),
-                        DaemonMsg::Peer {
-                            from: self.rank,
-                            msg,
-                        },
-                    ) {
-                        Ok(()) => {}
-                        Err(SendError::SenderDead) => return Err(NodeEnd::Killed),
-                        // Dead peer: the message stays in SAVED; its
-                        // restart will pull it via RESTART1. Retract the
-                        // optimistic HS advance so no checkpoint records a
-                        // transmission that never happened (the restart
-                        // handshake heals live state, but a persisted
-                        // inflated mark would suppress the healing
-                        // re-sends after our own restart).
-                        Err(SendError::Disconnected(_)) => {
-                            if let Some(h) = data_clock {
-                                self.engine.on_transmit_dropped(to, h);
-                            }
+                    // Dead peer: the message stays in SAVED; its restart
+                    // will pull it via RESTART1. Retract the optimistic
+                    // HS advance so no checkpoint records a transmission
+                    // that never happened (the restart handshake heals
+                    // live state, but a persisted inflated mark would
+                    // suppress the healing re-sends after our own
+                    // restart).
+                    if !self.port.transmit(to, msg)? {
+                        if let Some(h) = data_clock {
+                            self.engine.on_transmit_dropped(to, h);
                         }
                     }
                 }
@@ -1007,10 +1036,10 @@ impl NodeCore {
                             batch.as_ref().expect("batch moved early").clone()
                         };
                         match send_service_retrying(
-                            &self.identity,
+                            &self.port.identity,
                             *el_node,
                             ElPacket {
-                                from: self.rank,
+                                from: self.port.rank,
                                 req: ElRequest::Log(b),
                             },
                             8,
@@ -1037,12 +1066,12 @@ impl NodeCore {
                 Output::ElTruncate { up_to } => {
                     // Best-effort storage reclamation on every replica.
                     for el_node in &self.route.el_nodes {
-                        let _ = self.identity.send(
+                        let _ = self.port.identity.send(
                             *el_node,
                             ElPacket {
-                                from: self.rank,
+                                from: self.port.rank,
                                 req: ElRequest::Truncate {
-                                    rank: self.rank,
+                                    rank: self.port.rank,
                                     up_to,
                                 },
                             },
@@ -1057,15 +1086,16 @@ impl NodeCore {
 }
 
 /// The node core driven by hand, thread-free: a [`Fabric`] whose peer,
-/// event-logger, checkpoint-server, dispatcher and process slots are
-/// plain mailboxes the test reads. The test plays both drivers — the
-/// daemon side through `on_daemon_msg` + `ship_pending` (one drain pass),
-/// the process side through the `app_*` entries — and every step either
-/// returns or leaves a message in a stub; nothing blocks.
+/// event-logger, checkpoint-server, Channel Memory, dispatcher and
+/// process slots are plain mailboxes the test reads. The test plays both
+/// drivers — the daemon side through `pass` (one drain pass), the process
+/// side through the `app_*` entries — and every step either returns or
+/// leaves a message in a stub; nothing blocks.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvr_core::{DataMsg, ElAddr, MsgId, PeerMsg};
+    use crate::baseline::CmPacket;
+    use mvr_core::{CmReply, CmRequest, DataMsg, ElAddr, MsgId};
 
     const ME: Rank = Rank(1);
     const PEER: Rank = Rank(0);
@@ -1077,29 +1107,61 @@ mod tests {
         peer_mb: Mailbox<DaemonMsg>,
         el_mb: Mailbox<ElPacket>,
         cs_mb: Mailbox<CkptPacket>,
+        cm_mb: Mailbox<CmPacket>,
         disp_mb: Mailbox<DispatcherMsg>,
     }
 
+    fn topology() -> Topology {
+        Topology::new(2, 1, 1).expect("valid topology")
+    }
+
+    fn config(protocol: RuntimeProtocol, restart: bool) -> NodeConfig {
+        NodeConfig {
+            rank: ME,
+            topology: topology(),
+            protocol,
+            restart,
+            recorder: mvr_obs::Recorder::disabled(),
+        }
+    }
+
     fn rig() -> Rig {
+        rig_for(RuntimeProtocol::V2)
+    }
+
+    /// A fresh node of `protocol`, opened the way its daemon thread opens
+    /// it: the process finds its node on the reply mailbox without having
+    /// asked for it.
+    fn rig_for(protocol: RuntimeProtocol) -> Rig {
         let fabric = Fabric::new();
-        let topology = Topology::new(2, 1, 1).expect("valid topology");
         let slots = register_node(&fabric, ME);
         let (peer_mb, _) = fabric.register(NodeId::Computing(PEER));
         let (el_mb, _) = fabric.register(NodeId::EventLogger(0));
         let (cs_mb, _) = fabric.register(NodeId::CheckpointServer(0));
+        let (cm_mb, _) = fabric.register(NodeId::ChannelMemory(0));
         let (disp_mb, _) = fabric.register(NodeId::Dispatcher);
-        let engine = V2Engine::fresh(ME, 2);
+        let node =
+            open(&slots.daemon_mb, slots.daemon_id, &config(protocol, false)).expect("node opens");
+        let init = drained(&slots.proc_mb);
+        assert!(
+            matches!(
+                &init[..],
+                [ProcReply::InitOk {
+                    size: 2,
+                    restored: None,
+                    ..
+                }]
+            ),
+            "{protocol:?}: the node is handed over unasked, once: {init:?}"
+        );
         Rig {
             fabric,
-            node: NodeHandle::new(NodeCore::new(
-                engine,
-                slots.daemon_id,
-                Routing::new(&topology, ME),
-            )),
+            node,
             proc_mb: slots.proc_mb,
             peer_mb,
             el_mb,
             cs_mb,
+            cm_mb,
             disp_mb,
         }
     }
@@ -1112,31 +1174,52 @@ mod tests {
         std::iter::from_fn(|| mb.try_recv().expect("stub alive")).collect()
     }
 
+    fn data_msg(h: u64) -> DataMsg {
+        DataMsg {
+            id: MsgId::new(PEER, h),
+            dst: ME,
+            payload: body(h),
+        }
+    }
+
     impl Rig {
         /// One pass of the daemon thread's loop over `msgs`.
-        fn daemon_drain(&self, msgs: Vec<DaemonMsg>) {
-            self.node
-                .with(|core| {
-                    msgs.into_iter()
-                        .try_for_each(|m| core.on_daemon_msg(&self.node, m))?;
-                    core.ship_pending()
-                })
-                .expect("node alive");
+        fn daemon_drain(&self, mut msgs: Vec<DaemonMsg>) {
+            self.node.pass(&mut msgs, None).expect("node alive");
         }
 
         fn data(h: u64) -> DaemonMsg {
             DaemonMsg::Peer {
                 from: PEER,
-                msg: PeerMsg::Data(DataMsg {
-                    id: MsgId::new(PEER, h),
-                    dst: ME,
-                    payload: body(h),
-                }),
+                msg: PeerMsg::Data(data_msg(h)),
             }
         }
 
+        /// A receive: `Some` when answered inline.
         fn recv(&self) -> Option<(Rank, Payload)> {
-            self.node.with(|c| c.app_recv()).expect("node alive")
+            match self.node.with(|c| c.app_recv()).expect("node alive") {
+                Some(ProcReply::Msg { from, payload }) => Some((from, payload)),
+                None => None,
+                Some(other) => panic!("a receive answered with {other:?}"),
+            }
+        }
+
+        /// A probe: `Some` verdict when answered inline.
+        fn probe(&self) -> Option<bool> {
+            match self.node.with(|c| c.app_probe()).expect("node alive") {
+                Some(ProcReply::Probe(pending)) => Some(pending),
+                None => None,
+                Some(other) => panic!("a probe answered with {other:?}"),
+            }
+        }
+
+        /// A finish: whether it completed inline.
+        fn finish(&self) -> bool {
+            match self.node.with(|c| c.app_finish()).expect("node alive") {
+                Some(ProcReply::Done) => true,
+                None => false,
+                Some(other) => panic!("a finish answered with {other:?}"),
+            }
         }
 
         /// Every `Log` batch the event-logger stub holds, in ship order.
@@ -1171,6 +1254,17 @@ mod tests {
                         ..
                     } => Some(d.id.sender_clock),
                     _ => None,
+                })
+                .collect()
+        }
+
+        /// The one wake-up the process mailbox holds, as a delivery.
+        fn woken(&self) -> Vec<(Rank, Payload)> {
+            drained(&self.proc_mb)
+                .into_iter()
+                .map(|reply| match reply {
+                    ProcReply::Msg { from, payload } => (from, payload),
+                    other => panic!("a receive woken by {other:?}"),
                 })
                 .collect()
         }
@@ -1214,19 +1308,19 @@ mod tests {
         // Two arrivals in one drain: the first answers the parked receive
         // over the reply mailbox, the second waits in the buffer.
         r.daemon_drain(vec![Rig::data(1), Rig::data(2)]);
-        let woken = drained(&r.proc_mb);
-        assert!(
-            matches!(&woken[..], [ProcReply::Msg { from: PEER, payload }] if *payload == body(1)),
-            "exactly one wake-up, carrying the first arrival: {woken:?}"
+        assert_eq!(
+            r.woken(),
+            [(PEER, body(1))],
+            "exactly one wake-up, carrying the first arrival"
         );
         assert_eq!(r.logged().len(), 1, "the daemon ships after its drain");
         // The second is taken inline — and only inline.
         assert_eq!(r.recv(), Some((PEER, body(2))));
         assert!(drained(&r.proc_mb).is_empty());
         // The same for a probe: answered on the spot, never by mailbox.
-        assert_eq!(r.node.with(|c| c.app_probe()).unwrap(), Some(false));
+        assert_eq!(r.probe(), Some(false));
         r.daemon_drain(vec![Rig::data(3)]);
-        assert_eq!(r.node.with(|c| c.app_probe()).unwrap(), Some(true));
+        assert_eq!(r.probe(), Some(true));
         assert!(drained(&r.proc_mb).is_empty());
     }
 
@@ -1260,10 +1354,10 @@ mod tests {
         // The ack releases the forward first, then makes the receive.
         r.ack(1);
         assert_eq!(r.wire(), [2], "forwarded with 6 messages still buffered");
-        let woken = drained(&r.proc_mb);
-        assert!(
-            matches!(&woken[..], [ProcReply::Msg { from: PEER, payload }] if *payload == body(2)),
-            "exactly one wake-up, carrying the next message: {woken:?}"
+        assert_eq!(
+            r.woken(),
+            [(PEER, body(2))],
+            "exactly one wake-up, carrying the next message"
         );
         // With nothing gated the backlog is taken inline again.
         r.ack(3);
@@ -1278,7 +1372,7 @@ mod tests {
         assert!(r.recv().is_some());
         r.node.with(|c| c.app_send(PEER, body(7))).unwrap();
         assert!(
-            !r.node.with(|c| c.app_finish()).unwrap(),
+            !r.finish(),
             "a send of the run is still gated: the process must park"
         );
         assert!(drained(&r.disp_mb).is_empty());
@@ -1287,12 +1381,26 @@ mod tests {
         assert_eq!(r.wire(), [2]);
         assert_eq!(drained(&r.disp_mb).len(), 1, "finalized once");
         assert!(matches!(&drained(&r.proc_mb)[..], [ProcReply::Done]));
+    }
 
-        // With nothing gated the finish completes inline.
-        let r = rig();
-        assert!(r.node.with(|c| c.app_finish()).unwrap());
-        assert_eq!(drained(&r.disp_mb).len(), 1);
-        assert!(drained(&r.proc_mb).is_empty());
+    #[test]
+    fn every_protocol_finishes_inline_when_nothing_is_gated() {
+        for protocol in [
+            RuntimeProtocol::V2,
+            RuntimeProtocol::V1,
+            RuntimeProtocol::P4,
+        ] {
+            let r = rig_for(protocol);
+            assert!(r.finish(), "{protocol:?}");
+            assert!(
+                matches!(
+                    &drained(&r.disp_mb)[..],
+                    [DispatcherMsg::Finalized { rank: ME, .. }]
+                ),
+                "{protocol:?}: finalized once"
+            );
+            assert!(drained(&r.proc_mb).is_empty(), "{protocol:?}: no `Done`");
+        }
     }
 
     #[test]
@@ -1324,6 +1432,133 @@ mod tests {
         assert_eq!(image.engine.clock, 2, "one delivery + one send");
         assert_eq!((image.mpi_state, image.app_state), (body(1), body(2)));
         assert!(!r.node.with(|c| c.app_ckpt_poll()).unwrap(), "consumed");
+    }
+
+    #[test]
+    fn a_restarted_core_hands_over_its_restored_state_only_after_restart1() {
+        let fabric = Fabric::new();
+        let (daemon_mb, daemon_id) = fabric.register::<DaemonMsg>(NodeId::Computing(ME));
+        let (_cs_mb, _) = fabric.register::<CkptPacket>(NodeId::CheckpointServer(0));
+        let (_el_mb, services) = fabric.register::<ElPacket>(NodeId::EventLogger(0));
+        // The peer's and the process's slots write one log, in send order.
+        let log: Arc<Mutex<Vec<&str>>> = Arc::default();
+        let l = log.clone();
+        fabric.register_sink(NodeId::Computing(PEER), move |m: DaemonMsg| {
+            if let DaemonMsg::Peer {
+                msg: PeerMsg::Restart1 { .. },
+                ..
+            } = m
+            {
+                l.lock().push("restart1");
+            }
+        });
+        let l = log.clone();
+        fabric.register_sink(NodeId::Process(ME), move |m: ProcReply| {
+            if let ProcReply::InitOk {
+                restored: Some(state),
+                ..
+            } = m
+            {
+                assert_eq!(state, (body(1), body(2)), "the image's process state");
+                l.lock().push("init");
+            }
+        });
+        // The services' answers, queued on one lane so the recovery
+        // exchange meets them in the order it asks.
+        let image = NodeImage {
+            engine: V2Engine::fresh(ME, 2).snapshot(),
+            mpi_state: body(1),
+            app_state: body(2),
+        };
+        for reply in [
+            DaemonMsg::Ckpt(CkptReply::Image {
+                clock: Some(0),
+                image: image.encode_blob(),
+            }),
+            DaemonMsg::El {
+                from: ElAddr {
+                    shard: 0,
+                    replica: 0,
+                },
+                reply: ElReply::Events(Vec::new()),
+            },
+        ] {
+            services.send(NodeId::Computing(ME), reply).unwrap();
+        }
+        open(&daemon_mb, daemon_id, &config(RuntimeProtocol::V2, true)).expect("recovers");
+        assert_eq!(*log.lock(), ["restart1", "init"]);
+    }
+
+    #[test]
+    fn p4_takes_a_backlog_inline_in_arrival_order_without_a_reply() {
+        let r = rig_for(RuntimeProtocol::P4);
+        r.daemon_drain((1..=64).map(Rig::data).collect());
+        for h in 1..=64 {
+            assert_eq!(r.recv(), Some((PEER, body(h))));
+        }
+        assert!(
+            drained(&r.proc_mb).is_empty(),
+            "no receive crossed a mailbox"
+        );
+        r.node.with(|c| c.app_send(PEER, body(9))).unwrap();
+        assert_eq!(r.wire(), [1], "a send goes straight to the wire");
+    }
+
+    #[test]
+    fn p4_parks_a_receive_on_an_empty_buffer_and_answers_probes_inline() {
+        let r = rig_for(RuntimeProtocol::P4);
+        assert_eq!(r.recv(), None, "nothing buffered: the wait is registered");
+        assert!(drained(&r.proc_mb).is_empty());
+        r.daemon_drain(vec![Rig::data(1), Rig::data(2)]);
+        assert_eq!(r.woken(), [(PEER, body(1))], "exactly one wake-up");
+        assert_eq!(r.recv(), Some((PEER, body(2))));
+        assert_eq!(r.probe(), Some(false));
+        r.daemon_drain(vec![Rig::data(3)]);
+        assert_eq!(r.probe(), Some(true));
+        assert!(drained(&r.proc_mb).is_empty());
+    }
+
+    #[test]
+    fn v1_receives_through_its_channel_memory_and_drops_stale_answers() {
+        let r = rig_for(RuntimeProtocol::V1);
+        let cm_msg = |seq: u64, h: u64| {
+            DaemonMsg::Cm(CmReply::Msg {
+                seq,
+                msg: data_msg(h),
+            })
+        };
+        assert_eq!(r.recv(), None, "a V1 receive always waits on the CM");
+        let pulls = drained(&r.cm_mb);
+        assert!(
+            matches!(
+                &pulls[..],
+                [CmPacket {
+                    owner: ME,
+                    from: ME,
+                    req: CmRequest::Pull { seq: 0 }
+                }]
+            ),
+            "exactly one pull, of reception 0: {pulls:?}"
+        );
+        // An answer to a previous incarnation's pull crossing the restart.
+        r.daemon_drain(vec![cm_msg(5, 5)]);
+        assert!(drained(&r.proc_mb).is_empty(), "stale answer dropped");
+        r.daemon_drain(vec![cm_msg(0, 1)]);
+        assert_eq!(r.woken(), [(PEER, body(1))], "exactly one wake-up");
+        // A send is pushed to the destination's Channel Memory.
+        r.node.with(|c| c.app_send(PEER, body(9))).unwrap();
+        let pushes = drained(&r.cm_mb);
+        assert!(
+            matches!(
+                &pushes[..],
+                [CmPacket {
+                    owner: PEER,
+                    req: CmRequest::Push(_),
+                    ..
+                }]
+            ),
+            "{pushes:?}"
+        );
     }
 
     #[test]

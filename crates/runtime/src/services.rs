@@ -1,10 +1,13 @@
 //! The auxiliary service threads of a deployment: event loggers, the
-//! checkpoint server and the checkpoint scheduler (Fig. 3).
+//! checkpoint server and the checkpoint scheduler (Fig. 3), and the V1
+//! baseline's Channel Memories.
 
+use crate::baseline::CmPacket;
 use crate::deploy::Topology;
 use crate::messages::DaemonMsg;
 use mvr_ckpt::{CheckpointStore, CkptPacket, NodeStatus, Policy, Scheduler};
-use mvr_core::{NodeId, Rank, SchedMsg};
+use mvr_core::baseline::v1::ChannelMemory;
+use mvr_core::{CmReply, NodeId, Rank, SchedMsg};
 use mvr_eventlog::{ElPacket, EventLogStore};
 use mvr_net::{Fabric, Identity, Mailbox, RecvError};
 use parking_lot::Mutex;
@@ -255,4 +258,39 @@ pub fn spawn_checkpoint_scheduler(
             }
         })
         .expect("spawn checkpoint scheduler")
+}
+
+/// Spawn the Channel Memory services. Each CM node hosts the repositories
+/// of every rank mapped to it.
+pub fn spawn_channel_memories(fabric: &Fabric, cms: u32) -> Vec<JoinHandle<()>> {
+    (0..cms.max(1))
+        .map(|i| {
+            let (mb, identity) = fabric.register::<CmPacket>(NodeId::ChannelMemory(i));
+            std::thread::Builder::new()
+                .name(format!("cm-{i}"))
+                .spawn(move || {
+                    let mut repos: std::collections::BTreeMap<Rank, ChannelMemory> =
+                        Default::default();
+                    loop {
+                        let pkt = match mb.recv() {
+                            Ok(p) => p,
+                            Err(RecvError::Killed) | Err(RecvError::Timeout) => return,
+                        };
+                        let repo = repos
+                            .entry(pkt.owner)
+                            .or_insert_with(|| ChannelMemory::new(pkt.owner));
+                        for reply in repo.handle(pkt.req) {
+                            // Push acks return to the pusher; messages and
+                            // probe answers to the owner.
+                            let to = match &reply {
+                                CmReply::PushAck => pkt.from,
+                                _ => pkt.owner,
+                            };
+                            let _ = identity.send(NodeId::Computing(to), DaemonMsg::Cm(reply));
+                        }
+                    }
+                })
+                .expect("spawn channel memory")
+        })
+        .collect()
 }

@@ -224,7 +224,11 @@ fn checkpoint_server_crash_mid_checkpoint() {
     // The event logger, by contrast, is the one component this deployment
     // *assumes* reliable (§4.3); no test here kills it, and the EL-kill
     // stall behaviour is pinned by `tests/deployment.rs`.
-    let (n, iters) = (3, 300);
+    //
+    // The ring outlasts the kill by several of the dispatcher's 10 ms
+    // liveness scans: at 300 iterations it could end before the scan
+    // that relaunches the CS (1 run in 10).
+    let (n, iters) = (3, 1000);
     let cluster = Cluster::launch(
         ClusterConfig {
             world: n,
