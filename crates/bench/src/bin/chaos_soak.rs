@@ -14,220 +14,94 @@
 //! `--proc-storm` adds the multi-process preset: the same seeded storm
 //! plans delivered as **real SIGKILLs** to real OS processes over the
 //! TCP socket backend (this binary re-executes itself as the children).
-//! Output: a text table plus `results/BENCH_chaos.json`.
+//! Output: a text table, plus `results/BENCH_chaos.json` from a full
+//! sweep (a `--smoke` run writes nothing under `results/`).
+//!
+//! `--hunt <iters> <base>` is the bug hunter instead: it loops a short
+//! stream pipeline under a high-rekill crash storm plus link turbulence,
+//! a fresh seed per iteration (`base*1_000_003 + i`; with `iters == 1`,
+//! `base` is the exact seed to replay, as printed by a failure),
+//! verifying bit-exact results every time. Run it from a *debug* build
+//! (the engine's exactly-once `debug_assert`s fire at the exact
+//! corruption point) and run several instances in parallel — the deep
+//! incarnation races only surface under scheduler load:
+//!
+//!     cargo build --workspace
+//!     for j in 1 2 3 4 5; do ./target/debug/chaos_soak --hunt 150 $j & done; wait
+//!
+//! Flight recorders run throughout: any failure — cluster error or
+//! payload mismatch — dumps the merged clock-ordered timeline (JSONL +
+//! Chrome trace + triage note) into `chaos_dumps/hunt-<base>/` and
+//! prints the paths.
+//!
+//! Hunt triage: a *timeout* whose dump shows live threads and small
+//! restart counts, on a machine oversubscribed well beyond the 5-hunter
+//! load, is usually the 120 s budget expiring on a slow-but-progressing
+//! debug run — replay the printed seed on a quiet machine before
+//! digging. A wrong result, a protocol error, or a replayable timeout is
+//! always a real bug.
 
-use mvr_bench::{print_table, write_json};
-use mvr_core::{Payload, Rank};
-use mvr_mpi::{MpiResult, Source, Tag};
+use mvr_bench::{print_table, quick_mode, storm_deployment, write_json};
+use mvr_core::Payload;
 use mvr_obs::{ProtoEvent, TimingSummary, DISPATCHER_RANK};
 use mvr_runtime::proc::{maybe_run_child, run_proc};
-use mvr_runtime::{
-    ChaosConfig, Cluster, ClusterConfig, NodeMpi, RunReport, SchedulerConfig, TurbulenceConfig,
+use mvr_runtime::{ChaosConfig, Cluster, ClusterConfig, RunReport, SchedulerConfig};
+use mvr_workloads::apps::{
+    check, check_fanin, check_ring, expected_stream, fanin_app, make_app, ring_app, stream_app,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WORLD: u32 = 4;
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 // ---------------------------------------------------------------------
-// Communication patterns (deterministic, closed-form expected results)
+// Communication patterns (the shared apps, with their fault-free oracles)
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Pattern {
     /// Symmetric neighbor exchange: every rank sendrecvs around a ring.
-    Ring,
+    Ring(u32),
     /// Pipeline: rank 0 produces, middle ranks transform and forward.
-    Stream,
+    Stream(u32),
     /// Fan-in with `Source::Any`: nondeterministic reception order at the
     /// root — the protocol's event-logging core under maximal stress.
-    Fanin,
+    Fanin(u32),
 }
 
 impl Pattern {
     fn name(self) -> &'static str {
         match self {
-            Pattern::Ring => "ring",
-            Pattern::Stream => "stream",
-            Pattern::Fanin => "fanin",
+            Pattern::Ring(_) => "ring",
+            Pattern::Stream(_) => "stream",
+            Pattern::Fanin(_) => "fanin",
+        }
+    }
+
+    fn launch(self, cfg: ClusterConfig) -> Cluster {
+        match self {
+            Pattern::Ring(iters) => Cluster::launch(cfg, ring_app(iters)),
+            Pattern::Stream(msgs) => Cluster::launch(cfg, stream_app(msgs)),
+            Pattern::Fanin(msgs) => Cluster::launch(cfg, fanin_app(msgs)),
+        }
+    }
+
+    fn check(self, results: &[Payload]) -> Result<(), String> {
+        match self {
+            Pattern::Ring(iters) => check_ring(results, iters),
+            Pattern::Stream(msgs) => check(results, |r| expected_stream(r, msgs)),
+            Pattern::Fanin(msgs) => check_fanin(results, msgs),
         }
     }
 }
 
-#[derive(Clone, Serialize, Deserialize)]
-struct IterState {
-    iter: u32,
-    acc: u64,
-}
-
-fn ring_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut st: IterState = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => IterState { iter: 0, acc: 0 },
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        while st.iter < iters {
-            let token = ((st.iter as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-            st.acc = st.acc.wrapping_mul(31).wrapping_add(v);
-            st.iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(st.acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_ring(me: u32, n: u32, iters: u32) -> u64 {
-    let prev = (me + n - 1) % n;
-    let mut acc: u64 = 0;
-    for i in 0..iters {
-        acc = acc
-            .wrapping_mul(31)
-            .wrapping_add(((i as u64) << 32) | prev as u64);
-    }
-    acc
-}
-
-fn stream_app(msgs: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut st: IterState = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => IterState { iter: 0, acc: 0 },
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        while st.iter < msgs {
-            let w = if me == 0 {
-                let w = st.iter as u64;
-                mpi.send(Rank(1), 5, &w.to_le_bytes())?;
-                w
-            } else {
-                let (_, _, body) = mpi.recv(Source::Rank(Rank(me - 1)), Tag::Value(5))?;
-                let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-                let w = v.wrapping_mul(31).wrapping_add(me as u64);
-                if me + 1 < n {
-                    mpi.send(Rank(me + 1), 5, &w.to_le_bytes())?;
-                }
-                w
-            };
-            st.acc = st.acc.wrapping_mul(131).wrapping_add(w);
-            st.iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(st.acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_stream(me: u32, msgs: u32) -> u64 {
-    let mut acc: u64 = 0;
-    for i in 0..msgs {
-        let mut w = i as u64;
-        for r in 1..=me {
-            w = w.wrapping_mul(31).wrapping_add(r as u64);
-        }
-        acc = acc.wrapping_mul(131).wrapping_add(w);
-    }
-    acc
-}
-
-fn fanin_app(msgs_per_rank: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let me = mpi.rank();
-        let n = mpi.size();
-        if me == Rank(0) {
-            let (mut got, mut sum): (u32, u64) = match &restored {
-                Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-                None => (0, 0),
-            };
-            let total = (n - 1) * msgs_per_rank;
-            while got < total {
-                let _ = mpi.iprobe(Source::Any, Tag::Any)?;
-                let (_, _, body) = mpi.recv(Source::Any, Tag::Any)?;
-                sum = sum.wrapping_add(u64::from_le_bytes(body.as_slice().try_into().expect("8")));
-                got += 1;
-                mpi.checkpoint_site(&bincode::serialize(&(got, sum)).expect("serializable"))?;
-            }
-            Ok(Payload::from_vec(sum.to_le_bytes().to_vec()))
-        } else {
-            let mut i: u32 = match &restored {
-                Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-                None => 0,
-            };
-            while i < msgs_per_rank {
-                let v = (me.0 as u64) * 1000 + i as u64;
-                mpi.send(Rank(0), 3, &v.to_le_bytes())?;
-                i += 1;
-                mpi.checkpoint_site(&bincode::serialize(&i).expect("serializable"))?;
-            }
-            Ok(Payload::empty())
-        }
-    }
-}
-
-fn expected_fanin_sum(n: u32, msgs: u32) -> u64 {
-    let mut sum = 0u64;
-    for r in 1..n {
-        for i in 0..msgs {
-            sum = sum.wrapping_add(r as u64 * 1000 + i as u64);
-        }
-    }
-    sum
-}
-
-fn verify(pattern: Pattern, results: &[Payload]) -> Result<(), String> {
-    let n = WORLD;
-    match pattern {
-        Pattern::Ring => {
-            for (r, p) in results.iter().enumerate() {
-                let got = u64::from_le_bytes(p.as_slice().try_into().map_err(|_| "bad len")?);
-                let want = expected_ring(r as u32, n, RING_ITERS);
-                if got != want {
-                    return Err(format!("rank {r}: got {got:#x}, want {want:#x}"));
-                }
-            }
-        }
-        Pattern::Stream => {
-            for (r, p) in results.iter().enumerate() {
-                let got = u64::from_le_bytes(p.as_slice().try_into().map_err(|_| "bad len")?);
-                let want = expected_stream(r as u32, STREAM_MSGS);
-                if got != want {
-                    return Err(format!("rank {r}: got {got:#x}, want {want:#x}"));
-                }
-            }
-        }
-        Pattern::Fanin => {
-            let got = u64::from_le_bytes(results[0].as_slice().try_into().map_err(|_| "bad len")?);
-            let want = expected_fanin_sum(n, FANIN_MSGS);
-            if got != want {
-                return Err(format!("root sum: got {got}, want {want}"));
-            }
-            for (r, p) in results.iter().enumerate().skip(1) {
-                if !p.as_slice().is_empty() {
-                    return Err(format!("rank {r}: expected empty payload"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-const RING_ITERS: u32 = 300;
-const STREAM_MSGS: u32 = 400;
-const FANIN_MSGS: u32 = 120;
+const PATTERNS: [Pattern; 3] = [
+    Pattern::Ring(300),
+    Pattern::Stream(400),
+    Pattern::Fanin(120),
+];
 
 // ---------------------------------------------------------------------
 // Storm presets
@@ -321,7 +195,7 @@ fn storm_chaos(storm: &Storm, seed: u64) -> ChaosConfig {
 // Harness
 // ---------------------------------------------------------------------
 
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 struct ScenarioResult {
     scenario: String,
     pattern: &'static str,
@@ -344,6 +218,59 @@ struct ScenarioResult {
     timings: TimingSummary,
 }
 
+/// Launch `pattern` under `cfg` and check its results against the
+/// fault-free oracle. Recording is on (`cfg.obs_dir`): a failed run left
+/// its merged timeline there on the way out, a wrong result is recorded
+/// as a `Divergence` and dumped there, and with `dump_ok` so is the
+/// timeline of a verified run.
+fn run_verified(
+    pattern: Pattern,
+    cfg: ClusterConfig,
+    timeout: Duration,
+    dump_ok: bool,
+) -> (Option<RunReport>, Result<(), String>) {
+    let dump_dir = cfg.obs_dir.clone().expect("recording on");
+    let cluster = pattern.launch(cfg);
+    // Payload divergence is detected here after the dispatcher has torn
+    // down; keep the recorders alive so a mismatch can still dump.
+    let hub = cluster.recorder_hub();
+    let report = match cluster.wait_report(timeout) {
+        Ok(report) => report,
+        Err(e) => {
+            let dir = dump_dir.display();
+            return (None, Err(format!("{e} [flight recorder: {dir}]")));
+        }
+    };
+    let verdict = match pattern.check(&report.results) {
+        Ok(()) => {
+            // `--dump` leaves the timeline of *successful* runs too,
+            // for offline span/critical-path analysis (obs_analyze).
+            if dump_ok {
+                match hub.dump(&dump_dir, "soak") {
+                    Ok(paths) => println!("  dumped: {}", paths.jsonl.display()),
+                    Err(io) => eprintln!("  flight-recorder dump failed: {io}"),
+                }
+            }
+            Ok(())
+        }
+        Err(e) => {
+            let detail = format!("payload mismatch: {e}");
+            hub.recorder(DISPATCHER_RANK).record(
+                0,
+                ProtoEvent::Divergence {
+                    detail: detail.clone(),
+                },
+            );
+            let note = match hub.dump(&dump_dir, "divergence") {
+                Ok(paths) => format!(" [{}]", paths.summary()),
+                Err(io) => format!(" [flight-recorder dump failed: {io}]"),
+            };
+            Err(format!("{detail}{note}"))
+        }
+    };
+    (Some(report), verdict)
+}
+
 fn run_scenario(pattern: Pattern, storm: &Storm, seed: u64, dump_ok: bool) -> ScenarioResult {
     // One dump dir per scenario: a failure leaves its merged timeline
     // (JSONL + Chrome trace + triage note) here.
@@ -352,74 +279,15 @@ fn run_scenario(pattern: Pattern, storm: &Storm, seed: u64, dump_ok: bool) -> Sc
         pattern.name(),
         storm.name
     ));
-    let (el_shards, el_replicas) = if storm.el_kill_pct > 0 {
-        (EL_SHARDS, EL_REPLICAS)
-    } else {
-        (1, 1)
-    };
-    let cfg = ClusterConfig {
-        world: WORLD,
-        el_shards,
-        el_replicas,
-        checkpointing: Some(SchedulerConfig {
-            interval: Duration::from_millis(1),
-            ..Default::default()
-        }),
-        chaos: Some(storm_chaos(storm, seed)),
-        // Seeded per-link jitter rides along in every scenario.
-        turbulence: Some(TurbulenceConfig::delays(seed ^ 0x7A17, 50)),
-        // Recording on; a failing run leaves its merged timeline here.
-        obs_dir: Some(dump_dir.clone()),
-        ..Default::default()
-    };
+    let mut cfg = storm_deployment(WORLD, storm_chaos(storm, seed), dump_dir);
+    if storm.el_kill_pct > 0 {
+        (cfg.el_shards, cfg.el_replicas) = (EL_SHARDS, EL_REPLICAS);
+    }
     let start = Instant::now();
-    let cluster = match pattern {
-        Pattern::Ring => Cluster::launch(cfg, ring_app(RING_ITERS)),
-        Pattern::Stream => Cluster::launch(cfg, stream_app(STREAM_MSGS)),
-        Pattern::Fanin => Cluster::launch(cfg, fanin_app(FANIN_MSGS)),
-    };
-    // Payload divergence is detected here after the dispatcher has torn
-    // down; keep the recorders alive so a mismatch can still dump.
-    let hub = cluster.recorder_hub();
-    let outcome: Result<RunReport, String> =
-        cluster.wait_report(TIMEOUT).map_err(|e| e.to_string());
+    let (report, verdict) = run_verified(pattern, cfg, TIMEOUT, dump_ok);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let scenario = format!("{}/{}/seed={seed:#x}", pattern.name(), storm.name);
-    let (passed, error, report) = match outcome {
-        Ok(report) => match verify(pattern, &report.results) {
-            Ok(()) => {
-                // `--dump` leaves the timeline of *successful* runs too,
-                // for offline span/critical-path analysis (obs_analyze).
-                if dump_ok {
-                    match hub.dump(&dump_dir, "soak") {
-                        Ok(paths) => println!("  dumped: {}", paths.jsonl.display()),
-                        Err(io) => eprintln!("  flight-recorder dump failed: {io}"),
-                    }
-                }
-                (true, None, Some(report))
-            }
-            Err(e) => {
-                let detail = format!("payload mismatch: {e}");
-                hub.recorder(DISPATCHER_RANK).record(
-                    0,
-                    ProtoEvent::Divergence {
-                        detail: detail.clone(),
-                    },
-                );
-                let note = match hub.dump(&dump_dir, "divergence") {
-                    Ok(paths) => format!(" [{}]", paths.summary()),
-                    Err(io) => format!(" [flight-recorder dump failed: {io}]"),
-                };
-                (false, Some(format!("{detail}{note}")), Some(report))
-            }
-        },
-        // The dispatcher dumped the timeline on its way out (obs_dir).
-        Err(e) => (
-            false,
-            Some(format!("{e} [flight recorder: {}]", dump_dir.display())),
-            None,
-        ),
-    };
+    let (passed, error) = (verdict.is_ok(), verdict.err());
     let chaos = report.as_ref().and_then(|r| r.chaos.clone());
     ScenarioResult {
         scenario,
@@ -482,7 +350,7 @@ fn run_proc_scenario(seed: u64) -> ScenarioResult {
     let cs_kills = plan.iter().filter(|e| e.kill_checkpoint_server).count() as u64;
     let el_kills = plan.iter().filter(|e| e.kill_el_replica.is_some()).count() as u64;
 
-    let mut opts = ClusterConfig::new(WORLD, format!("soak-ring {PROC_ITERS}"));
+    let mut opts = ClusterConfig::new(WORLD, format!("ring {PROC_ITERS}"));
     opts.el_replicas = PROC_EL_REPLICAS;
     opts.checkpointing = Some(SchedulerConfig::default());
     opts.timeout = TIMEOUT;
@@ -494,26 +362,7 @@ fn run_proc_scenario(seed: u64) -> ScenarioResult {
     let scenario = format!("ring/proc-storm/seed={seed:#x}");
     let (passed, error, restarts, service_restarts) = match outcome {
         Ok(report) => {
-            let mut verdict = Ok(());
-            for (r, p) in report.results.iter().enumerate() {
-                let got = p
-                    .as_slice()
-                    .try_into()
-                    .map(u64::from_le_bytes)
-                    .map_err(|_| format!("rank {r}: bad payload length"));
-                let want = expected_ring(r as u32, WORLD, PROC_ITERS);
-                match got {
-                    Ok(g) if g == want => {}
-                    Ok(g) => {
-                        verdict = Err(format!("rank {r}: got {g:#x}, want {want:#x}"));
-                        break;
-                    }
-                    Err(e) => {
-                        verdict = Err(e);
-                        break;
-                    }
-                }
-            }
+            let verdict = check_ring(&report.results, PROC_ITERS);
             (
                 verdict.is_ok(),
                 verdict.err(),
@@ -538,12 +387,27 @@ fn run_proc_scenario(seed: u64) -> ScenarioResult {
         cs_kills,
         el_kills,
         recoveries: restarts,
-        replays_completed: 0,
-        replayed_deliveries: 0,
-        duplicates_dropped: 0,
-        retransmissions: 0,
-        timings: TimingSummary::default(),
+        ..Default::default()
     }
+}
+
+/// One progress line per scenario, printed as it completes.
+fn print_scenario(r: &ScenarioResult) {
+    let error = r.error.as_deref().map(|e| format!("  <-- {e}"));
+    println!(
+        "  [{}] {}  kills={} cs={} el={} restarts={} svc={} replays={} dup_drop={} {:.0}ms{}",
+        if r.passed { "ok" } else { "FAIL" },
+        r.scenario,
+        r.rank_kills,
+        r.cs_kills,
+        r.el_kills,
+        r.restarts,
+        r.service_restarts,
+        r.replays_completed,
+        r.duplicates_dropped,
+        r.wall_ms,
+        error.unwrap_or_default(),
+    );
 }
 
 fn table_row(r: &ScenarioResult) -> Vec<String> {
@@ -564,27 +428,65 @@ fn table_row(r: &ScenarioResult) -> Vec<String> {
     ]
 }
 
+// ---------------------------------------------------------------------
+// Bug hunter
+// ---------------------------------------------------------------------
+
+const HUNT_MSGS: u32 = 160;
+
+/// `--hunt <iters> <base>`: loop a short stream pipeline under a
+/// high-rekill storm plus link turbulence, seed `base*1_000_003 + i` for
+/// iteration `i` (with `iters == 1`, `base` is the exact seed), and stop
+/// at the first failure.
+fn hunt(iters: u64, base: u64) {
+    // Per-instance dir so parallel hunters don't clobber each other's
+    // dumps.
+    let dump_dir = PathBuf::from(format!("chaos_dumps/hunt-{base}"));
+    for i in 0..iters {
+        let seed = if iters == 1 {
+            base
+        } else {
+            base.wrapping_mul(1_000_003).wrapping_add(i)
+        };
+        let chaos = ChaosConfig {
+            seed,
+            kills: 6,
+            min_gap: Duration::from_millis(2),
+            max_gap: Duration::from_millis(7),
+            max_burst: 2,
+            cs_kill_pct: 0,
+            rekill_pct: 80,
+            ..Default::default()
+        };
+        let cfg = storm_deployment(WORLD, chaos, dump_dir.clone());
+        let timeout = Duration::from_secs(120);
+        if let (_, Err(e)) = run_verified(Pattern::Stream(HUNT_MSGS), cfg, timeout, false) {
+            eprintln!("seed {seed}: {e}");
+            std::process::exit(1);
+        }
+        if i % 20 == 19 {
+            eprintln!("  ...{} clean (last seed {seed})", i + 1);
+        }
+    }
+    eprintln!("all {iters} iterations clean");
+}
+
 fn main() {
     // Re-entry point for the process preset's children: every rank, EL
     // replica and checkpoint server of a `--proc-storm` run is this
     // same binary.
-    if maybe_run_child(&|spec: &str| {
-        let mut it = spec.split_whitespace();
-        match it.next() {
-            Some("soak-ring") => {
-                let iters: u32 = it.next()?.parse().ok()?;
-                Some(Arc::new(ring_app(iters)) as Arc<dyn mvr_runtime::MpiApp>)
-            }
-            _ => None,
-        }
-    }) {
+    if maybe_run_child(&make_app) {
         return;
     }
 
-    let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
-    let dump_ok = std::env::args().any(|a| a == "--dump");
-    let proc_storm = std::env::args().any(|a| a == "--proc-storm");
-    let patterns = [Pattern::Ring, Pattern::Stream, Pattern::Fanin];
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(at) = args.iter().position(|a| a == "--hunt") {
+        let num = |k: usize| args.get(at + k).and_then(|s| s.parse().ok());
+        return hunt(num(1).unwrap_or(200), num(2).unwrap_or(1));
+    }
+    let smoke = quick_mode();
+    let dump_ok = args.iter().any(|a| a == "--dump");
+    let proc_storm = args.iter().any(|a| a == "--proc-storm");
     let seeds: &[u64] = if smoke {
         &[0xC0FFEE]
     } else {
@@ -593,8 +495,8 @@ fn main() {
 
     let mut scenarios: Vec<(Pattern, &Storm, u64)> = Vec::new();
     for storm in STORMS {
-        for &p in &patterns {
-            if smoke && storm.name == "light" && p != Pattern::Ring {
+        for p in PATTERNS {
+            if smoke && storm.name == "light" && p != PATTERNS[0] {
                 continue; // smoke: light storm once is enough
             }
             for &s in seeds {
@@ -608,61 +510,22 @@ fn main() {
         scenarios.len()
     );
     let mut results = Vec::new();
-    let mut rows = Vec::new();
-    let mut failures = 0usize;
     for (p, storm, seed) in scenarios {
-        let r = run_scenario(p, storm, seed, dump_ok);
-        println!(
-            "  [{}] {}  kills={} restarts={} replays={} dup_drop={} {:.0}ms{}",
-            if r.passed { "ok" } else { "FAIL" },
-            r.scenario,
-            r.rank_kills,
-            r.restarts,
-            r.replays_completed,
-            r.duplicates_dropped,
-            r.wall_ms,
-            r.error
-                .as_deref()
-                .map(|e| format!("  <-- {e}"))
-                .unwrap_or_default(),
-        );
-        if !r.passed {
-            failures += 1;
-        }
-        rows.push(table_row(&r));
-        results.push(r);
+        results.push(run_scenario(p, storm, seed, dump_ok));
+        print_scenario(&results[results.len() - 1]);
     }
-
     if proc_storm {
         println!(
             "proc-storm: {} seed(s), socket backend — the storm plan lands as real SIGKILLs",
             seeds.len()
         );
         for &seed in seeds {
-            let r = run_proc_scenario(seed);
-            println!(
-                "  [{}] {}  kills={} cs={} el={} restarts={} svc={} {:.0}ms{}",
-                if r.passed { "ok" } else { "FAIL" },
-                r.scenario,
-                r.rank_kills,
-                r.cs_kills,
-                r.el_kills,
-                r.restarts,
-                r.service_restarts,
-                r.wall_ms,
-                r.error
-                    .as_deref()
-                    .map(|e| format!("  <-- {e}"))
-                    .unwrap_or_default(),
-            );
-            if !r.passed {
-                failures += 1;
-            }
-            rows.push(table_row(&r));
-            results.push(r);
+            results.push(run_proc_scenario(seed));
+            print_scenario(&results[results.len() - 1]);
         }
     }
 
+    let rows: Vec<Vec<String>> = results.iter().map(table_row).collect();
     print_table(
         "Chaos soak — seeded crash storms, exactly-once delivery verified",
         &[
@@ -673,6 +536,7 @@ fn main() {
     );
     write_json("BENCH_chaos", &results);
 
+    let failures = results.iter().filter(|r| !r.passed).count();
     if failures > 0 {
         eprintln!(
             "\n{failures} scenario(s) FAILED — rerun with the printed seed to replay the storm"

@@ -10,10 +10,7 @@
 //! It also explains EXPERIMENTS.md's "muted CG magnitude" note: with a
 //! slow (dual-PIII-like) event logger the paper's CG factor reappears.
 
-use mvr_bench::{print_table, write_json};
-use mvr_simnet::{simulate, usecs, ClusterConfig, Protocol};
-use mvr_workloads::nas::{traces, Class, NasBenchmark};
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Row {
@@ -25,7 +22,7 @@ struct Row {
     v2_over_p4: f64,
 }
 
-fn main() {
+pub fn main() {
     let cases = [
         (NasBenchmark::LU, 32usize),
         (NasBenchmark::CG, 32),

@@ -10,10 +10,7 @@
 //! reports `el_requests / msgs_delivered`: ≈1.0 for the eager baseline
 //! (`el_batch_max = 1`), < 1.0 once batching engages.
 
-use mvr_bench::{print_table, quick_mode, write_json};
-use mvr_obs::HistSummary;
-use mvr_simnet::{simulate, ClusterConfig, Op, Protocol, TraceBuilder};
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Row {
@@ -83,7 +80,7 @@ fn pingpong(iters: usize) -> (&'static str, Vec<Vec<Op>>) {
     ("pingpong", vec![a.build(), b.build()])
 }
 
-fn main() {
+pub fn main() {
     let quick = quick_mode();
     let (msgs, per_src, iters) = if quick {
         (128, 16, 32)

@@ -9,10 +9,7 @@
 //! below) the reference as x grows (EL communication is not replayed);
 //! a non-linearity appears between 64 kB and 128 kB (eager→rendezvous).
 
-use mvr_bench::{fmt_bytes, print_table, quick_mode, write_json};
-use mvr_simnet::{simulate, simulate_replay, ClusterConfig, Protocol};
-use mvr_workloads::token_ring;
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Point {
@@ -21,7 +18,7 @@ struct Point {
     seconds: f64,
 }
 
-fn main() {
+pub fn main() {
     let n = 8usize;
     let laps = 20usize;
     let sizes: Vec<u64> = if quick_mode() {

@@ -8,10 +8,7 @@
 //! degradation with fault count, and execution time below 2x the
 //! fault-free reference at 9 faults (paper cadence: ~1 fault every 45 s).
 
-use mvr_bench::{print_table, quick_mode, write_json};
-use mvr_simnet::{simulate, simulate_with_faults, ClusterConfig, FaultPlan, Protocol};
-use mvr_workloads::nas::{traces, Class, NasBenchmark};
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Point {
@@ -22,7 +19,7 @@ struct Point {
     over_reference: f64,
 }
 
-fn main() {
+pub fn main() {
     let p = 4usize;
     let class = if quick_mode() { Class::W } else { Class::A };
     let t = traces(NasBenchmark::BT, class, p);

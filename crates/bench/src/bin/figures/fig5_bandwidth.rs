@@ -5,10 +5,7 @@
 //! slower ... but remains always close"), V1 "down to two times slower"
 //! (every byte store-and-forwarded through a Channel Memory).
 
-use mvr_bench::{fmt_bytes, print_table, quick_mode, write_json};
-use mvr_simnet::{simulate, ClusterConfig, Protocol, SEC};
-use mvr_workloads::pingpong;
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Point {
@@ -25,7 +22,7 @@ fn bandwidth(protocol: Protocol, bytes: u64) -> f64 {
     bytes as f64 / one_way_s / 1e6
 }
 
-fn main() {
+pub fn main() {
     let max_pow = if quick_mode() { 20 } else { 23 };
     let sizes: Vec<u64> = (6..=max_pow).map(|p| 1u64 << p).collect();
     let mut rows = Vec::new();

@@ -3,10 +3,7 @@
 //! Paper anchors: 77 µs for P4 at 0 bytes vs 237 µs for V2 ("six TCP
 //! messages ... P4 only sends two"); V1 in between.
 
-use mvr_bench::{fmt_bytes, print_table, write_json};
-use mvr_simnet::{simulate, ClusterConfig, Protocol};
-use mvr_workloads::pingpong;
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Point {
@@ -22,7 +19,7 @@ fn latency_us(protocol: Protocol, bytes: u64) -> f64 {
     rep.makespan as f64 / (2.0 * rounds as f64) / 1_000.0
 }
 
-fn main() {
+pub fn main() {
     let sizes: [u64; 8] = [0, 64, 256, 1024, 4096, 16 << 10, 64 << 10, 128 << 10];
     let mut rows = Vec::new();
     let mut points = Vec::new();

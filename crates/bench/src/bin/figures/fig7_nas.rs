@@ -10,10 +10,7 @@
 //! * BT, SP: V2 ≈ P4 or better (large nonblocking messages, full-duplex
 //!   daemon).
 
-use mvr_bench::{print_table, quick_mode, write_json};
-use mvr_simnet::{simulate, ClusterConfig, Protocol};
-use mvr_workloads::nas::{traces, Class, NasBenchmark};
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Row {
@@ -32,7 +29,7 @@ fn run(proto: Protocol, bench: NasBenchmark, class: Class, p: usize) -> mvr_simn
     simulate(cfg, traces(bench, class, p))
 }
 
-fn main() {
+pub fn main() {
     let quick = quick_mode();
     let classes: &[Class] = if quick {
         &[Class::A]

@@ -7,10 +7,7 @@
 //! under V2 (full duplex). "MPICH-V2 requires much less reliable nodes
 //! than MPICH-V1 (1 versus 9 for 32 computing nodes)."
 
-use mvr_bench::{print_table, write_json};
-use mvr_simnet::{simulate, ClusterConfig, Protocol};
-use mvr_workloads::nas::{traces, Class, NasBenchmark};
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Part {
@@ -32,7 +29,7 @@ fn reliable_nodes(proto: Protocol, p: usize) -> usize {
     }
 }
 
-fn main() {
+pub fn main() {
     let cases = [
         (NasBenchmark::CG, Class::A, 8usize),
         (NasBenchmark::BT, Class::B, 9usize),

@@ -6,10 +6,7 @@
 //! 64Kbytes messages" (full-duplex driver), with P4 ahead at small sizes
 //! (latency-dominated).
 
-use mvr_bench::{fmt_bytes, print_table, write_json};
-use mvr_simnet::{simulate, ClusterConfig, Protocol, SEC};
-use mvr_workloads::pattern9;
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Point {
@@ -28,7 +25,7 @@ fn pattern_bw(protocol: Protocol, bytes: u64) -> f64 {
     moved / (rep.makespan as f64 / SEC as f64) / 1e6
 }
 
-fn main() {
+pub fn main() {
     let sizes: Vec<u64> = (8..=20).map(|p| 1u64 << p).collect();
     let mut rows = Vec::new();
     let mut points = Vec::new();

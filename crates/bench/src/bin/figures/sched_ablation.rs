@@ -6,9 +6,8 @@
 //! scheduling (w.r.t. bandwidth utilization) and often provides better
 //! scheduling (up to n times better ... for asynchronous broadcast)".
 
-use mvr_bench::{print_table, write_json};
+use super::*;
 use mvr_ckpt::{compare_all, simulate, Policy, PolicySimConfig, Scheme};
-use serde::Serialize;
 
 #[derive(Serialize)]
 struct Row {
@@ -20,7 +19,7 @@ struct Row {
     checkpoints: u64,
 }
 
-fn main() {
+pub fn main() {
     let cfg = PolicySimConfig {
         nodes: 16,
         steps: 4_000,

@@ -6,10 +6,7 @@
 //! ISend and transmits under Wait, and wins overall on BT). CG A 8 —
 //! P4 total 5.1 vs V2 14.4 (the factor-~3 communication blowup).
 
-use mvr_bench::{print_table, write_json};
-use mvr_simnet::{as_secs_f64, simulate, ClusterConfig, Protocol};
-use mvr_workloads::nas::{traces, Class, NasBenchmark};
-use serde::Serialize;
+use super::*;
 
 #[derive(Serialize)]
 struct Decomp {
@@ -22,7 +19,7 @@ struct Decomp {
     total_comm_s: f64,
 }
 
-fn main() {
+pub fn main() {
     let cases = [
         (NasBenchmark::BT, Class::A, 9usize),
         (NasBenchmark::CG, Class::A, 8usize),

@@ -15,67 +15,16 @@
 //!
 //! Exits nonzero with a triage message on the first violated check.
 
-use mvr_core::{Payload, Rank};
-use mvr_mpi::{MpiResult, Source, Tag};
+use mvr_bench::storm_deployment;
 use mvr_obs::{header_line, jsonl_line, validate_records, DumpHeader, ProtoEvent, DISPATCHER_RANK};
-use mvr_runtime::{
-    ChaosConfig, Cluster, ClusterConfig, NodeMpi, SchedulerConfig, TurbulenceConfig,
-};
-use serde::{Deserialize, Serialize};
+use mvr_runtime::{ChaosConfig, Cluster, ClusterConfig};
+use mvr_workloads::apps::{check, expected_stream, stream_app};
 use std::path::PathBuf;
 use std::time::Duration;
 
 const WORLD: u32 = 4;
 const MSGS: u32 = 80;
 const SEED: u64 = 0x0B5E7EED;
-
-#[derive(Clone, Serialize, Deserialize)]
-struct IterState {
-    iter: u32,
-    acc: u64,
-}
-
-fn stream_app(msgs: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut st: IterState = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => IterState { iter: 0, acc: 0 },
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        while st.iter < msgs {
-            let w = if me == 0 {
-                let w = st.iter as u64;
-                mpi.send(Rank(1), 5, &w.to_le_bytes())?;
-                w
-            } else {
-                let (_, _, body) = mpi.recv(Source::Rank(Rank(me - 1)), Tag::Value(5))?;
-                let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-                let w = v.wrapping_mul(31).wrapping_add(me as u64);
-                if me + 1 < n {
-                    mpi.send(Rank(me + 1), 5, &w.to_le_bytes())?;
-                }
-                w
-            };
-            st.acc = st.acc.wrapping_mul(131).wrapping_add(w);
-            st.iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(st.acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_stream(me: u32, msgs: u32) -> u64 {
-    let mut acc: u64 = 0;
-    for i in 0..msgs {
-        let mut w = i as u64;
-        for r in 1..=me {
-            w = w.wrapping_mul(31).wrapping_add(r as u64);
-        }
-        acc = acc.wrapping_mul(131).wrapping_add(w);
-    }
-    acc
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("obs_smoke: FAIL: {msg}");
@@ -84,27 +33,19 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let dump_dir = PathBuf::from("chaos_dumps/obs-smoke");
-    let cfg = ClusterConfig {
-        world: WORLD,
-        checkpointing: Some(SchedulerConfig {
-            interval: Duration::from_millis(1),
-            ..Default::default()
-        }),
-        chaos: Some(ChaosConfig {
-            seed: SEED,
-            kills: 3,
-            min_gap: Duration::from_millis(2),
-            max_gap: Duration::from_millis(8),
-            max_burst: 2,
-            cs_kill_pct: 0,
-            rekill_pct: 50,
-            ..Default::default()
-        }),
-        turbulence: Some(TurbulenceConfig::delays(SEED ^ 0x7A17, 50)),
-        // Recording on; a failing run leaves its merged timeline here.
-        obs_dir: Some(dump_dir.clone()),
-        monitor: true,
+    let chaos = ChaosConfig {
+        seed: SEED,
+        kills: 3,
+        min_gap: Duration::from_millis(2),
+        max_gap: Duration::from_millis(8),
+        max_burst: 2,
+        cs_kill_pct: 0,
+        rekill_pct: 50,
         ..Default::default()
+    };
+    let cfg = ClusterConfig {
+        monitor: true,
+        ..storm_deployment(WORLD, chaos, dump_dir.clone())
     };
     let cluster = Cluster::launch(cfg, stream_app(MSGS));
     let hub = cluster.recorder_hub();
@@ -117,22 +58,15 @@ fn main() {
     };
 
     // 1. Exactly-once delivery held under the storm.
-    for (r, p) in report.results.iter().enumerate() {
-        let got = u64::from_le_bytes(p.as_slice().try_into().expect("8 bytes"));
-        let want = expected_stream(r as u32, MSGS);
-        if got != want {
-            hub.recorder(DISPATCHER_RANK).record(
-                0,
-                ProtoEvent::Divergence {
-                    detail: format!("rank {r} got {got:#x} want {want:#x}"),
-                },
-            );
-            let _ = hub.dump(&dump_dir, "divergence");
-            fail(&format!(
-                "payload mismatch on rank {r} (dump in {})",
-                dump_dir.display()
-            ));
-        }
+    if let Err(detail) = check(&report.results, |r| expected_stream(r, MSGS)) {
+        let msg = format!(
+            "payload mismatch: {detail} (dump in {})",
+            dump_dir.display()
+        );
+        hub.recorder(DISPATCHER_RANK)
+            .record(0, ProtoEvent::Divergence { detail });
+        let _ = hub.dump(&dump_dir, "divergence");
+        fail(&msg);
     }
 
     // 2. Forced dump of the successful run, then schema validation.

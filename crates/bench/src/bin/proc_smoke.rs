@@ -13,13 +13,11 @@
 //! This binary re-executes itself as the rank/EL/CS children
 //! (`maybe_run_child`), exactly like `mpirun --backend socket`.
 
-use mvr_bench::write_json;
-use mvr_core::{NodeId, Payload, Rank};
-use mvr_mpi::{MpiResult, Source, Tag};
+use mvr_core::{NodeId, Rank};
 use mvr_obs::{parse_dump, validate_records, InvariantMonitor, SpanSet};
 use mvr_runtime::proc::{maybe_run_child, run_proc};
-use mvr_runtime::{ClusterConfig, NodeMpi, SchedulerConfig};
-use serde::{Deserialize, Serialize};
+use mvr_runtime::{ClusterConfig, SchedulerConfig};
+use mvr_workloads::apps::{check_ring, make_app};
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,53 +26,6 @@ use std::time::{Duration, Instant};
 
 const WORLD: u32 = 4;
 const ITERS: u32 = 120;
-
-#[derive(Clone, Serialize, Deserialize)]
-struct IterState {
-    iter: u32,
-    acc: u64,
-}
-
-/// The soak ring: sendrecv around the ring, fold the token, checkpoint
-/// every iteration. Closed-form expected payload per rank.
-fn ring_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut st: IterState = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => IterState { iter: 0, acc: 0 },
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        while st.iter < iters {
-            let token = ((st.iter as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-            st.acc = st.acc.wrapping_mul(31).wrapping_add(v);
-            st.iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(st.acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_ring(me: u32, n: u32, iters: u32) -> u64 {
-    let prev = (me + n - 1) % n;
-    let mut acc: u64 = 0;
-    for i in 0..iters {
-        acc = acc
-            .wrapping_mul(31)
-            .wrapping_add(((i as u64) << 32) | prev as u64);
-    }
-    acc
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("proc_smoke: FAIL: {msg}");
@@ -189,36 +140,16 @@ fn check_health_page(addr: &str, body: &str) {
     }
 }
 
-#[derive(Serialize)]
-struct SmokeResult {
-    world: u32,
-    iters: u32,
-    restarts: u32,
-    service_restarts: u32,
-    detections: usize,
-    records_audited: bool,
-    wall_ms: f64,
-}
-
 fn main() {
     // Child re-entry: rank/EL/CS processes come back through here.
-    if maybe_run_child(&|spec: &str| {
-        let mut it = spec.split_whitespace();
-        match it.next() {
-            Some("soak-ring") => {
-                let iters: u32 = it.next()?.parse().ok()?;
-                Some(Arc::new(ring_app(iters)) as Arc<dyn mvr_runtime::MpiApp>)
-            }
-            _ => None,
-        }
-    }) {
+    if maybe_run_child(&make_app) {
         return;
     }
 
     let obs_dir = PathBuf::from("results").join("proc_smoke_obs");
     let _ = std::fs::remove_dir_all(&obs_dir);
 
-    let mut opts = ClusterConfig::new(WORLD, format!("soak-ring {ITERS}"));
+    let mut opts = ClusterConfig::new(WORLD, format!("ring {ITERS}"));
     opts.el_replicas = 3;
     opts.checkpointing = Some(SchedulerConfig::default());
     opts.monitor = true;
@@ -262,16 +193,8 @@ fn main() {
     check_health_page(&addr, &body);
 
     // Recovery happened and converged to the fault-free payloads.
-    for (r, p) in report.results.iter().enumerate() {
-        let got = u64::from_le_bytes(
-            p.as_slice()
-                .try_into()
-                .unwrap_or_else(|_| fail(&format!("rank {r}: bad payload length"))),
-        );
-        let want = expected_ring(r as u32, WORLD, ITERS);
-        if got != want {
-            fail(&format!("rank {r}: got {got:#x}, want {want:#x}"));
-        }
+    if let Err(e) = check_ring(&report.results, ITERS) {
+        fail(&e);
     }
     if report.restarts < 1 {
         fail("expected at least one rank reincarnation");
@@ -296,9 +219,7 @@ fn main() {
             ));
         }
     }
-    if let Some(merge) = &report.merge {
-        println!("proc_smoke: {}", merge.skew.summary());
-    }
+    println!("proc_smoke: {}", merge.skew.summary());
 
     for (peer, cause) in &report.detections {
         println!("proc_smoke: detected loss of {peer} ({cause})");
@@ -306,17 +227,5 @@ fn main() {
     println!(
         "proc_smoke: ok — {} rank restart(s), {} service restart(s), {:.0}ms",
         report.restarts, report.service_restarts, wall_ms
-    );
-    write_json(
-        "BENCH_proc_smoke",
-        &SmokeResult {
-            world: WORLD,
-            iters: ITERS,
-            restarts: report.restarts,
-            service_restarts: report.service_restarts,
-            detections: report.detections.len(),
-            records_audited: true,
-            wall_ms,
-        },
     );
 }

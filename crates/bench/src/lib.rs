@@ -1,16 +1,22 @@
 //! # mvr-bench — the paper-figure harness
 //!
-//! One binary per table/figure of the MPICH-V2 paper (see DESIGN.md §5
-//! for the experiment index). Every binary prints a paper-style text
+//! One `figures <name>|all [--quick]` binary draws every table and
+//! figure of the MPICH-V2 paper (see DESIGN.md §5 for the experiment
+//! index); beside it sit the live-runtime harnesses (`chaos_soak`,
+//! `proc_smoke`) and the observability tools (`obs_smoke`,
+//! `obs_analyze`, `obs_diff`). Every harness prints a paper-style text
 //! table to stdout and writes machine-readable JSON next to it under
-//! `results/`.
+//! `results/` — except a `--quick`/`--smoke` run, whose shrunken sweep
+//! must not overwrite the committed full results.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use mvr_runtime::{ChaosConfig, ClusterConfig, SchedulerConfig, TurbulenceConfig};
 use serde::Serialize;
 use std::io::Write;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Render an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -47,8 +53,12 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Write a JSON result file under `results/`.
+/// Write a JSON result file under `results/`; a no-op in
+/// [`quick_mode`].
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
+    if quick_mode() {
+        return;
+    }
     let dir = PathBuf::from("results");
     if std::fs::create_dir_all(&dir).is_err() {
         return;
@@ -64,9 +74,27 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Did the user pass `--quick` (smaller sweeps for CI)?
+/// The deployment every seeded crash-storm harness runs: `world` ranks
+/// checkpointing every millisecond under `chaos`, with seeded per-link
+/// jitter riding along, recording into `dump_dir` (where a failed run
+/// leaves its merged timeline).
+pub fn storm_deployment(world: u32, chaos: ChaosConfig, dump_dir: PathBuf) -> ClusterConfig {
+    ClusterConfig {
+        world,
+        checkpointing: Some(SchedulerConfig {
+            interval: Duration::from_millis(1),
+            ..Default::default()
+        }),
+        turbulence: Some(TurbulenceConfig::delays(chaos.seed ^ 0x7A17, 50)),
+        chaos: Some(chaos),
+        obs_dir: Some(dump_dir),
+        ..Default::default()
+    }
+}
+
+/// Did the user pass `--quick` or `--smoke` (smaller sweeps for CI)?
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+    std::env::args().any(|a| a == "--quick" || a == "--smoke")
 }
 
 /// Human-readable byte size.

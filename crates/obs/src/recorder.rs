@@ -20,8 +20,7 @@ pub struct RecorderConfig {
     /// Ring capacity per recorder; the oldest records are overwritten
     /// once full (the overwrite count is preserved for triage).
     pub capacity: usize,
-    /// Mirror every record to stderr as it is written — the successor
-    /// of the old `MVR_ENGINE_TRACE=1` eprintln spew.
+    /// Mirror every record to stderr as it is written.
     pub trace_stderr: bool,
     /// Flush cadence for streaming JSONL sinks fed by this deployment's
     /// recorders: write out every N records. 1 (the default) writes per
@@ -174,8 +173,7 @@ impl Recorder {
     }
 
     /// Whether records are mirrored to stderr. Host code gates its own
-    /// free-form debug lines behind the same switch, so `--trace-stderr`
-    /// keeps the whole old `MVR_ENGINE_TRACE=1` spew.
+    /// free-form debug lines behind the same switch.
     #[inline]
     pub fn trace_stderr(&self) -> bool {
         self.0.trace_stderr.load(Ordering::Relaxed)

@@ -256,8 +256,8 @@ pub struct ClusterConfig {
     pub turbulence: Option<TurbulenceConfig>,
     /// Flight-recorder settings for every engine and the dispatcher.
     /// Disabled by default — the fast path is one relaxed atomic load
-    /// per would-be record. `MVR_ENGINE_TRACE=1` in the environment
-    /// force-enables recording with the stderr mirror. In process only:
+    /// per would-be record; `trace_stderr` mirrors every record to
+    /// stderr as it is written. In process only:
     /// over sockets recording is exactly "`obs_dir` is set" and the
     /// per-process recorders take no tuning.
     pub obs: RecorderConfig,

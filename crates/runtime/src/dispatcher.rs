@@ -168,13 +168,7 @@ impl Cluster {
         let (exit_tx, exit_rx) = mpsc::channel();
         let mut handles = Vec::new();
 
-        // MVR_ENGINE_TRACE compatibility: the old env switch now turns
-        // the flight recorder on with its stderr mirror.
         let mut obs_cfg = cfg.obs;
-        if std::env::var("MVR_ENGINE_TRACE").is_ok() {
-            obs_cfg.enabled = true;
-            obs_cfg.trace_stderr = true;
-        }
         // The monitor consumes live records and a dump directory wants
         // them, so either implies recording.
         if cfg.monitor || cfg.obs_dir.is_some() {

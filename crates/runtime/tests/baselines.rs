@@ -3,52 +3,12 @@
 //! (no fault tolerance — a crash kills the run).
 
 use mvr_core::{Payload, Rank};
-use mvr_mpi::{MpiResult, ReduceOp, Source, Tag};
+use mvr_mpi::ReduceOp;
 use mvr_runtime::{run_cluster, Cluster, ClusterConfig, ClusterError, NodeMpi, RuntimeProtocol};
+use mvr_workloads::apps::{check_ring, ring_app};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(60);
-
-fn ring_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, _restored| {
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        let mut acc = 0u64;
-        for i in 0..iters {
-            let token = ((i as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            let v = u64::from_le_bytes(body.as_slice().try_into().unwrap());
-            acc = acc.wrapping_mul(31).wrapping_add(v);
-        }
-        Ok(Payload::from_vec(acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_acc(me: u32, n: u32, iters: u32) -> u64 {
-    let prev = (me + n - 1) % n;
-    let mut acc = 0u64;
-    for i in 0..iters {
-        acc = acc
-            .wrapping_mul(31)
-            .wrapping_add(((i as u64) << 32) | prev as u64);
-    }
-    acc
-}
-
-fn check(results: &[Payload], n: u32, iters: u32) {
-    for (r, p) in results.iter().enumerate() {
-        let got = u64::from_le_bytes(p.as_slice().try_into().unwrap());
-        assert_eq!(got, expected_acc(r as u32, n, iters), "rank {r}");
-    }
-}
 
 #[test]
 fn v1_fault_free_ring() {
@@ -63,7 +23,7 @@ fn v1_fault_free_ring() {
         TIMEOUT,
     )
     .unwrap();
-    check(&results, n, iters);
+    check_ring(&results, iters).unwrap();
 }
 
 #[test]
@@ -110,7 +70,7 @@ fn v1_recovers_from_a_crash_via_channel_memory_replay() {
     });
     let results = cluster.wait(TIMEOUT).expect("V1 recovers via CM replay");
     killer.join().unwrap();
-    check(&results, n, iters);
+    check_ring(&results, iters).unwrap();
 }
 
 #[test]
@@ -126,7 +86,7 @@ fn p4_fault_free_ring() {
         TIMEOUT,
     )
     .unwrap();
-    check(&results, n, iters);
+    check_ring(&results, iters).unwrap();
 }
 
 #[test]

@@ -8,76 +8,15 @@
 //! Every failure here is replayable: the fault schedule is a pure
 //! function of the seed and trigger counts in the test body.
 
-use mvr_core::{NodeId, Payload, Rank};
-use mvr_mpi::{MpiResult, Source, Tag};
+use mvr_core::{NodeId, Rank};
 use mvr_runtime::{
-    fail_stop_group, ChaosConfig, Cluster, ClusterConfig, ClusterError, CountTrigger, NodeMpi,
+    fail_stop_group, ChaosConfig, Cluster, ClusterConfig, ClusterError, CountTrigger,
     SchedulerConfig, ShardMap, TurbulenceConfig,
 };
-use serde::{Deserialize, Serialize};
+use mvr_workloads::apps::{check_ring, ring_app};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
-
-#[derive(Clone, Serialize, Deserialize)]
-struct RingState {
-    iter: u32,
-    acc: u64,
-}
-
-/// The deterministic ring exchange of `tests/cluster.rs`: every rank's
-/// accumulator has a closed-form expected value, so a verified result is
-/// proof of exactly-once, correctly-ordered delivery.
-fn ring_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut st: RingState = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => RingState { iter: 0, acc: 0 },
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev_rank = (me + n - 1) % n;
-        let prev = Rank(prev_rank);
-        while st.iter < iters {
-            let token = ((st.iter as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-            assert_eq!(v, ((st.iter as u64) << 32) | prev_rank as u64);
-            st.acc = st.acc.wrapping_mul(31).wrapping_add(v);
-            st.iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(st.acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_ring_acc(me: u32, n: u32, iters: u32) -> u64 {
-    let prev = (me + n - 1) % n;
-    let mut acc: u64 = 0;
-    for i in 0..iters {
-        let v = ((i as u64) << 32) | prev as u64;
-        acc = acc.wrapping_mul(31).wrapping_add(v);
-    }
-    acc
-}
-
-fn check_ring_results(results: &[Payload], n: u32, iters: u32) {
-    for (r, p) in results.iter().enumerate() {
-        let got = u64::from_le_bytes(p.as_slice().try_into().expect("8 bytes"));
-        assert_eq!(
-            got,
-            expected_ring_acc(r as u32, n, iters),
-            "rank {r}: result diverges from the fault-free execution"
-        );
-    }
-}
 
 fn ckpt_cfg() -> Option<SchedulerConfig> {
     Some(SchedulerConfig {
@@ -104,7 +43,7 @@ fn seeded_link_delays_preserve_results() {
         ring_app(iters),
     );
     let results = cluster.wait(TIMEOUT).expect("delays are not faults");
-    check_ring_results(&results, n, iters);
+    check_ring(&results, iters).unwrap();
 }
 
 #[test]
@@ -130,7 +69,7 @@ fn crash_on_nth_send_recovers() {
         ring_app(iters),
     );
     let report = cluster.wait_report(TIMEOUT).expect("recovers");
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     assert!(report.restarts >= 1, "the trigger must have fired");
     assert!(
         report.recoveries >= 1,
@@ -173,7 +112,7 @@ fn rekill_during_replay_recovers() {
         ring_app(iters),
     );
     let report = cluster.wait_report(TIMEOUT).expect("survives re-kill");
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     assert!(report.restarts >= 2, "both triggers must have fired");
 }
 
@@ -209,7 +148,7 @@ fn overlapping_rank_crashes_recover() {
         ring_app(iters),
     );
     let report = cluster.wait_report(TIMEOUT).expect("overlap recovers");
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     assert!(report.restarts >= 2);
 }
 
@@ -227,12 +166,20 @@ fn checkpoint_server_crash_mid_checkpoint() {
     //
     // The ring outlasts the kill by several of the dispatcher's 10 ms
     // liveness scans: at 300 iterations it could end before the scan
-    // that relaunches the CS (1 run in 10).
+    // that relaunches the CS (1 run in 10). The CS sees its 4th packet
+    // only if checkpoints keep flowing: the scheduler's first order can
+    // go down with rank 0 (killed a few ms in), and waiting out the
+    // default 500 ms for its completion would stop checkpointing for
+    // the rest of the run (1 run in 3, standalone).
     let (n, iters) = (3, 1000);
     let cluster = Cluster::launch(
         ClusterConfig {
             world: n,
-            checkpointing: ckpt_cfg(),
+            checkpointing: Some(SchedulerConfig {
+                interval: Duration::from_millis(1),
+                completion_timeout: Duration::from_millis(10),
+                ..Default::default()
+            }),
             turbulence: Some(TurbulenceConfig {
                 seed: 0xC5,
                 crash_on_recv: vec![CountTrigger {
@@ -252,7 +199,7 @@ fn checkpoint_server_crash_mid_checkpoint() {
         ring_app(iters),
     );
     let report = cluster.wait_report(TIMEOUT).expect("survives CS loss");
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     assert!(
         report.service_restarts >= 1,
         "the dispatcher must have relaunched the checkpoint server"
@@ -352,7 +299,7 @@ fn restart_delay_does_not_block_other_recoveries() {
     });
     let report = cluster.wait_report(TIMEOUT).expect("both recover");
     killer.join().unwrap();
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     assert!(report.restarts >= 2);
 }
 
@@ -383,7 +330,7 @@ fn seeded_chaos_storm_completes_with_correct_results() {
     let report = cluster
         .wait_report(TIMEOUT)
         .unwrap_or_else(|e| panic!("storm seed {:#x} failed: {e}", chaos.seed));
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     let storm = report.chaos.expect("chaos driver ran");
     assert!(!storm.plan.is_empty());
     assert_eq!(
@@ -423,7 +370,7 @@ fn chaos_storm_under_ring_backpressure() {
     let report = cluster
         .wait_report(TIMEOUT)
         .unwrap_or_else(|e| panic!("backpressure storm seed {:#x} failed: {e}", chaos.seed));
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     assert!(report.restarts >= 1, "the storm must have killed someone");
 }
 
@@ -464,7 +411,7 @@ fn el_replica_kill_mid_run_is_masked_by_quorum_failover() {
         .wait_report(TIMEOUT)
         .expect("an EL replica kill must be masked by the quorum");
     killer.join().unwrap();
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     assert!(
         report.service_restarts >= 1,
         "the dispatcher must have revived the killed replica"
@@ -503,7 +450,7 @@ fn chaos_storm_with_el_replica_kills() {
     let report = cluster
         .wait_report(TIMEOUT)
         .unwrap_or_else(|e| panic!("EL storm seed {:#x} failed: {e}", chaos.seed));
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
     let storm = report.chaos.expect("chaos driver ran");
     assert!(
         storm.el_kills >= 1,
@@ -536,5 +483,5 @@ fn chaos_storm_with_turbulence_delays() {
         ring_app(iters),
     );
     let report = cluster.wait_report(TIMEOUT).expect("storm + jitter");
-    check_ring_results(&report.results, n, iters);
+    check_ring(&report.results, iters).unwrap();
 }

@@ -6,79 +6,14 @@
 //! one.
 
 use mvr_core::{Payload, Rank};
-use mvr_mpi::{MpiResult, ReduceOp, Source, Tag};
+use mvr_mpi::ReduceOp;
 use mvr_runtime::{run_cluster, Cluster, ClusterConfig, NodeMpi, SchedulerConfig};
-use serde::{Deserialize, Serialize};
+use mvr_workloads::apps::{
+    allreduce_app, check, check_fanin, check_ring, expected_allreduce, fanin_app, ring_app,
+};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(60);
-
-// ---------------------------------------------------------------------
-// Test applications
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Serialize, Deserialize)]
-struct RingState {
-    iter: u32,
-    acc: u64,
-}
-
-/// A deterministic ring exchange with per-iteration checkpoint sites.
-/// Every rank's accumulator has a closed-form expected value.
-fn ring_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut st: RingState = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => RingState { iter: 0, acc: 0 },
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev_rank = (me + n - 1) % n;
-        let prev = Rank(prev_rank);
-        while st.iter < iters {
-            let token = ((st.iter as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-            assert_eq!(
-                v,
-                ((st.iter as u64) << 32) | prev_rank as u64,
-                "wrong token content"
-            );
-            st.acc = st.acc.wrapping_mul(31).wrapping_add(v);
-            st.iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(st.acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_ring_acc(me: u32, n: u32, iters: u32) -> u64 {
-    let prev = (me + n - 1) % n;
-    let mut acc: u64 = 0;
-    for i in 0..iters {
-        let v = ((i as u64) << 32) | prev as u64;
-        acc = acc.wrapping_mul(31).wrapping_add(v);
-    }
-    acc
-}
-
-fn check_ring_results(results: &[Payload], n: u32, iters: u32) {
-    for (r, p) in results.iter().enumerate() {
-        let got = u64::from_le_bytes(p.as_slice().try_into().expect("8 bytes"));
-        assert_eq!(
-            got,
-            expected_ring_acc(r as u32, n, iters),
-            "rank {r}: result diverges from the fault-free execution"
-        );
-    }
-}
 
 // ---------------------------------------------------------------------
 // Fault-free runs
@@ -119,7 +54,7 @@ fn fault_free_ring() {
         TIMEOUT,
     )
     .unwrap();
-    check_ring_results(&results, n, iters);
+    check_ring(&results, iters).unwrap();
 }
 
 #[test]
@@ -134,7 +69,7 @@ fn fault_free_with_checkpointing_enabled() {
         ..Default::default()
     };
     let results = run_cluster(cfg, ring_app(iters), TIMEOUT).unwrap();
-    check_ring_results(&results, n, iters);
+    check_ring(&results, iters).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -143,7 +78,6 @@ fn fault_free_with_checkpointing_enabled() {
 
 /// Kill the given ranks at the given delays (ms) while the app runs.
 fn run_with_kills(cfg: ClusterConfig, iters: u32, kills: Vec<(u64, u32)>) -> Vec<Payload> {
-    let n = cfg.world;
     let cluster = Cluster::launch(cfg, ring_app(iters));
     let handle = cluster.fault_handle();
     let killer = std::thread::spawn(move || {
@@ -156,7 +90,7 @@ fn run_with_kills(cfg: ClusterConfig, iters: u32, kills: Vec<(u64, u32)>) -> Vec
         .wait(TIMEOUT)
         .expect("cluster completes despite kills");
     killer.join().unwrap();
-    check_ring_results(&results, n, iters);
+    check_ring(&results, iters).unwrap();
     results
 }
 
@@ -248,61 +182,12 @@ fn kill_checkpoint_server_then_a_rank() {
         .wait(TIMEOUT)
         .expect("survives checkpoint-server loss");
     killer.join().unwrap();
-    check_ring_results(&results, n, iters);
+    check_ring(&results, iters).unwrap();
 }
 
 // ---------------------------------------------------------------------
 // Nondeterministic reception order (ANY_SOURCE) under faults
 // ---------------------------------------------------------------------
-
-fn gather_any_app(
-    msgs_per_rank: u32,
-) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        // Restored state: (received_count, sum) for rank 0; iteration for
-        // senders.
-        let me = mpi.rank();
-        let n = mpi.size();
-        if me == Rank(0) {
-            let (mut got, mut sum): (u32, u64) = match &restored {
-                Some(p) => bincode::deserialize(p.as_slice()).unwrap(),
-                None => (0, 0),
-            };
-            let total = (n - 1) * msgs_per_rank;
-            while got < total {
-                // Exercise the probe path (logged and replayed, §4.5).
-                let _ = mpi.iprobe(Source::Any, Tag::Any)?;
-                let (_, _, body) = mpi.recv(Source::Any, Tag::Any)?;
-                sum = sum.wrapping_add(u64::from_le_bytes(body.as_slice().try_into().unwrap()));
-                got += 1;
-                mpi.checkpoint_site(&bincode::serialize(&(got, sum)).unwrap())?;
-            }
-            Ok(Payload::from_vec(sum.to_le_bytes().to_vec()))
-        } else {
-            let mut i: u32 = match &restored {
-                Some(p) => bincode::deserialize(p.as_slice()).unwrap(),
-                None => 0,
-            };
-            while i < msgs_per_rank {
-                let v = (me.0 as u64) * 1000 + i as u64;
-                mpi.send(Rank(0), 3, &v.to_le_bytes())?;
-                i += 1;
-                mpi.checkpoint_site(&bincode::serialize(&i).unwrap())?;
-            }
-            Ok(Payload::empty())
-        }
-    }
-}
-
-fn expected_any_sum(n: u32, msgs: u32) -> u64 {
-    let mut sum = 0u64;
-    for r in 1..n {
-        for i in 0..msgs {
-            sum = sum.wrapping_add(r as u64 * 1000 + i as u64);
-        }
-    }
-    sum
-}
 
 #[test]
 fn any_source_fault_free() {
@@ -312,12 +197,11 @@ fn any_source_fault_free() {
             world: n,
             ..Default::default()
         },
-        gather_any_app(msgs),
+        fanin_app(msgs),
         TIMEOUT,
     )
     .unwrap();
-    let sum = u64::from_le_bytes(results[0].as_slice().try_into().unwrap());
-    assert_eq!(sum, expected_any_sum(n, msgs));
+    check_fanin(&results, msgs).unwrap();
 }
 
 #[test]
@@ -333,7 +217,7 @@ fn any_source_survives_receiver_crash() {
         }),
         ..Default::default()
     };
-    let cluster = Cluster::launch(cfg, gather_any_app(msgs));
+    let cluster = Cluster::launch(cfg, fanin_app(msgs));
     let handle = cluster.fault_handle();
     let killer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(10));
@@ -343,8 +227,7 @@ fn any_source_survives_receiver_crash() {
     });
     let results = cluster.wait(TIMEOUT).expect("receiver recovers");
     killer.join().unwrap();
-    let sum = u64::from_le_bytes(results[0].as_slice().try_into().unwrap());
-    assert_eq!(sum, expected_any_sum(n, msgs));
+    check_fanin(&results, msgs).unwrap();
 }
 
 #[test]
@@ -355,7 +238,7 @@ fn any_source_survives_sender_crashes() {
             world: n,
             ..Default::default()
         },
-        gather_any_app(msgs),
+        fanin_app(msgs),
     );
     let handle = cluster.fault_handle();
     let killer = std::thread::spawn(move || {
@@ -365,8 +248,7 @@ fn any_source_survives_sender_crashes() {
     });
     let results = cluster.wait(TIMEOUT).expect("senders recover");
     killer.join().unwrap();
-    let sum = u64::from_le_bytes(results[0].as_slice().try_into().unwrap());
-    assert_eq!(sum, expected_any_sum(n, msgs));
+    check_fanin(&results, msgs).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -375,28 +257,13 @@ fn any_source_survives_sender_crashes() {
 
 #[test]
 fn collectives_survive_a_crash() {
-    let iters = 150u32;
-    let app = move |mpi: &mut NodeMpi, restored: Option<Payload>| {
-        let mut st: (u32, u64) = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).unwrap(),
-            None => (0, 0),
-        };
-        while st.0 < iters {
-            let mine = vec![(mpi.rank().0 as u64) + st.0 as u64];
-            let sum = mpi.allreduce(ReduceOp::Sum, &mine)?;
-            st.1 = st.1.wrapping_add(sum[0]);
-            st.0 += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).unwrap())?;
-        }
-        Ok(Payload::from_vec(st.1.to_le_bytes().to_vec()))
-    };
-    let n = 4u32;
+    let (n, iters) = (4, 150);
     let cluster = Cluster::launch(
         ClusterConfig {
             world: n,
             ..Default::default()
         },
-        app,
+        allreduce_app(iters),
     );
     let handle = cluster.fault_handle();
     let killer = std::thread::spawn(move || {
@@ -405,13 +272,5 @@ fn collectives_survive_a_crash() {
     });
     let results = cluster.wait(TIMEOUT).expect("collectives recover");
     killer.join().unwrap();
-    // Expected: sum over iters of (sum over ranks of (r + i)).
-    let mut expect = 0u64;
-    for i in 0..iters as u64 {
-        let round: u64 = (0..n as u64).map(|r| r + i).sum();
-        expect = expect.wrapping_add(round);
-    }
-    for p in results {
-        assert_eq!(u64::from_le_bytes(p.as_slice().try_into().unwrap()), expect);
-    }
+    check(&results, |_| expected_allreduce(n, iters)).unwrap();
 }

@@ -24,73 +24,17 @@
 //!     [`mvr_runtime::RunReport::rank_metrics`]. They are maintained by
 //!     different layers, so agreement is a real consistency check.
 
-use mvr_core::{Payload, Rank};
-use mvr_mpi::{MpiResult, Source, Tag};
 use mvr_runtime::{
-    merged_unique_events, ChaosConfig, Cluster, ClusterConfig, NodeMpi, RunReport, SchedulerConfig,
+    merged_unique_events, ChaosConfig, Cluster, ClusterConfig, RunReport, SchedulerConfig,
     TurbulenceConfig,
 };
-use serde::{Deserialize, Serialize};
+use mvr_workloads::apps::{check_ring, ring_app};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 const WORLD: u32 = 4;
 const ITERS: u32 = 200;
-
-#[derive(Clone, Serialize, Deserialize)]
-struct RingState {
-    iter: u32,
-    acc: u64,
-}
-
-/// Symmetric ring exchange: every rank's finishing incarnation performs
-/// exactly one delivery per send, and the accumulator has a closed form.
-fn ring_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut st: RingState = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => RingState { iter: 0, acc: 0 },
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        while st.iter < iters {
-            let token = ((st.iter as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-            st.acc = st.acc.wrapping_mul(31).wrapping_add(v);
-            st.iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&st).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(st.acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn expected_ring_acc(me: u32, n: u32, iters: u32) -> u64 {
-    let prev = (me + n - 1) % n;
-    let mut acc: u64 = 0;
-    for i in 0..iters {
-        acc = acc
-            .wrapping_mul(31)
-            .wrapping_add(((i as u64) << 32) | prev as u64);
-    }
-    acc
-}
-
-fn check_results(report: &RunReport) {
-    for (r, p) in report.results.iter().enumerate() {
-        let got = u64::from_le_bytes(p.as_slice().try_into().expect("8 bytes"));
-        assert_eq!(got, expected_ring_acc(r as u32, WORLD, ITERS), "rank {r}");
-    }
-}
 
 /// The identities that hold in every run, faulty or not.
 fn check_cross_layer_identities(report: &RunReport, label: &str) {
@@ -144,7 +88,7 @@ fn conservation_exact_without_faults() {
     );
     let counters = cluster.el_event_counters();
     let report = cluster.wait_report(TIMEOUT).expect("fault-free run");
-    check_results(&report);
+    check_ring(&report.results, ITERS).unwrap();
 
     let m = &report.rank_metrics;
     let sent: u64 = m.iter().map(|x| x.msgs_sent).sum();
@@ -206,7 +150,7 @@ fn conservation_under_seeded_chaos() {
         );
         let counters = cluster.el_event_counters();
         let report = cluster.wait_report(TIMEOUT).expect("storm masked");
-        check_results(&report);
+        check_ring(&report.results, ITERS).unwrap();
 
         let m = &report.rank_metrics;
         let sent: u64 = m.iter().map(|x| x.msgs_sent).sum();
@@ -290,7 +234,7 @@ fn conservation_across_shard_ledgers_with_replicas() {
     );
     let counters = cluster.el_event_counters();
     let report = cluster.wait_report(TIMEOUT).expect("sharded storm masked");
-    check_results(&report);
+    check_ring(&report.results, ITERS).unwrap();
     check_cross_layer_identities(&report, "sharded");
 
     let per_replica: Vec<u64> = counters.iter().map(|c| c.load(Ordering::Acquire)).collect();

@@ -5,6 +5,7 @@
 use mvr_ckpt::Policy;
 use mvr_core::{Payload, Rank};
 use mvr_runtime::{run_cluster, Cluster, ClusterConfig, NodeMpi, SchedulerConfig};
+use mvr_workloads::apps::{allreduce_app, check, check_ring, expected_allreduce, ring_app};
 use mvr_workloads::{cannon, cannon_reference_checksum, CannonConfig, CannonState};
 use std::time::Duration;
 
@@ -126,15 +127,7 @@ fn restart_delay_is_respected() {
         restart_delay: Duration::from_millis(20),
         ..Default::default()
     };
-    let app = |mpi: &mut NodeMpi, _restored: Option<Payload>| {
-        let mut acc = 0u64;
-        for i in 0..300u64 {
-            let s = mpi.allreduce(mvr_mpi::ReduceOp::Sum, &[i + mpi.rank().0 as u64])?;
-            acc = acc.wrapping_add(s[0]);
-        }
-        Ok(Payload::from_vec(acc.to_le_bytes().to_vec()))
-    };
-    let cluster = Cluster::launch(cfg, app);
+    let cluster = Cluster::launch(cfg, allreduce_app(300));
     let handle = cluster.fault_handle();
     let killer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(5));
@@ -144,10 +137,7 @@ fn restart_delay_is_respected() {
         .wait(TIMEOUT)
         .expect("completes with delayed restart");
     killer.join().unwrap();
-    let expect: u64 = (0..300u64).map(|i| 3 * i + 3).sum();
-    for p in &results {
-        assert_eq!(u64::from_le_bytes(p.as_slice().try_into().unwrap()), expect);
-    }
+    check(&results, |_| expected_allreduce(3, 300)).unwrap();
 }
 
 #[test]
@@ -233,28 +223,7 @@ fn sixteen_rank_ring_with_scattered_kills() {
         el_shards: 2,
         ..Default::default()
     };
-    let app = |mpi: &mut NodeMpi, _restored: Option<Payload>| {
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        let mut acc = 0u64;
-        for i in 0..150u32 {
-            let token = ((i as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                mvr_mpi::Source::Rank(prev),
-                mvr_mpi::Tag::Value(7),
-            )?;
-            acc = acc
-                .wrapping_mul(31)
-                .wrapping_add(u64::from_le_bytes(body.as_slice().try_into().unwrap()));
-        }
-        Ok(Payload::from_vec(acc.to_le_bytes().to_vec()))
-    };
-    let cluster = Cluster::launch(cfg, app);
+    let cluster = Cluster::launch(cfg, ring_app(150));
     let handle = cluster.fault_handle();
     let killer = std::thread::spawn(move || {
         for (ms, v) in [(8u64, 3u32), (6, 11), (6, 7)] {
@@ -264,20 +233,7 @@ fn sixteen_rank_ring_with_scattered_kills() {
     });
     let results = cluster.wait(TIMEOUT).expect("16-rank ring recovers");
     killer.join().unwrap();
-    for (r, p) in results.iter().enumerate() {
-        let prev = (r as u32 + 15) % 16;
-        let mut expect = 0u64;
-        for i in 0..150u64 {
-            expect = expect
-                .wrapping_mul(31)
-                .wrapping_add((i << 32) | prev as u64);
-        }
-        assert_eq!(
-            u64::from_le_bytes(p.as_slice().try_into().unwrap()),
-            expect,
-            "rank {r}"
-        );
-    }
+    check_ring(&results, 150).unwrap();
 }
 
 /// A description with a zero count never launches, on either backend,

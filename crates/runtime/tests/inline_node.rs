@@ -21,6 +21,7 @@ use mvr_runtime::{
     fail_stop_group, Cluster, ClusterConfig, CountTrigger, NodeMpi, SchedulerConfig,
     TurbulenceConfig,
 };
+use mvr_workloads::apps::{check_ring, ring_app};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,7 +42,7 @@ fn word(p: &Payload) -> u64 {
 /// Rank 0 streams `windows` windows of [`WINDOW`] numbered messages and
 /// folds the acks; rank 1 folds the messages and acks each window. No
 /// checkpoint sites: a restart replays its whole history.
-fn stream_app(windows: u64) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
+fn window_app(windows: u64) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
     move |mpi, _restored| {
         let me = mpi.rank().0;
         let peer = Rank(1 - me);
@@ -66,47 +67,13 @@ fn stream_app(windows: u64) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResu
     }
 }
 
-/// What a fault-free stream run returns: rank 0 folds the window
+/// What a fault-free window run returns: rank 0 folds the window
 /// numbers, rank 1 the message numbers.
-fn stream_folds(windows: u64) -> [u64; 2] {
+fn window_folds(windows: u64) -> [u64; 2] {
     [
         (0..windows).fold(0, step),
         (0..windows * WINDOW).fold(0, step),
     ]
-}
-
-/// Each rank passes a token to its successor and folds what arrives
-/// from its predecessor, with a checkpoint site per iteration (so the
-/// inline poll/commit path runs under the same kills).
-fn ring_app(iters: u64) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let (mut iter, mut fold): (u64, u64) = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).expect("valid state"),
-            None => (0, 0),
-        };
-        let (me, n) = (mpi.rank().0, mpi.size());
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        while iter < iters {
-            let token = (iter << 8) | u64::from(me);
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                DATA,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(DATA),
-            )?;
-            fold = step(fold, word(&body));
-            iter += 1;
-            mpi.checkpoint_site(&bincode::serialize(&(iter, fold)).expect("serializable"))?;
-        }
-        Ok(Payload::from_vec(fold.to_le_bytes().to_vec()))
-    }
-}
-
-fn ring_fold(me: u32, n: u32, iters: u64) -> u64 {
-    let prev = u64::from((me + n - 1) % n);
-    (0..iters).fold(0, |f, i| step(f, (i << 8) | prev))
 }
 
 fn kill_rank(watch: u32, at: u64) -> CountTrigger {
@@ -131,10 +98,10 @@ fn window_stream_under_delays_equals_the_fault_free_folds() {
             turbulence: Some(TurbulenceConfig::delays(0x51DE, 40)),
             ..Default::default()
         },
-        stream_app(windows),
+        window_app(windows),
     );
     let report = cluster.wait_report(TIMEOUT).expect("delays are not faults");
-    assert_eq!(folds(&report.results), stream_folds(windows));
+    assert_eq!(folds(&report.results), window_folds(windows));
     assert_eq!(report.restarts, 0);
     // The receiver consumes whole backlogs between two event ships.
     let m = &report.rank_metrics[1];
@@ -173,10 +140,10 @@ fn window_stream_survives_kills_of_sender_and_receiver_mid_window() {
             }),
             ..Default::default()
         },
-        stream_app(windows),
+        window_app(windows),
     );
     let report = cluster.wait_report(TIMEOUT).expect("recovers");
-    assert_eq!(folds(&report.results), stream_folds(windows));
+    assert_eq!(folds(&report.results), window_folds(windows));
     assert!(report.restarts >= 3, "all three triggers must have fired");
     assert!(report.replays_completed >= 1);
 }
@@ -205,8 +172,7 @@ fn ring_survives_kills_during_inline_receive_and_replay() {
         ring_app(iters),
     );
     let report = cluster.wait_report(TIMEOUT).expect("recovers");
-    let expected: Vec<u64> = (0..n).map(|r| ring_fold(r, n, iters)).collect();
-    assert_eq!(folds(&report.results), expected);
+    check_ring(&report.results, iters).unwrap();
     assert!(report.restarts >= 3, "all three triggers must have fired");
 }
 

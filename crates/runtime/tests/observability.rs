@@ -3,42 +3,13 @@
 //! scraped mid-run.
 
 use mvr_core::{Payload, Rank};
-use mvr_mpi::{MpiResult, Source, Tag};
 use mvr_obs::{ProtoEvent, SendDisposition};
 use mvr_runtime::{Cluster, ClusterConfig, ClusterError, NodeMpi, SchedulerConfig};
+use mvr_workloads::apps::ring_app;
 use std::io::{Read, Write};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(60);
-
-/// A deterministic ring exchange; each rank returns its iteration count.
-fn ring_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let mut iter: u32 = match &restored {
-            Some(p) => u32::from_le_bytes(p.as_slice().try_into().expect("4 bytes")),
-            None => 0,
-        };
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        while iter < iters {
-            let token = ((iter as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            let v = u64::from_le_bytes(body.as_slice().try_into().expect("8 bytes"));
-            assert_eq!(v >> 32, iter as u64, "wrong iteration in token");
-            iter += 1;
-            mpi.checkpoint_site(&iter.to_le_bytes())?;
-        }
-        Ok(Payload::from_vec(iter.to_le_bytes().to_vec()))
-    }
-}
 
 #[test]
 fn monitor_passes_a_clean_run() {

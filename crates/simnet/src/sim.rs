@@ -2063,62 +2063,10 @@ impl Sim {
                 break;
             }
         }
-        if !self.all_done() && !self.infeasible {
-            if std::env::var("MVR_SIM_DEBUG").is_ok() {
-                eprintln!("--- simulation wedged at t={} ---", self.now);
-                for (i, rk) in self.ranks.iter().enumerate() {
-                    eprintln!(
-                        "rank {i}: mode={:?} pc={}/{} blocked={:?} gate={} gated={} finish={:?} resend_q={} resend_tok={:?}",
-                        rk.mode,
-                        rk.pc,
-                        rk.trace.len(),
-                        rk.blocked,
-                        rk.outstanding_acks,
-                        rk.gated.len(),
-                        rk.finish,
-                        rk.resend_q.len(),
-                        rk.resend_token,
-                    );
-                    if matches!(
-                        rk.blocked,
-                        Some(Block::WaitAll) | Some(Block::WaitReq { .. })
-                    ) {
-                        let mut pend: Vec<String> = rk
-                            .incomplete_reqs
-                            .iter()
-                            .map(|&op| format!("{op}:{:?}", rk.trace[op]))
-                            .collect();
-                        pend.sort();
-                        eprintln!("   incomplete: {pend:?}");
-                        for (src, w) in rk.waiters.iter().enumerate() {
-                            if !w.is_empty() {
-                                eprintln!(
-                                    "   waiter src {src}: n={} consumed={} peer.sent={} arrivals={:?}",
-                                    w.len(),
-                                    rk.consumed_count[src],
-                                    self.ranks[src].sent_count[i],
-                                    rk.arrivals[src].keys().take(6).collect::<Vec<_>>()
-                                );
-                            }
-                        }
-                    }
-                    if let Some(Block::Recv { src }) = rk.blocked {
-                        eprintln!(
-                            "   waiting src {src}: consumed={} arrived={} reserved={} peer.sent_count={} arrivals_pending={}",
-                            rk.consumed_count[src],
-                            rk.arrived_count[src],
-                            rk.reserved_count[src],
-                            self.ranks[src].sent_count[i],
-                            rk.arrivals[src].len()
-                        );
-                    }
-                }
-            }
-            debug_assert!(
-                false,
-                "simulation wedged: event heap drained before completion"
-            );
-        }
+        debug_assert!(
+            self.all_done() || self.infeasible,
+            "simulation wedged: event heap drained before completion"
+        );
         self.into_report()
     }
 

@@ -10,10 +10,15 @@
 //!   solver and a heat stencil with actual numerics, generic over the
 //!   channel so the same code runs on the in-process test cluster and on
 //!   the fault-tolerant runtime (with checkpoint sites throughout).
+//! * **Verification apps** ([`apps`]): the checkpointed ring, pipeline
+//!   stream, any-source fan-in, allreduce and fanout, each with its
+//!   closed-form fault-free result, and the `mpirun` app registry
+//!   ([`apps::make_app`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod apps;
 pub mod kernels;
 pub mod nas;
 pub mod patterns;

@@ -100,5 +100,5 @@ fn main() {
         rep.seconds() / base
     );
 
-    println!("\nFull sweeps: cargo run --release -p mvr-bench --bin fig5_bandwidth  (…fig6, fig7, fig8, fig9, fig10, fig11, table1, sched_ablation)");
+    println!("\nFull sweeps: cargo run --release -p mvr-bench --bin figures -- all  (or one figure: fig5_bandwidth … fig11_faults, table1_decomposition, sched_ablation)");
 }

@@ -24,16 +24,15 @@
 //!   `--el-kill` and `--cs-kill` become real `SIGKILL`s and recovery
 //!   runs across process boundaries. Refuses `--protocol v1|p4`.
 //!
-//! Demo applications (deterministic, resumable, self-verifying):
-//! `ring [iters]`, `allreduce [iters]`, `fanout [msgs]`, `cg [n]`,
-//! `stencil [n] [steps]`.
+//! Demo applications (deterministic, resumable, self-verifying; the
+//! registry is `mvr_workloads::apps`): `ring [iters]`, `allreduce
+//! [iters]`, `fanout [msgs]`, `cg [n]`, `stencil [n] [steps]`.
 
 use mpich_v::core::{NodeId, Payload, Rank};
-use mpich_v::mpi::{MpiResult, ReduceOp, Source, Tag};
 use mpich_v::runtime::proc::{maybe_run_child, run_proc};
 use mpich_v::runtime::progfile;
-use mpich_v::runtime::{Backend, Cluster, ClusterConfig, MpiApp, NodeMpi, RuntimeProtocol};
-use mpich_v::workloads as mvr_workloads;
+use mpich_v::runtime::{Backend, Cluster, ClusterConfig, MpiApp, RuntimeProtocol};
+use mpich_v::workloads::apps;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,7 +44,8 @@ fn usage() -> ! {
          [--timeout <secs>] [--obs-dir <dir>] [--health <addr>] \
          [--fail-after <ms>] [--drift <rank>@<ppb>]... \
          [--rotate-records <N>] [--rotate-bytes <N>] <app> [args...]\n\
-         apps: ring [iters] | allreduce [iters] | fanout [msgs] | cg [n] | stencil [n] [steps]"
+         apps: {}",
+        apps::usage()
     );
     std::process::exit(2);
 }
@@ -169,135 +169,11 @@ fn parse_args() -> (Backend, ClusterConfig) {
     (backend, o)
 }
 
-// ---------------------------------------------------------------------
-// Demo applications
-// ---------------------------------------------------------------------
-
-fn ring(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let me = mpi.rank().0;
-        let n = mpi.size();
-        let next = Rank((me + 1) % n);
-        let prev = Rank((me + n - 1) % n);
-        let (mut i, mut acc): (u32, u64) = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).unwrap(),
-            None => (0, 0),
-        };
-        while i < iters {
-            let token = ((i as u64) << 32) | me as u64;
-            let (_, _, body) = mpi.sendrecv(
-                next,
-                7,
-                &token.to_le_bytes(),
-                Source::Rank(prev),
-                Tag::Value(7),
-            )?;
-            acc = acc
-                .wrapping_mul(31)
-                .wrapping_add(u64::from_le_bytes(body.as_slice().try_into().unwrap()));
-            i += 1;
-            mpi.checkpoint_site(&bincode::serialize(&(i, acc)).unwrap())?;
-        }
-        Ok(Payload::from_vec(acc.to_le_bytes().to_vec()))
-    }
-}
-
-fn allreduce_app(iters: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let (mut i, mut acc): (u32, u64) = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).unwrap(),
-            None => (0, 0),
-        };
-        while i < iters {
-            let sum = mpi.allreduce(ReduceOp::Sum, &[mpi.rank().0 as u64 + i as u64])?;
-            acc = acc.wrapping_mul(1099511628211).wrapping_add(sum[0]);
-            i += 1;
-            mpi.checkpoint_site(&bincode::serialize(&(i, acc)).unwrap())?;
-        }
-        Ok(Payload::from_vec(acc.to_le_bytes().to_vec()))
-    }
-}
-
-/// Rank 0 streams `msgs` tokens to every other rank and returns at once;
-/// the others consume theirs slowly (1 ms each). Rank 0 is therefore long
-/// finished — its volatile sender log the only copy of what it sent —
-/// while its peers still receive: the supervision corner where a finished
-/// rank must be revived.
-fn fanout(msgs: u32) -> impl Fn(&mut NodeMpi, Option<Payload>) -> MpiResult<Payload> {
-    move |mpi, restored| {
-        let (mut i, mut acc): (u32, u64) = match &restored {
-            Some(p) => bincode::deserialize(p.as_slice()).unwrap(),
-            None => (0, 0),
-        };
-        while i < msgs {
-            let token = ((i as u64) << 8) | 0x5a;
-            if mpi.rank().0 == 0 {
-                for q in 1..mpi.size() {
-                    mpi.send(Rank(q), 9, &token.to_le_bytes())?;
-                }
-            } else {
-                let (_, _, body) = mpi.recv(Source::Rank(Rank(0)), Tag::Value(9))?;
-                let got = u64::from_le_bytes(body.as_slice().try_into().unwrap());
-                acc = acc.wrapping_mul(31).wrapping_add(got);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            i += 1;
-            mpi.checkpoint_site(&bincode::serialize(&(i, acc)).unwrap())?;
-        }
-        Ok(Payload::from_vec(acc.to_le_bytes().to_vec()))
-    }
-}
-
-/// Resolve an application spec (`"ring 40"`) to a runnable app. Used by
-/// the launcher itself and — via the child hook — by every re-executed
-/// rank process, so both backends run the very same application object.
-fn make_app(spec: &str) -> Option<Arc<dyn MpiApp>> {
-    let mut parts = spec.split_whitespace();
-    let name = parts.next()?;
-    let args: Vec<u64> = parts.filter_map(|v| v.parse().ok()).collect();
-    let arg0 = args.first().copied();
-    let arg1 = args.get(1).copied();
-    match name {
-        "ring" => Some(Arc::new(ring(arg0.unwrap_or(500) as u32))),
-        "allreduce" => Some(Arc::new(allreduce_app(arg0.unwrap_or(300) as u32))),
-        "fanout" => Some(Arc::new(fanout(arg0.unwrap_or(500) as u32))),
-        "cg" => {
-            let n = arg0.unwrap_or(768) as usize;
-            let ccfg = mvr_workloads::CgConfig {
-                n,
-                max_iter: (2 * n) as u32,
-                tol: 1e-10,
-            };
-            Some(Arc::new(
-                move |mpi: &mut NodeMpi, restored: Option<Payload>| {
-                    let st = restored.map(|p| bincode::deserialize(p.as_slice()).unwrap());
-                    let r = mvr_workloads::cg(mpi, &ccfg, st)?;
-                    Ok(Payload::from_vec(bincode::serialize(&r).unwrap()))
-                },
-            ))
-        }
-        "stencil" => {
-            let scfg = mvr_workloads::StencilConfig {
-                n: arg0.unwrap_or(4000) as usize,
-                steps: arg1.unwrap_or(300) as u32,
-            };
-            Some(Arc::new(
-                move |mpi: &mut NodeMpi, restored: Option<Payload>| {
-                    let st = restored.map(|p| bincode::deserialize(p.as_slice()).unwrap());
-                    let total = mvr_workloads::stencil(mpi, &scfg, st)?;
-                    Ok(Payload::from_vec(total.to_le_bytes().to_vec()))
-                },
-            ))
-        }
-        _ => None,
-    }
-}
-
 fn main() {
     // Child hook first: `--backend socket` re-executes this binary per
     // deployment node with MVR_PROC_CHILD set; those invocations run
     // the role and never return.
-    maybe_run_child(&make_app);
+    maybe_run_child(&apps::make_app);
 
     let (backend, cfg) = parse_args();
     println!(
@@ -312,7 +188,7 @@ fn main() {
             "off"
         }
     );
-    let Some(app) = make_app(&cfg.proc.app_spec) else {
+    let Some(app) = apps::make_app(&cfg.proc.app_spec) else {
         eprintln!("mpirun: unknown app '{}'", cfg.proc.app_spec);
         usage();
     };
