@@ -1,33 +1,34 @@
-//! Offline analyzer for flight-recorder JSONL dumps.
+//! Offline analyzer for flight-recorder JSONL dumps — the one place a
+//! dump is audited and drawn.
 //!
-//! Reads a dump produced by [`mvr_obs::RecorderHub::dump`] (e.g. by
-//! `obs_smoke` or `chaos_soak`), then:
+//! Reads a dump written by [`mvr_obs::RecorderHub::dump`] (`obs_smoke`,
+//! `chaos_soak`, `mpirun --obs-dir`) or [`mvr_obs::merge_dump_files`]
+//! (the socket backend's `merged.jsonl`), then:
 //!
-//!   1. re-validates the record schema and per-rank clock monotonicity;
-//!   2. stitches per-message lifecycle spans keyed by
-//!      `(sender, sender_clock)` and reports latency percentiles,
-//!      slowest messages, and orphan edges (a delivery with no send, a
-//!      wire send never delivered, a send stuck behind the gate);
+//!   1. runs the strict [`mvr_obs::audit`]: header record count and
+//!      drops, record schema and per-rank clock monotonicity, orphan
+//!      span edges (a delivery with no send, a wire send never
+//!      delivered, a send stuck behind the gate), and an offline replay
+//!      of the invariant monitor (pessimism gate, watermark
+//!      monotonicity, exactly-once delivery);
+//!   2. reports per-message span latency percentiles and the slowest
+//!      messages;
 //!   3. builds the cross-rank happens-before DAG and walks the critical
 //!      path backwards from the last record, attributing wall-clock to
 //!      network / gate-wait / EL round-trip / checkpoint / replay /
 //!      local computation and naming the dominant component;
-//!   4. replays the merged timeline through the online invariant
-//!      monitor (pessimism gate, watermark monotonicity, exactly-once
-//!      delivery) as an offline audit;
-//!   5. writes per-message Perfetto flow events next to the dump
-//!      (`<stem>.flow.trace.json`) so every message's path is drawn
-//!      across rank tracks.
+//!   4. writes the Perfetto trace next to the dump (`<stem>.trace.json`:
+//!      per-record instants, measured-interval slices, per-message flow
+//!      arrows — [`mvr_obs::write_trace`]).
 //!
-//! `--strict` exits nonzero if the dump is ring-truncated (header
-//! `dropped` > 0), any orphan edge exists, or the monitor finds a
-//! violation — the CI mode.
+//! A malformed dump (header count mismatch, schema violation) always
+//! fails. `--strict` also exits nonzero on any strict finding — a
+//! ring-truncated timeline, an orphan edge, an invariant violation —
+//! the CI mode.
 //!
 //! Usage: `obs_analyze [--strict] [--top N] <dump.jsonl>`
 
-use mvr_obs::{
-    parse_dump, validate_records, write_flow_trace, CausalGraph, InvariantMonitor, SpanSet,
-};
+use mvr_obs::{audit, read_dump, write_trace, CausalGraph};
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -61,33 +62,22 @@ fn main() {
     }
     let Some(path) = path else { usage() };
 
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(&format!("read {}: {e}", path.display())));
-    let (header, timeline) =
-        parse_dump(&text).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
+    let (header, timeline) = read_dump(&path).unwrap_or_else(|e| fail(&e));
 
-    let mut strict_failures: Vec<String> = Vec::new();
     println!(
         "obs_analyze: {} — {} records",
         path.display(),
         timeline.len()
     );
+    let audit = audit(header.as_ref(), &timeline).unwrap_or_else(|e| fail(&e));
     match header {
         Some(h) => {
-            if h.records != timeline.len() as u64 {
-                fail(&format!(
-                    "header claims {} records, dump body has {}",
-                    h.records,
-                    timeline.len()
-                ));
-            }
             if h.dropped > 0 {
                 println!(
                     "  WARNING: {} record(s) lost to ring wraparound — the timeline is \
                      truncated; orphan spans below may be artifacts of the truncation",
                     h.dropped
                 );
-                strict_failures.push(format!("{} records dropped", h.dropped));
             }
             if !h.track.is_empty() {
                 // Clock correction the merge already applied: the body's
@@ -109,18 +99,8 @@ fn main() {
         None => println!("  note: headerless dump (pre-header format); drop count unknown"),
     }
 
-    if let Err(e) = validate_records(&timeline) {
-        fail(&format!("schema validation: {e}"));
-    }
+    print!("{}", audit.spans.report(top));
 
-    // 2. Per-message spans and orphan edges.
-    let spans = SpanSet::build(&timeline);
-    print!("{}", spans.report(top));
-    if !spans.orphans.is_empty() {
-        strict_failures.push(format!("{} orphan edge(s)", spans.orphans.len()));
-    }
-
-    // 3. Happens-before DAG and critical path.
     let graph = CausalGraph::build(&timeline);
     println!(
         "causal graph: {} nodes, {} edges",
@@ -132,29 +112,19 @@ fn main() {
         None => println!("critical path: empty timeline"),
     }
 
-    // 4. Offline invariant audit over the merged timeline.
-    let monitor = InvariantMonitor::new();
-    monitor.observe_all(&timeline);
-    match monitor.violation() {
-        Some(v) => {
-            println!("invariants: VIOLATED — {v}");
-            strict_failures.push(format!("invariant `{}` violated", v.invariant));
-        }
-        None => println!(
-            "invariants: ok ({} records audited)",
-            monitor.records_seen()
-        ),
+    match &audit.violation {
+        Some(v) => println!("invariants: VIOLATED — {v}"),
+        None => println!("invariants: ok ({} records audited)", audit.audited),
     }
 
-    // 5. Per-message Perfetto flow trace next to the dump.
-    let flow = path.with_extension("flow.trace.json");
-    match write_flow_trace(&flow, &spans) {
-        Ok(()) => println!("flow trace: {}", flow.display()),
-        Err(e) => fail(&format!("write {}: {e}", flow.display())),
+    let trace = path.with_extension("trace.json");
+    match write_trace(&trace, &timeline, &audit.spans) {
+        Ok(()) => println!("trace: {}", trace.display()),
+        Err(e) => fail(&format!("write {}: {e}", trace.display())),
     }
 
-    if strict && !strict_failures.is_empty() {
-        fail(&format!("--strict: {}", strict_failures.join("; ")));
+    if strict && !audit.findings.is_empty() {
+        fail(&format!("--strict: {}", audit.findings.join("; ")));
     }
     println!("obs_analyze: ok");
 }

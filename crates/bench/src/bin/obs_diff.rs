@@ -19,7 +19,7 @@
 //!   `obs_diff [--tolerance-pct N] [--out verdict.json] <baseline> <current>`
 //!   `obs_diff --write-baseline <profile.json> <run.jsonl>`
 
-use mvr_obs::{compare, parse_dump, DiffReport, RunProfile};
+use mvr_obs::{compare, read_dump, DiffReport, RunProfile};
 use std::path::{Path, PathBuf};
 
 fn usage() -> ! {
@@ -39,16 +39,14 @@ fn fail(msg: &str) -> ! {
 
 /// Load a profile from either a raw dump (`.jsonl`) or profile JSON.
 fn load_profile(path: &Path) -> RunProfile {
+    if path.extension().is_some_and(|e| e == "jsonl") {
+        let (_, timeline) = read_dump(path).unwrap_or_else(|e| fail(&e));
+        return RunProfile::from_dump(&timeline);
+    }
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("read {}: {e}", path.display())));
-    if path.extension().is_some_and(|e| e == "jsonl") {
-        let (_, timeline) =
-            parse_dump(&text).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-        RunProfile::from_dump(&timeline)
-    } else {
-        RunProfile::parse(&text)
-            .unwrap_or_else(|e| fail(&format!("{}: not a profile: {e}", path.display())))
-    }
+    RunProfile::parse(&text)
+        .unwrap_or_else(|e| fail(&format!("{}: not a profile: {e}", path.display())))
 }
 
 fn print_report(report: &DiffReport) {

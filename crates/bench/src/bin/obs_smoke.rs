@@ -1,23 +1,34 @@
-//! CI smoke test for the observability layer: one seeded chaos scenario
-//! with flight recorders on, a forced dump, and structural validation of
-//! the dumped artifacts.
+//! CI smoke test for the observability layer: one pinned crash
+//! scenario with flight recorders on, a forced dump, and structural
+//! validation of the dumped JSONL.
+//!
+//! The kills are count triggers, not timed: rank 1 dies at its 30th
+//! send, rank 2 at its 50th mailbox accept and its reincarnation again
+//! at the 58th (during recovery). Victims and kill count are the same
+//! on every run; where in the application a kill lands still moves a
+//! little, since the counted traffic includes EL acks and control
+//! messages.
 //!
 //! Checks, in order:
-//!   1. the run still completes with bit-exact payloads under the storm;
-//!   2. the merged timeline passes schema validation — every record
-//!      round-trips through the wire encoding, per-rank wall clocks are
-//!      monotone, and per-rank logical clocks are monotone except across
-//!      recovery resets ([`mvr_obs::validate_records`]);
-//!   3. the dumped JSONL is byte-identical to re-rendering the timeline;
-//!   4. the Chrome-trace/Perfetto export exists and is non-trivial;
-//!   5. the timeline actually captured the storm (chaos kills) and the
-//!      protocol reacting to it (restart/recovery records).
+//!   1. the run still completes with bit-exact payloads;
+//!   2. the dumped JSONL is byte-identical to re-rendering the timeline
+//!      ([`mvr_obs::render_dump`]) and passes the strict
+//!      [`mvr_obs::audit`]: header counts, no record lost to wraparound,
+//!      the record schema, closed spans, a clean invariant replay;
+//!   3. every kill left its respawn record and the protocol reacted
+//!      (recovery records, restarts).
+//!
+//! CI then runs `obs_analyze --strict chaos_dumps/obs-smoke/smoke.jsonl`
+//! (the report and the Perfetto trace) and `obs_diff` against
+//! `results/obs_smoke_baseline.json`.
 //!
 //! Exits nonzero with a triage message on the first violated check.
 
-use mvr_bench::storm_deployment;
-use mvr_obs::{header_line, jsonl_line, validate_records, DumpHeader, ProtoEvent, DISPATCHER_RANK};
-use mvr_runtime::{ChaosConfig, Cluster, ClusterConfig};
+use mvr_core::{NodeId, Rank};
+use mvr_obs::{audit, render_dump, ProtoEvent, DISPATCHER_RANK};
+use mvr_runtime::{
+    fail_stop_group, Cluster, ClusterConfig, CountTrigger, SchedulerConfig, TurbulenceConfig,
+};
 use mvr_workloads::apps::{check, expected_stream, stream_app};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -31,21 +42,32 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+fn kill(rank: u32, at: u64) -> CountTrigger {
+    CountTrigger {
+        watch: NodeId::Computing(Rank(rank)),
+        at,
+        kill: fail_stop_group(Rank(rank)),
+    }
+}
+
 fn main() {
     let dump_dir = PathBuf::from("chaos_dumps/obs-smoke");
-    let chaos = ChaosConfig {
-        seed: SEED,
-        kills: 3,
-        min_gap: Duration::from_millis(2),
-        max_gap: Duration::from_millis(8),
-        max_burst: 2,
-        cs_kill_pct: 0,
-        rekill_pct: 50,
-        ..Default::default()
+    let turbulence = TurbulenceConfig {
+        crash_on_send: vec![kill(1, 30)],
+        crash_on_recv: vec![kill(2, 50), kill(2, 58)],
+        ..TurbulenceConfig::delays(SEED, 50)
     };
+    let kills = turbulence.crash_on_send.len() + turbulence.crash_on_recv.len();
     let cfg = ClusterConfig {
+        world: WORLD,
+        checkpointing: Some(SchedulerConfig {
+            interval: Duration::from_millis(1),
+            ..Default::default()
+        }),
+        turbulence: Some(turbulence),
+        obs_dir: Some(dump_dir.clone()),
         monitor: true,
-        ..storm_deployment(WORLD, chaos, dump_dir.clone())
+        ..Default::default()
     };
     let cluster = Cluster::launch(cfg, stream_app(MSGS));
     let hub = cluster.recorder_hub();
@@ -57,7 +79,7 @@ fn main() {
         )),
     };
 
-    // 1. Exactly-once delivery held under the storm.
+    // 1. Exactly-once delivery held under the kills.
     if let Err(detail) = check(&report.results, |r| expected_stream(r, MSGS)) {
         let msg = format!(
             "payload mismatch: {detail} (dump in {})",
@@ -69,75 +91,45 @@ fn main() {
         fail(&msg);
     }
 
-    // 2. Forced dump of the successful run, then schema validation.
-    let paths = hub
+    // 2. Forced dump of the successful run: byte-identical to the
+    // canonical rendering of the timeline, and clean under the strict
+    // audit.
+    let dump = hub
         .dump(&dump_dir, "smoke")
         .unwrap_or_else(|e| fail(&format!("dump failed: {e}")));
     let timeline = hub.timeline();
     if timeline.is_empty() {
         fail("timeline is empty with recorders enabled");
     }
-    if let Err(e) = validate_records(&timeline) {
-        fail(&format!("schema validation: {e}"));
-    }
-
-    // 3. The dumped JSONL is exactly the canonical rendering: one
-    // header line carrying the drop count, then one record per line,
-    // clock-ordered.
-    let dumped = std::fs::read_to_string(&paths.jsonl)
-        .unwrap_or_else(|e| fail(&format!("read {}: {e}", paths.jsonl.display())));
-    let mut canonical = header_line(&DumpHeader {
-        records: timeline.len() as u64,
-        dropped: paths.dropped,
-        ..DumpHeader::default()
-    });
-    canonical.push('\n');
-    for rec in &timeline {
-        canonical.push_str(&jsonl_line(rec));
-        canonical.push('\n');
-    }
-    if dumped != canonical {
+    let dumped = std::fs::read_to_string(&dump.jsonl)
+        .unwrap_or_else(|e| fail(&format!("read {}: {e}", dump.jsonl.display())));
+    if dumped != render_dump(&dump.header, &timeline) {
         fail("dumped JSONL differs from canonical re-rendering");
     }
-    if dumped.lines().count() != paths.records + 1 {
-        fail("JSONL line count disagrees with reported record count");
-    }
-    if paths.dropped > 0 {
-        fail("recorder ring wrapped during the smoke scenario; raise its capacity");
+    let audit = audit(Some(&dump.header), &timeline).unwrap_or_else(|e| fail(&e));
+    if !audit.findings.is_empty() {
+        fail(&format!("strict audit: {}", audit.findings.join("; ")));
     }
 
-    // 4. Perfetto export present and non-trivial.
-    let trace = std::fs::read_to_string(&paths.trace)
-        .unwrap_or_else(|e| fail(&format!("read {}: {e}", paths.trace.display())));
-    if !trace.contains("traceEvents") || trace.len() < 128 {
-        fail("Chrome-trace export looks malformed");
+    // 3. Every kill and the recovery machinery left records.
+    let count = |pred: fn(&ProtoEvent) -> bool| timeline.iter().filter(|r| pred(&r.event)).count();
+    let respawns = count(|e| matches!(e, ProtoEvent::RespawnScheduled { .. }));
+    if respawns != kills {
+        fail(&format!(
+            "{respawns} RespawnScheduled records for {kills} count-triggered kills"
+        ));
     }
-
-    // 5. The storm and the recovery machinery both left records.
-    let kills = timeline
-        .iter()
-        .filter(|r| matches!(r.event, ProtoEvent::ChaosKill { .. }))
-        .count();
-    if kills == 0 {
-        fail("no ChaosKill records: chaos driver not threaded through obs");
-    }
-    let respawns = timeline
-        .iter()
-        .filter(|r| matches!(r.event, ProtoEvent::RespawnScheduled { .. }))
-        .count();
-    if respawns == 0 {
-        fail("no RespawnScheduled records: dispatcher not threaded through obs");
-    }
-    if report.restarts == 0 {
-        fail("storm executed no restarts: scenario too weak to smoke-test recovery");
+    let recoveries = count(|e| matches!(e, ProtoEvent::RecoveryBegin { .. }));
+    if recoveries == 0 || report.restarts == 0 {
+        fail("no restart recovered: scenario too weak to smoke-test recovery");
     }
 
     println!(
-        "obs_smoke: ok — {} records, {} chaos kills, {} respawns, {} restarts\n{}",
+        "obs_smoke: ok — {} records, {} kills, {} recoveries, {} restarts\n{}",
         timeline.len(),
-        kills,
         respawns,
+        recoveries,
         report.restarts,
-        paths.summary()
+        dump.summary()
     );
 }

@@ -6,15 +6,15 @@
 //! The run must complete with recovery (≥1 rank reincarnation, ≥1
 //! service revival), produce bit-exact ring payloads, report zero
 //! invariant violations from the live monitors, and leave a merged
-//! flight-recorder dump that passes the offline strict audit (schema,
-//! span closure, invariants) — the same checks `obs_analyze --strict`
-//! applies.
+//! flight-recorder dump that passes the strict [`mvr_obs::audit`] —
+//! the function behind `obs_analyze --strict`, which CI also runs on
+//! `results/proc_smoke_obs/merged.jsonl` afterwards.
 //!
 //! This binary re-executes itself as the rank/EL/CS children
 //! (`maybe_run_child`), exactly like `mpirun --backend socket`.
 
 use mvr_core::{NodeId, Rank};
-use mvr_obs::{parse_dump, validate_records, InvariantMonitor, SpanSet};
+use mvr_obs::{audit, read_dump};
 use mvr_runtime::proc::{maybe_run_child, run_proc};
 use mvr_runtime::{ClusterConfig, SchedulerConfig};
 use mvr_workloads::apps::{check_ring, make_app};
@@ -32,34 +32,20 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The strict offline audit over the merged dump — the checks behind
-/// `obs_analyze --strict`, applied in-process.
-fn strict_audit(path: &std::path::Path) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("read {}: {e}", path.display())));
-    let (header, timeline) =
-        parse_dump(&text).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-    if let Some(h) = header {
-        if h.dropped > 0 {
-            fail(&format!("{} record(s) lost to ring wraparound", h.dropped));
-        }
+/// The strict audit of the merged dump.
+fn audit_dump(path: &std::path::Path) {
+    let (header, timeline) = read_dump(path).unwrap_or_else(|e| fail(&e));
+    let audit = audit(header.as_ref(), &timeline).unwrap_or_else(|e| fail(&e));
+    if let Some(v) = &audit.violation {
+        eprintln!("proc_smoke: {v}");
     }
-    if let Err(e) = validate_records(&timeline) {
-        fail(&format!("schema validation: {e}"));
-    }
-    let spans = SpanSet::build(&timeline);
-    if !spans.orphans.is_empty() {
-        fail(&format!("{} orphan span edge(s)", spans.orphans.len()));
-    }
-    let monitor = InvariantMonitor::new();
-    monitor.observe_all(&timeline);
-    if let Some(v) = monitor.violation() {
-        fail(&format!("invariant `{}` violated: {v}", v.invariant));
+    if !audit.findings.is_empty() {
+        fail(&format!("strict audit: {}", audit.findings.join("; ")));
     }
     println!(
         "proc_smoke: strict audit ok ({} records, {} spans)",
         timeline.len(),
-        spans.spans.len()
+        audit.spans.spans.len()
     );
 }
 
@@ -209,7 +195,7 @@ fn main() {
     let Some(merge) = &report.merge else {
         fail("no merged flight-recorder dump");
     };
-    strict_audit(&merge.jsonl);
+    audit_dump(&merge.jsonl);
     // The live stream shipped complete: no child staged past capacity.
     for (node, snap) in &report.telemetry {
         if snap.dropped_total > 0 {
@@ -219,7 +205,7 @@ fn main() {
             ));
         }
     }
-    println!("proc_smoke: {}", merge.skew.summary());
+    println!("proc_smoke: {}", merge.summary());
 
     for (peer, cause) in &report.detections {
         println!("proc_smoke: detected loss of {peer} ({cause})");

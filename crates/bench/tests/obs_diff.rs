@@ -2,7 +2,7 @@
 //! the real executable, and check the exit-status contract (0 clean,
 //! 1 regression naming the metric, verdict JSON always written).
 
-use mvr_obs::{write_jsonl, FlightRecord, ProtoEvent, SendDisposition};
+use mvr_obs::{Dump, DumpHeader, FlightRecord, ProtoEvent, SendDisposition};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -70,7 +70,12 @@ fn synthetic_timeline(gate_scale: u64) -> Vec<FlightRecord> {
 
 fn write_dump(dir: &Path, name: &str, gate_scale: u64) -> PathBuf {
     let path = dir.join(name);
-    write_jsonl(&path, &synthetic_timeline(gate_scale), 0).expect("write dump");
+    let timeline = synthetic_timeline(gate_scale);
+    let header = DumpHeader {
+        records: timeline.len() as u64,
+        ..DumpHeader::default()
+    };
+    Dump::write(&path, header, &timeline).expect("write dump");
     path
 }
 

@@ -16,13 +16,15 @@
 //! and summing each hop's Δt per edge category attributes the run's
 //! wall-clock to gate waits vs. EL round-trips vs. checkpoints vs.
 //! replay vs. plain computation.
+//!
+//! The analysis is text only (`obs_analyze` prints
+//! [`CriticalPath::report`]); the per-message arrows of the same send →
+//! delivery edges are drawn by the one trace writer,
+//! [`write_trace`](crate::write_trace).
 
 use crate::event::{FlightRecord, ProtoEvent};
-use crate::span::{SpanKey, SpanSet};
-use serde::Serialize;
+use crate::span::SpanKey;
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
-use std::path::Path;
 
 /// Category of a happens-before edge — the component a hop's wall
 /// clock is attributed to.
@@ -281,120 +283,6 @@ impl CriticalPath {
     }
 }
 
-#[derive(Serialize)]
-struct FlowSlice {
-    name: String,
-    cat: String,
-    ph: String,
-    ts: f64,
-    dur: f64,
-    pid: u64,
-    tid: u64,
-}
-
-#[derive(Serialize)]
-struct FlowEvent {
-    name: String,
-    cat: String,
-    ph: String,
-    id: u64,
-    ts: f64,
-    pid: u64,
-    tid: u64,
-}
-
-#[derive(Serialize)]
-struct FlowEnd {
-    name: String,
-    cat: String,
-    ph: String,
-    bp: String,
-    id: u64,
-    ts: f64,
-    pid: u64,
-    tid: u64,
-}
-
-/// Write per-edge Perfetto flow events for every delivered span: a thin
-/// slice at the send and at each delivery, connected by a `"s"`/`"f"`
-/// flow arrow, so Perfetto draws every message's path across rank
-/// tracks. Load alongside (or instead of) the instant-event trace.
-pub fn write_flow_trace(path: &Path, spans: &SpanSet) -> std::io::Result<()> {
-    let as_io =
-        |e: serde_json::Error| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
-    let mut events: Vec<String> = Vec::new();
-    let mut flow_id = 0u64;
-    for ((sender, sender_clock), span) in &spans.spans {
-        let Some(send_ts) = span.send_ts else {
-            continue;
-        };
-        let name = format!("msg {sender}:{sender_clock}");
-        let send_us = send_ts as f64 / 1000.0;
-        if !span.deliveries.is_empty() {
-            events.push(
-                serde_json::to_string(&FlowSlice {
-                    name: name.clone(),
-                    cat: "span".into(),
-                    ph: "X".into(),
-                    ts: send_us,
-                    dur: 1.0,
-                    pid: *sender as u64,
-                    tid: 2,
-                })
-                .map_err(as_io)?,
-            );
-        }
-        for leg in &span.deliveries {
-            flow_id += 1;
-            let deliver_us = leg.ts_ns as f64 / 1000.0;
-            let cat = if leg.replay { "replay" } else { "flow" };
-            events.push(
-                serde_json::to_string(&FlowSlice {
-                    name: name.clone(),
-                    cat: "span".into(),
-                    ph: "X".into(),
-                    ts: deliver_us,
-                    dur: 1.0,
-                    pid: leg.receiver as u64,
-                    tid: 2,
-                })
-                .map_err(as_io)?,
-            );
-            events.push(
-                serde_json::to_string(&FlowEvent {
-                    name: name.clone(),
-                    cat: cat.into(),
-                    ph: "s".into(),
-                    id: flow_id,
-                    ts: send_us + 0.5,
-                    pid: *sender as u64,
-                    tid: 2,
-                })
-                .map_err(as_io)?,
-            );
-            events.push(
-                serde_json::to_string(&FlowEnd {
-                    name: name.clone(),
-                    cat: cat.into(),
-                    ph: "f".into(),
-                    bp: "e".into(),
-                    id: flow_id,
-                    ts: deliver_us + 0.5,
-                    pid: leg.receiver as u64,
-                    tid: 2,
-                })
-                .map_err(as_io)?,
-            );
-        }
-    }
-    let body = format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",")
-    );
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(body.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,20 +445,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn flow_trace_renders() {
-        let tl = el_bound_timeline();
-        let spans = SpanSet::build(&tl);
-        let dir = std::env::temp_dir().join("mvr-obs-flow-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flow.trace.json");
-        write_flow_trace(&path, &spans).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"ph\":\"s\""), "{body}");
-        assert!(body.contains("\"ph\":\"f\""), "{body}");
-        assert!(body.contains("msg 0:1"), "{body}");
     }
 
     #[test]

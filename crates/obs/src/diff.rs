@@ -25,7 +25,7 @@
 //! baselines can be committed and diffed as text.
 
 use crate::causal::CausalGraph;
-use crate::event::{FlightRecord, ProtoEvent};
+use crate::event::FlightRecord;
 use crate::timings::{ProtocolTimings, TimingSummary};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -60,21 +60,7 @@ impl RunProfile {
         let mut events: BTreeMap<String, u64> = BTreeMap::new();
         for rec in timeline {
             *events.entry(rec.event.kind().to_string()).or_insert(0) += 1;
-            match &rec.event {
-                ProtoEvent::GateOpen { waited_ns, .. } if *waited_ns > 0 => {
-                    timings.gate_wait.record(*waited_ns);
-                }
-                ProtoEvent::ElAck { rtt_ns, .. } if *rtt_ns > 0 => {
-                    timings.el_ack_rtt.record(*rtt_ns);
-                }
-                ProtoEvent::CkptCommit { store_ns, .. } if *store_ns > 0 => {
-                    timings.ckpt_store.record(*store_ns);
-                }
-                ProtoEvent::ReplayDone { replay_ns, .. } if *replay_ns > 0 => {
-                    timings.replay.record(*replay_ns);
-                }
-                _ => {}
-            }
+            timings.observe(&rec.event);
         }
         let (critical_total_ns, critical) =
             match CausalGraph::build(timeline).critical_path(timeline) {
@@ -255,7 +241,7 @@ pub fn compare(baseline: &RunProfile, current: &RunProfile, tolerance_pct: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SendDisposition;
+    use crate::event::{ProtoEvent, SendDisposition};
 
     fn rec(rank: u32, clock: u64, ts_ns: u64, event: ProtoEvent) -> FlightRecord {
         FlightRecord {

@@ -1,57 +1,87 @@
-//! Crash-dump writers and validators: the merged JSONL timeline, the
-//! Chrome-trace/Perfetto export, schema validation, and first-divergence
-//! triage.
+//! The dump format and everything a tool does with a dump: the JSONL
+//! renderer and reader, the per-process stream sink and the
+//! cross-process merge, schema validation, first-divergence triage and
+//! the one strict [`audit`].
 //!
 //! The dump format is what `#[derive(Serialize, Deserialize)]` on
-//! [`FlightRecord`] and [`DumpHeader`] says it is: one JSON object per
-//! line, written with `serde_json::to_string` and read back with
-//! `serde_json::from_str`. The readers here ([`parse_record_line`],
-//! [`parse_header_line`], [`parse_dump`]) add only what a JSONL file
-//! needs on top — header-or-record detection on line 1 and `line N:`
-//! error context.
+//! [`FlightRecord`] and [`DumpHeader`] says it is: a header line, then
+//! one JSON object per record line, rendered by [`render_dump`] with
+//! `serde_json::to_string` and read back with `serde_json::from_str`.
+//! The readers here ([`parse_record_line`], [`read_dump`]) add only
+//! what a JSONL file needs on top — header-or-record detection on
+//! line 1 and `line N:` error context. A dump is JSONL only; its
+//! Perfetto picture is drawn from it by `obs_analyze`
+//! ([`write_trace`](crate::write_trace)).
 
 use crate::event::{FlightRecord, ProtoEvent};
+use crate::monitor::{InvariantMonitor, Violation};
 use crate::skew::{RankTrack, SkewEstimate};
+use crate::span::SpanSet;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
-/// Where a dump landed, plus enough metadata for triage notes.
+/// A written dump: where the JSONL landed, the header written at its
+/// top, the clock correction a merge applied, and first-divergence
+/// triage. [`RecorderHub::dump`](crate::RecorderHub::dump) and
+/// [`merge_dump_files`] both return one.
 #[derive(Clone, Debug)]
-pub struct DumpPaths {
-    /// The merged clock-ordered JSONL timeline.
+pub struct Dump {
+    /// The clock-ordered JSONL timeline.
     pub jsonl: PathBuf,
-    /// The Chrome-trace/Perfetto export.
-    pub trace: PathBuf,
-    /// Records written.
-    pub records: usize,
-    /// Records lost to ring-buffer wraparound before the dump.
-    pub dropped: u64,
+    /// The header line: record count, ring-wraparound drops, applied
+    /// clock tracks.
+    pub header: DumpHeader,
+    /// The clock-skew estimate a cross-process merge applied; `None`
+    /// for a single-process dump, whose recorders share one epoch.
+    pub skew: Option<SkewEstimate>,
     /// First-divergence triage, if the timeline contains an anomaly.
     pub triage: Option<Triage>,
 }
 
-impl DumpPaths {
-    /// One-paragraph triage note naming the dump paths and, when
-    /// present, the rank and protocol phase of the first divergence.
+impl Dump {
+    /// Write `timeline` under `header` to `path` (parent directories
+    /// created) as [`render_dump`] renders it.
+    pub fn write(
+        path: &Path,
+        header: DumpHeader,
+        timeline: &[FlightRecord],
+    ) -> std::io::Result<Dump> {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, render_dump(&header, timeline))?;
+        Ok(Dump {
+            jsonl: path.to_path_buf(),
+            header,
+            skew: None,
+            triage: triage(timeline),
+        })
+    }
+
+    /// Triage note naming the dump and, when present, the clock
+    /// correction a merge applied and the rank and protocol phase of
+    /// the first divergence.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "flight recorder: {} records ({} lost to wraparound)\n  timeline: {}\n  perfetto: {}",
-            self.records,
-            self.dropped,
+            "flight recorder: {} records ({} lost to wraparound)\n  timeline: {}",
+            self.header.records,
+            self.header.dropped,
             self.jsonl.display(),
-            self.trace.display(),
         );
+        if let Some(skew) = &self.skew {
+            s.push_str(&format!("\n  {}", skew.summary()));
+        }
         match &self.triage {
             Some(t) => s.push_str(&format!("\n  {t}")),
             None => s.push_str("\n  no anomaly recorded in timeline"),
         }
-        if self.dropped > 0 {
+        if self.header.dropped > 0 {
             s.push_str(&format!(
                 "\n  WARNING: {} record(s) lost to ring wraparound — the timeline \
                  is truncated; causal analysis may report spurious orphan spans. \
                  Raise the recorder ring capacity.",
-                self.dropped
+                self.header.dropped
             ));
         }
         s
@@ -93,7 +123,7 @@ impl std::fmt::Display for Triage {
 /// Find the first anomaly in a ts-ordered timeline. Explicit
 /// [`ProtoEvent::Divergence`] records win over chaos kills: a kill is
 /// an injected fault, a divergence is the protocol failing to mask it.
-pub fn triage(timeline: &[FlightRecord]) -> Option<Triage> {
+fn triage(timeline: &[FlightRecord]) -> Option<Triage> {
     let pick = |rec: &FlightRecord| Triage {
         rank: rec.rank,
         phase: rec.event.phase(),
@@ -109,7 +139,7 @@ pub fn triage(timeline: &[FlightRecord]) -> Option<Triage> {
 }
 
 /// Render one record as its canonical JSONL line (no trailing newline).
-pub fn jsonl_line(rec: &FlightRecord) -> String {
+fn jsonl_line(rec: &FlightRecord) -> String {
     serde_json::to_string(rec).expect("FlightRecord serializes to JSON")
 }
 
@@ -144,7 +174,7 @@ struct HeaderLine {
 
 /// Render the dump-header line (no trailing newline):
 /// `{"header":{"records":N,"dropped":N,"track":[...],"unconstrained":[...]}}`.
-pub fn header_line(header: &DumpHeader) -> String {
+fn header_line(header: &DumpHeader) -> String {
     serde_json::to_string(&HeaderLine {
         header: header.clone(),
     })
@@ -161,171 +191,52 @@ pub fn parse_record_line(line: &str) -> Result<FlightRecord, String> {
 /// `unconstrained` lists read as empty, so headers written by earlier
 /// builds (whose `offsets` array described a correction already applied
 /// to the body) still load.
-pub fn parse_header_line(line: &str) -> Option<DumpHeader> {
+fn parse_header_line(line: &str) -> Option<DumpHeader> {
     serde_json::from_str::<HeaderLine>(line)
         .ok()
         .map(|h| h.header)
 }
 
-enum Line {
-    Header(DumpHeader),
-    Record(FlightRecord),
+/// Read and decode a dump file; errors name the file.
+pub fn read_dump(path: &Path) -> Result<(Option<DumpHeader>, Vec<FlightRecord>), String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    decode(std::io::BufReader::new(file)).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// One non-blank line of a JSONL dump, by its zero-based line index:
-/// the header if it is line 0 and reads as one, a record otherwise.
-fn parse_line(i: usize, line: &str) -> Result<Line, String> {
-    if i == 0 {
-        if let Some(h) = parse_header_line(line) {
-            return Ok(Line::Header(h));
-        }
-    }
-    parse_record_line(line)
-        .map(Line::Record)
-        .map_err(|e| format!("line {}: {e}", i + 1))
-}
-
-/// Decode a whole JSONL dump: optional header line, then records.
-pub fn parse_dump(text: &str) -> Result<(Option<DumpHeader>, Vec<FlightRecord>), String> {
+/// The one dump reader, line by line, so a long soak run's dumps are
+/// never held as raw text: line 0 is the header if it reads as one,
+/// every other non-blank line a record.
+fn decode(reader: impl BufRead) -> Result<(Option<DumpHeader>, Vec<FlightRecord>), String> {
     let mut header = None;
     let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in reader.lines().enumerate() {
+        let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        match parse_line(i, line)? {
-            Line::Header(h) => header = Some(h),
-            Line::Record(rec) => records.push(rec),
+        if i == 0 {
+            if let Some(h) = parse_header_line(line) {
+                header = Some(h);
+                continue;
+            }
         }
+        let rec = parse_record_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        records.push(rec);
     }
     Ok((header, records))
 }
 
-/// Write the merged timeline as JSONL: one header line, then one record
-/// per line.
-pub fn write_jsonl(path: &Path, timeline: &[FlightRecord], dropped: u64) -> std::io::Result<()> {
-    let header = DumpHeader {
-        records: timeline.len() as u64,
-        dropped,
-        ..DumpHeader::default()
-    };
-    write_dump(path, &header, timeline)
-}
-
-fn write_dump(path: &Path, header: &DumpHeader, timeline: &[FlightRecord]) -> std::io::Result<()> {
+/// Render a dump: the header line, then one record per line, each
+/// newline-terminated. Every dump file is exactly this string.
+pub fn render_dump(header: &DumpHeader, timeline: &[FlightRecord]) -> String {
     let mut out = header_line(header);
     out.push('\n');
     for rec in timeline {
         out.push_str(&jsonl_line(rec));
         out.push('\n');
     }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
-}
-
-/// Instant ("i") trace event: one per flight record, on the rank's
-/// track. Serialized individually and joined by hand because the
-/// vendored `serde_json` has no heterogeneous `Value` serializer.
-#[derive(Serialize)]
-struct InstantEvent {
-    name: String,
-    cat: String,
-    ph: String,
-    s: String,
-    ts: f64,
-    pid: u64,
-    tid: u64,
-    args: EventArgs,
-}
-
-/// Complete ("X") trace event: a slice spanning a measured duration.
-#[derive(Serialize)]
-struct CompleteEvent {
-    name: String,
-    cat: String,
-    ph: String,
-    ts: f64,
-    dur: f64,
-    pid: u64,
-    tid: u64,
-    args: ClockArgs,
-}
-
-#[derive(Serialize)]
-struct EventArgs {
-    clock: u64,
-    event: ProtoEvent,
-}
-
-#[derive(Serialize)]
-struct ClockArgs {
-    clock: u64,
-}
-
-/// Duration embedded in a completion event, if any: `(label, ns)`.
-/// These become Chrome-trace `"X"` (complete) slices ending at the
-/// record's timestamp.
-fn embedded_duration(ev: &ProtoEvent) -> Option<(&'static str, u64)> {
-    match ev {
-        ProtoEvent::GateOpen { waited_ns, .. } if *waited_ns > 0 => Some(("gate-wait", *waited_ns)),
-        ProtoEvent::ElAck { rtt_ns, .. } if *rtt_ns > 0 => Some(("el-ack-rtt", *rtt_ns)),
-        ProtoEvent::CkptCommit { store_ns, .. } if *store_ns > 0 => Some(("ckpt-store", *store_ns)),
-        ProtoEvent::ReplayDone { replay_ns, .. } if *replay_ns > 0 => Some(("replay", *replay_ns)),
-        _ => None,
-    }
-}
-
-/// Write the timeline in Chrome trace event format (load the file in
-/// Perfetto / `chrome://tracing`). Every record becomes an instant
-/// event on its rank's track; records carrying a measured duration
-/// (gate open, EL ack, checkpoint commit, replay done) additionally
-/// become complete (`"X"`) slices spanning that duration.
-pub fn write_chrome_trace(path: &Path, timeline: &[FlightRecord]) -> std::io::Result<()> {
-    let as_io =
-        |e: serde_json::Error| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
-    let mut events: Vec<String> = Vec::with_capacity(timeline.len());
-    for rec in timeline {
-        let ts_us = rec.ts_ns as f64 / 1000.0;
-        events.push(
-            serde_json::to_string(&InstantEvent {
-                name: rec.event.kind().to_string(),
-                cat: rec.event.phase().to_string(),
-                ph: "i".to_string(),
-                s: "t".to_string(),
-                ts: ts_us,
-                pid: rec.rank as u64,
-                tid: 0,
-                args: EventArgs {
-                    clock: rec.clock,
-                    event: rec.event.clone(),
-                },
-            })
-            .map_err(as_io)?,
-        );
-        if let Some((label, ns)) = embedded_duration(&rec.event) {
-            let dur_us = ns as f64 / 1000.0;
-            events.push(
-                serde_json::to_string(&CompleteEvent {
-                    name: label.to_string(),
-                    cat: rec.event.phase().to_string(),
-                    ph: "X".to_string(),
-                    ts: ts_us - dur_us,
-                    dur: dur_us,
-                    pid: rec.rank as u64,
-                    tid: 1,
-                    args: ClockArgs { clock: rec.clock },
-                })
-                .map_err(as_io)?,
-            );
-        }
-    }
-    let body = format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",")
-    );
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(body.as_bytes())
+    out
 }
 
 /// Validate a merged timeline against the event schema:
@@ -376,6 +287,65 @@ pub fn validate_records(timeline: &[FlightRecord]) -> Result<(), String> {
         last.insert(rec.rank, (rec.ts_ns, rec.clock));
     }
     Ok(())
+}
+
+/// What the strict [`audit`] of a well-formed dump found.
+#[derive(Debug)]
+pub struct Audit {
+    /// The per-message spans the orphan check stitched.
+    pub spans: SpanSet,
+    /// Records the invariant monitor replayed.
+    pub audited: u64,
+    /// The first invariant violation the replay found.
+    pub violation: Option<Violation>,
+    /// The strict findings, in check order: ring-wraparound drops,
+    /// orphan span edges, an invariant violation. Empty on a clean dump.
+    pub findings: Vec<String>,
+}
+
+/// The one strict audit of a dump — what `obs_analyze --strict`,
+/// `proc_smoke` and the deployment tests all call:
+///
+/// 1. the header's record count matches the body;
+/// 2. the records pass [`validate_records`];
+/// 3. the header reports no record lost to ring wraparound;
+/// 4. every span closes ([`SpanSet::build`] finds no orphan edge);
+/// 5. an [`InvariantMonitor`] replays the timeline without a violation.
+///
+/// A dump failing 1 or 2 is malformed: `Err` names the first failure.
+/// Checks 3–5 are the strict findings of the returned [`Audit`]. A
+/// headerless dump skips 1 and 3.
+pub fn audit(header: Option<&DumpHeader>, timeline: &[FlightRecord]) -> Result<Audit, String> {
+    let mut findings = Vec::new();
+    if let Some(h) = header {
+        if h.records != timeline.len() as u64 {
+            return Err(format!(
+                "header claims {} records, dump body has {}",
+                h.records,
+                timeline.len()
+            ));
+        }
+        if h.dropped > 0 {
+            findings.push(format!("{} records dropped", h.dropped));
+        }
+    }
+    validate_records(timeline).map_err(|e| format!("schema validation: {e}"))?;
+    let spans = SpanSet::build(timeline);
+    if !spans.orphans.is_empty() {
+        findings.push(format!("{} orphan edge(s)", spans.orphans.len()));
+    }
+    let monitor = InvariantMonitor::new();
+    monitor.observe_all(timeline);
+    let violation = monitor.violation();
+    if let Some(v) = &violation {
+        findings.push(format!("invariant `{}` violated", v.invariant));
+    }
+    Ok(Audit {
+        spans,
+        audited: monitor.records_seen(),
+        violation,
+        findings,
+    })
 }
 
 /// Rotation thresholds for a [`JsonlStreamSink`]. The sink starts a new
@@ -467,18 +437,12 @@ impl JsonlStreamSink {
     /// Create (truncate) `path` and stream records into it, flushing
     /// per record (the durable default).
     pub fn create(path: &Path) -> std::io::Result<Self> {
-        Self::with_flush_every(path, 1)
+        Self::with_rotation(path, 1, RotateConfig::default())
     }
 
     /// Create (truncate) `path`, writing out every `flush_every`
-    /// records (0 is treated as 1).
-    pub fn with_flush_every(path: &Path, flush_every: u32) -> std::io::Result<Self> {
-        Self::with_rotation(path, flush_every, RotateConfig::default())
-    }
-
-    /// Create (truncate) `path`, writing out every `flush_every`
-    /// records and rotating to a new segment file whenever the active
-    /// one exceeds a [`RotateConfig`] threshold.
+    /// records (0 is treated as 1) and rotating to a new segment file
+    /// whenever the active one exceeds a [`RotateConfig`] threshold.
     pub fn with_rotation(
         path: &Path,
         flush_every: u32,
@@ -500,11 +464,6 @@ impl JsonlStreamSink {
                 seg_bytes: 0,
             }),
         })
-    }
-
-    /// Segment files opened so far (1 while unrotated).
-    pub fn segments(&self) -> u32 {
-        self.state.lock().seg + 1
     }
 }
 
@@ -557,49 +516,12 @@ impl crate::monitor::RecordSink for TeeSink {
     }
 }
 
-/// What [`merge_dump_files`] produced: the written artifacts, the
-/// header counters, the skew estimate it applied, and first-divergence
-/// triage over the corrected timeline.
-#[derive(Clone, Debug)]
-pub struct MergeSummary {
-    /// The merged, skew-corrected JSONL timeline.
-    pub jsonl: PathBuf,
-    /// The Chrome-trace/Perfetto export of the merged timeline.
-    pub trace: PathBuf,
-    /// Records in the merged dump.
-    pub records: u64,
-    /// Summed drop count across the inputs.
-    pub dropped: u64,
-    /// The clock-skew estimate (tracks already applied to the output).
-    pub skew: SkewEstimate,
-    /// First-divergence triage over the corrected timeline.
-    pub triage: Option<Triage>,
-}
-
-impl MergeSummary {
-    /// Multi-line human summary for supervisor output.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "merged dump: {} records ({} dropped)\n  timeline: {}\n  perfetto: {}\n  {}",
-            self.records,
-            self.dropped,
-            self.jsonl.display(),
-            self.trace.display(),
-            self.skew.summary(),
-        );
-        if let Some(t) = &self.triage {
-            s.push_str(&format!("\n  {t}"));
-        }
-        s
-    }
-}
-
 /// Merge several JSONL dumps (with or without header lines) into one
 /// timeline ordered by the hub comparator `(ts_ns, rank, clock,
-/// kind_index)`. Inputs are parsed line-wise through a [`BufRead`], so
-/// a long soak run's dumps are never all held as raw text at once.
-/// Missing input files are skipped — a child killed before it wrote
-/// anything contributes nothing, not an error.
+/// kind_index)`. Inputs are decoded line-wise, so a long soak run's
+/// dumps are never held as raw text. Missing input files are skipped —
+/// a child killed before it wrote anything contributes nothing, not an
+/// error.
 ///
 /// Rotated stream segments are just more inputs: every `.jsonl`
 /// segment of every process merges through the same path, headerless
@@ -611,10 +533,8 @@ impl MergeSummary {
 /// delivery before its send; the applied tracks land in the output
 /// header, along with ranks whose offset is unconstrained by any
 /// causal edge. Residual inversions (infeasible
-/// clock model) are reported loudly in the summary, never hidden. A
-/// Perfetto export of the corrected timeline is written next to the
-/// JSONL.
-pub fn merge_dump_files(inputs: &[PathBuf], output: &Path) -> std::io::Result<MergeSummary> {
+/// clock model) are reported loudly in the summary, never hidden.
+pub fn merge_dump_files(inputs: &[PathBuf], output: &Path) -> std::io::Result<Dump> {
     let mut all: Vec<FlightRecord> = Vec::new();
     let mut dropped = 0u64;
     for path in inputs {
@@ -623,52 +543,35 @@ pub fn merge_dump_files(inputs: &[PathBuf], output: &Path) -> std::io::Result<Me
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        let invalid = |e: String| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e}", path.display()),
-            )
-        };
-        for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match parse_line(i, line).map_err(invalid)? {
-                Line::Header(h) => dropped += h.dropped,
-                Line::Record(rec) => all.push(rec),
-            }
-        }
+        let (header, records) = decode(std::io::BufReader::new(file)).map_err(|e| {
+            let detail = format!("{}: {e}", path.display());
+            std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
+        })?;
+        dropped += header.map_or(0, |h| h.dropped);
+        all.extend(records);
     }
     let skew = crate::skew::estimate_skew(&all);
     crate::skew::apply_track(&mut all, &skew.track);
     all.sort_by_key(|r| (r.ts_ns, r.rank, r.clock, r.event.kind_index()));
-    if let Some(parent) = output.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     let header = DumpHeader {
         records: all.len() as u64,
         dropped,
         track: skew.header_track(),
         unconstrained: skew.unconstrained.clone(),
     };
-    write_dump(output, &header, &all)?;
-    let trace = output.with_extension("trace.json");
-    write_chrome_trace(&trace, &all)?;
-    Ok(MergeSummary {
-        jsonl: output.to_path_buf(),
-        trace,
-        records: all.len() as u64,
-        dropped,
-        skew,
-        triage: triage(&all),
+    Ok(Dump {
+        skew: Some(skew),
+        ..Dump::write(output, header, &all)?
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_dump(text: &str) -> Result<(Option<DumpHeader>, Vec<FlightRecord>), String> {
+        decode(text.as_bytes())
+    }
 
     fn rec(rank: u32, clock: u64, ts_ns: u64, event: ProtoEvent) -> FlightRecord {
         FlightRecord {
@@ -799,25 +702,20 @@ mod tests {
             ),
         ];
         let jsonl = dir.join("t.jsonl");
-        let trace = dir.join("t.trace.json");
-        write_jsonl(&jsonl, &tl, 3).unwrap();
-        write_chrome_trace(&trace, &tl).unwrap();
+        let header = DumpHeader {
+            records: 2,
+            dropped: 3,
+            ..DumpHeader::default()
+        };
+        let dump = Dump::write(&jsonl, header.clone(), &tl).unwrap();
+        assert_eq!(dump.header, header);
         let body = std::fs::read_to_string(&jsonl).unwrap();
+        assert_eq!(body, render_dump(&header, &tl));
         assert_eq!(body.lines().count(), 3);
         let mut lines = body.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            header_line(&DumpHeader {
-                records: 2,
-                dropped: 3,
-                ..DumpHeader::default()
-            })
-        );
+        assert_eq!(lines.next().unwrap(), header_line(&header));
         assert_eq!(lines.next().unwrap(), jsonl_line(&tl[0]));
-        let tr = std::fs::read_to_string(&trace).unwrap();
-        assert!(tr.contains("traceEvents"));
-        assert!(tr.contains("\"ph\":\"X\""));
-        assert!(tr.contains("gate-wait"));
+        assert_eq!(parse_dump(&body), Ok((Some(header), tl)));
     }
 
     #[test]
@@ -836,10 +734,8 @@ mod tests {
         let merged = dir.join("merged.jsonl");
         let summary =
             merge_dump_files(&[a_path, b_path, dir.join("never-written.jsonl")], &merged).unwrap();
-        assert_eq!(summary.records, 3);
-        assert_eq!(summary.dropped, 0);
-        assert!(!summary.skew.is_correction());
-        assert!(summary.trace.exists(), "{:?}", summary.trace);
+        assert_eq!((summary.header.records, summary.header.dropped), (3, 0));
+        assert!(!summary.skew.as_ref().unwrap().is_correction());
         let (h, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
         assert_eq!(
             h,
@@ -855,7 +751,8 @@ mod tests {
         );
         let ts: Vec<u64> = records.iter().map(|r| r.ts_ns).collect();
         assert_eq!(ts, vec![100, 300, 900]);
-        assert!(summary.summary().contains("merged dump: 3 records"));
+        assert!(summary.summary().contains("flight recorder: 3 records"));
+        assert!(summary.summary().contains("clock skew: none detected"));
     }
 
     #[test]
@@ -884,8 +781,9 @@ mod tests {
         drop((a, b));
         let merged = dir.join("merged.jsonl");
         let summary = merge_dump_files(&[a_path, b_path], &merged).unwrap();
-        assert_eq!(summary.skew.inversions_before, 1);
-        assert_eq!(summary.skew.inversions_after, 0);
+        let skew = summary.skew.unwrap();
+        assert_eq!(skew.inversions_before, 1);
+        assert_eq!(skew.inversions_after, 0);
         let body = std::fs::read_to_string(&merged).unwrap();
         let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
@@ -905,7 +803,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mvr-obs-buffered-sink-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("buffered.jsonl");
-        let sink = JsonlStreamSink::with_flush_every(&path, 3).unwrap();
+        let sink = JsonlStreamSink::with_rotation(&path, 3, RotateConfig::default()).unwrap();
         sink.observe(&rec(0, 1, 10, send(1, 1, 8)));
         sink.observe(&rec(0, 2, 20, send(1, 2, 8)));
         // Below the cadence: nothing written out yet.
@@ -946,13 +844,14 @@ mod tests {
         for i in 0..10u64 {
             sink.observe(&rec(0, i + 1, (i + 1) * 100, send(1, i + 1, 8)));
         }
-        assert_eq!(sink.segments(), 3); // 4 + 4 + 2 records
         drop(sink);
-        // Segment 0 keeps the base name; later segments sit next to it.
+        // Segment 0 keeps the base name; later segments sit next to it:
+        // 4 + 4 + 2 records.
         assert!(base.exists());
         let seg1 = dir.join("cn0-i0.seg1.jsonl");
         let seg2 = dir.join("cn0-i0.seg2.jsonl");
         assert!(seg1.exists() && seg2.exists());
+        assert!(!dir.join("cn0-i0.seg3.jsonl").exists());
         assert_eq!(
             std::fs::read_to_string(&base).unwrap().lines().count(),
             4,
@@ -961,7 +860,7 @@ mod tests {
         // Merging the segments restores the full, ordered timeline.
         let merged = dir.join("merged.jsonl");
         let summary = merge_dump_files(&[base, seg1, seg2], &merged).unwrap();
-        assert_eq!(summary.records, 10);
+        assert_eq!(summary.header.records, 10);
         let (_, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
         let clocks: Vec<u64> = records.iter().map(|r| r.clock).collect();
         assert_eq!(clocks, (1..=10).collect::<Vec<_>>());
@@ -988,10 +887,9 @@ mod tests {
         for i in 0..3 * per_seg {
             sink.observe(&rec(0, i + 1, (i + 1) * 10, send(1, i + 1, 8)));
         }
-        assert!(sink.segments() >= 3, "segments: {}", sink.segments());
         drop(sink);
         let seg1 = dir.join("s.seg1.jsonl");
-        assert!(seg1.exists());
+        assert!(seg1.exists() && dir.join("s.seg2.jsonl").exists());
         assert!(
             std::fs::metadata(&base).unwrap().len() >= 200,
             "rotates after crossing the byte threshold, not before"
@@ -1043,9 +941,10 @@ mod tests {
         drop((a, b));
         let merged = dir.join("merged.jsonl");
         let summary = merge_dump_files(&[a_path, b_path], &merged).unwrap();
-        assert!(summary.skew.inversions_before >= 1);
-        assert_eq!(summary.skew.inversions_after, 0, "{}", summary.summary());
-        assert!(!summary.skew.track.is_empty());
+        let skew = summary.skew.as_ref().unwrap();
+        assert!(skew.inversions_before >= 1);
+        assert_eq!(skew.inversions_after, 0, "{}", summary.summary());
+        assert!(!skew.track.is_empty());
         let body = std::fs::read_to_string(&merged).unwrap();
         let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
@@ -1061,21 +960,81 @@ mod tests {
 
     #[test]
     fn summary_warns_loudly_on_drops() {
-        let paths = DumpPaths {
+        let dump = Dump {
             jsonl: PathBuf::from("/tmp/x.jsonl"),
-            trace: PathBuf::from("/tmp/x.trace.json"),
-            records: 10,
-            dropped: 0,
+            header: DumpHeader {
+                records: 10,
+                ..DumpHeader::default()
+            },
+            skew: None,
             triage: None,
         };
-        assert!(!paths.summary().contains("WARNING"));
-        let truncated = DumpPaths {
-            dropped: 7,
-            ..paths
-        };
+        assert!(!dump.summary().contains("WARNING"));
+        let mut truncated = dump;
+        truncated.header.dropped = 7;
         let s = truncated.summary();
         assert!(s.contains("WARNING"), "{s}");
         assert!(s.contains("7 record(s) lost"), "{s}");
+    }
+
+    fn deliver(from: u32, sender_clock: u64, receiver_clock: u64) -> ProtoEvent {
+        ProtoEvent::Deliver {
+            from,
+            sender_clock,
+            receiver_clock,
+            replay: false,
+        }
+    }
+
+    #[test]
+    fn audit_passes_a_clean_dump_and_lists_each_strict_finding() {
+        let ack = |up_to| ProtoEvent::ElAck {
+            up_to,
+            batches_retired: 1,
+            rtt_ns: 5,
+        };
+        let clean = vec![
+            rec(0, 1, 10, send(1, 1, 8)),
+            rec(1, 1, 20, deliver(0, 1, 1)),
+            rec(1, 1, 30, ack(1)),
+            rec(1, 2, 40, send(0, 2, 8)),
+            rec(0, 2, 50, deliver(1, 2, 2)),
+        ];
+        let header = |records: usize, dropped| DumpHeader {
+            records: records as u64,
+            dropped,
+            ..DumpHeader::default()
+        };
+        let a = audit(Some(&header(5, 0)), &clean).unwrap();
+        assert!(a.findings.is_empty(), "{:?}", a.findings);
+        assert_eq!((a.audited, a.spans.spans.len()), (5, 2));
+        assert!(audit(None, &clean).unwrap().findings.is_empty());
+
+        // Malformed: the header disagrees with the body, or the schema fails.
+        let err = audit(Some(&header(4, 0)), &clean).unwrap_err();
+        assert!(err.contains("header claims 4 records"), "{err}");
+        let backwards = [rec(0, 2, 10, send(1, 2, 8)), rec(0, 1, 20, send(1, 1, 8))];
+        assert!(audit(None, &backwards)
+            .unwrap_err()
+            .starts_with("schema validation"));
+
+        // Strict: drops, an orphan edge (rank 1's reply never arrives)
+        // and a gate violation (rank 1 sends before its ack), in order.
+        let dirty = vec![
+            rec(0, 1, 10, send(1, 1, 8)),
+            rec(1, 1, 20, deliver(0, 1, 1)),
+            rec(1, 2, 30, send(0, 2, 8)),
+        ];
+        let a = audit(Some(&header(3, 2)), &dirty).unwrap();
+        assert_eq!(
+            a.findings,
+            vec![
+                "2 records dropped".to_string(),
+                "1 orphan edge(s)".to_string(),
+                "invariant `pessimism-gate` violated".to_string(),
+            ]
+        );
+        assert_eq!(a.violation.unwrap().rank, 1);
     }
 
     // ---- the reader: derived types through `serde_json::from_str` ----

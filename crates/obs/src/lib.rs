@@ -1,9 +1,11 @@
 //! `mvr-obs` — the observability layer threaded through every protocol
 //! component: a lock-light per-engine flight recorder of structured
 //! protocol events, HDR-style mergeable latency histograms for the hot
-//! protocol intervals, and a crash dump path that merges the recorders
-//! of all involved ranks into a clock-ordered JSONL timeline plus a
-//! Chrome-trace/Perfetto export.
+//! protocol intervals, and one pipeline over what they record: record →
+//! sinks (live monitor, telemetry, per-process JSONL streams) → dump
+//! (one clock-ordered JSONL timeline, merged and skew-corrected across
+//! processes) → the strict [`audit`], the Perfetto [`write_trace`] and
+//! the [`RunProfile`] diff.
 //!
 //! The crate is a leaf: it speaks raw `u32` ranks so that `mvr-core`
 //! (and everything above it) can depend on it without a cycle.
@@ -33,14 +35,14 @@ mod skew;
 mod span;
 mod telemetry;
 mod timings;
+mod trace;
 mod window;
 
-pub use causal::{write_flow_trace, CausalGraph, CriticalPath, CriticalStep, EdgeCat};
+pub use causal::{CausalGraph, CriticalPath, CriticalStep, EdgeCat};
 pub use diff::{compare, DiffReport, MetricDelta, RunProfile, NOISE_FLOOR_EVENTS, NOISE_FLOOR_NS};
 pub use dump::{
-    header_line, jsonl_line, merge_dump_files, parse_dump, parse_header_line, parse_record_line,
-    triage, validate_records, write_chrome_trace, write_jsonl, DumpHeader, DumpPaths,
-    JsonlStreamSink, MergeSummary, RotateConfig, TeeSink, Triage,
+    audit, merge_dump_files, parse_record_line, read_dump, render_dump, validate_records, Audit,
+    Dump, DumpHeader, JsonlStreamSink, RotateConfig, TeeSink, Triage,
 };
 pub use event::{FlightRecord, ProtoEvent, SendDisposition, DISPATCHER_RANK};
 pub use health::HealthServer;
@@ -48,10 +50,9 @@ pub use hist::{HistSummary, LogHistogram};
 pub use monitor::{InvariantMonitor, RecordSink, Violation};
 pub use prom::{timing_families, window_families, PromPage};
 pub use recorder::{epoch_from_unix_ns, unix_now_ns, Recorder, RecorderConfig, RecorderHub};
-pub use skew::{
-    apply_track, count_inversions, estimate_skew, OffsetTrack, RankTrack, SkewEstimate,
-};
+pub use skew::{apply_track, estimate_skew, OffsetTrack, RankTrack, SkewEstimate};
 pub use span::{DeliveryLeg, Orphan, OrphanKind, Span, SpanKey, SpanSet};
 pub use telemetry::{TelemetrySink, TelemetrySnapshot};
 pub use timings::{ProtocolTimings, TimingSummary};
+pub use trace::write_trace;
 pub use window::{MetricsWindow, WindowRing, DEFAULT_WINDOW_NS, DEFAULT_WINDOW_RING};

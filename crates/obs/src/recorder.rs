@@ -2,7 +2,7 @@
 //! [`FlightRecord`]s, plus the [`RecorderHub`] that owns the shared
 //! monotonic epoch and collects every recorder for post-mortem dumps.
 
-use crate::dump::{self, DumpPaths};
+use crate::dump::{Dump, DumpHeader};
 use crate::event::{FlightRecord, ProtoEvent};
 use crate::monitor::RecordSink;
 use parking_lot::Mutex;
@@ -161,12 +161,6 @@ impl Recorder {
         }))
     }
 
-    /// Whether records are currently being kept.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.enabled.load(Ordering::Relaxed)
-    }
-
     /// Rank this recorder writes records for.
     pub fn rank(&self) -> u32 {
         self.0.rank
@@ -314,11 +308,6 @@ impl RecorderHub {
         }
     }
 
-    /// Whether minted recorders keep records.
-    pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// Mint (and register) a recorder for `rank`. Call once per
     /// incarnation; all incarnations' records end up in the dump.
     pub fn recorder(&self, rank: u32) -> Recorder {
@@ -349,22 +338,15 @@ impl RecorderHub {
     }
 
     /// Collect every recorder and write the merged clock-ordered JSONL
-    /// timeline plus the Chrome-trace/Perfetto export under `dir`,
-    /// named `<tag>.jsonl` / `<tag>.trace.json`.
-    pub fn dump(&self, dir: &Path, tag: &str) -> std::io::Result<DumpPaths> {
+    /// timeline to `dir/<tag>.jsonl`.
+    pub fn dump(&self, dir: &Path, tag: &str) -> std::io::Result<Dump> {
         let timeline = self.timeline();
-        std::fs::create_dir_all(dir)?;
-        let jsonl = dir.join(format!("{tag}.jsonl"));
-        let trace = dir.join(format!("{tag}.trace.json"));
-        dump::write_jsonl(&jsonl, &timeline, self.dropped())?;
-        dump::write_chrome_trace(&trace, &timeline)?;
-        Ok(DumpPaths {
-            jsonl,
-            trace,
-            records: timeline.len(),
+        let header = DumpHeader {
+            records: timeline.len() as u64,
             dropped: self.dropped(),
-            triage: dump::triage(&timeline),
-        })
+            ..DumpHeader::default()
+        };
+        Dump::write(&dir.join(format!("{tag}.jsonl")), header, &timeline)
     }
 }
 
@@ -435,7 +417,6 @@ mod tests {
         let r = Recorder::disabled();
         r.record(1, send(0, 1, 8));
         assert!(r.snapshot().is_empty());
-        assert!(!r.is_enabled());
     }
 
     #[test]

@@ -300,7 +300,8 @@ fn inversions(pairs: &[CausalPair], track: &BTreeMap<u32, OffsetTrack>) -> usize
 
 /// Count deliver-before-send timestamp inversions in a raw (or already
 /// corrected) timeline — the skew-visibility metric the merge reports.
-pub fn count_inversions(timeline: &[FlightRecord]) -> usize {
+#[cfg(test)]
+pub(crate) fn count_inversions(timeline: &[FlightRecord]) -> usize {
     inversions(&causal_pairs(timeline), &BTreeMap::new())
 }
 

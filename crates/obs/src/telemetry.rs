@@ -7,10 +7,11 @@
 //! buffer does the absolute minimum there: one short mutex hold to
 //! push the record (or bump the drop counter when full — the protocol
 //! hot path is never blocked on telemetry, mirroring the ring buffer's
-//! own overwrite discipline) and to fold any embedded duration into the
-//! running [`ProtocolTimings`]. A shipper loop elsewhere in the child
-//! periodically [`drain`](TelemetrySink::drain)s the buffer and sends
-//! the batch to the supervising parent, together with a
+//! own overwrite discipline) and to fold any measured interval into the
+//! running [`ProtocolTimings`] ([`ProtocolTimings::observe`]). A shipper
+//! loop elsewhere in the child periodically
+//! [`drain`](TelemetrySink::drain)s the buffer and sends the batch to
+//! the supervising parent, together with a
 //! [`TelemetrySnapshot`] of the histograms and progress counters.
 //! Drops are *reported*, never hidden: the snapshot carries the
 //! cumulative drop count so the parent can surface a truncated live
@@ -92,11 +93,6 @@ impl TelemetrySink {
         self.inner.lock().buf.len()
     }
 
-    /// Cumulative records dropped to the bounded buffer.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped_total
-    }
-
     /// Current cumulative snapshot (histograms and counters).
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let inner = self.inner.lock();
@@ -114,26 +110,15 @@ impl RecordSink for TelemetrySink {
     fn observe(&self, rec: &FlightRecord) {
         let mut inner = self.inner.lock();
         inner.records_total += 1;
+        inner.timings.observe(&rec.event);
         match &rec.event {
-            ProtoEvent::GateOpen { waited_ns, .. } if *waited_ns > 0 => {
-                inner.timings.gate_wait.record(*waited_ns);
-            }
-            ProtoEvent::ElAck { rtt_ns, .. } => {
-                if *rtt_ns > 0 {
-                    inner.timings.el_ack_rtt.record(*rtt_ns);
-                }
+            ProtoEvent::ElAck { .. } => {
                 if let Some(open) = inner.quorum_open.take() {
                     inner.quorum_wait.record(rec.ts_ns.saturating_sub(open));
                 }
             }
             ProtoEvent::ElReplicaAck { .. } if inner.quorum_open.is_none() => {
                 inner.quorum_open = Some(rec.ts_ns);
-            }
-            ProtoEvent::CkptCommit { store_ns, .. } if *store_ns > 0 => {
-                inner.timings.ckpt_store.record(*store_ns);
-            }
-            ProtoEvent::ReplayDone { replay_ns, .. } if *replay_ns > 0 => {
-                inner.timings.replay.record(*replay_ns);
             }
             _ => {}
         }
@@ -176,7 +161,6 @@ mod tests {
             ));
         }
         assert_eq!(sink.pending(), 2);
-        assert_eq!(sink.dropped(), 3);
         let snap = sink.snapshot();
         assert_eq!(snap.records_total, 5);
         assert_eq!(snap.dropped_total, 3);

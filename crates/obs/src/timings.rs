@@ -1,5 +1,8 @@
-//! Per-engine latency histograms for the four hot protocol intervals.
+//! Per-engine latency histograms for the four hot protocol intervals,
+//! and the one mapping from a completion record to the interval it
+//! closes ([`ProtocolTimings::observe`]).
 
+use crate::event::ProtoEvent;
 use crate::hist::{HistSummary, LogHistogram};
 use serde::{Deserialize, Serialize};
 
@@ -24,6 +27,30 @@ impl ProtocolTimings {
         Self::default()
     }
 
+    /// Fold one completion record into the histogram of the interval it
+    /// closes, and return that interval's name and measured duration:
+    /// `GateOpen` → `gate-wait`, `ElAck` → `el-ack-rtt`, `CkptCommit` →
+    /// `ckpt-store`, `ReplayDone` → `replay`. Every other event, and a
+    /// zero (unmeasured) duration, folds nothing. The live telemetry
+    /// sink, the `obs_diff` profile and the trace writer all read
+    /// intervals through here.
+    pub fn observe(&mut self, event: &ProtoEvent) -> Option<(&'static str, u64)> {
+        let (name, hist, ns) = match *event {
+            ProtoEvent::GateOpen { waited_ns, .. } => ("gate-wait", &mut self.gate_wait, waited_ns),
+            ProtoEvent::ElAck { rtt_ns, .. } => ("el-ack-rtt", &mut self.el_ack_rtt, rtt_ns),
+            ProtoEvent::CkptCommit { store_ns, .. } => {
+                ("ckpt-store", &mut self.ckpt_store, store_ns)
+            }
+            ProtoEvent::ReplayDone { replay_ns, .. } => ("replay", &mut self.replay, replay_ns),
+            _ => return None,
+        };
+        if ns == 0 {
+            return None;
+        }
+        hist.record(ns);
+        Some((name, ns))
+    }
+
     /// Fold another set of timings into this one.
     pub fn merge(&mut self, other: &ProtocolTimings) {
         self.gate_wait.merge(&other.gate_wait);
@@ -42,14 +69,6 @@ impl ProtocolTimings {
             ckpt_store: self.ckpt_store.diff(&earlier.ckpt_store),
             replay: self.replay.diff(&earlier.replay),
         }
-    }
-
-    /// Total samples across all four intervals.
-    pub fn total_count(&self) -> u64 {
-        self.gate_wait.count()
-            + self.el_ack_rtt.count()
-            + self.ckpt_store.count()
-            + self.replay.count()
     }
 
     /// Compact all-integer summaries for status messages and JSON.
@@ -97,6 +116,37 @@ mod tests {
     }
 
     #[test]
+    fn observe_folds_the_four_completion_records_only() {
+        let mut t = ProtocolTimings::new();
+        let gate = ProtoEvent::GateOpen {
+            released: 1,
+            waited_ns: 4_000,
+        };
+        assert_eq!(t.observe(&gate), Some(("gate-wait", 4_000)));
+        let unmeasured = ProtoEvent::ElAck {
+            up_to: 1,
+            batches_retired: 1,
+            rtt_ns: 0,
+        };
+        assert_eq!(t.observe(&unmeasured), None);
+        assert_eq!(t.observe(&ProtoEvent::Finish { clock: 1 }), None);
+        let commit = ProtoEvent::CkptCommit {
+            seq: 1,
+            store_ns: 900,
+        };
+        assert_eq!(t.observe(&commit), Some(("ckpt-store", 900)));
+        let done = ProtoEvent::ReplayDone {
+            replayed: 2,
+            replay_ns: 7_000,
+        };
+        assert_eq!(t.observe(&done), Some(("replay", 7_000)));
+        let s = t.summary();
+        assert_eq!(s.gate_wait.sum, 4_000);
+        assert_eq!(s.el_ack_rtt.count, 0);
+        assert_eq!((s.ckpt_store.count, s.replay.count), (1, 1));
+    }
+
+    #[test]
     fn diff_isolates_the_window() {
         let mut t = ProtocolTimings::new();
         t.gate_wait.record(100);
@@ -109,7 +159,6 @@ mod tests {
         assert_eq!(w.gate_wait.sum(), 900);
         assert_eq!(w.el_ack_rtt.count(), 0);
         assert_eq!(w.replay.count(), 1);
-        assert_eq!(w.total_count(), 2);
         // Merging the window back onto the snapshot restores cumulative.
         let mut rebuilt = snap.clone();
         rebuilt.merge(&w);

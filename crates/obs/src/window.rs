@@ -110,11 +110,6 @@ impl WindowRing {
         self.closed.iter()
     }
 
-    /// Number of retained closed windows.
-    pub fn closed_len(&self) -> usize {
-        self.closed.len()
-    }
-
     /// The in-progress window: everything since the last boundary up
     /// to `now_ns`. Does not mutate the ring, so it can be rendered on
     /// every scrape without perturbing window boundaries.
@@ -194,7 +189,7 @@ mod tests {
             cum.gate_wait.record(i + 1);
             ring.advance((i + 1) * 100, &cum);
         }
-        assert_eq!(ring.closed_len(), 2, "retention capped");
+        assert_eq!(ring.closed().count(), 2, "retention capped");
         let oldest = ring.closed().next().expect("non-empty");
         assert_eq!(oldest.start_ns, 300);
         cum.gate_wait.record(99);

@@ -24,6 +24,7 @@ use crate::deploy::{ProcLaunch, Topology};
 use crate::node::{register_node, start_node, MpiApp, NodeConfig, Outcome, RuntimeProtocol};
 use crate::services::{serve_el_replica, spawn_checkpoint_server_on};
 use mvr_core::{NodeId, Rank};
+use mvr_eventlog::EventLogStore;
 use mvr_net::{Fabric, TcpConfig, TcpTransport, Transport};
 use mvr_obs::{
     epoch_from_unix_ns, JsonlStreamSink, ProtoEvent, RecordSink, RecorderConfig, RecorderHub,
@@ -408,6 +409,24 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
     serve(&gateway, tick, each_tick, |_, _| {}, || hub.flush_sink())
 }
 
+/// A reviving replica's catch-up: absorb the ledger of EVERY sibling
+/// that answers, stopping once all `siblings` have (or `snapshots`
+/// ends at its deadline). One donor is not enough: with overlapping EL
+/// crash windows the siblings may hold different subsets, and acking
+/// over a ledger with holes would falsely claim the missing events
+/// durable — the in-process revival rule, across processes. Returns
+/// the events held afterwards.
+fn absorb_siblings(
+    store: &mut EventLogStore,
+    siblings: usize,
+    snapshots: impl Iterator<Item = EventLogStore>,
+) -> u64 {
+    for snap in snapshots.take(siblings) {
+        store.absorb(&snap);
+    }
+    store.total_logged()
+}
+
 fn run_el(flat: u32, spec: &ChildSpec) -> ! {
     let topo = spec.topology;
     let addr = topo.el_addr(flat);
@@ -417,33 +436,37 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
     // and a request dropped on a healthy link is never resent.
     let seat = fabric.register(NodeId::EventLogger(flat));
     let gateway = connect(spec, &fabric, GatewayRole::EventLogger(flat));
-    let store = Arc::new(Mutex::new(mvr_eventlog::EventLogStore::new()));
+    let store = Arc::new(Mutex::new(EventLogStore::new()));
 
-    // Revival: catch up from a same-shard sibling before opening for
+    // Revival: catch up from the same-shard siblings before opening for
     // business, then tell the supervisor how much we absorbed (§4.5's
     // replicated-ledger failover, now across real processes).
     if spec.restart && topo.el_replicas() > 1 {
-        for sibling in topo.siblings(addr) {
-            gateway.send_to(sibling, &WireMsg::ElFetch { shard: addr.shard });
+        let siblings: Vec<NodeId> = topo.siblings(addr).collect();
+        for sibling in &siblings {
+            gateway.send_to(*sibling, &WireMsg::ElFetch { shard: addr.shard });
         }
         let deadline = Instant::now() + Duration::from_secs(2);
-        let mut caught_up = None;
-        while caught_up.is_none() && Instant::now() < deadline {
-            match gateway.poll(Duration::from_millis(20)) {
-                Ok(Control::Msg {
-                    msg: WireMsg::ElSnapshot { store: snap },
-                    ..
-                }) => caught_up = Some(store.lock().absorb(&snap)),
-                Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => std::process::exit(EXIT_ORPHANED),
+        let snapshots = std::iter::from_fn(|| {
+            while Instant::now() < deadline {
+                match gateway.poll(Duration::from_millis(20)) {
+                    Ok(Control::Msg {
+                        msg: WireMsg::ElSnapshot { store },
+                        ..
+                    }) => return Some(store),
+                    Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
+                    Err(mpsc::RecvTimeoutError::Disconnected) => std::process::exit(EXIT_ORPHANED),
+                }
             }
-        }
+            None
+        });
+        let caught_up = absorb_siblings(&mut store.lock(), siblings.len(), snapshots);
         gateway.send_to(
             NodeId::Dispatcher,
             &WireMsg::ElRevived {
                 shard: addr.shard,
                 replica: addr.replica,
-                caught_up: caught_up.unwrap_or(0),
+                caught_up,
             },
         );
     }
@@ -617,6 +640,52 @@ mod tests {
                 prop_assert!(t.el_shards().checked_mul(t.el_replicas()).is_some());
             }
         }
+    }
+
+    #[test]
+    fn revival_absorbs_every_sibling_ledger_and_stops_once_all_answered() {
+        use mvr_core::{EventBatch, ReceptionEvent};
+        let ledger = |clocks: &[u64]| {
+            let mut store = EventLogStore::new();
+            let events = clocks.iter().map(|&c| ReceptionEvent {
+                sender: Rank(1),
+                sender_clock: c,
+                receiver_clock: c,
+                probes: 0,
+            });
+            store.log(EventBatch {
+                owner: Rank(0),
+                events: events.collect(),
+            });
+            store
+        };
+        // Two siblings holding disjoint halves of rank 0's events.
+        let siblings = [ledger(&[1, 2]), ledger(&[3, 4])];
+        let mut revived = EventLogStore::new();
+        let held = absorb_siblings(&mut revived, 2, siblings.into_iter());
+        assert_eq!(held, 4, "the union of both ledgers");
+        let clocks: Vec<u64> = revived
+            .download(Rank(0), 0)
+            .iter()
+            .map(|e| e.receiver_clock)
+            .collect();
+        assert_eq!(clocks, vec![1, 2, 3, 4]);
+
+        // Once every sibling answered, nothing more is awaited.
+        let mut polls = 0u64;
+        let endless = std::iter::repeat_with(|| {
+            polls += 1;
+            ledger(&[polls])
+        });
+        assert_eq!(absorb_siblings(&mut EventLogStore::new(), 2, endless), 2);
+        assert_eq!(polls, 2, "stops as soon as both siblings answered");
+
+        // A sibling that never answers costs only the deadline.
+        let mut revived = EventLogStore::new();
+        assert_eq!(
+            absorb_siblings(&mut revived, 2, [ledger(&[1])].into_iter()),
+            1
+        );
     }
 
     #[test]

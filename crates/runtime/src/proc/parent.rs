@@ -26,9 +26,9 @@ use crate::supervisor::{bind_health, put, Action, Event, Supervisor};
 use mvr_core::{Metrics, NodeId, Payload, Rank};
 use mvr_net::{Fabric, TcpTransport, Transport};
 use mvr_obs::{
-    merge_dump_files, unix_now_ns, HealthServer, InvariantMonitor, JsonlStreamSink, LogHistogram,
-    MergeSummary, PromPage, ProtoEvent, ProtocolTimings, Recorder, RecorderConfig, RecorderHub,
-    TelemetrySnapshot, DISPATCHER_RANK,
+    merge_dump_files, unix_now_ns, Dump, FlightRecord, HealthServer, InvariantMonitor,
+    JsonlStreamSink, LogHistogram, PromPage, ProtoEvent, ProtocolTimings, Recorder, RecorderConfig,
+    RecorderHub, TelemetrySnapshot, DISPATCHER_RANK,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -57,10 +57,10 @@ pub struct ProcReport {
     pub detections: Vec<(String, String)>,
     /// Per-rank engine metrics from the final incarnations.
     pub rank_metrics: Vec<(Rank, Metrics)>,
-    /// Summary of the merged flight-recorder dump, when `obs_dir` was
-    /// set — its path, record/drop counters, the skew estimate and
-    /// applied offsets, first-divergence triage.
-    pub merge: Option<MergeSummary>,
+    /// The merged flight-recorder dump, when `obs_dir` was set — its
+    /// path, header counters and applied tracks, the skew estimate,
+    /// first-divergence triage.
+    pub merge: Option<Dump>,
     /// Final telemetry snapshot per child node, when telemetry was live.
     pub telemetry: Vec<(String, TelemetrySnapshot)>,
 }
@@ -384,6 +384,9 @@ impl<'a> Launcher<'a> {
                     records,
                     snapshot,
                 } => {
+                    let Ok(node) = node.parse::<NodeId>() else {
+                        return;
+                    };
                     // Merged live stream → cluster-wide monitor (the core
                     // polls it for a verdict on its next step). Frames
                     // are FIFO per child and the monitor's state is
@@ -391,13 +394,11 @@ impl<'a> Launcher<'a> {
                     // irrelevant — the same argument that lets the
                     // in-process monitor run inline.
                     if let Some(m) = &self.monitor {
-                        m.observe_all(&records);
+                        observe_live(m, self.core.incarnation(node), incarnation, &records);
                     }
-                    if let Ok(node) = node.parse::<NodeId>() {
-                        let entry = self.telemetry.entry(node).or_default();
-                        if incarnation >= entry.0 {
-                            *entry = (incarnation, snapshot);
-                        }
+                    let entry = self.telemetry.entry(node).or_default();
+                    if incarnation >= entry.0 {
+                        *entry = (incarnation, snapshot);
                     }
                 }
                 // Data-plane messages are routed inside the gateway;
@@ -586,9 +587,94 @@ impl<'a> Launcher<'a> {
     }
 }
 
+/// Feed one child's telemetry batch to the cluster monitor, but only
+/// from the node's `current` incarnation: a SIGKILLed predecessor's
+/// last frames can arrive after its successor's `RecoveryBegin` reset
+/// the rank's monitor state, where their receptions would read as the
+/// successor's unacked ones.
+fn observe_live(
+    monitor: &InvariantMonitor,
+    current: u64,
+    incarnation: u64,
+    records: &[FlightRecord],
+) {
+    if incarnation == current {
+        monitor.observe_all(records);
+    }
+}
+
 impl Drop for Launcher<'_> {
     fn drop(&mut self) {
         // Orphan safety: whatever path unwound us, no child survives.
         self.kill_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mvr_obs::SendDisposition;
+
+    fn rec(clock: u64, event: ProtoEvent) -> FlightRecord {
+        FlightRecord {
+            rank: 1,
+            clock,
+            ts_ns: clock * 1_000,
+            event,
+        }
+    }
+
+    fn deliver(sender_clock: u64, receiver_clock: u64) -> ProtoEvent {
+        ProtoEvent::Deliver {
+            from: 0,
+            sender_clock,
+            receiver_clock,
+            replay: false,
+        }
+    }
+
+    #[test]
+    fn a_superseded_incarnations_late_batch_cannot_trip_the_monitor() {
+        let ack = ProtoEvent::ElAck {
+            up_to: 1,
+            batches_retired: 1,
+            rtt_ns: 10,
+        };
+        let send = ProtoEvent::Send {
+            to: 0,
+            clock: 3,
+            bytes: 8,
+            disposition: SendDisposition::Wire,
+        };
+        // Rank 1's incarnation 0 delivers and acks clock 1, then is
+        // killed; incarnation 1 recovers from clock 1. Incarnation 0's
+        // last frame (its clock-2 delivery, never acked) arrives only
+        // after that reset, then incarnation 1 sends.
+        let batches: Vec<(u64, u64, Vec<FlightRecord>)> = vec![
+            (0, 0, vec![rec(1, deliver(1, 1)), rec(1, ack)]),
+            (
+                1,
+                1,
+                vec![
+                    rec(1, ProtoEvent::RecoveryBegin { restored_clock: 1 }),
+                    rec(0, ProtoEvent::Restart1 { rank: 1 }),
+                ],
+            ),
+            (1, 0, vec![rec(2, deliver(2, 2))]),
+            (1, 1, vec![rec(3, send)]),
+        ];
+        let guarded = InvariantMonitor::new();
+        let unguarded = InvariantMonitor::new();
+        for (current, incarnation, records) in &batches {
+            observe_live(&guarded, *current, *incarnation, records);
+            unguarded.observe_all(records);
+        }
+        assert_eq!(guarded.violation(), None);
+        // Fed regardless of incarnation, the same frames trip the gate
+        // check on the successor's first send.
+        let v = unguarded
+            .violation()
+            .expect("the stale delivery trips the monitor");
+        assert_eq!((v.invariant, v.rank, v.clock), ("pessimism-gate", 1, 3));
     }
 }

@@ -2477,15 +2477,12 @@ mod tests {
     /// Render the dump exactly as `RecorderHub::dump` writes it.
     fn canonical_dump(hub: &mvr_obs::RecorderHub) -> String {
         let timeline = hub.timeline();
-        let mut out = mvr_obs::header_line(&mvr_obs::DumpHeader {
+        let header = mvr_obs::DumpHeader {
             records: timeline.len() as u64,
             dropped: hub.dropped(),
             ..mvr_obs::DumpHeader::default()
-        });
-        for rec in &timeline {
-            out.push_str(&mvr_obs::jsonl_line(rec));
-        }
-        out
+        };
+        mvr_obs::render_dump(&header, &timeline)
     }
 
     fn chaotic_v2_dump(seed: u64) -> String {

@@ -8,9 +8,7 @@
 //! handshake → framed TCP data plane → supervisor verdicts → respawn.
 
 use mpich_v::core::{NodeId, Rank};
-use mpich_v::obs::{
-    parse_dump, parse_record_line, validate_records, InvariantMonitor, RecorderConfig,
-};
+use mpich_v::obs::{audit, parse_record_line, read_dump, DumpHeader, RecorderConfig};
 use mpich_v::runtime::proc::{run_proc, sig, ProcError};
 use mpich_v::runtime::{ClusterConfig, ClusterError, SchedulerConfig};
 use std::io::{BufRead, BufReader};
@@ -36,6 +34,22 @@ fn proc_opts(test: &str, world: u32, app: &str) -> (ClusterConfig, PathBuf) {
     opts.obs_dir = Some(dir.clone());
     opts.timeout = Duration::from_secs(60);
     (opts, dir)
+}
+
+/// Read a merged dump and put it through the strict audit
+/// `obs_analyze --strict` applies: it must be well-formed with no
+/// strict finding. Returns the header for the test's own checks.
+fn audit_merged(path: &std::path::Path, what: &str) -> DumpHeader {
+    let (header, timeline) = read_dump(path).expect("merged dump reads and parses");
+    let header = header.expect("merged dump carries a header");
+    let audit = audit(Some(&header), &timeline).expect("merged dump is well-formed");
+    assert!(
+        audit.findings.is_empty(),
+        "{what} must leave a strict-clean dump: {:?} (first violation: {:?})",
+        audit.findings,
+        audit.violation
+    );
+    header
 }
 
 fn run_capture(args: &[&str]) -> (String, Option<i32>) {
@@ -254,27 +268,26 @@ fn skewed_epochs_are_corrected_in_merged_dump() {
     opts.proc.epoch_skew = vec![(Rank(1), 25_000_000)];
     let report = run_proc(opts).expect("skewed run completes");
     let merge = report.merge.expect("merge summary present");
+    let skew = merge.skew.expect("a merge carries its skew estimate");
 
     // The injected skew was visible, estimated, and fully corrected.
     assert!(
-        merge.skew.inversions_before >= 1,
+        skew.inversions_before >= 1,
         "expected causal inversions in the raw merge: {}",
-        merge.skew.summary()
+        skew.summary()
     );
     assert_eq!(
-        merge.skew.inversions_after,
+        skew.inversions_after,
         0,
         "correction must remove every inversion: {}",
-        merge.skew.summary()
+        skew.summary()
     );
-    assert!(merge.skew.is_correction(), "{}", merge.skew.summary());
+    assert!(skew.is_correction(), "{}", skew.summary());
 
-    // The applied track travelled into the dump header, and the
-    // corrected timeline passes the same strict audit obs_analyze
-    // applies.
-    let text = std::fs::read_to_string(dir.join("merged.jsonl")).expect("merged dump");
-    let (header, timeline) = parse_dump(&text).expect("merged dump parses");
-    let header = header.expect("merged dump carries a header");
+    // The corrected timeline passes the strict audit without
+    // fabricated violations, and the applied track travelled into the
+    // dump header.
+    let header = audit_merged(&dir.join("merged.jsonl"), "skew correction");
     let rank1 = header
         .track
         .iter()
@@ -284,14 +297,6 @@ fn skewed_epochs_are_corrected_in_merged_dump() {
         rank1.anchors[0] >= 1_000_000,
         "rank 1 offset should recover most of the 25ms skew, got {:?}",
         rank1.anchors
-    );
-    validate_records(&timeline).expect("schema");
-    let monitor = InvariantMonitor::new();
-    monitor.observe_all(&timeline);
-    assert!(
-        monitor.violation().is_none(),
-        "skew correction must not fabricate violations: {:?}",
-        monitor.violation()
     );
 }
 
@@ -305,31 +310,31 @@ fn drifting_clock_is_corrected_by_piecewise_track_in_merged_dump() {
     opts.proc.epoch_drift = vec![(Rank(1), 30_000_000)];
     let report = run_proc(opts).expect("drifting run completes");
     let merge = report.merge.expect("merge summary present");
+    let skew = merge.skew.expect("a merge carries its skew estimate");
 
     // The drift was visible raw and fully corrected by the track.
     assert!(
-        merge.skew.inversions_before >= 1,
+        skew.inversions_before >= 1,
         "expected causal inversions in the raw merge: {}",
-        merge.skew.summary()
+        skew.summary()
     );
     assert_eq!(
-        merge.skew.inversions_after,
+        skew.inversions_after,
         0,
         "piecewise correction must remove every inversion: {}",
-        merge.skew.summary()
+        skew.summary()
     );
     assert!(
-        !merge.skew.infeasible,
+        !skew.infeasible,
         "clock model must be feasible: {}",
-        merge.skew.summary()
+        skew.summary()
     );
-    assert!(merge.skew.is_correction(), "{}", merge.skew.summary());
+    assert!(skew.is_correction(), "{}", skew.summary());
 
-    // The drift demanded a multi-segment track, and it travelled into
-    // the dump header.
-    let text = std::fs::read_to_string(dir.join("merged.jsonl")).expect("merged dump");
-    let (header, timeline) = parse_dump(&text).expect("merged dump parses");
-    let header = header.expect("merged dump carries a header");
+    // The corrected timeline passes the strict audit without
+    // fabricated violations; the drift demanded a multi-segment track,
+    // and it travelled into the dump header.
+    let header = audit_merged(&dir.join("merged.jsonl"), "drift correction");
     // The raise-only solver lifts the relatively SLOW clock — every
     // other rank, from fast-running rank 1's point of view — so the
     // rising multi-anchor track lands on a peer of rank 1.
@@ -345,17 +350,6 @@ fn drifting_clock_is_corrected_by_piecewise_track_in_merged_dump() {
         "drift needs a rising multi-anchor track, got {:?}",
         header.track
     );
-
-    // The corrected timeline passes the same strict audit obs_analyze
-    // applies, and fabricates no protocol violations.
-    validate_records(&timeline).expect("schema");
-    let monitor = InvariantMonitor::new();
-    monitor.observe_all(&timeline);
-    assert!(
-        monitor.violation().is_none(),
-        "drift correction must not fabricate violations: {:?}",
-        monitor.violation()
-    );
 }
 
 #[test]
@@ -366,7 +360,7 @@ fn rotated_jsonl_segments_reassemble_in_merged_dump() {
     opts.proc.rotate_records = 50;
     let report = run_proc(opts).expect("rotated run completes");
     let merge = report.merge.expect("merge summary present");
-    assert!(merge.records > 0, "merged dump must carry records");
+    assert!(merge.header.records > 0, "merged dump must carry records");
 
     // At least one rank stream actually rotated.
     let seg_files: Vec<_> = std::fs::read_dir(&dir)
@@ -384,10 +378,9 @@ fn rotated_jsonl_segments_reassemble_in_merged_dump() {
         dir.display()
     );
 
-    // The merged dump still validates: rotation lost nothing.
-    let text = std::fs::read_to_string(dir.join("merged.jsonl")).expect("merged dump");
-    let (_, timeline) = parse_dump(&text).expect("merged dump parses");
-    validate_records(&timeline).expect("schema");
+    // The merged dump still passes the strict audit: rotation lost
+    // nothing.
+    audit_merged(&dir.join("merged.jsonl"), "a rotated run");
 }
 
 #[test]
