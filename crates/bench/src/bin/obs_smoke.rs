@@ -2,12 +2,12 @@
 //! scenario with flight recorders on, a forced dump, and structural
 //! validation of the dumped JSONL.
 //!
-//! The kills are count triggers, not timed: rank 1 dies at its 30th
-//! send, rank 2 at its 50th mailbox accept and its reincarnation again
-//! at the 58th (during recovery). Victims and kill count are the same
-//! on every run; where in the application a kill lands still moves a
-//! little, since the counted traffic includes EL acks and control
-//! messages.
+//! The kills are count triggers, not timed: rank 1 dies at its 20th
+//! send (about its 10th delivery), rank 2 at its 50th mailbox accept
+//! and its reincarnation again at the 58th (during recovery). Victims
+//! and kill count are the same on every run; where in the application a
+//! kill lands still moves a little, since the counted traffic includes
+//! EL acks and control messages.
 //!
 //! Checks, in order:
 //!   1. the run still completes with bit-exact payloads;
@@ -53,7 +53,7 @@ fn kill(rank: u32, at: u64) -> CountTrigger {
 fn main() {
     let dump_dir = PathBuf::from("chaos_dumps/obs-smoke");
     let turbulence = TurbulenceConfig {
-        crash_on_send: vec![kill(1, 30)],
+        crash_on_send: vec![kill(1, 20)],
         crash_on_recv: vec![kill(2, 50), kill(2, 58)],
         ..TurbulenceConfig::delays(SEED, 50)
     };

@@ -72,6 +72,15 @@ pub enum Input {
         /// Highest receiver clock that replica has durably stored.
         up_to: u64,
     },
+    /// A revived replica of this rank's shard announced its watermark
+    /// (`ElReply::Revived`): an [`Input::ElReplicaAck`], after which the
+    /// engine re-ships it what it lacks above `up_to`.
+    ElReplicaRevived {
+        /// Replica index within this rank's shard.
+        replica: u32,
+        /// Highest receiver clock that replica has durably stored.
+        up_to: u64,
+    },
     /// The checkpoint scheduler ordered a checkpoint.
     CheckpointOrder,
     /// The runtime confirms the checkpoint image was stored durably.
@@ -93,6 +102,14 @@ pub enum Output {
     },
     /// Append events to the event logger (asynchronously; the EL will ack).
     LogEvents(EventBatch),
+    /// Append events to one replica of the event-logger shard only: the
+    /// suffix a revived replica lacks (see [`Input::ElReplicaRevived`]).
+    ReshipEvents {
+        /// The replica, flat-indexed within this rank's shard.
+        replica: u32,
+        /// The events it lacks, in receiver-clock order.
+        batch: EventBatch,
+    },
     /// Hand a message to the blocked MPI process (answers `AppRecv`).
     Deliver {
         /// Original sender rank.
@@ -191,6 +208,9 @@ pub struct V2Engine {
     /// recomputation: only a strictly newer watermark re-enters
     /// [`on_el_ack`](Self::on_el_ack)).
     el_quorum_acked: u64,
+    /// Replicated only: shipped events the quorum has not acked yet, in
+    /// receiver-clock order — what a revived replica is re-shipped from.
+    el_unacked: VecDeque<ReceptionEvent>,
     /// Replay in progress: start timestamp and `replayed_deliveries`
     /// at recovery begin.
     replay_started: Option<(u64, u64)>,
@@ -247,6 +267,7 @@ impl V2Engine {
             el_quorum: 1,
             el_replica_acked: Vec::new(),
             el_quorum_acked: 0,
+            el_unacked: VecDeque::new(),
             replay_started: None,
         }
     }
@@ -270,6 +291,7 @@ impl V2Engine {
             Vec::new()
         };
         self.el_quorum_acked = 0;
+        self.el_unacked.clear();
     }
 
     /// Attach a flight recorder (minted by the deployment's
@@ -346,6 +368,7 @@ impl V2Engine {
         // incarnation's ledger view; the new incarnation re-earns them.
         self.el_replica_acked.iter_mut().for_each(|w| *w = 0);
         self.el_quorum_acked = 0;
+        self.el_unacked.clear();
         self.replay_started = Some((self.obs.now_ns(), self.metrics.replayed_deliveries));
         // Until a peer answers the handshake, its data traffic belongs to
         // the old, dead connection and must be discarded.
@@ -395,6 +418,10 @@ impl V2Engine {
             Input::Peer { from, msg } => self.on_peer(from, msg)?,
             Input::ElAck { up_to } => self.on_el_ack(up_to),
             Input::ElReplicaAck { replica, up_to } => self.on_el_replica_ack(replica, up_to),
+            Input::ElReplicaRevived { replica, up_to } => {
+                self.on_el_replica_ack(replica, up_to);
+                self.reship_to(replica);
+            }
             Input::CheckpointOrder => {
                 self.ckpt_pending = true;
             }
@@ -502,6 +529,9 @@ impl V2Engine {
         let from_clock = events.first().expect("non-empty batch").receiver_clock;
         let up_to = events.last().expect("non-empty batch").receiver_clock;
         self.el_inflight.push_back((up_to, self.obs.now_ns()));
+        if self.el_replicas > 1 {
+            self.el_unacked.extend(events.iter().copied());
+        }
         self.obs.record(
             self.clock.value(),
             ProtoEvent::ElShip {
@@ -1061,6 +1091,13 @@ impl V2Engine {
         let quorum_w = sorted[(self.el_quorum as usize - 1).min(sorted.len() - 1)];
         if quorum_w > self.el_quorum_acked {
             self.el_quorum_acked = quorum_w;
+            while self
+                .el_unacked
+                .front()
+                .is_some_and(|e| e.receiver_clock <= quorum_w)
+            {
+                self.el_unacked.pop_front();
+            }
             // Feed the quorum watermark through the single-ack path:
             // batch retirement, RTT accounting and the gate all see
             // exactly one (coalesced) ack per quorum
@@ -1068,6 +1105,33 @@ impl V2Engine {
             // per-replica traffic visible in the metrics.
             self.metrics.el_acks_received -= 1;
             self.on_el_ack(quorum_w);
+        }
+    }
+
+    /// `replica` was revived over what its live siblings held when it
+    /// caught up: re-ship it exactly the suffix above its watermark that
+    /// the quorum has not acked yet. A batch that died with its mailbox,
+    /// or was sent while it was down, and that no sibling had stored at
+    /// the catch-up, would otherwise hold the quorum watermark — and the
+    /// gate — below it for good.
+    fn reship_to(&mut self, replica: u32) {
+        let Some(&acked) = self.el_replica_acked.get(replica as usize) else {
+            return;
+        };
+        let events: Vec<ReceptionEvent> = self
+            .el_unacked
+            .iter()
+            .filter(|e| e.receiver_clock > acked)
+            .copied()
+            .collect();
+        if !events.is_empty() {
+            self.outputs.push_back(Output::ReshipEvents {
+                replica,
+                batch: EventBatch {
+                    owner: self.rank,
+                    events,
+                },
+            });
         }
     }
 
@@ -1904,6 +1968,99 @@ mod tests {
         assert_eq!(data_out(&outs(&mut e)).len(), 1);
         assert_eq!(e.metrics().el_acks_received, 1);
         assert_eq!(e.metrics().el_batches_acked, 1);
+    }
+
+    /// A replicated engine (R = 2, Q = 2) that delivered and shipped
+    /// events 1..=`shipped`, one batch each, and has a send gated behind
+    /// the last.
+    fn replicated_with_a_gated_send(shipped: u64) -> V2Engine {
+        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Immediate);
+        e.set_el_replication(2, 2);
+        for h in 1..=shipped {
+            e.handle(Input::AppRecv).unwrap();
+            feed_data(&mut e, Rank(0), h);
+        }
+        e.handle(Input::AppSend {
+            dst: Rank(0),
+            payload: pl(9),
+        })
+        .unwrap();
+        outs(&mut e);
+        e
+    }
+
+    fn reshipped(o: &[Output]) -> Vec<(u32, Vec<u64>)> {
+        o.iter()
+            .filter_map(|x| match x {
+                Output::ReshipEvents { replica, batch } => Some((
+                    *replica,
+                    batch.events.iter().map(|e| e.receiver_clock).collect(),
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_revived_replica_announcing_below_the_shipped_mark_is_reshipped_exactly_the_suffix() {
+        let mut e = replicated_with_a_gated_send(4);
+        for replica in 0..2 {
+            e.handle(Input::ElReplicaAck { replica, up_to: 2 }).unwrap();
+        }
+        // Batches 3 and 4 reached replica 0; replica 1 died with them in
+        // its mailbox (or was down when they were sent).
+        e.handle(Input::ElReplicaAck {
+            replica: 0,
+            up_to: 4,
+        })
+        .unwrap();
+        assert!(!e.gate_open(), "one replica is not the quorum of two");
+        // Revived over a sibling that held event 3 only, it announces 3:
+        // the engine re-ships exactly event 4, to it alone.
+        e.handle(Input::ElReplicaRevived {
+            replica: 1,
+            up_to: 3,
+        })
+        .unwrap();
+        let o = outs(&mut e);
+        assert_eq!(reshipped(&o), [(1, vec![4])]);
+        assert!(!o.iter().any(|x| matches!(x, Output::LogEvents(_))));
+        assert!(data_out(&o).is_empty(), "the gate is still shut");
+        // Its ack of the re-shipped suffix completes the quorum.
+        e.handle(Input::ElReplicaAck {
+            replica: 1,
+            up_to: 4,
+        })
+        .unwrap();
+        assert!(e.gate_open());
+        let o = outs(&mut e);
+        assert_eq!(data_out(&o).len(), 1, "the gated send leaves");
+        assert!(reshipped(&o).is_empty(), "re-shipped once");
+    }
+
+    #[test]
+    fn only_an_announcement_reships_and_only_what_the_quorum_lacks() {
+        let mut e = replicated_with_a_gated_send(3);
+        // A plain ack behind the shipped mark: batches 2 and 3 are merely
+        // in flight to replica 1.
+        e.handle(Input::ElReplicaAck {
+            replica: 1,
+            up_to: 1,
+        })
+        .unwrap();
+        assert!(reshipped(&outs(&mut e)).is_empty());
+        // Once the quorum has acked everything, an announcement below it
+        // owes nothing: the quorum no longer depends on that replica.
+        for replica in 0..2 {
+            e.handle(Input::ElReplicaAck { replica, up_to: 3 }).unwrap();
+        }
+        outs(&mut e);
+        e.handle(Input::ElReplicaRevived {
+            replica: 1,
+            up_to: 2,
+        })
+        .unwrap();
+        assert!(reshipped(&outs(&mut e)).is_empty());
     }
 
     #[test]

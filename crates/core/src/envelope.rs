@@ -136,6 +136,16 @@ pub enum ElReply {
         /// Highest durably-stored receiver clock.
         up_to: u64,
     },
+    /// A revived replica's watermark for the owner, announced unsolicited
+    /// when it starts over the ledger it caught up on: an `Ack`, and the
+    /// owner re-ships it whatever it shipped above `up_to` that a quorum
+    /// has not acked yet — batches lost with the dead replica's mailbox,
+    /// or sent while it was down, that no sibling had stored when the
+    /// revival caught up.
+    Revived {
+        /// Highest durably-stored receiver clock.
+        up_to: u64,
+    },
     /// Answer to [`ElRequest::Download`], in receiver-clock order.
     Events(Vec<ReceptionEvent>),
 }
@@ -183,10 +193,10 @@ pub enum CkptReply {
 
 /// Messages between the checkpoint scheduler and computing daemons.
 //
-// `Status` dwarfs the other variants (it carries four histogram
-// summaries), but these messages are rare — one per rank per scheduler
-// round — and transient, so the size skew costs nothing worth a Box.
-#[allow(clippy::large_enum_variant)]
+// `Status` carries four histogram summaries behind a box: a computing
+// node's mailbox message embeds a `SchedMsg`, and every queued message
+// would otherwise be sized for this rare one (a replay burst queues
+// thousands).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedMsg {
     /// Scheduler asks a daemon for its logging status (§4.6.2: "it asks the
@@ -213,7 +223,7 @@ pub enum SchedMsg {
         el_max_batch: u64,
         /// Latency-histogram summaries for the hot protocol intervals
         /// (gate wait, EL ack RTT, checkpoint upload, replay).
-        timings: mvr_obs::TimingSummary,
+        timings: Box<mvr_obs::TimingSummary>,
     },
     /// Scheduler orders the daemon to checkpoint now.
     CheckpointOrder,

@@ -50,9 +50,6 @@ impl From<usize> for Rank {
 pub enum NodeId {
     /// A computing node's communication daemon for the given rank.
     Computing(Rank),
-    /// The MPI process attached (by its "UNIX socket") to the daemon of
-    /// the given rank.
-    Process(Rank),
     /// An event logger; several may exist, each serving a subset of ranks.
     EventLogger(u32),
     /// A checkpoint server storing checkpoint images.
@@ -69,7 +66,6 @@ impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NodeId::Computing(r) => write!(f, "cn{}", r.0),
-            NodeId::Process(r) => write!(f, "proc{}", r.0),
             NodeId::EventLogger(i) => write!(f, "el{i}"),
             NodeId::CheckpointServer(i) => write!(f, "cs{i}"),
             NodeId::CheckpointScheduler => write!(f, "sc"),
@@ -101,7 +97,7 @@ impl std::error::Error for ParseNodeIdError {}
 impl std::str::FromStr for NodeId {
     type Err = ParseNodeIdError;
 
-    /// Parse the compact names `Display` emits (`cn7`, `proc7`, `el0`,
+    /// Parse the compact names `Display` emits (`cn7`, `el0`,
     /// `cs0`, `sc`, `disp`, `cm3`) — used by progfiles and child-process
     /// role environment variables, so the address a supervisor prints is
     /// exactly the one a child parses back.
@@ -113,9 +109,7 @@ impl std::str::FromStr for NodeId {
             "disp" => return Ok(NodeId::Dispatcher),
             _ => {}
         }
-        if let Some(rest) = s.strip_prefix("proc") {
-            Ok(NodeId::Process(Rank(num(rest)?)))
-        } else if let Some(rest) = s.strip_prefix("cn") {
+        if let Some(rest) = s.strip_prefix("cn") {
             Ok(NodeId::Computing(Rank(num(rest)?)))
         } else if let Some(rest) = s.strip_prefix("el") {
             Ok(NodeId::EventLogger(num(rest)?))
@@ -205,7 +199,6 @@ mod tests {
     fn node_id_parses_its_own_display() {
         let all = [
             NodeId::Computing(Rank(7)),
-            NodeId::Process(Rank(2)),
             NodeId::EventLogger(0),
             NodeId::CheckpointServer(1),
             NodeId::CheckpointScheduler,

@@ -146,6 +146,7 @@ impl World {
                     self.el[r].retain(|e| e.receiver_clock > up_to);
                 }
                 Output::ReplayComplete => {}
+                Output::ReshipEvents { .. } => unreachable!("unreplicated event logger"),
             }
         }
     }

@@ -176,6 +176,7 @@ impl World {
                     node.state.pc += 1;
                 }
                 Output::ElTruncate { .. } | Output::ReplayComplete => {}
+                Output::ReshipEvents { .. } => unreachable!("unreplicated event logger"),
             }
         }
     }

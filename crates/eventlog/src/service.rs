@@ -3,7 +3,7 @@
 //! stays independent of the runtime's daemon message enum.
 
 use crate::store::EventLogStore;
-use mvr_core::{ElReply, ElRequest, Rank};
+use mvr_core::{ElReply, ElRequest, EventBatch, Rank};
 use mvr_net::{Mailbox, RecvError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,7 +105,8 @@ where
     let mut stats = ElServiceStats::default();
     // Revival announcement: a replica that starts over a non-empty
     // ledger (it absorbed a live peer's snapshot after a crash) re-acks
-    // every owner's watermark unsolicited. Daemons whose pessimism gates
+    // every owner's watermark unsolicited, as `Revived` so the owner
+    // re-ships what the dead replica lost. Daemons whose pessimism gates
     // stalled during the sub-quorum window fold these into their quorum
     // trackers and reopen without waiting for new traffic — without
     // this, a fully quiesced deployment could deadlock on a gate no new
@@ -114,7 +115,7 @@ where
     // (Announcements are unsolicited, so they are deliberately absent
     // from `stats.acks` — that counter reconciles against Log packets.)
     for (rank, up_to) in store.lock().watermarks() {
-        let _ = reply(rank, ElReply::Ack { up_to });
+        let _ = reply(rank, ElReply::Revived { up_to });
     }
     let mut killed = false;
     while !killed {
@@ -150,11 +151,18 @@ where
                     // daemon for this owner into one store append. The
                     // merged-away packets are accounted in `merged_logs`
                     // only — counting them in `requests` too would
-                    // double-book every packet of the run.
+                    // double-book every packet of the run. A batch that
+                    // does not continue the run in receiver-clock order
+                    // starts its own append: two incarnations of the
+                    // daemon, or a re-ship next to the retried original,
+                    // can meet in one pass, and the store skips their
+                    // stale events batch by batch.
                     while let Some(next) = backlog.peek() {
                         match &next.req {
                             ElRequest::Log(b)
-                                if next.from == pkt.from && b.owner == batch.owner =>
+                                if next.from == pkt.from
+                                    && b.owner == batch.owner
+                                    && continues(&batch, b) =>
                             {
                                 let Some(ElPacket {
                                     req: ElRequest::Log(b),
@@ -203,6 +211,15 @@ where
         }
     }
     stats
+}
+
+/// Whether `next` extends `run` in strictly increasing receiver-clock
+/// order, so the two append as one ordered batch.
+fn continues(run: &EventBatch, next: &EventBatch) -> bool {
+    match (run.events.last(), next.events.first()) {
+        (Some(last), Some(first)) => last.receiver_clock < first.receiver_clock,
+        _ => true,
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +339,43 @@ mod tests {
             rx.try_recv().is_err(),
             "no further replies may have been produced"
         );
+    }
+
+    #[test]
+    fn a_run_of_logs_out_of_clock_order_is_stored_batch_by_batch() {
+        // One daemon's run in one pass: 2–3, then a re-ship of 3 (next
+        // to its retried original), then 1 from a reincarnation replaying
+        // behind its predecessor's last ship. Merging them blindly would
+        // hand the store an unordered batch; each must append alone.
+        let fabric = Fabric::new();
+        let el_node = NodeId::EventLogger(0);
+        let (mb, _id) = fabric.register::<ElPacket>(el_node);
+        let (tx, rx) = mpsc::channel::<(Rank, ElReply)>();
+        let ev = |rc: u64| ReceptionEvent {
+            sender: Rank(1),
+            sender_clock: rc,
+            receiver_clock: rc,
+            probes: 0,
+        };
+        for clocks in [vec![2, 3], vec![3], vec![1]] {
+            let batch = EventBatch {
+                owner: Rank(3),
+                events: clocks.into_iter().map(ev).collect(),
+            };
+            let pkt = ElPacket {
+                from: Rank(3),
+                req: ElRequest::Log(batch),
+            };
+            fabric.send_from_reliable(el_node, pkt).unwrap();
+        }
+        let h = thread::spawn(move || {
+            run_event_logger(mb, move |r, reply| tx.send((r, reply)).is_ok())
+        });
+        assert_eq!(rx.recv().unwrap(), (Rank(3), ElReply::Ack { up_to: 3 }));
+        fabric.kill(el_node);
+        let (store, stats) = h.join().expect("the service survives the run");
+        assert_eq!(stats.requests, 3, "nothing merged out of order");
+        assert_eq!(store.events_held(Rank(3)), 2, "the stale events skipped");
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub struct CountTrigger {
     pub watch: NodeId,
     /// Fire when the counter reaches this value (1-based).
     pub at: u64,
-    /// The fail-stop group to kill (usually the watched node plus its
-    /// co-located twin, see [`fail_stop_group`]).
+    /// The fail-stop group to kill (usually the watched node's, see
+    /// [`fail_stop_group`]).
     pub kill: Vec<NodeId>,
 }
 
@@ -72,10 +72,11 @@ impl TurbulenceConfig {
     }
 }
 
-/// The fail-stop unit of a computing node: its communication daemon plus
-/// its co-located MPI process (a machine crash takes both, §4.1).
+/// The fail-stop unit of a computing node: its communication daemon and
+/// its co-located MPI process share the node's one fabric slot, so a
+/// machine crash (§4.1) takes that slot.
 pub fn fail_stop_group(rank: Rank) -> Vec<NodeId> {
-    vec![NodeId::Computing(rank), NodeId::Process(rank)]
+    vec![NodeId::Computing(rank)]
 }
 
 /// SplitMix64 finalizer: a statistically solid 64-bit mixer, used to
@@ -91,7 +92,6 @@ fn mix(mut z: u64) -> u64 {
 fn node_code(n: NodeId) -> u64 {
     match n {
         NodeId::Computing(r) => 0x0100 + r.0 as u64,
-        NodeId::Process(r) => 0x0200 + r.0 as u64,
         NodeId::EventLogger(i) => 0x0300 + i as u64,
         NodeId::CheckpointServer(i) => 0x0400 + i as u64,
         NodeId::CheckpointScheduler => 0x0500,
@@ -209,7 +209,7 @@ mod tests {
         assert!(t.on_send(from, to).kill_sender_group.is_none());
         assert!(t.on_send(from, to).kill_sender_group.is_none());
         let g = t.on_send(from, to).kill_sender_group.expect("3rd send");
-        assert_eq!(g.len(), 2);
+        assert_eq!(g, [NodeId::Computing(Rank(2))], "the node's one slot");
         assert!(t.on_send(from, to).kill_sender_group.is_none());
     }
 

@@ -32,7 +32,7 @@ pub use chaos::{fail_stop_group, CountTrigger, TurbulenceConfig};
 pub use error::{RecvError, SendError};
 pub use fabric::{Fabric, Identity};
 pub use frame::{encode_frame, Frame, FrameDecoder, FrameError};
-pub use mailbox::Mailbox;
+pub use mailbox::{MailSignal, Mailbox, Waiter};
 pub use mem::{MemNet, MemTransport};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{DownCause, FrameSink, Transport, TransportError, TransportEvent};

@@ -17,6 +17,17 @@
 //! lock. The depth counter doubles as a lock-free [`Mailbox::len`] for
 //! diagnostics and the health endpoint.
 //!
+//! A computing node's mailbox is drained by whichever of two threads
+//! holds the node — its communication daemon or its MPI process — so
+//! the parker has two roles ([`Waiter`]) and exactly one of them is the
+//! *registered waiter* at any time (the daemon, unless the process took
+//! the role through [`MailSignal::register`]). A push wakes the
+//! registered waiter only; handing the role back to the daemon re-checks
+//! the depth, so a message the process was registered for but never
+//! drained wakes the daemon; [`MailSignal::ring`] wakes one role
+//! directly; a kill wakes both. Every other mailbox has the daemon role
+//! alone and never sees the difference.
+//!
 //! Killing the node closes the mailbox *and empties it* — the paper's
 //! crash-and-recover step empties every channel connected to the crashed
 //! process. Lanes are emptied by the receiver on observing the kill (or
@@ -43,13 +54,53 @@ pub(crate) struct MailCore<M> {
     /// Total queued messages across all lanes (lock-free `len()`).
     depth: AtomicUsize,
     killed: AtomicBool,
-    /// Receivers currently announcing intent to sleep.
-    sleepers: AtomicUsize,
-    /// Parker: token + condvar, touched only on the empty slow path.
-    wake_token: Mutex<bool>,
-    wake_cv: Condvar,
+    /// The registered waiter is the process (else the daemon).
+    process_waits: AtomicBool,
+    /// One parker per [`Waiter`] role, indexed by it.
+    parkers: [Parker; 2],
     /// Fast-path capacity of each sender lane.
     ring_capacity: usize,
+}
+
+/// One role's parker: token + condvar, touched only on the empty slow
+/// path.
+struct Parker {
+    /// Threads of this role announcing intent to sleep.
+    sleepers: AtomicUsize,
+    token: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Default for Parker {
+    fn default() -> Self {
+        Parker {
+            sleepers: AtomicUsize::new(0),
+            token: Mutex::new(false),
+            cv: Condvar::new(),
+        }
+    }
+}
+
+impl Parker {
+    fn wake(&self, all: bool) {
+        *self.token.lock() = true;
+        if all {
+            self.cv.notify_all();
+        } else {
+            self.cv.notify_one();
+        }
+    }
+}
+
+/// The two threads that wait on a computing node's mailbox (see module
+/// docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Waiter {
+    /// The communication daemon: the registered waiter by default, and
+    /// the only role of every other mailbox.
+    Daemon = 0,
+    /// The MPI process, while it waits for the answer to one of its calls.
+    Process = 1,
 }
 
 impl<M> MailCore<M> {
@@ -61,9 +112,8 @@ impl<M> MailCore<M> {
             control_len: AtomicUsize::new(0),
             depth: AtomicUsize::new(0),
             killed: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            wake_token: Mutex::new(false),
-            wake_cv: Condvar::new(),
+            process_waits: AtomicBool::new(false),
+            parkers: Default::default(),
             ring_capacity,
         })
     }
@@ -81,17 +131,33 @@ impl<M> MailCore<M> {
         ring
     }
 
-    /// Account one enqueued message and wake the receiver if it is (or
-    /// is about to be) parked. SeqCst on both sides closes the classic
-    /// sleep/wake race: either the producer's depth increment is ordered
-    /// before the consumer's pre-park depth check (consumer skips the
-    /// park), or the consumer's sleeper announcement is ordered before
-    /// the producer's sleeper check (producer posts the wake token).
+    /// Account one enqueued message and wake the registered waiter if it
+    /// is (or is about to be) parked. SeqCst on both sides closes the
+    /// classic sleep/wake race: either the producer's depth increment is
+    /// ordered before the consumer's pre-park depth check (consumer skips
+    /// the park), or the consumer's sleeper announcement is ordered
+    /// before the producer's sleeper check (producer posts the wake
+    /// token). A role change in between is [`MailSignal::register`]'s to
+    /// close.
     pub(crate) fn notify_push(&self) {
         self.depth.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            self.wake(false);
+        let parker = &self.parkers[self.registered() as usize];
+        if parker.sleepers.load(Ordering::SeqCst) > 0 {
+            parker.wake(false);
         }
+    }
+
+    fn registered(&self) -> Waiter {
+        if self.process_waits.load(Ordering::SeqCst) {
+            Waiter::Process
+        } else {
+            Waiter::Daemon
+        }
+    }
+
+    /// A message is queued and `who` is the waiter it is for.
+    fn ready(&self, who: Waiter) -> bool {
+        self.depth.load(Ordering::SeqCst) > 0 && self.registered() == who
     }
 
     /// Enqueue on the control lane; returns false if the mailbox is
@@ -125,41 +191,81 @@ impl<M> MailCore<M> {
                 self.depth.fetch_sub(n, Ordering::SeqCst);
             }
         }
-        self.wake(true);
-    }
-
-    fn wake(&self, all: bool) {
-        let mut token = self.wake_token.lock();
-        *token = true;
-        drop(token);
-        if all {
-            self.wake_cv.notify_all();
-        } else {
-            self.wake_cv.notify_one();
+        for parker in &self.parkers {
+            parker.wake(true);
         }
     }
 
-    /// Park until a wake token is posted, the deadline passes, or there
-    /// is observably work/kill to process. Consumes the token.
-    fn park(&self, deadline: Option<Instant>) {
-        let mut token = self.wake_token.lock();
+    /// Park as `who` until its wake token is posted, the deadline passes,
+    /// or there is observably work for it or a kill. Consumes the token.
+    fn park(&self, who: Waiter, deadline: Option<Instant>) {
+        let parker = &self.parkers[who as usize];
+        parker.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut token = parker.token.lock();
         loop {
             if *token {
                 *token = false;
-                return;
+                break;
             }
-            if self.killed.load(Ordering::SeqCst) || self.depth.load(Ordering::SeqCst) > 0 {
-                return;
+            if self.is_killed() || self.ready(who) {
+                break;
             }
             match deadline {
                 Some(d) => {
-                    if self.wake_cv.wait_until(&mut token, d).timed_out() {
-                        return;
+                    if parker.cv.wait_until(&mut token, d).timed_out() {
+                        break;
                     }
                 }
-                None => self.wake_cv.wait(&mut token),
+                None => parker.cv.wait(&mut token),
             }
         }
+        drop(token);
+        parker.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The waiting side of a computing node's mailbox, for the two threads
+/// that drain it in turn (see module docs). Shared freely: waiting needs
+/// no consumer state, and draining is the [`Mailbox`] holder's.
+pub struct MailSignal<M>(Arc<MailCore<M>>);
+
+impl<M> Clone for MailSignal<M> {
+    fn clone(&self) -> Self {
+        MailSignal(self.0.clone())
+    }
+}
+
+impl<M> MailSignal<M> {
+    /// Make `who` the waiter a push wakes. Handing the role back to the
+    /// daemon wakes it if a message is queued: a push that came while the
+    /// process held the role woke the process only, which may have
+    /// stopped waiting without draining it.
+    pub fn register(&self, who: Waiter) {
+        let core = &self.0;
+        core.process_waits
+            .store(who == Waiter::Process, Ordering::SeqCst);
+        if who == Waiter::Daemon && core.depth.load(Ordering::SeqCst) > 0 {
+            core.parkers[Waiter::Daemon as usize].wake(false);
+        }
+    }
+
+    /// Park as `who` until a message is queued while it is the registered
+    /// waiter, it is [`ring`](Self::ring)ing, or the mailbox is killed
+    /// ([`RecvError::Killed`]). May return with nothing to do; the caller
+    /// re-checks what it waits for.
+    pub fn wait(&self, who: Waiter) -> Result<(), RecvError> {
+        self.0.park(who, None);
+        if self.0.is_killed() {
+            Err(RecvError::Killed)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Wake `who` whether or not a message is queued: what it waits for
+    /// was produced by the other role.
+    pub fn ring(&self, who: Waiter) {
+        self.0.parkers[who as usize].wake(false);
     }
 }
 
@@ -239,11 +345,7 @@ impl<M> Mailbox<M> {
             if let Some(m) = self.poll_once() {
                 return Ok(m);
             }
-            self.core.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.core.depth.load(Ordering::SeqCst) == 0 && !self.core.is_killed() {
-                self.core.park(None);
-            }
-            self.core.sleepers.fetch_sub(1, Ordering::SeqCst);
+            self.core.park(Waiter::Daemon, None);
         }
     }
 
@@ -261,11 +363,7 @@ impl<M> Mailbox<M> {
             if Instant::now() >= deadline {
                 return Err(RecvError::Timeout);
             }
-            self.core.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.core.depth.load(Ordering::SeqCst) == 0 && !self.core.is_killed() {
-                self.core.park(Some(deadline));
-            }
-            self.core.sleepers.fetch_sub(1, Ordering::SeqCst);
+            self.core.park(Waiter::Daemon, Some(deadline));
         }
     }
 
@@ -314,6 +412,12 @@ impl<M> Mailbox<M> {
     /// Whether the node incarnation owning this mailbox was killed.
     pub fn is_killed(&self) -> bool {
         self.core.is_killed()
+    }
+
+    /// The waiting side of this mailbox, for threads that drain it
+    /// through whoever holds it.
+    pub fn signal(&self) -> MailSignal<M> {
+        MailSignal(self.core.clone())
     }
 }
 
@@ -576,6 +680,84 @@ mod tests {
         assert_eq!(mb.len(), 5);
         mb.recv().unwrap();
         assert_eq!(mb.len(), 4);
+    }
+
+    /// Both roles announced asleep, as if each were parked.
+    fn both_asleep<M>(mb: &Mailbox<M>) {
+        for parker in &mb.core.parkers {
+            parker.sleepers.store(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Which roles hold a wake token; takes the tokens.
+    fn rung<M>(mb: &Mailbox<M>) -> [bool; 2] {
+        mb.core
+            .parkers
+            .each_ref()
+            .map(|p| std::mem::take(&mut *p.token.lock()))
+    }
+
+    #[test]
+    fn a_push_wakes_only_the_registered_process() {
+        let (lane, mb) = pair();
+        let signal = mb.signal();
+        both_asleep(&mb);
+        signal.register(Waiter::Process);
+        lane.push(1).unwrap();
+        assert_eq!(rung(&mb), [false, true], "[daemon, process]");
+        // The process is the waiter the queued message is for: its wait
+        // returns at once.
+        assert_eq!(signal.wait(Waiter::Process), Ok(()));
+    }
+
+    #[test]
+    fn a_push_after_the_hand_back_wakes_the_daemon() {
+        let (lane, mb) = pair();
+        let signal = mb.signal();
+        both_asleep(&mb);
+        signal.register(Waiter::Process);
+        signal.register(Waiter::Daemon);
+        assert_eq!(rung(&mb), [false, false], "nothing queued, nobody woken");
+        lane.push(1).unwrap();
+        assert_eq!(rung(&mb), [true, false]);
+        assert_eq!(signal.wait(Waiter::Daemon), Ok(()));
+    }
+
+    #[test]
+    fn a_hand_back_with_a_message_queued_wakes_the_daemon() {
+        let (lane, mb) = pair();
+        let signal = mb.signal();
+        both_asleep(&mb);
+        signal.register(Waiter::Process);
+        lane.push(1).unwrap();
+        assert_eq!(rung(&mb), [false, true]);
+        // The process stops waiting without draining: the message must
+        // not sit unseen behind a sleeping daemon.
+        signal.register(Waiter::Daemon);
+        assert_eq!(rung(&mb), [true, false]);
+        assert_eq!(mb.try_recv(), Ok(Some(1)));
+    }
+
+    #[test]
+    fn a_ring_wakes_one_role_with_nothing_queued() {
+        let (_lane, mb) = pair();
+        let signal = mb.signal();
+        signal.ring(Waiter::Process);
+        assert_eq!(rung(&mb), [false, true]);
+        signal.ring(Waiter::Process);
+        assert_eq!(signal.wait(Waiter::Process), Ok(()), "consumes the token");
+        assert_eq!(rung(&mb), [false, false]);
+    }
+
+    #[test]
+    fn a_kill_wakes_both_roles() {
+        let (_lane, mb) = pair();
+        let signal = mb.signal();
+        signal.register(Waiter::Process);
+        mb.core.kill();
+        assert_eq!(rung(&mb), [true, true]);
+        assert_eq!(signal.wait(Waiter::Process), Err(RecvError::Killed));
+        assert_eq!(signal.wait(Waiter::Daemon), Err(RecvError::Killed));
     }
 
     #[test]

@@ -35,6 +35,13 @@
 //! higher incarnation; the acceptor then synthesizes `PeerDown` (old)
 //! followed by `PeerUp` (new), so reincarnation is never mistaken for
 //! continuity.
+//!
+//! Every thread an endpoint spawns (acceptor, connection readers, link
+//! actors) is joined by [`Transport::shutdown`]: each one checks the
+//! closed flag at least once per read tick or wakes on its link's
+//! signal, so the endpoint is gone — not merely told to go — within that
+//! bound, and a process that shuts its transport down exits with no
+//! socket thread still unwinding.
 
 use crate::frame::{frame_header, Frame, FrameDecoder, FLAG_HELLO, FLAG_PING, MAX_FRAME_PAYLOAD};
 use crate::transport::{
@@ -109,9 +116,40 @@ struct Shared {
     /// Application frames accepted by `send` that wait for a link (not
     /// yet written, nor dropped by fail-stop) — what `flush` waits on.
     inflight: AtomicU64,
+    /// Every worker thread this endpoint spawned; `shutdown` joins them.
+    threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl Shared {
+    /// Spawn one of the endpoint's worker threads, to be joined at
+    /// shutdown; refused once the endpoint is closed (shutdown may have
+    /// collected the last handles already).
+    fn spawn(&self, name: String, work: impl FnOnce() + Send + 'static) -> io::Result<()> {
+        let mut threads = self.threads.lock();
+        if self.closed() {
+            return Err(ErrorKind::NotConnected.into());
+        }
+        threads.push(thread::Builder::new().name(name).spawn(work)?);
+        Ok(())
+    }
+
+    /// Join every worker thread, including those spawned by workers
+    /// being joined (a reader its acceptor started), except the caller.
+    fn join_workers(&self) {
+        let me = thread::current().id();
+        loop {
+            let batch = std::mem::take(&mut *self.threads.lock());
+            if batch.is_empty() {
+                return;
+            }
+            for handle in batch {
+                if handle.thread().id() != me {
+                    let _ = handle.join();
+                }
+            }
+        }
+    }
+
     /// Record one live link to `peer` (announced at `incarnation`),
     /// emitting `PeerUp` on the 0→1 transition and a synthetic
     /// down/up pair when a known peer reappears reincarnated.
@@ -296,12 +334,12 @@ impl TcpTransport {
             peers: Mutex::new(HashMap::new()),
             closed: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
+            threads: Mutex::new(Vec::new()),
         });
         let accept_shared = shared.clone();
-        thread::Builder::new()
-            .name(format!("tcp-accept-{node}"))
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn accept loop");
+        shared.spawn(format!("tcp-accept-{node}"), move || {
+            accept_loop(listener, accept_shared)
+        })?;
         Ok(TcpTransport {
             shared,
             listener_addr,
@@ -329,10 +367,12 @@ impl TcpTransport {
                 wake: Condvar::new(),
             });
             let (actor_link, shared) = (link.clone(), self.shared.clone());
-            thread::Builder::new()
-                .name(format!("tcp-out-{}-{peer}", self.shared.node))
-                .spawn(move || link_actor(peer, &actor_link, &shared))
-                .expect("spawn link actor");
+            // Refused only after shutdown, when no frame leaves anyway.
+            let _ = self
+                .shared
+                .spawn(format!("tcp-out-{}-{peer}", self.shared.node), move || {
+                    link_actor(peer, &actor_link, &shared)
+                });
             link
         });
         link.clone()
@@ -428,15 +468,16 @@ impl Transport for TcpTransport {
     }
 
     fn shutdown(&self) {
-        if self.shared.closed.swap(true, Ordering::AcqRel) {
-            return;
+        if !self.shared.closed.swap(true, Ordering::AcqRel) {
+            // Every actor closes its stream on the way out; the accept
+            // loop sits in a blocking `accept` until a connection
+            // arrives; readers see the flag within a read tick.
+            for (_, link) in self.links.lock().drain() {
+                link.wake();
+            }
+            let _ = TcpStream::connect(&self.listener_addr);
         }
-        // Every actor closes its stream on the way out; the accept loop
-        // sits in a blocking `accept` until a connection arrives.
-        for (_, link) in self.links.lock().drain() {
-            link.wake();
-        }
-        let _ = TcpStream::connect(&self.listener_addr);
+        self.shared.join_workers();
     }
 }
 
@@ -454,9 +495,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         match stream {
             Ok(stream) => {
                 let conn_shared = shared.clone();
-                let _ = thread::Builder::new()
-                    .name(format!("tcp-in-{}", shared.node))
-                    .spawn(move || greet_conn(stream, conn_shared));
+                let _ = shared.spawn(format!("tcp-in-{}", shared.node), move || {
+                    greet_conn(stream, conn_shared)
+                });
             }
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
@@ -532,7 +573,7 @@ fn greet_conn(mut stream: TcpStream, shared: Arc<Shared>) {
     };
     shared.link_up(peer, incarnation);
     let name = format!("tcp-in-{}-{peer}", shared.node);
-    let reader = thread::Builder::new().name(name).spawn({
+    let reader = shared.spawn(name, {
         let shared = shared.clone();
         move || reader_conn(stream, decoder, peer, &shared)
     });
@@ -774,6 +815,50 @@ mod tests {
             TransportEvent::Frame { payload, .. } if payload == b"pong"
         ))
         .is_some());
+    }
+
+    /// Names of this process's threads (as the kernel truncates them)
+    /// that contain `tag`.
+    #[cfg(target_os = "linux")]
+    fn threads_named(tag: &str) -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("task list")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_string())
+            .filter(|comm| comm.starts_with("tcp-") && comm.contains(tag))
+            .collect()
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn shutdown_joins_every_thread_the_endpoint_spawned() {
+        // Node numbers no other test uses, so the thread names below
+        // are this endpoint's alone.
+        let (x, y) = (cn(90), cn(91));
+        let a = TcpTransport::bind(x, "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        let b = TcpTransport::bind(y, "127.0.0.1:0", 1, quick_cfg()).unwrap();
+        a.set_route(y, b.local_addr().unwrap());
+        b.set_route(x, a.local_addr().unwrap());
+        // Live links both ways: `a` runs an acceptor, a link actor and a
+        // connection reader.
+        a.send(y, b"ping".to_vec()).unwrap();
+        b.send(x, b"pong".to_vec()).unwrap();
+        for (t, payload) in [(&b, &b"ping"[..]), (&a, &b"pong"[..])] {
+            assert!(wait_for(t, Duration::from_secs(5), |e| matches!(
+                e,
+                TransportEvent::Frame { payload: p, .. } if p == payload
+            ))
+            .is_some());
+        }
+        let running = threads_named("cn90");
+        assert!(
+            running.len() >= 3,
+            "acceptor, actor and reader expected: {running:?}"
+        );
+        a.shutdown();
+        assert_eq!(threads_named("cn90"), Vec::<String>::new());
+        b.shutdown();
+        assert_eq!(threads_named("cn91"), Vec::<String>::new());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //!
 //! "The MPI process side is identical to V2" (the channel interface
 //! hides the protocol, §4.4), and so is the node: each baseline is a
-//! `NodeCore` behind the same [`NodeHandle`](crate::node::NodeHandle),
-//! driven by the same two threads — the process calls it inline and
-//! parks only when it has nothing to deliver, the daemon thread serves
-//! the node mailbox into it. Only the core and the services differ:
+//! `NodeCore` behind the same `NodeHandle`, driven by the same two
+//! threads — the process calls it inline, parks only when it has nothing
+//! to deliver and then drains the node mailbox into it itself, the
+//! daemon thread drains what arrives while the process computes. Only
+//! the core and the services differ:
 //!
 //! * **V1** — every send is pushed to the *receiver's* Channel Memory;
 //!   receives pull reception `seq` numbers from the node's own CM, so a
@@ -20,8 +21,8 @@
 //! * **P4** — direct transmission. A crash is fatal to the run (there is
 //!   nothing to replay from), exactly like the real MPICH-P4.
 
-use crate::messages::{DaemonMsg, ProcReply};
-use crate::node::{NodeCore, NodeEnd, Port};
+use crate::messages::DaemonMsg;
+use crate::node::{Answer, NodeCore, NodeEnd, Port};
 use mvr_core::baseline::p4::{P4Engine, P4Output};
 use mvr_core::baseline::v1::{V1Engine, V1Output};
 use mvr_core::{CmRequest, NodeId, Payload, Rank};
@@ -63,22 +64,21 @@ impl P4Core {
         }
     }
 
-    /// Perform every queued output; returns the answer to the process's
-    /// call, if the engine produced one.
-    fn pump(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
-        let mut answer = None;
+    /// Perform every queued output; an answer to the process's call goes
+    /// to the port's slot.
+    fn pump(&mut self) -> Result<(), NodeEnd> {
         while let Some(out) = self.engine.pop_output() {
             match out {
                 // A dead peer loses the message: P4 has nothing to
                 // replay it from, and the supervisor fails the run.
                 P4Output::Transmit { to, msg } => drop(self.port.transmit(to, msg)?),
                 P4Output::Deliver { from, payload } => {
-                    answer = Some(ProcReply::Msg { from, payload })
+                    self.port.answer(Answer::Msg { from, payload })
                 }
-                P4Output::ProbeAnswer(b) => answer = Some(ProcReply::Probe(b)),
+                P4Output::ProbeAnswer(b) => self.port.answer(Answer::Probe(b)),
             }
         }
-        Ok(answer)
+        Ok(())
     }
 }
 
@@ -87,33 +87,37 @@ impl NodeCore for P4Core {
         if let DaemonMsg::Peer { from, msg } = msg {
             self.engine.on_peer(from, msg);
         }
-        let answer = self.pump()?;
-        self.port.wake(answer)
+        self.pump()
     }
 
     fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd> {
         self.engine.app_send(dst, bytes);
-        self.pump().map(drop)
+        self.pump()
     }
 
-    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_recv(&mut self) -> Result<(), NodeEnd> {
         self.engine.app_recv();
         self.pump()
     }
 
-    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_probe(&mut self) -> Result<(), NodeEnd> {
         self.engine.app_probe();
         self.pump()
     }
 
-    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_finish(&mut self) -> Result<(), NodeEnd> {
         self.port
             .finalized(*self.engine.metrics(), Default::default())?;
-        Ok(Some(ProcReply::Done))
+        self.port.answer(Answer::Done);
+        Ok(())
     }
 
     fn port(&self) -> &Port {
         &self.port
+    }
+
+    fn port_mut(&mut self) -> &mut Port {
+        &mut self.port
     }
 
     fn outputs_pending(&self) -> usize {
@@ -138,10 +142,9 @@ impl V1Core {
         }
     }
 
-    /// Perform every queued output; returns the answer for the parked
-    /// process, if a CM reply produced one.
-    fn pump(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
-        let mut answer = None;
+    /// Perform every queued output; an answer for the parked process, if
+    /// a CM reply produced one, goes to the port's slot.
+    fn pump(&mut self) -> Result<(), NodeEnd> {
         while let Some(out) = self.engine.pop_output() {
             match out {
                 V1Output::ToCm { owner, req } => {
@@ -150,12 +153,12 @@ impl V1Core {
                     self.port.send(to, CmPacket { owner, from, req })?;
                 }
                 V1Output::Deliver { from, payload } => {
-                    answer = Some(ProcReply::Msg { from, payload })
+                    self.port.answer(Answer::Msg { from, payload })
                 }
-                V1Output::ProbeAnswer(b) => answer = Some(ProcReply::Probe(b)),
+                V1Output::ProbeAnswer(b) => self.port.answer(Answer::Probe(b)),
             }
         }
-        Ok(answer)
+        Ok(())
     }
 }
 
@@ -164,35 +167,39 @@ impl NodeCore for V1Core {
         if let DaemonMsg::Cm(reply) = msg {
             self.engine.on_cm_reply(reply);
         }
-        let answer = self.pump()?;
-        self.port.wake(answer)
+        self.pump()
     }
 
     fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd> {
         self.engine.app_send(dst, bytes);
-        self.pump().map(drop)
+        self.pump()
     }
 
     /// Always parks: the pull's answer comes back through the node
     /// mailbox.
-    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_recv(&mut self) -> Result<(), NodeEnd> {
         self.engine.app_recv();
         self.pump()
     }
 
-    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_probe(&mut self) -> Result<(), NodeEnd> {
         self.engine.app_probe();
         self.pump()
     }
 
-    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_finish(&mut self) -> Result<(), NodeEnd> {
         self.port
             .finalized(*self.engine.metrics(), Default::default())?;
-        Ok(Some(ProcReply::Done))
+        self.port.answer(Answer::Done);
+        Ok(())
     }
 
     fn port(&self) -> &Port {
         &self.port
+    }
+
+    fn port_mut(&mut self) -> &mut Port {
+        &mut self.port
     }
 
     fn outputs_pending(&self) -> usize {

@@ -472,10 +472,6 @@ impl Cluster {
                 if self.disp_rec.trace_stderr() {
                     eprintln!("[disp] respawn r{}: reincarnating", rank.0);
                 }
-                // Enforce fail-stop before reincarnating: a kill that
-                // raced the two-step registration below can leave the
-                // co-located process slot alive after its daemon died.
-                self.fabric.kill(NodeId::Process(rank));
                 let slots = register_node(&self.fabric, rank);
                 self.start_rank(rank, slots, restart);
             }

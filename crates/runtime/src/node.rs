@@ -1,14 +1,20 @@
 //! A computing node: one shared node core — the protocol engine with
-//! everything needed to act on its outputs, behind one lock — driven by
-//! two threads, whichever protocol the node runs (V2's core is here, the
-//! V1/P4 baselines' in [`crate::baseline`]). The communication daemon
-//! thread drains the node mailbox (peer data, event-logger acks,
-//! checkpoint and Channel Memory traffic, `RESTART` handshakes); the
-//! MPI-process thread runs the user application and makes its `send` /
-//! `recv` / `probe` / checkpoint / finish calls on the core directly,
-//! under the daemon's [`Identity`]. The daemon→process mailbox carries
-//! `InitOk` once and, after that, only the wake-up of a process parked on
-//! a call the core could not answer; nothing travels the other way.
+//! everything needed to act on its outputs, and the node mailbox it
+//! drains, behind one lock — driven by two threads, whichever protocol
+//! the node runs (V2's core is here, the V1/P4 baselines' in
+//! [`crate::baseline`]). The MPI-process thread runs the user
+//! application and makes its `send` / `recv` / `probe` / checkpoint /
+//! finish calls on the core directly, under the daemon's [`Identity`].
+//! The node mailbox (peer data, event-logger acks, checkpoint and
+//! Channel Memory traffic, `RESTART` handshakes) is drained by whichever
+//! thread a push wakes: the MPI process while it waits for the answer to
+//! one of its calls — it is then the mailbox's registered waiter
+//! ([`Waiter::Process`]), drains what arrives into the core itself and
+//! takes its answer from the core's slot — and the communication daemon
+//! thread otherwise, i.e. for what arrives while the process computes.
+//! An answer the daemon's drain produces for a parked process is left in
+//! the same slot, and the daemon rings the process directly. A message
+//! thus costs one thread wake-up, whoever takes it.
 //!
 //! §4.4 puts the daemon between the MPI process and the wire ("the MPI
 //! process does not connect directly to all the other computing nodes.
@@ -21,16 +27,16 @@
 use crate::baseline::{P4Core, V1Core};
 use crate::channel::DaemonChannel;
 use crate::deploy::Topology;
-use crate::messages::{DaemonMsg, DispatcherMsg, ProcReply};
+use crate::messages::{DaemonMsg, DispatcherMsg};
 use mvr_ckpt::CkptPacket;
 use mvr_core::engine::{Input, Output};
 use mvr_core::{
-    CkptReply, CkptRequest, ElReply, ElRequest, Metrics, NodeId, NodeImage, Payload, PeerMsg, Rank,
-    ReceptionEvent, SchedMsg, V2Engine,
+    CkptReply, CkptRequest, ElReply, ElRequest, EventBatch, Metrics, NodeId, NodeImage, Payload,
+    PeerMsg, Rank, ReceptionEvent, SchedMsg, V2Engine,
 };
 use mvr_eventlog::ElPacket;
 use mvr_mpi::{Mpi, MpiError, MpiResult};
-use mvr_net::{Fabric, Identity, Mailbox, RecvError, SendError};
+use mvr_net::{Fabric, Identity, MailSignal, Mailbox, RecvError, SendError, Waiter};
 use mvr_obs::ProtocolTimings;
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -44,10 +50,14 @@ use std::time::{Duration, Instant};
 /// with an empty store and would never answer the stale query).
 const CS_FETCH_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Upper bound on one batched drain of the daemon mailbox. Bounds the
+/// How long a restarting node waits for its event-logger replicas'
+/// `DownloadEL` answers before asking the silent ones again.
+const EL_DOWNLOAD_RETRY: Duration = Duration::from_millis(20);
+
+/// Upper bound on one batched drain of the node mailbox. Bounds the
 /// latency of the post-drain event flush during a sustained flood; an
 /// oversize backlog simply takes another (already-woken) pass.
-const DAEMON_DRAIN_BATCH: usize = 128;
+const DRAIN_BATCH: usize = 128;
 
 /// Send to a reliable service, retrying transient `Disconnected` errors
 /// with exponential backoff. A dead service being relaunched by the
@@ -166,24 +176,66 @@ pub struct NodeConfig {
     pub recorder: mvr_obs::Recorder,
 }
 
-/// The fabric registrations of one node incarnation, created *before* the
+/// The fabric registration of one node incarnation, created *before* the
 /// threads start so peers never race a half-registered node.
 pub struct NodeSlots {
-    daemon_mb: Mailbox<DaemonMsg>,
-    daemon_id: Identity,
-    proc_mb: Mailbox<ProcReply>,
+    mailbox: Mailbox<DaemonMsg>,
+    identity: Identity,
 }
 
-/// Register a (fresh or reincarnated) node on the fabric. The process
-/// slot only receives: every send of the node goes out under the
-/// daemon's identity.
+/// Register a (fresh or reincarnated) node on the fabric: one mailbox,
+/// which both threads drain, and one identity, under which every send of
+/// the node goes out.
 pub fn register_node(fabric: &Fabric, rank: Rank) -> NodeSlots {
-    let (daemon_mb, daemon_id) = fabric.register::<DaemonMsg>(NodeId::Computing(rank));
-    let (proc_mb, _) = fabric.register::<ProcReply>(NodeId::Process(rank));
-    NodeSlots {
-        daemon_mb,
-        daemon_id,
-        proc_mb,
+    let (mailbox, identity) = fabric.register::<DaemonMsg>(NodeId::Computing(rank));
+    NodeSlots { mailbox, identity }
+}
+
+/// What the daemon hands its MPI process once the node's core exists
+/// (§4.4 `PIiInit`).
+pub(crate) struct NodeInit {
+    /// World size.
+    pub(crate) size: u32,
+    /// The MPI-library and application state restored from a
+    /// checkpoint, if any.
+    pub(crate) restored: Option<(Payload, Payload)>,
+    /// The node core the process drives for every later call.
+    pub(crate) node: NodeHandle,
+}
+
+/// Where the MPI process finds its node: the daemon leaves the
+/// [`NodeInit`] here and rings the process, which parks meanwhile on the
+/// node mailbox's signal — the one it parks on for every later answer.
+#[derive(Clone)]
+pub(crate) struct Handover {
+    signal: MailSignal<DaemonMsg>,
+    init: Arc<Mutex<Option<NodeInit>>>,
+}
+
+impl Handover {
+    fn new(signal: MailSignal<DaemonMsg>) -> Self {
+        Handover {
+            signal,
+            init: Arc::default(),
+        }
+    }
+
+    fn give(&self, init: NodeInit) {
+        *self.init.lock() = Some(init);
+        self.signal.ring(Waiter::Process);
+    }
+
+    /// The process side: park until the daemon hands the node over.
+    pub(crate) fn take(&self) -> Result<NodeInit, NodeEnd> {
+        loop {
+            if let Some(init) = self.init.lock().take() {
+                return Ok(init);
+            }
+            debug_assert_parkable();
+            self.signal
+                .wait(Waiter::Process)
+                .map_err(|_| NodeEnd::Killed)?;
+        }
     }
 }
 
@@ -194,11 +246,9 @@ pub fn start_node(
     app: Arc<dyn MpiApp>,
     exit_tx: mpsc::Sender<NodeExit>,
 ) -> Vec<std::thread::JoinHandle<()>> {
-    let NodeSlots {
-        daemon_mb,
-        daemon_id,
-        proc_mb,
-    } = slots;
+    let NodeSlots { mailbox, identity } = slots;
+    let handover = Handover::new(mailbox.signal());
+    let proc_handover = handover.clone();
     let rank = cfg.rank;
     let daemon_exit_tx = exit_tx.clone();
     let proc_obs = cfg.recorder.clone();
@@ -216,7 +266,7 @@ pub fn start_node(
             // the run immediately.
             let obs = cfg.recorder.clone();
             let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                daemon_main(daemon_mb, daemon_id, cfg)
+                daemon_main(mailbox, identity, cfg, &handover)
             }));
             if obs.trace_stderr() {
                 eprintln!("[dmn r{}] daemon exit: {:?}", rank.0, end);
@@ -236,7 +286,7 @@ pub fn start_node(
     let process = std::thread::Builder::new()
         .name(format!("mpi-{rank}"))
         .spawn(move || {
-            let chan = DaemonChannel::new(rank, proc_mb);
+            let chan = DaemonChannel::new(rank, proc_handover);
             let run = || -> MpiResult<Payload> {
                 let (mut mpi, restored) = Mpi::init(chan)?;
                 let out = app.run(&mut mpi, restored)?;
@@ -298,8 +348,9 @@ thread_local! {
 }
 
 /// Structural invariant of the two-driver node: a thread never blocks on
-/// a mailbox while it holds the node lock (the other driver would stall
-/// behind it, and the wake-up it waits for could never be produced).
+/// the node mailbox while it holds the node lock (the other driver would
+/// stall behind it, and the wake-up it waits for could never be
+/// produced).
 pub(crate) fn debug_assert_parkable() {
     debug_assert!(
         !HOLDS_NODE_LOCK.get(),
@@ -307,21 +358,33 @@ pub(crate) fn debug_assert_parkable() {
     );
 }
 
-/// The shared handle to a node's core: what the daemon thread serves the
-/// node mailbox into, and what the MPI process receives in `InitOk` to
-/// make its channel calls on.
+/// The shared handle to a node's core: what both threads drain the node
+/// mailbox into, and what the MPI process is handed at init to make its
+/// channel calls on.
 #[derive(Clone)]
-pub struct NodeHandle(Arc<Mutex<dyn NodeCore>>);
+pub(crate) struct NodeHandle {
+    core: Arc<Mutex<dyn NodeCore>>,
+    /// The node mailbox's waiting side; the mailbox itself is in the
+    /// core's [`Port`], under the lock.
+    signal: MailSignal<DaemonMsg>,
+}
 
-impl std::fmt::Debug for NodeHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("NodeHandle")
+/// Give the node mailbox's waiter role back to the daemon when the
+/// process stops waiting, however it stops (an answer, a kill, a panic).
+struct HandBack<'a>(&'a MailSignal<DaemonMsg>);
+
+impl Drop for HandBack<'_> {
+    fn drop(&mut self) {
+        self.0.register(Waiter::Daemon);
     }
 }
 
 impl NodeHandle {
-    fn new(core: impl NodeCore + 'static) -> Self {
-        NodeHandle(Arc::new(Mutex::new(core)))
+    fn new(core: impl NodeCore + 'static, signal: MailSignal<DaemonMsg>) -> Self {
+        NodeHandle {
+            core: Arc::new(Mutex::new(core)),
+            signal,
+        }
     }
 
     /// Run `f` on the core under the node lock — the only way to reach
@@ -336,7 +399,7 @@ impl NodeHandle {
         &self,
         f: impl FnOnce(&mut dyn NodeCore) -> Result<T, NodeEnd>,
     ) -> Result<T, NodeEnd> {
-        let mut core = self.0.lock();
+        let mut core = self.core.lock();
         if !core.port().identity.is_live() {
             return Err(NodeEnd::Killed);
         }
@@ -354,29 +417,103 @@ impl NodeHandle {
         out
     }
 
-    /// One pass of the daemon driver: serve `batch` into the core, then
-    /// ship what must not wait while the node idles. On the first pass
-    /// `init` hands the process its node in the same lock hold, so the
-    /// process's first call sees the core exactly as that pass left it.
-    fn pass(&self, batch: &mut Vec<DaemonMsg>, init: Option<ProcReply>) -> Result<(), NodeEnd> {
+    /// Make one of the process's calls that can wait (`f`: a receive, a
+    /// probe or a finish) and return its answer. When the core cannot
+    /// answer on the spot, the process becomes the node mailbox's
+    /// registered waiter and drains what arrives into the core itself
+    /// until the answer is in the slot — or the daemon, having drained
+    /// the message that made it, rings.
+    pub(crate) fn call(
+        &self,
+        f: impl FnOnce(&mut dyn NodeCore) -> Result<(), NodeEnd>,
+    ) -> Result<Answer, NodeEnd> {
+        let inline = self.with(|core| {
+            f(core)?;
+            let answer = core.port_mut().answer.take();
+            if answer.is_none() {
+                // In the lock hold that registered the wait: from here
+                // on, an arrival wakes the process, not the daemon.
+                self.signal.register(Waiter::Process);
+            }
+            Ok(answer)
+        })?;
+        if let Some(answer) = inline {
+            return Ok(answer);
+        }
+        let _hand_back = HandBack(&self.signal);
+        loop {
+            debug_assert_parkable();
+            self.signal
+                .wait(Waiter::Process)
+                .map_err(|_| NodeEnd::Killed)?;
+            if let Some(answer) = self.process_pass()? {
+                return Ok(answer);
+            }
+        }
+    }
+
+    /// One pass of a parked process: drain the node mailbox, and take the
+    /// answer if it is there now.
+    fn process_pass(&self) -> Result<Option<Answer>, NodeEnd> {
         self.with(|core| {
-            batch
-                .drain(..)
-                .try_for_each(|msg| core.on_daemon_msg(msg))?;
-            core.ship_pending()?;
-            init.map_or(Ok(()), |init| core.port().to_proc(init))
+            drain(core)?;
+            Ok(core.port_mut().answer.take())
         })
+    }
+
+    /// One pass of the daemon driver: drain the node mailbox, and ring
+    /// the process if the drain left the answer it is parked on.
+    fn daemon_pass(&self) -> Result<(), NodeEnd> {
+        let answered = self.with(|core| {
+            drain(core)?;
+            Ok(core.port().answer.is_some())
+        })?;
+        if answered {
+            self.signal.ring(Waiter::Process);
+        }
+        Ok(())
     }
 }
 
-/// A protocol's node core. Thread-free — both drivers (the daemon thread
-/// for the node mailbox, the MPI process for its own channel calls) enter
-/// it through [`NodeHandle::with`] — and every fabric send it makes goes
-/// out through its [`Port`], under the daemon's one [`Identity`], so
+/// One drain pass, by either driver: serve up to [`DRAIN_BATCH`] node
+/// mailbox messages into the core, then ship what must not wait while
+/// the node idles.
+fn drain(core: &mut dyn NodeCore) -> Result<(), NodeEnd> {
+    for _ in 0..DRAIN_BATCH {
+        match core.port().mailbox.try_recv() {
+            Ok(Some(msg)) => core.on_daemon_msg(msg)?,
+            Ok(None) => break,
+            Err(_) => return Err(NodeEnd::Killed),
+        }
+    }
+    core.ship_pending()
+}
+
+/// The answer to one of the MPI process's calls that can wait (§4.4
+/// `PIbrecv`, `PInprobe`, `PIiFinish`), left in its node's [`Port`].
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// A delivery, for a receive.
+    Msg {
+        /// Original sender.
+        from: Rank,
+        /// MPI-layer bytes.
+        payload: Payload,
+    },
+    /// A probe's verdict.
+    Probe(bool),
+    /// `finalize` completed.
+    Done,
+}
+
+/// A protocol's node core. Thread-free — both drivers enter it through
+/// [`NodeHandle::with`], for the process's own channel calls and for
+/// either's drain of the node mailbox — and every fabric send it makes
+/// goes out through its [`Port`], under the daemon's one [`Identity`], so
 /// per-destination FIFO, the fail-stop fence and send-count triggers see
 /// a single sender.
 pub(crate) trait NodeCore: Send {
-    /// The daemon driver: one message from the node mailbox.
+    /// One message from the node mailbox, drained by either driver.
     fn on_daemon_msg(&mut self, msg: DaemonMsg) -> Result<(), NodeEnd>;
 
     /// Called by whichever driver is about to leave the node idle: ship
@@ -389,14 +526,14 @@ pub(crate) trait NodeCore: Send {
     fn app_send(&mut self, dst: Rank, bytes: Payload) -> Result<(), NodeEnd>;
 
     /// `PIbrecv`. The three calls that can wait — this, `app_probe` and
-    /// `app_finish` — answer with the same [`ProcReply`] either way:
-    /// inline (`Some`) when the core can answer on the spot, or — `None`,
-    /// the wait is now registered — as the one wake-up the daemon driver
-    /// posts to the reply mailbox the caller must park on.
-    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd>;
+    /// `app_finish` — leave their [`Answer`] in the port's slot: before
+    /// returning when the core can answer on the spot, or — the wait is
+    /// now registered — from whichever drain of the node mailbox later
+    /// produces it.
+    fn app_recv(&mut self) -> Result<(), NodeEnd>;
 
     /// `PInprobe`.
-    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd>;
+    fn app_probe(&mut self) -> Result<(), NodeEnd>;
 
     /// Checkpoint-site poll: whether a checkpoint is armed for the
     /// process to commit. The baselines never take one (V1 restarts from
@@ -411,25 +548,43 @@ pub(crate) trait NodeCore: Send {
     }
 
     /// `PIiFinish`.
-    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd>;
+    fn app_finish(&mut self) -> Result<(), NodeEnd>;
 
     /// The node's fabric port.
     fn port(&self) -> &Port;
+
+    /// The node's fabric port, to take the answer from.
+    fn port_mut(&mut self) -> &mut Port;
 
     /// Engine outputs not yet performed — zero whenever the lock is free.
     fn outputs_pending(&self) -> usize;
 }
 
-/// A node's one fabric credential — the daemon's [`Identity`] — and the
-/// sends every core makes with it.
+/// A node's one place on the fabric — the daemon's [`Identity`], the
+/// sends every core makes with it, and the node mailbox — plus the slot
+/// the answer to the process's pending call is left in.
 pub(crate) struct Port {
     identity: Identity,
+    mailbox: Mailbox<DaemonMsg>,
     pub(crate) rank: Rank,
+    answer: Option<Answer>,
 }
 
 impl Port {
-    pub(crate) fn new(identity: Identity, rank: Rank) -> Self {
-        Port { identity, rank }
+    pub(crate) fn new(identity: Identity, mailbox: Mailbox<DaemonMsg>, rank: Rank) -> Self {
+        Port {
+            identity,
+            mailbox,
+            rank,
+            answer: None,
+        }
+    }
+
+    /// Leave the answer to the process's pending call — the process makes
+    /// one call at a time, so there is at most one — for it to take.
+    pub(crate) fn answer(&mut self, answer: Answer) {
+        debug_assert!(self.answer.is_none(), "two answers for one process call");
+        self.answer = Some(answer);
     }
 
     /// Send `msg` to `to`. Only our own death ends the incarnation; a
@@ -452,17 +607,6 @@ impl Port {
                 msg,
             },
         )
-    }
-
-    /// Post to the MPI process. Its slot dead while we live is a teardown
-    /// race: keep serving.
-    pub(crate) fn to_proc(&self, reply: ProcReply) -> Result<(), NodeEnd> {
-        self.send(NodeId::Process(self.rank), reply).map(drop)
-    }
-
-    /// Post an answer no inline call took: the process is parked on it.
-    pub(crate) fn wake(&self, answer: Option<ProcReply>) -> Result<(), NodeEnd> {
-        answer.map_or(Ok(()), |reply| self.to_proc(reply))
     }
 
     /// Report the finished run and its final counters to the dispatcher
@@ -564,52 +708,61 @@ fn merge_downloads(mut lists: Vec<Vec<ReceptionEvent>>) -> Vec<ReceptionEvent> {
 }
 
 /// Build this incarnation's core and hand it to the process: the first
-/// drain pass — over what V2's recovery exchange buffered, RESTART1
-/// included — ends by posting `InitOk` in the same lock hold.
+/// pass — over what V2's recovery exchange buffered, RESTART1 included —
+/// ends by handing the node over in the same lock hold, so the process's
+/// first call sees the core exactly as that pass left it.
 fn open(
-    mailbox: &Mailbox<DaemonMsg>,
+    mailbox: Mailbox<DaemonMsg>,
     identity: Identity,
     cfg: &NodeConfig,
+    handover: &Handover,
 ) -> Result<NodeHandle, NodeEnd> {
-    let port = Port::new(identity, cfg.rank);
+    let signal = mailbox.signal();
+    let port = Port::new(identity, mailbox, cfg.rank);
     let world = cfg.topology.world();
     let mut buffered = Vec::new();
     let (node, restored) = match cfg.protocol {
         RuntimeProtocol::V2 => {
-            let (core, restored) = V2Core::open(mailbox, port, cfg, &mut buffered)?;
-            (NodeHandle::new(core), restored)
+            let (core, restored) = V2Core::open(port, cfg, &mut buffered)?;
+            (NodeHandle::new(core, signal), restored)
         }
-        RuntimeProtocol::V1 => (NodeHandle::new(V1Core::new(port, world)), None),
-        RuntimeProtocol::P4 => (NodeHandle::new(P4Core::new(port)), None),
+        RuntimeProtocol::V1 => (NodeHandle::new(V1Core::new(port, world), signal), None),
+        RuntimeProtocol::P4 => (NodeHandle::new(P4Core::new(port), signal), None),
     };
-    let init = ProcReply::InitOk {
+    let init = NodeInit {
         size: world,
         restored,
         node: node.clone(),
     };
-    node.pass(&mut buffered, Some(init))?;
+    node.with(|core| {
+        buffered
+            .drain(..)
+            .try_for_each(|msg| core.on_daemon_msg(msg))?;
+        core.ship_pending()?;
+        handover.give(init);
+        Ok(())
+    })?;
     Ok(node)
 }
 
-/// The daemon thread: open the node core, then serve the node mailbox
-/// into it until the incarnation ends.
+/// The daemon thread: open the node core, then drain the node mailbox
+/// into it whenever a push wakes it — while the process computes; a
+/// process waiting for an answer is the registered waiter and drains
+/// itself — until the incarnation ends. An answer its drain produced
+/// for the parked process is rung through directly.
 fn daemon_main(
     mailbox: Mailbox<DaemonMsg>,
     identity: Identity,
     cfg: NodeConfig,
+    handover: &Handover,
 ) -> Result<(), NodeEnd> {
-    let node = open(&mailbox, identity, &cfg)?;
-    // `recv_many` blocks for the first message, then drains the backlog
-    // in one batched pass — one wakeup and one lock hold amortize across
-    // a burst — which ships what it left pending before the thread goes
-    // back to sleep.
-    let mut batch: Vec<DaemonMsg> = Vec::with_capacity(DAEMON_DRAIN_BATCH);
+    let node = open(mailbox, identity, &cfg, handover)?;
     loop {
         debug_assert_parkable();
-        mailbox
-            .recv_many(&mut batch, DAEMON_DRAIN_BATCH)
+        node.signal
+            .wait(Waiter::Daemon)
             .map_err(|_| NodeEnd::Killed)?;
-        node.pass(&mut batch, None)?;
+        node.daemon_pass()?;
     }
 }
 
@@ -619,14 +772,13 @@ impl V2Core {
     /// queued for the first drain pass; what else arrives meanwhile is
     /// kept in `buffered` for that pass.
     fn open(
-        mailbox: &Mailbox<DaemonMsg>,
         port: Port,
         cfg: &NodeConfig,
         buffered: &mut Vec<DaemonMsg>,
     ) -> Result<(Self, Option<(Payload, Payload)>), NodeEnd> {
         let (rank, world) = (cfg.rank, cfg.topology.world());
         let route = Routing::new(&cfg.topology, rank);
-        let identity = &port.identity;
+        let (identity, mailbox) = (&port.identity, &port.mailbox);
 
         // Fetch the latest image; a dead checkpoint server degrades to a
         // from-scratch restart ("may restart from scratch, at worst").
@@ -686,29 +838,24 @@ impl V2Core {
             // send failure past the retry window means the deployment is
             // broken.
             let after_clock = engine.clock();
-            let mut asked = 0u32;
-            for el_node in &route.el_nodes {
-                if send_service_retrying(
-                    identity,
-                    *el_node,
-                    ElPacket {
-                        from: rank,
-                        req: ElRequest::Download { rank, after_clock },
-                    },
-                    8,
-                )
-                .is_ok()
-                {
-                    asked += 1;
-                }
-            }
+            let download = ElPacket {
+                from: rank,
+                req: ElRequest::Download { rank, after_clock },
+            };
+            let asked = route
+                .el_nodes
+                .iter()
+                .filter(|el_node| {
+                    send_service_retrying(identity, **el_node, download.clone(), 8).is_ok()
+                })
+                .count() as u32;
             if asked < route.el_quorum {
                 return Err(NodeEnd::Killed);
             }
             let mut answered: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
             let mut downloads: Vec<Vec<ReceptionEvent>> = Vec::new();
-            while (answered.len() as u32) < route.el_quorum.min(asked) {
-                match mailbox.recv() {
+            while (answered.len() as u32) < route.el_quorum {
+                match mailbox.recv_timeout(EL_DOWNLOAD_RETRY) {
                     Ok(DaemonMsg::El {
                         from,
                         reply: ElReply::Events(ev),
@@ -718,6 +865,16 @@ impl V2Core {
                         }
                     }
                     Ok(other) => buffered.push(other),
+                    // A replica asked may have died with the question in
+                    // its mailbox, and its revival never saw it: ask
+                    // every replica that has not answered again.
+                    Err(RecvError::Timeout) => {
+                        for (replica, el_node) in route.el_nodes.iter().enumerate() {
+                            if !answered.contains(&(replica as u32)) {
+                                let _ = identity.send(*el_node, download.clone());
+                            }
+                        }
+                    }
                     Err(_) => return Err(NodeEnd::Killed),
                 }
             }
@@ -759,6 +916,16 @@ impl NodeCore for V2Core {
                 })?;
             }
             DaemonMsg::El {
+                from,
+                reply: ElReply::Revived { up_to },
+            } => {
+                // Only a replica is ever revived (R > 1).
+                self.feed(Input::ElReplicaRevived {
+                    replica: from.replica,
+                    up_to,
+                })?;
+            }
+            DaemonMsg::El {
                 reply: ElReply::Events(_),
                 ..
             } => { /* stale download reply */ }
@@ -784,7 +951,7 @@ impl NodeCore for V2Core {
                     el_events: m.el_events_batched,
                     el_acks: m.el_acks_received,
                     el_max_batch: m.el_max_batch_events,
-                    timings: self.engine.timings().summary(),
+                    timings: Box::new(self.engine.timings().summary()),
                 };
                 let _ = self.port.identity.send(self.route.sched_node, status);
             }
@@ -800,8 +967,8 @@ impl NodeCore for V2Core {
         if self.engine.gated_send_count() == 0 {
             if self.recv_deferred {
                 // The receive that stood back for the gate: made now, on
-                // the parked process's behalf, its answer travels as the
-                // ordinary wake-up.
+                // the parked process's behalf; its answer, if the buffer
+                // holds one, waits in the slot like any other.
                 self.recv_deferred = false;
                 self.feed(Input::AppRecv)?;
                 self.pump()?;
@@ -809,7 +976,7 @@ impl NodeCore for V2Core {
             if self.finish_pending {
                 self.finish_pending = false;
                 self.complete_finish()?;
-                self.port.to_proc(ProcReply::Done)?;
+                self.port.answer(Answer::Done);
             }
         }
         Ok(())
@@ -839,8 +1006,7 @@ impl NodeCore for V2Core {
             dst,
             payload: bytes,
         })?;
-        self.pump_outputs()
-            .map(|answer| debug_assert!(answer.is_none()))
+        self.pump()
     }
 
     /// Answered from the receive buffer or the replay plan when possible.
@@ -853,24 +1019,24 @@ impl NodeCore for V2Core {
     /// costs no batching — a delivery behind a gated send ships its event
     /// alone anyway — and a forwarder pays per message what a ping-pong
     /// does: one logger round trip, one wake-up.
-    fn app_recv(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_recv(&mut self) -> Result<(), NodeEnd> {
         if self.engine.gated_send_count() > 0 {
             self.recv_deferred = true;
-            return Ok(None);
+            return Ok(());
         }
         self.feed(Input::AppRecv)?;
-        let answer = self.pump_outputs()?;
-        if answer.is_none() || self.engine.recv_backlog() == 0 {
+        self.pump()?;
+        if self.port.answer.is_none() || self.engine.recv_backlog() == 0 {
             self.ship_pending()?;
         }
-        Ok(answer)
+        Ok(())
     }
 
-    /// `None` only during a replay whose logged probe succeeded on a
+    /// Unanswered only during a replay whose logged probe succeeded on a
     /// message not re-sent yet.
-    fn app_probe(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    fn app_probe(&mut self) -> Result<(), NodeEnd> {
         self.feed(Input::AppProbe)?;
-        self.pump_outputs()
+        self.pump()
     }
 
     /// Arm an ordered checkpoint if the protocol is quiescent right now.
@@ -922,9 +1088,9 @@ impl NodeCore for V2Core {
         }
     }
 
-    /// Parks while sends of the run still sit behind the gate: the daemon
-    /// driver, releasing the last of them, posts `Done`.
-    fn app_finish(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
+    /// Parks while sends of the run still sit behind the gate: the drain
+    /// that releases the last of them answers `Done`.
+    fn app_finish(&mut self) -> Result<(), NodeEnd> {
         // Ship any still-pending reception events before going into
         // serve-only mode: the event log must cover every delivery the
         // finished run consumed.
@@ -933,14 +1099,19 @@ impl NodeCore for V2Core {
         self.finalized = true;
         if self.engine.gated_send_count() > 0 {
             self.finish_pending = true;
-            return Ok(None);
+            return Ok(());
         }
         self.complete_finish()?;
-        Ok(Some(ProcReply::Done))
+        self.port.answer(Answer::Done);
+        Ok(())
     }
 
     fn port(&self) -> &Port {
         &self.port
+    }
+
+    fn port_mut(&mut self) -> &mut Port {
+        &mut self.port
     }
 
     fn outputs_pending(&self) -> usize {
@@ -949,14 +1120,6 @@ impl NodeCore for V2Core {
 }
 
 impl V2Core {
-    /// Pump where no inline call is being answered: an answer for the
-    /// process, if the engine produced one, can then only be for a
-    /// process parked on it, so it goes to the reply mailbox.
-    fn pump(&mut self) -> Result<(), NodeEnd> {
-        let answer = self.pump_outputs()?;
-        self.port.wake(answer)
-    }
-
     /// Feed one input to the engine. The outputs stay queued for the
     /// caller's pump.
     fn feed(&mut self, input: Input) -> Result<(), NodeEnd> {
@@ -987,13 +1150,10 @@ impl V2Core {
             .finalized(*self.engine.metrics(), self.engine.timings().clone())
     }
 
-    /// Perform every queued engine output. Returns the one output that
-    /// is an answer to the MPI process (a delivery or a probe verdict —
-    /// the process makes one blocking call at a time, so there is at most
-    /// one) for the driver to route: inline to a calling process, over
-    /// the reply mailbox to a parked one.
-    fn pump_outputs(&mut self) -> Result<Option<ProcReply>, NodeEnd> {
-        let mut answer = None;
+    /// Perform every queued engine output; an answer to the MPI process
+    /// (a delivery or a probe verdict) goes to the port's slot, whether
+    /// the process is calling or parked.
+    fn pump(&mut self) -> Result<(), NodeEnd> {
         while let Some(out) = self.engine.pop_output() {
             match out {
                 Output::Transmit { to, msg } => {
@@ -1020,14 +1180,15 @@ impl V2Core {
                     // gate enforces that, so a sub-quorum fan-out (some
                     // replicas dead mid-revival) is tolerable here: the
                     // gate simply stays closed until the revived
-                    // replica's catch-up announcement re-acks. Only a
-                    // fan-out that reached no replica at all (R = 1:
-                    // the one EL dead past the retry window) breaks the
+                    // replica's catch-up announcement re-acks and has
+                    // the engine re-ship it what it lacks. Only a fan-out
+                    // that reached no replica at all (R = 1: the one EL
+                    // dead past the retry window) breaks the
                     // deployment's reliability assumption; halt.
                     let mut stored = 0u32;
                     let last = self.route.el_nodes.len() - 1;
                     let mut batch = Some(batch);
-                    for (i, el_node) in self.route.el_nodes.iter().enumerate() {
+                    for i in 0..=last {
                         // The last replica takes the batch by move, so
                         // the unreplicated hot path stays clone-free.
                         let b = if i == last {
@@ -1035,34 +1196,21 @@ impl V2Core {
                         } else {
                             batch.as_ref().expect("batch moved early").clone()
                         };
-                        match send_service_retrying(
-                            &self.port.identity,
-                            *el_node,
-                            ElPacket {
-                                from: self.port.rank,
-                                req: ElRequest::Log(b),
-                            },
-                            8,
-                        ) {
-                            Ok(()) => stored += 1,
-                            Err(SendError::SenderDead) => return Err(NodeEnd::Killed),
-                            // A dead replica mid-revival: the quorum
-                            // below decides whether we can proceed.
-                            Err(SendError::Disconnected(_)) => {}
+                        if self.log_to(i as u32, b)? {
+                            stored += 1;
                         }
                     }
                     if stored == 0 {
                         return Err(NodeEnd::Killed);
                     }
                 }
+                Output::ReshipEvents { replica, batch } => {
+                    self.log_to(replica, batch)?;
+                }
                 Output::Deliver { from, payload } => {
-                    debug_assert!(answer.is_none(), "two answers for one process call");
-                    answer = Some(ProcReply::Msg { from, payload });
+                    self.port.answer(Answer::Msg { from, payload });
                 }
-                Output::ProbeAnswer(b) => {
-                    debug_assert!(answer.is_none(), "two answers for one process call");
-                    answer = Some(ProcReply::Probe(b));
-                }
+                Output::ProbeAnswer(b) => self.port.answer(Answer::Probe(b)),
                 Output::ElTruncate { up_to } => {
                     // Best-effort storage reclamation on every replica.
                     for el_node in &self.route.el_nodes {
@@ -1081,16 +1229,32 @@ impl V2Core {
                 Output::ReplayComplete => {}
             }
         }
-        Ok(answer)
+        Ok(())
+    }
+
+    /// Ship `batch` to `replica` of our shard; `Ok(false)` if it is dead
+    /// (mid-revival: its announcement will have the engine re-ship).
+    fn log_to(&self, replica: u32, batch: EventBatch) -> Result<bool, NodeEnd> {
+        let el_node = self.route.el_nodes[replica as usize];
+        let packet = ElPacket {
+            from: self.port.rank,
+            req: ElRequest::Log(batch),
+        };
+        match send_service_retrying(&self.port.identity, el_node, packet, 8) {
+            Ok(()) => Ok(true),
+            Err(SendError::SenderDead) => Err(NodeEnd::Killed),
+            Err(SendError::Disconnected(_)) => Ok(false),
+        }
     }
 }
 
 /// The node core driven by hand, thread-free: a [`Fabric`] whose peer,
-/// event-logger, checkpoint-server, Channel Memory, dispatcher and
-/// process slots are plain mailboxes the test reads. The test plays both
-/// drivers — the daemon side through `pass` (one drain pass), the process
-/// side through the `app_*` entries — and every step either returns or
-/// leaves a message in a stub; nothing blocks.
+/// event-logger, checkpoint-server, Channel Memory and dispatcher slots
+/// are plain mailboxes the test reads. Arrivals are queued on the node
+/// mailbox; the test plays both drivers — a daemon pass, or a parked
+/// process's pass after its wait returned — and the process's `app_*`
+/// calls, and every step either returns or leaves a message in a stub;
+/// nothing blocks.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1103,7 +1267,6 @@ mod tests {
     struct Rig {
         fabric: Fabric,
         node: NodeHandle,
-        proc_mb: Mailbox<ProcReply>,
         peer_mb: Mailbox<DaemonMsg>,
         el_mb: Mailbox<ElPacket>,
         cs_mb: Mailbox<CkptPacket>,
@@ -1130,8 +1293,7 @@ mod tests {
     }
 
     /// A fresh node of `protocol`, opened the way its daemon thread opens
-    /// it: the process finds its node on the reply mailbox without having
-    /// asked for it.
+    /// it: the process finds its node handed over without having asked.
     fn rig_for(protocol: RuntimeProtocol) -> Rig {
         let fabric = Fabric::new();
         let slots = register_node(&fabric, ME);
@@ -1140,24 +1302,29 @@ mod tests {
         let (cs_mb, _) = fabric.register(NodeId::CheckpointServer(0));
         let (cm_mb, _) = fabric.register(NodeId::ChannelMemory(0));
         let (disp_mb, _) = fabric.register(NodeId::Dispatcher);
-        let node =
-            open(&slots.daemon_mb, slots.daemon_id, &config(protocol, false)).expect("node opens");
-        let init = drained(&slots.proc_mb);
+        let handover = Handover::new(slots.mailbox.signal());
+        let node = open(
+            slots.mailbox,
+            slots.identity,
+            &config(protocol, false),
+            &handover,
+        )
+        .expect("node opens");
+        let init = handover.init.lock().take();
         assert!(
             matches!(
-                &init[..],
-                [ProcReply::InitOk {
+                init,
+                Some(NodeInit {
                     size: 2,
                     restored: None,
                     ..
-                }]
+                })
             ),
-            "{protocol:?}: the node is handed over unasked, once: {init:?}"
+            "{protocol:?}: the node is handed over unasked"
         );
         Rig {
             fabric,
             node,
-            proc_mb: slots.proc_mb,
             peer_mb,
             el_mb,
             cs_mb,
@@ -1182,10 +1349,27 @@ mod tests {
         }
     }
 
+    fn delivery(answer: Answer) -> (Rank, Payload) {
+        match answer {
+            Answer::Msg { from, payload } => (from, payload),
+            other => panic!("a receive answered with {other:?}"),
+        }
+    }
+
     impl Rig {
-        /// One pass of the daemon thread's loop over `msgs`.
-        fn daemon_drain(&self, mut msgs: Vec<DaemonMsg>) {
-            self.node.pass(&mut msgs, None).expect("node alive");
+        /// Queue `msgs` on the node mailbox, in order.
+        fn arrive(&self, msgs: Vec<DaemonMsg>) {
+            for msg in msgs {
+                self.fabric
+                    .send_from_reliable(NodeId::Computing(ME), msg)
+                    .expect("node alive");
+            }
+        }
+
+        /// Queue `msgs`, then one pass of the daemon thread's loop.
+        fn daemon_drain(&self, msgs: Vec<DaemonMsg>) {
+            self.arrive(msgs);
+            self.node.daemon_pass().expect("node alive");
         }
 
         fn data(h: u64) -> DaemonMsg {
@@ -1195,31 +1379,56 @@ mod tests {
             }
         }
 
+        fn ack_msg(up_to: u64) -> DaemonMsg {
+            DaemonMsg::El {
+                from: ElAddr {
+                    shard: 0,
+                    replica: 0,
+                },
+                reply: ElReply::Ack { up_to },
+            }
+        }
+
+        /// Make a call that can wait; its answer if made on the spot.
+        fn call(&self, f: impl FnOnce(&mut dyn NodeCore) -> Result<(), NodeEnd>) -> Option<Answer> {
+            self.node
+                .with(|core| {
+                    f(core)?;
+                    Ok(core.port_mut().answer.take())
+                })
+                .expect("node alive")
+        }
+
         /// A receive: `Some` when answered inline.
         fn recv(&self) -> Option<(Rank, Payload)> {
-            match self.node.with(|c| c.app_recv()).expect("node alive") {
-                Some(ProcReply::Msg { from, payload }) => Some((from, payload)),
-                None => None,
-                Some(other) => panic!("a receive answered with {other:?}"),
-            }
+            self.call(|c| c.app_recv()).map(delivery)
         }
 
         /// A probe: `Some` verdict when answered inline.
         fn probe(&self) -> Option<bool> {
-            match self.node.with(|c| c.app_probe()).expect("node alive") {
-                Some(ProcReply::Probe(pending)) => Some(pending),
-                None => None,
-                Some(other) => panic!("a probe answered with {other:?}"),
-            }
+            self.call(|c| c.app_probe()).map(|answer| match answer {
+                Answer::Probe(pending) => pending,
+                other => panic!("a probe answered with {other:?}"),
+            })
         }
 
         /// A finish: whether it completed inline.
         fn finish(&self) -> bool {
-            match self.node.with(|c| c.app_finish()).expect("node alive") {
-                Some(ProcReply::Done) => true,
+            match self.call(|c| c.app_finish()) {
+                Some(Answer::Done) => true,
                 None => false,
                 Some(other) => panic!("a finish answered with {other:?}"),
             }
+        }
+
+        /// The process's wait, played by hand: it is the registered waiter
+        /// and a message is queued for it, so the wait returns at once;
+        /// then its own drain pass.
+        fn process_drain(&self) -> Option<Answer> {
+            self.node.signal.register(Waiter::Process);
+            let _hand_back = HandBack(&self.node.signal);
+            self.node.signal.wait(Waiter::Process).expect("node alive");
+            self.node.process_pass().expect("node alive")
         }
 
         /// Every `Log` batch the event-logger stub holds, in ship order.
@@ -1233,15 +1442,10 @@ mod tests {
                 .collect()
         }
 
-        /// What the event logger would answer for everything up to `up_to`.
+        /// What the event logger would answer for everything up to
+        /// `up_to`, drained by the daemon.
         fn ack(&self, up_to: u64) {
-            self.daemon_drain(vec![DaemonMsg::El {
-                from: ElAddr {
-                    shard: 0,
-                    replica: 0,
-                },
-                reply: ElReply::Ack { up_to },
-            }]);
+            self.daemon_drain(vec![Rig::ack_msg(up_to)]);
         }
 
         /// Data messages the peer stub received, by sender clock.
@@ -1258,15 +1462,16 @@ mod tests {
                 .collect()
         }
 
-        /// The one wake-up the process mailbox holds, as a delivery.
+        /// The answer a daemon pass left for the parked process (and rang
+        /// it for), as deliveries: at most one.
         fn woken(&self) -> Vec<(Rank, Payload)> {
-            drained(&self.proc_mb)
-                .into_iter()
-                .map(|reply| match reply {
-                    ProcReply::Msg { from, payload } => (from, payload),
-                    other => panic!("a receive woken by {other:?}"),
-                })
-                .collect()
+            self.left_answer().map(delivery).into_iter().collect()
+        }
+
+        fn left_answer(&self) -> Option<Answer> {
+            self.node
+                .with(|core| Ok(core.port_mut().answer.take()))
+                .expect("node alive")
         }
     }
 
@@ -1279,8 +1484,8 @@ mod tests {
             assert_eq!(r.recv(), Some((PEER, body(h))));
         }
         assert!(
-            drained(&r.proc_mb).is_empty(),
-            "an inline receive must not also cross the reply mailbox"
+            r.left_answer().is_none(),
+            "an inline receive leaves nothing behind"
         );
         // The engine flushes at its 32-event bound; the last delivery
         // empties the buffer on exactly such a bound, so nothing is left
@@ -1304,24 +1509,97 @@ mod tests {
     fn a_receive_on_an_empty_buffer_parks_and_is_woken_exactly_once() {
         let r = rig();
         assert_eq!(r.recv(), None, "nothing buffered: the wait is registered");
-        assert!(drained(&r.proc_mb).is_empty());
-        // Two arrivals in one drain: the first answers the parked receive
-        // over the reply mailbox, the second waits in the buffer.
+        assert!(r.left_answer().is_none());
+        // Two arrivals in one daemon drain: the first answers the parked
+        // receive through the slot, the second waits in the buffer.
         r.daemon_drain(vec![Rig::data(1), Rig::data(2)]);
         assert_eq!(
             r.woken(),
             [(PEER, body(1))],
-            "exactly one wake-up, carrying the first arrival"
+            "exactly one answer, carrying the first arrival"
         );
         assert_eq!(r.logged().len(), 1, "the daemon ships after its drain");
         // The second is taken inline — and only inline.
         assert_eq!(r.recv(), Some((PEER, body(2))));
-        assert!(drained(&r.proc_mb).is_empty());
-        // The same for a probe: answered on the spot, never by mailbox.
+        assert!(r.left_answer().is_none());
+        // The same for a probe: answered on the spot.
         assert_eq!(r.probe(), Some(false));
         r.daemon_drain(vec![Rig::data(3)]);
         assert_eq!(r.probe(), Some(true));
-        assert!(drained(&r.proc_mb).is_empty());
+        assert!(r.left_answer().is_none());
+    }
+
+    #[test]
+    fn a_parked_receive_answered_by_the_process_s_own_drain_crosses_no_fabric_send() {
+        let r = rig();
+        assert_eq!(r.recv(), None);
+        r.arrive(vec![Rig::data(1)]);
+        let answer = r.process_drain().map(delivery);
+        assert_eq!(answer, Some((PEER, body(1))), "taken from the slot");
+        // The only send the drain made is the reception event's batch —
+        // "whoever is about to leave the node idle ships".
+        assert_eq!(r.logged().len(), 1);
+        assert!(r.wire().is_empty());
+        assert!(drained(&r.cs_mb).is_empty());
+        assert!(drained(&r.cm_mb).is_empty());
+        assert!(drained(&r.disp_mb).is_empty());
+        assert!(r.left_answer().is_none(), "nothing left for anyone");
+    }
+
+    #[test]
+    fn two_arrivals_in_one_process_drain_leave_the_second_for_an_inline_receive() {
+        let r = rig();
+        assert_eq!(r.recv(), None);
+        r.arrive(vec![Rig::data(1), Rig::data(2)]);
+        assert_eq!(r.process_drain().map(delivery), Some((PEER, body(1))));
+        assert_eq!(r.recv(), Some((PEER, body(2))), "buffered by the drain");
+        assert!(r.left_answer().is_none());
+        let clocks: Vec<u64> = r
+            .logged()
+            .iter()
+            .flatten()
+            .map(|e| e.receiver_clock)
+            .collect();
+        assert_eq!(clocks, [1, 2], "each delivery logged once, in order");
+    }
+
+    #[test]
+    fn an_ack_drained_by_the_process_releases_the_gated_send_before_the_deferred_receive() {
+        let r = rig();
+        r.daemon_drain(vec![Rig::data(1)]);
+        assert_eq!(r.recv(), Some((PEER, body(1))));
+        assert_eq!(r.logged().len(), 1);
+        r.node.with(|c| c.app_send(PEER, body(101))).unwrap();
+        assert!(r.wire().is_empty(), "gated on event 1's ack");
+        assert_eq!(r.recv(), None, "the receive stands back for the gate");
+        // The next message and the ack arrive while the process waits.
+        r.arrive(vec![Rig::data(2), Rig::ack_msg(1)]);
+        let answer = r.process_drain().map(delivery);
+        assert_eq!(r.wire(), [2], "the gated send left");
+        assert_eq!(answer, Some((PEER, body(2))), "then the receive was made");
+        // Its reception event is stamped after the send: clock 1 was the
+        // first delivery, 2 the send, 3 this delivery.
+        let clocks: Vec<u64> = r
+            .logged()
+            .iter()
+            .flatten()
+            .map(|e| e.receiver_clock)
+            .collect();
+        assert_eq!(clocks, [3]);
+    }
+
+    #[test]
+    fn a_kill_wakes_a_process_parked_on_the_node_mailbox() {
+        let r = rig();
+        assert_eq!(r.recv(), None);
+        r.node.signal.register(Waiter::Process);
+        let _hand_back = HandBack(&r.node.signal);
+        r.fabric.kill_group(&mvr_net::fail_stop_group(ME));
+        assert!(
+            r.node.signal.wait(Waiter::Process).is_err(),
+            "the kill wakes the parked process, with nothing queued"
+        );
+        assert!(matches!(r.node.process_pass(), Err(NodeEnd::Killed)));
     }
 
     #[test]
@@ -1350,19 +1628,19 @@ mod tests {
         // one would move the watermark the gated forward waits for.
         assert_eq!(r.recv(), None);
         assert_eq!(r.logged().len(), 1, "only the delivery made so far");
-        assert!(drained(&r.proc_mb).is_empty());
+        assert!(r.left_answer().is_none());
         // The ack releases the forward first, then makes the receive.
         r.ack(1);
         assert_eq!(r.wire(), [2], "forwarded with 6 messages still buffered");
         assert_eq!(
             r.woken(),
             [(PEER, body(2))],
-            "exactly one wake-up, carrying the next message"
+            "exactly one answer, carrying the next message"
         );
         // With nothing gated the backlog is taken inline again.
         r.ack(3);
         assert_eq!(r.recv(), Some((PEER, body(3))));
-        assert!(drained(&r.proc_mb).is_empty());
+        assert!(r.left_answer().is_none());
     }
 
     #[test]
@@ -1376,11 +1654,11 @@ mod tests {
             "a send of the run is still gated: the process must park"
         );
         assert!(drained(&r.disp_mb).is_empty());
-        assert!(drained(&r.proc_mb).is_empty());
+        assert!(r.left_answer().is_none());
         r.ack(1);
         assert_eq!(r.wire(), [2]);
         assert_eq!(drained(&r.disp_mb).len(), 1, "finalized once");
-        assert!(matches!(&drained(&r.proc_mb)[..], [ProcReply::Done]));
+        assert!(matches!(r.left_answer(), Some(Answer::Done)));
     }
 
     #[test]
@@ -1399,7 +1677,7 @@ mod tests {
                 ),
                 "{protocol:?}: finalized once"
             );
-            assert!(drained(&r.proc_mb).is_empty(), "{protocol:?}: no `Done`");
+            assert!(r.left_answer().is_none(), "{protocol:?}: no second `Done`");
         }
     }
 
@@ -1437,30 +1715,21 @@ mod tests {
     #[test]
     fn a_restarted_core_hands_over_its_restored_state_only_after_restart1() {
         let fabric = Fabric::new();
-        let (daemon_mb, daemon_id) = fabric.register::<DaemonMsg>(NodeId::Computing(ME));
+        let slots = register_node(&fabric, ME);
+        let handover = Handover::new(slots.mailbox.signal());
         let (_cs_mb, _) = fabric.register::<CkptPacket>(NodeId::CheckpointServer(0));
         let (_el_mb, services) = fabric.register::<ElPacket>(NodeId::EventLogger(0));
-        // The peer's and the process's slots write one log, in send order.
-        let log: Arc<Mutex<Vec<&str>>> = Arc::default();
-        let l = log.clone();
+        // RESTART1 must leave before the process can see its node.
+        let restart1_sent = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (sent, h) = (restart1_sent.clone(), handover.clone());
         fabric.register_sink(NodeId::Computing(PEER), move |m: DaemonMsg| {
             if let DaemonMsg::Peer {
                 msg: PeerMsg::Restart1 { .. },
                 ..
             } = m
             {
-                l.lock().push("restart1");
-            }
-        });
-        let l = log.clone();
-        fabric.register_sink(NodeId::Process(ME), move |m: ProcReply| {
-            if let ProcReply::InitOk {
-                restored: Some(state),
-                ..
-            } = m
-            {
-                assert_eq!(state, (body(1), body(2)), "the image's process state");
-                l.lock().push("init");
+                assert!(h.init.lock().is_none(), "handed over before RESTART1");
+                sent.store(true, std::sync::atomic::Ordering::SeqCst);
             }
         });
         // The services' answers, queued on one lane so the recovery
@@ -1485,8 +1754,20 @@ mod tests {
         ] {
             services.send(NodeId::Computing(ME), reply).unwrap();
         }
-        open(&daemon_mb, daemon_id, &config(RuntimeProtocol::V2, true)).expect("recovers");
-        assert_eq!(*log.lock(), ["restart1", "init"]);
+        open(
+            slots.mailbox,
+            slots.identity,
+            &config(RuntimeProtocol::V2, true),
+            &handover,
+        )
+        .expect("recovers");
+        assert!(restart1_sent.load(std::sync::atomic::Ordering::SeqCst));
+        let init = handover.take().expect("handed over");
+        assert_eq!(
+            init.restored,
+            Some((body(1), body(2))),
+            "the image's process state"
+        );
     }
 
     #[test]
@@ -1496,10 +1777,7 @@ mod tests {
         for h in 1..=64 {
             assert_eq!(r.recv(), Some((PEER, body(h))));
         }
-        assert!(
-            drained(&r.proc_mb).is_empty(),
-            "no receive crossed a mailbox"
-        );
+        assert!(r.left_answer().is_none(), "no answer left behind");
         r.node.with(|c| c.app_send(PEER, body(9))).unwrap();
         assert_eq!(r.wire(), [1], "a send goes straight to the wire");
     }
@@ -1508,14 +1786,14 @@ mod tests {
     fn p4_parks_a_receive_on_an_empty_buffer_and_answers_probes_inline() {
         let r = rig_for(RuntimeProtocol::P4);
         assert_eq!(r.recv(), None, "nothing buffered: the wait is registered");
-        assert!(drained(&r.proc_mb).is_empty());
-        r.daemon_drain(vec![Rig::data(1), Rig::data(2)]);
-        assert_eq!(r.woken(), [(PEER, body(1))], "exactly one wake-up");
+        // The parked process drains the arrival itself.
+        r.arrive(vec![Rig::data(1), Rig::data(2)]);
+        assert_eq!(r.process_drain().map(delivery), Some((PEER, body(1))));
         assert_eq!(r.recv(), Some((PEER, body(2))));
         assert_eq!(r.probe(), Some(false));
         r.daemon_drain(vec![Rig::data(3)]);
         assert_eq!(r.probe(), Some(true));
-        assert!(drained(&r.proc_mb).is_empty());
+        assert!(r.left_answer().is_none());
     }
 
     #[test]
@@ -1542,9 +1820,9 @@ mod tests {
         );
         // An answer to a previous incarnation's pull crossing the restart.
         r.daemon_drain(vec![cm_msg(5, 5)]);
-        assert!(drained(&r.proc_mb).is_empty(), "stale answer dropped");
+        assert!(r.left_answer().is_none(), "stale answer dropped");
         r.daemon_drain(vec![cm_msg(0, 1)]);
-        assert_eq!(r.woken(), [(PEER, body(1))], "exactly one wake-up");
+        assert_eq!(r.woken(), [(PEER, body(1))], "exactly one answer");
         // A send is pushed to the destination's Channel Memory.
         r.node.with(|c| c.app_send(PEER, body(9))).unwrap();
         let pushes = drained(&r.cm_mb);

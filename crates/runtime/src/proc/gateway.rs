@@ -89,11 +89,9 @@ pub enum Control {
 
 /// Map a fabric destination to the transport endpoint hosting it.
 ///
-/// Computing node and its MPI process share one OS process; the
-/// checkpoint scheduler lives inside the supervising dispatcher.
+/// The checkpoint scheduler lives inside the supervising dispatcher.
 pub fn host_of(dest: NodeId) -> NodeId {
     match dest {
-        NodeId::Computing(r) | NodeId::Process(r) => NodeId::Computing(r),
         NodeId::CheckpointScheduler | NodeId::Dispatcher => NodeId::Dispatcher,
         other => other,
     }

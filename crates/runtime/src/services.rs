@@ -214,7 +214,7 @@ pub fn spawn_checkpoint_scheduler(
                                 el_events,
                                 el_acks,
                                 el_max_batch,
-                                timings,
+                                timings: *timings,
                             });
                         }
                         Ok(_) => {}

@@ -48,8 +48,10 @@ fn seeded_link_delays_preserve_results() {
 
 #[test]
 fn crash_on_nth_send_recovers() {
-    // Rank 1 dies fail-stop the instant its daemon completes send #50 — a
-    // fixed point of its causal history, replayable from the config alone.
+    // Rank 1 dies fail-stop the instant its node completes send #35 — a
+    // fixed point of its causal history, replayable from the config alone:
+    // two sends per ring step (the data, its reception event's batch), so
+    // about its 17th delivery.
     let (n, iters) = (3, 250);
     let cluster = Cluster::launch(
         ClusterConfig {
@@ -59,7 +61,7 @@ fn crash_on_nth_send_recovers() {
                 seed: 0xAB,
                 crash_on_send: vec![CountTrigger {
                     watch: NodeId::Computing(Rank(1)),
-                    at: 50,
+                    at: 35,
                     kill: fail_stop_group(Rank(1)),
                 }],
                 ..Default::default()
@@ -119,8 +121,8 @@ fn rekill_during_replay_recovers() {
 #[test]
 fn overlapping_rank_crashes_recover() {
     // Two ranks die at nearly the same causal instant (each on its own
-    // 40th send); their recoveries proceed concurrently under the
-    // non-blocking respawn scheduler.
+    // 27th send, about its 13th delivery); their recoveries proceed
+    // concurrently under the non-blocking respawn scheduler.
     let (n, iters) = (4, 300);
     let cluster = Cluster::launch(
         ClusterConfig {
@@ -132,12 +134,12 @@ fn overlapping_rank_crashes_recover() {
                 crash_on_send: vec![
                     CountTrigger {
                         watch: NodeId::Computing(Rank(1)),
-                        at: 40,
+                        at: 27,
                         kill: fail_stop_group(Rank(1)),
                     },
                     CountTrigger {
                         watch: NodeId::Computing(Rank(3)),
-                        at: 40,
+                        at: 27,
                         kill: fail_stop_group(Rank(3)),
                     },
                 ],
@@ -157,8 +159,9 @@ fn checkpoint_server_crash_mid_checkpoint() {
     // §4.3: "in case of crash of ... checkpoint servers, the related
     // processes may restart from scratch, at worst". The CS is killed the
     // instant it accepts its 4th packet — mid-checkpoint-traffic — then a
-    // rank dies; the rank's restart degrades to scratch (or to whatever
-    // image survived) and the run still completes correctly.
+    // rank dies (rank 0, at its 52nd send: about its 25th delivery); the
+    // rank's restart degrades to scratch (or to whatever image survived)
+    // and the run still completes correctly.
     //
     // The event logger, by contrast, is the one component this deployment
     // *assumes* reliable (§4.3); no test here kills it, and the EL-kill
@@ -189,7 +192,7 @@ fn checkpoint_server_crash_mid_checkpoint() {
                 }],
                 crash_on_send: vec![CountTrigger {
                     watch: NodeId::Computing(Rank(0)),
-                    at: 80,
+                    at: 52,
                     kill: fail_stop_group(Rank(0)),
                 }],
                 ..Default::default()

@@ -1,13 +1,15 @@
 //! The two-driver node under load and under fire: the MPI process makes
-//! its channel calls on the node core while the daemon thread serves the
-//! node mailbox into the same core, and kills land on either of them.
+//! its channel calls on the node core and drains the node mailbox into
+//! it while it waits, the daemon thread drains it while the process
+//! computes, and kills land on either of them.
 //!
 //! A window stream (rank 0 sends a window, rank 1 consumes it — mostly
 //! straight from the receive buffer, without a thread switch — and acks)
 //! and a 4-rank ring run under seeded link delays, with crashes placed
-//! by count triggers at points of a node's own history: a sender killed
-//! mid-window, a receiver killed while its process is consuming a
-//! backlog, and its reincarnation killed again while it replays. Every
+//! by count triggers at points of a node's own history: a receiver
+//! killed while its process is consuming a backlog, its reincarnation
+//! killed again while it replays, and the sender killed while it resends
+//! a window to the receiver's next reincarnation. Every
 //! result must equal the fault-free fold, which has a closed form. A
 //! three-rank relay checks the other thing two drivers could get wrong:
 //! a forwarder fed faster than it forwards must still forward.
@@ -116,13 +118,14 @@ fn window_stream_under_delays_equals_the_fault_free_folds() {
 
 #[test]
 fn window_stream_survives_kills_of_sender_and_receiver_mid_window() {
-    // Rank 0's fabric sends are its data messages plus one event batch
-    // per ack, so its 7th-window-and-a-half send is a data message with
-    // half a window already in flight. Rank 1's mailbox accepts little
-    // but data: its trigger fires while the process is consuming the
-    // window being streamed at it, and the second (counters run on
-    // across incarnations) a few dozen resends into the reincarnation's
-    // replay of the first three windows.
+    // Rank 1's mailbox accepts little but data: its trigger fires while
+    // the process is consuming the third window, streamed at it while
+    // rank 0 waits for that window's ack, and the second (counters run
+    // on across incarnations) a few dozen resends into the
+    // reincarnation's replay. Rank 0's fabric sends are its data messages
+    // plus one event batch per ack, and then every resend of its log to
+    // each of rank 1's reincarnations (144 each): its trigger fires
+    // mid-stream in the second of those resends of the three windows.
     let windows = 30;
     let mid_window = |w: u64| w * (WINDOW + 2) + WINDOW / 2;
     let cluster = Cluster::launch(
@@ -161,7 +164,9 @@ fn ring_survives_kills_during_inline_receive_and_replay() {
             turbulence: Some(TurbulenceConfig {
                 seed: 0x0417,
                 max_delay_us: 60,
-                crash_on_send: vec![kill_rank(2, 90)],
+                // Rank 2 dies first, about its 29th delivery (two sends
+                // per ring step: the data and its event batch).
+                crash_on_send: vec![kill_rank(2, 60)],
                 // Rank 1 dies accepting a message, and its
                 // reincarnation again a handful of messages into its
                 // recovery (image, events, handshakes, resends).
