@@ -4,12 +4,20 @@
 //! sender-based log can keep a copy of every emitted message (§4.5) without
 //! duplicating the bytes in memory, while still serializing transparently
 //! into checkpoint images.
+//!
+//! A payload is a *view* into a shared allocation: [`Payload::slice`]
+//! narrows it without copying, which is how a received MPI message body
+//! stays inside the wire frame it arrived in, and [`Payload::concat`]
+//! builds a frame from its header and body with one allocation and one
+//! memcpy per part. The handle is 24 bytes (a fat `Arc` plus a `u32`
+//! offset and length); the sender log's size guard says why it must not
+//! grow.
 
 use bytes::Bytes;
 use serde::de::{self, Visitor};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, RangeBounds};
 
 /// An immutable, cheaply-cloneable message payload.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
@@ -29,6 +37,20 @@ impl Payload {
     /// Payload of `len` copies of `byte` — handy for benchmarks.
     pub fn filled(byte: u8, len: usize) -> Self {
         Payload(Bytes::from(vec![byte; len]))
+    }
+
+    /// The concatenation of `parts` in one exact-size allocation.
+    pub fn concat(parts: &[&[u8]]) -> Self {
+        Payload(Bytes::concat(parts))
+    }
+
+    /// A view of `range` sharing this payload's allocation (no copy).
+    ///
+    /// # Panics
+    ///
+    /// When the range is decreasing or reaches past the end.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        Payload(self.0.slice(range))
     }
 
     /// Length in bytes.
@@ -142,6 +164,16 @@ mod tests {
         let q = p.clone();
         // Bytes clones share the allocation: identical pointers.
         assert_eq!(p.as_slice().as_ptr(), q.as_slice().as_ptr());
+    }
+
+    #[test]
+    fn slice_and_concat_share_or_build_one_buffer() {
+        let p = Payload::concat(&[&[1, 2], &[3, 4, 5]]);
+        assert_eq!(&p[..], &[1, 2, 3, 4, 5]);
+        let body = p.slice(2..);
+        assert_eq!(&body[..], &[3, 4, 5]);
+        assert_eq!(body.as_slice().as_ptr(), p[2..].as_ptr());
+        assert_eq!(body, Payload::from_vec(vec![3, 4, 5]));
     }
 
     #[test]

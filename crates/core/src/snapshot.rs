@@ -18,7 +18,7 @@ use crate::sender_log::SenderLog;
 use serde::{Deserialize, Serialize};
 
 /// The protocol-engine half of a checkpoint image.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EngineSnapshot {
     /// Rank of the checkpointed process.
     pub rank: Rank,
@@ -33,8 +33,9 @@ pub struct EngineSnapshot {
     pub saved: SenderLog,
 }
 
-/// A complete checkpoint image for one computing node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A complete checkpoint image for one computing node, shipped as an
+/// [`ImageBlob`].
+#[derive(Clone, Debug)]
 pub struct NodeImage {
     /// The communication daemon / protocol engine state.
     pub engine: EngineSnapshot,
@@ -47,13 +48,11 @@ pub struct NodeImage {
 /// A zero-copy checkpoint image: a small bincode-encoded metadata header
 /// plus the image's byte segments as *refcounted* [`Payload`] handles.
 ///
-/// [`NodeImage::encode`] flattens the whole image — sender log included —
-/// through bincode's `serialize_bytes`, memcpy-ing every logged payload
-/// into one fresh buffer. For a log-heavy image (the common case: §4.1
-/// requires the `SAVED` set inside the checkpoint) that copy dominates
-/// checkpoint cost. `ImageBlob` instead ships each logged payload as a
-/// clone of the *same* `Bytes` the sender log already holds: building the
-/// blob allocates only the metadata header, no payload bytes move.
+/// The image's bulk is the sender log (§4.1 requires the `SAVED` set
+/// inside the checkpoint), so the blob never flattens it: each logged
+/// payload ships as a clone of the *same* `Bytes` the sender log already
+/// holds, and building the blob allocates only the metadata header. No
+/// payload bytes move, and the log needs no serialized form of its own.
 ///
 /// Segment order is fixed: every sender-log payload in `(dst, clock)`
 /// order (the order [`SenderLog::iter_entries`] yields, mirrored by
@@ -104,16 +103,6 @@ impl ImageBlob {
 }
 
 impl NodeImage {
-    /// Encode to bytes for shipping to the checkpoint server.
-    pub fn encode(&self) -> Payload {
-        Payload::from_vec(bincode::serialize(self).expect("NodeImage serialization cannot fail"))
-    }
-
-    /// Decode an image fetched from the checkpoint server.
-    pub fn decode(bytes: &[u8]) -> Result<Self, bincode::Error> {
-        bincode::deserialize(bytes)
-    }
-
     /// Encode as an [`ImageBlob`] without copying any payload bytes: the
     /// sender log's payloads and the state blobs become refcount-bumped
     /// segments of the same underlying buffers.
@@ -190,33 +179,6 @@ impl NodeImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn image_roundtrip() {
-        let mut saved = SenderLog::new();
-        saved.append(Rank(1), 4, Payload::filled(9, 32));
-        let mut marks = Watermarks::new();
-        marks.on_delivery_from(Rank(1), 3);
-        marks.on_transmit_to(Rank(1), 4);
-        let img = NodeImage {
-            engine: EngineSnapshot {
-                rank: Rank(0),
-                world: 4,
-                clock: 17,
-                watermarks: marks,
-                saved,
-            },
-            mpi_state: Payload::from_vec(vec![1, 2, 3]),
-            app_state: Payload::from_vec(vec![4, 5]),
-        };
-        let enc = img.encode();
-        let dec = NodeImage::decode(&enc).unwrap();
-        assert_eq!(dec.engine.rank, Rank(0));
-        assert_eq!(dec.engine.clock, 17);
-        assert_eq!(dec.engine.watermarks.hr(Rank(1)), 3);
-        assert!(dec.engine.saved.get(Rank(1), 4).is_some());
-        assert_eq!(dec.app_state, Payload::from_vec(vec![4, 5]));
-    }
 
     #[test]
     fn blob_roundtrip_preserves_everything() {

@@ -11,7 +11,7 @@
 use crate::channel::{Channel, ChannelInfo};
 use crate::error::{MpiError, MpiResult};
 use crate::request::{ReqKind, Request};
-use crate::wire::{Context, MpiFrame, Source, Tag, RNDV_THRESHOLD};
+use crate::wire::{encode_eager, Context, MpiFrame, Source, Tag, RNDV_THRESHOLD};
 use mvr_core::{Payload, Rank};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -163,7 +163,7 @@ impl<C: Channel> Mpi<C> {
         self.check_live()?;
         self.check_rank(dst)?;
         self.check_tag(tag)?;
-        self.send_internal(dst, Context::PointToPoint, tag, Payload::from(bytes))
+        self.send_internal(dst, Context::PointToPoint, tag, bytes)
     }
 
     /// Blocking receive with wildcards. Returns (source, tag, body).
@@ -201,7 +201,7 @@ impl<C: Channel> Mpi<C> {
         self.check_rank(dst)?;
         self.check_tag(tag)?;
         let seq = self.next_seq();
-        let kind = self.start_send(dst, Context::PointToPoint, tag, Payload::from(bytes))?;
+        let kind = self.start_send(dst, Context::PointToPoint, tag, bytes)?;
         Ok(Request { seq, kind })
     }
 
@@ -367,7 +367,7 @@ impl<C: Channel> Mpi<C> {
         tag: i32,
         bytes: &[u8],
     ) -> MpiResult<()> {
-        self.send_internal(dst, context, tag, Payload::from(bytes))
+        self.send_internal(dst, context, tag, bytes)
     }
 
     /// Collective-context receive.
@@ -392,7 +392,7 @@ impl<C: Channel> Mpi<C> {
         recv_tag: Tag,
     ) -> MpiResult<RecvMsg> {
         let rseq = self.post_recv(src, recv_tag, context)?;
-        let send_kind = self.start_send(dst, context, send_tag, Payload::from(bytes))?;
+        let send_kind = self.start_send(dst, context, send_tag, bytes)?;
         let m = self.wait_posted(rseq)?;
         if let ReqKind::RndvSend { rndv_id } = send_kind {
             while !self.completed_rndv.contains(&rndv_id) {
@@ -413,23 +413,26 @@ impl<C: Channel> Mpi<C> {
         s
     }
 
-    /// Start a send; returns how it completes.
+    /// Start a send; returns how it completes. An eager send copies
+    /// `body` once, into the frame; self-sends and rendezvous keep their
+    /// own copy until matched.
     fn start_send(
         &mut self,
         dst: Rank,
         context: Context,
         tag: i32,
-        body: Payload,
+        body: &[u8],
     ) -> MpiResult<ReqKind> {
         if dst == self.rank {
-            self.st.self_queue.push_back((context, tag, body));
+            self.st
+                .self_queue
+                .push_back((context, tag, Payload::from(body)));
             // A self-send may satisfy an already-posted receive.
             self.match_self_queue();
             return Ok(ReqKind::Done);
         }
         if body.len() < RNDV_THRESHOLD {
-            self.chan
-                .bsend(dst, MpiFrame::Eager { context, tag, body }.encode())?;
+            self.chan.bsend(dst, encode_eager(context, tag, body))?;
             return Ok(ReqKind::Done);
         }
         let rndv_id = self.st.next_rndv_id;
@@ -444,7 +447,8 @@ impl<C: Channel> Mpi<C> {
             }
             .encode(),
         )?;
-        self.pending_rndv.insert(rndv_id, (dst, body));
+        self.pending_rndv
+            .insert(rndv_id, (dst, Payload::from(body)));
         Ok(ReqKind::RndvSend { rndv_id })
     }
 
@@ -454,7 +458,7 @@ impl<C: Channel> Mpi<C> {
         dst: Rank,
         context: Context,
         tag: i32,
-        body: Payload,
+        body: &[u8],
     ) -> MpiResult<()> {
         match self.start_send(dst, context, tag, body)? {
             ReqKind::Done => Ok(()),

@@ -124,7 +124,7 @@ pub struct Cluster {
     cfg: ClusterConfig,
     topology: Topology,
     app: Arc<dyn MpiApp>,
-    exit_tx: mpsc::Sender<NodeExit>,
+    pub(crate) exit_tx: mpsc::Sender<NodeExit>,
     exit_rx: mpsc::Receiver<NodeExit>,
     handles: Vec<JoinHandle<()>>,
     disp_mb: Mailbox<DispatcherMsg>,
@@ -205,17 +205,31 @@ impl Cluster {
         let mut el_stores = Vec::new();
         match cfg.protocol {
             RuntimeProtocol::V2 => {
-                let (el_handles, el_counters, stores) = spawn_event_loggers(&fabric, topology);
+                let (el_handles, el_counters, stores) =
+                    spawn_event_loggers(&fabric, topology, &exit_tx);
                 handles.extend(el_handles);
                 el_events_ever = el_counters;
                 el_stores = stores;
-                handles.push(spawn_checkpoint_server_on(&fabric, cs_store.clone()));
+                handles.push(spawn_checkpoint_server_on(
+                    &fabric,
+                    cs_store.clone(),
+                    &exit_tx,
+                ));
                 if let Some(sc) = &cfg.checkpointing {
-                    handles.push(spawn_checkpoint_scheduler(&fabric, cfg.world, sc.clone()));
+                    handles.push(spawn_checkpoint_scheduler(
+                        &fabric,
+                        cfg.world,
+                        sc.clone(),
+                        &exit_tx,
+                    ));
                 }
             }
             RuntimeProtocol::V1 => {
-                handles.extend(spawn_channel_memories(&fabric, default_cms(cfg.world)));
+                handles.extend(spawn_channel_memories(
+                    &fabric,
+                    default_cms(cfg.world),
+                    &exit_tx,
+                ));
             }
             RuntimeProtocol::P4 => {}
         }
@@ -429,15 +443,17 @@ impl Cluster {
                 }
             };
             if self.disp_rec.trace_stderr() {
-                eprintln!("[disp] exit rank={} outcome={:?}", exit.rank, exit.outcome);
+                eprintln!("[disp] exit {} outcome={:?}", exit.node, exit.outcome);
             }
             match exit.outcome {
-                Outcome::Finished(payload) => events.push_back(Event::Result {
-                    rank: exit.rank,
-                    payload,
-                }),
+                Outcome::Finished(payload) => {
+                    let NodeId::Computing(rank) = exit.node else {
+                        unreachable!("only ranks finish")
+                    };
+                    events.push_back(Event::Result { rank, payload })
+                }
                 Outcome::Failed(detail) => events.push_back(Event::Failed {
-                    rank: exit.rank,
+                    node: exit.node,
                     detail,
                 }),
                 // A crash report names no incarnation and may be stale;
@@ -484,6 +500,7 @@ impl Cluster {
             NodeId::CheckpointServer(_) => self.handles.push(spawn_checkpoint_server_on(
                 &self.fabric,
                 self.cs_store.clone(),
+                &self.exit_tx,
             )),
             // Revive a crashed event-logger replica on its surviving
             // ledger after absorbing its live same-shard peers, so it
@@ -520,6 +537,7 @@ impl Cluster {
                     flat,
                     self.el_events_ever[flat as usize].clone(),
                     self.el_stores[flat as usize].clone(),
+                    &self.exit_tx,
                 ));
                 self.disp_rec.record(
                     0,

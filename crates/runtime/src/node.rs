@@ -136,11 +136,21 @@ pub enum Outcome {
     Failed(String),
 }
 
-/// Exit report from a node incarnation to the dispatcher.
+/// A panic's message, as far as its payload carries one.
+pub(crate) fn panic_detail(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or("opaque panic payload")
+}
+
+/// Exit report from a node incarnation (a rank's threads, or a service
+/// thread) to the dispatcher.
 #[derive(Clone, Debug)]
 pub struct NodeExit {
-    /// Reporting rank.
-    pub rank: Rank,
+    /// Reporting node.
+    pub node: NodeId,
     /// What happened.
     pub outcome: Outcome,
 }
@@ -277,7 +287,7 @@ pub fn start_node(
                 Err(panic) => record_panic(&obs, "daemon", panic.as_ref()),
             };
             let _ = daemon_exit_tx.send(NodeExit {
-                rank,
+                node: NodeId::Computing(rank),
                 outcome: Outcome::Failed(failure),
             });
         })
@@ -305,7 +315,10 @@ pub fn start_node(
                 }
             };
             // The dispatcher may already be gone during teardown.
-            let _ = exit_tx.send(NodeExit { rank, outcome });
+            let _ = exit_tx.send(NodeExit {
+                node: NodeId::Computing(rank),
+                outcome,
+            });
         })
         .expect("spawn MPI process thread");
 
@@ -315,12 +328,7 @@ pub fn start_node(
 /// Describe a node thread's panic and leave a `Divergence` record of it
 /// in the incarnation's timeline.
 fn record_panic(obs: &mvr_obs::Recorder, who: &str, panic: &(dyn std::any::Any + Send)) -> String {
-    let what = panic
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| panic.downcast_ref::<&str>().copied())
-        .unwrap_or("opaque panic payload");
-    let detail = format!("{who} panicked: {what}");
+    let detail = format!("{who} panicked: {}", panic_detail(panic));
     obs.record(
         0,
         mvr_obs::ProtoEvent::Divergence {
@@ -1710,6 +1718,65 @@ mod tests {
         assert_eq!(image.engine.clock, 2, "one delivery + one send");
         assert_eq!((image.mpi_state, image.app_state), (body(1), body(2)));
         assert!(!r.node.with(|c| c.app_ckpt_poll()).unwrap(), "consumed");
+    }
+
+    #[test]
+    fn an_eager_frame_is_one_buffer_from_send_through_log_and_wire_to_receive() {
+        use mvr_mpi::wire::{encode_eager, Context, MpiFrame};
+        let r = rig();
+        // Sent: the frame the MPI layer built is what the fabric delivers.
+        let frame = encode_eager(Context::PointToPoint, 7, &[5; 100]);
+        r.node.with(|c| c.app_send(PEER, frame.clone())).unwrap();
+        let delivered: Vec<Payload> = drained(&r.peer_mb)
+            .into_iter()
+            .filter_map(|m| match m {
+                DaemonMsg::Peer {
+                    msg: PeerMsg::Data(d),
+                    ..
+                } => Some(d.payload),
+                _ => None,
+            })
+            .collect();
+        let [wire] = &delivered[..] else {
+            panic!("one data message expected, got {delivered:?}");
+        };
+        assert_eq!(wire.as_ptr(), frame.as_ptr(), "no copy onto the wire");
+        // Logged: the sender-log entry is that same buffer (seen through
+        // the checkpoint image, which shares it too).
+        r.daemon_drain(vec![DaemonMsg::Sched(SchedMsg::CheckpointOrder)]);
+        assert!(r.node.with(|c| c.app_ckpt_poll()).unwrap());
+        r.node
+            .with(|c| c.app_ckpt_commit(body(1), body(2)))
+            .unwrap();
+        let image = match &drained(&r.cs_mb)[..] {
+            [CkptPacket {
+                req: CkptRequest::Put { image, .. },
+                ..
+            }] => NodeImage::decode_blob(image).expect("image decodes"),
+            other => panic!("expected one image upload, got {other:?}"),
+        };
+        let saved = image.engine.saved.get(PEER, 1).expect("logged");
+        assert_eq!(saved.as_ptr(), frame.as_ptr(), "the log holds the frame");
+        assert_eq!(saved.len(), frame.len());
+        // Received: the body the receive hands the MPI layer decodes as a
+        // view into the frame the fabric delivered.
+        let mut data = data_msg(1);
+        data.payload = frame.clone();
+        r.daemon_drain(vec![DaemonMsg::Peer {
+            from: PEER,
+            msg: PeerMsg::Data(data),
+        }]);
+        let (_, got) = r.recv().expect("received inline");
+        assert_eq!(got.as_ptr(), frame.as_ptr());
+        let MpiFrame::Eager { body, .. } = MpiFrame::decode(&got).unwrap() else {
+            panic!("an eager frame");
+        };
+        assert_eq!(&body[..], &[5; 100][..]);
+        assert_eq!(
+            body.as_ptr(),
+            got[got.len() - 100..].as_ptr(),
+            "no copy out"
+        );
     }
 
     #[test]

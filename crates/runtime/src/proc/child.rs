@@ -21,7 +21,9 @@
 use super::gateway::{Control, Gateway, GatewayRole};
 use super::wire::WireMsg;
 use crate::deploy::{ProcLaunch, Topology};
-use crate::node::{register_node, start_node, MpiApp, NodeConfig, Outcome, RuntimeProtocol};
+use crate::node::{
+    register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
+};
 use crate::services::{serve_el_replica, spawn_checkpoint_server_on};
 use mvr_core::{NodeId, Rank};
 use mvr_eventlog::EventLogStore;
@@ -371,7 +373,11 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
                     gateway.send_to(NodeId::Dispatcher, &WireMsg::RankResult { rank, result });
                 }
                 Outcome::Failed(detail) => {
-                    gateway.send_to(NodeId::Dispatcher, &WireMsg::RankFailed { rank, detail });
+                    let failed = WireMsg::Failed {
+                        node: NodeId::Computing(rank),
+                        detail,
+                    };
+                    gateway.send_to(NodeId::Dispatcher, &failed);
                     // Explicit teardown, not a grace-period sleep: make
                     // the JSONL stream durable, ship the last staged
                     // telemetry, drain the outbound socket queues, die.
@@ -472,11 +478,13 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
     }
 
     let counter = Arc::new(AtomicU64::new(0));
-    let _handle = serve_el_replica(seat, topo, flat, counter.clone(), store.clone());
+    let (failures, failed) = mpsc::channel();
+    let _handle = serve_el_replica(seat, topo, flat, counter.clone(), store.clone(), &failures);
     report_ready(&gateway, spec);
 
     let mut last_ship = Instant::now();
     let each_tick = || {
+        forward_failure(&gateway, &failed);
         // Ship the ledger counter on the telemetry cadence so the
         // parent's health page carries live per-shard EL progress.
         if spec.stream.is_some() && last_ship.elapsed() >= TELEMETRY_CADENCE {
@@ -518,10 +526,30 @@ fn run_cs(spec: &ChildSpec) -> ! {
     // Real deployments would back this with a disk directory.
     let store = Arc::new(Mutex::new(mvr_ckpt::CheckpointStore::new()));
     // Serving before the hello announces our address (see `run_el`).
-    let _handle = spawn_checkpoint_server_on(&fabric, store);
+    let (failures, failed) = mpsc::channel();
+    let _handle = spawn_checkpoint_server_on(&fabric, store, &failures);
     let gateway = connect(spec, &fabric, GatewayRole::CheckpointServer);
     report_ready(&gateway, spec);
-    serve(&gateway, Duration::from_millis(25), || {}, |_, _| {}, || {})
+    let each_tick = || forward_failure(&gateway, &failed);
+    serve(
+        &gateway,
+        Duration::from_millis(25),
+        each_tick,
+        |_, _| {},
+        || {},
+    )
+}
+
+/// Pass a service thread's panic report on to the supervisor, which
+/// fails the run and tears every child down.
+fn forward_failure(gateway: &Gateway, failed: &mpsc::Receiver<NodeExit>) {
+    if let Ok(NodeExit {
+        node,
+        outcome: Outcome::Failed(detail),
+    }) = failed.try_recv()
+    {
+        gateway.send_to(NodeId::Dispatcher, &WireMsg::Failed { node, detail });
+    }
 }
 
 #[cfg(test)]

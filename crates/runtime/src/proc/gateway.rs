@@ -428,8 +428,8 @@ mod tests {
         let tr: Arc<dyn Transport> = Arc::new(net.attach(NodeId::Computing(Rank(0))));
         let gw_sup = Gateway::start(ts, &sup_fab, GatewayRole::Supervisor, topo);
         let gw_rank = Gateway::start(tr, &rank_fab, GatewayRole::Rank(Rank(0)), topo);
-        let failed = WireMsg::RankFailed {
-            rank: Rank(0),
+        let failed = WireMsg::Failed {
+            node: NodeId::Computing(Rank(0)),
             detail: "boom".into(),
         };
         gw_rank.send_to(NodeId::Dispatcher, &failed);

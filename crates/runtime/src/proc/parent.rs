@@ -21,6 +21,7 @@ use super::sig;
 use super::wire::WireMsg;
 use crate::deploy::{Backend, ClusterConfig, Topology};
 use crate::dispatcher::ClusterError;
+use crate::node::{NodeExit, Outcome};
 use crate::services::spawn_checkpoint_scheduler;
 use crate::supervisor::{bind_health, put, Action, Event, Supervisor};
 use mvr_core::{Metrics, NodeId, Payload, Rank};
@@ -33,7 +34,7 @@ use mvr_obs::{
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -133,6 +134,8 @@ struct Launcher<'a> {
     local_addr: String,
     /// Hosts the checkpoint scheduler; kept alive for its thread.
     _fabric: Fabric,
+    /// The checkpoint scheduler's panic report, if it dies of one.
+    service_failures: mpsc::Receiver<NodeExit>,
     hub: Arc<RecorderHub>,
     recorder: Recorder,
     slots: BTreeMap<NodeId, ChildSlot>,
@@ -179,8 +182,9 @@ impl<'a> Launcher<'a> {
 
         let fabric = Fabric::new();
         let gateway = Gateway::start(transport, &fabric, GatewayRole::Supervisor, topology);
+        let (failures, service_failures) = mpsc::channel();
         if let Some(sched) = &opts.checkpointing {
-            spawn_checkpoint_scheduler(&fabric, opts.world, sched.clone());
+            spawn_checkpoint_scheduler(&fabric, opts.world, sched.clone(), &failures);
         }
 
         let health = bind_health(opts).map_err(|e| launch_err("health endpoint", &e))?;
@@ -198,6 +202,7 @@ impl<'a> Launcher<'a> {
             gateway,
             local_addr,
             _fabric: fabric,
+            service_failures,
             hub,
             recorder,
             slots: BTreeMap::new(),
@@ -293,6 +298,11 @@ impl<'a> Launcher<'a> {
                     cause: status.to_string(),
                 });
             }
+            while let Ok(NodeExit { node, outcome }) = self.service_failures.try_recv() {
+                if let Outcome::Failed(detail) = outcome {
+                    events.push_back(Event::Failed { node, detail });
+                }
+            }
             events.push_back(Event::Tick);
             while let Some(ev) = events.pop_front() {
                 for action in self.core.step(self.start.elapsed(), ev) {
@@ -358,8 +368,8 @@ impl<'a> Launcher<'a> {
                     rank,
                     payload: result,
                 }),
-                WireMsg::RankFailed { rank, detail } => {
-                    events.push_back(Event::Failed { rank, detail })
+                WireMsg::Failed { node, detail } => {
+                    events.push_back(Event::Failed { node, detail })
                 }
                 WireMsg::Finalized {
                     rank,

@@ -114,11 +114,12 @@ pub enum WireMsg {
         /// The application's return payload.
         result: Payload,
     },
-    /// A rank's application error (protocol failure, not a crash — the
-    /// supervisor distinguishes crashes by the fail-stop detector).
-    RankFailed {
-        /// Failing rank.
-        rank: Rank,
+    /// A rank's application error or a service thread's panic (a bug,
+    /// not a crash — the supervisor distinguishes crashes by the
+    /// fail-stop detector).
+    Failed {
+        /// Failing node.
+        node: NodeId,
         /// Error detail.
         detail: String,
     },

@@ -60,6 +60,14 @@ pub enum ClusterError {
         /// Its error.
         error: String,
     },
+    /// A service thread (event logger, checkpoint server or scheduler,
+    /// channel memory) panicked: a bug, reported at once.
+    ServiceFailed {
+        /// The failing service.
+        node: NodeId,
+        /// Its panic message.
+        error: String,
+    },
     /// A rank crashed while `auto_restart` was off: without the execution
     /// monitor's relaunch there is no recovery path, so the run fails
     /// immediately instead of idling until the timeout.
@@ -87,6 +95,7 @@ impl Display for ClusterError {
         match self {
             ClusterError::Timeout(s) => write!(f, "cluster run timed out: {s}"),
             ClusterError::AppFailed { rank, error } => write!(f, "rank {rank} failed: {error}"),
+            ClusterError::ServiceFailed { node, error } => write!(f, "{node} failed: {error}"),
             ClusterError::RankLost { rank } => {
                 write!(f, "rank {rank} crashed and auto_restart is disabled")
             }
@@ -118,8 +127,9 @@ pub(crate) enum Event {
     },
     /// A rank's application returned its result.
     Result { rank: Rank, payload: Payload },
-    /// A rank's application failed with a real (non-crash) error.
-    Failed { rank: Rank, detail: String },
+    /// A rank's application failed with a real (non-crash) error, or a
+    /// service thread panicked.
+    Failed { node: NodeId, detail: String },
     /// Time passed.
     Tick,
 }
@@ -297,8 +307,15 @@ impl Supervisor {
                 }
                 None
             }
-            Event::Failed { rank, detail } => Some(ClusterError::AppFailed {
+            Event::Failed {
+                node: NodeId::Computing(rank),
+                detail,
+            } => Some(ClusterError::AppFailed {
                 rank,
+                error: detail,
+            }),
+            Event::Failed { node, detail } => Some(ClusterError::ServiceFailed {
+                node,
                 error: detail,
             }),
             Event::Tick => None,
