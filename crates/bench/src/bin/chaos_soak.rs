@@ -45,7 +45,7 @@ use mvr_bench::{print_table, quick_mode, storm_deployment, write_json};
 use mvr_core::Payload;
 use mvr_obs::{ProtoEvent, TimingSummary, DISPATCHER_RANK};
 use mvr_runtime::proc::{maybe_run_child, run_proc};
-use mvr_runtime::{ChaosConfig, Cluster, ClusterConfig, RunReport, SchedulerConfig};
+use mvr_runtime::{ChaosConfig, Cluster, ClusterConfig, RunReport, SchedulerConfig, Topology};
 use mvr_workloads::apps::{
     check, check_fanin, check_ring, expected_stream, fanin_app, make_app, ring_app, stream_app,
 };
@@ -182,11 +182,6 @@ fn storm_chaos(storm: &Storm, seed: u64) -> ChaosConfig {
         rekill_pct: storm.rekill_pct,
         cs_kill_pct: storm.cs_kill_pct,
         el_kill_pct: storm.el_kill_pct,
-        el_total: if storm.el_kill_pct > 0 {
-            EL_SHARDS * EL_REPLICAS
-        } else {
-            0
-        },
         ..Default::default()
     }
 }
@@ -338,14 +333,14 @@ fn proc_storm_chaos(seed: u64) -> ChaosConfig {
         rekill_pct: 0,
         cs_kill_pct: 25,
         el_kill_pct: 50,
-        el_total: PROC_EL_REPLICAS,
     }
 }
 
 fn run_proc_scenario(seed: u64) -> ScenarioResult {
     let chaos = proc_storm_chaos(seed);
     // The plan is pure: count what the storm will do before running it.
-    let plan = chaos.plan(WORLD);
+    let topology = Topology::new(WORLD, 1, PROC_EL_REPLICAS).expect("valid topology");
+    let plan = chaos.plan(&topology);
     let rank_kills: u64 = plan.iter().map(|e| e.victims.len() as u64).sum();
     let cs_kills = plan.iter().filter(|e| e.kill_checkpoint_server).count() as u64;
     let el_kills = plan.iter().filter(|e| e.kill_el_replica.is_some()).count() as u64;

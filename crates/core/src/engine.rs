@@ -22,7 +22,7 @@
 
 use crate::clock::LogicalClock;
 use crate::envelope::{DataMsg, PeerMsg};
-use crate::event::{BatchPolicy, EventBatch, ReceptionEvent};
+use crate::event::{EventBatch, ReceptionEvent, DEFAULT_BATCH_MAX_EVENTS};
 use crate::ids::{MsgId, Rank};
 use crate::metrics::Metrics;
 use crate::payload::Payload;
@@ -86,7 +86,7 @@ pub enum Input {
     /// The runtime confirms the checkpoint image was stored durably.
     CheckpointStored,
     /// The hosting daemon is idle: ship any pending reception events now
-    /// (bounds event latency under a lazy [`BatchPolicy`]).
+    /// (bounds event latency while a batch is below its size bound).
     FlushEvents,
 }
 
@@ -176,8 +176,9 @@ pub struct V2Engine {
     /// `RESTART2` arrives — the analog of in-flight bytes dying with the
     /// old TCP connection. (`None` = not recovering; all peers accepted.)
     handshaken: Option<std::collections::BTreeSet<Rank>>,
-    /// When to ship accumulated reception events to the event logger.
-    policy: BatchPolicy,
+    /// Size bound of an event batch ([`DEFAULT_BATCH_MAX_EVENTS`] unless
+    /// [`set_batch_bound`](Self::set_batch_bound) changed it).
+    batch_max: usize,
     /// Delivered-but-not-yet-shipped reception events, in receiver-clock
     /// order. The gate already counts them as scheduled; they are volatile
     /// and die with a crash — which is safe, because no transmission can
@@ -231,13 +232,8 @@ struct CkptInFlight {
 
 impl V2Engine {
     /// A fresh engine for the initial launch of `rank` in a world of
-    /// `world` computing processes, with the default (lazy) batch policy.
+    /// `world` computing processes, with the default batch bound.
     pub fn fresh(rank: Rank, world: u32) -> Self {
-        Self::fresh_with_policy(rank, world, BatchPolicy::default())
-    }
-
-    /// A fresh engine with an explicit event-batching policy.
-    pub fn fresh_with_policy(rank: Rank, world: u32, policy: BatchPolicy) -> Self {
         assert!(rank.0 < world, "rank {rank} out of world {world}");
         V2Engine {
             rank,
@@ -254,7 +250,7 @@ impl V2Engine {
             app_waiting_probe: false,
             probes_since_delivery: 0,
             handshaken: None,
-            policy,
+            batch_max: DEFAULT_BATCH_MAX_EVENTS,
             pending_events: Vec::new(),
             ckpt_pending: false,
             ckpt_in_flight: None,
@@ -274,7 +270,7 @@ impl V2Engine {
 
     /// Configure EL replication (applied by the runtime after
     /// [`fresh`](Self::fresh) or [`restore`](Self::restore), like
-    /// [`set_batch_policy`](Self::set_batch_policy)). With
+    /// [`set_batch_bound`](Self::set_batch_bound)). With
     /// `replicas <= 1` the engine keeps the unreplicated single-ack
     /// behavior byte-for-byte.
     pub fn set_el_replication(&mut self, replicas: u32, quorum: u32) {
@@ -488,18 +484,14 @@ impl V2Engine {
         self.gated.len()
     }
 
-    /// Change the batching policy (e.g. after [`restore`](Self::restore),
-    /// which always starts from the default). Immediately flushes if the
-    /// new policy no longer tolerates the current backlog.
-    pub fn set_batch_policy(&mut self, policy: BatchPolicy) {
-        self.policy = policy;
-        match policy {
-            BatchPolicy::Immediate => self.flush_events(),
-            BatchPolicy::Lazy { max_events } => {
-                if self.pending_events.len() >= max_events.max(1) {
-                    self.flush_events();
-                }
-            }
+    /// Change the batch size bound (0 is treated as 1), e.g. after
+    /// [`restore`](Self::restore), which always starts from
+    /// [`DEFAULT_BATCH_MAX_EVENTS`]. Immediately flushes if the backlog
+    /// already reaches the new bound.
+    pub fn set_batch_bound(&mut self, max_events: usize) {
+        self.batch_max = max_events.max(1);
+        if self.pending_events.len() >= self.batch_max {
+            self.flush_events();
         }
     }
 
@@ -761,16 +753,10 @@ impl V2Engine {
         self.metrics.msgs_delivered += 1;
         self.metrics.bytes_delivered += payload.len() as u64;
         self.pending_events.push(ev);
-        let must_flush = match self.policy {
-            BatchPolicy::Immediate => true,
-            BatchPolicy::Lazy { max_events } => {
-                // Flush at the size bound, or when transmissions are
-                // already queued behind the gate: their release needs the
-                // EL to ack this very event.
-                self.pending_events.len() >= max_events.max(1) || !self.gated.is_empty()
-            }
-        };
-        if must_flush {
+        // Flush at the size bound, or when transmissions are already
+        // queued behind the gate: their release needs the EL to ack this
+        // very event.
+        if self.pending_events.len() >= self.batch_max || !self.gated.is_empty() {
             self.flush_events();
         }
         self.outputs.push_back(Output::Deliver { from, payload });
@@ -1214,6 +1200,13 @@ mod tests {
         Payload::from_vec(vec![n])
     }
 
+    /// A fresh engine whose batches hold at most `max_events` events.
+    fn bounded(rank: Rank, world: u32, max_events: usize) -> V2Engine {
+        let mut e = V2Engine::fresh(rank, world);
+        e.set_batch_bound(max_events);
+        e
+    }
+
     /// Collect outputs, asserting the pessimism invariant on every data
     /// transmission.
     fn outs(e: &mut V2Engine) -> Vec<Output> {
@@ -1250,8 +1243,8 @@ mod tests {
 
     #[test]
     fn delivery_logs_event_then_gates_next_send() {
-        // Immediate policy: the eager one-round-trip-per-message protocol.
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Immediate);
+        // Batch bound 1: the eager one-round-trip-per-message protocol.
+        let mut e = bounded(Rank(1), 2, 1);
         // A message arrives; the app receives it.
         e.handle(Input::AppRecv).unwrap();
         e.handle(Input::Peer {
@@ -1296,7 +1289,7 @@ mod tests {
 
     #[test]
     fn probes_counted_and_attached_to_next_event() {
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Immediate);
+        let mut e = bounded(Rank(1), 2, 1);
         e.handle(Input::AppProbe).unwrap();
         assert_eq!(outs(&mut e), vec![Output::ProbeAnswer(false)]);
         e.handle(Input::AppProbe).unwrap();
@@ -1566,7 +1559,7 @@ mod tests {
             saved: SenderLog::new(),
         };
         let mut e = V2Engine::restore(snap);
-        e.set_batch_policy(BatchPolicy::Immediate);
+        e.set_batch_bound(1);
         e.begin_recovery(vec![ReceptionEvent {
             sender: Rank(1),
             sender_clock: 1,
@@ -1855,7 +1848,7 @@ mod tests {
 
     #[test]
     fn lazy_batching_defers_log_until_send_gates() {
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Lazy { max_events: 8 });
+        let mut e = bounded(Rank(1), 2, 8);
         for h in 1..=2u64 {
             e.handle(Input::AppRecv).unwrap();
             feed_data(&mut e, Rank(0), h);
@@ -1863,7 +1856,7 @@ mod tests {
         let o = outs(&mut e);
         assert!(
             o.iter().all(|x| !matches!(x, Output::LogEvents(_))),
-            "lazy policy must not ship per delivery"
+            "a batch bound above 1 must not ship per delivery"
         );
         assert_eq!(e.pending_event_count(), 2);
         assert!(!e.gate_open(), "the gate still closes at delivery");
@@ -1974,7 +1967,7 @@ mod tests {
     /// events 1..=`shipped`, one batch each, and has a send gated behind
     /// the last.
     fn replicated_with_a_gated_send(shipped: u64) -> V2Engine {
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Immediate);
+        let mut e = bounded(Rank(1), 2, 1);
         e.set_el_replication(2, 2);
         for h in 1..=shipped {
             e.handle(Input::AppRecv).unwrap();
@@ -2065,7 +2058,7 @@ mod tests {
 
     #[test]
     fn stale_replica_ack_cannot_regress_the_quorum() {
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Immediate);
+        let mut e = bounded(Rank(1), 2, 1);
         e.set_el_replication(2, 2);
         for h in 1..=2u64 {
             e.handle(Input::AppRecv).unwrap();
@@ -2092,6 +2085,51 @@ mod tests {
         .unwrap();
         assert!(e.gate_open());
         assert_eq!(e.metrics().el_batches_acked, 2);
+    }
+
+    #[test]
+    fn quorum_watermark_advances_on_qth_ack() {
+        // R = 3, Q = 2, one event per batch: the trusted watermark — here
+        // the count of retired batches — follows the second-highest
+        // replica.
+        let mut e = bounded(Rank(1), 2, 1);
+        e.set_el_replication(3, 2);
+        for h in 1..=12u64 {
+            e.handle(Input::AppRecv).unwrap();
+            feed_data(&mut e, Rank(0), h);
+        }
+        outs(&mut e);
+        let mut ack = |replica, up_to| {
+            e.handle(Input::ElReplicaAck { replica, up_to }).unwrap();
+            e.metrics().el_batches_acked
+        };
+        assert_eq!(ack(0, 10), 0, "one ack is not a quorum");
+        assert_eq!(ack(1, 7), 7, "two of three acked ≥ 7");
+        assert_eq!(ack(2, 12), 10);
+        assert_eq!(ack(1, 12), 12);
+        assert!(e.gate_open());
+    }
+
+    #[test]
+    fn single_replica_is_its_own_quorum() {
+        let mut e = V2Engine::fresh(Rank(1), 2);
+        e.set_el_replication(1, 1);
+        e.handle(Input::AppRecv).unwrap();
+        feed_data(&mut e, Rank(0), 1);
+        e.handle(Input::AppSend {
+            dst: Rank(0),
+            payload: pl(9),
+        })
+        .unwrap();
+        outs(&mut e);
+        e.handle(Input::ElReplicaAck {
+            replica: 0,
+            up_to: 1,
+        })
+        .unwrap();
+        assert!(e.gate_open(), "R = 1 reduces to the unreplicated ack");
+        assert_eq!(data_out(&outs(&mut e)).len(), 1);
+        assert_eq!(e.metrics().el_batches_acked, 1);
     }
 
     #[test]
@@ -2150,7 +2188,7 @@ mod tests {
 
     #[test]
     fn lazy_batch_flushes_at_size_threshold() {
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Lazy { max_events: 3 });
+        let mut e = bounded(Rank(1), 2, 3);
         for h in 1..=3u64 {
             e.handle(Input::AppRecv).unwrap();
             feed_data(&mut e, Rank(0), h);
@@ -2175,8 +2213,7 @@ mod tests {
     #[test]
     fn transmit_never_precedes_ack_of_delivered_events() {
         for seed in 0..64u64 {
-            let mut e =
-                V2Engine::fresh_with_policy(Rank(0), 2, BatchPolicy::Lazy { max_events: 4 });
+            let mut e = bounded(Rank(0), 2, 4);
             let mut rng = seed;
             let mut next_h = 1u64; // peer's sender clock
             let mut shipped = 0u64; // highest rc the EL has seen
@@ -2241,10 +2278,10 @@ mod tests {
     /// nondeterministic events, and no transmission ever depended on them.
     #[test]
     fn crash_between_flushes_preserves_replay_determinism() {
-        let lazy = BatchPolicy::Lazy { max_events: 100 };
+        let lazy = 100;
         // Pre-crash run: three receptions; only the first event reaches
         // the EL (explicit flush), the other two stay pending.
-        let mut e = V2Engine::fresh_with_policy(Rank(0), 2, lazy);
+        let mut e = bounded(Rank(0), 2, lazy);
         for h in 1..=3u64 {
             e.handle(Input::AppRecv).unwrap();
             feed_data(&mut e, Rank(1), h);
@@ -2266,7 +2303,7 @@ mod tests {
 
         // Crash, no checkpoint image: recovery replays the EL's durable
         // prefix only.
-        let mut r = V2Engine::fresh_with_policy(Rank(0), 2, lazy);
+        let mut r = bounded(Rank(0), 2, lazy);
         r.begin_recovery(durable);
         outs(&mut r);
         assert!(r.is_replaying());
@@ -2391,7 +2428,7 @@ mod tests {
     #[test]
     fn gate_wait_and_el_rtt_counted_with_flight_records() {
         use mvr_obs::RecorderConfig;
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Immediate);
+        let mut e = bounded(Rank(1), 2, 1);
         e.set_recorder(Recorder::new(1, RecorderConfig::enabled()));
         // A delivery closes the gate and ships its event.
         e.handle(Input::AppRecv).unwrap();
@@ -2426,7 +2463,7 @@ mod tests {
 
     #[test]
     fn coalesced_ack_retires_every_covered_batch() {
-        let mut e = V2Engine::fresh_with_policy(Rank(1), 2, BatchPolicy::Lazy { max_events: 8 });
+        let mut e = bounded(Rank(1), 2, 8);
         // Two separate flushes ship two batches.
         e.handle(Input::AppRecv).unwrap();
         feed_data(&mut e, Rank(0), 1);
@@ -2446,7 +2483,7 @@ mod tests {
 
     #[test]
     fn recovery_clears_stale_el_rtt_queue() {
-        let mut e = V2Engine::fresh_with_policy(Rank(0), 2, BatchPolicy::Immediate);
+        let mut e = bounded(Rank(0), 2, 1);
         e.handle(Input::AppRecv).unwrap();
         feed_data(&mut e, Rank(1), 1);
         outs(&mut e);
@@ -2466,7 +2503,7 @@ mod tests {
         // A live re-executed send queued behind the gate must not be
         // emitted ahead of the older SAVED messages a RESTART1 asks to
         // re-send: the peer's replay assumes ascending per-pair clocks.
-        let mut e = V2Engine::fresh_with_policy(Rank(0), 2, BatchPolicy::Immediate);
+        let mut e = bounded(Rank(0), 2, 1);
         for n in [1u8, 2, 3] {
             e.handle(Input::AppSend {
                 dst: Rank(1),

@@ -44,7 +44,7 @@ impl ReceptionEvent {
     pub const WIRE_BYTES: usize = 20;
 }
 
-/// When the engine ships accumulated reception events to the event logger.
+/// How many reception events a batch holds before the engine ships it.
 ///
 /// Lazy batching is safe under the pessimism invariant (§4.1): the
 /// WAITLOGGED gate closes at *delivery*, so no payload can leave while any
@@ -52,33 +52,12 @@ impl ReceptionEvent {
 /// event batch is actually transmitted. A reception with no subsequent
 /// send has no externally visible effect, so deferring its event costs
 /// nothing; what batching buys is one EL round-trip amortized over many
-/// deliveries instead of one per delivery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchPolicy {
-    /// Ship every event as soon as it is produced — one EL round-trip per
-    /// delivered message, the eager behavior of the paper's prototype.
-    Immediate,
-    /// Accumulate events; flush only when a data send queues behind the
-    /// pessimism gate, the batch reaches `max_events`, or a checkpoint /
-    /// replay completion / host-driven idle flush forces it.
-    Lazy {
-        /// Flush threshold: a batch never exceeds this many events.
-        max_events: usize,
-    },
-}
-
-impl BatchPolicy {
-    /// Size bound of the default lazy policy.
-    pub const DEFAULT_MAX_EVENTS: usize = 32;
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::Lazy {
-            max_events: Self::DEFAULT_MAX_EVENTS,
-        }
-    }
-}
+/// deliveries instead of one per delivery. Besides this bound, a batch
+/// ships when a data send queues behind the gate, and at a checkpoint,
+/// a replay completion or a host-driven idle flush. A bound of 1 ships
+/// every event as soon as it is produced, the eager behavior of the
+/// paper's prototype.
+pub const DEFAULT_BATCH_MAX_EVENTS: usize = 32;
 
 /// A batch of events, as shipped from a daemon to its event logger.
 /// Events in a batch are ordered by `receiver_clock`.

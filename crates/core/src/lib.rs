@@ -69,7 +69,7 @@ pub use envelope::{
     CkptReply, CkptRequest, CmReply, CmRequest, DataMsg, ElAddr, ElReply, ElRequest, PeerMsg,
     SchedMsg,
 };
-pub use event::{BatchPolicy, EventBatch, ReceptionEvent};
+pub use event::{EventBatch, ReceptionEvent, DEFAULT_BATCH_MAX_EVENTS};
 pub use ids::{MsgId, NodeId, Rank};
 pub use metrics::Metrics;
 pub use payload::Payload;

@@ -63,11 +63,6 @@ impl PessimismGate {
         self.scheduled.saturating_sub(self.acked)
     }
 
-    /// Highest scheduled clock (what the EL must eventually ack).
-    pub fn scheduled_clock(&self) -> u64 {
-        self.scheduled
-    }
-
     /// Highest acked clock.
     pub fn acked_clock(&self) -> u64 {
         self.acked

@@ -143,12 +143,6 @@ impl ReplayPlan {
         }
     }
 
-    /// Is the head event deliverable right now?
-    pub fn head_available(&self) -> bool {
-        self.head()
-            .is_some_and(|e| self.pending.contains_key(&e.msg_id()))
-    }
-
     /// Answer an application probe during replay (§4.5 probe counting).
     pub fn probe(&mut self) -> ProbeVerdict {
         let Some(head) = self.events.front() else {

@@ -9,7 +9,7 @@
 //! execution is equivalent to a fault-free one (every planned message
 //! delivered exactly once, in per-pair order, with the right content).
 //!
-//! Under a lazy batch policy the explorer can also branch on the **host
+//! Under a batch bound above 1 the explorer can also branch on the **host
 //! shipping a rank's pending events** at any state — the runtime's
 //! freedom to flush when it is about to go idle, or not until a send
 //! gates.
@@ -18,9 +18,7 @@
 //! space; this exhausts it (for small configurations).
 
 use mvr_core::engine::{Input, Output};
-use mvr_core::{
-    BatchPolicy, EngineSnapshot, EventBatch, Payload, PeerMsg, Rank, ReceptionEvent, V2Engine,
-};
+use mvr_core::{EngineSnapshot, EventBatch, Payload, PeerMsg, Rank, ReceptionEvent, V2Engine};
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------
@@ -83,15 +81,20 @@ struct World {
     /// The reliable event logger: stored events per rank.
     el: Vec<Vec<ReceptionEvent>>,
     snapshots: Vec<Option<Snapshot>>,
-    policy: BatchPolicy,
+    /// Batch size bound of every engine, re-applied after a restore.
+    batch_max: usize,
 }
 
 impl World {
-    fn new(scripts: Vec<Vec<Op>>, policy: BatchPolicy) -> Self {
+    fn new(scripts: Vec<Vec<Op>>, batch_max: usize) -> Self {
         let n = scripts.len();
         World {
             engines: (0..n)
-                .map(|r| V2Engine::fresh_with_policy(Rank(r as u32), n as u32, policy))
+                .map(|r| {
+                    let mut e = V2Engine::fresh(Rank(r as u32), n as u32);
+                    e.set_batch_bound(batch_max);
+                    e
+                })
                 .collect(),
             scripts,
             pc: vec![0; n],
@@ -101,7 +104,7 @@ impl World {
             flights: VecDeque::new(),
             el: vec![Vec::new(); n],
             snapshots: vec![None; n],
-            policy,
+            batch_max,
         }
     }
 
@@ -249,7 +252,7 @@ impl World {
                 Vec::new(),
             ),
         };
-        engine.set_batch_policy(self.policy);
+        engine.set_batch_bound(self.batch_max);
         let events: Vec<ReceptionEvent> = self.el[v]
             .iter()
             .copied()
@@ -411,32 +414,32 @@ impl Explorer {
 }
 
 fn run_exploration(scripts: Vec<Vec<Op>>, crashes: u32, ckpts: u32, max_states: u64) -> (u64, u64) {
-    // The eager policy maximizes in-flight EL traffic (one LogEvents/ElAck
+    // A batch bound of 1 maximizes in-flight EL traffic (one LogEvents/ElAck
     // pair per delivery) and hence the interleaving space explored.
-    run_exploration_with(scripts, BatchPolicy::Immediate, crashes, ckpts, max_states)
+    run_exploration_with(scripts, 1, crashes, ckpts, max_states)
 }
 
 fn run_exploration_with(
     scripts: Vec<Vec<Op>>,
-    policy: BatchPolicy,
+    batch_max: usize,
     crashes: u32,
     ckpts: u32,
     max_states: u64,
 ) -> (u64, u64) {
-    let ex = explore_from_start(scripts, policy, crashes, ckpts, max_states, false);
+    let ex = explore_from_start(scripts, batch_max, crashes, ckpts, max_states, false);
     (ex.states_visited, ex.crash_runs)
 }
 
 fn explore_from_start(
     scripts: Vec<Vec<Op>>,
-    policy: BatchPolicy,
+    batch_max: usize,
     crashes: u32,
     ckpts: u32,
     max_states: u64,
     host_flushes: bool,
 ) -> Explorer {
     let expected = expected_per_source(&scripts);
-    let mut world = World::new(scripts, policy);
+    let mut world = World::new(scripts, batch_max);
     world.run_apps();
     let mut ex = Explorer {
         expected,
@@ -514,7 +517,7 @@ fn exhaustive_three_ranks_fanin() {
 
 #[test]
 fn exhaustive_lazy_batching_pingpong_with_crashes() {
-    // Same matrix as the eager ping-pong, under a lazy batch policy small
+    // Same matrix as the eager ping-pong, under a batch bound small
     // enough to exercise both the threshold flush and the gated-send
     // flush. Correctness (delivery equivalence across all crash branches)
     // must be identical; only the state count shrinks — batching removes
@@ -523,13 +526,7 @@ fn exhaustive_lazy_batching_pingpong_with_crashes() {
         vec![Op::Send(1), Op::Recv, Op::Send(1)],
         vec![Op::Recv, Op::Send(0), Op::Recv],
     ];
-    let (states, crash_runs) = run_exploration_with(
-        scripts,
-        BatchPolicy::Lazy { max_events: 2 },
-        1,
-        0,
-        2_000_000,
-    );
+    let (states, crash_runs) = run_exploration_with(scripts, 2, 1, 0, 2_000_000);
     assert!(states >= 5, "exploration trivially small ({states})");
     assert!(crash_runs >= 10, "too few crash branches ({crash_runs})");
 }
@@ -552,20 +549,14 @@ fn exhaustive_lazy_batching_fanin_with_crashes() {
             Op::Send(1),
         ],
     ];
-    let (states, crash_runs) = run_exploration_with(
-        scripts,
-        BatchPolicy::Lazy { max_events: 64 },
-        1,
-        0,
-        8_000_000,
-    );
+    let (states, crash_runs) = run_exploration_with(scripts, 64, 1, 0, 8_000_000);
     assert!(states >= 20, "{states}");
     assert!(crash_runs >= 50, "{crash_runs}");
 }
 
 /// A batch bound no script reaches: the engine itself ships only when a
 /// send gates, so every other ship is the host's choice.
-const HOST_PACED: BatchPolicy = BatchPolicy::Lazy { max_events: 64 };
+const HOST_PACED: usize = 64;
 
 #[test]
 fn exhaustive_host_flush_freedom_pingpong_with_crashes() {

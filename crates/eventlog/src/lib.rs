@@ -18,8 +18,6 @@ pub mod router;
 pub mod service;
 pub mod store;
 
-pub use router::{merged_unique_events, quorum_of, QuorumTracker, ShardMap};
-pub use service::{
-    run_event_logger, run_event_logger_counted, run_event_logger_on, ElPacket, ElServiceStats,
-};
+pub use router::{merged_unique_events, quorum_of, ShardMap};
+pub use service::{run_event_logger, run_event_logger_on, ElPacket, ElServiceStats};
 pub use store::{el_for_rank, EventLogStore};

@@ -8,9 +8,11 @@
 //! owned by its own rank, so the consistent-hash [`ShardMap`] assigns
 //! each daemon exactly one shard, and shards never exchange state.
 //! Within a shard, R replicas each hold the full shard ledger; the
-//! pessimism gate opens when a majority quorum of them has acked, so a
-//! single replica crash neither stalls the gate nor loses any
-//! quorum-acked event (write quorum ∩ read quorum is non-empty).
+//! pessimism gate opens when a majority quorum ([`quorum_of`]) of them
+//! has acked, so a single replica crash neither stalls the gate nor
+//! loses any quorum-acked event (write quorum ∩ read quorum is
+//! non-empty). The daemon's engine folds the replica acks into the
+//! quorum watermark (`V2Engine` in `mvr-core`).
 
 use mvr_core::Rank;
 
@@ -92,57 +94,6 @@ pub fn quorum_of(replicas: u32) -> u32 {
     replicas.max(1) / 2 + 1
 }
 
-/// Per-replica ack watermarks of one shard, folded into the quorum
-/// watermark the pessimism gate may trust.
-///
-/// Each replica's acked high watermark is monotone (the EL acks
-/// coalesced high watermarks). The quorum watermark is the Q-th largest
-/// of the per-replica watermarks: every receiver clock at or below it
-/// has been acked by at least Q replicas, so it survives any R − Q
-/// crashes.
-#[derive(Clone, Debug)]
-pub struct QuorumTracker {
-    acked: Vec<u64>,
-    quorum: u32,
-}
-
-impl QuorumTracker {
-    /// Tracker for `replicas` replicas with majority quorum.
-    pub fn new(replicas: u32) -> Self {
-        QuorumTracker {
-            acked: vec![0; replicas.max(1) as usize],
-            quorum: quorum_of(replicas),
-        }
-    }
-
-    /// The quorum size.
-    pub fn quorum(&self) -> u32 {
-        self.quorum
-    }
-
-    /// Record replica `replica` acking up to `up_to` (monotone max) and
-    /// return the resulting quorum watermark.
-    pub fn record(&mut self, replica: u32, up_to: u64) -> u64 {
-        if let Some(slot) = self.acked.get_mut(replica as usize) {
-            *slot = (*slot).max(up_to);
-        }
-        self.watermark()
-    }
-
-    /// The Q-th largest per-replica watermark.
-    pub fn watermark(&self) -> u64 {
-        let mut sorted = self.acked.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        sorted[(self.quorum as usize - 1).min(sorted.len() - 1)]
-    }
-
-    /// Reset every replica watermark (recovery begins a fresh ledger
-    /// view for the restarted incarnation).
-    pub fn reset(&mut self) {
-        self.acked.iter_mut().for_each(|w| *w = 0);
-    }
-}
-
 /// Cluster-wide unique-event view over flat-indexed per-replica ledger
 /// counts (`flat = shard * replicas + replica`): replicas of one shard
 /// hold copies of the same events, so a shard's unique count is the max
@@ -211,34 +162,6 @@ mod tests {
         assert_eq!(quorum_of(3), 2);
         assert_eq!(quorum_of(4), 3);
         assert_eq!(quorum_of(5), 3);
-    }
-
-    #[test]
-    fn quorum_watermark_advances_on_qth_ack() {
-        // R=3, Q=2: the watermark follows the second-highest replica.
-        let mut t = QuorumTracker::new(3);
-        assert_eq!(t.record(0, 10), 0, "one ack is not a quorum");
-        assert_eq!(t.record(1, 7), 7, "two of three acked ≥ 7");
-        assert_eq!(t.record(2, 12), 10);
-        assert_eq!(t.record(1, 12), 12);
-    }
-
-    #[test]
-    fn replica_watermarks_are_monotone() {
-        let mut t = QuorumTracker::new(2);
-        t.record(0, 9);
-        // A stale (reordered) ack may not regress the replica watermark.
-        assert_eq!(t.record(0, 4), 0);
-        assert_eq!(t.record(1, 9), 9);
-        t.reset();
-        assert_eq!(t.watermark(), 0);
-    }
-
-    #[test]
-    fn single_replica_is_its_own_quorum() {
-        let mut t = QuorumTracker::new(1);
-        assert_eq!(t.quorum(), 1);
-        assert_eq!(t.record(0, 5), 5, "R=1 reduces to the unreplicated ack");
     }
 
     #[test]

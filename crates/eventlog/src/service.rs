@@ -60,39 +60,28 @@ pub fn run_event_logger<F>(mailbox: Mailbox<ElPacket>, reply: F) -> (EventLogSto
 where
     F: FnMut(Rank, ElReply) -> bool,
 {
-    run_event_logger_counted(mailbox, reply, Arc::new(AtomicU64::new(0)))
-}
-
-/// As [`run_event_logger`], additionally publishing the store's
-/// cumulative *unique*-event count ([`EventLogStore::total_logged`])
-/// into `events_ever` after every service pass. The counter is monotone
-/// across duplicates, replays and truncations, which makes it the
-/// stable side of the conservation invariant the chaos tests assert:
-/// the EL never double-counts a logical delivery, no matter how many
-/// times crash recovery re-logs it.
-pub fn run_event_logger_counted<F>(
-    mailbox: Mailbox<ElPacket>,
-    reply: F,
-    events_ever: Arc<AtomicU64>,
-) -> (EventLogStore, ElServiceStats)
-where
-    F: FnMut(Rank, ElReply) -> bool,
-{
     let store = Arc::new(Mutex::new(EventLogStore::new()));
-    let stats = run_event_logger_on(mailbox, reply, events_ever, store.clone());
+    let stats = run_event_logger_on(mailbox, reply, Arc::new(AtomicU64::new(0)), store.clone());
     let store = Arc::try_unwrap(store)
         .map(Mutex::into_inner)
         .unwrap_or_else(|arc| arc.lock().clone());
     (store, stats)
 }
 
-/// As [`run_event_logger_counted`], but serving a caller-owned shared
+/// As [`run_event_logger`], but serving a caller-owned shared
 /// ledger instead of a loop-local one. This is the replica shape: the
 /// dispatcher keeps the `Arc` so that when a replica crashes, its ledger
 /// survives the service thread — the revived replica catches up by
 /// [`EventLogStore::absorb`]ing a live peer's snapshot into the same
 /// store before its fresh service loop starts. The store lock is taken
 /// once per service pass, never per packet.
+///
+/// After every pass the store's cumulative *unique*-event count
+/// ([`EventLogStore::total_logged`]) is published into `events_ever`.
+/// The counter is monotone across duplicates, replays and truncations,
+/// which makes it the stable side of the conservation invariant the
+/// chaos tests assert: the EL never double-counts a logical delivery,
+/// no matter how many times crash recovery re-logs it.
 pub fn run_event_logger_on<F>(
     mailbox: Mailbox<ElPacket>,
     mut reply: F,
@@ -108,7 +97,7 @@ where
     // every owner's watermark unsolicited, as `Revived` so the owner
     // re-ships what the dead replica lost. Daemons whose pessimism gates
     // stalled during the sub-quorum window fold these into their quorum
-    // trackers and reopen without waiting for new traffic — without
+    // watermarks and reopen without waiting for new traffic — without
     // this, a fully quiesced deployment could deadlock on a gate no new
     // Log request will ever come along to ack. Fresh replicas start
     // empty, so the launch path announces nothing.

@@ -92,11 +92,6 @@ impl MemNet {
             }
         }
     }
-
-    /// Whether `node` currently has a live endpoint.
-    pub fn is_attached(&self, node: NodeId) -> bool {
-        self.hub.lock().endpoints.contains_key(&node)
-    }
 }
 
 /// One endpoint on a [`MemNet`] hub.

@@ -59,16 +59,18 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`TcpTransport`].
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x6d76_7232;
+
+/// Shortest keep-alive interval [`TcpConfig::heartbeat`] derives.
+pub const HEARTBEAT_FLOOR: Duration = Duration::from_millis(5);
+
+/// Detector timeouts of a [`TcpTransport`].
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// Largest accepted frame payload.
-    pub max_frame: usize,
-    /// Idle interval after which a connection actor emits a keep-alive
-    /// ping (must be well under `fail_after`).
-    pub heartbeat: Duration,
     /// Reader-side silence window: no bytes for this long ⇒ the link is
-    /// declared dead ([`DownCause::ReadTimeout`]).
+    /// declared dead ([`DownCause::ReadTimeout`]). The keep-alive
+    /// interval derives from it ([`heartbeat`](Self::heartbeat)).
     pub fail_after: Duration,
     /// First reconnect backoff step.
     pub dial_base: Duration,
@@ -78,21 +80,26 @@ pub struct TcpConfig {
     /// ([`DownCause::DialFailed`]); queued frames are dropped (the
     /// protocol's retransmission layer owns redelivery).
     pub dial_deadline: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            max_frame: MAX_FRAME_PAYLOAD,
-            heartbeat: Duration::from_millis(50),
             fail_after: Duration::from_millis(500),
             dial_base: Duration::from_millis(2),
             dial_cap: Duration::from_millis(200),
             dial_deadline: Duration::from_secs(2),
-            jitter_seed: 0x6d76_7232,
         }
+    }
+}
+
+impl TcpConfig {
+    /// Idle interval after which a link actor emits a keep-alive ping:
+    /// a tenth of `fail_after`, so ten pings may go missing before the
+    /// peer's silence detector fires, and never below
+    /// [`HEARTBEAT_FLOOR`].
+    pub fn heartbeat(&self) -> Duration {
+        (self.fail_after / 10).max(HEARTBEAT_FLOOR)
     }
 }
 
@@ -348,11 +355,6 @@ impl TcpTransport {
         })
     }
 
-    /// The peer currently known incarnation, if any (diagnostics).
-    pub fn incarnation_of(&self, peer: NodeId) -> Option<u64> {
-        self.shared.peers.lock().get(&peer).map(|s| s.incarnation)
-    }
-
     /// The link to `peer`, starting its actor at first use.
     fn link_to(&self, peer: NodeId) -> Arc<PeerLink> {
         let mut links = self.links.lock();
@@ -418,10 +420,10 @@ impl Transport for TcpTransport {
         if self.shared.closed() {
             return Err(TransportError::Closed);
         }
-        if payload.len() > self.shared.cfg.max_frame {
+        if payload.len() > MAX_FRAME_PAYLOAD {
             return Err(TransportError::Oversized {
                 len: payload.len(),
-                max: self.shared.cfg.max_frame,
+                max: MAX_FRAME_PAYLOAD,
             });
         }
         let Some(addressed) = self.shared.generation(peer) else {
@@ -555,12 +557,12 @@ fn greet_conn(mut stream: TcpStream, shared: Arc<Shared>) {
     // window and transport shutdown frequently.
     let tick = shared
         .cfg
-        .heartbeat
-        .clamp(Duration::from_millis(5), Duration::from_millis(50));
+        .heartbeat()
+        .clamp(HEARTBEAT_FLOOR, Duration::from_millis(50));
     if stream.set_read_timeout(Some(tick)).is_err() {
         return;
     }
-    let mut decoder = FrameDecoder::with_max_payload(shared.cfg.max_frame);
+    let mut decoder = FrameDecoder::new();
     let hello = read_frames(&mut stream, &mut decoder, &shared, |frame| {
         let hello = match frame.flags & FLAG_HELLO {
             0 => None,
@@ -607,7 +609,7 @@ fn reader_conn(mut stream: TcpStream, mut decoder: FrameDecoder, peer: NodeId, s
 /// frames to each fresh stream, and keeps an idle one warm with pings.
 fn link_actor(peer: NodeId, me: &PeerLink, shared: &Shared) {
     let cfg = &shared.cfg;
-    let mut jitter = cfg.jitter_seed ^ hash_node(peer) | 1;
+    let mut jitter = JITTER_SEED ^ hash_node(peer) | 1;
     let mut fail_since: Option<Instant> = None;
     let mut attempt: u32 = 0;
     let mut announced_dial_fail = false;
@@ -631,7 +633,7 @@ fn link_actor(peer: NodeId, me: &PeerLink, shared: &Shared) {
         if link.stream.is_some() {
             // Up: all that is left to do is keep the peer's silence
             // detector fed.
-            match cfg.heartbeat.checked_sub(link.last_write.elapsed()) {
+            match cfg.heartbeat().checked_sub(link.last_write.elapsed()) {
                 Some(quiet) if !quiet.is_zero() => {
                     me.wake.wait_for(&mut link, quiet);
                 }
@@ -761,12 +763,10 @@ mod tests {
 
     fn quick_cfg() -> TcpConfig {
         TcpConfig {
-            heartbeat: Duration::from_millis(20),
             fail_after: Duration::from_millis(250),
             dial_base: Duration::from_millis(1),
             dial_cap: Duration::from_millis(20),
             dial_deadline: Duration::from_millis(600),
-            ..TcpConfig::default()
         }
     }
 
@@ -1147,17 +1147,30 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_is_a_tenth_of_the_silence_window_and_never_below_its_floor() {
+        assert_eq!(TcpConfig::default().heartbeat(), Duration::from_millis(50));
+        for ms in [0, 1, 49, 50, 51, 250, 10_000] {
+            let cfg = TcpConfig {
+                fail_after: Duration::from_millis(ms),
+                ..TcpConfig::default()
+            };
+            let expected = Duration::from_millis(ms) / 10;
+            assert_eq!(cfg.heartbeat(), expected.max(HEARTBEAT_FLOOR), "{ms} ms");
+        }
+    }
+
+    #[test]
     fn send_without_route_is_typed_error() {
         let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, quick_cfg()).unwrap();
         assert_eq!(a.send(cn(7), vec![1]), Err(TransportError::NoRoute(cn(7))));
-        let big = vec![0u8; 8];
-        let mut cfg = quick_cfg();
-        cfg.max_frame = 4;
-        let b = TcpTransport::bind(cn(1), "127.0.0.1:0", 1, cfg).unwrap();
-        b.set_route(cn(0), a.local_addr().unwrap());
+        // Zeroed pages: the oversized buffer is never touched.
+        let big = vec![0u8; MAX_FRAME_PAYLOAD + 1];
         assert_eq!(
-            b.send(cn(0), big),
-            Err(TransportError::Oversized { len: 8, max: 4 })
+            a.send(cn(7), big),
+            Err(TransportError::Oversized {
+                len: MAX_FRAME_PAYLOAD + 1,
+                max: MAX_FRAME_PAYLOAD
+            })
         );
     }
 }

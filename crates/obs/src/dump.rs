@@ -363,10 +363,6 @@ pub struct RotateConfig {
 
 struct StreamState {
     file: std::fs::File,
-    /// Lines rendered but not yet handed to `write(2)`. Only non-empty
-    /// in buffered mode (`flush_every > 1`).
-    buf: String,
-    pending: u32,
     /// Rotation bookkeeping. `base` is the segment-0 path; segment N>0
     /// lives at `{stem}.segN.jsonl` next to it.
     base: PathBuf,
@@ -377,22 +373,10 @@ struct StreamState {
 }
 
 impl StreamState {
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        // A failed write only costs observability; never the run.
-        let _ = self.file.write_all(self.buf.as_bytes());
-        let _ = self.file.flush();
-        self.buf.clear();
-        self.pending = 0;
-    }
-
     /// Close the active segment and open the next one. A failed
     /// rotation keeps streaming into the old file — observability
     /// degrades, the run does not.
     fn rotate_segment(&mut self) {
-        self.flush();
         let stem = self
             .base
             .file_stem()
@@ -414,13 +398,9 @@ impl StreamState {
 /// process, the streamed file does not. The file carries no header
 /// line; [`merge_dump_files`] supplies one when merging.
 ///
-/// The default cadence writes each record out immediately (one
-/// `write(2)` per record — what makes the stream SIGKILL-durable). A
-/// buffered cadence (`flush_every > 1`) batches rendered lines and
-/// writes every N records, on any [`ProtoEvent::Finish`], on an
-/// explicit [`flush`](crate::monitor::RecordSink::flush), and on drop —
-/// trading up to N−1 records of SIGKILL durability for N× fewer
-/// syscalls on the recording thread.
+/// Each record is written out as it is observed, one `write(2)` per
+/// record — what makes the stream SIGKILL-durable: a kill can cut the
+/// stream short, but never leaves a record buffered in the process.
 /// With rotation enabled ([`with_rotation`](Self::with_rotation)), the
 /// stream is cut into bounded segment files — `base.jsonl`,
 /// `{stem}.seg1.jsonl`, `{stem}.seg2.jsonl`, … — so a week-long soak
@@ -429,34 +409,25 @@ impl StreamState {
 /// every segment keeps the `.jsonl` extension, so [`merge_dump_files`]
 /// input discovery picks rotated segments up unchanged.
 pub struct JsonlStreamSink {
-    flush_every: u32,
     state: parking_lot::Mutex<StreamState>,
 }
 
 impl JsonlStreamSink {
-    /// Create (truncate) `path` and stream records into it, flushing
-    /// per record (the durable default).
+    /// Create (truncate) `path` and stream records into it.
     pub fn create(path: &Path) -> std::io::Result<Self> {
-        Self::with_rotation(path, 1, RotateConfig::default())
+        Self::with_rotation(path, RotateConfig::default())
     }
 
-    /// Create (truncate) `path`, writing out every `flush_every`
-    /// records (0 is treated as 1) and rotating to a new segment file
-    /// whenever the active one exceeds a [`RotateConfig`] threshold.
-    pub fn with_rotation(
-        path: &Path,
-        flush_every: u32,
-        rotate: RotateConfig,
-    ) -> std::io::Result<Self> {
+    /// Create (truncate) `path` and stream records into it, rotating to
+    /// a new segment file whenever the active one exceeds a
+    /// [`RotateConfig`] threshold.
+    pub fn with_rotation(path: &Path, rotate: RotateConfig) -> std::io::Result<Self> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
         Ok(JsonlStreamSink {
-            flush_every: flush_every.max(1),
             state: parking_lot::Mutex::new(StreamState {
                 file: std::fs::File::create(path)?,
-                buf: String::new(),
-                pending: 0,
                 base: path.to_path_buf(),
                 rotate,
                 seg: 0,
@@ -469,32 +440,19 @@ impl JsonlStreamSink {
 
 impl crate::monitor::RecordSink for JsonlStreamSink {
     fn observe(&self, rec: &FlightRecord) {
-        let line = jsonl_line(rec);
+        let mut line = jsonl_line(rec);
+        line.push('\n');
         let mut st = self.state.lock();
-        st.buf.push_str(&line);
-        st.buf.push('\n');
-        st.pending += 1;
+        // A failed write only costs observability; never the run.
+        let _ = st.file.write_all(line.as_bytes());
         st.seg_records += 1;
-        st.seg_bytes += line.len() as u64 + 1;
-        if st.pending >= self.flush_every || matches!(rec.event, ProtoEvent::Finish { .. }) {
-            st.flush();
-        }
+        st.seg_bytes += line.len() as u64;
         let r = st.rotate;
         if (r.max_records > 0 && st.seg_records >= r.max_records)
             || (r.max_bytes > 0 && st.seg_bytes >= r.max_bytes)
         {
             st.rotate_segment();
         }
-    }
-
-    fn flush(&self) {
-        self.state.lock().flush();
-    }
-}
-
-impl Drop for JsonlStreamSink {
-    fn drop(&mut self) {
-        self.state.lock().flush();
     }
 }
 
@@ -506,12 +464,6 @@ impl crate::monitor::RecordSink for TeeSink {
     fn observe(&self, rec: &FlightRecord) {
         for sink in &self.0 {
             sink.observe(rec);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.0 {
-            sink.flush();
         }
     }
 }
@@ -798,34 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_stream_sink_flushes_on_cadence_finish_and_drop() {
-        use crate::monitor::RecordSink;
-        let dir = std::env::temp_dir().join("mvr-obs-buffered-sink-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("buffered.jsonl");
-        let sink = JsonlStreamSink::with_rotation(&path, 3, RotateConfig::default()).unwrap();
-        sink.observe(&rec(0, 1, 10, send(1, 1, 8)));
-        sink.observe(&rec(0, 2, 20, send(1, 2, 8)));
-        // Below the cadence: nothing written out yet.
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-        sink.observe(&rec(0, 3, 30, send(1, 3, 8)));
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
-        // A Finish flushes early regardless of cadence.
-        sink.observe(&rec(0, 4, 40, ProtoEvent::Finish { clock: 4 }));
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 4);
-        // Explicit flush and drop cover partial batches.
-        sink.observe(&rec(0, 5, 50, send(1, 5, 8)));
-        sink.flush();
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 5);
-        sink.observe(&rec(0, 6, 60, send(1, 6, 8)));
-        drop(sink);
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body.lines().count(), 6);
-        let (_, records) = parse_dump(&body).unwrap();
-        assert_eq!(records.len(), 6);
-    }
-
-    #[test]
     fn rotation_cuts_segments_and_merge_consumes_them_all() {
         use crate::monitor::RecordSink;
         let dir = std::env::temp_dir().join("mvr-obs-rotate-test");
@@ -834,7 +758,6 @@ mod tests {
         let base = dir.join("cn0-i0.jsonl");
         let sink = JsonlStreamSink::with_rotation(
             &base,
-            1,
             RotateConfig {
                 max_records: 4,
                 max_bytes: 0,
@@ -875,7 +798,6 @@ mod tests {
         let base = dir.join("s.jsonl");
         let sink = JsonlStreamSink::with_rotation(
             &base,
-            1,
             RotateConfig {
                 max_records: 0,
                 max_bytes: 200,

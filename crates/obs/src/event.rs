@@ -204,19 +204,11 @@ pub enum ProtoEvent {
         /// Events absorbed from the peer snapshot during catch-up.
         caught_up: u64,
     },
-    /// A transport-level peer link came up (socket backend handshake
-    /// completed, or an in-memory endpoint attached).
-    TransportUp {
-        /// Wire name of the peer node (`cn3`, `el0`, `cs0`, ...).
-        peer: String,
-        /// Incarnation the peer announced in its hello.
-        incarnation: u64,
-    },
     /// A transport-level peer link was declared dead — the socket
     /// fail-stop detector's verdict (EOF, read-timeout, dial failure),
     /// which the supervisor maps onto rank-lost / replica-dead handling.
     TransportDown {
-        /// Wire name of the peer node.
+        /// Wire name of the peer node (`cn3`, `el0`, `cs0`, ...).
         peer: String,
         /// Diagnostic cause string ("eof", "read-timeout", ...).
         cause: String,
@@ -245,7 +237,7 @@ impl ProtoEvent {
             ProtoEvent::ChaosKill { .. } | ProtoEvent::ServiceKill { .. } => "chaos",
             ProtoEvent::Finish { .. } | ProtoEvent::RespawnScheduled { .. } => "lifecycle",
             ProtoEvent::Divergence { .. } => "divergence",
-            ProtoEvent::TransportUp { .. } | ProtoEvent::TransportDown { .. } => "transport",
+            ProtoEvent::TransportDown { .. } => "transport",
         }
     }
 
@@ -274,7 +266,6 @@ impl ProtoEvent {
             ProtoEvent::Divergence { .. } => "divergence",
             ProtoEvent::ElReplicaAck { .. } => "el-replica-ack",
             ProtoEvent::ElReplicaRevive { .. } => "el-replica-revive",
-            ProtoEvent::TransportUp { .. } => "transport-up",
             ProtoEvent::TransportDown { .. } => "transport-down",
         }
     }
@@ -308,8 +299,7 @@ impl ProtoEvent {
             ProtoEvent::Divergence { .. } => 19,
             ProtoEvent::ElReplicaAck { .. } => 20,
             ProtoEvent::ElReplicaRevive { .. } => 21,
-            ProtoEvent::TransportUp { .. } => 22,
-            ProtoEvent::TransportDown { .. } => 23,
+            ProtoEvent::TransportDown { .. } => 22,
         }
     }
 
@@ -463,11 +453,7 @@ pub(crate) mod arbitrary {
                 replica: n() as u32,
                 caught_up: n(),
             },
-            Some(ElReplicaRevive { .. }) => TransportUp {
-                incarnation: n(),
-                peer: text(rng),
-            },
-            Some(TransportUp { .. }) => TransportDown {
+            Some(ElReplicaRevive { .. }) => TransportDown {
                 peer: text(rng),
                 cause: text(rng),
             },

@@ -29,12 +29,6 @@ use std::sync::Arc;
 pub trait RecordSink: Send + Sync {
     /// Observe one record as it is written.
     fn observe(&self, rec: &FlightRecord);
-
-    /// Write out anything the sink has buffered. Stateless sinks (the
-    /// monitor, per-record streams) need nothing; buffered streams
-    /// override this so a teardown path can make the stream durable
-    /// before `exit`.
-    fn flush(&self) {}
 }
 
 /// A first-violation report: which invariant broke, where, and why.

@@ -20,13 +20,6 @@ pub struct RecorderConfig {
     /// Ring capacity per recorder; the oldest records are overwritten
     /// once full (the overwrite count is preserved for triage).
     pub capacity: usize,
-    /// Mirror every record to stderr as it is written.
-    pub trace_stderr: bool,
-    /// Flush cadence for streaming JSONL sinks fed by this deployment's
-    /// recorders: write out every N records. 1 (the default) writes per
-    /// record — the SIGKILL-durable discipline; larger values batch
-    /// syscalls at the cost of up to N−1 records on an abrupt kill.
-    pub stream_flush_every: u32,
     /// Injected clock drift in parts-per-billion, applied to
     /// [`Recorder::now_ns`]: every elapsed second gains (positive) or
     /// loses (negative) this many nanoseconds. 0 — the default, and
@@ -42,15 +35,13 @@ impl Default for RecorderConfig {
         RecorderConfig {
             enabled: false,
             capacity: 4096,
-            trace_stderr: false,
-            stream_flush_every: 1,
             clock_drift_ppb: 0,
         }
     }
 }
 
 impl RecorderConfig {
-    /// Recording on, stderr mirroring off.
+    /// Recording on, every other setting at its default.
     pub fn enabled() -> Self {
         RecorderConfig {
             enabled: true,
@@ -100,7 +91,6 @@ impl Ring {
 struct Shared {
     rank: u32,
     enabled: AtomicBool,
-    trace_stderr: AtomicBool,
     epoch: Instant,
     /// Injected drift rate (ppb) baked in at mint time; see
     /// [`RecorderConfig::clock_drift_ppb`].
@@ -153,7 +143,6 @@ impl Recorder {
         Recorder(Arc::new(Shared {
             rank,
             enabled: AtomicBool::new(cfg.enabled),
-            trace_stderr: AtomicBool::new(cfg.trace_stderr),
             epoch,
             drift_ppb: cfg.clock_drift_ppb,
             ring: Mutex::new(Ring::new(cfg.capacity)),
@@ -164,13 +153,6 @@ impl Recorder {
     /// Rank this recorder writes records for.
     pub fn rank(&self) -> u32 {
         self.0.rank
-    }
-
-    /// Whether records are mirrored to stderr. Host code gates its own
-    /// free-form debug lines behind the same switch.
-    #[inline]
-    pub fn trace_stderr(&self) -> bool {
-        self.0.trace_stderr.load(Ordering::Relaxed)
     }
 
     /// Monotonic nanoseconds since the deployment epoch. Usable even
@@ -225,16 +207,6 @@ impl Recorder {
     }
 
     fn push(&self, rec: FlightRecord) {
-        if self.0.trace_stderr.load(Ordering::Relaxed) {
-            eprintln!(
-                "[mvr r{} c{} t{}ns] {}: {:?}",
-                rec.rank,
-                rec.clock,
-                rec.ts_ns,
-                rec.event.kind(),
-                rec.event
-            );
-        }
         if let Some(sink) = &self.0.sink {
             sink.observe(&rec);
         }
@@ -297,15 +269,6 @@ impl RecorderHub {
     /// their recording threads; call before spawning any nodes.
     pub fn set_sink(&self, sink: Arc<dyn RecordSink>) {
         *self.sink.lock() = Some(sink);
-    }
-
-    /// Flush the attached sink's buffers, if any — the explicit
-    /// teardown a child performs before `exit` instead of sleeping and
-    /// hoping the stream drained.
-    pub fn flush_sink(&self) {
-        if let Some(sink) = self.sink.lock().as_ref() {
-            sink.flush();
-        }
     }
 
     /// Mint (and register) a recorder for `rank`. Call once per

@@ -11,6 +11,7 @@
 //! ([`ChaosConfig::plan`]), so any failing soak run is reproducible from
 //! the seed its harness printed.
 
+use crate::deploy::Topology;
 use mvr_core::Rank;
 use std::time::Duration;
 
@@ -36,15 +37,13 @@ pub struct ChaosConfig {
     /// reincarnation while it is still recovering.
     pub rekill_pct: u8,
     /// Percent chance (0–100) that an event also kills one event-logger
-    /// replica (picked uniformly among `el_total` flat indices). Only
-    /// meaningful on replicated deployments (`el_replicas > 1`), where
-    /// the surviving quorum keeps the pessimism gates open and the
-    /// dispatcher revives the victim; with 0 the plan draws no extra RNG
+    /// replica, picked uniformly among the topology's
+    /// [`el_total`](Topology::el_total) flat indices. Drawn only on
+    /// replicated deployments (`el_replicas > 1`), where the surviving
+    /// quorum keeps the pessimism gates open and the dispatcher revives
+    /// the victim; otherwise, and with 0, the plan draws no extra RNG
     /// values, so schedules of EL-oblivious configs are unchanged.
     pub el_kill_pct: u8,
-    /// Total EL replicas (`shards × replicas`, flat) the storm may pick
-    /// from. 0 disables EL kills regardless of `el_kill_pct`.
-    pub el_total: u32,
 }
 
 impl Default for ChaosConfig {
@@ -58,7 +57,6 @@ impl Default for ChaosConfig {
             cs_kill_pct: 0,
             rekill_pct: 25,
             el_kill_pct: 0,
-            el_total: 0,
         }
     }
 }
@@ -80,11 +78,13 @@ pub struct ChaosEvent {
 }
 
 impl ChaosConfig {
-    /// The full kill schedule — a pure function of `(self, world)`. Two
-    /// calls with the same inputs return identical plans; this is the
+    /// The full kill schedule — a pure function of `(self, topology)`.
+    /// Two calls with the same inputs return identical plans; this is the
     /// replayability contract of the soak harness.
-    pub fn plan(&self, world: u32) -> Vec<ChaosEvent> {
-        assert!(world > 0, "chaos needs at least one rank");
+    pub fn plan(&self, topology: &Topology) -> Vec<ChaosEvent> {
+        let world = topology.world();
+        let el_total = topology.el_total();
+        let el_kills = self.el_kill_pct > 0 && topology.el_replicas() > 1;
         let mut rng = rand::Rng::seed_from_u64(self.seed ^ 0xC4A0_5EED);
         let span_us = self.max_gap.saturating_sub(self.min_gap).as_micros().max(1) as u64;
         let mut events = Vec::new();
@@ -104,9 +104,9 @@ impl ChaosConfig {
             let cs = rng.next_u64() % 100 < self.cs_kill_pct as u64;
             // EL-kill draws are guarded so EL-oblivious configs consume
             // exactly the same RNG sequence as before the field existed.
-            let el = if self.el_kill_pct > 0 && self.el_total > 0 {
+            let el = if el_kills {
                 (rng.next_u64() % 100 < self.el_kill_pct as u64)
-                    .then(|| (rng.next_u64() % self.el_total as u64) as u32)
+                    .then(|| (rng.next_u64() % el_total as u64) as u32)
             } else {
                 None
             };
@@ -153,6 +153,10 @@ pub struct ChaosReport {
 mod tests {
     use super::*;
 
+    fn topo(world: u32, el_shards: u32, el_replicas: u32) -> Topology {
+        Topology::new(world, el_shards, el_replicas).expect("valid topology")
+    }
+
     #[test]
     fn plan_is_a_pure_function_of_the_seed() {
         let cfg = ChaosConfig {
@@ -163,9 +167,17 @@ mod tests {
             rekill_pct: 40,
             ..Default::default()
         };
-        assert_eq!(cfg.plan(5), cfg.plan(5), "same seed, same plan");
+        assert_eq!(
+            cfg.plan(&topo(5, 1, 1)),
+            cfg.plan(&topo(5, 1, 1)),
+            "same seed, same plan"
+        );
         let other = ChaosConfig { seed: 43, ..cfg };
-        assert_ne!(cfg.plan(5), other.plan(5), "seed changes the plan");
+        assert_ne!(
+            cfg.plan(&topo(5, 1, 1)),
+            other.plan(&topo(5, 1, 1)),
+            "seed changes the plan"
+        );
     }
 
     #[test]
@@ -179,7 +191,7 @@ mod tests {
                 cs_kill_pct: 30,
                 ..Default::default()
             };
-            let plan = cfg.plan(4);
+            let plan = cfg.plan(&topo(4, 1, 1));
             let total: usize = plan.iter().map(|e| e.victims.len()).sum();
             assert_eq!(total, 9, "seed {seed}");
             for ev in &plan {
@@ -204,27 +216,32 @@ mod tests {
             ..Default::default()
         };
         // el_kill_pct == 0 draws no RNG values: the schedule of an
-        // EL-oblivious config is bit-identical whatever el_total says.
-        let with_total = ChaosConfig {
-            el_total: 8,
-            ..base.clone()
-        };
-        assert_eq!(base.plan(4), with_total.plan(4));
+        // EL-oblivious config is bit-identical whatever the topology.
+        assert_eq!(base.plan(&topo(4, 1, 1)), base.plan(&topo(4, 2, 2)));
         let storm = ChaosConfig {
             el_kill_pct: 100,
-            el_total: 8,
             ..base.clone()
         };
-        let plan = storm.plan(4);
-        assert!(plan
-            .iter()
-            .filter(|e| !e.rekill)
-            .all(|e| e.kill_el_replica.is_some()));
-        assert!(plan.iter().filter_map(|e| e.kill_el_replica).all(|f| f < 8));
-        assert!(plan
-            .iter()
-            .filter(|e| e.rekill)
-            .all(|e| e.kill_el_replica.is_none()));
+        for t in [topo(4, 2, 2), topo(4, 1, 3)] {
+            let plan = storm.plan(&t);
+            assert!(plan
+                .iter()
+                .filter(|e| !e.rekill)
+                .all(|e| e.kill_el_replica.is_some()));
+            assert!(plan
+                .iter()
+                .filter_map(|e| e.kill_el_replica)
+                .all(|f| f < t.el_total()));
+            assert!(plan
+                .iter()
+                .filter(|e| e.rekill)
+                .all(|e| e.kill_el_replica.is_none()));
+        }
+        // An unreplicated logger is never a victim, and drawing none
+        // leaves the rest of the schedule as it was.
+        let single = storm.plan(&topo(4, 1, 1));
+        assert!(single.iter().all(|e| e.kill_el_replica.is_none()));
+        assert_eq!(single, base.plan(&topo(4, 1, 1)));
     }
 
     #[test]
@@ -235,7 +252,7 @@ mod tests {
             max_burst: 8,
             ..Default::default()
         };
-        let plan = cfg.plan(3);
+        let plan = cfg.plan(&topo(3, 1, 1));
         assert!(plan.iter().all(|e| e.victims.len() <= 3));
     }
 }

@@ -256,8 +256,7 @@ pub struct ClusterConfig {
     pub turbulence: Option<TurbulenceConfig>,
     /// Flight-recorder settings for every engine and the dispatcher.
     /// Disabled by default — the fast path is one relaxed atomic load
-    /// per would-be record; `trace_stderr` mirrors every record to
-    /// stderr as it is written. In process only:
+    /// per would-be record. In process only:
     /// over sockets recording is exactly "`obs_dir` is set" and the
     /// per-process recorders take no tuning.
     pub obs: RecorderConfig,

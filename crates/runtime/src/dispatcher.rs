@@ -20,8 +20,8 @@ use crate::node::{
     register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
 };
 use crate::services::{
-    spawn_channel_memories, spawn_checkpoint_scheduler, spawn_checkpoint_server_on,
-    spawn_el_replica, spawn_event_loggers,
+    absorb_siblings, spawn_channel_memories, spawn_checkpoint_scheduler,
+    spawn_checkpoint_server_on, spawn_el_replica, spawn_event_loggers,
 };
 pub use crate::supervisor::ClusterError;
 use crate::supervisor::{bind_health, put, Action, Event, Supervisor};
@@ -442,9 +442,6 @@ impl Cluster {
                     unreachable!("dispatcher holds a sender")
                 }
             };
-            if self.disp_rec.trace_stderr() {
-                eprintln!("[disp] exit {} outcome={:?}", exit.node, exit.outcome);
-            }
             match exit.outcome {
                 Outcome::Finished(payload) => {
                     let NodeId::Computing(rank) = exit.node else {
@@ -485,9 +482,6 @@ impl Cluster {
     fn spawn(&mut self, node: NodeId, restart: bool) {
         match node {
             NodeId::Computing(rank) => {
-                if self.disp_rec.trace_stderr() {
-                    eprintln!("[disp] respawn r{}: reincarnating", rank.0);
-                }
                 let slots = register_node(&self.fabric, rank);
                 self.start_rank(rank, slots, restart);
             }
@@ -507,13 +501,6 @@ impl Cluster {
             // returns holding every event the quorum ever acked.
             NodeId::EventLogger(flat) => {
                 let addr = self.topology.el_addr(flat);
-                // Absorb EVERY live peer, not just one: with overlapping
-                // EL crash windows the peers may hold different subsets,
-                // and an ack watermark computed over a ledger with holes
-                // would falsely claim the missing events durable. The
-                // union over all live peers is hole-free whenever at
-                // most R − Q replicas are down at once (any event's
-                // write set of ≥ Q intersects the ≥ Q live peers).
                 let snapshots: Vec<EventLogStore> = self
                     .topology
                     .siblings(addr)
@@ -523,13 +510,11 @@ impl Cluster {
                         other => unreachable!("{other} is not an event logger"),
                     })
                     .collect();
-                let caught_up = {
-                    let mut store = self.el_stores[flat as usize].lock();
-                    for snap in &snapshots {
-                        store.absorb(snap);
-                    }
-                    store.total_logged()
-                };
+                let caught_up = absorb_siblings(
+                    &mut self.el_stores[flat as usize].lock(),
+                    snapshots.len(),
+                    snapshots.into_iter(),
+                );
                 self.el_events_ever[flat as usize].store(caught_up, Ordering::Relaxed);
                 self.handles.push(spawn_el_replica(
                     &self.fabric,

@@ -278,9 +278,6 @@ pub fn start_node(
             let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 daemon_main(mailbox, identity, cfg, &handover)
             }));
-            if obs.trace_stderr() {
-                eprintln!("[dmn r{}] daemon exit: {:?}", rank.0, end);
-            }
             let failure = match end {
                 Ok(Err(NodeEnd::Failed(detail))) => detail,
                 Ok(_) => return,

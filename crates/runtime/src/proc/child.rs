@@ -24,7 +24,7 @@ use crate::deploy::{ProcLaunch, Topology};
 use crate::node::{
     register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
 };
-use crate::services::{serve_el_replica, spawn_checkpoint_server_on};
+use crate::services::{absorb_siblings, serve_el_replica, spawn_checkpoint_server_on};
 use mvr_core::{NodeId, Rank};
 use mvr_eventlog::EventLogStore;
 use mvr_net::{Fabric, TcpConfig, TcpTransport, Transport};
@@ -119,7 +119,6 @@ pub fn transport_config(fail_after: Option<Duration>) -> TcpConfig {
     let mut cfg = TcpConfig::default();
     if let Some(fail_after) = fail_after {
         cfg.fail_after = fail_after;
-        cfg.heartbeat = (fail_after / 4).max(Duration::from_millis(5));
     }
     cfg
 }
@@ -240,15 +239,14 @@ fn report_ready(gateway: &Gateway, spec: &ChildSpec) {
 
 /// Serve until the supervisor says we are done: run `each_tick`, then
 /// wait up to `tick` for a control message, which goes to `on_msg`
-/// unless it ends the process — `Shutdown` (after `before_exit`) or the
-/// loss of the supervisor. Peer losses are the supervisor's to
-/// adjudicate; the protocol sees them as in-flight loss + `Restart1`.
+/// unless it ends the process — `Shutdown` or the loss of the
+/// supervisor. Peer losses are the supervisor's to adjudicate; the
+/// protocol sees them as in-flight loss + `Restart1`.
 fn serve(
     gateway: &Gateway,
     tick: Duration,
     mut each_tick: impl FnMut(),
     mut on_msg: impl FnMut(NodeId, WireMsg),
-    before_exit: impl Fn(),
 ) -> ! {
     loop {
         each_tick();
@@ -256,10 +254,7 @@ fn serve(
             Ok(Control::Msg {
                 msg: WireMsg::Shutdown,
                 ..
-            }) => {
-                before_exit();
-                std::process::exit(0)
-            }
+            }) => std::process::exit(0),
             Ok(Control::Msg { from, msg }) => on_msg(from, msg),
             Ok(Control::PeerDown {
                 peer: NodeId::Dispatcher,
@@ -306,11 +301,7 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
         // The stream goes first: a record the telemetry buffer has seen
         // is already on disk.
         let mut sinks: Vec<Arc<dyn RecordSink>> = Vec::new();
-        if let Ok(sink) = JsonlStreamSink::with_rotation(
-            std::path::Path::new(path),
-            rec_config.stream_flush_every,
-            rotate,
-        ) {
+        if let Ok(sink) = JsonlStreamSink::with_rotation(std::path::Path::new(path), rotate) {
             sinks.push(Arc::new(sink));
         }
         sinks.push(tel.clone());
@@ -378,10 +369,9 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
                         detail,
                     };
                     gateway.send_to(NodeId::Dispatcher, &failed);
-                    // Explicit teardown, not a grace-period sleep: make
-                    // the JSONL stream durable, ship the last staged
-                    // telemetry, drain the outbound socket queues, die.
-                    hub.flush_sink();
+                    // Explicit teardown, not a grace-period sleep: ship
+                    // the last staged telemetry, drain the outbound
+                    // socket queues, die.
                     if let Some(tel) = &telemetry {
                         ship_telemetry(&gateway, tel, spec);
                     }
@@ -410,27 +400,7 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
             }
         }
     };
-    // `exit` skips destructors: flush the stream sink before leaving.
-    let tick = Duration::from_millis(5);
-    serve(&gateway, tick, each_tick, |_, _| {}, || hub.flush_sink())
-}
-
-/// A reviving replica's catch-up: absorb the ledger of EVERY sibling
-/// that answers, stopping once all `siblings` have (or `snapshots`
-/// ends at its deadline). One donor is not enough: with overlapping EL
-/// crash windows the siblings may hold different subsets, and acking
-/// over a ledger with holes would falsely claim the missing events
-/// durable — the in-process revival rule, across processes. Returns
-/// the events held afterwards.
-fn absorb_siblings(
-    store: &mut EventLogStore,
-    siblings: usize,
-    snapshots: impl Iterator<Item = EventLogStore>,
-) -> u64 {
-    for snap in snapshots.take(siblings) {
-        store.absorb(&snap);
-    }
-    store.total_logged()
+    serve(&gateway, Duration::from_millis(5), each_tick, |_, _| {})
 }
 
 fn run_el(flat: u32, spec: &ChildSpec) -> ! {
@@ -510,13 +480,7 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
             gateway.send_to(from, &WireMsg::ElSnapshot { store: snap });
         }
     };
-    serve(
-        &gateway,
-        Duration::from_millis(25),
-        each_tick,
-        on_msg,
-        || {},
-    )
+    serve(&gateway, Duration::from_millis(25), each_tick, on_msg)
 }
 
 fn run_cs(spec: &ChildSpec) -> ! {
@@ -531,13 +495,7 @@ fn run_cs(spec: &ChildSpec) -> ! {
     let gateway = connect(spec, &fabric, GatewayRole::CheckpointServer);
     report_ready(&gateway, spec);
     let each_tick = || forward_failure(&gateway, &failed);
-    serve(
-        &gateway,
-        Duration::from_millis(25),
-        each_tick,
-        |_, _| {},
-        || {},
-    )
+    serve(&gateway, Duration::from_millis(25), each_tick, |_, _| {})
 }
 
 /// Pass a service thread's panic report on to the supervisor, which

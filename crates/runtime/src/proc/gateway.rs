@@ -16,9 +16,8 @@
 //!   messages straight into the local real mailboxes via
 //!   [`Fabric::send_from_reliable`], and control-plane traffic (hello,
 //!   address maps, results, revival chatter) onto the [`Control`]
-//!   channel. [`Gateway::poll`] adds the transport's fail-stop detector
-//!   events ([`TransportEvent::PeerUp`]/[`PeerDown`]) to that stream for
-//!   the role-specific glue to consume.
+//!   channel. [`Gateway::poll`] adds the transport's fail-stop verdicts
+//!   ([`PeerDown`]) to that stream for the role-specific glue to consume.
 //!
 //! Because the protocol threads only ever talk to mailboxes, recovery,
 //! the EL quorum failover and the invariant monitor run identically over
@@ -54,7 +53,7 @@ pub enum GatewayRole {
 }
 
 /// Everything the role glue (child main loop or supervisor) consumes
-/// from the gateway: control-plane wire messages and detector events.
+/// from the gateway: control-plane wire messages and detector verdicts.
 // `WireMsg` dominates the size, but this is the low-rate control plane
 // (hellos, verdicts, results) — boxing would cost an allocation per
 // message and box-patterns at every match for no measurable win.
@@ -67,13 +66,6 @@ pub enum Control {
         from: NodeId,
         /// The message.
         msg: WireMsg,
-    },
-    /// A transport link to `peer` came up.
-    PeerUp {
-        /// The peer endpoint.
-        peer: NodeId,
-        /// Its hello incarnation.
-        incarnation: u64,
     },
     /// The fail-stop detector declared `peer` down.
     PeerDown {
@@ -225,28 +217,28 @@ impl Gateway {
     }
 
     /// Wait up to `timeout` for the next control-plane message or
-    /// detector event. Detector events wait on the transport's own queue
-    /// and are only looked for on entry, so they reach a caller that
-    /// polls in a loop within one `timeout` of happening.
+    /// detector verdict. Verdicts wait on the transport's own queue and
+    /// are only looked for on entry, so they reach a caller that polls
+    /// in a loop within one `timeout` of happening.
     pub fn poll(&self, timeout: Duration) -> Result<Control, RecvTimeoutError> {
         let mut verdict = self.verdict.borrow_mut();
         if verdict.is_none() {
-            *verdict = match self.transport.poll_event(Duration::ZERO) {
-                Some(TransportEvent::PeerUp { peer, incarnation }) => {
-                    Some(Control::PeerUp { peer, incarnation })
-                }
-                Some(TransportEvent::PeerDown {
+            let mut events = std::iter::from_fn(|| self.transport.poll_event(Duration::ZERO));
+            *verdict = events.find_map(|event| match event {
+                TransportEvent::PeerDown {
                     peer,
                     incarnation,
                     cause,
-                }) => Some(Control::PeerDown {
+                } => Some(Control::PeerDown {
                     peer,
                     incarnation,
                     cause,
                 }),
-                // Frames go to the sink, not the queue.
-                Some(TransportEvent::Frame { .. }) | None => None,
-            };
+                // A link coming up needs no action: the peer's hello and
+                // address travel as control messages. Frames go to the
+                // sink, not the queue.
+                TransportEvent::PeerUp { .. } | TransportEvent::Frame { .. } => None,
+            });
         }
         if verdict.is_none() {
             return self.control_rx.recv_timeout(timeout);
@@ -436,12 +428,11 @@ mod tests {
         net.kill(NodeId::Computing(Rank(0)));
         let seen: Vec<_> = std::iter::from_fn(|| gw_sup.poll(Duration::ZERO).ok())
             .map(|c| match c {
-                Control::PeerUp { .. } => "up",
                 Control::Msg { .. } => "failed",
                 Control::PeerDown { .. } => "down",
             })
             .collect();
-        assert_eq!(seen, ["failed", "up", "down"]);
+        assert_eq!(seen, ["failed", "down"]);
     }
 
     /// The supervisor side routes scheduler chatter both ways and
@@ -479,20 +470,15 @@ mod tests {
             result: mvr_core::Payload::from_vec(vec![9]),
         };
         _gw_rank.send_to(NodeId::Dispatcher, &wire);
-        // Already queued: detector events first, then the result.
-        loop {
-            match gw_sup.poll(Duration::ZERO) {
-                Ok(Control::Msg {
-                    msg: WireMsg::RankResult { rank, result },
-                    ..
-                }) => {
-                    assert_eq!(rank, Rank(0));
-                    assert_eq!(result.as_slice(), &[9]);
-                    break;
-                }
-                Ok(Control::PeerUp { .. }) => continue,
-                other => panic!("no result on control channel: {other:?}"),
+        match gw_sup.poll(Duration::ZERO) {
+            Ok(Control::Msg {
+                msg: WireMsg::RankResult { rank, result },
+                ..
+            }) => {
+                assert_eq!(rank, Rank(0));
+                assert_eq!(result.as_slice(), &[9]);
             }
+            other => panic!("no result on control channel: {other:?}"),
         }
     }
 }

@@ -136,7 +136,6 @@ struct Launcher<'a> {
     _fabric: Fabric,
     /// The checkpoint scheduler's panic report, if it dies of one.
     service_failures: mpsc::Receiver<NodeExit>,
-    hub: Arc<RecorderHub>,
     recorder: Recorder,
     slots: BTreeMap<NodeId, ChildSlot>,
     epoch_ns: u64,
@@ -203,7 +202,6 @@ impl<'a> Launcher<'a> {
             local_addr,
             _fabric: fabric,
             service_failures,
-            hub,
             recorder,
             slots: BTreeMap::new(),
             epoch_ns,
@@ -415,11 +413,6 @@ impl<'a> Launcher<'a> {
                 // anything else here is stray control noise.
                 _ => {}
             },
-            Control::PeerUp { peer, incarnation } => {
-                let peer = peer.to_string();
-                self.recorder
-                    .record(0, ProtoEvent::TransportUp { peer, incarnation });
-            }
             Control::PeerDown {
                 peer,
                 incarnation,
@@ -463,7 +456,6 @@ impl<'a> Launcher<'a> {
     /// left the `Divergence` record), with the note on stderr.
     fn crash_dump(&self) {
         if let Some(dir) = &self.opts.obs_dir {
-            self.hub.flush_sink();
             match merge_dump_files(&Self::dump_inputs(dir), &dir.join("crash.jsonl")) {
                 Ok(summary) => eprintln!("{}", summary.summary()),
                 Err(e) => eprintln!("mpirun: crash dump merge failed: {e}"),

@@ -49,6 +49,27 @@ pub fn spawn_service(
         .unwrap_or_else(|e| panic!("spawn {node}: {e}"))
 }
 
+/// A reviving replica's catch-up, on both backends: absorb the ledger of
+/// EVERY live same-shard sibling into its own before it serves again,
+/// stopping once all `siblings` have answered (or `snapshots` ends, at
+/// a deadline over sockets), and return the events it holds afterwards.
+/// One donor is not enough: with overlapping EL crash windows the
+/// siblings may hold different subsets, and an ack watermark computed
+/// over a ledger with holes would falsely claim the missing events
+/// durable. The union over all live siblings is hole-free whenever at
+/// most R − Q replicas are down at once (any event's write set of ≥ Q
+/// intersects the ≥ Q live ones).
+pub fn absorb_siblings(
+    store: &mut EventLogStore,
+    siblings: usize,
+    snapshots: impl Iterator<Item = EventLogStore>,
+) -> u64 {
+    for snap in snapshots.take(siblings) {
+        store.absorb(&snap);
+    }
+    store.total_logged()
+}
+
 /// Spawn event-logger replica `flat` of `topology` on a shared ledger. The ledger [`EventLogStore`] outlives the service thread —
 /// the dispatcher keeps the `Arc` so a killed replica's events survive
 /// its thread, and a revival absorbs a live peer's ledger into the same

