@@ -50,6 +50,7 @@
 
 pub mod baseline;
 pub mod clock;
+pub mod codec;
 pub mod engine;
 pub mod envelope;
 pub mod event;

@@ -18,6 +18,7 @@
 //! re-encodes to the same bytes.
 
 use crate::error::{MpiError, MpiResult};
+use mvr_core::codec::{Encoder, Head, Parse, Reader, T_VARIANT_TUPLE, T_VARIANT_UNIT};
 use mvr_core::Payload;
 use serde::{Deserialize, Serialize};
 
@@ -81,22 +82,9 @@ pub enum MpiFrame {
 }
 
 // ---------------------------------------------------------------------
-// The codec: the vendored bincode's bytes, written by hand.
-//
-// bincode encodes a serde value tree: an enum variant is the tag byte
-// `VARIANT_TUPLE`, its index as a varint, its name as a length-prefixed
-// string, then its field count and its fields in declaration order (a
-// unit variant is tagged `VARIANT_UNIT` and stops after its name); a
-// `u64` is `U64` plus a LEB128 varint, an `i32` is `I64` plus the
-// zigzagged varint, a body is `BYTES` plus its varint length and the raw
-// bytes.
+// The codec: the vendored bincode's bytes, written by hand with the
+// primitives of `mvr_core::codec` (which describes the format).
 // ---------------------------------------------------------------------
-
-const T_U64: u8 = 3;
-const T_I64: u8 = 4;
-const T_BYTES: u8 = 8;
-const T_VARIANT_UNIT: u8 = 14;
-const T_VARIANT_TUPLE: u8 = 16;
 
 /// Variant names of [`MpiFrame`] and [`Context`], by variant index.
 const FRAME_VARIANTS: [&str; 4] = ["Eager", "RndvReq", "RndvCts", "RndvData"];
@@ -104,222 +92,64 @@ const FRAME_VARIANTS: [&str; 4] = ["Eager", "RndvReq", "RndvCts", "RndvData"];
 const FRAME_FIELDS: [u8; 4] = [3, 4, 1, 2];
 const CONTEXT_VARIANTS: [&str; 2] = ["PointToPoint", "Collective"];
 
-/// The longest header: `RndvReq` in a collective context with every
-/// integer at its widest (11 + 25 + 6 + 11 + 11 bytes).
-const MAX_HEAD: usize = 64;
-
-/// A frame header built on the stack, then joined with the body in one
-/// allocation.
-struct Head {
-    buf: [u8; MAX_HEAD],
-    len: usize,
+/// The header of frame variant `idx`.
+fn head(idx: usize) -> Head {
+    let mut h = Head::default();
+    h.struct_variant(idx, FRAME_VARIANTS[idx], FRAME_FIELDS[idx]);
+    h
 }
 
-impl Head {
-    /// The header of frame variant `idx`.
-    fn variant(idx: usize) -> Head {
-        let mut h = Head {
-            buf: [0; MAX_HEAD],
-            len: 0,
-        };
-        h.push(T_VARIANT_TUPLE);
-        h.name(idx, FRAME_VARIANTS[idx]);
-        h.push(FRAME_FIELDS[idx]);
-        h
-    }
-
-    fn push(&mut self, b: u8) {
-        self.buf[self.len] = b;
-        self.len += 1;
-    }
-
-    fn varint(&mut self, mut n: u64) {
-        while n >= 0x80 {
-            self.push(n as u8 | 0x80);
-            n >>= 7;
+fn put_context(h: &mut Head, c: Context) {
+    match c {
+        Context::PointToPoint => h.variant(T_VARIANT_UNIT, 0, CONTEXT_VARIANTS[0]),
+        Context::Collective { seq } => {
+            h.struct_variant(1, CONTEXT_VARIANTS[1], 1);
+            h.u64(seq);
         }
-        self.push(n as u8);
-    }
-
-    /// A variant's index and its length-prefixed name.
-    fn name(&mut self, idx: usize, name: &str) {
-        self.varint(idx as u64);
-        self.varint(name.len() as u64);
-        self.buf[self.len..self.len + name.len()].copy_from_slice(name.as_bytes());
-        self.len += name.len();
-    }
-
-    fn context(&mut self, c: Context) {
-        match c {
-            Context::PointToPoint => {
-                self.push(T_VARIANT_UNIT);
-                self.name(0, CONTEXT_VARIANTS[0]);
-            }
-            Context::Collective { seq } => {
-                self.push(T_VARIANT_TUPLE);
-                self.name(1, CONTEXT_VARIANTS[1]);
-                self.push(1);
-                self.u64(seq);
-            }
-        }
-    }
-
-    fn tag(&mut self, tag: i32) {
-        let t = tag as i64;
-        self.push(T_I64);
-        self.varint(((t << 1) ^ (t >> 63)) as u64);
-    }
-
-    fn u64(&mut self, n: u64) {
-        self.push(T_U64);
-        self.varint(n);
-    }
-
-    /// The header followed by `body` as a byte field, in one allocation.
-    fn with_body(mut self, body: &[u8]) -> Payload {
-        self.push(T_BYTES);
-        self.varint(body.len() as u64);
-        Payload::concat(&[&self.buf[..self.len], body])
-    }
-
-    fn finish(self) -> Payload {
-        Payload::concat(&[&self.buf[..self.len]])
     }
 }
 
 /// Encode an eager frame straight from the caller's buffer: the one copy
 /// of the body a send makes.
 pub fn encode_eager(context: Context, tag: i32, body: &[u8]) -> Payload {
-    let mut h = Head::variant(0);
-    h.context(context);
-    h.tag(tag);
+    let mut h = head(0);
+    put_context(&mut h, context);
+    h.i32(tag);
     h.with_body(body)
 }
 
-/// A strict reader of canonical frames: any byte sequence the encoder
-/// would not produce is an error, so whatever decodes re-encodes to the
-/// same bytes.
-struct Reader<'a> {
-    frame: &'a Payload,
-    pos: usize,
+fn read_context(r: &mut Reader<'_>) -> Parse<Context> {
+    match r.variant(&CONTEXT_VARIANTS)? {
+        (T_VARIANT_UNIT, 0) => Ok(Context::PointToPoint),
+        (T_VARIANT_TUPLE, 1) => {
+            r.expect(1)?;
+            Ok(Context::Collective { seq: r.u64()? })
+        }
+        _ => Err("bad context"),
+    }
 }
 
-type Parse<T> = Result<T, &'static str>;
-
-impl Reader<'_> {
-    fn byte(&mut self) -> Parse<u8> {
-        let b = *self.frame.get(self.pos).ok_or("truncated")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Parse<()> {
-        if self.byte()? == want {
-            Ok(())
-        } else {
-            Err("unexpected tag byte")
-        }
-    }
-
-    /// A minimal LEB128 varint of at most ten bytes.
-    fn varint(&mut self) -> Parse<u64> {
-        let mut n = 0u64;
-        for i in 0..10 {
-            let b = self.byte()?;
-            if i == 9 && b > 1 {
-                return Err("varint overflow");
-            }
-            n |= u64::from(b & 0x7f) << (7 * i);
-            if b & 0x80 == 0 {
-                if b == 0 && i > 0 {
-                    return Err("overlong varint");
-                }
-                return Ok(n);
-            }
-        }
-        Err("varint overflow")
-    }
-
-    /// A variant's index and name; returns the index.
-    fn name(&mut self, names: &[&str]) -> Parse<usize> {
-        let idx = usize::try_from(self.varint()?).map_err(|_| "bad variant index")?;
-        let name = names.get(idx).ok_or("unknown variant")?;
-        if self.varint()? != name.len() as u64 {
-            return Err("variant name mismatch");
-        }
-        let end = self.pos + name.len();
-        if self.frame.get(self.pos..end) != Some(name.as_bytes()) {
-            return Err("variant name mismatch");
-        }
-        self.pos = end;
-        Ok(idx)
-    }
-
-    fn context(&mut self) -> Parse<Context> {
-        match self.byte()? {
-            T_VARIANT_UNIT if self.name(&CONTEXT_VARIANTS)? == 0 => Ok(Context::PointToPoint),
-            T_VARIANT_TUPLE if self.name(&CONTEXT_VARIANTS)? == 1 => {
-                self.expect(1)?;
-                Ok(Context::Collective { seq: self.u64()? })
-            }
-            _ => Err("bad context"),
-        }
-    }
-
-    fn tag(&mut self) -> Parse<i32> {
-        self.expect(T_I64)?;
-        let z = self.varint()?;
-        let z = u32::try_from(z).map_err(|_| "tag out of i32 range")?;
-        Ok(((z >> 1) as i32) ^ -((z & 1) as i32))
-    }
-
-    fn u64(&mut self) -> Parse<u64> {
-        self.expect(T_U64)?;
-        self.varint()
-    }
-
-    /// A byte field, returned as a slice of the frame: no copy.
-    fn body(&mut self) -> Parse<Payload> {
-        self.expect(T_BYTES)?;
-        let len = self.varint()?;
-        let left = (self.frame.len() - self.pos) as u64;
-        if len > left {
-            return Err("body truncated");
-        }
-        let start = self.pos;
-        self.pos += len as usize;
-        Ok(self.frame.slice(start..self.pos))
-    }
-
-    fn frame(&mut self) -> Parse<MpiFrame> {
-        self.expect(T_VARIANT_TUPLE)?;
-        let idx = self.name(&FRAME_VARIANTS)?;
-        self.expect(FRAME_FIELDS[idx])?;
-        let frame = match idx {
-            0 => MpiFrame::Eager {
-                context: self.context()?,
-                tag: self.tag()?,
-                body: self.body()?,
-            },
-            1 => MpiFrame::RndvReq {
-                context: self.context()?,
-                tag: self.tag()?,
-                rndv_id: self.u64()?,
-                len: self.u64()?,
-            },
-            2 => MpiFrame::RndvCts {
-                rndv_id: self.u64()?,
-            },
-            _ => MpiFrame::RndvData {
-                rndv_id: self.u64()?,
-                body: self.body()?,
-            },
-        };
-        if self.pos != self.frame.len() {
-            return Err("trailing bytes");
-        }
-        Ok(frame)
-    }
+fn read_frame(r: &mut Reader<'_>) -> Parse<MpiFrame> {
+    let frame = match r.struct_variant(&FRAME_VARIANTS, &FRAME_FIELDS)? {
+        0 => MpiFrame::Eager {
+            context: read_context(r)?,
+            tag: r.i32()?,
+            body: r.body()?,
+        },
+        1 => MpiFrame::RndvReq {
+            context: read_context(r)?,
+            tag: r.i32()?,
+            rndv_id: r.u64()?,
+            len: r.u64()?,
+        },
+        2 => MpiFrame::RndvCts { rndv_id: r.u64()? },
+        _ => MpiFrame::RndvData {
+            rndv_id: r.u64()?,
+            body: r.body()?,
+        },
+    };
+    r.finish()?;
+    Ok(frame)
 }
 
 impl MpiFrame {
@@ -333,20 +163,20 @@ impl MpiFrame {
                 rndv_id,
                 len,
             } => {
-                let mut h = Head::variant(1);
-                h.context(*context);
-                h.tag(*tag);
+                let mut h = head(1);
+                put_context(&mut h, *context);
+                h.i32(*tag);
                 h.u64(*rndv_id);
                 h.u64(*len);
                 h.finish()
             }
             MpiFrame::RndvCts { rndv_id } => {
-                let mut h = Head::variant(2);
+                let mut h = head(2);
                 h.u64(*rndv_id);
                 h.finish()
             }
             MpiFrame::RndvData { rndv_id, body } => {
-                let mut h = Head::variant(3);
+                let mut h = head(3);
                 h.u64(*rndv_id);
                 h.with_body(body)
             }
@@ -355,12 +185,8 @@ impl MpiFrame {
 
     /// Deserialize from the channel. A body is a view into `bytes`.
     pub fn decode(bytes: &Payload) -> MpiResult<Self> {
-        Reader {
-            frame: bytes,
-            pos: 0,
-        }
-        .frame()
-        .map_err(|e| MpiError::Protocol(format!("bad MPI frame: {e}")))
+        read_frame(&mut Reader::new(bytes))
+            .map_err(|e| MpiError::Protocol(format!("bad MPI frame: {e}")))
     }
 }
 

@@ -2,33 +2,42 @@
 //!
 //! Every frame is `header ‖ payload`. The 16-byte little-endian header
 //! carries a magic, a codec version, per-frame flags, the payload
-//! length, and an FNV-1a checksum of the payload:
+//! length, and a [`checksum`] of the payload:
 //!
 //! ```text
 //! offset  size  field
 //!      0     2  magic  (0x564D, "MV")
-//!      2     1  version (1)
+//!      2     1  version (2)
 //!      3     1  flags   (bit 0 = ping, bit 1 = hello)
 //!      4     4  payload length
-//!      8     8  FNV-1a-64 checksum of the payload
+//!      8     8  checksum of the payload (FNV-1a-64 over u64 words)
 //! ```
 //!
-//! The decoder is incremental (feed it whatever `read` returned, pull
-//! complete frames out) and **never panics on malformed input**: a bad
-//! magic, an unknown version, an oversized length declaration or a
-//! checksum mismatch each surface as a typed [`FrameError`], and a
-//! stream that ends mid-frame is reported as [`FrameError::Truncated`]
-//! by [`FrameDecoder::finish`]. Once a decoder has returned an error
-//! the stream is unsynchronized and must be dropped — exactly the
-//! fail-stop reaction the transport wants.
+//! Version 1 checksummed byte by byte; version 2 folds eight bytes per
+//! multiply, and the decoder refuses a version-1 stream as
+//! [`FrameError::BadVersion`].
+//!
+//! The decoder is incremental (read the socket straight into it with
+//! [`FrameDecoder::read_from`], or feed it bytes with
+//! [`FrameDecoder::push`], then pull complete frames out) and hands each
+//! payload out as an exact-size [`Payload`] of its own: the one copy a
+//! received frame costs in user space. It **never panics on malformed
+//! input**: a bad magic, an unknown version, an oversized length
+//! declaration or a checksum mismatch each surface as a typed
+//! [`FrameError`], and a stream that ends mid-frame is reported as
+//! [`FrameError::Truncated`] by [`FrameDecoder::finish`]. Once a decoder
+//! has returned an error the stream is unsynchronized and must be
+//! dropped — exactly the fail-stop reaction the transport wants.
 
+use mvr_core::Payload;
 use std::fmt;
+use std::io::{self, Read};
 
 /// First two header bytes, little-endian `0x564D` — `"MV"` on the wire.
 pub const FRAME_MAGIC: u16 = 0x564D;
 
 /// Codec version this build writes and accepts.
-pub const FRAME_VERSION: u8 = 1;
+pub const FRAME_VERSION: u8 = 2;
 
 /// Header length in bytes.
 pub const FRAME_HEADER_LEN: usize = 16;
@@ -115,20 +124,32 @@ impl std::error::Error for FrameError {}
 pub struct Frame {
     /// Header flags ([`FLAG_PING`], [`FLAG_HELLO`], or 0 for data).
     pub flags: u8,
-    /// Payload bytes (verified against the header checksum).
-    pub payload: Vec<u8>,
+    /// Payload bytes (verified against the header checksum), in a
+    /// buffer of their own.
+    pub payload: Payload,
 }
 
-/// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption
-/// detection (TCP already guards against line noise; this guards
-/// against framing bugs and truncated writes).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The frame checksum: FNV-1a-64's xor-then-multiply, folded over the
+/// little-endian `u64` words of `bytes` (a short tail zero-padded into
+/// one last word), then over the length. Cheap, dependency-free
+/// corruption detection — TCP already guards against line noise; this
+/// guards against framing bugs and truncated writes. A change confined
+/// to one word is always caught: xor with the word and multiplication
+/// by the odd prime are both bijections, so every later state differs.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        fold(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    });
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = fold(h, u64::from_le_bytes(last));
     }
-    h
+    fold(h, bytes.len() as u64)
 }
 
 /// The header that goes in front of `payload` on the wire.
@@ -138,7 +159,7 @@ pub fn frame_header(flags: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
     header[2] = FRAME_VERSION;
     header[3] = flags;
     header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[8..16].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    header[8..16].copy_from_slice(&checksum(payload).to_le_bytes());
     header
 }
 
@@ -156,14 +177,19 @@ pub fn encode_frame(flags: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Incremental frame decoder: push raw bytes in, pull verified frames
-/// out. Sticky on error — after any [`FrameError`] the stream has lost
-/// sync and every further call returns the same error.
+/// Room a read asks for at least: one full-size socket read.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Incremental frame decoder: read or push raw bytes in, pull verified
+/// frames out. Sticky on error — after any [`FrameError`] the stream has
+/// lost sync and every further call returns the same error.
 #[derive(Debug)]
 pub struct FrameDecoder {
+    /// Receive buffer, always initialised: `buf[pos..end]` is stream not
+    /// yet decoded, `buf[end..]` room for the next read.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted opportunistically).
     pos: usize,
+    end: usize,
     max_payload: usize,
     poisoned: Option<FrameError>,
 }
@@ -179,9 +205,25 @@ impl FrameDecoder {
         FrameDecoder {
             buf: Vec::new(),
             pos: 0,
+            end: 0,
             max_payload,
             poisoned: None,
         }
+    }
+
+    /// At least `want` bytes of room after the buffered stream: the
+    /// stream moves to the front of the buffer first, and the buffer
+    /// grows only if that is not enough.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        if self.buf.len() - self.end < want && self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        if self.buf.len() - self.end < want {
+            self.buf.resize(self.end + want, 0);
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Feed raw stream bytes.
@@ -189,17 +231,22 @@ impl FrameDecoder {
         if self.poisoned.is_some() {
             return;
         }
-        // Compact once the consumed prefix dominates the buffer.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` from `source` straight into the decoder's buffer, so the
+    /// source's copy is the only one before [`next_frame`](Self::next_frame).
+    /// Returns what `read` returned: `Ok(0)` is the end of the stream.
+    pub fn read_from(&mut self, source: &mut impl Read) -> io::Result<usize> {
+        let n = source.read(self.room(READ_CHUNK))?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes currently buffered and not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     fn poison(&mut self, e: FrameError) -> FrameError {
@@ -209,12 +256,14 @@ impl FrameDecoder {
 
     /// Try to decode the next complete frame. `Ok(None)` means more
     /// bytes are needed — not an error until the stream actually ends
-    /// (see [`finish`](Self::finish)).
+    /// (see [`finish`](Self::finish)). The payload is copied out of the
+    /// decoder's buffer into an exact-size one, so a frame kept for
+    /// later never pins the read buffer.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        let avail = &self.buf[self.pos..];
+        let avail = &self.buf[self.pos..self.end];
         if avail.len() < FRAME_HEADER_LEN {
             return Ok(None);
         }
@@ -236,12 +285,16 @@ impl FrameDecoder {
         if avail.len() < FRAME_HEADER_LEN + len {
             return Ok(None);
         }
-        let payload = avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len].to_vec();
-        let found = fnv1a(&payload);
+        let bytes = &avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
+        let found = checksum(bytes);
         if found != expected {
             return Err(self.poison(FrameError::BadChecksum { expected, found }));
         }
+        let payload = Payload::from(bytes);
         self.pos += FRAME_HEADER_LEN + len;
+        if self.pos == self.end {
+            (self.pos, self.end) = (0, 0);
+        }
         Ok(Some(Frame { flags, payload }))
     }
 
@@ -258,7 +311,7 @@ impl FrameDecoder {
         let needed = if have < FRAME_HEADER_LEN {
             FRAME_HEADER_LEN - have
         } else {
-            let avail = &self.buf[self.pos..];
+            let avail = &self.buf[self.pos..self.end];
             let len = u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
             (FRAME_HEADER_LEN + len).saturating_sub(have)
         };
@@ -297,7 +350,7 @@ mod tests {
         stream.extend_from_slice(&c);
         let frames = decode_all(&stream).unwrap();
         assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0].payload, b"hello");
+        assert_eq!(&frames[0].payload[..], b"hello");
         assert_eq!(frames[1].flags, FLAG_PING);
         assert!(frames[1].payload.is_empty());
         assert_eq!(frames[2].payload.len(), 10_000);
@@ -320,8 +373,8 @@ mod tests {
             }
             dec.finish().unwrap();
             assert_eq!(got.len(), 2, "split at {split}");
-            assert_eq!(got[0].payload, b"first");
-            assert_eq!(got[1].payload, b"second payload");
+            assert_eq!(&got[0].payload[..], b"first");
+            assert_eq!(&got[1].payload[..], b"second payload");
         }
     }
 
@@ -354,7 +407,7 @@ mod tests {
                     // the degenerate empty prefix — the flags byte is the
                     // one header byte with no integrity coverage.
                     assert!(
-                        i == 3 && frame.payload == b"corruption target payload",
+                        i == 3 && &frame.payload[..] == b"corruption target payload",
                         "byte {i}: corrupted frame decoded cleanly"
                     );
                 }
@@ -415,6 +468,130 @@ mod tests {
             dec.next_frame(),
             Err(FrameError::BadChecksum { .. })
         ));
+    }
+
+    fn flipped(payload: &[u8], bit: usize) -> Result<Option<Frame>, FrameError> {
+        let mut wire = encode_frame(0, payload);
+        wire[FRAME_HEADER_LEN + bit / 8] ^= 1 << (bit % 8);
+        let mut dec = FrameDecoder::new();
+        dec.push(&wire);
+        dec.next_frame()
+    }
+
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(151) ^ seed)
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_short_payload_is_caught() {
+        for len in 0..=64 {
+            let payload = pattern(len, len as u8);
+            for bit in 0..len * 8 {
+                assert!(
+                    matches!(flipped(&payload, bit), Err(FrameError::BadChecksum { .. })),
+                    "{len} bytes, bit {bit}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
+
+        #[test]
+        fn sampled_bit_flips_of_a_64k_payload_are_caught(bit in 0usize..(64 << 10) * 8, seed in 0u8..=255) {
+            let payload = pattern(64 << 10, seed);
+            proptest::prop_assert!(matches!(
+                flipped(&payload, bit),
+                Err(FrameError::BadChecksum { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn the_checksum_folds_words_and_the_length() {
+        // Trailing zero bytes pad the last word, so only the length tells
+        // these apart.
+        assert_ne!(checksum(b"ab"), checksum(b"ab\0"));
+        assert_ne!(checksum(&[]), checksum(&[0; 8]));
+        // One word and the same word split over its byte order differ.
+        assert_ne!(
+            checksum(&[1, 0, 0, 0, 0, 0, 0, 0]),
+            checksum(&[0, 0, 0, 0, 0, 0, 0, 1])
+        );
+    }
+
+    #[test]
+    fn a_version_1_stream_is_refused() {
+        let mut wire = encode_frame(0, b"old");
+        wire[2] = 1;
+        let mut dec = FrameDecoder::new();
+        dec.push(&wire);
+        assert_eq!(dec.next_frame(), Err(FrameError::BadVersion { found: 1 }));
+    }
+
+    /// A frame's payload is a buffer of its own, exactly its size: a
+    /// receiver that keeps frames (an unexpected-message backlog) keeps
+    /// only them, never the decoder's read buffer.
+    #[test]
+    fn a_frame_payload_does_not_pin_the_decoder_buffer() {
+        let mut dec = FrameDecoder::new();
+        dec.push(&encode_frame(0, &[7; 100]));
+        dec.push(&encode_frame(0, &[8; 5000]));
+        let first = dec.next_frame().unwrap().expect("whole frame");
+        let buffer = dec.buf.as_ptr_range();
+        assert!(!buffer.contains(&first.payload.as_ptr()));
+        assert_eq!(first.payload.len(), 100);
+        // The buffer is reused for what comes next; the frame is intact.
+        let second = dec.next_frame().unwrap().expect("whole frame");
+        dec.push(&encode_frame(0, &[9; 100]));
+        assert_eq!(dec.buf.as_ptr_range(), buffer, "no reallocation");
+        assert_eq!(&first.payload[..], &[7; 100][..]);
+        assert_eq!(&second.payload[..], &[8; 5000][..]);
+    }
+
+    /// A reader that hands out at most `chunk` bytes per `read`.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn reads_land_in_the_decoder_buffer_across_any_chunking() {
+        let sizes = [0, 1, 15, 16, 100, 70_000, 3, 200_000, 64];
+        let mut stream = Vec::new();
+        for (i, &len) in sizes.iter().enumerate() {
+            stream.extend_from_slice(&encode_frame(0, &pattern(len, i as u8)));
+        }
+        for chunk in [1, 7, 4096, 65_536, usize::MAX] {
+            let mut source = Trickle {
+                data: &stream,
+                chunk,
+            };
+            let mut dec = FrameDecoder::new();
+            let mut got = Vec::new();
+            while dec.read_from(&mut source).unwrap() > 0 {
+                while let Some(frame) = dec.next_frame().unwrap() {
+                    got.push(frame.payload);
+                }
+            }
+            dec.finish().unwrap();
+            assert_eq!(got.len(), sizes.len(), "chunk {chunk}");
+            for (i, (frame, &len)) in got.iter().zip(&sizes).enumerate() {
+                assert_eq!(&frame[..], &pattern(len, i as u8)[..], "chunk {chunk}");
+            }
+        }
     }
 
     #[test]

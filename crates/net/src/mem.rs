@@ -14,6 +14,7 @@ use crate::transport::{
 };
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use mvr_core::ids::NodeId;
+use mvr_core::Payload;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,7 +123,7 @@ impl Transport for MemTransport {
             ep.ok_or(TransportError::PeerDown(peer))?.sink.clone()
         };
         // Outside the hub lock: a sink may itself send.
-        sink(self.node, payload);
+        sink(self.node, Payload::from_vec(payload));
         Ok(())
     }
 
@@ -198,8 +199,8 @@ mod tests {
         let a = net.attach(cn(0));
         let b = net.attach(cn(1));
         let (tx, rx) = std::sync::mpsc::channel();
-        b.set_frame_sink(Arc::new(move |from, payload| {
-            let _ = tx.send((from, payload));
+        b.set_frame_sink(Arc::new(move |from, payload: Payload| {
+            let _ = tx.send((from, payload.to_vec()));
         }));
         a.send(cn(1), vec![9]).unwrap();
         assert_eq!(rx.try_recv(), Ok((cn(0), vec![9])));

@@ -51,7 +51,7 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use mvr_core::ids::NodeId;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind, IoSlice, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -515,7 +515,6 @@ fn read_frames<T>(
     shared: &Shared,
     mut on_frame: impl FnMut(Frame) -> ControlFlow<Result<T, DownCause>>,
 ) -> Result<T, DownCause> {
-    let mut buf = vec![0u8; 64 * 1024];
     let mut last_byte = Instant::now();
     loop {
         loop {
@@ -532,12 +531,9 @@ fn read_frames<T>(
         if shared.closed() {
             return Err(DownCause::Closed);
         }
-        match stream.read(&mut buf) {
+        match decoder.read_from(stream) {
             Ok(0) => return Err(DownCause::Eof),
-            Ok(n) => {
-                last_byte = Instant::now();
-                decoder.push(&buf[..n]);
-            }
+            Ok(_) => last_byte = Instant::now(),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if last_byte.elapsed() > shared.cfg.fail_after {
                     return Err(DownCause::ReadTimeout);
@@ -1015,9 +1011,9 @@ mod tests {
         let a = TcpTransport::bind(cn(0), "127.0.0.1:0", 1, quick_cfg()).unwrap();
         let b = TcpTransport::bind(cn(1), "127.0.0.1:0", 1, quick_cfg()).unwrap();
         let (tx, rx) = unbounded();
-        b.set_frame_sink(Arc::new(move |from, payload| {
+        b.set_frame_sink(Arc::new(move |from, payload: mvr_core::Payload| {
             let reader = thread::current().name().map(str::to_owned);
-            let _ = tx.send((from, payload, reader));
+            let _ = tx.send((from, payload.to_vec(), reader));
         }));
         a.set_route(cn(1), b.local_addr().unwrap());
         a.send(cn(1), b"sunk".to_vec()).unwrap();

@@ -23,22 +23,26 @@
 
 use crossbeam_channel::Sender;
 use mvr_core::ids::NodeId;
+use mvr_core::Payload;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Where an endpoint puts each verified inbound application frame: it
-/// is called with the sending node and the payload, on the thread that
-/// took the frame off the link (the connection's reader; for the
-/// in-memory backend, the sender). It must not block on that link's
-/// peer. Until [`Transport::set_frame_sink`] replaces it, the sink of
-/// an endpoint queues [`TransportEvent::Frame`] for
-/// [`Transport::poll_event`].
-pub type FrameSink = Arc<dyn Fn(NodeId, Vec<u8>) + Send + Sync>;
+/// is called with the sending node and the payload — an exact-size
+/// shared buffer of its own, which a decoder may slice instead of
+/// copying — on the thread that took the frame off the link (the
+/// connection's reader; for the in-memory backend, the sender). It must
+/// not block on that link's peer. Until [`Transport::set_frame_sink`]
+/// replaces it, the sink of an endpoint queues [`TransportEvent::Frame`]
+/// for [`Transport::poll_event`].
+pub type FrameSink = Arc<dyn Fn(NodeId, Payload) + Send + Sync>;
 
-/// The sink every endpoint starts with: frames join `events`.
+/// The sink every endpoint starts with: frames join `events` (as a copy:
+/// the queue carries `Vec`s).
 pub(crate) fn event_sink(events: Sender<TransportEvent>) -> FrameSink {
-    Arc::new(move |from, payload| {
+    Arc::new(move |from, payload: Payload| {
+        let payload = payload.to_vec();
         let _ = events.send(TransportEvent::Frame { from, payload });
     })
 }
@@ -83,7 +87,9 @@ pub enum TransportEvent {
     Frame {
         /// Sending node.
         from: NodeId,
-        /// Frame payload (opaque to the transport).
+        /// Frame payload (opaque to the transport), copied out of the
+        /// delivered `Payload`: only tests and the benchmark's per-layer
+        /// loops read frames off the event queue.
         payload: Vec<u8>,
     },
     /// A peer completed its handshake and is reachable.

@@ -12,7 +12,8 @@
 //!   encodes it once and hands it to [`Transport::send`], which writes
 //!   the socket;
 //! - **inbound** — the gateway is the endpoint's frame sink: the
-//!   connection's reader thread decodes each frame and pushes data-plane
+//!   connection's reader thread decodes each frame (a `Data` body stays a
+//!   view of the delivered frame, uncopied) and pushes data-plane
 //!   messages straight into the local real mailboxes via
 //!   [`Fabric::send_from_reliable`], and control-plane traffic (hello,
 //!   address maps, results, revival chatter) onto the [`Control`]
@@ -32,9 +33,9 @@ use crate::messages::{DaemonMsg, DispatcherMsg};
 use mvr_ckpt::CkptPacket;
 use mvr_core::{NodeId, Rank, SchedMsg};
 use mvr_eventlog::ElPacket;
-use mvr_net::{DownCause, Fabric, Transport, TransportEvent};
+use mvr_net::{DownCause, Fabric, FrameSink, Transport, TransportEvent};
 use std::cell::RefCell;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -188,26 +189,8 @@ impl Gateway {
 
         let (control_tx, control_rx) = std::sync::mpsc::channel();
         // Weak: the endpoint owns its sink.
-        let (fabric, endpoint) = (fabric.clone(), Arc::downgrade(&transport));
-        transport.set_frame_sink(Arc::new(move |from, payload| {
-            let forward = match WireMsg::decode(&payload) {
-                Ok(msg) => route(&fabric, role, &endpoint, from, msg),
-                // Undecodable payload on an authenticated frame: surface
-                // as a corrupt-peer detector event. The frame came over
-                // a live link, so the verdict is about whatever
-                // incarnation is current — u64::MAX keeps it from being
-                // dropped as stale.
-                Err(e) => Some(Control::PeerDown {
-                    peer: from,
-                    incarnation: u64::MAX,
-                    cause: DownCause::Corrupt(e),
-                }),
-            };
-            if let Some(control) = forward {
-                // Nobody listening: the glue dropped the gateway.
-                let _ = control_tx.send(control);
-            }
-        }));
+        let endpoint = Arc::downgrade(&transport);
+        transport.set_frame_sink(inbound(fabric.clone(), role, endpoint, control_tx));
 
         Gateway {
             transport,
@@ -289,6 +272,35 @@ fn remote<M: Send + 'static>(
             let _ = transport.send(dest, wire.encode());
         }
     });
+}
+
+/// The gateway's frame sink: decode each frame on the thread that took
+/// it off the link — a `Data` body stays a view of the frame — and
+/// [`route`] it.
+fn inbound(
+    fabric: Fabric,
+    role: GatewayRole,
+    endpoint: Weak<dyn Transport>,
+    control_tx: Sender<Control>,
+) -> FrameSink {
+    Arc::new(move |from, frame| {
+        let forward = match WireMsg::decode_frame(&frame) {
+            Ok(msg) => route(&fabric, role, &endpoint, from, msg),
+            // Undecodable payload on an authenticated frame: surface as a
+            // corrupt-peer detector event. The frame came over a live
+            // link, so the verdict is about whatever incarnation is
+            // current — u64::MAX keeps it from being dropped as stale.
+            Err(e) => Some(Control::PeerDown {
+                peer: from,
+                incarnation: u64::MAX,
+                cause: DownCause::Corrupt(e),
+            }),
+        };
+        if let Some(control) = forward {
+            // Nobody listening: the glue dropped the gateway.
+            let _ = control_tx.send(control);
+        }
+    })
 }
 
 /// Inject one inbound message: data plane into the fabric, control
@@ -433,6 +445,72 @@ mod tests {
             })
             .collect();
         assert_eq!(seen, ["failed", "down"]);
+    }
+
+    /// Over real sockets, a `Data` body reaches the MPI layer as a view of
+    /// the frame the connection's reader delivered: after the one copy
+    /// out of the read buffer, no layer copies it again.
+    #[test]
+    fn a_data_body_received_over_tcp_is_a_view_of_the_delivered_frame() {
+        use mvr_core::{DataMsg, MsgId, Payload};
+        use mvr_mpi::wire::{encode_eager, Context, MpiFrame};
+        use mvr_net::{TcpConfig, TcpTransport};
+        let (r0, r1) = (NodeId::Computing(Rank(0)), NodeId::Computing(Rank(1)));
+        let bind = |node| TcpTransport::bind(node, "127.0.0.1:0", 1, TcpConfig::default());
+        let a = bind(r0).expect("loopback");
+        let b: Arc<dyn Transport> = Arc::new(bind(r1).expect("loopback"));
+        a.set_route(r1, b.local_addr().expect("bound"));
+
+        // Rank 1's gateway sink, behind a tap that keeps each frame.
+        let fabric = Fabric::new();
+        let (mailbox, _id) = fabric.register::<DaemonMsg>(r1);
+        let (control_tx, _control_rx) = std::sync::mpsc::channel();
+        let gateway = inbound(
+            fabric,
+            GatewayRole::Rank(Rank(1)),
+            Arc::downgrade(&b),
+            control_tx,
+        );
+        let (tap_tx, tap_rx) = std::sync::mpsc::channel();
+        b.set_frame_sink(Arc::new(move |from, frame: Payload| {
+            gateway(from, frame.clone());
+            let _ = tap_tx.send(frame);
+        }));
+
+        let wire = WireMsg::Peer {
+            from: Rank(0),
+            msg: PeerMsg::Data(DataMsg {
+                id: MsgId::new(Rank(0), 1),
+                dst: Rank(1),
+                payload: encode_eager(Context::PointToPoint, 7, &[5; 100]),
+            }),
+        };
+        a.send(r1, wire.encode()).expect("routed");
+        let frame = tap_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("frame delivered");
+        let Ok(Some(DaemonMsg::Peer {
+            msg: PeerMsg::Data(data),
+            ..
+        })) = mailbox.try_recv()
+        else {
+            panic!("the data message is in the mailbox when the sink returns");
+        };
+        let MpiFrame::Eager { body, .. } = MpiFrame::decode(&data.payload).expect("eager") else {
+            panic!("an eager frame");
+        };
+        assert_eq!(&body[..], &[5; 100][..]);
+        let within = |inner: &[u8]| {
+            let (outer, inner) = (frame.as_ptr_range(), inner.as_ptr_range());
+            outer.start <= inner.start && inner.end <= outer.end
+        };
+        assert!(
+            within(&data.payload),
+            "the MPI frame is a view of the wire frame"
+        );
+        assert!(within(&body), "so is the body");
+        a.shutdown();
+        b.shutdown();
     }
 
     /// The supervisor side routes scheduler chatter both ways and
