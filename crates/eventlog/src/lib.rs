@@ -18,6 +18,6 @@ pub mod router;
 pub mod service;
 pub mod store;
 
-pub use router::{merged_unique_events, quorum_of, ShardMap};
+pub use router::{merge_downloads, merged_unique_events, quorum_of, ShardMap};
 pub use service::{run_event_logger, run_event_logger_on, ElPacket, ElServiceStats};
 pub use store::{el_for_rank, EventLogStore};

@@ -14,7 +14,7 @@
 //! non-empty). The daemon's engine folds the replica acks into the
 //! quorum watermark (`V2Engine` in `mvr-core`).
 
-use mvr_core::Rank;
+use mvr_core::{Rank, ReceptionEvent};
 
 /// 64-bit FNV-1a with a splitmix64 finalizer, the hash behind the
 /// consistent-hash ring. Chosen for determinism across runs and
@@ -105,6 +105,40 @@ pub fn merged_unique_events(per_replica: &[u64], replicas: usize) -> u64 {
         .chunks(r)
         .map(|shard| shard.iter().copied().max().unwrap_or(0))
         .sum()
+}
+
+/// Union-merge several replicas' `DownloadEL` answers (each receiver-
+/// clock ordered) into one deduplicated, ordered event list. Any
+/// replica missed by a write quorum lacks at most the events the
+/// others hold, so the union over a read quorum recovers every
+/// quorum-acked event.
+pub fn merge_downloads(mut lists: Vec<Vec<ReceptionEvent>>) -> Vec<ReceptionEvent> {
+    if lists.len() <= 1 {
+        return lists.pop().unwrap_or_default();
+    }
+    let mut merged: Vec<ReceptionEvent> = Vec::new();
+    for list in lists {
+        let mut out = Vec::with_capacity(merged.len() + list.len());
+        let (mut i, mut j) = (0, 0);
+        while i < merged.len() && j < list.len() {
+            let (a, b) = (merged[i], list[j]);
+            if a.receiver_clock == b.receiver_clock {
+                out.push(a);
+                i += 1;
+                j += 1;
+            } else if a.receiver_clock < b.receiver_clock {
+                out.push(a);
+                i += 1;
+            } else {
+                out.push(b);
+                j += 1;
+            }
+        }
+        out.extend_from_slice(&merged[i..]);
+        out.extend_from_slice(&list[j..]);
+        merged = out;
+    }
+    merged
 }
 
 #[cfg(test)]

@@ -49,7 +49,9 @@ pub use health::HealthServer;
 pub use hist::{HistSummary, LogHistogram};
 pub use monitor::{InvariantMonitor, RecordSink, Violation};
 pub use prom::{timing_families, window_families, PromPage};
-pub use recorder::{epoch_from_unix_ns, unix_now_ns, Recorder, RecorderConfig, RecorderHub};
+pub use recorder::{
+    epoch_from_unix_ns, unix_now_ns, Recorder, RecorderConfig, RecorderHub, VirtualClock,
+};
 pub use skew::{apply_track, estimate_skew, OffsetTrack, RankTrack, SkewEstimate};
 pub use span::{DeliveryLeg, Orphan, OrphanKind, Span, SpanKey, SpanSet};
 pub use telemetry::{TelemetrySink, TelemetrySnapshot};

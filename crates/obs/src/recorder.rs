@@ -7,9 +7,43 @@ use crate::event::{FlightRecord, ProtoEvent};
 use crate::monitor::RecordSink;
 use parking_lot::Mutex;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A time source that a discrete-event simulator advances by hand.
+/// Recorders minted on it ([`Recorder::on_clock`],
+/// [`RecorderHub::recorder_on_clock`]) read their time from it instead
+/// of the wall clock, so engines driven in virtual time measure virtual
+/// durations and their records carry virtual timestamps.
+#[derive(Clone, Debug, Default)]
+pub struct VirtualClock(Arc<AtomicU64>);
+
+impl VirtualClock {
+    /// A clock standing at 0 ns.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Move the clock to `ns`.
+    pub fn set(&self, ns: u64) {
+        self.0.store(ns, Ordering::Relaxed);
+    }
+
+    /// The current reading, in nanoseconds.
+    pub fn now_ns(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Where a recorder reads its time.
+enum TimeSource {
+    /// Elapsed time since a monotonic epoch, with an optional injected
+    /// drift (see [`RecorderConfig::clock_drift_ppb`]).
+    Wall { epoch: Instant, drift_ppb: i64 },
+    /// A simulator's virtual clock.
+    Virtual(VirtualClock),
+}
 
 /// How a deployment's recorders behave.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,10 +125,7 @@ impl Ring {
 struct Shared {
     rank: u32,
     enabled: AtomicBool,
-    epoch: Instant,
-    /// Injected drift rate (ppb) baked in at mint time; see
-    /// [`RecorderConfig::clock_drift_ppb`].
-    drift_ppb: i64,
+    time: TimeSource,
     ring: Mutex<Ring>,
     /// Live consumer of records (the online invariant monitor). Fired
     /// inline on the recording thread's slow path, after the ring push.
@@ -121,7 +152,7 @@ impl Recorder {
     /// tools). Deployments should mint recorders from a [`RecorderHub`]
     /// so all timelines share one epoch.
     pub fn new(rank: u32, cfg: RecorderConfig) -> Self {
-        Self::with_epoch(rank, cfg, Instant::now())
+        Self::with_time(rank, cfg, Self::wall(cfg, Instant::now()), None)
     }
 
     /// A permanently-disabled recorder: the engine default, costing one
@@ -130,21 +161,29 @@ impl Recorder {
         Self::new(u32::MAX, RecorderConfig::default())
     }
 
-    fn with_epoch(rank: u32, cfg: RecorderConfig, epoch: Instant) -> Self {
-        Self::with_epoch_sink(rank, cfg, epoch, None)
+    /// A standalone recorder reading its time from `clock` (a
+    /// simulator's virtual time). The drift setting does not apply.
+    pub fn on_clock(rank: u32, cfg: RecorderConfig, clock: &VirtualClock) -> Self {
+        Self::with_time(rank, cfg, TimeSource::Virtual(clock.clone()), None)
     }
 
-    fn with_epoch_sink(
+    fn wall(cfg: RecorderConfig, epoch: Instant) -> TimeSource {
+        TimeSource::Wall {
+            epoch,
+            drift_ppb: cfg.clock_drift_ppb,
+        }
+    }
+
+    fn with_time(
         rank: u32,
         cfg: RecorderConfig,
-        epoch: Instant,
+        time: TimeSource,
         sink: Option<Arc<dyn RecordSink>>,
     ) -> Self {
         Recorder(Arc::new(Shared {
             rank,
             enabled: AtomicBool::new(cfg.enabled),
-            epoch,
-            drift_ppb: cfg.clock_drift_ppb,
+            time,
             ring: Mutex::new(Ring::new(cfg.capacity)),
             sink,
         }))
@@ -155,18 +194,23 @@ impl Recorder {
         self.0.rank
     }
 
-    /// Monotonic nanoseconds since the deployment epoch. Usable even
-    /// when recording is disabled — the engines' duration histograms
-    /// read time through this single source.
+    /// Monotonic nanoseconds since the deployment epoch (or the virtual
+    /// clock's reading). Usable even when recording is disabled — the
+    /// engines' duration histograms read time through this single
+    /// source.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        let ns = self.0.epoch.elapsed().as_nanos() as u64;
-        if self.0.drift_ppb == 0 {
+        let (epoch, drift_ppb) = match &self.0.time {
+            TimeSource::Wall { epoch, drift_ppb } => (epoch, *drift_ppb),
+            TimeSource::Virtual(clock) => return clock.now_ns(),
+        };
+        let ns = epoch.elapsed().as_nanos() as u64;
+        if drift_ppb == 0 {
             return ns;
         }
         // Injected drift (tests only): scale elapsed time by
         // (1 + ppb/1e9), clamped at zero for pathological negatives.
-        let skewed = ns as i128 + ns as i128 * self.0.drift_ppb as i128 / 1_000_000_000;
+        let skewed = ns as i128 + ns as i128 * drift_ppb as i128 / 1_000_000_000;
         skewed.max(0) as u64
     }
 
@@ -178,22 +222,6 @@ impl Recorder {
             return;
         }
         self.record_slow(clock, event);
-    }
-
-    /// Append a record at an explicit timestamp instead of wall time.
-    /// The simulator uses this to write virtual-time records, so its
-    /// dumps are byte-stable across runs of the same seed.
-    #[inline]
-    pub fn record_at(&self, clock: u64, ts_ns: u64, event: ProtoEvent) {
-        if !self.0.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.push(FlightRecord {
-            rank: self.0.rank,
-            clock,
-            ts_ns,
-            event,
-        });
     }
 
     #[cold]
@@ -274,15 +302,28 @@ impl RecorderHub {
     /// Mint (and register) a recorder for `rank`. Call once per
     /// incarnation; all incarnations' records end up in the dump.
     pub fn recorder(&self, rank: u32) -> Recorder {
-        let r = Recorder::with_epoch_sink(rank, self.cfg, self.epoch, self.sink.lock().clone());
+        self.register(rank, Recorder::wall(self.cfg, self.epoch))
+    }
+
+    /// As [`recorder`](Self::recorder), with timestamps read from
+    /// `clock` instead of the hub's epoch: a simulator's virtual time,
+    /// so a seeded run dumps a byte-identical timeline every time.
+    pub fn recorder_on_clock(&self, rank: u32, clock: &VirtualClock) -> Recorder {
+        self.register(rank, TimeSource::Virtual(clock.clone()))
+    }
+
+    fn register(&self, rank: u32, time: TimeSource) -> Recorder {
+        let r = Recorder::with_time(rank, self.cfg, time, self.sink.lock().clone());
         self.recorders.lock().push(r.clone());
         r
     }
 
     /// Merged snapshot of every registered recorder, ordered by
-    /// timestamp (ties broken by rank, then logical clock, then event
-    /// kind, so equal-timestamp records from a virtual-time run merge
-    /// deterministically and dumps are byte-stable per seed).
+    /// timestamp, ties broken by rank. The sort is stable, so records of
+    /// one rank sharing a timestamp keep the order they were written in
+    /// — a virtual-time run stamps a whole cascade (an ack, the gate
+    /// opening it causes, the sends it releases) with one instant — and
+    /// dumps are byte-stable per seed.
     pub fn timeline(&self) -> Vec<FlightRecord> {
         let mut all: Vec<FlightRecord> = self
             .recorders
@@ -290,7 +331,7 @@ impl RecorderHub {
             .iter()
             .flat_map(|r| r.snapshot())
             .collect();
-        all.sort_by_key(|r| (r.ts_ns, r.rank, r.clock, r.event.kind_index()));
+        all.sort_by_key(|r| (r.ts_ns, r.rank));
         all
     }
 
@@ -425,29 +466,40 @@ mod tests {
     }
 
     #[test]
-    fn equal_ts_ties_break_by_rank_clock_kind() {
+    fn equal_ts_ties_break_by_rank_then_recording_order() {
         let hub = RecorderHub::new(RecorderConfig::enabled());
-        let a = hub.recorder(0);
-        let b = hub.recorder(1);
+        let clock = VirtualClock::new();
+        clock.set(500);
+        let a = hub.recorder_on_clock(0, &clock);
+        let b = hub.recorder_on_clock(1, &clock);
         // All four records share ts_ns=500; merge order must be fully
-        // determined by (rank, clock, kind_index).
-        b.record_at(2, 500, ProtoEvent::Finish { clock: 2 });
-        a.record_at(
+        // determined by rank, then the order each rank wrote them in.
+        b.record(2, ProtoEvent::Finish { clock: 2 });
+        a.record(
             3,
-            500,
+            ProtoEvent::ElAck {
+                up_to: 3,
+                batches_retired: 1,
+                rtt_ns: 7,
+            },
+        );
+        a.record(
+            3,
             ProtoEvent::GateOpen {
                 released: 1,
                 waited_ns: 7,
             },
         );
-        a.record_at(3, 500, send(1, 3, 8));
-        a.record_at(1, 500, ProtoEvent::Restart1 { rank: 0 });
+        a.record(4, send(1, 4, 8));
         let tl = hub.timeline();
+        assert!(tl.iter().all(|r| r.ts_ns == 500));
         let keys: Vec<(u32, u64, u8)> = tl
             .iter()
             .map(|r| (r.rank, r.clock, r.event.kind_index()))
             .collect();
-        assert_eq!(keys, vec![(0, 1, 10), (0, 3, 0), (0, 3, 2), (1, 2, 17)]);
+        assert_eq!(keys, vec![(0, 3, 6), (0, 3, 2), (0, 4, 0), (1, 2, 17)]);
+        clock.set(900);
+        assert_eq!(a.now_ns(), 900, "the recorder reads the virtual clock");
     }
 
     #[test]

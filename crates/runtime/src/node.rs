@@ -34,7 +34,7 @@ use mvr_core::{
     CkptReply, CkptRequest, ElReply, ElRequest, EventBatch, Metrics, NodeId, NodeImage, Payload,
     PeerMsg, Rank, ReceptionEvent, SchedMsg, V2Engine,
 };
-use mvr_eventlog::ElPacket;
+use mvr_eventlog::{merge_downloads, ElPacket};
 use mvr_mpi::{Mpi, MpiError, MpiResult};
 use mvr_net::{Fabric, Identity, MailSignal, Mailbox, RecvError, SendError, Waiter};
 use mvr_obs::ProtocolTimings;
@@ -676,40 +676,6 @@ impl Routing {
             sched_node: NodeId::CheckpointScheduler,
         }
     }
-}
-
-/// Union-merge several replicas' `DownloadEL` answers (each receiver-
-/// clock ordered) into one deduplicated, ordered event list. Any
-/// replica missed by a write quorum lacks at most the events the
-/// others hold, so the union over a read quorum recovers every
-/// quorum-acked event.
-fn merge_downloads(mut lists: Vec<Vec<ReceptionEvent>>) -> Vec<ReceptionEvent> {
-    if lists.len() <= 1 {
-        return lists.pop().unwrap_or_default();
-    }
-    let mut merged: Vec<ReceptionEvent> = Vec::new();
-    for list in lists {
-        let mut out = Vec::with_capacity(merged.len() + list.len());
-        let (mut i, mut j) = (0, 0);
-        while i < merged.len() && j < list.len() {
-            let (a, b) = (merged[i], list[j]);
-            if a.receiver_clock == b.receiver_clock {
-                out.push(a);
-                i += 1;
-                j += 1;
-            } else if a.receiver_clock < b.receiver_clock {
-                out.push(a);
-                i += 1;
-            } else {
-                out.push(b);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&merged[i..]);
-        out.extend_from_slice(&list[j..]);
-        merged = out;
-    }
-    merged
 }
 
 /// Build this incarnation's core and hand it to the process: the first

@@ -3,7 +3,8 @@
 //! A deterministic discrete-event simulator of the paper's testbed
 //! (32 Athlon nodes on 100 Mb/s Ethernet), interpreting per-rank
 //! operation traces under the three protocol models of the evaluation:
-//! MPICH-P4, MPICH-V1 and MPICH-V2. This is the substitution for the
+//! MPICH-P4, MPICH-V1 and MPICH-V2 (each V2 rank runs the shipped
+//! `mvr_core::V2Engine` in virtual time). This is the substitution for the
 //! hardware we do not have (DESIGN.md §2): it regenerates the *shapes* of
 //! every performance figure — bandwidth/latency crossovers, NAS behaviour,
 //! re-execution and faulty-execution curves.

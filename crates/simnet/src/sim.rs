@@ -2,50 +2,71 @@
 //!
 //! Interprets per-rank [`Op`] traces under one of the three protocol
 //! models (P4 / V1 / V2, see `config.rs`), with chunk-pipelined transfers
-//! over FIFO lanes, the V2 event-logger gating, sender-based log volume
-//! accounting (RAM → disk spill → infeasible), checkpointing overlapped
-//! with execution, crash-and-recover faults, and log-driven re-execution.
+//! over FIFO lanes, sender-based log volume accounting (RAM → disk spill
+//! → infeasible), checkpointing overlapped with execution, crash-and-
+//! recover faults, and log-driven re-execution.
+//!
+//! Under V2 every rank runs one real [`V2Engine`], in virtual time, fed
+//! through the same `Input`/`Output` API the runtime uses: the simulator
+//! keeps the cost model and the MPI layer (source matching, rendezvous),
+//! and every protocol decision — the pessimism gate, event batching and
+//! quorum acks, duplicate filtering, the RESTART1/RESTART2 re-sends and
+//! replay, checkpoint garbage collection — comes from the engines. P4
+//! and V1 stay cost models.
 //!
 //! Faithfulness notes (what maps to what in the paper):
-//! * V2 sends queue behind unacknowledged reception events (§4.5);
+//! * V2 sends queue behind unacknowledged reception events (§4.5); every
+//!   channel message a rank receives — eager data, rendezvous request,
+//!   clear-to-send and rendezvous data, as `mvr-mpi` sends them — is a
+//!   logged reception;
 //! * V2 `MPI_Isend` only posts; the payload moves asynchronously and the
 //!   app pays in `MPI_Wait` (Table 1); P4 pushes during `MPI_Isend`;
 //! * the P4 driver is half-duplex (shared lane), V2 full-duplex (Fig. 9);
+//!   a V2 connection is a FIFO byte stream, so two messages between the
+//!   same nodes never overtake each other;
 //! * V1 store-and-forwards whole messages through the receiver's Channel
 //!   Memory (bandwidth ÷ 2, Fig. 5);
-//! * replaying nodes receive re-sent payloads from their peers' logs and
-//!   suppress re-transmission of messages the peers already received; no
-//!   event-logger traffic is replayed (Fig. 10);
+//! * a restarted node receives re-sent payloads from its peers' logs, and
+//!   a re-executed send is suppressed once the peer's RESTART watermark
+//!   shows it already has the message; no event-logger traffic is
+//!   replayed (Fig. 10). Unlike the runtime, a restarted process
+//!   resumes only once every live peer has answered its RESTART1 (see
+//!   `Sim::forget_peer`);
 //! * checkpoints ship `process state + sender log` to the checkpoint
 //!   server over the node's own tx lane, overlapped with execution, and
-//!   completion garbage-collects the peers' logs (Fig. 11).
+//!   the engines' checkpoint notifications garbage-collect the peers'
+//!   logs (Fig. 11).
 
 use crate::config::{ClusterConfig, Protocol};
 use crate::lane::Lane;
 use crate::report::{RankBreakdown, SimReport};
 use crate::time::{transfer_ns, SimTime};
 use crate::trace::Op;
+use mvr_core::{
+    ElReply, ElRequest, EngineSnapshot, Input, Output, Payload, PeerMsg, Rank, V2Engine,
+};
+use mvr_eventlog::{merge_downloads, EventLogStore};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 
 type Nid = usize;
 
-/// Pending rendezvous sends: (destination, index) → (bytes, blocking-send
-/// token, request op).
-type RndvPending = HashMap<(usize, u64), (u64, Option<u64>, Option<usize>)>;
+/// Pending rendezvous sends: (destination, index) → (bytes, completion).
+type RndvPending = HashMap<(usize, u64), (u64, Notify)>;
 
 // ---------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum Ev {
     /// Resume a rank's interpreter (compute done, send accepted, ...),
     /// valid only for the stamped incarnation.
     RankReady(usize, u32),
     /// A transfer chunk reaches the destination's rx lane.
     ChunkArrive { tid: usize, bytes: u64, last: bool },
-    /// Chain the next chunk of an interleaved (V1/V2) transfer.
+    /// Transmit the next chunk of a transfer (or the first one of a
+    /// transfer that waited for its connection).
     TxNextChunk { tid: usize },
     /// A whole message finished its rx stage.
     Delivered { tid: usize },
@@ -83,47 +104,42 @@ impl PartialOrd for HeapEv {
 // Transfers
 // ---------------------------------------------------------------------
 
+/// An MPI-level channel message. Under V2 a pair's messages are
+/// identified by their position in the pair's list (MPI's non-overtaking
+/// rule); `index` numbers the pair's application messages.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Msg {
+    /// An eager application message.
+    Eager { index: u64, bytes: u64 },
+    /// Rendezvous request announcing message `index`.
+    Rts { index: u64, bytes: u64 },
+    /// Clear-to-send for the peer's rendezvous message `index`.
+    Cts { index: u64 },
+    /// Rendezvous payload of message `index`.
+    Rndv { index: u64, bytes: u64 },
+}
+
 #[derive(Clone, Debug)]
 enum TKind {
-    /// Application payload (eager or rendezvous data).
-    Payload {
+    /// P4: an MPI channel message on the wire.
+    Mpi { from: usize, to: usize, msg: Msg },
+    /// V2: a message between two ranks' engines.
+    Peer {
         from: usize,
         to: usize,
-        index: u64,
-        bytes: u64,
-        rndv: bool,
+        msg: PeerMsg,
     },
-    /// Rendezvous announcement.
-    RndvReq {
-        from: usize,
-        to: usize,
-        index: u64,
-        bytes: u64,
-    },
-    /// Clear-to-send for (sender, index).
-    RndvCts {
-        sender: usize,
-        receiver: usize,
-        index: u64,
-    },
-    /// Reception events to an event-logger replica (one copy of a
-    /// batched request; with replication the same batch rides `R`
-    /// transfers, one per replica of the owner's shard). `shipped` is
-    /// the instant the daemon put the batch on the wire — carried
-    /// through to the ack so the round-trip can be measured.
-    ElEvent {
+    /// V2: a request to one event-logger replica of `owner`'s shard.
+    ElReq {
         owner: usize,
-        events: u64,
-        shipped: SimTime,
-        replica: usize,
+        replica: u32,
+        req: ElRequest,
     },
-    /// Event-logger acknowledgement, covering `events` receptions.
-    /// The batch retires on the quorum-th ack; stragglers only tally
-    /// (replica lanes are symmetric, so the ack needs no replica id).
+    /// V2: a replica's acknowledgement back to `owner`.
     ElAck {
         owner: usize,
-        events: u64,
-        shipped: SimTime,
+        replica: u32,
+        up_to: u64,
     },
     /// V1: payload pushed to the receiver's Channel Memory.
     CmPush {
@@ -145,6 +161,14 @@ enum TKind {
     CkptImage { rank: usize },
 }
 
+/// What to complete when a send's payload has left the node: the
+/// blocking send's token and/or the nonblocking request (trace op).
+#[derive(Clone, Copy, Debug, Default)]
+struct Notify {
+    token: Option<u64>,
+    op: Option<usize>,
+}
+
 #[derive(Clone, Debug)]
 struct Transfer {
     kind: TKind,
@@ -159,8 +183,10 @@ struct Transfer {
     bytes: u64,
     /// Bytes already transmitted (chained mode).
     sent: u64,
-    /// Fire `SendTxDone { rank, token }` when the last chunk leaves.
-    tx_notify: Option<(usize, u64)>,
+    /// Source-side time charged before the first chunk.
+    head: SimTime,
+    /// Completions fired when the last chunk leaves.
+    notify: Notify,
     /// P4 large-eager transfer: stalls the single-threaded driver on both
     /// ends (blocking `write()` past the socket buffer; the driver neither
     /// writes other sockets nor reads incoming meanwhile) — the Fig. 9
@@ -169,30 +195,36 @@ struct Transfer {
     p4_stall: bool,
 }
 
+/// A V2 connection: one FIFO stream from its source node to `dst`.
+#[derive(Clone, Debug)]
+struct Conn {
+    dst: Nid,
+    /// When the last byte of the previous transfer left.
+    free_at: SimTime,
+    /// Transfers waiting for the connection; the first is on the wire
+    /// (or starts at `free_at`).
+    queue: VecDeque<usize>,
+}
+
 // ---------------------------------------------------------------------
 // Per-rank state
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Live,
-    /// Re-executing; switches to Live when `pc` reaches `until`.
-    Replay {
-        until: usize,
-    },
-    /// Crashed, awaiting restart.
-    Dead,
-    /// Completed its trace before this (replay-mode) run began.
-    Finished,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Block {
     Compute,
-    Send { token: u64 },
-    Recv { src: usize },
-    WaitReq { op: usize },
+    Send {
+        token: u64,
+    },
+    Recv {
+        src: usize,
+    },
+    WaitReq {
+        op: usize,
+    },
     WaitAll,
+    /// At a checkpoint site with an order pending, until the gate opens.
+    Quiesce,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -209,11 +241,8 @@ enum Arrival {
     Eager {
         bytes: u64,
     },
-    /// Announced rendezvous: `bytes` is carried for diagnostics; the
-    /// authoritative size rides with the payload.
+    /// Announced rendezvous; the size rides with the payload.
     RndvAnnounce {
-        #[allow(dead_code)]
-        bytes: u64,
         cts_sent: bool,
     },
     RndvHere {
@@ -235,168 +264,151 @@ enum Waiter {
     Req(usize),
 }
 
-/// What a checkpoint image captures.
+/// The MPI process: interpreter position, requests and matching queues —
+/// what a checkpoint image captures beside the engine.
 #[derive(Clone, Debug)]
-struct Snapshot {
+struct Proc {
     pc: usize,
-    /// The rank's logical clock at the snapshot.
-    clock: u64,
-    sent_count: Vec<u64>,
-    consumed_count: Vec<u64>,
-    arrived_count: Vec<u64>,
-    log_bytes: u64,
-    image_bytes: u64,
-}
-
-#[derive(Clone, Debug)]
-enum SendSpec {
-    /// A payload or rendezvous-request initiation deferred by the gate.
-    Payload {
-        dst: usize,
-        index: u64,
-        bytes: u64,
-        token: Option<u64>,
-        op: Option<usize>,
-    },
-    /// A CTS deferred by the gate.
-    Cts { sender: usize, index: u64 },
-    /// A granted rendezvous payload (bypasses the size re-check).
-    RndvData {
-        dst: usize,
-        index: u64,
-        bytes: u64,
-        token: Option<u64>,
-        op: Option<usize>,
-    },
-}
-
-struct RankSim {
-    trace: Vec<Op>,
-    pc: usize,
-    mode: Mode,
-    generation: u32,
-    blocked: Option<Block>,
-    block_kind: OpClass,
-    block_start: SimTime,
     /// Requests by trace op index: true = complete.
     reqs: HashMap<usize, bool>,
     incomplete_reqs: HashSet<usize>,
-    /// Per destination rank.
+    /// Application messages sent, per destination rank.
     sent_count: Vec<u64>,
-    /// Size log per destination (sim bookkeeping; the semantic sender log
-    /// is the prefix up to `sent_count`, minus GC).
-    sent_sizes: Vec<Vec<u64>>,
-    gc_watermark: Vec<u64>,
+    /// V2 channel messages sent per destination / delivered per source:
+    /// positions in the pairs' message lists.
+    chan_sent: Vec<u64>,
+    chan_recvd: Vec<u64>,
     /// Per source rank.
-    arrived_count: Vec<u64>,
     arrivals: Vec<BTreeMap<u64, Arrival>>,
     consumed_count: Vec<u64>,
     reserved_count: Vec<u64>,
     waiters: Vec<VecDeque<Waiter>>,
-    /// V2 pessimism gate.
-    outstanding_acks: u32,
-    /// Reception events delivered but not yet shipped to the EL (lazy
-    /// batching). They already count in `outstanding_acks`; a crash
-    /// loses them harmlessly (no transmission depended on them).
-    pending_el: u64,
-    /// Sends parked behind the closed gate, with the instant each was
-    /// parked (for the gate-wait histogram).
-    gated: VecDeque<(SendSpec, SimTime)>,
     /// Rendezvous sends awaiting CTS.
     rndv_pending: RndvPending,
-    /// Recovery re-sends, streamed sequentially (FIFO on the daemon's
-    /// connection) rather than all at once.
-    resend_q: VecDeque<(usize, u64, u64)>,
-    /// Token of the in-flight re-send (chains the queue).
-    resend_token: Option<u64>,
-    /// Sender-based log occupancy.
-    log_bytes: u64,
+    /// V2 sends whose payload has not left the node yet, by (destination,
+    /// sender clock).
+    pending_tx: BTreeMap<(usize, u64), Notify>,
+    next_token: u64,
+    /// Every consumed message, as (source, bytes), in consumption order.
+    #[cfg(test)]
+    consumed: Vec<(usize, u64)>,
+}
+
+impl Proc {
+    fn new(n: usize) -> Self {
+        Proc {
+            pc: 0,
+            reqs: HashMap::new(),
+            incomplete_reqs: HashSet::new(),
+            sent_count: vec![0; n],
+            chan_sent: vec![0; n],
+            chan_recvd: vec![0; n],
+            arrivals: vec![BTreeMap::new(); n],
+            consumed_count: vec![0; n],
+            reserved_count: vec![0; n],
+            waiters: vec![VecDeque::new(); n],
+            rndv_pending: HashMap::new(),
+            pending_tx: BTreeMap::new(),
+            next_token: 0,
+            #[cfg(test)]
+            consumed: Vec::new(),
+        }
+    }
+
+    fn new_token(&mut self) -> u64 {
+        self.next_token += 1;
+        self.next_token - 1
+    }
+
+    /// Can request `op` only complete through a delivery (an `Irecv`, or
+    /// a rendezvous `Isend` still waiting for its CTS)?
+    fn needs_delivery(&self, trace: &[Op], op: usize) -> bool {
+        matches!(trace[op], Op::Irecv { .. })
+            || self.rndv_pending.values().any(|(_, n)| n.op == Some(op))
+    }
+}
+
+/// A checkpoint image: the process and the engine half.
+#[derive(Clone, Debug)]
+struct Snapshot {
+    proc: Proc,
+    engine: EngineSnapshot,
+    image_bytes: u64,
+}
+
+struct RankSim {
+    trace: Vec<Op>,
+    proc: Proc,
+    /// The V2 protocol engine (none under P4/V1, and while crashed).
+    engine: Option<V2Engine>,
+    down: bool,
+    generation: u32,
+    blocked: Option<Block>,
+    block_kind: OpClass,
+    block_start: SimTime,
+    /// V2: an `AppRecv` is waiting for its delivery.
+    recv_posted: bool,
+    /// V2: a checkpoint order was forwarded and has not been armed yet.
+    ckpt_ordered: bool,
+    /// Restarted, process not resumed yet: the live peers whose RESTART2
+    /// answer has not reached the new incarnation.
+    reconnecting: Option<Vec<usize>>,
+    /// V2: the channel messages sent to each destination, in order. Kept
+    /// across incarnations: re-execution rebuilds the same list.
+    sent: Vec<Vec<Msg>>,
     max_log_bytes: u64,
     spilled: bool,
-    /// Checkpointing.
-    ckpt_ordered: bool,
-    ckpt_in_progress: bool,
+    /// The checkpoint image in flight to the server, and the last one
+    /// stored.
+    image: Option<Snapshot>,
     snapshot: Option<Snapshot>,
-    pc_at_crash: usize,
-    next_token: u64,
     finish: Option<SimTime>,
     breakdown: RankBreakdown,
-    // --- flight-recorder bookkeeping (records are only written when a
-    // recorder hub is attached; the counters are cheap either way) ---
-    /// The rank's logical clock, as the engine keeps it: every send and
-    /// every delivery ticks it, and a restart restores it from the
-    /// snapshot. Every record of the rank carries it.
-    clock: u64,
-    /// Per destination: index → sender clock of the first execution,
-    /// reused on re-execution, so spans key stably across crashes.
-    sent_clocks: Vec<Vec<u64>>,
-    /// Receiver clock of the latest logged delivery.
-    logged_clock: u64,
-    /// Receiver clock of the first delivery in the pending EL batch.
-    pending_from: Option<u64>,
-    /// Receiver-clock watermarks of in-flight EL batches (FIFO).
-    el_ship_q: VecDeque<u64>,
-    /// Replica acks tallied for the head in-flight batch (acks arrive
-    /// batch-FIFO because every replica lane is symmetric and the
-    /// owner's tx lane serializes the fan-out in batch order).
-    el_ack_tally: u32,
-    ckpt_seq: u64,
-    ckpt_begin_t: SimTime,
-    replayed_n: u64,
-    replay_start_t: SimTime,
 }
 
 impl RankSim {
     fn new(trace: Vec<Op>, n: usize) -> Self {
         RankSim {
             trace,
-            pc: 0,
-            mode: Mode::Live,
+            proc: Proc::new(n),
+            engine: None,
+            down: false,
             generation: 0,
             blocked: None,
             block_kind: OpClass::Compute,
             block_start: 0,
-            reqs: HashMap::new(),
-            incomplete_reqs: HashSet::new(),
-            sent_count: vec![0; n],
-            sent_sizes: vec![Vec::new(); n],
-            gc_watermark: vec![0; n],
-            arrived_count: vec![0; n],
-            arrivals: vec![BTreeMap::new(); n],
-            consumed_count: vec![0; n],
-            reserved_count: vec![0; n],
-            waiters: vec![VecDeque::new(); n],
-            outstanding_acks: 0,
-            pending_el: 0,
-            gated: VecDeque::new(),
-            rndv_pending: HashMap::new(),
-            resend_q: VecDeque::new(),
-            resend_token: None,
-            log_bytes: 0,
+            recv_posted: false,
+            ckpt_ordered: false,
+            reconnecting: None,
+            sent: vec![Vec::new(); n],
             max_log_bytes: 0,
             spilled: false,
-            ckpt_ordered: false,
-            ckpt_in_progress: false,
+            image: None,
             snapshot: None,
-            pc_at_crash: 0,
-            next_token: 0,
             finish: None,
             breakdown: RankBreakdown::default(),
-            clock: 0,
-            sent_clocks: vec![Vec::new(); n],
-            logged_clock: 0,
-            pending_from: None,
-            el_ship_q: VecDeque::new(),
-            el_ack_tally: 0,
-            ckpt_seq: 0,
-            ckpt_begin_t: 0,
-            replayed_n: 0,
-            replay_start_t: 0,
         }
     }
 
-    fn replaying(&self) -> bool {
-        matches!(self.mode, Mode::Replay { .. })
+    fn engine(&mut self) -> &mut V2Engine {
+        self.engine.as_mut().expect("a live V2 rank has an engine")
+    }
+
+    /// Is the rank blocked on something only a delivery can resolve?
+    fn awaits_delivery(&self) -> bool {
+        let p = &self.proc;
+        match self.blocked {
+            Some(Block::Recv { .. }) => true,
+            Some(Block::Send { token }) => {
+                p.rndv_pending.values().any(|(_, n)| n.token == Some(token))
+            }
+            Some(Block::WaitReq { op }) => p.needs_delivery(&self.trace, op),
+            Some(Block::WaitAll) => p
+                .incomplete_reqs
+                .iter()
+                .any(|&op| p.needs_delivery(&self.trace, op)),
+            Some(Block::Compute | Block::Quiesce) | None => false,
+        }
     }
 }
 
@@ -404,7 +416,7 @@ impl RankSim {
 // Fault / replay plans
 // ---------------------------------------------------------------------
 
-/// Fault-injection and checkpointing plan for a simulation.
+/// Fault-injection and checkpointing plan for a simulation (V2 only).
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Scheduled crashes: (virtual time, victim rank).
@@ -426,6 +438,11 @@ pub struct FaultPlan {
 pub struct Sim {
     cfg: ClusterConfig,
     now: SimTime,
+    /// Start of the measured phase (the restart instant for
+    /// [`simulate_replay`]).
+    t0: SimTime,
+    /// The engines' time source, moved with `now`.
+    clock: mvr_obs::VirtualClock,
     seq: u64,
     heap: BinaryHeap<Reverse<HeapEv>>,
     ranks: Vec<RankSim>,
@@ -437,11 +454,18 @@ pub struct Sim {
     /// (and P4 rendezvous) interleave chunks (full duplex).
     driver: Vec<Lane>,
     transfers: Vec<Transfer>,
-    pending_second_notify: HashMap<usize, (usize, u64)>,
+    /// Slots of `transfers` whose last event has passed, for reuse.
+    free_tids: Vec<usize>,
+    /// V2: the connections each node has opened, by source node.
+    conns: Vec<Vec<Conn>>,
     n: usize,
     el_base: Nid,
     cm_base: Nid,
     cs_nid: Nid,
+    /// One event-log store per event-logger node (V2).
+    el_stores: Vec<EventLogStore>,
+    /// Every V2 payload is a slice of this one zero buffer.
+    zeros: Payload,
     // V1 Channel Memories: per owner rank: stored forwards + pull state.
     cm_store: Vec<VecDeque<(usize, u64, u64)>>, // (from, index, bytes)
     cm_pulled: Vec<u64>,
@@ -449,21 +473,19 @@ pub struct Sim {
     // Stats
     msgs_delivered: u64,
     bytes_delivered: u64,
-    el_events: u64,
-    el_requests: u64,
     checkpoints: u64,
     faults: u64,
-    /// Virtual-time protocol latency histograms (V2 only; see
-    /// [`SimReport::gate_wait`] / [`SimReport::el_ack_rtt`]).
-    gate_wait: mvr_obs::LogHistogram,
-    el_ack_rtt: mvr_obs::LogHistogram,
-    /// Per-rank flight recorders (empty when no hub is attached).
+    /// Counters and timings of the engines of crashed incarnations.
+    retired_events: u64,
+    retired_batches: u64,
+    retired_timings: mvr_obs::ProtocolTimings,
+    /// Per-rank recorders on the virtual clock (disabled unless a hub is
+    /// attached), handed to every incarnation's engine.
     obs: Vec<mvr_obs::Recorder>,
     /// Pseudo-rank recorder for fault-plan interventions.
     obs_dispatch: Option<mvr_obs::Recorder>,
     infeasible: bool,
     // Continuous checkpointing
-    ckpt_continuous: bool,
     ckpt_rng: u64,
     ckpt_victim: Option<usize>,
 }
@@ -483,71 +505,94 @@ impl Sim {
         let cm_base = el_base + num_els;
         let cs_nid = cm_base + num_cms;
         let total = cs_nid + 1;
-        Sim {
+        let v2 = cfg.protocol == Protocol::V2;
+        let max_bytes = traces
+            .iter()
+            .flatten()
+            .filter_map(|op| match op {
+                Op::Send { bytes, .. } | Op::Isend { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .chain([cfg.event_bytes])
+            .max()
+            .unwrap_or(0);
+        let clock = mvr_obs::VirtualClock::new();
+        let obs: Vec<mvr_obs::Recorder> = (0..n)
+            .map(|r| {
+                mvr_obs::Recorder::on_clock(r as u32, mvr_obs::RecorderConfig::default(), &clock)
+            })
+            .collect();
+        let mut sim = Sim {
             ranks: traces.into_iter().map(|t| RankSim::new(t, n)).collect(),
-            cfg,
             now: 0,
+            t0: 0,
+            clock,
             seq: 0,
             heap: BinaryHeap::new(),
             tx: vec![Lane::new(); total],
             rx: vec![Lane::new(); total],
             driver: vec![Lane::new(); total],
             transfers: Vec::new(),
-            pending_second_notify: HashMap::new(),
+            free_tids: Vec::new(),
+            conns: vec![Vec::new(); total],
             n,
             el_base,
             cm_base,
             cs_nid,
+            el_stores: vec![EventLogStore::new(); if v2 { num_els } else { 0 }],
+            zeros: if v2 {
+                Payload::filled(0, max_bytes as usize)
+            } else {
+                Payload::empty()
+            },
             cm_store: vec![VecDeque::new(); n],
             cm_pulled: vec![0; n],
             cm_forwarded: vec![0; n],
             msgs_delivered: 0,
             bytes_delivered: 0,
-            el_events: 0,
-            el_requests: 0,
             checkpoints: 0,
             faults: 0,
-            gate_wait: mvr_obs::LogHistogram::default(),
-            el_ack_rtt: mvr_obs::LogHistogram::default(),
-            obs: Vec::new(),
+            retired_events: 0,
+            retired_batches: 0,
+            retired_timings: mvr_obs::ProtocolTimings::new(),
+            obs,
             obs_dispatch: None,
             infeasible: false,
-            ckpt_continuous: false,
             ckpt_rng: 1,
             ckpt_victim: None,
+            cfg,
+        };
+        if v2 {
+            for r in 0..n {
+                let e = sim.configured(r, V2Engine::fresh(Rank(r as u32), n as u32));
+                sim.ranks[r].engine = Some(e);
+            }
         }
+        sim
     }
 
     /// Mint one recorder per rank (plus a dispatcher pseudo-rank for
-    /// fault-plan interventions) from `hub`. Records are written with
-    /// [`mvr_obs::Recorder::record_at`] at the *virtual* clock, so a
-    /// seeded run dumps a byte-identical timeline on every execution.
+    /// fault-plan interventions) from `hub`, on the simulator's virtual
+    /// clock, so a seeded run dumps a byte-identical timeline on every
+    /// execution. The V2 engines write the protocol records.
     pub fn attach_recorder(&mut self, hub: &mvr_obs::RecorderHub) {
-        self.obs = (0..self.n).map(|r| hub.recorder(r as u32)).collect();
-        self.obs_dispatch = Some(hub.recorder(mvr_obs::DISPATCHER_RANK));
-    }
-
-    /// Write a record for `r` at the current virtual time and `r`'s
-    /// logical clock.
-    fn rec(&self, r: usize, ev: mvr_obs::ProtoEvent) {
-        self.rec_at(r, self.now, ev);
-    }
-
-    /// As [`Sim::rec`] at an explicit virtual timestamp (used to order
-    /// a `GateOpen` strictly after the `ElAck` that produced it).
-    fn rec_at(&self, r: usize, ts: SimTime, ev: mvr_obs::ProtoEvent) {
-        if let Some(rc) = self.obs.get(r) {
-            rc.record_at(self.ranks[r].clock, ts, ev);
+        self.obs = (0..self.n)
+            .map(|r| hub.recorder_on_clock(r as u32, &self.clock))
+            .collect();
+        self.obs_dispatch = Some(hub.recorder_on_clock(mvr_obs::DISPATCHER_RANK, &self.clock));
+        for (rk, obs) in self.ranks.iter_mut().zip(&self.obs) {
+            if let Some(e) = &mut rk.engine {
+                e.set_recorder(obs.clone());
+            }
         }
     }
 
-    /// Sender clock assigned to `(u → v, index)`, with a deterministic
-    /// fallback for pre-seeded logs (`simulate_replay` finished ranks).
-    fn sender_clock_of(&self, u: usize, v: usize, index: u64) -> u64 {
-        self.ranks[u].sent_clocks[v]
-            .get(index as usize)
-            .copied()
-            .unwrap_or(index + 1)
+    /// `e`, set up as this cluster runs rank `r`'s engines.
+    fn configured(&self, r: usize, mut e: V2Engine) -> V2Engine {
+        e.set_batch_bound(self.cfg.el_batch_max as usize);
+        e.set_el_replication(self.cfg.el_replicas.max(1) as u32, self.el_quorum());
+        e.set_recorder(self.obs[r].clone());
+        e
     }
 
     /// Node id of `replica` within the shard serving `rank`. Shards
@@ -588,17 +633,21 @@ impl Sim {
         self.push_ev(t, Ev::RankReady(r, gen));
     }
 
-    /// Schedule a SendTxDone for the current incarnation of `r`.
-    fn push_tx_done(&mut self, t: SimTime, r: usize, token: u64) {
+    /// Fire `n`'s completions for the current incarnation of `r` at `t`
+    /// (request completions travel as tokens in the upper range).
+    fn fire(&mut self, t: SimTime, r: usize, n: Notify) {
         let gen = self.ranks[r].generation;
-        self.push_ev(
-            t,
-            Ev::SendTxDone {
-                rank: r,
-                token,
-                gen,
-            },
-        );
+        let ops = n.op.map(|o| u64::MAX - o as u64);
+        for token in n.token.into_iter().chain(ops) {
+            self.push_ev(
+                t,
+                Ev::SendTxDone {
+                    rank: r,
+                    token,
+                    gen,
+                },
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -606,53 +655,36 @@ impl Sim {
     // ------------------------------------------------------------------
 
     /// Start a transfer on the source's tx lane; chunks pipeline into the
-    /// destination's rx lane. `head` is extra source-side time (payload
-    /// copy, EL service).
+    /// destination's rx lane. `head` is extra source-side time (EL
+    /// service); `notify` fires when the last byte leaves the source.
     ///
-    /// Under P4 the whole message occupies the sender's (shared) lane as
-    /// one block — the half-duplex driver behaviour. Under V1/V2 chunks
-    /// are chained one reservation at a time, so concurrent transfers
-    /// (application traffic, checkpoint images, EL events) interleave
-    /// fairly, as the paper describes for the V2 driver.
-    fn start_transfer(&mut self, src: Nid, dst: Nid, bytes: u64, head: SimTime, kind: TKind) {
-        self.start_transfer_notify(src, dst, bytes, head, kind, None, None);
-    }
-
-    /// As [`start_transfer`], with completion notifications fired when the
-    /// last byte leaves the source (blocking-send unblock + request
-    /// completion).
-    #[allow(clippy::too_many_arguments)]
-    fn start_transfer_notify(
+    /// Chunks are chained one reservation at a time, so concurrent
+    /// transfers (application traffic, checkpoint images, EL events)
+    /// interleave fairly, as the paper describes for the V2 driver. Under
+    /// V2 a transfer waits for the previous one between the same two
+    /// nodes: a connection is one FIFO stream.
+    fn start_transfer(
         &mut self,
         src: Nid,
         dst: Nid,
         bytes: u64,
         head: SimTime,
         kind: TKind,
-        token: Option<(usize, u64)>,
-        op: Option<(usize, usize)>,
+        notify: Notify,
     ) {
-        let src_rank = if src < self.n { Some(src) } else { None };
+        let src_rank = (src < self.n).then_some(src);
         let src_gen = src_rank.map(|r| self.ranks[r].generation).unwrap_or(0);
         let dst_gen = if dst < self.n {
             self.ranks[dst].generation
         } else {
             0
         };
-        let tid = self.transfers.len();
-        let mut notify: Vec<(usize, u64)> = Vec::new();
-        if let Some((r, tk)) = token {
-            notify.push((r, tk));
-        }
-        if let Some((r, o)) = op {
-            notify.push((r, u64::MAX - o as u64));
-        }
         let p4_stall = self.cfg.protocol == Protocol::P4
             && src < self.n
             && dst < self.n
             && bytes > self.cfg.p4_socket_buffer
             && bytes < self.cfg.rndv_threshold;
-        self.transfers.push(Transfer {
+        let transfer = Transfer {
             kind,
             src,
             dst,
@@ -661,21 +693,49 @@ impl Sim {
             src_gen,
             bytes,
             sent: 0,
-            tx_notify: None,
+            head: head + self.cfg.send_overhead,
+            notify,
             p4_stall,
-        });
-        // Chained mode for every protocol: the first chunk carries the
-        // head costs; concurrent transfers interleave chunk-by-chunk.
-        self.transfers[tid].tx_notify = notify.first().copied();
-        if notify.len() > 1 {
-            // At most two notifications (blocking token + request).
-            self.pending_second_notify.insert(tid, notify[1]);
+        };
+        let tid = match self.free_tids.pop() {
+            Some(tid) => {
+                self.transfers[tid] = transfer;
+                tid
+            }
+            None => {
+                self.transfers.push(transfer);
+                self.transfers.len() - 1
+            }
+        };
+        if self.cfg.protocol == Protocol::V2 {
+            let conns = &mut self.conns[src];
+            let at = match conns.iter().position(|c| c.dst == dst) {
+                Some(at) => at,
+                None => {
+                    conns.push(Conn {
+                        dst,
+                        free_at: 0,
+                        queue: VecDeque::new(),
+                    });
+                    conns.len() - 1
+                }
+            };
+            let conn = &mut conns[at];
+            conn.queue.push_back(tid);
+            if conn.queue.len() > 1 {
+                return; // its predecessor starts it
+            }
+            if conn.free_at > self.now {
+                let t = conn.free_at;
+                self.push_ev(t, Ev::TxNextChunk { tid });
+                return;
+            }
         }
-        self.tx_chunk(tid, head + self.cfg.send_overhead);
+        self.tx_chunk(tid);
     }
 
     /// Transmit the next chunk of a chained transfer.
-    fn tx_chunk(&mut self, tid: usize, head: SimTime) {
+    fn tx_chunk(&mut self, tid: usize) {
         let (src, src_rank, src_gen, bytes, sent) = {
             let t = &self.transfers[tid];
             (t.src, t.src_rank, t.src_gen, t.bytes, t.sent)
@@ -688,6 +748,11 @@ impl Sim {
         let chunk = self.cfg.chunk_bytes.max(1);
         let this_chunk = (bytes - sent).min(chunk);
         let last = sent + this_chunk >= bytes;
+        let head = if sent == 0 {
+            self.transfers[tid].head
+        } else {
+            0
+        };
         let dur = head + transfer_ns(this_chunk, self.cfg.bandwidth);
         let stall = self.transfers[tid].p4_stall;
         let (_, end) = self.reserve_lane(true, src, self.now, dur, stall);
@@ -700,15 +765,33 @@ impl Sim {
                 last,
             },
         );
-        if last {
-            if let Some((r, tk)) = self.transfers[tid].tx_notify {
-                self.push_tx_done(end, r, tk);
-            }
-            if let Some((r, tk)) = self.pending_second_notify.remove(&tid) {
-                self.push_tx_done(end, r, tk);
-            }
-        } else {
+        if !last {
             self.push_ev(end, Ev::TxNextChunk { tid });
+            return;
+        }
+        let notify = match &self.transfers[tid].kind {
+            TKind::Peer {
+                from,
+                to,
+                msg: PeerMsg::Data(d),
+            } => {
+                let key = (*to, d.id.sender_clock);
+                self.ranks[*from].proc.pending_tx.remove(&key)
+            }
+            _ => Some(self.transfers[tid].notify),
+        };
+        if let (Some(n), Some(r)) = (notify, src_rank) {
+            self.fire(end, r, n);
+        }
+        // The connection is free once the last byte has left; the next
+        // transfer queued on it starts then.
+        let dst = self.transfers[tid].dst;
+        if let Some(conn) = self.conns[src].iter_mut().find(|c| c.dst == dst) {
+            conn.free_at = end;
+            conn.queue.pop_front();
+            if let Some(&next) = conn.queue.front() {
+                self.push_ev(end, Ev::TxNextChunk { tid: next });
+            }
         }
     }
 
@@ -744,162 +827,101 @@ impl Sim {
         }
     }
 
+    /// Did either end of transfer `tid` crash since it was initiated?
+    fn stale(&self, tid: usize) -> bool {
+        let t = &self.transfers[tid];
+        let dst_gone =
+            t.dst < self.n && (self.ranks[t.dst].generation != t.dst_gen || self.ranks[t.dst].down);
+        let src_gone = t
+            .src_rank
+            .is_some_and(|sr| self.ranks[sr].generation != t.src_gen);
+        dst_gone || src_gone
+    }
+
     fn on_chunk_arrive(&mut self, tid: usize, chunk_bytes: u64, last: bool) {
-        let (dst, dst_gen, src_rank, src_gen) = {
-            let t = &self.transfers[tid];
-            (t.dst, t.dst_gen, t.src_rank, t.src_gen)
-        };
-        // Drop stale chunks (either end crashed since initiation).
-        if dst < self.n && self.ranks[dst].generation != dst_gen {
-            return;
-        }
-        if let Some(sr) = src_rank {
-            if self.ranks[sr].generation != src_gen {
-                return;
+        if self.stale(tid) {
+            if last {
+                self.free_tids.push(tid);
             }
+            return;
         }
         let rx_dur = transfer_ns(chunk_bytes, self.cfg.bandwidth)
             + if last { self.cfg.recv_overhead } else { 0 };
-        let stall = self.transfers[tid].p4_stall;
+        let (dst, stall) = (self.transfers[tid].dst, self.transfers[tid].p4_stall);
         let (_, end) = self.reserve_lane(false, dst, self.now, rx_dur, stall);
         if last {
             self.push_ev(end, Ev::Delivered { tid });
         }
     }
 
-    fn on_delivered_ev(&mut self, tid: usize) {
-        let (dst, dst_gen, src_rank, src_gen, kind) = {
-            let t = &self.transfers[tid];
-            (t.dst, t.dst_gen, t.src_rank, t.src_gen, t.kind.clone())
-        };
-        if let Some(sr) = src_rank {
-            if self.ranks[sr].generation != src_gen {
-                return;
-            }
-        }
-        self.on_delivered_inner(dst, dst_gen, kind);
-    }
-
     // ------------------------------------------------------------------
     // Delivery dispatch
     // ------------------------------------------------------------------
 
-    fn on_delivered_inner(&mut self, dst: Nid, dst_gen: u32, kind: TKind) {
-        if dst < self.n && self.ranks[dst].generation != dst_gen {
+    fn on_delivered(&mut self, tid: usize) {
+        // The transfer's last event: its slot is free from here on.
+        self.free_tids.push(tid);
+        if self.stale(tid) {
             return;
         }
+        let dst = self.transfers[tid].dst;
+        let kind = std::mem::replace(&mut self.transfers[tid].kind, TKind::CmPull { owner: 0 });
         match kind {
-            TKind::Payload {
-                from,
-                to,
-                index,
-                bytes,
-                rndv,
-            } => {
-                debug_assert_eq!(to, dst);
-                let arr = if rndv {
-                    Arrival::RndvHere { bytes }
-                } else {
-                    Arrival::Eager { bytes }
+            TKind::Mpi { from, to, msg } => self.mpi_arrival(to, from, msg),
+            TKind::Peer { from, to, msg } => {
+                let watermark = match &msg {
+                    PeerMsg::Restart1 { last_received } | PeerMsg::Restart2 { last_received } => {
+                        Some(*last_received)
+                    }
+                    _ => None,
                 };
-                self.rank_arrival(to, from, index, arr);
-            }
-            TKind::RndvReq {
-                from,
-                to,
-                index,
-                bytes,
-            } => {
-                self.rank_arrival(
+                let answered = matches!(msg, PeerMsg::Restart2 { .. });
+                let from_rank = Rank(from as u32);
+                self.feed(
                     to,
-                    from,
-                    index,
-                    Arrival::RndvAnnounce {
-                        bytes,
-                        cts_sent: false,
+                    Input::Peer {
+                        from: from_rank,
+                        msg,
                     },
                 );
-            }
-            TKind::RndvCts {
-                sender,
-                receiver,
-                index,
-            } => {
-                // CTS reception is a channel message: logged like any other.
-                self.log_reception_if_live(sender, None);
-                if let Some((bytes, token, op)) =
-                    self.ranks[sender].rndv_pending.remove(&(receiver, index))
-                {
-                    self.initiate_payload(sender, receiver, index, bytes, token, op);
+                if let Some(w) = watermark {
+                    self.peer_holds(to, from, w);
                 }
+                if answered {
+                    self.forget_peer(to, from);
+                }
+                self.pump(to);
             }
-            TKind::ElEvent {
+            TKind::ElReq {
                 owner,
-                events,
-                shipped,
                 replica,
+                req,
             } => {
-                // One EL service pass per batch per replica, then one
-                // coalesced high-watermark ack back from each (the
-                // round-trip amortization).
-                let el = self.el_nid(owner, replica);
-                self.start_transfer(
-                    el,
-                    owner,
-                    self.cfg.event_bytes,
-                    self.cfg.el_service,
-                    TKind::ElAck {
+                // One EL service pass per request per replica, then one
+                // coalesced high-watermark ack back from each.
+                if let Some(ElReply::Ack { up_to }) = self.el_stores[dst - self.el_base].handle(req)
+                {
+                    self.start_transfer(
+                        dst,
                         owner,
-                        events,
-                        shipped,
-                    },
-                );
+                        self.cfg.event_bytes,
+                        self.cfg.el_service,
+                        TKind::ElAck {
+                            owner,
+                            replica,
+                            up_to,
+                        },
+                        Notify::default(),
+                    );
+                }
             }
             TKind::ElAck {
                 owner,
-                events,
-                shipped,
+                replica,
+                up_to,
             } => {
-                // Quorum gate: the head batch retires on the Q-th replica
-                // ack; sub-quorum acks and post-quorum stragglers only
-                // move the tally. Replica lanes are symmetric and the
-                // owner's tx lane serializes the fan-out in batch order,
-                // so acks arrive batch-FIFO and a modular tally suffices.
-                // With one replica Q == 1 and every ack retires a batch —
-                // the paper's unreplicated path, on identical events.
-                let reps = self.cfg.el_replicas.max(1) as u32;
-                let quorum = self.el_quorum();
-                let tally = {
-                    let rk = &mut self.ranks[owner];
-                    rk.el_ack_tally += 1;
-                    let t = rk.el_ack_tally;
-                    if t == reps {
-                        rk.el_ack_tally = 0;
-                    }
-                    t
-                };
-                if tally != quorum {
-                    return;
-                }
-                let rtt = self.now.saturating_sub(shipped);
-                self.el_ack_rtt.record(rtt);
-                let up_to = {
-                    let r = &mut self.ranks[owner];
-                    debug_assert!(r.outstanding_acks as u64 >= events);
-                    r.outstanding_acks = r.outstanding_acks.saturating_sub(events as u32);
-                    r.el_ship_q.pop_front().unwrap_or(r.logged_clock)
-                };
-                self.rec(
-                    owner,
-                    mvr_obs::ProtoEvent::ElAck {
-                        up_to,
-                        batches_retired: 1,
-                        rtt_ns: rtt,
-                    },
-                );
-                if self.ranks[owner].outstanding_acks == 0 {
-                    self.drain_gate(owner);
-                }
+                self.feed(owner, Input::ElReplicaAck { replica, up_to });
+                self.pump(owner);
             }
             TKind::CmPush {
                 from,
@@ -925,8 +947,31 @@ impl Sim {
                 self.rank_arrival(to, from, index, Arrival::Eager { bytes });
             }
             TKind::CkptImage { rank } => {
-                self.on_checkpoint_stored(rank);
+                self.checkpoints += 1;
+                self.ranks[rank].snapshot = self.ranks[rank].image.take();
+                self.feed(rank, Input::CheckpointStored);
+                self.pump(rank);
+                if self.ckpt_victim == Some(rank) {
+                    self.pick_ckpt_victim();
+                }
             }
+        }
+    }
+
+    /// A RESTART watermark: peer `q` holds every message `r` sent it up
+    /// to clock `upto`, so those sends are complete, whichever
+    /// incarnation made them.
+    fn peer_holds(&mut self, r: usize, q: usize, upto: u64) {
+        let mut held = Vec::new();
+        self.ranks[r].proc.pending_tx.retain(|&(dst, h), n| {
+            let keep = dst != q || h > upto;
+            if !keep {
+                held.push(*n);
+            }
+            keep
+        });
+        for n in held {
+            self.fire(self.now, r, n);
         }
     }
 
@@ -951,555 +996,320 @@ impl Sim {
                     index,
                     bytes,
                 },
+                Notify::default(),
             );
         }
     }
 
     // ------------------------------------------------------------------
-    // Rank arrival / matching
+    // The V2 engines
     // ------------------------------------------------------------------
 
-    fn rank_arrival(&mut self, to: usize, from: usize, index: u64, arr: Arrival) {
-        {
-            let r = &mut self.ranks[to];
-            if matches!(r.mode, Mode::Dead) {
+    /// Feed one input to `r`'s engine; the outputs wait for [`Sim::pump`].
+    fn feed(&mut self, r: usize, input: Input) {
+        if let Err(e) = self.ranks[r].engine().handle(input) {
+            panic!("rank {r}: {e}");
+        }
+    }
+
+    /// Perform every output of `r`'s engine, posting a receive whenever
+    /// the rank is blocked on something only a delivery can resolve.
+    fn pump(&mut self, r: usize) {
+        loop {
+            while let Some(out) = self.ranks[r].engine.as_mut().and_then(V2Engine::pop_output) {
+                self.perform(r, out);
+            }
+            let rk = &self.ranks[r];
+            if rk.blocked == Some(Block::Quiesce) {
+                let e = rk.engine.as_ref().expect("a quiescing rank is live");
+                if e.gate_open() && e.gated_send_count() == 0 {
+                    self.wake(r);
+                }
                 return;
             }
-            match &arr {
-                Arrival::RndvHere { .. } => {
-                    // Payload completes an announced rendezvous
-                    // (overwrites the announce; may sit below the
-                    // contiguity watermark).
-                    r.arrivals[from].insert(index, arr);
+            if rk.engine.is_none() || rk.recv_posted || !rk.awaits_delivery() {
+                return;
+            }
+            self.ranks[r].recv_posted = true;
+            self.feed(r, Input::AppRecv);
+        }
+    }
+
+    fn perform(&mut self, r: usize, out: Output) {
+        match out {
+            Output::Transmit { to, msg } => {
+                let to = to.idx();
+                if self.ranks[to].down {
+                    // The message dies with the peer's mailbox; SAVED
+                    // keeps it for the peer's RESTART1.
+                    if let PeerMsg::Data(d) = &msg {
+                        self.ranks[r]
+                            .engine()
+                            .on_transmit_dropped(Rank(to as u32), d.id.sender_clock);
+                    }
+                    return;
                 }
-                _ => {
-                    // Duplicate suppression (replay re-sends): consumed
-                    // already, or sitting in the arrival buffer. Exact
-                    // checks — resends and re-executed sends may arrive
-                    // out of index order, so a high-water mark would
-                    // wrongly drop late re-sends of earlier indices.
-                    if index < r.consumed_count[from] {
-                        return;
-                    }
-                    match (r.arrivals[from].get_mut(&index), &arr) {
-                        (
-                            Some(Arrival::RndvAnnounce { cts_sent, .. }),
-                            Arrival::RndvAnnounce { .. },
-                        ) => {
-                            // A re-announcement from a restarted sender:
-                            // the previous CTS died with the sender's old
-                            // incarnation; re-grant it.
-                            *cts_sent = false;
-                        }
-                        (Some(_), _) => return, // true duplicate
-                        (None, _) => {
-                            r.arrivals[from].insert(index, arr);
-                            r.arrived_count[from] = r.arrived_count[from].max(index + 1);
-                        }
-                    }
+                let bytes = match &msg {
+                    PeerMsg::Data(d) => d.payload.len() as u64,
+                    _ => self.cfg.event_bytes,
+                };
+                let kind = TKind::Peer { from: r, to, msg };
+                self.start_transfer(r, to, bytes, 0, kind, Notify::default());
+            }
+            Output::LogEvents(batch) => {
+                let last = self.cfg.el_replicas.max(1) as u32 - 1;
+                for replica in 0..last {
+                    self.el_request(r, replica, ElRequest::Log(batch.clone()));
+                }
+                self.el_request(r, last, ElRequest::Log(batch));
+            }
+            Output::ReshipEvents { replica, batch } => {
+                self.el_request(r, replica, ElRequest::Log(batch));
+            }
+            Output::ElTruncate { up_to } => {
+                for replica in 0..self.cfg.el_replicas.max(1) as u32 {
+                    let rank = Rank(r as u32);
+                    self.el_request(r, replica, ElRequest::Truncate { rank, up_to });
+                }
+            }
+            Output::Deliver { from, .. } => {
+                let from = from.idx();
+                let rk = &mut self.ranks[r];
+                rk.recv_posted = false;
+                let pos = rk.proc.chan_recvd[from] as usize;
+                rk.proc.chan_recvd[from] += 1;
+                let msg = self.ranks[from].sent[r][pos];
+                self.mpi_arrival(r, from, msg);
+            }
+            Output::ProbeAnswer(_) | Output::ReplayComplete => {}
+        }
+    }
+
+    /// Ship `req` to one replica of `r`'s event-logger shard.
+    fn el_request(&mut self, r: usize, replica: u32, req: ElRequest) {
+        let bytes = match &req {
+            ElRequest::Log(batch) => batch.events.len() as u64 * self.cfg.event_bytes,
+            _ => self.cfg.event_bytes,
+        };
+        let el = self.el_nid(r, replica as usize);
+        let kind = TKind::ElReq {
+            owner: r,
+            replica,
+            req,
+        };
+        self.start_transfer(r, el, bytes, 0, kind, Notify::default());
+    }
+
+    // ------------------------------------------------------------------
+    // The MPI layer: channel messages, matching, rendezvous
+    // ------------------------------------------------------------------
+
+    /// Wire size of a channel message.
+    fn wire_bytes(&self, msg: &Msg) -> u64 {
+        match *msg {
+            Msg::Eager { bytes, .. } | Msg::Rndv { bytes, .. } => bytes,
+            Msg::Rts { .. } | Msg::Cts { .. } => self.cfg.event_bytes,
+        }
+    }
+
+    /// Send one channel message: straight onto the wire under P4, through
+    /// the engine under V2 (which logs, gates or suppresses it).
+    fn chan_send(&mut self, r: usize, dst: usize, msg: Msg, notify: Notify) {
+        let bytes = self.wire_bytes(&msg);
+        if self.ranks[r].engine.is_none() {
+            let kind = TKind::Mpi {
+                from: r,
+                to: dst,
+                msg,
+            };
+            self.start_transfer(r, dst, bytes, 0, kind, notify);
+            return;
+        }
+        let cfg = &self.cfg;
+        let payload = self.zeros.slice(..bytes as usize);
+        let rk = &mut self.ranks[r];
+        let pos = rk.proc.chan_sent[dst] as usize;
+        rk.proc.chan_sent[dst] += 1;
+        if pos == rk.sent[dst].len() {
+            rk.sent[dst].push(msg);
+        }
+        assert_eq!(rk.sent[dst][pos], msg, "re-execution diverged");
+        // The sender-based copy: charged on every send, re-executed ones
+        // included (the log must be rebuilt, Lemma 1), at disk speed once
+        // the log has outgrown RAM.
+        let bw = if rk.engine().logged_bytes() > cfg.log_ram_budget {
+            rk.spilled = true;
+            cfg.log_disk_bw
+        } else {
+            cfg.log_copy_bw
+        };
+        let copy = transfer_ns(bytes, bw);
+        let e = rk.engine();
+        let suppressed = e.metrics().transmissions_suppressed;
+        let dst_rank = Rank(dst as u32);
+        if let Err(err) = e.handle(Input::AppSend {
+            dst: dst_rank,
+            payload,
+        }) {
+            panic!("rank {r}: {err}");
+        }
+        let (h, logged) = (e.clock(), e.logged_bytes());
+        let suppressed = e.metrics().transmissions_suppressed > suppressed;
+        rk.max_log_bytes = rk.max_log_bytes.max(logged);
+        if logged > cfg.log_capacity {
+            self.infeasible = true;
+        }
+        // The daemon is busy copying: the copy occupies the tx path
+        // before any transmission can proceed.
+        if copy > 0 {
+            self.tx[r].reserve(self.now, copy);
+        }
+        if suppressed {
+            // The peer already holds it: the send completes after the copy.
+            self.fire(self.now + copy, r, notify);
+        } else if notify.token.is_some() || notify.op.is_some() {
+            self.ranks[r].proc.pending_tx.insert((dst, h), notify);
+        }
+    }
+
+    /// Start an application send: eager, or a rendezvous request whose
+    /// payload follows the CTS (V1 pushes to the Channel Memory).
+    fn app_send(&mut self, r: usize, dst: usize, bytes: u64, notify: Notify) {
+        let index = self.ranks[r].proc.sent_count[dst];
+        self.ranks[r].proc.sent_count[dst] = index + 1;
+        if self.cfg.protocol == Protocol::V1 {
+            let cm = self.cm_for(dst);
+            let kind = TKind::CmPush {
+                from: r,
+                to: dst,
+                index,
+                bytes,
+            };
+            self.start_transfer(r, cm, bytes, 0, kind, notify);
+        } else if bytes >= self.cfg.rndv_threshold {
+            self.ranks[r]
+                .proc
+                .rndv_pending
+                .insert((dst, index), (bytes, notify));
+            self.chan_send(r, dst, Msg::Rts { index, bytes }, Notify::default());
+        } else {
+            self.chan_send(r, dst, Msg::Eager { index, bytes }, notify);
+        }
+    }
+
+    /// A channel message reached rank `to`'s MPI layer.
+    fn mpi_arrival(&mut self, to: usize, from: usize, msg: Msg) {
+        match msg {
+            Msg::Eager { index, bytes } => {
+                self.rank_arrival(to, from, index, Arrival::Eager { bytes })
+            }
+            Msg::Rts { index, .. } => {
+                let arr = Arrival::RndvAnnounce { cts_sent: false };
+                self.rank_arrival(to, from, index, arr)
+            }
+            Msg::Rndv { index, bytes } => {
+                self.rank_arrival(to, from, index, Arrival::RndvHere { bytes })
+            }
+            Msg::Cts { index } => {
+                if let Some((bytes, notify)) =
+                    self.ranks[to].proc.rndv_pending.remove(&(from, index))
+                {
+                    self.chan_send(to, from, Msg::Rndv { index, bytes }, notify);
                 }
             }
         }
+    }
+
+    fn rank_arrival(&mut self, to: usize, from: usize, index: u64, arr: Arrival) {
+        // A rendezvous payload overwrites its announcement.
+        self.ranks[to].proc.arrivals[from].insert(index, arr);
         self.grant_pending_cts(to, from);
         self.progress_pair(to, from);
         // V1: a forwarded message that did not satisfy the outstanding
         // pull (wrong source for the blocked receive) consumes the pull;
         // ask the Channel Memory for the next one.
         if self.cfg.protocol == Protocol::V1
-            && self.ranks[to].arrivals[from].contains_key(&index)
-            && self.ranks[to].waiters.iter().any(|w| !w.is_empty())
+            && self.ranks[to].proc.arrivals[from].contains_key(&index)
+            && self.ranks[to].proc.waiters.iter().any(|w| !w.is_empty())
         {
             let cm = self.cm_for(to);
-            self.start_transfer(to, cm, self.cfg.event_bytes, 0, TKind::CmPull { owner: to });
+            let kind = TKind::CmPull { owner: to };
+            self.start_transfer(to, cm, self.cfg.event_bytes, 0, kind, Notify::default());
         }
     }
 
     /// Send CTS for announced rendezvous messages that a posted receive is
     /// already waiting for.
     fn grant_pending_cts(&mut self, r: usize, src: usize) {
+        let p = &mut self.ranks[r].proc;
+        let (lo, hi) = (p.consumed_count[src], p.reserved_count[src]);
+        if lo >= hi {
+            return;
+        }
         let mut to_grant: Vec<u64> = Vec::new();
-        {
-            let rk = &self.ranks[r];
-            let lo = rk.consumed_count[src];
-            let hi = rk.reserved_count[src];
-            if lo < hi {
-                for (idx, a) in rk.arrivals[src].range(lo..hi) {
-                    if let Arrival::RndvAnnounce {
-                        cts_sent: false, ..
-                    } = a
-                    {
-                        to_grant.push(*idx);
-                    }
+        for (idx, a) in p.arrivals[src].range_mut(lo..hi) {
+            if let Arrival::RndvAnnounce { cts_sent } = a {
+                if !*cts_sent {
+                    *cts_sent = true;
+                    to_grant.push(*idx);
                 }
             }
         }
-        for idx in to_grant {
-            if let Some(Arrival::RndvAnnounce { cts_sent, .. }) =
-                self.ranks[r].arrivals[src].get_mut(&idx)
-            {
-                *cts_sent = true;
-            }
-            self.send_or_gate(
-                r,
-                SendSpec::Cts {
-                    sender: src,
-                    index: idx,
-                },
-            );
+        for index in to_grant {
+            self.chan_send(r, src, Msg::Cts { index }, Notify::default());
         }
     }
 
     /// Is the next in-order arrival from `src` deliverable?
     fn consumable_now(&self, r: usize, src: usize) -> bool {
-        let rk = &self.ranks[r];
-        rk.arrivals[src]
-            .get(&rk.consumed_count[src])
+        let p = &self.ranks[r].proc;
+        p.arrivals[src]
+            .get(&p.consumed_count[src])
             .map(|a| a.consumable())
             .unwrap_or(false)
     }
 
     /// Deliver the next in-order arrival from `src` (must be consumable).
     fn consume_one(&mut self, r: usize, src: usize) {
-        let idx = self.ranks[r].consumed_count[src];
-        let bytes = match self.ranks[r].arrivals[src].remove(&idx) {
+        let p = &mut self.ranks[r].proc;
+        let idx = p.consumed_count[src];
+        let bytes = match p.arrivals[src].remove(&idx) {
             Some(Arrival::Eager { bytes }) | Some(Arrival::RndvHere { bytes }) => bytes,
             other => panic!("consume_one on non-consumable arrival {other:?}"),
         };
-        self.ranks[r].consumed_count[src] = idx + 1;
+        p.consumed_count[src] = idx + 1;
+        #[cfg(test)]
+        p.consumed.push((src, bytes));
         self.msgs_delivered += 1;
         self.bytes_delivered += bytes;
-        let sender_clock = self.sender_clock_of(src, r, idx);
-        let (rc, replaying) = {
-            let rk = &mut self.ranks[r];
-            rk.clock += 1;
-            if rk.replaying() {
-                rk.replayed_n += 1;
-            }
-            (rk.clock, rk.replaying())
-        };
-        if replaying {
-            self.rec(
-                r,
-                mvr_obs::ProtoEvent::ReplayStep {
-                    from: src as u32,
-                    sender_clock,
-                    receiver_clock: rc,
-                },
-            );
-        } else {
-            self.rec(
-                r,
-                mvr_obs::ProtoEvent::Deliver {
-                    from: src as u32,
-                    sender_clock,
-                    receiver_clock: rc,
-                    replay: false,
-                },
-            );
-        }
-        // The delivery is a reception event (V2, live mode only).
-        self.log_reception_if_live(r, Some(rc));
     }
 
     /// Consume consumable arrivals in index order, completing waiters.
     fn progress_pair(&mut self, r: usize, src: usize) {
-        loop {
-            if self.ranks[r].waiters[src].is_empty() || !self.consumable_now(r, src) {
-                break;
-            }
+        while !self.ranks[r].proc.waiters[src].is_empty() && self.consumable_now(r, src) {
             self.consume_one(r, src);
-            let w = self.ranks[r].waiters[src]
+            let w = self.ranks[r].proc.waiters[src]
                 .pop_front()
                 .expect("checked nonempty");
             match w {
                 Waiter::Blocking => {
                     debug_assert_eq!(self.ranks[r].blocked, Some(Block::Recv { src }));
-                    self.unblock(r);
+                    self.wake(r);
                 }
-                Waiter::Req(op) => {
-                    self.ranks[r].reqs.insert(op, true);
-                    self.ranks[r].incomplete_reqs.remove(&op);
-                    self.check_wait_block(r);
-                }
+                Waiter::Req(op) => self.complete_req(r, op),
             }
         }
     }
 
-    fn check_wait_block(&mut self, r: usize) {
+    fn complete_req(&mut self, r: usize, op: usize) {
+        let p = &mut self.ranks[r].proc;
+        p.reqs.insert(op, true);
+        p.incomplete_reqs.remove(&op);
         match self.ranks[r].blocked {
-            Some(Block::WaitReq { op }) if *self.ranks[r].reqs.get(&op).unwrap_or(&false) => {
-                self.unblock(r);
-            }
-            Some(Block::WaitAll) if self.ranks[r].incomplete_reqs.is_empty() => {
-                self.unblock(r);
-            }
+            Some(Block::WaitReq { op: w }) if w == op => self.wake(r),
+            Some(Block::WaitAll) if self.ranks[r].proc.incomplete_reqs.is_empty() => self.wake(r),
             _ => {}
         }
-    }
-
-    // ------------------------------------------------------------------
-    // V2 logging & gate
-    // ------------------------------------------------------------------
-
-    /// Log a reception: a delivery at receiver clock `rc`, or a CTS
-    /// (`None`), which is a channel message without a delivery.
-    fn log_reception_if_live(&mut self, r: usize, rc: Option<u64>) {
-        if self.cfg.protocol != Protocol::V2 {
-            return;
-        }
-        if self.ranks[r].replaying() || self.ranks[r].mode == Mode::Finished {
-            return;
-        }
-        if let Some(rc) = rc {
-            let rk = &mut self.ranks[r];
-            rk.pending_from.get_or_insert(rc);
-            rk.logged_clock = rc;
-        }
-        self.el_events += 1;
-        // The gate closes at delivery regardless of when the event ships.
-        self.ranks[r].outstanding_acks += 1;
-        self.ranks[r].pending_el += 1;
-        // Flush at the size threshold, or immediately when a send is
-        // already queued behind the gate (its ack can otherwise never
-        // arrive). `el_batch_max == 1` is the eager per-event baseline.
-        let limit = self.cfg.el_batch_max.max(1);
-        if self.ranks[r].pending_el >= limit || !self.ranks[r].gated.is_empty() {
-            self.flush_el(r);
-        }
-    }
-
-    /// Ship the pending reception events as one batched EL request.
-    fn flush_el(&mut self, r: usize) {
-        let events = self.ranks[r].pending_el;
-        if events == 0 {
-            return;
-        }
-        self.ranks[r].pending_el = 0;
-        self.el_requests += 1;
-        // The batch covers the receiver clocks of the live deliveries
-        // since the previous ship (replay never pends). CTS receptions
-        // count as events but assign no receiver clock: a batch of
-        // those alone covers the empty range.
-        let up_to = self.ranks[r].logged_clock;
-        let from_clock = self.ranks[r].pending_from.take().unwrap_or(up_to + 1);
-        self.ranks[r].el_ship_q.push_back(up_to);
-        self.rec(
-            r,
-            mvr_obs::ProtoEvent::ElShip {
-                events,
-                from_clock,
-                up_to,
-            },
-        );
-        // Fan the batch out to every replica of the shard; the owner's
-        // tx lane serializes the copies, which is the real cost of
-        // replication (the quorum ack lands no later than the single
-        // ack did, replicas being symmetric).
-        for replica in 0..self.cfg.el_replicas.max(1) {
-            let el = self.el_nid(r, replica);
-            self.start_transfer(
-                r,
-                el,
-                events * self.cfg.event_bytes,
-                0,
-                TKind::ElEvent {
-                    owner: r,
-                    events,
-                    shipped: self.now,
-                    replica,
-                },
-            );
-        }
-    }
-
-    fn gate_closed(&self, r: usize) -> bool {
-        self.cfg.protocol == Protocol::V2
-            && !self.ranks[r].replaying()
-            && self.ranks[r].outstanding_acks > 0
-    }
-
-    fn send_or_gate(&mut self, r: usize, spec: SendSpec) {
-        if self.gate_closed(r) {
-            let deferred = match &spec {
-                SendSpec::Payload { dst, index, .. } | SendSpec::RndvData { dst, index, .. } => {
-                    Some((*dst, self.sender_clock_of(r, *dst, *index)))
-                }
-                SendSpec::Cts { .. } => None,
-            };
-            self.ranks[r].gated.push_back((spec, self.now));
-            if let Some((dst, clock)) = deferred {
-                let queued = self.ranks[r].gated.len() as u64;
-                self.rec(
-                    r,
-                    mvr_obs::ProtoEvent::GateDefer {
-                        to: dst as u32,
-                        clock,
-                        queued,
-                    },
-                );
-            }
-            // The send now waits on the EL ack of every delivered event:
-            // ship any still-pending events or the gate never opens.
-            self.flush_el(r);
-        } else {
-            self.execute_send_spec(r, spec);
-        }
-    }
-
-    fn drain_gate(&mut self, r: usize) {
-        let mut released = 0u64;
-        let mut oldest_wait = 0u64;
-        while self.ranks[r].outstanding_acks == 0 {
-            let Some((spec, parked)) = self.ranks[r].gated.pop_front() else {
-                break;
-            };
-            let waited = self.now.saturating_sub(parked);
-            self.gate_wait.record(waited);
-            oldest_wait = oldest_wait.max(waited);
-            released += 1;
-            self.execute_send_spec(r, spec);
-        }
-        if released > 0 {
-            // +1 ns so the opening sorts strictly after the ElAck record
-            // that covered the owed events — the merged timeline then
-            // replays cleanly through the offline invariant monitor.
-            self.rec_at(
-                r,
-                self.now + 1,
-                mvr_obs::ProtoEvent::GateOpen {
-                    released,
-                    waited_ns: oldest_wait,
-                },
-            );
-        }
-    }
-
-    fn execute_send_spec(&mut self, r: usize, spec: SendSpec) {
-        match spec {
-            SendSpec::Payload {
-                dst,
-                index,
-                bytes,
-                token,
-                op,
-            } => {
-                if (bytes as usize) >= self.cfg.rndv_threshold as usize {
-                    // Rendezvous: announce, stash, transmit on CTS.
-                    self.ranks[r]
-                        .rndv_pending
-                        .insert((dst, index), (bytes, token, op));
-                    self.start_transfer(
-                        r,
-                        dst,
-                        self.cfg.event_bytes,
-                        0,
-                        TKind::RndvReq {
-                            from: r,
-                            to: dst,
-                            index,
-                            bytes,
-                        },
-                    );
-                } else {
-                    self.start_transfer_notify(
-                        r,
-                        dst,
-                        bytes,
-                        0,
-                        TKind::Payload {
-                            from: r,
-                            to: dst,
-                            index,
-                            bytes,
-                            rndv: false,
-                        },
-                        token.map(|t| (r, t)),
-                        op.map(|o| (r, o)),
-                    );
-                }
-            }
-            SendSpec::Cts { sender, index } => {
-                self.start_transfer(
-                    r,
-                    sender,
-                    self.cfg.event_bytes,
-                    0,
-                    TKind::RndvCts {
-                        sender,
-                        receiver: r,
-                        index,
-                    },
-                );
-            }
-            SendSpec::RndvData {
-                dst,
-                index,
-                bytes,
-                token,
-                op,
-            } => {
-                self.start_transfer_notify(
-                    r,
-                    dst,
-                    bytes,
-                    0,
-                    TKind::Payload {
-                        from: r,
-                        to: dst,
-                        index,
-                        bytes,
-                        rndv: true,
-                    },
-                    token.map(|t| (r, t)),
-                    op.map(|o| (r, o)),
-                );
-            }
-        }
-    }
-
-    /// Rendezvous payload transmission (post-CTS). The CTS reception was
-    /// itself a logged event, so under V2 the payload queues behind the
-    /// pessimism gate until the event logger acknowledges it — one extra
-    /// EL round-trip per rendezvous transfer, exactly as in the protocol.
-    fn initiate_payload(
-        &mut self,
-        r: usize,
-        dst: usize,
-        index: u64,
-        bytes: u64,
-        token: Option<u64>,
-        op: Option<usize>,
-    ) {
-        self.send_or_gate(
-            r,
-            SendSpec::RndvData {
-                dst,
-                index,
-                bytes,
-                token,
-                op,
-            },
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Send path from the interpreter
-    // ------------------------------------------------------------------
-
-    /// Start an application send. Returns (copy_duration, suppressed).
-    fn app_send(
-        &mut self,
-        r: usize,
-        dst: usize,
-        bytes: u64,
-        token: Option<u64>,
-        op: Option<usize>,
-    ) -> (SimTime, bool) {
-        let index = self.ranks[r].sent_count[dst];
-        self.ranks[r].sent_count[dst] = index + 1;
-        let rk = &mut self.ranks[r];
-        if rk.sent_sizes[dst].len() <= index as usize {
-            rk.sent_sizes[dst].push(bytes);
-        }
-        // The send ticks the logical clock; the span key is the clock
-        // of its first execution, recalled on re-execution.
-        rk.clock += 1;
-        let clock = match rk.sent_clocks[dst].get(index as usize) {
-            Some(&c) => c,
-            None => {
-                rk.sent_clocks[dst].push(rk.clock);
-                rk.clock
-            }
-        };
-        // Sender-based copy (V2): charge the copy and grow the log — also
-        // during re-execution (the log must be rebuilt, Lemma 1).
-        let mut copy = 0;
-        if self.cfg.protocol == Protocol::V2 {
-            let already_logged = rk.replaying() && (index as usize) < rk.sent_sizes[dst].len() - 1;
-            let _ = already_logged;
-            let bw = if rk.log_bytes > self.cfg.log_ram_budget {
-                rk.spilled = true;
-                self.cfg.log_disk_bw
-            } else {
-                self.cfg.log_copy_bw
-            };
-            copy = transfer_ns(bytes, bw);
-            rk.log_bytes += bytes;
-            rk.max_log_bytes = rk.max_log_bytes.max(rk.log_bytes);
-            if rk.log_bytes > self.cfg.log_capacity {
-                self.infeasible = true;
-            }
-            // The daemon is busy copying: the copy occupies the tx path
-            // before any transmission can proceed.
-            if copy > 0 {
-                self.tx[r].reserve(self.now, copy);
-            }
-        }
-        // Suppression: the destination provably has this message already
-        // (consumed, or a *consumable* buffered arrival — a rendezvous
-        // announce is not possession: its payload may never have moved).
-        let suppressed = index < self.ranks[dst].consumed_count[r]
-            || self.ranks[dst].arrivals[r]
-                .get(&index)
-                .map(|a| a.consumable())
-                .unwrap_or(false);
-        let disposition = if suppressed {
-            mvr_obs::SendDisposition::Suppressed
-        } else if self.gate_closed(r) {
-            mvr_obs::SendDisposition::Gated
-        } else {
-            mvr_obs::SendDisposition::Wire
-        };
-        self.rec(
-            r,
-            mvr_obs::ProtoEvent::Send {
-                to: dst as u32,
-                clock,
-                bytes,
-                disposition,
-            },
-        );
-        if suppressed {
-            if let Some(tk) = token {
-                self.push_tx_done(self.now + copy, r, tk);
-            }
-            if let Some(o) = op {
-                self.push_tx_done(self.now + copy, r, u64::MAX - o as u64);
-            }
-            return (copy, true);
-        }
-        match self.cfg.protocol {
-            Protocol::V1 => {
-                let cm = self.cm_for(dst);
-                self.start_transfer_notify(
-                    r,
-                    cm,
-                    bytes,
-                    0,
-                    TKind::CmPush {
-                        from: r,
-                        to: dst,
-                        index,
-                        bytes,
-                    },
-                    token.map(|t| (r, t)),
-                    op.map(|o| (r, o)),
-                );
-            }
-            _ => {
-                self.send_or_gate(
-                    r,
-                    SendSpec::Payload {
-                        dst,
-                        index,
-                        bytes,
-                        token,
-                        op,
-                    },
-                );
-            }
-        }
-        (copy, false)
     }
 
     // ------------------------------------------------------------------
@@ -1514,198 +1324,194 @@ impl Sim {
         rk.block_start = self.now;
     }
 
+    /// Charge the blocked time to its bucket and clear the block.
     fn unblock(&mut self, r: usize) {
         let dt = self.now - self.ranks[r].block_start;
-        {
-            let rk = &mut self.ranks[r];
-            let bucket = match rk.block_kind {
-                OpClass::Compute => &mut rk.breakdown.compute,
-                OpClass::Send => &mut rk.breakdown.send,
-                OpClass::Recv => &mut rk.breakdown.recv,
-                OpClass::Isend => &mut rk.breakdown.isend,
-                OpClass::Wait => &mut rk.breakdown.wait,
-            };
-            *bucket += dt;
-            rk.blocked = None;
+        let rk = &mut self.ranks[r];
+        let bucket = match rk.block_kind {
+            OpClass::Compute => &mut rk.breakdown.compute,
+            OpClass::Send => &mut rk.breakdown.send,
+            OpClass::Recv => &mut rk.breakdown.recv,
+            OpClass::Isend => &mut rk.breakdown.isend,
+            OpClass::Wait => &mut rk.breakdown.wait,
+        };
+        *bucket += dt;
+        rk.blocked = None;
+    }
+
+    /// A completion resolved `r`'s block. A V2 rank resumes through the
+    /// event queue: its completions arrive while its engine's outputs are
+    /// being performed.
+    fn wake(&mut self, r: usize) {
+        self.unblock(r);
+        if self.ranks[r].engine.is_some() {
+            self.push_ready(self.now, r);
+        } else {
+            self.advance(r);
         }
-        self.advance(r);
     }
 
     /// Interpret ops until the rank blocks, dies or finishes.
     fn advance(&mut self, r: usize) {
-        loop {
-            if self.infeasible {
-                return;
-            }
-            {
+        while self.step(r) {
+            self.pump(r);
+        }
+        self.pump(r);
+    }
+
+    /// Interpret one op; false once the rank blocked, died or finished.
+    fn step(&mut self, r: usize) -> bool {
+        let rk = &self.ranks[r];
+        if self.infeasible || rk.blocked.is_some() || rk.down || rk.finish.is_some() {
+            return false;
+        }
+        let pc = rk.proc.pc;
+        if pc >= rk.trace.len() {
+            self.finish(r);
+            return false;
+        }
+        let op = rk.trace[pc];
+        self.ranks[r].proc.pc = pc + 1;
+        let p4 = self.cfg.protocol == Protocol::P4;
+        match op {
+            Op::Compute(ns) => {
                 let rk = &self.ranks[r];
-                if rk.blocked.is_some()
-                    || matches!(rk.mode, Mode::Dead | Mode::Finished)
-                    || rk.finish.is_some()
-                {
-                    return;
-                }
+                let stretch = if rk.engine.is_some() && rk.spilled {
+                    self.cfg.disk_contention
+                } else {
+                    1.0
+                };
+                let dur = (ns as f64 * stretch) as u64;
+                self.block(r, Block::Compute, OpClass::Compute);
+                self.push_ready(self.now + dur, r);
+                false
             }
-            // Replay → live transition.
-            if let Mode::Replay { until } = self.ranks[r].mode {
-                if self.ranks[r].pc >= until {
-                    self.ranks[r].mode = Mode::Live;
-                    let (replayed, replay_ns) = {
-                        let rk = &self.ranks[r];
-                        (rk.replayed_n, self.now.saturating_sub(rk.replay_start_t))
-                    };
-                    self.rec(
-                        r,
-                        mvr_obs::ProtoEvent::ReplayDone {
-                            replayed,
-                            replay_ns,
-                        },
-                    );
+            Op::Send { dst, bytes } => {
+                if p4 && bytes <= self.cfg.p4_socket_buffer {
+                    // Fits the socket buffer: MPI_Send returns after
+                    // the kernel memcpy; the kernel drains it.
+                    self.app_send(r, dst, bytes, Notify::default());
+                    self.block(r, Block::Compute, OpClass::Send);
+                    let memcpy = transfer_ns(bytes, self.cfg.log_copy_bw);
+                    self.push_ready(self.now + self.cfg.isend_post_cost + memcpy, r);
+                    return false;
                 }
+                let token = self.ranks[r].proc.new_token();
+                let notify = Notify {
+                    token: Some(token),
+                    op: None,
+                };
+                self.app_send(r, dst, bytes, notify);
+                self.block(r, Block::Send { token }, OpClass::Send);
+                false
             }
-            let pc = self.ranks[r].pc;
-            if pc >= self.ranks[r].trace.len() {
-                self.ranks[r].finish = Some(self.now);
-                self.ranks[r].breakdown.finish = self.now;
-                let clock = self.ranks[r].clock;
-                self.rec(r, mvr_obs::ProtoEvent::Finish { clock });
-                return;
-            }
-            let op = self.ranks[r].trace[pc];
-            self.ranks[r].pc = pc + 1;
-            match op {
-                Op::Compute(ns) => {
-                    let stretch = if self.cfg.protocol == Protocol::V2 && self.ranks[r].spilled {
-                        self.cfg.disk_contention
-                    } else {
-                        1.0
-                    };
-                    let dur = (ns as f64 * stretch) as u64;
-                    self.block(r, Block::Compute, OpClass::Compute);
-                    self.push_ready(self.now + dur, r);
-                    return;
-                }
-                Op::Send { dst, bytes } => {
-                    let p4_buffered =
-                        self.cfg.protocol == Protocol::P4 && bytes <= self.cfg.p4_socket_buffer;
-                    if p4_buffered {
-                        // Fits the socket buffer: MPI_Send returns after
-                        // the kernel memcpy; the kernel drains it.
-                        let (_c, _s) = self.app_send(r, dst, bytes, None, None);
-                        self.block(r, Block::Compute, OpClass::Send);
-                        let memcpy = transfer_ns(bytes, self.cfg.log_copy_bw);
-                        self.push_ready(self.now + self.cfg.isend_post_cost + memcpy, r);
-                        return;
-                    }
-                    let token = self.ranks[r].next_token;
-                    self.ranks[r].next_token += 1;
-                    let (copy, suppressed) = self.app_send(r, dst, bytes, Some(token), None);
-                    let _ = copy;
-                    let _ = suppressed;
-                    self.block(r, Block::Send { token }, OpClass::Send);
-                    return;
-                }
-                Op::Isend { dst, bytes } => {
-                    self.ranks[r].reqs.insert(pc, false);
-                    self.ranks[r].incomplete_reqs.insert(pc);
-                    let p4_buffered =
-                        self.cfg.protocol == Protocol::P4 && bytes <= self.cfg.p4_socket_buffer;
-                    if p4_buffered {
-                        // Fits the socket buffer: the request is complete
-                        // (buffer reusable) right after the memcpy.
-                        let (_c, _s) = self.app_send(r, dst, bytes, None, None);
-                        let memcpy = transfer_ns(bytes, self.cfg.log_copy_bw);
-                        self.push_tx_done(
-                            self.now + self.cfg.isend_post_cost + memcpy,
-                            r,
-                            u64::MAX - pc as u64,
-                        );
-                        self.block(r, Block::Compute, OpClass::Isend);
-                        self.push_ready(self.now + self.cfg.isend_post_cost + memcpy, r);
-                        return;
-                    }
-                    let p4_eager =
-                        self.cfg.protocol == Protocol::P4 && bytes < self.cfg.rndv_threshold;
-                    if p4_eager {
-                        // Payload pushed during Isend: block the app for
-                        // the tx (the Table-1 behaviour). Rendezvous-sized
-                        // sends cannot push during Isend even under P4
-                        // (the payload waits for the CTS), so they fall
-                        // through to the asynchronous path.
-                        let token = self.ranks[r].next_token;
-                        self.ranks[r].next_token += 1;
-                        let (_c, _s) = self.app_send(r, dst, bytes, Some(token), Some(pc));
-                        self.block(r, Block::Send { token }, OpClass::Isend);
-                        return;
-                    }
-                    // V1/V2 (and P4 rendezvous): post only; the transfer
-                    // is asynchronous and Wait pays for it.
-                    let (_copy, _s) = self.app_send(r, dst, bytes, None, Some(pc));
+            Op::Isend { dst, bytes } => {
+                self.ranks[r].proc.reqs.insert(pc, false);
+                self.ranks[r].proc.incomplete_reqs.insert(pc);
+                let req = Notify {
+                    token: None,
+                    op: Some(pc),
+                };
+                if p4 && bytes <= self.cfg.p4_socket_buffer {
+                    // Fits the socket buffer: the request is complete
+                    // (buffer reusable) right after the memcpy.
+                    self.app_send(r, dst, bytes, Notify::default());
+                    let done = self.now
+                        + self.cfg.isend_post_cost
+                        + transfer_ns(bytes, self.cfg.log_copy_bw);
+                    self.fire(done, r, req);
                     self.block(r, Block::Compute, OpClass::Isend);
-                    self.push_ready(self.now + self.cfg.isend_post_cost, r);
-                    return;
+                    self.push_ready(done, r);
+                    return false;
                 }
-                Op::Recv { src } => {
-                    // Reserve the next reception index; fast-path an
-                    // already-available in-order message (no queued
-                    // waiters to overtake).
-                    self.reserve_recv(r, src);
-                    if self.ranks[r].waiters[src].is_empty() && self.consumable_now(r, src) {
-                        self.consume_one(r, src);
-                        continue;
-                    }
-                    self.ranks[r].waiters[src].push_back(Waiter::Blocking);
-                    self.block(r, Block::Recv { src }, OpClass::Recv);
-                    return;
+                if p4 && bytes < self.cfg.rndv_threshold {
+                    // Payload pushed during Isend: block the app for
+                    // the tx (the Table-1 behaviour). Rendezvous-sized
+                    // sends cannot push during Isend even under P4
+                    // (the payload waits for the CTS), so they fall
+                    // through to the asynchronous path.
+                    let token = self.ranks[r].proc.new_token();
+                    let notify = Notify {
+                        token: Some(token),
+                        op: Some(pc),
+                    };
+                    self.app_send(r, dst, bytes, notify);
+                    self.block(r, Block::Send { token }, OpClass::Isend);
+                    return false;
                 }
-                Op::Irecv { src } => {
-                    self.ranks[r].reqs.insert(pc, false);
-                    self.ranks[r].incomplete_reqs.insert(pc);
-                    self.reserve_recv(r, src);
-                    if self.ranks[r].waiters[src].is_empty() && self.consumable_now(r, src) {
-                        self.consume_one(r, src);
-                        self.ranks[r].reqs.insert(pc, true);
-                        self.ranks[r].incomplete_reqs.remove(&pc);
-                    } else {
-                        self.ranks[r].waiters[src].push_back(Waiter::Req(pc));
-                    }
-                    // continue (no block)
-                }
-                Op::Wait { req } => {
-                    if *self.ranks[r].reqs.get(&req).unwrap_or(&false) {
-                        continue;
-                    }
-                    self.block(r, Block::WaitReq { op: req }, OpClass::Wait);
-                    return;
-                }
-                Op::WaitAll => {
-                    if self.ranks[r].incomplete_reqs.is_empty() {
-                        continue;
-                    }
-                    self.block(r, Block::WaitAll, OpClass::Wait);
-                    return;
-                }
-                Op::CheckpointSite => {
-                    if self.ranks[r].ckpt_ordered
-                        && !self.ranks[r].ckpt_in_progress
-                        && self.ranks[r].mode == Mode::Live
-                    {
-                        self.begin_checkpoint(r);
-                    }
-                    // continue
-                }
+                // V1/V2 (and P4 rendezvous): post only; the transfer
+                // is asynchronous and Wait pays for it.
+                self.app_send(r, dst, bytes, req);
+                self.block(r, Block::Compute, OpClass::Isend);
+                self.push_ready(self.now + self.cfg.isend_post_cost, r);
+                false
             }
+            Op::Recv { src } => {
+                // Reserve the next reception index; fast-path an
+                // already-available in-order message (no queued
+                // waiters to overtake).
+                self.reserve_recv(r, src);
+                if self.ranks[r].proc.waiters[src].is_empty() && self.consumable_now(r, src) {
+                    self.consume_one(r, src);
+                    return true;
+                }
+                self.ranks[r].proc.waiters[src].push_back(Waiter::Blocking);
+                self.block(r, Block::Recv { src }, OpClass::Recv);
+                false
+            }
+            Op::Irecv { src } => {
+                self.ranks[r].proc.reqs.insert(pc, false);
+                self.ranks[r].proc.incomplete_reqs.insert(pc);
+                self.reserve_recv(r, src);
+                if self.ranks[r].proc.waiters[src].is_empty() && self.consumable_now(r, src) {
+                    self.consume_one(r, src);
+                    self.ranks[r].proc.reqs.insert(pc, true);
+                    self.ranks[r].proc.incomplete_reqs.remove(&pc);
+                } else {
+                    self.ranks[r].proc.waiters[src].push_back(Waiter::Req(pc));
+                }
+                true
+            }
+            Op::Wait { req } => {
+                if *self.ranks[r].proc.reqs.get(&req).unwrap_or(&false) {
+                    return true;
+                }
+                self.block(r, Block::WaitReq { op: req }, OpClass::Wait);
+                false
+            }
+            Op::WaitAll => {
+                if self.ranks[r].proc.incomplete_reqs.is_empty() {
+                    return true;
+                }
+                self.block(r, Block::WaitAll, OpClass::Wait);
+                false
+            }
+            Op::CheckpointSite => self.checkpoint_site(r),
         }
     }
 
     fn reserve_recv(&mut self, r: usize, src: usize) {
-        self.ranks[r].reserved_count[src] += 1;
+        self.ranks[r].proc.reserved_count[src] += 1;
         if self.cfg.protocol == Protocol::V1 {
             // Pull request to our own Channel Memory.
             let cm = self.cm_for(r);
-            self.start_transfer(r, cm, self.cfg.event_bytes, 0, TKind::CmPull { owner: r });
+            let kind = TKind::CmPull { owner: r };
+            self.start_transfer(r, cm, self.cfg.event_bytes, 0, kind, Notify::default());
         } else {
             self.grant_pending_cts(r, src);
+        }
+    }
+
+    /// The trace is done: the daemon ships its pending events (as the
+    /// runtime's does when its process exits) and keeps serving.
+    fn finish(&mut self, r: usize) {
+        self.ranks[r].finish = Some(self.now);
+        self.ranks[r].breakdown.finish = self.now - self.t0;
+        if let Some(e) = &self.ranks[r].engine {
+            let clock = e.clock();
+            e.recorder()
+                .record(clock, mvr_obs::ProtoEvent::Finish { clock });
+            self.feed(r, Input::FlushEvents);
         }
     }
 
@@ -1713,85 +1519,35 @@ impl Sim {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    fn begin_checkpoint(&mut self, r: usize) {
-        // Mirror the engine: arming a checkpoint forces the pending
-        // events out so the gate can quiesce.
-        self.flush_el(r);
-        let image_bytes = self.cfg.process_state_bytes + self.ranks[r].log_bytes;
-        let snap = Snapshot {
-            pc: self.ranks[r].pc,
-            clock: self.ranks[r].clock,
-            sent_count: self.ranks[r].sent_count.clone(),
-            consumed_count: self.ranks[r].consumed_count.clone(),
-            arrived_count: self.ranks[r].consumed_count.clone(),
-            log_bytes: self.ranks[r].log_bytes,
+    /// A checkpoint site: take the ordered checkpoint if the engine arms
+    /// it; with an order pending and the gate closed, wait at the site
+    /// for the gate to reopen and try again. The image (process state +
+    /// sender log) competes with application traffic on the tx lane
+    /// while execution continues (overlapped, §4.6.1). False while the
+    /// rank waits.
+    fn checkpoint_site(&mut self, r: usize) -> bool {
+        let rk = &mut self.ranks[r];
+        let Some(e) = &mut rk.engine else {
+            return true;
+        };
+        if e.try_arm_checkpoint().is_none() {
+            if !rk.ckpt_ordered || e.is_replaying() {
+                return true;
+            }
+            rk.proc.pc -= 1;
+            self.block(r, Block::Quiesce, OpClass::Wait);
+            return false;
+        }
+        rk.ckpt_ordered = false;
+        let image_bytes = self.cfg.process_state_bytes + e.logged_bytes();
+        rk.image = Some(Snapshot {
+            proc: rk.proc.clone(),
+            engine: e.snapshot(),
             image_bytes,
-        };
-        self.ranks[r].ckpt_ordered = false;
-        self.ranks[r].ckpt_in_progress = true;
-        self.ranks[r].snapshot = Some(snap);
-        let (seq, log_bytes) = {
-            let rk = &mut self.ranks[r];
-            rk.ckpt_seq += 1;
-            rk.ckpt_begin_t = self.now;
-            (rk.ckpt_seq, rk.log_bytes)
-        };
-        self.rec(
-            r,
-            mvr_obs::ProtoEvent::CkptBegin {
-                seq,
-                bytes: log_bytes,
-            },
-        );
-        // Image transfer competes with application traffic on the tx lane
-        // but execution continues (overlapped, §4.6.1).
-        self.start_transfer(r, self.cs_nid, image_bytes, 0, TKind::CkptImage { rank: r });
-    }
-
-    fn on_checkpoint_stored(&mut self, r: usize) {
-        if !self.ranks[r].ckpt_in_progress {
-            return; // aborted by a crash
-        }
-        self.ranks[r].ckpt_in_progress = false;
-        self.checkpoints += 1;
-        let (seq, store_ns) = {
-            let rk = &self.ranks[r];
-            (rk.ckpt_seq, self.now.saturating_sub(rk.ckpt_begin_t))
-        };
-        self.rec(r, mvr_obs::ProtoEvent::CkptCommit { seq, store_ns });
-        // Garbage collection: every sender drops messages r consumed
-        // before the checkpoint (§4.6.1).
-        let consumed = self.ranks[r]
-            .snapshot
-            .as_ref()
-            .expect("snapshot set")
-            .consumed_count
-            .clone();
-        for (u, &upto) in consumed.iter().enumerate() {
-            if u == r {
-                continue;
-            }
-            let from = self.ranks[u].gc_watermark[r];
-            let freed: u64 = self.ranks[u].sent_sizes[r]
-                .iter()
-                .skip(from as usize)
-                .take((upto.saturating_sub(from)) as usize)
-                .sum();
-            self.ranks[u].gc_watermark[r] = upto.max(from);
-            self.ranks[u].log_bytes = self.ranks[u].log_bytes.saturating_sub(freed);
-            if freed > 0 {
-                self.rec(
-                    u,
-                    mvr_obs::ProtoEvent::CkptGc {
-                        peer: r as u32,
-                        bytes_freed: freed,
-                    },
-                );
-            }
-        }
-        if self.ckpt_continuous && self.ckpt_victim == Some(r) {
-            self.pick_ckpt_victim();
-        }
+        });
+        let kind = TKind::CkptImage { rank: r };
+        self.start_transfer(r, self.cs_nid, image_bytes, 0, kind, Notify::default());
+        true
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -1805,7 +1561,7 @@ impl Sim {
 
     fn pick_ckpt_victim(&mut self) {
         let alive: Vec<usize> = (0..self.n)
-            .filter(|&r| matches!(self.ranks[r].mode, Mode::Live) && self.ranks[r].finish.is_none())
+            .filter(|&r| !self.ranks[r].down && self.ranks[r].finish.is_none())
             .collect();
         if alive.is_empty() {
             self.ckpt_victim = None;
@@ -1814,6 +1570,7 @@ impl Sim {
         let v = alive[(self.next_rand() % alive.len() as u64) as usize];
         self.ckpt_victim = Some(v);
         self.ranks[v].ckpt_ordered = true;
+        self.feed(v, Input::CheckpointOrder);
     }
 
     // ------------------------------------------------------------------
@@ -1821,184 +1578,120 @@ impl Sim {
     // ------------------------------------------------------------------
 
     fn crash(&mut self, v: usize) {
-        if matches!(self.ranks[v].mode, Mode::Dead | Mode::Finished) {
-            return;
-        }
-        if self.ranks[v].finish.is_some() {
+        let rk = &self.ranks[v];
+        if rk.down || rk.finish.is_some() {
             return; // finished ranks are not restarted in these scenarios
         }
         self.faults += 1;
-        let pc_at_crash = self.ranks[v].pc;
-        {
-            // Close out any blocked-time attribution.
-            if self.ranks[v].blocked.is_some() {
-                let dt = self.now - self.ranks[v].block_start;
-                self.ranks[v].breakdown.wait += dt;
-                self.ranks[v].blocked = None;
-            }
-            let rk = &mut self.ranks[v];
-            rk.mode = Mode::Dead;
-            rk.generation += 1;
-            rk.pc_at_crash = pc_at_crash;
-            rk.ckpt_in_progress = false;
-            rk.outstanding_acks = 0;
-            rk.pending_el = 0;
-            rk.pending_from = None;
-            rk.el_ack_tally = 0;
-            rk.gated.clear();
-            rk.rndv_pending.clear();
-            rk.resend_q.clear();
-            rk.resend_token = None;
-            rk.el_ship_q.clear();
-            rk.reqs.clear();
-            rk.incomplete_reqs.clear();
-            for s in 0..self.n {
-                rk.arrivals[s].clear();
-                rk.waiters[s].clear();
-            }
-        }
         if let Some(d) = &self.obs_dispatch {
-            d.record_at(
-                0,
-                self.now,
-                mvr_obs::ProtoEvent::ChaosKill {
-                    victim: v as u32,
-                    rekill: false,
-                },
-            );
+            let kill = mvr_obs::ProtoEvent::ChaosKill {
+                victim: v as u32,
+                rekill: false,
+            };
+            d.record(0, kill);
         }
-        self.tx[v].reset(self.now);
-        self.rx[v].reset(self.now);
+        self.take_down(v);
+        // A restarted rank waits for no answer from a crashed peer.
+        for r in 0..self.n {
+            self.forget_peer(r, v);
+        }
         if self.ckpt_victim == Some(v) {
             self.pick_ckpt_victim();
         }
         // Restart after the detection/spawn overhead + image fetch.
-        let image = self.ranks[v]
-            .snapshot
-            .as_ref()
-            .map(|s| s.image_bytes)
-            .unwrap_or(0);
+        let image = self.ranks[v].snapshot.as_ref().map_or(0, |s| s.image_bytes);
         let fetch = transfer_ns(image, self.cfg.ckpt_bandwidth);
         self.push_ev(self.now + self.cfg.restart_overhead + fetch, Ev::Restart(v));
     }
 
+    /// End `v`'s incarnation: its engine, in-flight work and lanes die.
+    fn take_down(&mut self, v: usize) {
+        if self.ranks[v].blocked.is_some() {
+            // Close out the blocked-time attribution.
+            let dt = self.now - self.ranks[v].block_start;
+            self.ranks[v].breakdown.wait += dt;
+            self.ranks[v].blocked = None;
+        }
+        let rk = &mut self.ranks[v];
+        rk.down = true;
+        rk.generation += 1;
+        rk.recv_posted = false;
+        rk.ckpt_ordered = false;
+        rk.reconnecting = None;
+        rk.image = None;
+        if let Some(e) = rk.engine.take() {
+            self.retired_events += e.metrics().events_logged;
+            self.retired_batches += e.metrics().el_batches_sent;
+            self.retired_timings.merge(e.timings());
+        }
+        self.conns[v].clear();
+        self.tx[v].reset(self.now);
+        self.rx[v].reset(self.now);
+    }
+
+    /// Bring `v` back from its last stored image (or from the start),
+    /// over the events its shard logged: the engine's RESTART1 asks the
+    /// peers for what the image lacks.
     fn restart(&mut self, v: usize) {
-        if !matches!(self.ranks[v].mode, Mode::Dead) {
+        if self.ranks[v].down {
+            self.revive(v);
+            self.announce(v);
+            self.forget_peer(v, v);
+        }
+    }
+
+    /// Install `v`'s new incarnation; its RESTART1 messages wait in the
+    /// engine's outputs until [`Sim::announce`].
+    fn revive(&mut self, v: usize) {
+        let n = self.n;
+        let (proc, engine) = match &self.ranks[v].snapshot {
+            Some(s) => (s.proc.clone(), V2Engine::restore(s.engine.clone())),
+            None => (Proc::new(n), V2Engine::fresh(Rank(v as u32), n as u32)),
+        };
+        let mut engine = self.configured(v, engine);
+        // DownloadEL(H_v) as the runtime does it: the union of the
+        // shard's replicas, so an event a write quorum acked is there
+        // even where one replica's copy is stale.
+        let downloads = (0..self.cfg.el_replicas.max(1))
+            .map(|i| {
+                self.el_stores[self.el_nid(v, i) - self.el_base]
+                    .download(Rank(v as u32), engine.clock())
+            })
+            .collect();
+        engine.begin_recovery(merge_downloads(downloads));
+        let rk = &mut self.ranks[v];
+        rk.proc = proc;
+        rk.engine = Some(engine);
+        rk.down = false;
+        rk.finish = None;
+    }
+
+    /// Send `v`'s RESTART1 messages. Its process is held — `v` is on
+    /// its own waiting list until [`Sim::forget_peer`] takes it off —
+    /// and resumes once every peer alive now has answered.
+    fn announce(&mut self, v: usize) {
+        let waiting = (0..self.n)
+            .filter(|&q| q == v || !self.ranks[q].down)
+            .collect();
+        self.ranks[v].reconnecting = Some(waiting);
+        self.pump(v);
+    }
+
+    /// `v` expects no RESTART2 from `q` any more (it answered, or
+    /// crashed); resume `v`'s process once every live peer has answered
+    /// its RESTART1. Every peer's watermark is known by then, so a
+    /// re-executed send never goes to a peer that already has it, and no
+    /// later answer re-sends what the process has just sent. The runtime
+    /// has no such wait: it stands in for a fix of the engine, which
+    /// re-sends on both RESTART1 and RESTART2 from the same peer.
+    fn forget_peer(&mut self, v: usize, q: usize) {
+        let Some(peers) = &mut self.ranks[v].reconnecting else {
             return;
-        }
-        let until = self.ranks[v].pc_at_crash;
-        {
-            let rk = &mut self.ranks[v];
-            match rk.snapshot.clone() {
-                Some(s) => {
-                    rk.pc = s.pc;
-                    rk.clock = s.clock;
-                    rk.sent_count = s.sent_count;
-                    rk.consumed_count = s.consumed_count.clone();
-                    rk.arrived_count = s.arrived_count;
-                    rk.reserved_count = s.consumed_count;
-                    rk.log_bytes = s.log_bytes;
-                }
-                None => {
-                    rk.pc = 0;
-                    rk.clock = 0;
-                    rk.sent_count = vec![0; self.n];
-                    rk.consumed_count = vec![0; self.n];
-                    rk.arrived_count = vec![0; self.n];
-                    rk.reserved_count = vec![0; self.n];
-                    rk.log_bytes = 0;
-                }
-            }
-            rk.mode = if rk.pc >= until {
-                Mode::Live
-            } else {
-                Mode::Replay { until }
-            };
-            rk.finish = None;
-            rk.replayed_n = 0;
-            rk.replay_start_t = self.now;
-        }
-        let restored_clock = self.ranks[v].clock;
-        self.rec(v, mvr_obs::ProtoEvent::RecoveryBegin { restored_clock });
-        self.rec(v, mvr_obs::ProtoEvent::Restart1 { rank: v as u32 });
-        // RESTART1: every live peer re-sends what v's restored state has
-        // not received.
-        self.enqueue_retransmits_to(v);
-        // RESTART2 replies: v re-sends, from its restored log, the
-        // pre-checkpoint messages its peers are missing — messages can be
-        // lost in both directions when both ends were down concurrently
-        // (the multi-fault case of Appendix A).
-        self.enqueue_retransmits_from(v);
-        self.push_ready(self.now, v);
-    }
-
-    /// Re-send, from `u`'s restored sender log, the messages each live
-    /// peer is missing and that `u` will not re-create (indices below its
-    /// restored send counters).
-    fn enqueue_retransmits_from(&mut self, u: usize) {
-        if self.cfg.protocol == Protocol::V1 {
-            return; // V1 recovery is CM-driven
-        }
-        for v in 0..self.n {
-            if v == u || matches!(self.ranks[v].mode, Mode::Dead) {
-                continue;
-            }
-            let from_idx = self.ranks[v].consumed_count[u];
-            let upto = self.ranks[u].sent_count[v];
-            let sizes: Vec<(u64, u64)> = (from_idx..upto)
-                .map(|i| (i, self.ranks[u].sent_sizes[v][i as usize]))
-                .collect();
-            for (index, bytes) in sizes {
-                self.ranks[u].resend_q.push_back((v, index, bytes));
-            }
-        }
-        self.pump_resends(u);
-    }
-
-    /// Re-send, from every peer's sender log, the messages `v`'s restored
-    /// state has not received (index ≥ its arrived count).
-    fn enqueue_retransmits_to(&mut self, v: usize) {
-        for u in 0..self.n {
-            if u == v || matches!(self.ranks[u].mode, Mode::Dead) {
-                continue;
-            }
-            // Base at the consumption pointer: everything not provably
-            // consumed is re-sent (the receiver drops surplus).
-            let from_idx = self.ranks[v].consumed_count[u];
-            let upto = self.ranks[u].sent_count[v];
-            let sizes: Vec<(u64, u64)> = (from_idx..upto)
-                .map(|i| (i, self.ranks[u].sent_sizes[v][i as usize]))
-                .collect();
-            if self.cfg.protocol == Protocol::V1 {
-                // V1 recovery is CM-driven; the CM still holds the
-                // messages (reliable); nothing to do sender-side.
-                continue;
-            }
-            for (index, bytes) in sizes {
-                // The retransmit supersedes any rendezvous handshake that
-                // was pending toward the crashed receiver: complete its
-                // request (the buffer is ours again) and drop the stale
-                // pending entry.
-                if let Some((_, token, op)) = self.ranks[u].rndv_pending.remove(&(v, index)) {
-                    if let Some(tk) = token {
-                        self.push_tx_done(self.now, u, tk);
-                    }
-                    if let Some(o) = op {
-                        self.push_tx_done(self.now, u, u64::MAX - o as u64);
-                    }
-                }
-                self.ranks[u].resend_q.push_back((v, index, bytes));
-            }
-            self.pump_resends(u);
-        }
-        // V1: reset the CM pull/forward cursors so re-pulls replay the
-        // stored sequence from the restored reception index.
-        if self.cfg.protocol == Protocol::V1 {
-            let slot = self.cm_owner_slot(v);
-            self.cm_forwarded[slot] = 0;
-            self.cm_pulled[slot] = 0;
-            // (A full V1 CM replay model would re-stream the stored
-            // prefix; V1 fault experiments are out of the paper's scope.)
+        };
+        peers.retain(|&p| p != q);
+        if peers.is_empty() {
+            self.ranks[v].reconnecting = None;
+            self.push_ready(self.now, v);
         }
     }
 
@@ -2008,28 +1701,52 @@ impl Sim {
 
     /// Run to completion with a fault/checkpoint plan.
     pub fn run_with_plan(mut self, plan: &FaultPlan) -> SimReport {
-        self.ckpt_continuous = plan.continuous_checkpointing;
+        self.start(plan);
+        self.run();
+        self.into_report()
+    }
+
+    /// Schedule the plan's crashes and checkpoint scheduler, and start
+    /// every rank.
+    fn start(&mut self, plan: &FaultPlan) {
+        assert!(
+            self.cfg.protocol == Protocol::V2
+                || (plan.faults.is_empty() && !plan.continuous_checkpointing),
+            "faults and checkpoints are modelled for V2 only"
+        );
         self.ckpt_rng = plan.seed.max(1);
         for &(t, v) in &plan.faults {
             self.push_ev(t, Ev::Crash(v));
         }
-        if self.ckpt_continuous {
+        if plan.continuous_checkpointing {
             self.push_ev(0, Ev::SchedulerKick);
         }
-        // Start every live rank.
         for r in 0..self.n {
-            if matches!(self.ranks[r].mode, Mode::Live | Mode::Replay { .. }) {
-                self.push_ready(0, r);
-            }
+            self.push_ready(0, r);
         }
+    }
+
+    /// Process events until every rank has finished.
+    fn run(&mut self) {
+        self.run_until(Sim::all_done);
+        assert!(
+            self.all_done() || self.infeasible,
+            "simulation wedged: event heap drained before completion"
+        );
+    }
+
+    /// Process events until `stop` holds, the run turns infeasible or
+    /// nothing is left in flight.
+    fn run_until(&mut self, stop: impl Fn(&Sim) -> bool) {
         let mut guard: u64 = 0;
-        while let Some(Reverse(HeapEv { t, ev, .. })) = self.heap.pop() {
-            self.now = t;
-            if self.infeasible {
-                break;
-            }
+        while !stop(self) && !self.infeasible {
+            let Some(Reverse(HeapEv { t, ev, .. })) = self.heap.pop() else {
+                return;
+            };
             guard += 1;
             assert!(guard < 2_000_000_000, "simulation runaway");
+            self.now = t;
+            self.clock.set(t);
             match ev {
                 Ev::RankReady(r, gen) => {
                     if self.ranks[r].generation != gen {
@@ -2037,13 +1754,12 @@ impl Sim {
                     }
                     if self.ranks[r].blocked == Some(Block::Compute) {
                         self.unblock(r);
-                    } else if self.ranks[r].blocked.is_none() {
-                        self.advance(r);
                     }
+                    self.advance(r);
                 }
                 Ev::ChunkArrive { tid, bytes, last } => self.on_chunk_arrive(tid, bytes, last),
-                Ev::TxNextChunk { tid } => self.tx_chunk(tid, 0),
-                Ev::Delivered { tid } => self.on_delivered_ev(tid),
+                Ev::TxNextChunk { tid } => self.tx_chunk(tid),
+                Ev::Delivered { tid } => self.on_delivered(tid),
                 Ev::SendTxDone { rank, token, gen } => {
                     if self.ranks[rank].generation == gen {
                         self.on_send_tx_done(rank, token);
@@ -2053,80 +1769,44 @@ impl Sim {
                 Ev::Restart(v) => self.restart(v),
                 Ev::SchedulerKick => self.pick_ckpt_victim(),
             }
-            if self.all_done() {
-                break;
-            }
         }
-        debug_assert!(
-            self.all_done() || self.infeasible,
-            "simulation wedged: event heap drained before completion"
-        );
-        self.into_report()
-    }
-
-    /// Stream the next queued recovery re-send, if none is in flight.
-    fn pump_resends(&mut self, r: usize) {
-        if self.ranks[r].resend_token.is_some() {
-            return;
-        }
-        let Some((dst, index, bytes)) = self.ranks[r].resend_q.pop_front() else {
-            return;
-        };
-        let token = self.ranks[r].next_token;
-        self.ranks[r].next_token += 1;
-        self.ranks[r].resend_token = Some(token);
-        self.send_or_gate(
-            r,
-            SendSpec::Payload {
-                dst,
-                index,
-                bytes,
-                token: Some(token),
-                op: None,
-            },
-        );
     }
 
     fn on_send_tx_done(&mut self, r: usize, token: u64) {
-        if self.ranks[r].resend_token == Some(token) {
-            self.ranks[r].resend_token = None;
-            self.pump_resends(r);
-            return;
-        }
         // Tokens in the upper range encode request completions.
         if token > u64::MAX / 2 {
-            let op = (u64::MAX - token) as usize;
-            self.ranks[r].reqs.insert(op, true);
-            self.ranks[r].incomplete_reqs.remove(&op);
-            self.check_wait_block(r);
-            return;
-        }
-        if self.ranks[r].blocked == Some(Block::Send { token }) {
-            self.unblock(r);
+            self.complete_req(r, (u64::MAX - token) as usize);
+        } else if self.ranks[r].blocked == Some(Block::Send { token }) {
+            self.wake(r);
         }
     }
 
     fn all_done(&self) -> bool {
-        self.ranks
-            .iter()
-            .all(|r| r.finish.is_some() || matches!(r.mode, Mode::Finished))
+        self.ranks.iter().all(|r| r.finish.is_some())
     }
 
     fn into_report(self) -> SimReport {
         let makespan = self
             .ranks
             .iter()
-            .filter(|r| !matches!(r.mode, Mode::Finished))
             .filter_map(|r| r.finish)
             .max()
-            .unwrap_or(self.now);
+            .unwrap_or(self.now)
+            .saturating_sub(self.t0);
+        let mut timings = self.retired_timings;
+        let (mut el_events, mut el_requests) = (self.retired_events, self.retired_batches);
+        for e in self.ranks.iter().filter_map(|r| r.engine.as_ref()) {
+            el_events += e.metrics().events_logged;
+            el_requests += e.metrics().el_batches_sent;
+            timings.merge(e.timings());
+        }
         SimReport {
             makespan,
             per_rank: self.ranks.iter().map(|r| r.breakdown).collect(),
             msgs_delivered: self.msgs_delivered,
             bytes_delivered: self.bytes_delivered,
-            el_events: self.el_events,
-            el_requests: self.el_requests,
+            el_events,
+            el_requests,
             max_log_bytes: self
                 .ranks
                 .iter()
@@ -2137,8 +1817,8 @@ impl Sim {
             infeasible: self.infeasible,
             checkpoints: self.checkpoints,
             faults: self.faults,
-            gate_wait: self.gate_wait,
-            el_ack_rtt: self.el_ack_rtt,
+            gate_wait: timings.gate_wait,
+            el_ack_rtt: timings.el_ack_rtt,
         }
     }
 }
@@ -2157,52 +1837,45 @@ pub fn simulate_with_faults(
     Sim::new(cfg, traces).run_with_plan(plan)
 }
 
-/// The Fig.-10 scenario: the run has completed; restart the given ranks
-/// from the *beginning* (no checkpoints) and measure their re-execution.
-/// Non-restarted ranks only serve re-sends from their logs.
-#[allow(clippy::needless_range_loop)] // rank/peer cross-indexing
+/// The Fig.-10 scenario (V2): the run has completed; restart the given
+/// ranks from the *beginning* (no checkpoints) over their logged events
+/// and measure their re-execution. The other ranks have finished; their
+/// engines only serve re-sends from their logs.
 pub fn simulate_replay(cfg: ClusterConfig, traces: Vec<Vec<Op>>, restarted: &[usize]) -> SimReport {
-    let n = traces.len();
-    let restarted: HashSet<usize> = restarted.iter().copied().collect();
-    // Per-pair totals of the completed run.
-    let mut sent_sizes: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); n]; n];
-    for (r, t) in traces.iter().enumerate() {
-        for op in t {
-            match op {
-                Op::Send { dst, bytes } | Op::Isend { dst, bytes } => {
-                    sent_sizes[r][*dst].push(*bytes);
-                }
-                _ => {}
-            }
-        }
-    }
+    assert_eq!(
+        cfg.protocol,
+        Protocol::V2,
+        "re-execution is modelled for V2 only"
+    );
     let mut sim = Sim::new(cfg, traces);
-    for r in 0..n {
-        if restarted.contains(&r) {
-            let until = sim.ranks[r].trace.len();
-            sim.ranks[r].mode = Mode::Replay { until };
-        } else {
-            // Finished: full counters; serves re-sends only.
-            sim.ranks[r].mode = Mode::Finished;
-            for d in 0..n {
-                sim.ranks[r].sent_count[d] = sent_sizes[r][d].len() as u64;
-                sim.ranks[r].sent_sizes[d] = sent_sizes[r][d].clone();
-            }
-            for s in 0..n {
-                let total = sent_sizes[s][r].len() as u64;
-                sim.ranks[r].arrived_count[s] = total;
-                sim.ranks[r].consumed_count[s] = total;
-                sim.ranks[r].reserved_count[s] = total;
-            }
-        }
+    sim.start(&FaultPlan::default());
+    sim.run();
+    sim.run_until(|_| false);
+    let mut restarted = restarted.to_vec();
+    restarted.sort_unstable();
+    restarted.dedup();
+    // Every restarted rank is up before any of them announces itself, so
+    // their RESTART1 messages reach each other.
+    for &v in &restarted {
+        sim.take_down(v);
+        sim.ranks[v].breakdown = RankBreakdown::default();
     }
-    // RESTART1 handshake: every finished peer streams its logged messages
-    // to the restarted ranks.
-    let restarted_list: Vec<usize> = restarted.iter().copied().collect();
-    for &v in &restarted_list {
-        sim.enqueue_retransmits_to(v);
+    for &v in &restarted {
+        sim.revive(v);
     }
-    sim.run_with_plan(&FaultPlan::default())
+    for &v in &restarted {
+        sim.announce(v);
+    }
+    // The restarted processes are relaunched together once every one of
+    // their daemons has reconnected; re-execution is timed from there.
+    let held = |s: &Sim, v: usize| s.ranks[v].reconnecting.as_deref() == Some(&[v][..]);
+    sim.run_until(|s| restarted.iter().all(|&v| held(s, v)));
+    sim.t0 = sim.now;
+    for &v in &restarted {
+        sim.forget_peer(v, v);
+    }
+    sim.run();
+    sim.into_report()
 }
 
 #[cfg(test)]
@@ -2547,6 +2220,112 @@ mod tests {
         let audit = mvr_obs::audit(None, &timeline).expect("well-formed sim timeline");
         assert!(audit.findings.is_empty(), "{:?}", audit.findings);
         assert_eq!(audit.spans.spans.len(), 2 * iters, "one span per message");
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation wedged")]
+    fn a_receive_nobody_sends_fails_the_run() {
+        let mut a = TraceBuilder::new();
+        a.send(1, 64);
+        let mut b = TraceBuilder::new();
+        b.recv(0);
+        b.recv(0); // never sent
+        simulate(cfg(Protocol::V2, 2), vec![a.build(), b.build()]);
+    }
+
+    /// Four ranks exchanging eager and rendezvous messages both ways
+    /// round a ring, with checkpoint sites. Blocking receives fix each
+    /// rank's consumption order.
+    fn exchange_ring(iters: usize) -> Vec<Vec<Op>> {
+        (0..4usize)
+            .map(|r| {
+                let (next, prev) = ((r + 1) % 4, (r + 3) % 4);
+                let mut t = TraceBuilder::new();
+                for i in 0..iters {
+                    t.compute(2_000_000);
+                    t.isend(next, 8 << 10);
+                    t.isend(prev, if i % 3 == 0 { 200_000 } else { 1 << 10 });
+                    t.recv(prev);
+                    t.recv(next);
+                    t.waitall();
+                    t.checkpoint_site();
+                }
+                t.build()
+            })
+            .collect()
+    }
+
+    /// A quick-restarting cluster with small images, so that crashes,
+    /// checkpoints and recoveries all fit in a short run.
+    fn fast_recovery() -> ClusterConfig {
+        let mut c = cfg(Protocol::V2, 4);
+        c.restart_overhead = crate::time::msecs(2);
+        c.process_state_bytes = 64 << 10;
+        c
+    }
+
+    fn faulted_plan(seed: u64) -> FaultPlan {
+        FaultPlan {
+            faults: vec![(20_000_000, 1), (45_000_000, 2), (60_000_000, 1)],
+            continuous_checkpointing: true,
+            seed,
+        }
+    }
+
+    /// Each rank's consumed (source, bytes) sequence after running
+    /// `plan` over `el_replicas` event-logger replicas, and the faults
+    /// that landed.
+    fn consumed_sequences(plan: &FaultPlan, el_replicas: usize) -> (Vec<Vec<(usize, u64)>>, u64) {
+        let mut c = fast_recovery();
+        c.el_replicas = el_replicas;
+        let mut sim = Sim::new(c, exchange_ring(30));
+        sim.start(plan);
+        sim.run();
+        let seqs = sim.ranks.iter().map(|r| r.proc.consumed.clone()).collect();
+        (seqs, sim.faults)
+    }
+
+    #[test]
+    fn recovery_replays_every_rank_s_deliveries_exactly_once() {
+        let (reference, _) = consumed_sequences(&FaultPlan::default(), 1);
+        assert!(reference.iter().all(|s| s.len() == 60));
+        // Three replicas: a restarted rank merges every replica's copy.
+        for (seed, replicas) in [(3, 1), (8, 1), (3, 3)] {
+            let (faulted, faults) = consumed_sequences(&faulted_plan(seed), replicas);
+            assert_eq!(faults, 3, "every planned crash lands (seed {seed})");
+            assert_eq!(faulted, reference, "seed {seed}, {replicas} replicas");
+        }
+    }
+
+    #[test]
+    fn a_faulted_checkpointing_timeline_keeps_every_invariant() {
+        // The live monitor sees every record as the engines write it, in
+        // event order; the offline one replays the merged timeline.
+        let hub = mvr_obs::RecorderHub::new(mvr_obs::RecorderConfig {
+            capacity: 1 << 20,
+            ..mvr_obs::RecorderConfig::enabled()
+        });
+        let live = mvr_obs::InvariantMonitor::new();
+        hub.set_sink(live.clone());
+        let mut sim = Sim::new(fast_recovery(), exchange_ring(30));
+        sim.attach_recorder(&hub);
+        let rep = sim.run_with_plan(&faulted_plan(3));
+        assert_eq!(rep.faults, 3);
+        assert!(rep.checkpoints > 0);
+        assert_eq!(live.violation(), None);
+        let timeline = hub.timeline();
+        assert_eq!(live.records_seen(), timeline.len() as u64);
+        let offline = mvr_obs::InvariantMonitor::new();
+        offline.observe_all(&timeline);
+        assert_eq!(offline.violation(), None);
+        for kind in ["CkptCommit", "CkptGc", "Restart2", "ReplayStep", "GateOpen"] {
+            assert!(
+                timeline
+                    .iter()
+                    .any(|r| format!("{:?}", r.event).starts_with(kind)),
+                "{kind}"
+            );
+        }
     }
 
     #[test]
