@@ -174,7 +174,9 @@ pub struct V2Engine {
     /// Peers whose post-restart "connection" is established: after a
     /// recovery, data from a peer is dropped until its `RESTART1`/
     /// `RESTART2` arrives — the analog of in-flight bytes dying with the
-    /// old TCP connection. (`None` = not recovering; all peers accepted.)
+    /// old TCP connection — and data to it stays in SAVED, for the
+    /// re-send round that answer triggers. (`None` = not recovering; all
+    /// peers accepted.)
     handshaken: Option<std::collections::BTreeSet<Rank>>,
     /// Size bound of an event batch ([`DEFAULT_BATCH_MAX_EVENTS`] unless
     /// [`set_batch_bound`](Self::set_batch_bound) changed it).
@@ -484,6 +486,20 @@ impl V2Engine {
         self.gated.len()
     }
 
+    /// Whether this recovering incarnation still waits for a peer's
+    /// `RESTART1`/`RESTART2` (always false outside recovery).
+    pub fn awaiting_restart_answers(&self) -> bool {
+        self.handshaken
+            .as_ref()
+            .is_some_and(|hs| hs.len() + 1 < self.world as usize)
+    }
+
+    /// Has this incarnation heard `q`'s `RESTART1`/`RESTART2` (or is it
+    /// not recovering)?
+    fn heard_restart_from(&self, q: Rank) -> bool {
+        self.handshaken.as_ref().is_none_or(|hs| hs.contains(&q))
+    }
+
     /// Change the batch size bound (0 is treated as 1), e.g. after
     /// [`restore`](Self::restore), which always starts from
     /// [`DEFAULT_BATCH_MAX_EVENTS`]. Immediately flushes if the backlog
@@ -557,7 +573,7 @@ impl V2Engine {
         self.saved.append(dst, h, payload.clone());
         self.metrics.msgs_sent += 1;
         self.metrics.bytes_sent += bytes;
-        if self.marks.should_transmit_to(dst, h) {
+        if self.marks.should_transmit_to(dst, h) && self.heard_restart_from(dst) {
             self.marks.on_transmit_to(dst, h);
             // The disposition is decided by the same predicate
             // `send_data` uses, so the record matches what the gate
@@ -583,6 +599,9 @@ impl V2Engine {
             });
             self.send_data(dst, msg);
         } else {
+            // Either the peer provably holds it, or it has not answered
+            // our RESTART1 yet: its answer's re-send round carries the
+            // message from SAVED if it lacks it.
             self.metrics.transmissions_suppressed += 1;
             self.obs.record(
                 h,
@@ -814,33 +833,25 @@ impl V2Engine {
     fn on_peer(&mut self, from: Rank, msg: PeerMsg) -> Result<(), ReplayError> {
         match msg {
             PeerMsg::Data(data) => {
-                if let Some(hs) = &self.handshaken {
-                    if !hs.contains(&from) {
-                        // Old-connection leftover racing our recovery.
-                        self.metrics.duplicates_dropped += 1;
-                        self.obs.record(
-                            self.clock.value(),
-                            ProtoEvent::DuplicateDropped {
-                                from: from.0,
-                                sender_clock: data.id.sender_clock,
-                            },
-                        );
-                        return Ok(());
-                    }
+                if !self.heard_restart_from(from) {
+                    // Old-connection leftover racing our recovery.
+                    self.metrics.duplicates_dropped += 1;
+                    self.obs.record(
+                        self.clock.value(),
+                        ProtoEvent::DuplicateDropped {
+                            from: from.0,
+                            sender_clock: data.id.sender_clock,
+                        },
+                    );
+                    return Ok(());
                 }
                 self.on_peer_data(from, data)
             }
             PeerMsg::Restart1 { last_received } => {
-                if let Some(hs) = &mut self.handshaken {
-                    hs.insert(from);
-                }
                 self.on_restart_watermark(from, last_received, true);
                 Ok(())
             }
             PeerMsg::Restart2 { last_received } => {
-                if let Some(hs) = &mut self.handshaken {
-                    hs.insert(from);
-                }
                 self.on_restart_watermark(from, last_received, false);
                 Ok(())
             }
@@ -946,8 +957,16 @@ impl V2Engine {
 
     /// Common half of the `RESTART1` / `RESTART2` rules: set `HS` from the
     /// peer's watermark and re-send newer saved messages; `RESTART1`
-    /// additionally answers with `RESTART2`.
+    /// additionally answers with `RESTART2`. A `RESTART2` from a peer
+    /// whose `RESTART1` this incarnation has already handled re-sends
+    /// nothing: that round covered all of SAVED above an older watermark
+    /// of the same peer incarnation, and what it queued must not be
+    /// purged.
     fn on_restart_watermark(&mut self, from: Rank, last_received: u64, reply: bool) {
+        let already_resent = match &mut self.handshaken {
+            Some(hs) => !hs.insert(from) && !reply,
+            None => false,
+        };
         self.marks.set_hs_from_restart(from, last_received);
         self.obs.record(
             self.clock.value(),
@@ -964,6 +983,9 @@ impl V2Engine {
                     last_received: mine,
                 },
             });
+        }
+        if already_resent {
+            return;
         }
         // Purge transmissions to the restarting peer still queued behind
         // the gate: they were addressed to its dead incarnation, and
@@ -1373,6 +1395,77 @@ mod tests {
         assert_eq!(d[0].1.sender_clock, 2);
         assert_eq!(d[1].1.sender_clock, 3);
         assert_eq!(e.metrics().retransmissions, 2);
+    }
+
+    /// The one `RESTART1` (or `RESTART2`) in `o`, as the peer receives it.
+    fn restart_msg(o: &[Output]) -> PeerMsg {
+        let mut it = o.iter().filter_map(|x| match x {
+            Output::Transmit { msg, .. } if !matches!(msg, PeerMsg::Data(_)) => Some(msg.clone()),
+            _ => None,
+        });
+        let msg = it.next().expect("a RESTART message");
+        assert!(it.next().is_none(), "one RESTART message per peer");
+        msg
+    }
+
+    #[test]
+    fn ranks_restarting_together_send_each_saved_message_once() {
+        // Rank 0 sent clocks 1 and 2 to rank 1, rank 1 sent clock 1 to
+        // rank 0; both restart from images taken right after, and every
+        // message died in flight.
+        let mut images = Vec::new();
+        for (r, sends) in [(0u32, 2u8), (1, 1)] {
+            let mut e = V2Engine::fresh(Rank(r), 2);
+            for i in 0..sends {
+                e.handle(Input::AppSend {
+                    dst: Rank(1 - r),
+                    payload: pl(i),
+                })
+                .unwrap();
+            }
+            images.push(e.snapshot());
+        }
+        let mut e: Vec<V2Engine> = images.into_iter().map(V2Engine::restore).collect();
+        let mut r1 = Vec::new();
+        for x in e.iter_mut() {
+            x.begin_recovery(vec![]);
+            assert!(x.awaiting_restart_answers());
+            r1.push(restart_msg(&outs(x)));
+        }
+        // Rank 0 re-executes a send before rank 1 has answered: it stays
+        // in SAVED.
+        e[0].handle(Input::AppSend {
+            dst: Rank(1),
+            payload: pl(2),
+        })
+        .unwrap();
+        assert!(
+            data_out(&outs(&mut e[0])).is_empty(),
+            "sent before the answer"
+        );
+        assert_eq!(e[0].metrics().transmissions_suppressed, 1);
+        // Both RESTART1s cross; each answer re-sends everything the peer
+        // lacks, the held send included.
+        let mut data: Vec<Vec<u64>> = vec![Vec::new(); 2];
+        let mut r2 = Vec::new();
+        for (to, msg) in [(0usize, r1[1].clone()), (1, r1[0].clone())] {
+            let from = Rank(1 - to as u32);
+            e[to].handle(Input::Peer { from, msg }).unwrap();
+            let o = outs(&mut e[to]);
+            data[to].extend(data_out(&o).iter().map(|d| d.1.sender_clock));
+            r2.push(restart_msg(&o));
+            assert!(!e[to].awaiting_restart_answers());
+        }
+        assert_eq!(data, vec![vec![1, 2, 3], vec![1]]);
+        // The RESTART2s re-send nothing: that round already happened.
+        for (to, msg) in [(0usize, r2[1].clone()), (1, r2[0].clone())] {
+            let from = Rank(1 - to as u32);
+            assert!(matches!(msg, PeerMsg::Restart2 { last_received: 0 }));
+            e[to].handle(Input::Peer { from, msg }).unwrap();
+            assert!(outs(&mut e[to]).is_empty(), "rank {to} re-sent twice");
+        }
+        assert_eq!(e[0].metrics().retransmissions, 3);
+        assert_eq!(e[1].metrics().retransmissions, 1);
     }
 
     #[test]

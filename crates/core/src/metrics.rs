@@ -30,8 +30,9 @@ pub struct Metrics {
     pub duplicates_dropped: u64,
     /// Old messages re-sent from the sender log during a peer's recovery.
     pub retransmissions: u64,
-    /// Messages suppressed because the peer provably received them
-    /// (`h <= HS` during re-execution).
+    /// Messages not transmitted when sent: the peer provably received
+    /// them (`h <= HS` during re-execution), or it had not answered this
+    /// incarnation's `RESTART1` yet (its answer re-sends what it lacks).
     pub transmissions_suppressed: u64,
     /// Deliveries performed in replay mode.
     pub replayed_deliveries: u64,

@@ -119,6 +119,8 @@ mod tests {
         assert!(g.is_open());
     }
 
+    // The check is a `debug_assert!`: there is nothing to test without it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn schedule_must_increase() {

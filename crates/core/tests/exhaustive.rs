@@ -8,6 +8,9 @@
 //! runs the recovery deterministically, and checks that the completed
 //! execution is equivalent to a fault-free one (every planned message
 //! delivered exactly once, in per-pair order, with the right content).
+//! On every delivery it also checks that no data message crosses one
+//! channel twice between the same two incarnations: a recovery re-sends
+//! what a peer lacks once, not once per RESTART message.
 //!
 //! Under a batch bound above 1 the explorer can also branch on the **host
 //! shipping a rank's pending events** at any state — the runtime's
@@ -19,7 +22,7 @@
 
 use mvr_core::engine::{Input, Output};
 use mvr_core::{EngineSnapshot, EventBatch, Payload, PeerMsg, Rank, ReceptionEvent, V2Engine};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 // ---------------------------------------------------------------------
 // Deterministic test programs
@@ -63,8 +66,18 @@ type Snapshot = (EngineSnapshot, usize, u32, Vec<(u32, Payload)>);
 /// A deliverable in-flight item.
 #[derive(Clone, Debug)]
 enum Flight {
-    Peer { from: Rank, to: Rank, msg: PeerMsg },
-    ElAck { to: Rank, up_to: u64 },
+    Peer {
+        from: Rank,
+        to: Rank,
+        msg: PeerMsg,
+        /// The sender's incarnation, and the receiver's as the sender
+        /// knew it when transmitting.
+        incarnations: (u32, u32),
+    },
+    ElAck {
+        to: Rank,
+        up_to: u64,
+    },
 }
 
 #[derive(Clone)]
@@ -83,6 +96,15 @@ struct World {
     snapshots: Vec<Option<Snapshot>>,
     /// Batch size bound of every engine, re-applied after a restore.
     batch_max: usize,
+    /// Crashes each rank has gone through.
+    incarnation: Vec<u32>,
+    /// `[r][q]`: the incarnation of `q` that rank `r` addresses — the
+    /// one alive at `r`'s own restart, or whose RESTART message `r` has
+    /// handled since.
+    peer_incarnation: Vec<Vec<u32>>,
+    /// Every data message that crossed a channel: (sender, its
+    /// incarnation, receiver, the incarnation addressed, sender clock).
+    crossed: BTreeSet<(u32, u32, u32, u32, u64)>,
 }
 
 impl World {
@@ -105,6 +127,9 @@ impl World {
             el: vec![Vec::new(); n],
             snapshots: vec![None; n],
             batch_max,
+            incarnation: vec![0; n],
+            peer_incarnation: vec![vec![0; n]; n],
+            crossed: BTreeSet::new(),
         }
     }
 
@@ -121,6 +146,7 @@ impl World {
                         from: Rank(r as u32),
                         to,
                         msg,
+                        incarnations: (self.incarnation[r], self.peer_incarnation[r][to.idx()]),
                     });
                 }
                 Output::LogEvents(EventBatch { owner, events }) => {
@@ -198,7 +224,25 @@ impl World {
     fn deliver(&mut self, i: usize) {
         let f = self.flights.remove(i).expect("index valid");
         match f {
-            Flight::Peer { from, to, msg } => {
+            Flight::Peer {
+                from,
+                to,
+                msg,
+                incarnations: (from_inc, to_inc),
+            } => {
+                match &msg {
+                    PeerMsg::Data(d) => {
+                        let key = (from.0, from_inc, to.0, to_inc, d.id.sender_clock);
+                        assert!(
+                            self.crossed.insert(key),
+                            "data {key:?} (sender, inc, receiver, inc, clock) crossed its channel twice"
+                        );
+                    }
+                    PeerMsg::Restart1 { .. } | PeerMsg::Restart2 { .. } => {
+                        self.peer_incarnation[to.idx()][from.idx()] = from_inc;
+                    }
+                    PeerMsg::CkptNotify { .. } => {}
+                }
                 self.engines[to.idx()]
                     .handle(Input::Peer { from, msg })
                     .expect("no divergence");
@@ -235,14 +279,31 @@ impl World {
         (0..self.n()).all(|r| self.pc[r] >= self.scripts[r].len() && !self.waiting[r])
     }
 
-    /// Crash rank `v`: drop its engine/app state and every flight touching
-    /// it (channels emptied), restart (from snapshot if one was taken),
-    /// download its EL events, and begin recovery.
-    fn crash_and_restart(&mut self, v: usize) {
-        self.flights.retain(|f| match f {
-            Flight::Peer { from, to, .. } => from.idx() != v && to.idx() != v,
-            Flight::ElAck { to, .. } => to.idx() != v,
-        });
+    /// Crash every rank of `vs` at the same instant: drop its engine/app
+    /// state and every flight touching it (channels emptied), restart
+    /// (from snapshot if one was taken), download its EL events, and
+    /// begin recovery. All restart before any runs, so their RESTART1
+    /// messages cross.
+    fn crash_and_restart(&mut self, vs: &[usize]) {
+        for &v in vs {
+            self.flights.retain(|f| match f {
+                Flight::Peer { from, to, .. } => from.idx() != v && to.idx() != v,
+                Flight::ElAck { to, .. } => to.idx() != v,
+            });
+            self.incarnation[v] += 1;
+        }
+        for &v in vs {
+            self.restart(v);
+        }
+        for &v in vs {
+            self.route_outputs(v);
+        }
+        self.run_apps();
+    }
+
+    /// Rebuild rank `v`'s engine and process from its image and begin
+    /// its recovery; its RESTART1 messages wait in the engine's outputs.
+    fn restart(&mut self, v: usize) {
         let (mut engine, pc, sends, received) = match self.snapshots[v].clone() {
             Some((snap, pc, sends, received)) => (V2Engine::restore(snap), pc, sends, received),
             None => (
@@ -264,8 +325,7 @@ impl World {
         self.sends_done[v] = sends;
         self.received[v] = received;
         self.waiting[v] = false;
-        self.route_outputs(v);
-        self.run_apps();
+        self.peer_incarnation[v] = self.incarnation.clone();
     }
 
     /// The host ships rank `r`'s pending reception events now.
@@ -351,7 +411,7 @@ impl Explorer {
         if crashes_left > 0 {
             for v in 0..w.n() {
                 let mut fw = w.clone();
-                fw.crash_and_restart(v);
+                fw.crash_and_restart(&[v]);
                 let mut budget = 100_000u64;
                 fw.run_to_completion(&mut budget);
                 fw.check_equivalence(&self.expected);
@@ -362,12 +422,23 @@ impl Explorer {
                 if crashes_left > 1 {
                     for v2 in 0..w.n() {
                         let mut fw2 = w.clone();
-                        fw2.crash_and_restart(v);
-                        fw2.crash_and_restart(v2);
+                        fw2.crash_and_restart(&[v]);
+                        fw2.crash_and_restart(&[v2]);
                         let mut budget = 100_000u64;
                         fw2.run_to_completion(&mut budget);
                         fw2.check_equivalence(&self.expected);
                         self.crash_runs += 1;
+
+                        // And both at once: the two recoveries
+                        // handshake with each other.
+                        if v2 > v {
+                            let mut fw3 = w.clone();
+                            fw3.crash_and_restart(&[v, v2]);
+                            let mut budget = 100_000u64;
+                            fw3.run_to_completion(&mut budget);
+                            fw3.check_equivalence(&self.expected);
+                            self.crash_runs += 1;
+                        }
                     }
                 }
             }

@@ -18,8 +18,10 @@ pub enum SendDisposition {
     /// Queued behind the closed pessimism gate; a later `GateOpen`
     /// releases it.
     Gated,
-    /// Re-executed send whose transmission was suppressed (the peer's
-    /// RESTART watermark already covers it); only SAVED is rebuilt.
+    /// Send not transmitted when made: the peer's RESTART watermark
+    /// already covers it, or the peer has not answered the recovering
+    /// sender's RESTART1 yet (its answer's re-send round carries the
+    /// message if the peer lacks it); only SAVED is appended.
     Suppressed,
 }
 

@@ -29,9 +29,9 @@
 //! * a restarted node receives re-sent payloads from its peers' logs, and
 //!   a re-executed send is suppressed once the peer's RESTART watermark
 //!   shows it already has the message; no event-logger traffic is
-//!   replayed (Fig. 10). Unlike the runtime, a restarted process
-//!   resumes only once every live peer has answered its RESTART1 (see
-//!   `Sim::forget_peer`);
+//!   replayed (Fig. 10). As on the runtime, a restarted process resumes
+//!   right after `begin_recovery`; its engine holds the data for a peer
+//!   that has not answered yet;
 //! * checkpoints ship `process state + sender log` to the checkpoint
 //!   server over the node's own tx lane, overlapped with execution, and
 //!   the engines' checkpoint notifications garbage-collect the peers'
@@ -42,10 +42,11 @@ use crate::lane::Lane;
 use crate::report::{RankBreakdown, SimReport};
 use crate::time::{transfer_ns, SimTime};
 use crate::trace::Op;
+use mvr_ckpt::{Policy, Scheduler};
 use mvr_core::{
     ElReply, ElRequest, EngineSnapshot, Input, Output, Payload, PeerMsg, Rank, V2Engine,
 };
-use mvr_eventlog::{merge_downloads, EventLogStore};
+use mvr_eventlog::{merge_downloads, quorum_of, EventLogStore};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 
@@ -350,9 +351,6 @@ struct RankSim {
     recv_posted: bool,
     /// V2: a checkpoint order was forwarded and has not been armed yet.
     ckpt_ordered: bool,
-    /// Restarted, process not resumed yet: the live peers whose RESTART2
-    /// answer has not reached the new incarnation.
-    reconnecting: Option<Vec<usize>>,
     /// V2: the channel messages sent to each destination, in order. Kept
     /// across incarnations: re-execution rebuilds the same list.
     sent: Vec<Vec<Msg>>,
@@ -379,7 +377,6 @@ impl RankSim {
             block_start: 0,
             recv_posted: false,
             ckpt_ordered: false,
-            reconnecting: None,
             sent: vec![Vec::new(); n],
             max_log_bytes: 0,
             spilled: false,
@@ -486,7 +483,7 @@ pub struct Sim {
     obs_dispatch: Option<mvr_obs::Recorder>,
     infeasible: bool,
     // Continuous checkpointing
-    ckpt_rng: u64,
+    ckpt_sched: Scheduler,
     ckpt_victim: Option<usize>,
 }
 
@@ -558,7 +555,7 @@ impl Sim {
             obs,
             obs_dispatch: None,
             infeasible: false,
-            ckpt_rng: 1,
+            ckpt_sched: Scheduler::new(Policy::Random, n as u32, 1),
             ckpt_victim: None,
             cfg,
         };
@@ -590,7 +587,8 @@ impl Sim {
     /// `e`, set up as this cluster runs rank `r`'s engines.
     fn configured(&self, r: usize, mut e: V2Engine) -> V2Engine {
         e.set_batch_bound(self.cfg.el_batch_max as usize);
-        e.set_el_replication(self.cfg.el_replicas.max(1) as u32, self.el_quorum());
+        let replicas = self.cfg.el_replicas.max(1) as u32;
+        e.set_el_replication(replicas, quorum_of(replicas));
         e.set_recorder(self.obs[r].clone());
         e
     }
@@ -602,12 +600,6 @@ impl Sim {
         let reps = self.cfg.el_replicas.max(1);
         let shards = (self.cm_base - self.el_base) / reps;
         self.el_base + (rank % shards) * reps + replica
-    }
-
-    /// Acks that must arrive before a batch retires: a majority of the
-    /// shard's replicas, so one is exactly the unreplicated behaviour.
-    fn el_quorum(&self) -> u32 {
-        (self.cfg.el_replicas.max(1) / 2 + 1) as u32
     }
 
     fn cm_for(&self, rank: usize) -> Nid {
@@ -875,7 +867,6 @@ impl Sim {
                     }
                     _ => None,
                 };
-                let answered = matches!(msg, PeerMsg::Restart2 { .. });
                 let from_rank = Rank(from as u32);
                 self.feed(
                     to,
@@ -886,9 +877,6 @@ impl Sim {
                 );
                 if let Some(w) = watermark {
                     self.peer_holds(to, from, w);
-                }
-                if answered {
-                    self.forget_peer(to, from);
                 }
                 self.pump(to);
             }
@@ -1550,24 +1538,21 @@ impl Sim {
         true
     }
 
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.ckpt_rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.ckpt_rng = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
+    /// Order the next checkpoint from the random-victim scheduler. A
+    /// down or finished pick is skipped, as the runtime's scheduler
+    /// skips a victim it cannot reach.
     fn pick_ckpt_victim(&mut self) {
-        let alive: Vec<usize> = (0..self.n)
-            .filter(|&r| !self.ranks[r].down && self.ranks[r].finish.is_none())
-            .collect();
-        if alive.is_empty() {
-            self.ckpt_victim = None;
+        let reachable = |rk: &RankSim| !rk.down && rk.finish.is_none();
+        self.ckpt_victim = None;
+        if !self.ranks.iter().any(reachable) {
             return;
         }
-        let v = alive[(self.next_rand() % alive.len() as u64) as usize];
+        let v = loop {
+            let v = self.ckpt_sched.pick(&[]).expect("a non-empty world").idx();
+            if reachable(&self.ranks[v]) {
+                break v;
+            }
+        };
         self.ckpt_victim = Some(v);
         self.ranks[v].ckpt_ordered = true;
         self.feed(v, Input::CheckpointOrder);
@@ -1591,10 +1576,6 @@ impl Sim {
             d.record(0, kill);
         }
         self.take_down(v);
-        // A restarted rank waits for no answer from a crashed peer.
-        for r in 0..self.n {
-            self.forget_peer(r, v);
-        }
         if self.ckpt_victim == Some(v) {
             self.pick_ckpt_victim();
         }
@@ -1617,7 +1598,6 @@ impl Sim {
         rk.generation += 1;
         rk.recv_posted = false;
         rk.ckpt_ordered = false;
-        rk.reconnecting = None;
         rk.image = None;
         if let Some(e) = rk.engine.take() {
             self.retired_events += e.metrics().events_logged;
@@ -1631,17 +1611,17 @@ impl Sim {
 
     /// Bring `v` back from its last stored image (or from the start),
     /// over the events its shard logged: the engine's RESTART1 asks the
-    /// peers for what the image lacks.
+    /// peers for what the image lacks, and the process resumes at once.
     fn restart(&mut self, v: usize) {
         if self.ranks[v].down {
             self.revive(v);
-            self.announce(v);
-            self.forget_peer(v, v);
+            self.pump(v);
+            self.push_ready(self.now, v);
         }
     }
 
     /// Install `v`'s new incarnation; its RESTART1 messages wait in the
-    /// engine's outputs until [`Sim::announce`].
+    /// engine's outputs until the next [`Sim::pump`].
     fn revive(&mut self, v: usize) {
         let n = self.n;
         let (proc, engine) = match &self.ranks[v].snapshot {
@@ -1666,35 +1646,6 @@ impl Sim {
         rk.finish = None;
     }
 
-    /// Send `v`'s RESTART1 messages. Its process is held — `v` is on
-    /// its own waiting list until [`Sim::forget_peer`] takes it off —
-    /// and resumes once every peer alive now has answered.
-    fn announce(&mut self, v: usize) {
-        let waiting = (0..self.n)
-            .filter(|&q| q == v || !self.ranks[q].down)
-            .collect();
-        self.ranks[v].reconnecting = Some(waiting);
-        self.pump(v);
-    }
-
-    /// `v` expects no RESTART2 from `q` any more (it answered, or
-    /// crashed); resume `v`'s process once every live peer has answered
-    /// its RESTART1. Every peer's watermark is known by then, so a
-    /// re-executed send never goes to a peer that already has it, and no
-    /// later answer re-sends what the process has just sent. The runtime
-    /// has no such wait: it stands in for a fix of the engine, which
-    /// re-sends on both RESTART1 and RESTART2 from the same peer.
-    fn forget_peer(&mut self, v: usize, q: usize) {
-        let Some(peers) = &mut self.ranks[v].reconnecting else {
-            return;
-        };
-        peers.retain(|&p| p != q);
-        if peers.is_empty() {
-            self.ranks[v].reconnecting = None;
-            self.push_ready(self.now, v);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Run loop
     // ------------------------------------------------------------------
@@ -1714,7 +1665,7 @@ impl Sim {
                 || (plan.faults.is_empty() && !plan.continuous_checkpointing),
             "faults and checkpoints are modelled for V2 only"
         );
-        self.ckpt_rng = plan.seed.max(1);
+        self.ckpt_sched = Scheduler::new(Policy::Random, self.n as u32, plan.seed);
         for &(t, v) in &plan.faults {
             self.push_ev(t, Ev::Crash(v));
         }
@@ -1864,15 +1815,19 @@ pub fn simulate_replay(cfg: ClusterConfig, traces: Vec<Vec<Op>>, restarted: &[us
         sim.revive(v);
     }
     for &v in &restarted {
-        sim.announce(v);
+        sim.pump(v);
     }
     // The restarted processes are relaunched together once every one of
-    // their daemons has reconnected; re-execution is timed from there.
-    let held = |s: &Sim, v: usize| s.ranks[v].reconnecting.as_deref() == Some(&[v][..]);
-    sim.run_until(|s| restarted.iter().all(|&v| held(s, v)));
+    // their daemons has heard every peer; re-execution is timed from
+    // there.
+    let answered = |s: &Sim, v: usize| {
+        let e = s.ranks[v].engine.as_ref();
+        !e.expect("a revived rank").awaiting_restart_answers()
+    };
+    sim.run_until(|s| restarted.iter().all(|&v| answered(s, v)));
     sim.t0 = sim.now;
     for &v in &restarted {
-        sim.forget_peer(v, v);
+        sim.push_ready(sim.now, v);
     }
     sim.run();
     sim.into_report()
@@ -2001,7 +1956,6 @@ mod tests {
                 assert_eq!(sim.el_nid(r, rep), sim.el_base + shard * 3 + rep);
             }
         }
-        assert_eq!(sim.el_quorum(), 2, "majority of 3");
     }
 
     #[test]

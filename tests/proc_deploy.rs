@@ -131,6 +131,8 @@ fn socket_backend_matches_in_process_results() {
 #[test]
 fn sigkill_mid_stream_is_detected_and_recovered() {
     let start = Instant::now();
+    // 2000 laps take about 0.4 s in a release build (1 s in a debug
+    // one), so the kill at 30 ms lands mid-stream in either profile.
     let (text, code) = run_capture(&[
         "-np",
         "4",
@@ -143,7 +145,7 @@ fn sigkill_mid_stream_is_detected_and_recovered() {
         "--kill",
         "1@30ms",
         "ring",
-        "60",
+        "2000",
     ]);
     let elapsed = start.elapsed();
     assert_eq!(code, Some(0), "run must recover and complete:\n{text}");
