@@ -43,7 +43,7 @@
 
 use mvr_bench::{print_table, quick_mode, storm_deployment, write_json};
 use mvr_core::Payload;
-use mvr_obs::{ProtoEvent, TimingSummary, DISPATCHER_RANK};
+use mvr_obs::{merge_streams, ProtoEvent, TimingSummary, DISPATCHER_RANK};
 use mvr_runtime::proc::{maybe_run_child, run_proc};
 use mvr_runtime::{ChaosConfig, Cluster, ClusterConfig, RunReport, SchedulerConfig, Topology};
 use mvr_workloads::apps::{
@@ -227,7 +227,7 @@ fn run_verified(
     let dump_dir = cfg.obs_dir.clone().expect("recording on");
     let cluster = pattern.launch(cfg);
     // Payload divergence is detected here after the dispatcher has torn
-    // down; keep the recorders alive so a mismatch can still dump.
+    // down; keep the hub so a mismatch can still record it.
     let hub = cluster.recorder_hub();
     let report = match cluster.wait_report(timeout) {
         Ok(report) => report,
@@ -241,7 +241,7 @@ fn run_verified(
             // `--dump` leaves the timeline of *successful* runs too,
             // for offline span/critical-path analysis (obs_analyze).
             if dump_ok {
-                match hub.dump(&dump_dir, "soak") {
+                match merge_streams(&dump_dir, "soak") {
                     Ok(paths) => println!("  dumped: {}", paths.jsonl.display()),
                     Err(io) => eprintln!("  flight-recorder dump failed: {io}"),
                 }
@@ -256,7 +256,7 @@ fn run_verified(
                     detail: detail.clone(),
                 },
             );
-            let note = match hub.dump(&dump_dir, "divergence") {
+            let note = match merge_streams(&dump_dir, "divergence") {
                 Ok(paths) => format!(" [{}]", paths.summary()),
                 Err(io) => format!(" [flight-recorder dump failed: {io}]"),
             };

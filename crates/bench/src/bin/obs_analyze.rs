@@ -1,16 +1,16 @@
 //! Offline analyzer for flight-recorder JSONL dumps — the one place a
 //! dump is audited and drawn.
 //!
-//! Reads a dump written by [`mvr_obs::RecorderHub::dump`] (`obs_smoke`,
-//! `chaos_soak`, `mpirun --obs-dir`) or [`mvr_obs::merge_dump_files`]
-//! (the socket backend's `merged.jsonl`), then:
+//! Reads a dump written by [`mvr_obs::merge_streams`] — `mpirun
+//! --obs-dir`'s `merged.jsonl` or `crash.jsonl` on either backend,
+//! `obs_smoke`'s `smoke.jsonl`, `chaos_soak`'s dumps — then:
 //!
-//!   1. runs the strict [`mvr_obs::audit`]: header record count and
-//!      drops, record schema and per-rank clock monotonicity, orphan
-//!      span edges (a delivery with no send, a wire send never
-//!      delivered, a send stuck behind the gate), and an offline replay
-//!      of the invariant monitor (pessimism gate, watermark
-//!      monotonicity, exactly-once delivery);
+//!   1. runs the strict [`mvr_obs::audit`]: header record count, record
+//!      schema and per-rank clock monotonicity, orphan span edges (a
+//!      delivery with no send, a wire send never delivered, a send
+//!      stuck behind the gate), and an offline replay of the invariant
+//!      monitor (pessimism gate, watermark monotonicity, exactly-once
+//!      delivery);
 //!   2. reports per-message span latency percentiles and the slowest
 //!      messages;
 //!   3. builds the cross-rank happens-before DAG and walks the critical
@@ -22,9 +22,8 @@
 //!      arrows — [`mvr_obs::write_trace`]).
 //!
 //! A malformed dump (header count mismatch, schema violation) always
-//! fails. `--strict` also exits nonzero on any strict finding — a
-//! ring-truncated timeline, an orphan edge, an invariant violation —
-//! the CI mode.
+//! fails. `--strict` also exits nonzero on any strict finding — an
+//! orphan edge, an invariant violation — the CI mode.
 //!
 //! Usage: `obs_analyze [--strict] [--top N] <dump.jsonl>`
 
@@ -72,13 +71,6 @@ fn main() {
     let audit = audit(header.as_ref(), &timeline).unwrap_or_else(|e| fail(&e));
     match header {
         Some(h) => {
-            if h.dropped > 0 {
-                println!(
-                    "  WARNING: {} record(s) lost to ring wraparound — the timeline is \
-                     truncated; orphan spans below may be artifacts of the truncation",
-                    h.dropped
-                );
-            }
             if !h.track.is_empty() {
                 // Clock correction the merge already applied: the body's
                 // timestamps include these per-rank shifts.
@@ -96,7 +88,7 @@ fn main() {
                 );
             }
         }
-        None => println!("  note: headerless dump (pre-header format); drop count unknown"),
+        None => println!("  note: headerless dump (a raw stream, not a merge)"),
     }
 
     print!("{}", audit.spans.report(top));

@@ -1,6 +1,6 @@
 //! CI smoke test for the observability layer: one pinned crash
-//! scenario with flight recorders on, a forced dump, and structural
-//! validation of the dumped JSONL.
+//! scenario recorded to per-incarnation streams, their merge into
+//! `smoke.jsonl`, and structural validation of that dump.
 //!
 //! The kills are count triggers, not timed: rank 1 dies at its 20th
 //! send (about its 10th delivery), rank 2 at its 50th mailbox accept
@@ -11,10 +11,10 @@
 //!
 //! Checks, in order:
 //!   1. the run still completes with bit-exact payloads;
-//!   2. the dumped JSONL is byte-identical to re-rendering the timeline
+//!   2. the dump is byte-identical to re-rendering what it reads back as
 //!      ([`mvr_obs::render_dump`]) and passes the strict
-//!      [`mvr_obs::audit`]: header counts, no record lost to wraparound,
-//!      the record schema, closed spans, a clean invariant replay;
+//!      [`mvr_obs::audit`]: header counts, the record schema, closed
+//!      spans, a clean invariant replay;
 //!   3. every kill left its respawn record and the protocol reacted
 //!      (recovery records, restarts).
 //!
@@ -25,7 +25,7 @@
 //! Exits nonzero with a triage message on the first violated check.
 
 use mvr_core::{NodeId, Rank};
-use mvr_obs::{audit, render_dump, ProtoEvent, DISPATCHER_RANK};
+use mvr_obs::{audit, merge_streams, read_dump, render_dump, ProtoEvent, DISPATCHER_RANK};
 use mvr_runtime::{
     fail_stop_group, Cluster, ClusterConfig, CountTrigger, SchedulerConfig, TurbulenceConfig,
 };
@@ -87,23 +87,22 @@ fn main() {
         );
         hub.recorder(DISPATCHER_RANK)
             .record(0, ProtoEvent::Divergence { detail });
-        let _ = hub.dump(&dump_dir, "divergence");
+        let _ = merge_streams(&dump_dir, "divergence");
         fail(&msg);
     }
 
-    // 2. Forced dump of the successful run: byte-identical to the
-    // canonical rendering of the timeline, and clean under the strict
+    // 2. The successful run's streams merged into one dump: it reads
+    // back to exactly what it renders as, and is clean under the strict
     // audit.
-    let dump = hub
-        .dump(&dump_dir, "smoke")
-        .unwrap_or_else(|e| fail(&format!("dump failed: {e}")));
-    let timeline = hub.timeline();
+    let dump =
+        merge_streams(&dump_dir, "smoke").unwrap_or_else(|e| fail(&format!("merge failed: {e}")));
+    let (header, timeline) = read_dump(&dump.jsonl).unwrap_or_else(|e| fail(&e));
     if timeline.is_empty() {
         fail("timeline is empty with recorders enabled");
     }
     let dumped = std::fs::read_to_string(&dump.jsonl)
         .unwrap_or_else(|e| fail(&format!("read {}: {e}", dump.jsonl.display())));
-    if dumped != render_dump(&dump.header, &timeline) {
+    if header.as_ref() != Some(&dump.header) || dumped != render_dump(&dump.header, &timeline) {
         fail("dumped JSONL differs from canonical re-rendering");
     }
     let audit = audit(Some(&dump.header), &timeline).unwrap_or_else(|e| fail(&e));

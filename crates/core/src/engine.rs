@@ -2520,9 +2520,10 @@ mod tests {
 
     #[test]
     fn gate_wait_and_el_rtt_counted_with_flight_records() {
-        use mvr_obs::RecorderConfig;
+        use mvr_obs::{RecorderConfig, RecorderHub};
         let mut e = bounded(Rank(1), 2, 1);
-        e.set_recorder(Recorder::new(1, RecorderConfig::enabled()));
+        let hub = RecorderHub::new(RecorderConfig::enabled());
+        e.set_recorder(hub.recorder(1));
         // A delivery closes the gate and ships its event.
         e.handle(Input::AppRecv).unwrap();
         feed_data(&mut e, Rank(0), 1);
@@ -2546,7 +2547,7 @@ mod tests {
         assert_eq!(m.gate_wait_ns, t.gate_wait.sum);
         assert_eq!(m.el_ack_rtt_ns, t.el_ack_rtt.sum);
         // The recorder saw the protocol sequence and validates clean.
-        let tl = e.recorder().snapshot();
+        let tl = hub.timeline();
         let kinds: Vec<&str> = tl.iter().map(|r| r.event.kind()).collect();
         for want in ["deliver", "el-ship", "gate-defer", "el-ack", "gate-open"] {
             assert!(kinds.contains(&want), "missing {want} in {kinds:?}");

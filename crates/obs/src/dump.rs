@@ -1,7 +1,7 @@
 //! The dump format and everything a tool does with a dump: the JSONL
-//! renderer and reader, the per-process stream sink and the
-//! cross-process merge, schema validation, first-divergence triage and
-//! the one strict [`audit`].
+//! renderer and reader, the per-incarnation stream sink and the one
+//! merge of a run directory's streams, schema validation,
+//! first-divergence triage and the one strict [`audit`].
 //!
 //! The dump format is what `#[derive(Serialize, Deserialize)]` on
 //! [`FlightRecord`] and [`DumpHeader`] says it is: a header line, then
@@ -22,18 +22,16 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 /// A written dump: where the JSONL landed, the header written at its
-/// top, the clock correction a merge applied, and first-divergence
-/// triage. [`RecorderHub::dump`](crate::RecorderHub::dump) and
-/// [`merge_dump_files`] both return one.
+/// top, the clock correction the merge applied, and first-divergence
+/// triage. [`merge_streams`] returns one.
 #[derive(Clone, Debug)]
 pub struct Dump {
     /// The clock-ordered JSONL timeline.
     pub jsonl: PathBuf,
-    /// The header line: record count, ring-wraparound drops, applied
-    /// clock tracks.
+    /// The header line: record count, applied clock tracks.
     pub header: DumpHeader,
-    /// The clock-skew estimate a cross-process merge applied; `None`
-    /// for a single-process dump, whose recorders share one epoch.
+    /// The clock-skew estimate the merge applied; `None` for a dump
+    /// written straight from one timeline.
     pub skew: Option<SkewEstimate>,
     /// First-divergence triage, if the timeline contains an anomaly.
     pub triage: Option<Triage>,
@@ -41,7 +39,7 @@ pub struct Dump {
 
 impl Dump {
     /// Write `timeline` under `header` to `path` (parent directories
-    /// created) as [`render_dump`] renders it.
+    /// created) as [`render_dump`] renders it, a line at a time.
     pub fn write(
         path: &Path,
         header: DumpHeader,
@@ -50,7 +48,12 @@ impl Dump {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, render_dump(&header, timeline))?;
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+        writeln!(out, "{}", header_line(&header))?;
+        for rec in timeline {
+            writeln!(out, "{}", jsonl_line(rec))?;
+        }
+        out.flush()?;
         Ok(Dump {
             jsonl: path.to_path_buf(),
             header,
@@ -64,9 +67,8 @@ impl Dump {
     /// the first divergence.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "flight recorder: {} records ({} lost to wraparound)\n  timeline: {}",
+            "flight recorder: {} records\n  timeline: {}",
             self.header.records,
-            self.header.dropped,
             self.jsonl.display(),
         );
         if let Some(skew) = &self.skew {
@@ -75,14 +77,6 @@ impl Dump {
         match &self.triage {
             Some(t) => s.push_str(&format!("\n  {t}")),
             None => s.push_str("\n  no anomaly recorded in timeline"),
-        }
-        if self.header.dropped > 0 {
-            s.push_str(&format!(
-                "\n  WARNING: {} record(s) lost to ring wraparound — the timeline \
-                 is truncated; causal analysis may report spurious orphan spans. \
-                 Raise the recorder ring capacity.",
-                self.header.dropped
-            ));
         }
         s
     }
@@ -143,17 +137,13 @@ fn jsonl_line(rec: &FlightRecord) -> String {
     serde_json::to_string(rec).expect("FlightRecord serializes to JSON")
 }
 
-/// Metadata carried by the first line of a JSONL dump, so a reader can
-/// tell a complete timeline from a ring-truncated one without access to
-/// the live hub.
+/// Metadata carried by the first line of a JSONL dump: what the body
+/// holds and the clock correction the merge applied to it. A stream has
+/// no header line, which is how [`merge_streams`] tells the two apart.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DumpHeader {
     /// Records in the dump body (lines after the header).
     pub records: u64,
-    /// Records lost to ring wraparound before the dump was taken.
-    /// Non-zero means the timeline is truncated and causal analysis
-    /// can report spurious orphan spans.
-    pub dropped: u64,
     /// Per-rank clock-offset tracks the merge applied to the body's
     /// timestamps (see [`crate::estimate_skew`]); one anchor is a
     /// constant offset. Empty for single-process dumps and skew-free
@@ -173,7 +163,7 @@ struct HeaderLine {
 }
 
 /// Render the dump-header line (no trailing newline):
-/// `{"header":{"records":N,"dropped":N,"track":[...],"unconstrained":[...]}}`.
+/// `{"header":{"records":N,"track":[...],"unconstrained":[...]}}`.
 fn header_line(header: &DumpHeader) -> String {
     serde_json::to_string(&HeaderLine {
         header: header.clone(),
@@ -190,7 +180,8 @@ pub fn parse_record_line(line: &str) -> Result<FlightRecord, String> {
 /// this build does not know are ignored and absent `track` /
 /// `unconstrained` lists read as empty, so headers written by earlier
 /// builds (whose `offsets` array described a correction already applied
-/// to the body) still load.
+/// to the body, and whose `dropped` counted ring-wraparound losses)
+/// still load.
 fn parse_header_line(line: &str) -> Option<DumpHeader> {
     serde_json::from_str::<HeaderLine>(line)
         .ok()
@@ -298,8 +289,8 @@ pub struct Audit {
     pub audited: u64,
     /// The first invariant violation the replay found.
     pub violation: Option<Violation>,
-    /// The strict findings, in check order: ring-wraparound drops,
-    /// orphan span edges, an invariant violation. Empty on a clean dump.
+    /// The strict findings, in check order: orphan span edges, an
+    /// invariant violation. Empty on a clean dump.
     pub findings: Vec<String>,
 }
 
@@ -308,13 +299,12 @@ pub struct Audit {
 ///
 /// 1. the header's record count matches the body;
 /// 2. the records pass [`validate_records`];
-/// 3. the header reports no record lost to ring wraparound;
-/// 4. every span closes ([`SpanSet::build`] finds no orphan edge);
-/// 5. an [`InvariantMonitor`] replays the timeline without a violation.
+/// 3. every span closes ([`SpanSet::build`] finds no orphan edge);
+/// 4. an [`InvariantMonitor`] replays the timeline without a violation.
 ///
 /// A dump failing 1 or 2 is malformed: `Err` names the first failure.
-/// Checks 3–5 are the strict findings of the returned [`Audit`]. A
-/// headerless dump skips 1 and 3.
+/// Checks 3 and 4 are the strict findings of the returned [`Audit`]. A
+/// headerless dump skips 1.
 pub fn audit(header: Option<&DumpHeader>, timeline: &[FlightRecord]) -> Result<Audit, String> {
     let mut findings = Vec::new();
     if let Some(h) = header {
@@ -324,9 +314,6 @@ pub fn audit(header: Option<&DumpHeader>, timeline: &[FlightRecord]) -> Result<A
                 h.records,
                 timeline.len()
             ));
-        }
-        if h.dropped > 0 {
-            findings.push(format!("{} records dropped", h.dropped));
         }
     }
     validate_records(timeline).map_err(|e| format!("schema validation: {e}"))?;
@@ -348,10 +335,11 @@ pub fn audit(header: Option<&DumpHeader>, timeline: &[FlightRecord]) -> Result<A
     })
 }
 
-/// Rotation thresholds for a [`JsonlStreamSink`]. The sink starts a new
-/// segment file whenever the active segment exceeds *either* limit
-/// (0 = that limit unenforced). Default is no rotation — the historical
-/// single-file behavior, and the only mode on the hot benchmark path.
+/// Rotation thresholds for the streams of a
+/// [`RecorderHub::streaming`](crate::RecorderHub::streaming) hub. A
+/// stream starts a new segment file whenever the active segment exceeds
+/// *either* limit (0 = that limit unenforced). Default is no rotation:
+/// one file per stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RotateConfig {
     /// Start a new segment after this many records (0 = unlimited).
@@ -383,7 +371,7 @@ impl StreamState {
             .and_then(|s| s.to_str())
             .unwrap_or("stream");
         let next = format!("{stem}.seg{}.jsonl", self.seg + 1);
-        if let Ok(f) = std::fs::File::create(self.base.with_file_name(next)) {
+        if let Ok(f) = append(&self.base.with_file_name(next)) {
             self.file = f;
             self.seg += 1;
             self.seg_records = 0;
@@ -392,42 +380,46 @@ impl StreamState {
     }
 }
 
+/// Open `path` for appending, creating it if missing.
+fn append(path: &Path) -> std::io::Result<std::fs::File> {
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+}
+
 /// A [`RecordSink`](crate::monitor::RecordSink) that streams every
-/// record to a JSONL file. Multi-process children attach one so their
-/// timeline survives a `SIGKILL` — the ring buffer dies with the
-/// process, the streamed file does not. The file carries no header
-/// line; [`merge_dump_files`] supplies one when merging.
+/// record to a JSONL file: what a streaming
+/// [`RecorderHub`](crate::RecorderHub) gives each recorder, in process
+/// and in every child process alike, so a timeline is never held in
+/// memory and survives a `SIGKILL`. The file carries no header line;
+/// [`merge_streams`] supplies one when merging.
 ///
 /// Each record is written out as it is observed, one `write(2)` per
 /// record — what makes the stream SIGKILL-durable: a kill can cut the
 /// stream short, but never leaves a record buffered in the process.
-/// With rotation enabled ([`with_rotation`](Self::with_rotation)), the
-/// stream is cut into bounded segment files — `base.jsonl`,
-/// `{stem}.seg1.jsonl`, `{stem}.seg2.jsonl`, … — so a week-long soak
-/// never holds (or re-reads) one gigabyte file. Segment 0 keeps the
-/// base name, so consumers of the unrotated layout keep working, and
-/// every segment keeps the `.jsonl` extension, so [`merge_dump_files`]
-/// input discovery picks rotated segments up unchanged.
-pub struct JsonlStreamSink {
+/// With rotation enabled, the stream is cut into bounded segment files
+/// — `base.jsonl`, `{stem}.seg1.jsonl`, `{stem}.seg2.jsonl`, … — so a
+/// week-long soak never holds (or re-reads) one gigabyte file. Segment 0
+/// keeps the base name, and every segment keeps the `.jsonl` extension,
+/// so [`merge_streams`] picks rotated segments up as more streams.
+pub(crate) struct JsonlStreamSink {
     state: parking_lot::Mutex<StreamState>,
 }
 
 impl JsonlStreamSink {
-    /// Create (truncate) `path` and stream records into it.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Self::with_rotation(path, RotateConfig::default())
-    }
-
-    /// Create (truncate) `path` and stream records into it, rotating to
-    /// a new segment file whenever the active one exceeds a
-    /// [`RotateConfig`] threshold.
-    pub fn with_rotation(path: &Path, rotate: RotateConfig) -> std::io::Result<Self> {
+    /// Stream records into `path`, appending to what is there, and
+    /// rotate to a new segment file whenever the active one exceeds a
+    /// [`RotateConfig`] threshold. A launch clears its directory's old
+    /// streams first ([`clear_streams`]), so a stream name reopened
+    /// within a run continues its stream.
+    pub(crate) fn open(path: &Path, rotate: RotateConfig) -> std::io::Result<Self> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
         Ok(JsonlStreamSink {
             state: parking_lot::Mutex::new(StreamState {
-                file: std::fs::File::create(path)?,
+                file: append(path)?,
                 base: path.to_path_buf(),
                 rotate,
                 seg: 0,
@@ -458,7 +450,7 @@ impl crate::monitor::RecordSink for JsonlStreamSink {
 
 /// Fan one record out to several sinks (e.g. the online invariant
 /// monitor plus a [`JsonlStreamSink`]).
-pub struct TeeSink(pub Vec<std::sync::Arc<dyn crate::monitor::RecordSink>>);
+pub(crate) struct TeeSink(pub(crate) Vec<std::sync::Arc<dyn crate::monitor::RecordSink>>);
 
 impl crate::monitor::RecordSink for TeeSink {
     fn observe(&self, rec: &FlightRecord) {
@@ -468,52 +460,95 @@ impl crate::monitor::RecordSink for TeeSink {
     }
 }
 
-/// Merge several JSONL dumps (with or without header lines) into one
-/// timeline ordered by the hub comparator `(ts_ns, rank, clock,
-/// kind_index)`. Inputs are decoded line-wise, so a long soak run's
-/// dumps are never held as raw text. Missing input files are skipped —
-/// a child killed before it wrote anything contributes nothing, not an
-/// error.
+/// The streams in `dir`: every `.jsonl` file without a header line
+/// (merge outputs have one), rotated segments after their base in
+/// segment order. A missing directory holds none.
+fn stream_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut streams = Vec::new();
+    for entry in entries {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "jsonl") && !has_header(&path)? {
+            streams.push(path);
+        }
+    }
+    streams.sort_by_cached_key(|p| stream_order(p));
+    Ok(streams)
+}
+
+/// Does the file's first line read as a dump header?
+fn has_header(path: &Path) -> std::io::Result<bool> {
+    let mut first = String::new();
+    std::io::BufReader::new(std::fs::File::open(path)?).read_line(&mut first)?;
+    Ok(parse_header_line(first.trim()).is_some())
+}
+
+/// Sort key of a stream file: its stream name, then its segment number
+/// (`cn1-i0.seg10.jsonl` after `cn1-i0.seg9.jsonl`).
+fn stream_order(path: &Path) -> (String, u64) {
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    match stem.rsplit_once(".seg").map(|(name, n)| (name, n.parse())) {
+        Some((name, Ok(seg))) => (name.to_string(), seg),
+        _ => (stem.to_string(), 0),
+    }
+}
+
+/// Delete the streams an earlier run left in `dir` (creating `dir` if
+/// missing), so that a merge of this run's directory reads this run's
+/// streams only. Merge outputs stay.
+pub fn clear_streams(dir: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for stream in stream_files(dir)? {
+        std::fs::remove_file(stream)?;
+    }
+    Ok(())
+}
+
+/// The one merge: every stream in `dir` (every `.jsonl` file without a
+/// header line, rotated segments in segment order) into one
+/// clock-ordered dump at `dir/<tag>.jsonl` — `merged` for a completed
+/// run, `crash` for a failed one, a harness's own tag for its dumps.
+/// Both launchers and every harness write their dumps through it.
 ///
-/// Rotated stream segments are just more inputs: every `.jsonl`
-/// segment of every process merges through the same path, headerless
-/// files contributing only records.
+/// The order is `(ts_ns, rank)`, and the sort is stable over the
+/// streams read in order, so records of one rank sharing a timestamp
+/// keep the order their stream holds them in, as
+/// [`RecorderHub::timeline`](crate::RecorderHub::timeline) keeps
+/// recording order. Streams are decoded line-wise, so a long soak run's
+/// streams are never held as raw text.
 ///
 /// Before writing, per-rank clock-offset tracks are estimated from the
 /// timeline's causal edges ([`crate::estimate_skew`]) and applied, so
 /// cross-process skew — constant *or* drifting — cannot render a
 /// delivery before its send; the applied tracks land in the output
 /// header, along with ranks whose offset is unconstrained by any
-/// causal edge. Residual inversions (infeasible
-/// clock model) are reported loudly in the summary, never hidden.
-pub fn merge_dump_files(inputs: &[PathBuf], output: &Path) -> std::io::Result<Dump> {
+/// causal edge. Residual inversions (infeasible clock model) are
+/// reported loudly in the summary, never hidden.
+pub fn merge_streams(dir: &Path, tag: &str) -> std::io::Result<Dump> {
     let mut all: Vec<FlightRecord> = Vec::new();
-    let mut dropped = 0u64;
-    for path in inputs {
-        let file = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        let (header, records) = decode(std::io::BufReader::new(file)).map_err(|e| {
+    for path in stream_files(dir)? {
+        let file = std::fs::File::open(&path)?;
+        let (_, records) = decode(std::io::BufReader::new(file)).map_err(|e| {
             let detail = format!("{}: {e}", path.display());
             std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
         })?;
-        dropped += header.map_or(0, |h| h.dropped);
         all.extend(records);
     }
     let skew = crate::skew::estimate_skew(&all);
     crate::skew::apply_track(&mut all, &skew.track);
-    all.sort_by_key(|r| (r.ts_ns, r.rank, r.clock, r.event.kind_index()));
+    all.sort_by_key(|r| (r.ts_ns, r.rank));
     let header = DumpHeader {
         records: all.len() as u64,
-        dropped,
         track: skew.header_track(),
         unconstrained: skew.unconstrained.clone(),
     };
     Ok(Dump {
         skew: Some(skew),
-        ..Dump::write(output, header, &all)?
+        ..Dump::write(&dir.join(format!("{tag}.jsonl")), header, &all)?
     })
 }
 
@@ -541,6 +576,18 @@ mod tests {
             bytes,
             disposition: crate::event::SendDisposition::Wire,
         }
+    }
+
+    /// An empty scratch directory for one test.
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn stream(path: &Path) -> JsonlStreamSink {
+        JsonlStreamSink::open(path, RotateConfig::default()).unwrap()
     }
 
     #[test]
@@ -656,7 +703,6 @@ mod tests {
         let jsonl = dir.join("t.jsonl");
         let header = DumpHeader {
             records: 2,
-            dropped: 3,
             ..DumpHeader::default()
         };
         let dump = Dump::write(&jsonl, header.clone(), &tl).unwrap();
@@ -673,27 +719,23 @@ mod tests {
     #[test]
     fn stream_sink_and_merge_roundtrip() {
         use crate::monitor::RecordSink;
-        let dir = std::env::temp_dir().join("mvr-obs-merge-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a_path = dir.join("child-a.jsonl");
-        let b_path = dir.join("child-b.jsonl");
-        let a = JsonlStreamSink::create(&a_path).unwrap();
-        let b = JsonlStreamSink::create(&b_path).unwrap();
+        let dir = fresh_dir("mvr-obs-merge-test");
+        let a = stream(&dir.join("child-a.jsonl"));
+        let b = stream(&dir.join("child-b.jsonl"));
         a.observe(&rec(0, 2, 300, send(1, 2, 8)));
         a.observe(&rec(0, 3, 900, ProtoEvent::Finish { clock: 3 }));
         b.observe(&rec(1, 1, 100, ProtoEvent::Restart1 { rank: 1 }));
         drop((a, b));
-        let merged = dir.join("merged.jsonl");
-        let summary =
-            merge_dump_files(&[a_path, b_path, dir.join("never-written.jsonl")], &merged).unwrap();
-        assert_eq!((summary.header.records, summary.header.dropped), (3, 0));
+        let summary = merge_streams(&dir, "merged").unwrap();
+        assert_eq!(summary.header.records, 3);
         assert!(!summary.skew.as_ref().unwrap().is_correction());
+        let merged = dir.join("merged.jsonl");
+        assert_eq!(summary.jsonl, merged);
         let (h, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
         assert_eq!(
             h,
             Some(DumpHeader {
                 records: 3,
-                dropped: 0,
                 track: Vec::new(),
                 // The send was never delivered and rank 1 only restarted:
                 // neither rank's clock is tied to the other by evidence,
@@ -705,17 +747,70 @@ mod tests {
         assert_eq!(ts, vec![100, 300, 900]);
         assert!(summary.summary().contains("flight recorder: 3 records"));
         assert!(summary.summary().contains("clock skew: none detected"));
+        // The dump has a header, so it is no stream: merging again reads
+        // the same two streams, and clearing them leaves the dumps.
+        assert_eq!(merge_streams(&dir, "again").unwrap().header.records, 3);
+        clear_streams(&dir).unwrap();
+        assert_eq!(stream_files(&dir).unwrap(), Vec::<PathBuf>::new());
+        assert!(merged.exists() && dir.join("again.jsonl").exists());
+        assert_eq!(merge_streams(&dir, "empty").unwrap().header.records, 0);
+    }
+
+    #[test]
+    fn merge_keeps_stream_order_at_equal_timestamps() {
+        use crate::monitor::RecordSink;
+        let dir = fresh_dir("mvr-obs-merge-order-test");
+        let a = stream(&dir.join("cn1-i0.jsonl"));
+        // One instant: the ack, then the gate opening it causes, then
+        // the send it releases — the order the engine recorded them in.
+        let ack = ProtoEvent::ElAck {
+            up_to: 3,
+            batches_retired: 1,
+            rtt_ns: 7,
+        };
+        let open = ProtoEvent::GateOpen {
+            released: 1,
+            waited_ns: 7,
+        };
+        a.observe(&rec(1, 3, 500, ack));
+        a.observe(&rec(1, 3, 500, open));
+        a.observe(&rec(1, 4, 500, send(0, 4, 8)));
+        drop(a);
+        let (_, records) = read_dump(&merge_streams(&dir, "merged").unwrap().jsonl).unwrap();
+        let kinds: Vec<&str> = records.iter().map(|r| r.event.kind()).collect();
+        assert_eq!(kinds, ["el-ack", "gate-open", "send"]);
+    }
+
+    #[test]
+    fn segments_merge_in_segment_order() {
+        let names = [
+            "a.seg10.jsonl",
+            "a.jsonl",
+            "a.seg9.jsonl",
+            "b.jsonl",
+            "a.seg1.jsonl",
+        ];
+        let mut paths: Vec<PathBuf> = names.iter().map(PathBuf::from).collect();
+        paths.sort_by_cached_key(|p| stream_order(p));
+        let order: Vec<&str> = paths.iter().map(|p| p.to_str().unwrap()).collect();
+        assert_eq!(
+            order,
+            [
+                "a.jsonl",
+                "a.seg1.jsonl",
+                "a.seg9.jsonl",
+                "a.seg10.jsonl",
+                "b.jsonl"
+            ]
+        );
     }
 
     #[test]
     fn merge_corrects_skewed_inputs_and_reports_offsets() {
         use crate::monitor::RecordSink;
-        let dir = std::env::temp_dir().join("mvr-obs-merge-skew-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a_path = dir.join("skew-a.jsonl");
-        let b_path = dir.join("skew-b.jsonl");
-        let a = JsonlStreamSink::create(&a_path).unwrap();
-        let b = JsonlStreamSink::create(&b_path).unwrap();
+        let dir = fresh_dir("mvr-obs-merge-skew-test");
+        let a = stream(&dir.join("skew-a.jsonl"));
+        let b = stream(&dir.join("skew-b.jsonl"));
         // Rank 0 sends at t=6ms; rank 1 (clock 5ms behind) delivers at
         // an apparent t=2ms — an inversion the merge must repair.
         a.observe(&rec(0, 1, 6_000_000, send(1, 1, 8)));
@@ -731,12 +826,11 @@ mod tests {
             },
         ));
         drop((a, b));
-        let merged = dir.join("merged.jsonl");
-        let summary = merge_dump_files(&[a_path, b_path], &merged).unwrap();
+        let summary = merge_streams(&dir, "merged").unwrap();
         let skew = summary.skew.unwrap();
         assert_eq!(skew.inversions_before, 1);
         assert_eq!(skew.inversions_after, 0);
-        let body = std::fs::read_to_string(&merged).unwrap();
+        let body = std::fs::read_to_string(&summary.jsonl).unwrap();
         let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
         // A constant skew is a one-anchor track.
@@ -752,11 +846,9 @@ mod tests {
     #[test]
     fn rotation_cuts_segments_and_merge_consumes_them_all() {
         use crate::monitor::RecordSink;
-        let dir = std::env::temp_dir().join("mvr-obs-rotate-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("mvr-obs-rotate-test");
         let base = dir.join("cn0-i0.jsonl");
-        let sink = JsonlStreamSink::with_rotation(
+        let sink = JsonlStreamSink::open(
             &base,
             RotateConfig {
                 max_records: 4,
@@ -781,10 +873,9 @@ mod tests {
             "segment 0 capped at max_records"
         );
         // Merging the segments restores the full, ordered timeline.
-        let merged = dir.join("merged.jsonl");
-        let summary = merge_dump_files(&[base, seg1, seg2], &merged).unwrap();
+        let summary = merge_streams(&dir, "merged").unwrap();
         assert_eq!(summary.header.records, 10);
-        let (_, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
+        let (_, records) = read_dump(&summary.jsonl).unwrap();
         let clocks: Vec<u64> = records.iter().map(|r| r.clock).collect();
         assert_eq!(clocks, (1..=10).collect::<Vec<_>>());
     }
@@ -792,11 +883,9 @@ mod tests {
     #[test]
     fn rotation_by_bytes_rotates_once_threshold_is_crossed() {
         use crate::monitor::RecordSink;
-        let dir = std::env::temp_dir().join("mvr-obs-rotate-bytes-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("mvr-obs-rotate-bytes-test");
         let base = dir.join("s.jsonl");
-        let sink = JsonlStreamSink::with_rotation(
+        let sink = JsonlStreamSink::open(
             &base,
             RotateConfig {
                 max_records: 0,
@@ -821,13 +910,9 @@ mod tests {
     #[test]
     fn merge_applies_piecewise_track_for_drifting_inputs() {
         use crate::monitor::RecordSink;
-        let dir = std::env::temp_dir().join("mvr-obs-merge-drift-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let a_path = dir.join("drift-a.jsonl");
-        let b_path = dir.join("drift-b.jsonl");
-        let a = JsonlStreamSink::create(&a_path).unwrap();
-        let b = JsonlStreamSink::create(&b_path).unwrap();
+        let dir = fresh_dir("mvr-obs-merge-drift-test");
+        let a = stream(&dir.join("drift-a.jsonl"));
+        let b = stream(&dir.join("drift-b.jsonl"));
         // Rank 1's clock runs 2% slow; bidirectional traffic every 1ms
         // over 150ms. No constant offset explains both directions.
         let slow = |t: u64| t - t / 50;
@@ -861,13 +946,12 @@ mod tests {
             ));
         }
         drop((a, b));
-        let merged = dir.join("merged.jsonl");
-        let summary = merge_dump_files(&[a_path, b_path], &merged).unwrap();
+        let summary = merge_streams(&dir, "merged").unwrap();
         let skew = summary.skew.as_ref().unwrap();
         assert!(skew.inversions_before >= 1);
         assert_eq!(skew.inversions_after, 0, "{}", summary.summary());
         assert!(!skew.track.is_empty());
-        let body = std::fs::read_to_string(&merged).unwrap();
+        let body = std::fs::read_to_string(&summary.jsonl).unwrap();
         let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
         assert!(h.track.iter().any(|t| t.rank == 1 && t.anchors.len() >= 3));
@@ -878,25 +962,6 @@ mod tests {
             "{}",
             summary.summary()
         );
-    }
-
-    #[test]
-    fn summary_warns_loudly_on_drops() {
-        let dump = Dump {
-            jsonl: PathBuf::from("/tmp/x.jsonl"),
-            header: DumpHeader {
-                records: 10,
-                ..DumpHeader::default()
-            },
-            skew: None,
-            triage: None,
-        };
-        assert!(!dump.summary().contains("WARNING"));
-        let mut truncated = dump;
-        truncated.header.dropped = 7;
-        let s = truncated.summary();
-        assert!(s.contains("WARNING"), "{s}");
-        assert!(s.contains("7 record(s) lost"), "{s}");
     }
 
     fn deliver(from: u32, sender_clock: u64, receiver_clock: u64) -> ProtoEvent {
@@ -922,36 +987,34 @@ mod tests {
             rec(1, 2, 40, send(0, 2, 8)),
             rec(0, 2, 50, deliver(1, 2, 2)),
         ];
-        let header = |records: usize, dropped| DumpHeader {
+        let header = |records: usize| DumpHeader {
             records: records as u64,
-            dropped,
             ..DumpHeader::default()
         };
-        let a = audit(Some(&header(5, 0)), &clean).unwrap();
+        let a = audit(Some(&header(5)), &clean).unwrap();
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         assert_eq!((a.audited, a.spans.spans.len()), (5, 2));
         assert!(audit(None, &clean).unwrap().findings.is_empty());
 
         // Malformed: the header disagrees with the body, or the schema fails.
-        let err = audit(Some(&header(4, 0)), &clean).unwrap_err();
+        let err = audit(Some(&header(4)), &clean).unwrap_err();
         assert!(err.contains("header claims 4 records"), "{err}");
         let backwards = [rec(0, 2, 10, send(1, 2, 8)), rec(0, 1, 20, send(1, 1, 8))];
         assert!(audit(None, &backwards)
             .unwrap_err()
             .starts_with("schema validation"));
 
-        // Strict: drops, an orphan edge (rank 1's reply never arrives)
-        // and a gate violation (rank 1 sends before its ack), in order.
+        // Strict: an orphan edge (rank 1's reply never arrives) and a
+        // gate violation (rank 1 sends before its ack), in order.
         let dirty = vec![
             rec(0, 1, 10, send(1, 1, 8)),
             rec(1, 1, 20, deliver(0, 1, 1)),
             rec(1, 2, 30, send(0, 2, 8)),
         ];
-        let a = audit(Some(&header(3, 2)), &dirty).unwrap();
+        let a = audit(Some(&header(3)), &dirty).unwrap();
         assert_eq!(
             a.findings,
             vec![
-                "2 records dropped".to_string(),
                 "1 orphan edge(s)".to_string(),
                 "invariant `pessimism-gate` violated".to_string(),
             ]
@@ -993,7 +1056,6 @@ mod tests {
         assert_eq!(parse_record_line(&jsonl_line(&rec)), Ok(rec));
         let hdr = DumpHeader {
             records: u64::MAX,
-            dropped: 0,
             track: vec![RankTrack {
                 rank: 0,
                 start_ns: u64::MAX,
@@ -1020,13 +1082,11 @@ mod tests {
             });
         (
             0u64..=u64::MAX,
-            0u64..=u64::MAX,
             collection::vec(track, 0..4),
             collection::vec(0u32..=u32::MAX, 0..4),
         )
-            .prop_map(|(records, dropped, track, unconstrained)| DumpHeader {
+            .prop_map(|(records, track, unconstrained)| DumpHeader {
                 records,
-                dropped,
                 track,
                 unconstrained,
             })
@@ -1164,7 +1224,6 @@ mod tests {
         let rec = rec(0, 1, 10, ProtoEvent::Finish { clock: 1 });
         let hdr = DumpHeader {
             records: 1,
-            dropped: 2,
             ..DumpHeader::default()
         };
         let text = format!("{}\n{}\n", header_line(&hdr), jsonl_line(&rec));
@@ -1188,7 +1247,6 @@ mod tests {
             parse_header_line(line),
             Some(DumpHeader {
                 records: 5,
-                dropped: 1,
                 ..DumpHeader::default()
             })
         );

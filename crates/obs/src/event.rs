@@ -1,7 +1,7 @@
 //! The structured protocol event schema.
 //!
-//! One [`FlightRecord`] is appended to a rank's ring buffer per
-//! protocol transition. The event vocabulary mirrors §4 of the paper:
+//! One [`FlightRecord`] is written to a rank's stream per protocol
+//! transition. The event vocabulary mirrors §4 of the paper:
 //! the pessimism gate, event-logger traffic, uncoordinated checkpoints,
 //! the RESTART handshake and ordered replay — plus the chaos layer's
 //! interventions, which is what makes a post-mortem timeline readable.

@@ -1,19 +1,19 @@
 //! `mvr-obs` — the observability layer threaded through every protocol
-//! component: a lock-light per-engine flight recorder of structured
-//! protocol events, HDR-style mergeable latency histograms for the hot
-//! protocol intervals, and one pipeline over what they record: record →
-//! sinks (live monitor, telemetry, per-process JSONL streams) → dump
-//! (one clock-ordered JSONL timeline, merged and skew-corrected across
-//! processes) → the strict [`audit`], the Perfetto [`write_trace`] and
-//! the [`RunProfile`] diff.
+//! component: a per-engine flight recorder of structured protocol
+//! events, HDR-style mergeable latency histograms for the hot protocol
+//! intervals, and one pipeline over what they record: record → sinks
+//! (one JSONL stream per incarnation, the live monitor, telemetry) →
+//! dump ([`merge_streams`]: one clock-ordered JSONL timeline,
+//! skew-corrected across processes) → the strict [`audit`], the
+//! Perfetto [`write_trace`] and the [`RunProfile`] diff.
 //!
 //! The crate is a leaf: it speaks raw `u32` ranks so that `mvr-core`
 //! (and everything above it) can depend on it without a cycle.
 //!
 //! Design constraints honoured here:
 //! - the disabled-recorder fast path is a single relaxed atomic load
-//!   (`Recorder::record` returns before touching the ring lock), so
-//!   benchmark figures are unaffected when tracing is off;
+//!   (`Recorder::record` returns before stamping or touching a sink),
+//!   so benchmark figures are unaffected when tracing is off;
 //! - every record carries rank, logical clock and a monotonic
 //!   timestamp taken from an epoch shared across the whole deployment
 //!   (via [`RecorderHub`]), so merged timelines order correctly;
@@ -41,8 +41,8 @@ mod window;
 pub use causal::{CausalGraph, CriticalPath, CriticalStep, EdgeCat};
 pub use diff::{compare, DiffReport, MetricDelta, RunProfile, NOISE_FLOOR_EVENTS, NOISE_FLOOR_NS};
 pub use dump::{
-    audit, merge_dump_files, parse_record_line, read_dump, render_dump, validate_records, Audit,
-    Dump, DumpHeader, JsonlStreamSink, RotateConfig, TeeSink, Triage,
+    audit, clear_streams, merge_streams, parse_record_line, read_dump, render_dump,
+    validate_records, Audit, Dump, DumpHeader, RotateConfig, Triage,
 };
 pub use event::{FlightRecord, ProtoEvent, SendDisposition, DISPATCHER_RANK};
 pub use health::HealthServer;

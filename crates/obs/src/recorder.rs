@@ -1,12 +1,14 @@
-//! The flight recorder: a lock-light per-engine ring buffer of
-//! [`FlightRecord`]s, plus the [`RecorderHub`] that owns the shared
-//! monotonic epoch and collects every recorder for post-mortem dumps.
+//! The flight recorder: a per-rank handle that timestamps
+//! [`FlightRecord`]s and hands each one to its sink, plus the
+//! [`RecorderHub`] that owns the shared monotonic epoch and decides where
+//! records go — one JSONL stream per incarnation in a run directory, or
+//! one in-memory timeline when there is no directory.
 
-use crate::dump::{Dump, DumpHeader};
-use crate::event::{FlightRecord, ProtoEvent};
+use crate::dump::{JsonlStreamSink, RotateConfig, TeeSink};
+use crate::event::{FlightRecord, ProtoEvent, DISPATCHER_RANK};
 use crate::monitor::RecordSink;
 use parking_lot::Mutex;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,13 +48,14 @@ enum TimeSource {
 }
 
 /// How a deployment's recorders behave.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Record events at all. When `false`, [`Recorder::record`] is a
     /// single relaxed atomic load — the benchmark-safe fast path.
     pub enabled: bool,
-    /// Ring capacity per recorder; the oldest records are overwritten
-    /// once full (the overwrite count is preserved for triage).
+    /// Read by nothing: recorders keep no records of their own, so there
+    /// is no capacity to set. Kept only so that the frozen benchmark's
+    /// `RecorderConfig { capacity, .. }` literal still compiles.
     pub capacity: usize,
     /// Injected clock drift in parts-per-billion, applied to
     /// [`Recorder::now_ns`]: every elapsed second gains (positive) or
@@ -62,16 +65,6 @@ pub struct RecorderConfig {
     /// fast or slow, exercising the drift-aware skew correction on the
     /// merge path.
     pub clock_drift_ppb: i64,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig {
-            enabled: false,
-            capacity: 4096,
-            clock_drift_ppb: 0,
-        }
-    }
 }
 
 impl RecorderConfig {
@@ -84,57 +77,19 @@ impl RecorderConfig {
     }
 }
 
-struct Ring {
-    buf: Vec<FlightRecord>,
-    capacity: usize,
-    /// Next write position once the ring has wrapped.
-    head: usize,
-    /// Records overwritten after the ring filled.
-    dropped: u64,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            buf: Vec::with_capacity(capacity.min(1024)),
-            capacity: capacity.max(1),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, rec: FlightRecord) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Records oldest → newest.
-    fn snapshot(&self) -> Vec<FlightRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-}
-
 struct Shared {
     rank: u32,
     enabled: AtomicBool,
     time: TimeSource,
-    ring: Mutex<Ring>,
-    /// Live consumer of records (the online invariant monitor). Fired
-    /// inline on the recording thread's slow path, after the ring push.
+    /// Where every record goes, inline on the recording thread: the
+    /// hub's stream or timeline, teed with its live consumer. `None`
+    /// for a standalone recorder, which keeps nothing.
     sink: Option<Arc<dyn RecordSink>>,
 }
 
-/// A cloneable handle to one rank's flight recorder. Cloning shares
-/// the underlying ring, so a daemon and the engine it hosts write into
-/// the same timeline.
+/// A cloneable handle to one rank's flight recorder. Cloning shares the
+/// sink, so a daemon and the engine it hosts write into the same
+/// stream.
 #[derive(Clone)]
 pub struct Recorder(Arc<Shared>);
 
@@ -148,9 +103,9 @@ impl std::fmt::Debug for Recorder {
 }
 
 impl Recorder {
-    /// A standalone recorder with its own epoch (tests, single-process
-    /// tools). Deployments should mint recorders from a [`RecorderHub`]
-    /// so all timelines share one epoch.
+    /// A standalone recorder with its own epoch. It stamps records and
+    /// keeps none of them (what a timing harness measures); recorders
+    /// whose records are wanted come from a [`RecorderHub`].
     pub fn new(rank: u32, cfg: RecorderConfig) -> Self {
         Self::with_time(rank, cfg, Self::wall(cfg, Instant::now()), None)
     }
@@ -184,7 +139,6 @@ impl Recorder {
             rank,
             enabled: AtomicBool::new(cfg.enabled),
             time,
-            ring: Mutex::new(Ring::new(cfg.capacity)),
             sink,
         }))
     }
@@ -214,8 +168,8 @@ impl Recorder {
         skewed.max(0) as u64
     }
 
-    /// Append a record. The disabled fast path is a branch on one
-    /// relaxed atomic load; no lock is touched.
+    /// Stamp a record and hand it to the sink. The disabled fast path
+    /// is a branch on one relaxed atomic load.
     #[inline]
     pub fn record(&self, clock: u64, event: ProtoEvent) {
         if !self.0.enabled.load(Ordering::Relaxed) {
@@ -226,69 +180,83 @@ impl Recorder {
 
     #[cold]
     fn record_slow(&self, clock: u64, event: ProtoEvent) {
-        self.push(FlightRecord {
+        let rec = FlightRecord {
             rank: self.0.rank,
             clock,
             ts_ns: self.now_ns(),
             event,
-        });
-    }
-
-    fn push(&self, rec: FlightRecord) {
+        };
         if let Some(sink) = &self.0.sink {
             sink.observe(&rec);
         }
-        self.0.ring.lock().push(rec);
-    }
-
-    /// Copy of the ring, oldest → newest.
-    pub fn snapshot(&self) -> Vec<FlightRecord> {
-        self.0.ring.lock().snapshot()
-    }
-
-    /// Records overwritten after the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.0.ring.lock().dropped
     }
 }
 
-/// The deployment-wide registry of flight recorders. Owns the shared
+/// Where a hub's recorders put their records.
+enum Keep {
+    /// One in-memory timeline, in arrival order.
+    Memory(Arc<Timeline>),
+    /// One JSONL stream per minted name in `dir`.
+    Streams { dir: PathBuf, rotate: RotateConfig },
+}
+
+/// The in-memory timeline of a hub without a run directory.
+#[derive(Default)]
+struct Timeline(Mutex<Vec<FlightRecord>>);
+
+impl RecordSink for Timeline {
+    fn observe(&self, rec: &FlightRecord) {
+        self.0.lock().push(rec.clone());
+    }
+}
+
+/// The deployment-wide source of flight recorders. Owns the shared
 /// monotonic epoch (so merged timelines order correctly across ranks)
 /// and survives individual incarnations: a rank that restarts gets a
-/// fresh recorder handle writing into the same registry, so the dump
-/// contains every incarnation's records.
+/// fresh recorder from the same hub.
+///
+/// A streaming hub ([`streaming`](Self::streaming)) gives every
+/// recorder its own JSONL stream in the run directory, which
+/// [`merge_streams`](crate::merge_streams) merges into a dump; a hub
+/// without a directory ([`new`](Self::new)) keeps one unbounded
+/// in-memory timeline, read by [`timeline`](Self::timeline).
 pub struct RecorderHub {
     cfg: RecorderConfig,
     epoch: Instant,
-    recorders: Mutex<Vec<Recorder>>,
-    sink: Mutex<Option<Arc<dyn RecordSink>>>,
-}
-
-impl std::fmt::Debug for RecorderHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecorderHub")
-            .field("cfg", &self.cfg)
-            .field("recorders", &self.recorders.lock().len())
-            .finish()
-    }
+    keep: Keep,
+    /// Live consumer of records (the online invariant monitor, a
+    /// child's telemetry buffer), fed after the record is kept.
+    live: Mutex<Option<Arc<dyn RecordSink>>>,
 }
 
 impl RecorderHub {
-    /// A hub minting recorders with the given configuration.
+    /// A hub keeping its recorders' records in one in-memory timeline.
     pub fn new(cfg: RecorderConfig) -> Arc<Self> {
-        Self::with_epoch(cfg, Instant::now())
+        Self::with_keep(cfg, Instant::now(), Keep::Memory(Arc::default()))
     }
 
-    /// A hub whose recorders stamp timestamps relative to an explicit
-    /// epoch. Multi-process deployments translate one wall-clock epoch
-    /// (broadcast by the supervisor) into a local `Instant` per process,
-    /// so the merged cross-process timeline orders correctly.
-    pub fn with_epoch(cfg: RecorderConfig, epoch: Instant) -> Arc<Self> {
+    /// A hub whose recorders each stream to `dir/<name>.jsonl`, cut into
+    /// segments by `rotate`, with timestamps relative to `epoch`.
+    /// Multi-process deployments translate one wall-clock epoch
+    /// (broadcast by the supervisor) into a local `Instant` per process
+    /// ([`epoch_from_unix_ns`]), so the merged cross-process timeline
+    /// orders correctly.
+    pub fn streaming(
+        cfg: RecorderConfig,
+        epoch: Instant,
+        dir: &Path,
+        rotate: RotateConfig,
+    ) -> Arc<Self> {
+        let dir = dir.to_path_buf();
+        Self::with_keep(cfg, epoch, Keep::Streams { dir, rotate })
+    }
+
+    fn with_keep(cfg: RecorderConfig, epoch: Instant, keep: Keep) -> Arc<Self> {
         Arc::new(RecorderHub {
             cfg,
             epoch,
-            recorders: Mutex::new(Vec::new()),
-            sink: Mutex::new(None),
+            keep,
+            live: Mutex::new(None),
         })
     }
 
@@ -296,61 +264,72 @@ impl RecorderHub {
     /// Recorders minted *after* this call feed the sink inline from
     /// their recording threads; call before spawning any nodes.
     pub fn set_sink(&self, sink: Arc<dyn RecordSink>) {
-        *self.sink.lock() = Some(sink);
+        *self.live.lock() = Some(sink);
     }
 
-    /// Mint (and register) a recorder for `rank`. Call once per
-    /// incarnation; all incarnations' records end up in the dump.
+    /// Mint a recorder for `rank`. On a streaming hub it writes the
+    /// stream `disp` for [`DISPATCHER_RANK`] and `rank<r>` otherwise,
+    /// appending to what an earlier recorder of that name wrote.
     pub fn recorder(&self, rank: u32) -> Recorder {
-        self.register(rank, Recorder::wall(self.cfg, self.epoch))
+        let stream = match rank {
+            DISPATCHER_RANK => "disp".to_string(),
+            r => format!("rank{r}"),
+        };
+        self.stream_recorder(rank, &stream)
+    }
+
+    /// Mint a recorder for `rank` writing the stream `name`
+    /// (`dir/<name>.jsonl`) on a streaming hub, or the timeline
+    /// otherwise. Deployments mint one per incarnation, named after it.
+    pub fn stream_recorder(&self, rank: u32, name: &str) -> Recorder {
+        self.mint(rank, name, Recorder::wall(self.cfg, self.epoch))
     }
 
     /// As [`recorder`](Self::recorder), with timestamps read from
     /// `clock` instead of the hub's epoch: a simulator's virtual time,
     /// so a seeded run dumps a byte-identical timeline every time.
     pub fn recorder_on_clock(&self, rank: u32, clock: &VirtualClock) -> Recorder {
-        self.register(rank, TimeSource::Virtual(clock.clone()))
+        let time = TimeSource::Virtual(clock.clone());
+        self.mint(rank, &format!("rank{rank}"), time)
     }
 
-    fn register(&self, rank: u32, time: TimeSource) -> Recorder {
-        let r = Recorder::with_time(rank, self.cfg, time, self.sink.lock().clone());
-        self.recorders.lock().push(r.clone());
-        r
+    fn mint(&self, rank: u32, name: &str, time: TimeSource) -> Recorder {
+        let kept: Option<Arc<dyn RecordSink>> = match &self.keep {
+            _ if !self.cfg.enabled => None,
+            Keep::Memory(timeline) => Some(timeline.clone()),
+            Keep::Streams { dir, rotate } => {
+                let path = dir.join(format!("{name}.jsonl"));
+                match JsonlStreamSink::open(&path, *rotate) {
+                    Ok(sink) => Some(Arc::new(sink)),
+                    // Observability degrades, the run does not.
+                    Err(e) => {
+                        eprintln!("flight recorder: cannot open {}: {e}", path.display());
+                        None
+                    }
+                }
+            }
+        };
+        let sink: Option<Arc<dyn RecordSink>> = match (kept, self.live.lock().clone()) {
+            (Some(kept), Some(live)) => Some(Arc::new(TeeSink(vec![kept, live]))),
+            (kept, live) => kept.or(live),
+        };
+        Recorder::with_time(rank, self.cfg, time, sink)
     }
 
-    /// Merged snapshot of every registered recorder, ordered by
+    /// Every record the hub's recorders kept in memory, ordered by
     /// timestamp, ties broken by rank. The sort is stable, so records of
     /// one rank sharing a timestamp keep the order they were written in
     /// — a virtual-time run stamps a whole cascade (an ack, the gate
     /// opening it causes, the sends it releases) with one instant — and
-    /// dumps are byte-stable per seed.
+    /// dumps are byte-stable per seed. Empty on a streaming hub, whose
+    /// records are on disk.
     pub fn timeline(&self) -> Vec<FlightRecord> {
-        let mut all: Vec<FlightRecord> = self
-            .recorders
-            .lock()
-            .iter()
-            .flat_map(|r| r.snapshot())
-            .collect();
+        let Keep::Memory(timeline) = &self.keep else {
+            return Vec::new();
+        };
+        let mut all = timeline.0.lock().clone();
         all.sort_by_key(|r| (r.ts_ns, r.rank));
         all
-    }
-
-    /// Total records overwritten across all rings (reported in the
-    /// dump so a truncated timeline is never mistaken for a full one).
-    pub fn dropped(&self) -> u64 {
-        self.recorders.lock().iter().map(|r| r.dropped()).sum()
-    }
-
-    /// Collect every recorder and write the merged clock-ordered JSONL
-    /// timeline to `dir/<tag>.jsonl`.
-    pub fn dump(&self, dir: &Path, tag: &str) -> std::io::Result<Dump> {
-        let timeline = self.timeline();
-        let header = DumpHeader {
-            records: timeline.len() as u64,
-            dropped: self.dropped(),
-            ..DumpHeader::default()
-        };
-        Dump::write(&dir.join(format!("{tag}.jsonl")), header, &timeline)
     }
 }
 
@@ -418,30 +397,12 @@ mod tests {
 
     #[test]
     fn disabled_recorder_keeps_nothing() {
-        let r = Recorder::disabled();
-        r.record(1, send(0, 1, 8));
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn ring_wraps_and_counts_drops() {
-        let r = Recorder::new(
-            0,
-            RecorderConfig {
-                enabled: true,
-                capacity: 4,
-                ..Default::default()
-            },
-        );
-        for i in 0..10u64 {
-            r.record(i, send(1, i, 1));
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert_eq!(r.dropped(), 6);
-        // Oldest → newest: clocks 6, 7, 8, 9.
-        let clocks: Vec<u64> = snap.iter().map(|f| f.clock).collect();
-        assert_eq!(clocks, vec![6, 7, 8, 9]);
+        let hub = RecorderHub::new(RecorderConfig::default());
+        hub.recorder(0).record(1, send(0, 1, 8));
+        assert!(hub.timeline().is_empty());
+        let standalone = Recorder::new(0, RecorderConfig::enabled());
+        standalone.record(1, send(0, 1, 8));
+        assert!(standalone.0.sink.is_none(), "nowhere to keep a record");
     }
 
     #[test]
@@ -503,11 +464,39 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_ring() {
-        let r = Recorder::new(3, RecorderConfig::enabled());
+    fn clones_share_the_sink() {
+        let hub = RecorderHub::new(RecorderConfig::enabled());
+        let r = hub.recorder(3);
         let r2 = r.clone();
         r.record(1, ProtoEvent::Restart1 { rank: 3 });
         r2.record(2, ProtoEvent::Finish { clock: 2 });
-        assert_eq!(r.snapshot().len(), 2);
+        assert_eq!(hub.timeline().len(), 2);
+    }
+
+    #[test]
+    fn a_streaming_hub_writes_one_stream_per_name() {
+        let dir = std::env::temp_dir().join("mvr-obs-hub-stream-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let hub = RecorderHub::streaming(
+            RecorderConfig::enabled(),
+            Instant::now(),
+            &dir,
+            RotateConfig::default(),
+        );
+        hub.stream_recorder(1, "cn1-i0").record(1, send(0, 1, 8));
+        hub.stream_recorder(1, "cn1-i1").record(1, send(0, 1, 8));
+        hub.recorder(DISPATCHER_RANK)
+            .record(0, ProtoEvent::Finish { clock: 0 });
+        // A second dispatcher recorder appends to the same stream.
+        hub.recorder(DISPATCHER_RANK)
+            .record(0, ProtoEvent::Finish { clock: 1 });
+        let lines = |name: &str| {
+            let text = std::fs::read_to_string(dir.join(name)).unwrap();
+            text.lines().count()
+        };
+        assert_eq!(lines("cn1-i0.jsonl"), 1);
+        assert_eq!(lines("cn1-i1.jsonl"), 1);
+        assert_eq!(lines("disp.jsonl"), 2);
+        assert!(hub.timeline().is_empty(), "the records are on disk");
     }
 }

@@ -1,13 +1,12 @@
 //! The child-side half of the live telemetry plane: a bounded,
-//! drop-counted staging buffer that a multi-process child attaches as a
-//! [`RecordSink`] next to its durable
-//! [`JsonlStreamSink`](crate::JsonlStreamSink).
+//! drop-counted staging buffer that a multi-process child attaches as
+//! its hub's live [`RecordSink`], fed after each record is on disk in
+//! the child's stream.
 //!
 //! The recorder fires sinks inline on the recording thread, so the
 //! buffer does the absolute minimum there: one short mutex hold to
 //! push the record (or bump the drop counter when full — the protocol
-//! hot path is never blocked on telemetry, mirroring the ring buffer's
-//! own overwrite discipline) and to fold any measured interval into the
+//! hot path is never blocked on telemetry) and to fold any measured interval into the
 //! running [`ProtocolTimings`] ([`ProtocolTimings::observe`]). A shipper
 //! loop elsewhere in the child periodically
 //! [`drain`](TelemetrySink::drain)s the buffer and sends the batch to
@@ -15,7 +14,7 @@
 //! [`TelemetrySnapshot`] of the histograms and progress counters.
 //! Drops are *reported*, never hidden: the snapshot carries the
 //! cumulative drop count so the parent can surface a truncated live
-//! stream exactly like a wrapped ring.
+//! stream; the durable stream on disk has no holes.
 
 use crate::event::{FlightRecord, ProtoEvent};
 use crate::hist::LogHistogram;

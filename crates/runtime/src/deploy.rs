@@ -15,10 +15,11 @@ use crate::services::SchedulerConfig;
 use mvr_core::{ElAddr, NodeId, Rank};
 use mvr_eventlog::{quorum_of, ShardMap};
 use mvr_net::TurbulenceConfig;
-use mvr_obs::RecorderConfig;
+use mvr_obs::{clear_streams, merge_streams, Dump, RecorderConfig, RecorderHub, RotateConfig};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A deployment description no backend (or not the chosen one) can
 /// launch; the message names the offending field.
@@ -156,11 +157,11 @@ impl Topology {
     }
 }
 
-/// What only the socket backend's re-executed processes need. The
-/// in-process launcher refuses the detector, rotation and injection
-/// settings (see [`ClusterConfig::validate`]); `app_spec` and `exe`
-/// describe the child command line and `binds` first-launch ports, none
-/// of which a thread has.
+/// What only the socket backend's re-executed processes need, and the
+/// stream rotation both backends apply. The in-process launcher refuses
+/// the detector and injection settings (see [`ClusterConfig::validate`]);
+/// `app_spec` and `exe` describe the child command line and `binds`
+/// first-launch ports, none of which a thread has.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcLaunch {
     /// Application spec handed to rank children (`"ring 500"`).
@@ -176,11 +177,11 @@ pub struct ProcLaunch {
     /// Write the health endpoint's bound address (`host:port`) to this
     /// file once listening — how tooling discovers an ephemeral port.
     pub health_addr_file: Option<PathBuf>,
-    /// Rotate children's durable JSONL streams after this many records
+    /// Rotate every incarnation's JSONL stream after this many records
     /// per segment (0 = never). Every segment keeps the `.jsonl`
-    /// extension, so the merge picks it up like any other input.
+    /// extension, so the merge picks it up like any other stream.
     pub rotate_records: u64,
-    /// Rotate children's durable JSONL streams once a segment exceeds
+    /// Rotate every incarnation's JSONL stream once a segment exceeds
     /// this many bytes (0 = never).
     pub rotate_bytes: u64,
     /// Per-rank recorder-epoch shifts in nanoseconds — injected clock
@@ -193,6 +194,16 @@ pub struct ProcLaunch {
     /// Make this rank record a deliberate pessimism-gate violation at
     /// startup (live-monitor end-to-end probe).
     pub inject_violation: Option<Rank>,
+}
+
+impl ProcLaunch {
+    /// Where every stream is cut into segments.
+    pub(crate) fn rotate(&self) -> RotateConfig {
+        RotateConfig {
+            max_records: self.rotate_records,
+            max_bytes: self.rotate_bytes,
+        }
+    }
 }
 
 impl Default for ProcLaunch {
@@ -256,19 +267,21 @@ pub struct ClusterConfig {
     pub turbulence: Option<TurbulenceConfig>,
     /// Flight-recorder settings for every engine and the dispatcher.
     /// Disabled by default — the fast path is one relaxed atomic load
-    /// per would-be record. In process only:
-    /// over sockets recording is exactly "`obs_dir` is set" and the
-    /// per-process recorders take no tuning.
+    /// per would-be record. In process only: over sockets recording is
+    /// exactly "`obs_dir` is set". In process without `obs_dir`, the
+    /// records stay in one in-memory timeline for the caller
+    /// ([`crate::Cluster::recorder_hub`]).
     pub obs: RecorderConfig,
     /// Directory for the run's flight-recorder output; setting it turns
-    /// recording on. A failing run (timeout, app failure, lost rank,
-    /// exhausted restart budget, invariant violation) leaves its merged
-    /// timeline there as `crash.jsonl`, with the triage note on stderr.
-    /// Over sockets every process also streams its records there as they
-    /// happen (one `write(2)` each, so a `SIGKILL` loses nothing) and a
-    /// completed run merges them into `merged.jsonl`; in process the
-    /// records of a completed run stay in memory for the caller
-    /// ([`crate::Cluster::recorder_hub`]).
+    /// recording on. On either backend every incarnation of a rank
+    /// streams its records to `<node>-i<k>.jsonl` there and the
+    /// launcher to `disp.jsonl`, one `write(2)` per record, so a crash
+    /// loses nothing; a launch first deletes the streams an earlier run
+    /// left there. At the end of the run the launcher merges the
+    /// streams ([`mvr_obs::merge_streams`]) into `merged.jsonl` when
+    /// the run completed, or into `crash.jsonl`, with the triage note
+    /// on stderr, when it failed (timeout, app failure, lost rank,
+    /// exhausted restart budget, invariant violation).
     pub obs_dir: Option<PathBuf>,
     /// Run the online invariant monitor: every flight record is checked
     /// live against the pessimism-gate, watermark-monotonicity and
@@ -349,8 +362,6 @@ impl ClusterConfig {
         let refused: &[(&str, bool)] = match backend {
             Backend::InProcess => &[
                 ("proc.fail_after", p.fail_after.is_some()),
-                ("proc.rotate_records", p.rotate_records != 0),
-                ("proc.rotate_bytes", p.rotate_bytes != 0),
                 ("proc.epoch_skew", !p.epoch_skew.is_empty()),
                 ("proc.epoch_drift", !p.epoch_drift.is_empty()),
                 ("proc.inject_violation", p.inject_violation.is_some()),
@@ -369,6 +380,45 @@ impl ClusterConfig {
             None => Ok(topology),
         }
     }
+
+    /// The launcher's recorder hub: streams in `obs_dir`, whose old
+    /// streams are deleted first, or one in-memory timeline without it.
+    pub(crate) fn recorder_hub(&self, cfg: RecorderConfig, epoch: Instant) -> Arc<RecorderHub> {
+        let Some(dir) = &self.obs_dir else {
+            return RecorderHub::new(cfg);
+        };
+        if let Err(e) = clear_streams(dir) {
+            eprintln!("flight recorder: cannot clear {}: {e}", dir.display());
+        }
+        RecorderHub::streaming(cfg, epoch, dir, self.proc.rotate())
+    }
+
+    /// Merge the streams in `obs_dir` once the run is over: into
+    /// `merged.jsonl` when it `completed`, else into `crash.jsonl` with
+    /// the triage note on stderr.
+    pub(crate) fn dump_run(&self, completed: bool) -> Option<Dump> {
+        let dir = self.obs_dir.as_ref()?;
+        let tag = if completed { "merged" } else { "crash" };
+        match merge_streams(dir, tag) {
+            Ok(dump) => {
+                if !completed {
+                    eprintln!("{}", dump.summary());
+                }
+                Some(dump)
+            }
+            Err(e) => {
+                eprintln!("flight recorder: merge into {tag}.jsonl failed: {e}");
+                None
+            }
+        }
+    }
+}
+
+/// The stream an incarnation of `node` records to: `cn3-i1` for the
+/// second incarnation of rank 3, so a reincarnation never appends to its
+/// predecessor's stream.
+pub(crate) fn stream_name(node: NodeId, incarnation: u64) -> String {
+    format!("{node}-i{incarnation}")
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use crate::baseline::default_cms;
 use crate::chaos::ChaosReport;
-use crate::deploy::{Backend, ClusterConfig, Topology};
+use crate::deploy::{stream_name, Backend, ClusterConfig, Topology};
 use crate::messages::DispatcherMsg;
 use crate::node::{
     register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
@@ -30,8 +30,8 @@ use mvr_core::{ElAddr, Metrics, NodeId, Payload, Rank};
 use mvr_eventlog::EventLogStore;
 use mvr_net::{Fabric, Mailbox};
 use mvr_obs::{
-    HealthServer, InvariantMonitor, PromPage, ProtoEvent, ProtocolTimings, Recorder, RecorderHub,
-    DISPATCHER_RANK,
+    Dump, HealthServer, InvariantMonitor, PromPage, ProtoEvent, ProtocolTimings, Recorder,
+    RecorderHub, DISPATCHER_RANK,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -116,6 +116,10 @@ pub struct RunReport {
     pub rank_metrics: Vec<Metrics>,
     /// What the chaos driver did, when one was configured.
     pub chaos: Option<ChaosReport>,
+    /// The merged flight-recorder dump, when `obs_dir` was set — its
+    /// path, header counters and applied tracks, the skew estimate,
+    /// first-divergence triage.
+    pub merge: Option<Dump>,
 }
 
 /// A running deployment.
@@ -174,7 +178,7 @@ impl Cluster {
         if cfg.monitor || cfg.obs_dir.is_some() {
             obs_cfg.enabled = true;
         }
-        let hub = RecorderHub::new(obs_cfg);
+        let hub = cfg.recorder_hub(obs_cfg, Instant::now());
         // Attach the monitor before minting ANY recorder: only recorders
         // minted after `set_sink` feed it.
         let monitor = cfg.monitor.then(|| {
@@ -261,7 +265,7 @@ impl Cluster {
             .map(|r| (r, register_node(&cluster.fabric, r)))
             .collect();
         for (r, s) in slots {
-            cluster.start_rank(r, s, false);
+            cluster.start_rank(r, s, 0);
         }
         cluster
     }
@@ -272,9 +276,10 @@ impl Cluster {
         self.health.as_ref().map(|h| h.local_addr())
     }
 
-    /// The deployment's flight-recorder registry. Harnesses clone this
-    /// before `wait`/`wait_report` (which consume the cluster) so they
-    /// can record their own divergences and force a dump afterwards.
+    /// The deployment's flight-recorder hub. Harnesses clone this before
+    /// `wait`/`wait_report` (which consume the cluster) so they can
+    /// record their own divergences afterwards, and read the in-memory
+    /// timeline of a run without `obs_dir`.
     pub fn recorder_hub(&self) -> Arc<RecorderHub> {
         self.hub.clone()
     }
@@ -300,16 +305,19 @@ impl Cluster {
     }
 
     /// As [`wait`](Self::wait), additionally reporting the dispatcher's
-    /// restart counts and the aggregated recovery metrics of every rank's
-    /// finishing incarnation.
+    /// restart counts, the aggregated recovery metrics of every rank's
+    /// finishing incarnation and the merged flight-recorder dump.
     pub fn wait_report(self, timeout: Duration) -> Result<RunReport, ClusterError> {
         let mut me = self;
-        let results = me.wait_inner(timeout)?;
+        let outcome = me.wait_inner(timeout);
+        // Every node thread is joined: the streams are complete.
+        let merge = me.cfg.dump_run(outcome.is_ok());
         let mut report = RunReport {
-            results,
+            results: outcome?,
             restarts: me.core.restarts,
             service_restarts: me.core.service_restarts,
             chaos: me.core.chaos_report(),
+            merge,
             ..Default::default()
         };
         for (m, t) in me.core.finals.iter().flatten() {
@@ -342,20 +350,6 @@ impl Cluster {
         }
     }
 
-    /// When a dump directory is configured, write the merged
-    /// flight-recorder timeline of a failed run there. The
-    /// triage note — naming the dump paths and the rank/protocol-phase
-    /// of the first divergence — goes to stderr so it lands next to the
-    /// failing harness's output.
-    fn fail_dump(&self) {
-        if let Some(dir) = &self.cfg.obs_dir {
-            match self.hub.dump(dir, "crash") {
-                Ok(paths) => eprintln!("{}", paths.summary()),
-                Err(e) => eprintln!("flight-recorder dump failed: {e}"),
-            }
-        }
-    }
-
     fn wait_inner(&mut self, timeout: Duration) -> Result<Vec<Payload>, ClusterError> {
         self.core.deadline = Some(self.start.elapsed() + timeout);
         // Threads on the fabric are ready the moment they are spawned.
@@ -384,12 +378,8 @@ impl Cluster {
             while let Some(ev) = events.pop_front() {
                 for action in self.core.step(self.start.elapsed(), ev) {
                     match action {
-                        Action::Spawn {
-                            node,
-                            incarnation,
-                            restart,
-                        } => {
-                            self.spawn(node, restart);
+                        Action::Spawn { node, incarnation } => {
+                            self.spawn(node, incarnation);
                             events.push_back(Event::Ready { node, incarnation });
                         }
                         Action::Kill { node } => {
@@ -405,7 +395,6 @@ impl Cluster {
                             }
                         }
                         Action::Fail(err) => {
-                            self.fail_dump();
                             self.teardown();
                             return Err(err);
                         }
@@ -478,12 +467,12 @@ impl Cluster {
         health.publish(page);
     }
 
-    /// Launch a (re)incarnation of `node` on the fabric.
-    fn spawn(&mut self, node: NodeId, restart: bool) {
+    /// Launch reincarnation `incarnation` of `node` on the fabric.
+    fn spawn(&mut self, node: NodeId, incarnation: u64) {
         match node {
             NodeId::Computing(rank) => {
                 let slots = register_node(&self.fabric, rank);
-                self.start_rank(rank, slots, restart);
+                self.start_rank(rank, slots, incarnation);
             }
             // Relaunch a crashed checkpoint server (§4.3/§4.7). It
             // resumes from stable storage: every image acked before the
@@ -537,13 +526,14 @@ impl Cluster {
         }
     }
 
-    fn start_rank(&mut self, rank: Rank, slots: crate::node::NodeSlots, restart: bool) {
+    fn start_rank(&mut self, rank: Rank, slots: crate::node::NodeSlots, incarnation: u64) {
+        let stream = stream_name(NodeId::Computing(rank), incarnation);
         let ncfg = NodeConfig {
             rank,
             topology: self.topology,
             protocol: self.cfg.protocol,
-            restart,
-            recorder: self.hub.recorder(rank.0),
+            restart: incarnation > 0,
+            recorder: self.hub.stream_recorder(rank.0, &stream),
         };
         self.handles.extend(start_node(
             slots,

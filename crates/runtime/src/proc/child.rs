@@ -20,7 +20,7 @@
 
 use super::gateway::{Control, Gateway, GatewayRole};
 use super::wire::WireMsg;
-use crate::deploy::{ProcLaunch, Topology};
+use crate::deploy::{stream_name, ProcLaunch, Topology};
 use crate::node::{
     register_node, start_node, MpiApp, NodeConfig, NodeExit, Outcome, RuntimeProtocol,
 };
@@ -29,11 +29,12 @@ use mvr_core::{NodeId, Rank};
 use mvr_eventlog::EventLogStore;
 use mvr_net::{Fabric, TcpConfig, TcpTransport, Transport};
 use mvr_obs::{
-    epoch_from_unix_ns, JsonlStreamSink, ProtoEvent, RecordSink, RecorderConfig, RecorderHub,
-    RotateConfig, SendDisposition, TeeSink, TelemetrySink, TelemetrySnapshot,
+    epoch_from_unix_ns, ProtoEvent, RecorderConfig, RecorderHub, SendDisposition, TelemetrySink,
+    TelemetrySnapshot,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -71,10 +72,11 @@ pub(crate) struct ChildSpec {
     pub parent: String,
     /// Shared recorder epoch, unix nanoseconds.
     pub epoch_ns: u64,
-    /// This incarnation's crash-surviving JSONL record stream; `None`
-    /// when the run is not recorded. A rank writes it; a service, which
-    /// records nothing, takes it as the order to ship telemetry.
-    pub stream: Option<String>,
+    /// The run directory this incarnation streams its records to;
+    /// `None` when the run is not recorded. A rank writes its stream
+    /// there; a service, which records nothing, takes it as the order to
+    /// ship telemetry.
+    pub obs_dir: Option<PathBuf>,
     pub topology: Topology,
     pub launch: ProcLaunch,
 }
@@ -274,11 +276,12 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
     let gateway = connect(spec, &fabric, GatewayRole::Rank(rank));
 
     // Per-incarnation recorder over the deployment-wide epoch (shifted
-    // by any injected skew); streamed to disk with one `write(2)` per
-    // record so a SIGKILL loses nothing, and teed into the bounded
-    // telemetry buffer for live shipping.
+    // by any injected skew), streamed to this incarnation's file in the
+    // run directory exactly as an in-process rank's is, and teed into
+    // the bounded telemetry buffer for live shipping. The stream comes
+    // first: a record the telemetry buffer has seen is already on disk.
     let rec_config = RecorderConfig {
-        enabled: spec.stream.is_some(),
+        enabled: spec.obs_dir.is_some(),
         clock_drift_ppb: spec.of_rank(&spec.launch.epoch_drift),
         ..Default::default()
     };
@@ -286,28 +289,17 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
     // read early — what a slow wall clock does to a real node, and what
     // the merge solver must raise back.
     let skew_ns = spec.of_rank(&spec.launch.epoch_skew);
-    let epoch_ns = spec.epoch_ns.saturating_add_signed(skew_ns);
-    let hub = RecorderHub::with_epoch(rec_config, epoch_from_unix_ns(epoch_ns));
-    let mut telemetry: Option<Arc<TelemetrySink>> = None;
-    if let Some(path) = &spec.stream {
+    let epoch = epoch_from_unix_ns(spec.epoch_ns.saturating_add_signed(skew_ns));
+    let hub = match &spec.obs_dir {
+        Some(dir) => RecorderHub::streaming(rec_config, epoch, dir, spec.launch.rotate()),
+        None => RecorderHub::new(rec_config),
+    };
+    let telemetry = spec.obs_dir.as_ref().map(|_| {
         let tel = Arc::new(TelemetrySink::new(TELEMETRY_CAPACITY));
-        // Long-horizon runs rotate the durable stream into bounded
-        // segments (merged like any input); with both thresholds 0
-        // this is exactly the single-file path.
-        let rotate = RotateConfig {
-            max_records: spec.launch.rotate_records,
-            max_bytes: spec.launch.rotate_bytes,
-        };
-        // The stream goes first: a record the telemetry buffer has seen
-        // is already on disk.
-        let mut sinks: Vec<Arc<dyn RecordSink>> = Vec::new();
-        if let Ok(sink) = JsonlStreamSink::with_rotation(std::path::Path::new(path), rotate) {
-            sinks.push(Arc::new(sink));
-        }
-        sinks.push(tel.clone());
-        hub.set_sink(Arc::new(TeeSink(sinks)));
-        telemetry = Some(tel);
-    }
+        hub.set_sink(tel.clone());
+        tel
+    });
+    let recorder = hub.stream_recorder(rank.0, &stream_name(spec.node, spec.incarnation));
 
     let (exit_tx, exit_rx) = mpsc::channel();
     let _threads = start_node(
@@ -317,7 +309,7 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
             topology: spec.topology,
             protocol: RuntimeProtocol::V2,
             restart: spec.restart,
-            recorder: hub.recorder(rank.0),
+            recorder: recorder.clone(),
         },
         app,
         exit_tx,
@@ -330,7 +322,7 @@ fn run_rank(rank: Rank, spec: &ChildSpec, make_app: &dyn Fn(&str) -> Option<Arc<
     // injection from colliding with real protocol state; the parent's
     // cluster-wide monitor must fail the run on the Wire send.
     if spec.launch.inject_violation == Some(rank) {
-        let r = hub.recorder(rank.0);
+        let r = recorder;
         let phantom = spec.topology.world() + 7;
         r.record(
             u64::MAX - 1,
@@ -457,7 +449,7 @@ fn run_el(flat: u32, spec: &ChildSpec) -> ! {
         forward_failure(&gateway, &failed);
         // Ship the ledger counter on the telemetry cadence so the
         // parent's health page carries live per-shard EL progress.
-        if spec.stream.is_some() && last_ship.elapsed() >= TELEMETRY_CADENCE {
+        if spec.obs_dir.is_some() && last_ship.elapsed() >= TELEMETRY_CADENCE {
             gateway.send_to(
                 NodeId::Dispatcher,
                 &WireMsg::Telemetry {
@@ -579,14 +571,14 @@ mod tests {
         let recording = (0u64..u64::MAX, (true, text()));
         let counts = (1u32..64, 1u32..8, 1u32..8);
         (incarnation, recording, counts, launch()).prop_map(
-            |((node, incarnation, restart, parent), (epoch_ns, stream), (w, s, r), launch)| {
+            |((node, incarnation, restart, parent), (epoch_ns, dir), (w, s, r), launch)| {
                 ChildSpec {
                     node,
                     incarnation,
                     restart,
                     parent,
                     epoch_ns,
-                    stream: stream.0.then_some(stream.1),
+                    obs_dir: dir.0.then(|| dir.1.into()),
                     topology: Topology::new(w, s, r).expect("counts are nonzero"),
                     launch,
                 }
@@ -684,7 +676,7 @@ mod tests {
             restart: false,
             parent: String::new(),
             epoch_ns: 0,
-            stream: None,
+            obs_dir: None,
             topology: Topology::new(2, 1, 1).expect("valid"),
             launch: ProcLaunch::default(),
         };

@@ -6,7 +6,8 @@
 //! `ChildSpec` hand-off, the gateway control channel (hello/address
 //! map, ready, results, telemetry), the reaper and the socket fail-stop
 //! detector as sources of `Down` verdicts, real `SIGKILL`s for the fault
-//! plan's kills, graceful teardown and the merged flight-recorder dump.
+//! plan's kills and graceful teardown. The flight-recorder dump is the
+//! in-process launcher's: one merge of the run directory's streams.
 //!
 //! Failure authority is deliberately centralized here (mirroring the
 //! paper's dispatcher, §4.2): children never act on their own peer-down
@@ -27,12 +28,10 @@ use crate::supervisor::{bind_health, put, Action, Event, Supervisor};
 use mvr_core::{Metrics, NodeId, Payload, Rank};
 use mvr_net::{Fabric, TcpTransport, Transport};
 use mvr_obs::{
-    merge_dump_files, unix_now_ns, Dump, FlightRecord, HealthServer, InvariantMonitor,
-    JsonlStreamSink, LogHistogram, PromPage, ProtoEvent, ProtocolTimings, Recorder, RecorderConfig,
-    RecorderHub, TelemetrySnapshot, DISPATCHER_RANK,
+    unix_now_ns, Dump, FlightRecord, HealthServer, InvariantMonitor, LogHistogram, PromPage,
+    ProtoEvent, ProtocolTimings, Recorder, RecorderConfig, TelemetrySnapshot, DISPATCHER_RANK,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -119,7 +118,9 @@ pub fn run_proc(opts: ClusterConfig) -> Result<ProcReport, ProcError> {
     // Graceful teardown in every outcome: broadcast Shutdown, wait with
     // a deadline, escalate SIGTERM → SIGKILL, reap everything.
     launcher.teardown();
-    let report = launcher.take_report();
+    // Every child is reaped: the streams are complete.
+    let merge = opts.dump_run(verdict.is_ok());
+    let report = launcher.take_report(merge);
     verdict.and(report)
 }
 
@@ -158,18 +159,14 @@ impl<'a> Launcher<'a> {
             .map_err(|e| ProcError::Launch(e.to_string()))?;
         sig::install_shutdown_handler();
         let epoch_ns = unix_now_ns();
-        let rec_config = match opts.obs_dir {
-            Some(_) => RecorderConfig::enabled(),
-            None => RecorderConfig::default(),
+        let rec_config = RecorderConfig {
+            enabled: opts.obs_dir.is_some(),
+            ..Default::default()
         };
-        let hub = RecorderHub::with_epoch(rec_config, mvr_obs::epoch_from_unix_ns(epoch_ns));
-        if let Some(dir) = &opts.obs_dir {
-            std::fs::create_dir_all(dir).map_err(|e| launch_err("obs dir", &e))?;
-            if let Ok(sink) = JsonlStreamSink::create(&dir.join("disp.jsonl")) {
-                hub.set_sink(Arc::new(sink));
-            }
-        }
-        let recorder = hub.recorder(DISPATCHER_RANK);
+        let epoch = mvr_obs::epoch_from_unix_ns(epoch_ns);
+        let recorder = opts
+            .recorder_hub(rec_config, epoch)
+            .recorder(DISPATCHER_RANK);
 
         let cfg = transport_config(opts.proc.fail_after);
         let transport = TcpTransport::bind(NodeId::Dispatcher, "127.0.0.1:0", 0, cfg)
@@ -211,30 +208,19 @@ impl<'a> Launcher<'a> {
         };
         let nodes: Vec<NodeId> = launcher.core.nodes().map(|(node, ..)| node).collect();
         for node in nodes {
-            launcher.spawn_child(node, 0, false)?;
+            launcher.spawn_child(node, 0)?;
         }
         Ok(launcher)
     }
 
-    fn spawn_child(
-        &mut self,
-        node: NodeId,
-        incarnation: u64,
-        restart: bool,
-    ) -> Result<(), ProcError> {
-        let stream = self.opts.obs_dir.as_ref().map(|dir| {
-            // `cn3-i1.jsonl`: node and incarnation, so a reincarnation
-            // never appends to its predecessor's stream.
-            let file = dir.join(format!("{node}-i{incarnation}.jsonl"));
-            file.display().to_string()
-        });
+    fn spawn_child(&mut self, node: NodeId, incarnation: u64) -> Result<(), ProcError> {
         let spec = ChildSpec {
             node,
             incarnation,
-            restart,
+            restart: incarnation > 0,
             parent: self.local_addr.clone(),
             epoch_ns: self.epoch_ns,
-            stream,
+            obs_dir: self.opts.obs_dir.clone(),
             topology: self.topology,
             launch: self.opts.proc.clone(),
         };
@@ -305,11 +291,9 @@ impl<'a> Launcher<'a> {
             while let Some(ev) = events.pop_front() {
                 for action in self.core.step(self.start.elapsed(), ev) {
                     match action {
-                        Action::Spawn {
-                            node,
-                            incarnation,
-                            restart,
-                        } => self.spawn_child(node, incarnation, restart)?,
+                        Action::Spawn { node, incarnation } => {
+                            self.spawn_child(node, incarnation)?
+                        }
                         Action::Kill { node } => {
                             if let Some(slot) = self.slots.get(&node).filter(|s| s.child.is_some())
                             {
@@ -317,10 +301,7 @@ impl<'a> Launcher<'a> {
                                 sig::send_signal(slot.pid, sig::SIGKILL);
                             }
                         }
-                        Action::Fail(err) => {
-                            self.crash_dump();
-                            return Err(err.into());
-                        }
+                        Action::Fail(err) => return Err(err.into()),
                         Action::Done => return Ok(()),
                     }
                 }
@@ -438,31 +419,6 @@ impl<'a> Launcher<'a> {
         }
     }
 
-    /// The per-child JSONL streams eligible for merging (the merged and
-    /// crash outputs themselves excluded).
-    fn dump_inputs(dir: &Path) -> Vec<PathBuf> {
-        let is_stream = |p: &PathBuf| {
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            name.ends_with(".jsonl") && name != "merged.jsonl" && name != "crash.jsonl"
-        };
-        let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
-        let mut inputs: Vec<PathBuf> = entries.map(|e| e.path()).filter(is_stream).collect();
-        inputs.sort();
-        inputs
-    }
-
-    /// Triage for a failing run, at detection time: a merged crash dump
-    /// of everything the children have streamed so far (the core already
-    /// left the `Divergence` record), with the note on stderr.
-    fn crash_dump(&self) {
-        if let Some(dir) = &self.opts.obs_dir {
-            match merge_dump_files(&Self::dump_inputs(dir), &dir.join("crash.jsonl")) {
-                Ok(summary) => eprintln!("{}", summary.summary()),
-                Err(e) => eprintln!("mpirun: crash dump merge failed: {e}"),
-            }
-        }
-    }
-
     /// The shared health page, fed from live child telemetry: per-rank
     /// protocol timings, per-replica EL ledger progress and the merged
     /// quorum-wait histogram; plus the process plane's own families.
@@ -560,12 +516,7 @@ impl<'a> Launcher<'a> {
         }
     }
 
-    fn take_report(&mut self) -> Result<ProcReport, ProcError> {
-        let merge = self.opts.obs_dir.as_ref().and_then(|dir| {
-            merge_dump_files(&Self::dump_inputs(dir), &dir.join("merged.jsonl"))
-                .map_err(|e| eprintln!("mpirun: dump merge failed: {e}"))
-                .ok()
-        });
+    fn take_report(&mut self, merge: Option<Dump>) -> Result<ProcReport, ProcError> {
         let telemetry = std::mem::take(&mut self.telemetry);
         let missing = |r| ProcError::Launch(format!("rank {r} produced no result"));
         let results = self.core.take_results().into_iter().enumerate();

@@ -137,13 +137,9 @@ pub(crate) enum Event {
 /// What the launcher must do.
 #[derive(Debug)]
 pub(crate) enum Action {
-    /// Launch `incarnation` of `node`; `restart` incarnations recover
-    /// (ranks) or catch up from their peers (services).
-    Spawn {
-        node: NodeId,
-        incarnation: u64,
-        restart: bool,
-    },
+    /// Launch `incarnation` (at least 1) of `node`: a reincarnation,
+    /// which recovers (ranks) or catches up from its peers (services).
+    Spawn { node: NodeId, incarnation: u64 },
     /// Crash `node`'s current incarnation, fail-stop.
     Kill { node: NodeId },
     /// The run failed; tear down and report.
@@ -358,7 +354,6 @@ impl Supervisor {
                 out.push(Action::Spawn {
                     node: *node,
                     incarnation: slot.incarnation,
-                    restart: true,
                 });
             }
         }
@@ -750,11 +745,7 @@ mod tests {
     /// anything else but kills.
     fn spawns(actions: &[Action]) -> Vec<(NodeId, u64)> {
         let spawn = |a: &Action| match a {
-            Action::Spawn {
-                node,
-                incarnation,
-                restart: true,
-            } => Some((*node, *incarnation)),
+            Action::Spawn { node, incarnation } => Some((*node, *incarnation)),
             Action::Kill { .. } => None,
             other => panic!("unexpected action {other:?}"),
         };

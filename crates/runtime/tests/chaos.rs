@@ -283,27 +283,32 @@ fn restart_delay_does_not_block_other_recoveries() {
     // Two ranks killed back-to-back with a sizeable restart_delay: under
     // the old blocking policy the second respawn waited out the first
     // rank's full sleep; scheduled respawns overlap the delays instead.
+    // The kills land at program points (each victim's 35th send, about
+    // its 17th ring step), so they land however fast the ring runs.
     let (n, iters) = (4, 200);
     let delay = Duration::from_millis(40);
+    let kill_at_send = |r| CountTrigger {
+        watch: NodeId::Computing(Rank(r)),
+        at: 35,
+        kill: fail_stop_group(Rank(r)),
+    };
     let cluster = Cluster::launch(
         ClusterConfig {
             world: n,
             restart_delay: delay,
             checkpointing: ckpt_cfg(),
+            turbulence: Some(TurbulenceConfig {
+                seed: 0xDE1A,
+                crash_on_send: vec![kill_at_send(1), kill_at_send(2)],
+                ..Default::default()
+            }),
             ..Default::default()
         },
         ring_app(iters),
     );
-    let handle = cluster.fault_handle();
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(10));
-        handle.kill(Rank(1));
-        handle.kill(Rank(2));
-    });
     let report = cluster.wait_report(TIMEOUT).expect("both recover");
-    killer.join().unwrap();
     check_ring(&report.results, iters).unwrap();
-    assert!(report.restarts >= 2);
+    assert_eq!(report.restarts, 2, "each trigger kills its victim once");
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,13 @@
-//! Online observability on the live runtime: the invariant monitor
-//! watching real engine record streams, and the live health endpoint
-//! scraped mid-run.
+//! Observability on the live runtime: the invariant monitor watching
+//! real engine record streams, the live health endpoint scraped mid-run,
+//! and the merged dump of an in-process run.
 
-use mvr_core::{Payload, Rank};
-use mvr_obs::{ProtoEvent, SendDisposition};
-use mvr_runtime::{Cluster, ClusterConfig, ClusterError, NodeMpi, SchedulerConfig};
+use mvr_core::{NodeId, Payload, Rank};
+use mvr_obs::{audit, read_dump, ProtoEvent, SendDisposition};
+use mvr_runtime::{
+    fail_stop_group, Cluster, ClusterConfig, ClusterError, CountTrigger, NodeMpi, SchedulerConfig,
+    TurbulenceConfig,
+};
 use mvr_workloads::apps::ring_app;
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -147,4 +150,46 @@ fn health_endpoint_serves_a_live_page_mid_run() {
         page.contains("mvr_timing_count{interval=\"gate_wait\"}"),
         "{page}"
     );
+}
+
+/// An in-process run with a run directory keeps every record: each
+/// incarnation streams to its own file and the launcher merges them
+/// into one dump that passes the strict audit. Before, each recorder
+/// kept only its last 4 096 records, so a 2 000-lap ring lost most of
+/// its timeline and the audit found hundreds of orphan edges.
+#[test]
+fn an_in_process_dump_keeps_every_record_and_audits_clean() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("inproc_dump");
+    let kill_at_send = |r| CountTrigger {
+        watch: NodeId::Computing(Rank(r)),
+        at: 40,
+        kill: fail_stop_group(Rank(r)),
+    };
+    let cfg = ClusterConfig {
+        world: 4,
+        turbulence: Some(TurbulenceConfig {
+            seed: 0x0D1,
+            crash_on_send: vec![kill_at_send(1), kill_at_send(2)],
+            ..Default::default()
+        }),
+        obs_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let report = Cluster::launch(cfg, ring_app(2000))
+        .wait_report(TIMEOUT)
+        .expect("both kills recover");
+    assert_eq!(report.restarts, 2);
+    let merge = report.merge.expect("a run directory yields a merged dump");
+    assert_eq!(merge.jsonl, dir.join("merged.jsonl"));
+    let (header, timeline) = read_dump(&merge.jsonl).expect("the dump reads back");
+    let header = header.expect("a merged dump has a header");
+    assert!(
+        timeline.len() > 4 * 4096,
+        "{} records: more than four rings' worth",
+        timeline.len()
+    );
+    let audit = audit(Some(&header), &timeline).expect("well-formed");
+    assert!(audit.findings.is_empty(), "{:?}", audit.findings);
+    // One process, one epoch: the merge has nothing to correct.
+    assert!(header.track.is_empty(), "{:?}", header.track);
 }

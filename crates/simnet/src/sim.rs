@@ -2095,12 +2095,11 @@ mod tests {
         assert_eq!(with, without, "unarmed checkpoint sites cost nothing");
     }
 
-    /// Render the dump exactly as `RecorderHub::dump` writes it.
+    /// Render the hub's timeline as a dump.
     fn canonical_dump(hub: &mvr_obs::RecorderHub) -> String {
         let timeline = hub.timeline();
         let header = mvr_obs::DumpHeader {
             records: timeline.len() as u64,
-            dropped: hub.dropped(),
             ..mvr_obs::DumpHeader::default()
         };
         mvr_obs::render_dump(&header, &timeline)
@@ -2255,10 +2254,7 @@ mod tests {
     fn a_faulted_checkpointing_timeline_keeps_every_invariant() {
         // The live monitor sees every record as the engines write it, in
         // event order; the offline one replays the merged timeline.
-        let hub = mvr_obs::RecorderHub::new(mvr_obs::RecorderConfig {
-            capacity: 1 << 20,
-            ..mvr_obs::RecorderConfig::enabled()
-        });
+        let hub = mvr_obs::RecorderHub::new(mvr_obs::RecorderConfig::enabled());
         let live = mvr_obs::InvariantMonitor::new();
         hub.set_sink(live.clone());
         let mut sim = Sim::new(fast_recovery(), exchange_ring(30));

@@ -15,20 +15,26 @@
 //! the chosen backend or the launcher exits 2 naming the backend that
 //! cannot honour it (`ClusterConfig::validate`):
 //! - `inproc` (default): the in-process fabric — threads in one
-//!   process, the benchmarking substrate. Refuses `--fail-after`,
-//!   `--drift`, `--rotate-records`, `--rotate-bytes` (no socket
-//!   detector, no per-process stream);
+//!   process, the benchmarking substrate. Refuses `--fail-after` and
+//!   `--drift` (no socket detector, one clock for every rank);
 //! - `socket`: every rank, event-logger replica and the checkpoint
 //!   server is a **real OS process** speaking length-prefixed frames
 //!   over TCP, watched by a socket fail-stop detector; `--kill`,
 //!   `--el-kill` and `--cs-kill` become real `SIGKILL`s and recovery
 //!   runs across process boundaries. Refuses `--protocol v1|p4`.
 //!
+//! With `--obs-dir <dir>` both backends record the same way: every
+//! incarnation streams its flight records to `<dir>/<node>-i<k>.jsonl`
+//! (cut into segments by `--rotate-records` / `--rotate-bytes`), and the
+//! run ends with one merge of the streams into `<dir>/merged.jsonl`, or
+//! `<dir>/crash.jsonl` when it failed.
+//!
 //! Demo applications (deterministic, resumable, self-verifying; the
 //! registry is `mvr_workloads::apps`): `ring [iters]`, `allreduce
 //! [iters]`, `fanout [msgs]`, `cg [n]`, `stencil [n] [steps]`.
 
 use mpich_v::core::{NodeId, Payload, Rank};
+use mpich_v::obs::Dump;
 use mpich_v::runtime::proc::{maybe_run_child, run_proc};
 use mpich_v::runtime::progfile;
 use mpich_v::runtime::{Backend, Cluster, ClusterConfig, MpiApp, RuntimeProtocol};
@@ -203,19 +209,14 @@ fn main() {
 }
 
 fn run_inproc(cfg: ClusterConfig, app: Arc<dyn MpiApp>) -> Result<(), Box<dyn std::error::Error>> {
-    let (timeout, obs_dir) = (cfg.timeout, cfg.obs_dir.clone());
+    let timeout = cfg.timeout;
     let cluster = Cluster::launch(cfg, app);
     if let Some(addr) = cluster.health_addr() {
         println!("mpirun: health endpoint at http://{addr}/");
     }
-    let hub = cluster.recorder_hub();
     let report = cluster.wait_report(timeout)?;
-    // A failed run left its crash dump on the way out; a completed one
-    // hands its records over here.
-    if let Some(dir) = obs_dir {
-        println!("mpirun: {}", hub.dump(&dir, "merged")?.summary());
-    }
-    print_results(&report.results, report.restarts, report.service_restarts);
+    let restarts = [report.restarts, report.service_restarts];
+    print_results(&report.results, restarts, report.merge.as_ref());
     Ok(())
 }
 
@@ -224,18 +225,18 @@ fn run_socket(cfg: ClusterConfig) -> Result<(), Box<dyn std::error::Error>> {
     for (peer, cause) in &report.detections {
         println!("mpirun: detected loss of {peer} ({cause})");
     }
-    if let Some(merge) = &report.merge {
-        println!("mpirun: {}", merge.summary());
-    }
-    print_results(
-        &report.results,
-        report.restarts.into(),
-        report.service_restarts.into(),
-    );
+    let restarts = [report.restarts, report.service_restarts].map(u64::from);
+    print_results(&report.results, restarts, report.merge.as_ref());
     Ok(())
 }
 
-fn print_results(results: &[Payload], restarts: u64, service_restarts: u64) {
+/// The end of a completed run, the same on either backend: the merged
+/// dump's summary, each rank's result, the restart counts.
+fn print_results(results: &[Payload], restarts: [u64; 2], merge: Option<&Dump>) {
+    if let Some(merge) = merge {
+        println!("mpirun: {}", merge.summary());
+    }
+    let [restarts, service_restarts] = restarts;
     for (r, p) in results.iter().enumerate() {
         println!(
             "rank {r}: {} result bytes ({})",

@@ -163,8 +163,8 @@ fn table() -> Vec<Row> {
             acts("health endpoint at http://127.0.0.1:"),
             acts("health endpoint at http://127.0.0.1:"),
         ),
-        // The socket detector, per-process clocks and per-process
-        // streams: there is nothing in one process for these to act on.
+        // The socket detector and per-process clocks: there is nothing
+        // in one process for these to act on.
         row(
             &["--fail-after"],
             &["-np", "2", "--fail-after", "400", "ring", "20"],
@@ -177,16 +177,17 @@ fn table() -> Vec<Row> {
             Refused,
             acts("run completed"),
         ),
+        // Both backends stream every incarnation's records the same way.
         row(
             &["--rotate-records"],
             &["-np", "2", "--rotate-records", "50", "ring", "20"],
-            Refused,
+            acts("run completed"),
             acts("run completed"),
         ),
         row(
             &["--rotate-bytes"],
             &["-np", "2", "--rotate-bytes", "4096", "ring", "20"],
-            Refused,
+            acts("run completed"),
             acts("run completed"),
         ),
     ]
