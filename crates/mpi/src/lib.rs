@@ -12,6 +12,12 @@
 //! mirroring the paper's "MPI implementation independence" requirement
 //! (MPICH is never made aware of faults).
 //!
+//! There is one MPI layer: the protocol is the sans-IO [`MpiCore`]
+//! (matching, the unexpected and self queues, the eager/rendezvous
+//! choice at [`RNDV_THRESHOLD`] and the rendezvous handshake), and
+//! [`Mpi`] is its blocking shell over a [`Channel`]. The cluster
+//! simulator (`mvr-simnet`) drives the same core in virtual time.
+//!
 //! ```
 //! use mvr_mpi::testing::run_local;
 //! use mvr_mpi::{ReduceOp, Source, Tag};
@@ -32,6 +38,7 @@
 pub mod channel;
 pub mod collectives;
 pub mod comm;
+pub mod core;
 pub mod datatype;
 pub mod error;
 pub mod request;
@@ -40,6 +47,7 @@ pub mod wire;
 
 pub use channel::{Channel, ChannelInfo};
 pub use comm::{Mpi, RecvMsg};
+pub use core::{MpiCore, SendStart};
 pub use datatype::{decode_slice, encode_slice, reduce_into, ReduceOp, Reducible, Scalar};
 pub use error::{MpiError, MpiResult};
 pub use request::Request;

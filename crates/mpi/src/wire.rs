@@ -153,6 +153,15 @@ fn read_frame(r: &mut Reader<'_>) -> Parse<MpiFrame> {
 }
 
 impl MpiFrame {
+    /// The message body this frame carries, if any (the handshake frames
+    /// carry none).
+    pub fn body(&self) -> Option<&Payload> {
+        match self {
+            MpiFrame::Eager { body, .. } | MpiFrame::RndvData { body, .. } => Some(body),
+            MpiFrame::RndvReq { .. } | MpiFrame::RndvCts { .. } => None,
+        }
+    }
+
     /// Serialize for the channel.
     pub fn encode(&self) -> Payload {
         match self {
@@ -305,13 +314,6 @@ mod tests {
         })
     }
 
-    fn body_of(f: &MpiFrame) -> Option<&Payload> {
-        match f {
-            MpiFrame::Eager { body, .. } | MpiFrame::RndvData { body, .. } => Some(body),
-            _ => None,
-        }
-    }
-
     /// A decode either fails as a protocol error or yields a frame that
     /// re-encodes to exactly the bytes it came from.
     fn canonical_or_protocol_error(bytes: &Payload) {
@@ -334,7 +336,7 @@ mod tests {
             let input = Payload::from_vec(reference);
             let back = MpiFrame::decode(&input).unwrap();
             prop_assert_eq!(&back, &frame);
-            if let Some(body) = body_of(&back) {
+            if let Some(body) = back.body() {
                 let range = input.as_slice().as_ptr_range();
                 let at = body.as_slice().as_ptr();
                 prop_assert!(range.start <= at && at <= range.end);
@@ -352,7 +354,7 @@ mod tests {
             // Every replacement of a header byte, and of the body's first
             // and last byte: the body's other bytes are opaque, so a flip
             // there changes content, never structure.
-            let head = enc.len() - body_of(&frame).map_or(0, |b| b.len());
+            let head = enc.len() - frame.body().map_or(0, |b| b.len());
             let mut at: Vec<usize> = (0..head).collect();
             if head < enc.len() {
                 at.extend([head, enc.len() - 1]);

@@ -8,12 +8,15 @@
 //! Every failure here is replayable: the fault schedule is a pure
 //! function of the seed and trigger counts in the test body.
 
-use mvr_core::{NodeId, Rank};
+use mvr_core::{NodeId, Payload, Rank};
 use mvr_runtime::{
-    fail_stop_group, ChaosConfig, Cluster, ClusterConfig, ClusterError, CountTrigger,
-    SchedulerConfig, ShardMap, Topology, TurbulenceConfig,
+    fail_stop_group, ChaosConfig, Cluster, ClusterConfig, ClusterError, CountTrigger, MpiApp,
+    NodeMpi, SchedulerConfig, ShardMap, Topology, TurbulenceConfig,
 };
 use mvr_workloads::apps::{check_ring, ring_app};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -167,17 +170,41 @@ fn checkpoint_server_crash_mid_checkpoint() {
     // *assumes* reliable (§4.3); no test here kills it, and the EL-kill
     // stall behaviour is pinned by `tests/deployment.rs`.
     //
-    // The ring outlasts the kill by several of the dispatcher's 10 ms
-    // liveness scans: at 300 iterations it could end before the scan
-    // that relaunches the CS (1 run in 10). The CS sees its 4th packet
-    // only if checkpoints keep flowing: the scheduler's first order can
-    // go down with rank 0 (killed a few ms in), and waiting out the
-    // default 500 ms for its completion would stop checkpointing for
-    // the rest of the run (1 run in 3, standalone).
+    // However fast the ring runs, no rank returns before the dispatcher
+    // has relaunched the CS: a 1000-lap ring alone could end before the
+    // liveness scan that relaunches it (release builds, 2 runs in 20), or
+    // before the CS's 4th packet. So a rank that has finished its ring
+    // keeps offering checkpoint sites, whose image holds its result,
+    // until the dispatcher's health page counts the relaunch.
+    // The scheduler's first order can go down with rank 0 (killed a few
+    // ms in), and waiting out the default 500 ms for its completion
+    // would stop checkpointing for the rest of the run (1 run in 3,
+    // standalone).
     let (n, iters) = (3, 1000);
+    const DONE: &[u8] = b"ring done:";
+    let health = Arc::new(OnceLock::<SocketAddr>::new());
+    let ring = ring_app(iters);
+    let seen = health.clone();
+    let app = move |mpi: &mut NodeMpi, restored: Option<Payload>| {
+        let out = match restored {
+            Some(img) if img.as_slice().starts_with(DONE) => {
+                Payload::from_vec(img.as_slice()[DONE.len()..].to_vec())
+            }
+            img => ring.run(mpi, img)?,
+        };
+        let image = [DONE, out.as_slice()].concat();
+        let deadline = Instant::now() + TIMEOUT;
+        while seen.get().is_none_or(|&addr| service_restarts(addr) == 0) {
+            assert!(Instant::now() < deadline, "the CS was never relaunched");
+            mpi.checkpoint_site(&image)?;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Ok(out)
+    };
     let cluster = Cluster::launch(
         ClusterConfig {
             world: n,
+            health_addr: Some("127.0.0.1:0".into()),
             checkpointing: Some(SchedulerConfig {
                 interval: Duration::from_millis(1),
                 completion_timeout: Duration::from_millis(10),
@@ -199,8 +226,9 @@ fn checkpoint_server_crash_mid_checkpoint() {
             }),
             ..Default::default()
         },
-        ring_app(iters),
+        app,
     );
+    assert!(health.set(cluster.health_addr().expect("bound")).is_ok());
     let report = cluster.wait_report(TIMEOUT).expect("survives CS loss");
     check_ring(&report.results, iters).unwrap();
     assert!(
@@ -208,6 +236,20 @@ fn checkpoint_server_crash_mid_checkpoint() {
         "the dispatcher must have relaunched the checkpoint server"
     );
     assert!(report.restarts >= 1);
+}
+
+/// `mvr_service_restarts_total` from the health page at `addr` (0 while
+/// the page cannot be read).
+fn service_restarts(addr: SocketAddr) -> u64 {
+    let mut page = String::new();
+    if let Ok(mut s) = TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
+        let _ = s.write_all(b"GET /metrics HTTP/1.0\r\n\r\n");
+        let _ = s.read_to_string(&mut page);
+    }
+    page.lines()
+        .find_map(|l| l.strip_prefix("mvr_service_restarts_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------

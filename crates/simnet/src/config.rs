@@ -13,7 +13,9 @@
 //! * V2 peak bandwidth 10.7 MB/s ⇒ the sender-based payload copy costs
 //!   about (1/10.7 − 1/11.3) µs/byte ⇒ ~200 MB/s effective copy rate;
 //! * the MPICH 1.2.5 eager→rendezvous switch at 128 000 bytes
-//!   (the Fig. 10 non-linearity between 64 kB and 128 kB);
+//!   (the Fig. 10 non-linearity between 64 kB and 128 kB) — not a
+//!   setting here: the simulated ranks run `mvr-mpi`'s core, and it is
+//!   `mvr_mpi::RNDV_THRESHOLD`;
 //! * per-node message-log budget 1 GB RAM + 1 GB IDE disk, runs aborted
 //!   beyond 2 GB (the FT-class-B case).
 
@@ -69,8 +71,6 @@ pub struct ClusterConfig {
     /// Chunk size for pipelined transfers (bytes). Controls duplex
     /// interleaving granularity, not throughput.
     pub chunk_bytes: u64,
-    /// Eager→rendezvous threshold (bytes), MPICH 1.2.5 default.
-    pub rndv_threshold: u64,
     /// P4 only: kernel socket-buffer size. Sends that fit return after a
     /// memcpy and the kernel keeps the connection full-duplex; larger
     /// sends block the driver in `write()`, serializing the connection's
@@ -137,7 +137,6 @@ impl ClusterConfig {
             recv_overhead: usecs(35),
             wire_latency: usecs(7),
             chunk_bytes: 16 * 1024,
-            rndv_threshold: 128_000,
             p4_socket_buffer: 60 * 1024,
             log_copy_bw: 200_000_000,
             log_disk_bw: 15_000_000,
@@ -170,7 +169,6 @@ mod tests {
             c.send_overhead + c.wire_latency + c.recv_overhead,
             usecs(77)
         );
-        assert_eq!(c.rndv_threshold, 128_000);
         assert_eq!(c.bandwidth, 11_300_000);
         // Copy-rate calibration: 1/bw + 1/copy ≈ 1/10.7 MB/s.
         let v2_rate = 1.0 / (1.0 / c.bandwidth as f64 + 1.0 / c.log_copy_bw as f64);

@@ -6,26 +6,30 @@
 //! → infeasible), checkpointing overlapped with execution, crash-and-
 //! recover faults, and log-driven re-execution.
 //!
-//! Under V2 every rank runs one real [`V2Engine`], in virtual time, fed
-//! through the same `Input`/`Output` API the runtime uses: the simulator
-//! keeps the cost model and the MPI layer (source matching, rendezvous),
-//! and every protocol decision — the pessimism gate, event batching and
-//! quorum acks, duplicate filtering, the RESTART1/RESTART2 re-sends and
-//! replay, checkpoint garbage collection — comes from the engines. P4
-//! and V1 stay cost models.
+//! The simulator is a cost model around the shipped protocol code. Every
+//! rank's MPI layer is one `mvr_mpi::MpiCore` — the core under the
+//! runtime's `Mpi` — so matching, the eager/rendezvous choice and the
+//! rendezvous handshake are `mvr-mpi`'s. Below it, every V2 rank runs one
+//! real [`V2Engine`] and every V1 rank one `V1Engine` over the shipped
+//! `ChannelMemory` repositories, in virtual time, fed through the same
+//! APIs the runtime uses; P4 puts the core's frames straight on the wire.
+//! The simulator decides no protocol question: it charges lanes, chunks,
+//! socket buffers, sender-log copies and event-logger service, and maps
+//! each delivery back to the frame it carries.
 //!
 //! Faithfulness notes (what maps to what in the paper):
 //! * V2 sends queue behind unacknowledged reception events (§4.5); every
-//!   channel message a rank receives — eager data, rendezvous request,
-//!   clear-to-send and rendezvous data, as `mvr-mpi` sends them — is a
-//!   logged reception;
+//!   channel frame a rank receives — eager data, rendezvous request,
+//!   clear-to-send and rendezvous data — is a logged reception;
 //! * V2 `MPI_Isend` only posts; the payload moves asynchronously and the
 //!   app pays in `MPI_Wait` (Table 1); P4 pushes during `MPI_Isend`;
 //! * the P4 driver is half-duplex (shared lane), V2 full-duplex (Fig. 9);
-//!   a V2 connection is a FIFO byte stream, so two messages between the
-//!   same nodes never overtake each other;
-//! * V1 store-and-forwards whole messages through the receiver's Channel
-//!   Memory (bandwidth ÷ 2, Fig. 5);
+//!   a connection is a FIFO byte stream, so two messages between the
+//!   same nodes never overtake each other (MPI's non-overtaking rule,
+//!   which the core relies on);
+//! * V1 store-and-forwards every frame through the receiver's Channel
+//!   Memory (bandwidth ÷ 2, Fig. 5), pulling one frame whenever the MPI
+//!   layer waits, as the runtime's V1 channel does;
 //! * a restarted node receives re-sent payloads from its peers' logs, and
 //!   a re-executed send is suppressed once the peer's RESTART watermark
 //!   shows it already has the message; no event-logger traffic is
@@ -43,17 +47,17 @@ use crate::report::{RankBreakdown, SimReport};
 use crate::time::{transfer_ns, SimTime};
 use crate::trace::Op;
 use mvr_ckpt::{Policy, Scheduler};
+use mvr_core::baseline::v1::{ChannelMemory, V1Engine, V1Output};
 use mvr_core::{
-    ElReply, ElRequest, EngineSnapshot, Input, Output, Payload, PeerMsg, Rank, V2Engine,
+    CmReply, CmRequest, ElReply, ElRequest, EngineSnapshot, Input, Output, Payload, PeerMsg, Rank,
+    V2Engine,
 };
 use mvr_eventlog::{merge_downloads, quorum_of, EventLogStore};
+use mvr_mpi::{Context, MpiCore, MpiFrame, RecvMsg, SendStart, Source, Tag};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 type Nid = usize;
-
-/// Pending rendezvous sends: (destination, index) → (bytes, completion).
-type RndvPending = HashMap<(usize, u64), (u64, Notify)>;
 
 // ---------------------------------------------------------------------
 // Events
@@ -71,9 +75,9 @@ enum Ev {
     TxNextChunk { tid: usize },
     /// A whole message finished its rx stage.
     Delivered { tid: usize },
-    /// A blocking-send / isend completion token fired (tx finished),
+    /// A send request's payload has left the node (trace op `op`),
     /// valid only for the stamped incarnation.
-    SendTxDone { rank: usize, token: u64, gen: u32 },
+    SendTxDone { rank: usize, op: usize, gen: u32 },
     /// Crash rank now.
     Crash(usize),
     /// Restart rank now (image fetched, peers notified).
@@ -105,25 +109,14 @@ impl PartialOrd for HeapEv {
 // Transfers
 // ---------------------------------------------------------------------
 
-/// An MPI-level channel message. Under V2 a pair's messages are
-/// identified by their position in the pair's list (MPI's non-overtaking
-/// rule); `index` numbers the pair's application messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Msg {
-    /// An eager application message.
-    Eager { index: u64, bytes: u64 },
-    /// Rendezvous request announcing message `index`.
-    Rts { index: u64, bytes: u64 },
-    /// Clear-to-send for the peer's rendezvous message `index`.
-    Cts { index: u64 },
-    /// Rendezvous payload of message `index`.
-    Rndv { index: u64, bytes: u64 },
-}
-
 #[derive(Clone, Debug)]
 enum TKind {
-    /// P4: an MPI channel message on the wire.
-    Mpi { from: usize, to: usize, msg: Msg },
+    /// P4: an MPI frame on the wire.
+    Mpi {
+        from: usize,
+        to: usize,
+        frame: MpiFrame,
+    },
     /// V2: a message between two ranks' engines.
     Peer {
         from: usize,
@@ -142,33 +135,18 @@ enum TKind {
         replica: u32,
         up_to: u64,
     },
-    /// V1: payload pushed to the receiver's Channel Memory.
-    CmPush {
-        from: usize,
-        to: usize,
-        index: u64,
-        bytes: u64,
-    },
-    /// V1: pull request from the CM owner.
-    CmPull { owner: usize },
-    /// V1: stored message forwarded to its owner.
-    CmForward {
-        from: usize,
-        to: usize,
-        index: u64,
-        bytes: u64,
-    },
+    /// V1: a request to the Channel Memory of `owner` (a push from a
+    /// sender, a pull from the owner).
+    CmReq { owner: usize, req: CmRequest },
+    /// V1: a Channel Memory's reply to its owner.
+    CmReply { owner: usize, reply: CmReply },
     /// Checkpoint image to the checkpoint server.
     CkptImage { rank: usize },
 }
 
-/// What to complete when a send's payload has left the node: the
-/// blocking send's token and/or the nonblocking request (trace op).
-#[derive(Clone, Copy, Debug, Default)]
-struct Notify {
-    token: Option<u64>,
-    op: Option<usize>,
-}
+/// The send request (its trace op) to complete once a payload has left
+/// the node.
+type Notify = Option<usize>;
 
 #[derive(Clone, Debug)]
 struct Transfer {
@@ -196,7 +174,7 @@ struct Transfer {
     p4_stall: bool,
 }
 
-/// A V2 connection: one FIFO stream from its source node to `dst`.
+/// A connection: one FIFO stream from its source node to `dst`.
 #[derive(Clone, Debug)]
 struct Conn {
     dst: Nid,
@@ -214,12 +192,8 @@ struct Conn {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Block {
     Compute,
-    Send {
-        token: u64,
-    },
-    Recv {
-        src: usize,
-    },
+    /// Until request `op` completes (a blocking send or receive waits on
+    /// its own op).
     WaitReq {
         op: usize,
     },
@@ -237,95 +211,77 @@ enum OpClass {
     Wait,
 }
 
-#[derive(Clone, Debug)]
-enum Arrival {
-    Eager {
-        bytes: u64,
-    },
-    /// Announced rendezvous; the size rides with the payload.
-    RndvAnnounce {
-        cts_sent: bool,
-    },
-    RndvHere {
-        bytes: u64,
-    },
+/// An outstanding request.
+#[derive(Clone, Copy, Debug)]
+enum Req {
+    /// A send, until its payload has left the node; with the core's id
+    /// of a send whose body the core holds until the peer's
+    /// clear-to-send.
+    Send(Option<u64>),
+    /// A receive: the core's posted request.
+    Recv(u64),
 }
 
-impl Arrival {
-    fn consumable(&self) -> bool {
-        matches!(self, Arrival::Eager { .. } | Arrival::RndvHere { .. })
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Waiter {
-    /// The rank itself blocks in a `Recv` op.
-    Blocking,
-    /// An `Irecv` request (trace op index).
-    Req(usize),
-}
-
-/// The MPI process: interpreter position, requests and matching queues —
+/// The MPI process: interpreter position, requests and the MPI core —
 /// what a checkpoint image captures beside the engine.
 #[derive(Clone, Debug)]
 struct Proc {
     pc: usize,
-    /// Requests by trace op index: true = complete.
-    reqs: HashMap<usize, bool>,
-    incomplete_reqs: HashSet<usize>,
-    /// Application messages sent, per destination rank.
-    sent_count: Vec<u64>,
-    /// V2 channel messages sent per destination / delivered per source:
-    /// positions in the pairs' message lists.
+    /// The MPI library.
+    core: MpiCore,
+    /// Outstanding requests, by trace op index (post order).
+    reqs: BTreeMap<usize, Req>,
+    /// V1/V2 frames sent per destination / delivered per source:
+    /// positions in the pairs' frame lists.
     chan_sent: Vec<u64>,
     chan_recvd: Vec<u64>,
-    /// Per source rank.
-    arrivals: Vec<BTreeMap<u64, Arrival>>,
-    consumed_count: Vec<u64>,
-    reserved_count: Vec<u64>,
-    waiters: Vec<VecDeque<Waiter>>,
-    /// Rendezvous sends awaiting CTS.
-    rndv_pending: RndvPending,
     /// V2 sends whose payload has not left the node yet, by (destination,
     /// sender clock).
     pending_tx: BTreeMap<(usize, u64), Notify>,
-    next_token: u64,
     /// Every consumed message, as (source, bytes), in consumption order.
     #[cfg(test)]
     consumed: Vec<(usize, u64)>,
 }
 
 impl Proc {
-    fn new(n: usize) -> Self {
+    fn new(rank: usize, n: usize) -> Self {
         Proc {
             pc: 0,
-            reqs: HashMap::new(),
-            incomplete_reqs: HashSet::new(),
-            sent_count: vec![0; n],
+            core: MpiCore::new(Rank(rank as u32)),
+            reqs: BTreeMap::new(),
             chan_sent: vec![0; n],
             chan_recvd: vec![0; n],
-            arrivals: vec![BTreeMap::new(); n],
-            consumed_count: vec![0; n],
-            reserved_count: vec![0; n],
-            waiters: vec![VecDeque::new(); n],
-            rndv_pending: HashMap::new(),
             pending_tx: BTreeMap::new(),
-            next_token: 0,
             #[cfg(test)]
             consumed: Vec::new(),
         }
     }
 
-    fn new_token(&mut self) -> u64 {
-        self.next_token += 1;
-        self.next_token - 1
+    /// Has request `op` completed? (One no longer outstanding has.)
+    fn req_done(&self, op: usize) -> bool {
+        match self.reqs.get(&op) {
+            Some(&Req::Recv(seq)) => self.core.recv_done(seq),
+            Some(Req::Send(_)) => false,
+            None => true,
+        }
     }
 
-    /// Can request `op` only complete through a delivery (an `Irecv`, or
-    /// a rendezvous `Isend` still waiting for its CTS)?
-    fn needs_delivery(&self, trace: &[Op], op: usize) -> bool {
-        matches!(trace[op], Op::Irecv { .. })
-            || self.rndv_pending.values().any(|(_, n)| n.op == Some(op))
+    /// Can request `op` only complete through a delivery (a receive, or
+    /// a held send still waiting for its clear-to-send)?
+    fn needs_delivery(&self, op: usize) -> bool {
+        match self.reqs.get(&op) {
+            Some(&Req::Recv(seq)) => !self.core.recv_done(seq),
+            Some(&Req::Send(held)) => held.is_some_and(|id| !self.core.send_done(id)),
+            None => false,
+        }
+    }
+
+    /// Retire completed request `op`: its message, if a receive.
+    fn retire(&mut self, op: usize) -> Option<RecvMsg> {
+        match self.reqs.remove(&op)? {
+            Req::Recv(seq) => self.core.take_recv(seq).expect("a posted receive"),
+            Req::Send(_) => None,
+        }
     }
 }
 
@@ -342,18 +298,22 @@ struct RankSim {
     proc: Proc,
     /// The V2 protocol engine (none under P4/V1, and while crashed).
     engine: Option<V2Engine>,
+    /// The V1 computing-node engine (none under P4/V2).
+    v1: Option<V1Engine>,
     down: bool,
     generation: u32,
     blocked: Option<Block>,
     block_kind: OpClass,
     block_start: SimTime,
-    /// V2: an `AppRecv` is waiting for its delivery.
+    /// V1/V2: the daemon has a receive posted (`AppRecv`, a CM pull) for
+    /// the next delivery.
     recv_posted: bool,
     /// V2: a checkpoint order was forwarded and has not been armed yet.
     ckpt_ordered: bool,
-    /// V2: the channel messages sent to each destination, in order. Kept
-    /// across incarnations: re-execution rebuilds the same list.
-    sent: Vec<Vec<Msg>>,
+    /// V1/V2: the MPI frames sent to each destination, in order, and
+    /// not yet delivered unless `Sim::keep_sent`. Kept across
+    /// incarnations: re-execution rebuilds the same list.
+    sent: Vec<VecDeque<MpiFrame>>,
     max_log_bytes: u64,
     spilled: bool,
     /// The checkpoint image in flight to the server, and the last one
@@ -365,11 +325,12 @@ struct RankSim {
 }
 
 impl RankSim {
-    fn new(trace: Vec<Op>, n: usize) -> Self {
+    fn new(trace: Vec<Op>, rank: usize, n: usize) -> Self {
         RankSim {
             trace,
-            proc: Proc::new(n),
+            proc: Proc::new(rank, n),
             engine: None,
+            v1: None,
             down: false,
             generation: 0,
             blocked: None,
@@ -377,7 +338,7 @@ impl RankSim {
             block_start: 0,
             recv_posted: false,
             ckpt_ordered: false,
-            sent: vec![Vec::new(); n],
+            sent: vec![VecDeque::new(); n],
             max_log_bytes: 0,
             spilled: false,
             image: None,
@@ -395,15 +356,8 @@ impl RankSim {
     fn awaits_delivery(&self) -> bool {
         let p = &self.proc;
         match self.blocked {
-            Some(Block::Recv { .. }) => true,
-            Some(Block::Send { token }) => {
-                p.rndv_pending.values().any(|(_, n)| n.token == Some(token))
-            }
-            Some(Block::WaitReq { op }) => p.needs_delivery(&self.trace, op),
-            Some(Block::WaitAll) => p
-                .incomplete_reqs
-                .iter()
-                .any(|&op| p.needs_delivery(&self.trace, op)),
+            Some(Block::WaitReq { op }) => p.needs_delivery(op),
+            Some(Block::WaitAll) => p.reqs.keys().any(|&op| p.needs_delivery(op)),
             Some(Block::Compute | Block::Quiesce) | None => false,
         }
     }
@@ -461,12 +415,14 @@ pub struct Sim {
     cs_nid: Nid,
     /// One event-log store per event-logger node (V2).
     el_stores: Vec<EventLogStore>,
-    /// Every V2 payload is a slice of this one zero buffer.
+    /// Every message body is a slice of this one zero buffer.
     zeros: Payload,
-    // V1 Channel Memories: per owner rank: stored forwards + pull state.
-    cm_store: Vec<VecDeque<(usize, u64, u64)>>, // (from, index, bytes)
-    cm_pulled: Vec<u64>,
-    cm_forwarded: Vec<u64>,
+    /// V1: the Channel Memory of each rank, by owner.
+    cms: Vec<ChannelMemory>,
+    /// A run that may re-execute (a fault plan, a replay) keeps every
+    /// frame sent, to deliver it again and to check the re-sent copy;
+    /// any other run drops a frame once it is delivered.
+    keep_sent: bool,
     // Stats
     msgs_delivered: u64,
     bytes_delivered: u64,
@@ -520,7 +476,9 @@ impl Sim {
             })
             .collect();
         let mut sim = Sim {
-            ranks: traces.into_iter().map(|t| RankSim::new(t, n)).collect(),
+            ranks: (traces.into_iter().enumerate())
+                .map(|(r, t)| RankSim::new(t, r, n))
+                .collect(),
             now: 0,
             t0: 0,
             clock,
@@ -537,14 +495,9 @@ impl Sim {
             cm_base,
             cs_nid,
             el_stores: vec![EventLogStore::new(); if v2 { num_els } else { 0 }],
-            zeros: if v2 {
-                Payload::filled(0, max_bytes as usize)
-            } else {
-                Payload::empty()
-            },
-            cm_store: vec![VecDeque::new(); n],
-            cm_pulled: vec![0; n],
-            cm_forwarded: vec![0; n],
+            zeros: Payload::filled(0, max_bytes as usize),
+            cms: Vec::new(),
+            keep_sent: false,
             msgs_delivered: 0,
             bytes_delivered: 0,
             checkpoints: 0,
@@ -559,10 +512,18 @@ impl Sim {
             ckpt_victim: None,
             cfg,
         };
-        if v2 {
-            for r in 0..n {
-                let e = sim.configured(r, V2Engine::fresh(Rank(r as u32), n as u32));
-                sim.ranks[r].engine = Some(e);
+        for r in 0..n {
+            let rank = Rank(r as u32);
+            match sim.cfg.protocol {
+                Protocol::V2 => {
+                    let e = sim.configured(r, V2Engine::fresh(rank, n as u32));
+                    sim.ranks[r].engine = Some(e);
+                }
+                Protocol::V1 => {
+                    sim.ranks[r].v1 = Some(V1Engine::new(rank));
+                    sim.cms.push(ChannelMemory::new(rank));
+                }
+                Protocol::P4 => {}
             }
         }
         sim
@@ -606,10 +567,6 @@ impl Sim {
         self.cm_base + rank % (self.cs_nid - self.cm_base)
     }
 
-    fn cm_owner_slot(&self, rank: usize) -> usize {
-        rank // cm_store is indexed by owner rank directly
-    }
-
     fn push_ev(&mut self, t: SimTime, ev: Ev) {
         self.seq += 1;
         self.heap.push(Reverse(HeapEv {
@@ -625,20 +582,11 @@ impl Sim {
         self.push_ev(t, Ev::RankReady(r, gen));
     }
 
-    /// Fire `n`'s completions for the current incarnation of `r` at `t`
-    /// (request completions travel as tokens in the upper range).
+    /// Complete send request `n` of the current incarnation of `r` at `t`.
     fn fire(&mut self, t: SimTime, r: usize, n: Notify) {
         let gen = self.ranks[r].generation;
-        let ops = n.op.map(|o| u64::MAX - o as u64);
-        for token in n.token.into_iter().chain(ops) {
-            self.push_ev(
-                t,
-                Ev::SendTxDone {
-                    rank: r,
-                    token,
-                    gen,
-                },
-            );
+        if let Some(op) = n {
+            self.push_ev(t, Ev::SendTxDone { rank: r, op, gen });
         }
     }
 
@@ -652,9 +600,9 @@ impl Sim {
     ///
     /// Chunks are chained one reservation at a time, so concurrent
     /// transfers (application traffic, checkpoint images, EL events)
-    /// interleave fairly, as the paper describes for the V2 driver. Under
-    /// V2 a transfer waits for the previous one between the same two
-    /// nodes: a connection is one FIFO stream.
+    /// interleave fairly, as the paper describes for the V2 driver. A
+    /// transfer waits for the previous one between the same two nodes: a
+    /// connection is one FIFO stream.
     fn start_transfer(
         &mut self,
         src: Nid,
@@ -671,11 +619,13 @@ impl Sim {
         } else {
             0
         };
-        let p4_stall = self.cfg.protocol == Protocol::P4
-            && src < self.n
-            && dst < self.n
-            && bytes > self.cfg.p4_socket_buffer
-            && bytes < self.cfg.rndv_threshold;
+        let p4_stall = matches!(
+            &kind,
+            TKind::Mpi {
+                frame: MpiFrame::Eager { .. },
+                ..
+            }
+        ) && bytes > self.cfg.p4_socket_buffer;
         let transfer = Transfer {
             kind,
             src,
@@ -699,29 +649,27 @@ impl Sim {
                 self.transfers.len() - 1
             }
         };
-        if self.cfg.protocol == Protocol::V2 {
-            let conns = &mut self.conns[src];
-            let at = match conns.iter().position(|c| c.dst == dst) {
-                Some(at) => at,
-                None => {
-                    conns.push(Conn {
-                        dst,
-                        free_at: 0,
-                        queue: VecDeque::new(),
-                    });
-                    conns.len() - 1
-                }
-            };
-            let conn = &mut conns[at];
-            conn.queue.push_back(tid);
-            if conn.queue.len() > 1 {
-                return; // its predecessor starts it
+        let conns = &mut self.conns[src];
+        let at = match conns.iter().position(|c| c.dst == dst) {
+            Some(at) => at,
+            None => {
+                conns.push(Conn {
+                    dst,
+                    free_at: 0,
+                    queue: VecDeque::new(),
+                });
+                conns.len() - 1
             }
-            if conn.free_at > self.now {
-                let t = conn.free_at;
-                self.push_ev(t, Ev::TxNextChunk { tid });
-                return;
-            }
+        };
+        let conn = &mut conns[at];
+        conn.queue.push_back(tid);
+        if conn.queue.len() > 1 {
+            return; // its predecessor starts it
+        }
+        if conn.free_at > self.now {
+            let t = conn.free_at;
+            self.push_ev(t, Ev::TxNextChunk { tid });
+            return;
         }
         self.tx_chunk(tid);
     }
@@ -857,9 +805,9 @@ impl Sim {
             return;
         }
         let dst = self.transfers[tid].dst;
-        let kind = std::mem::replace(&mut self.transfers[tid].kind, TKind::CmPull { owner: 0 });
+        let kind = std::mem::replace(&mut self.transfers[tid].kind, TKind::CkptImage { rank: 0 });
         match kind {
-            TKind::Mpi { from, to, msg } => self.mpi_arrival(to, from, msg),
+            TKind::Mpi { from, to, frame } => self.mpi_arrival(to, from, frame),
             TKind::Peer { from, to, msg } => {
                 let watermark = match &msg {
                     PeerMsg::Restart1 { last_received } | PeerMsg::Restart2 { last_received } => {
@@ -899,7 +847,7 @@ impl Sim {
                             replica,
                             up_to,
                         },
-                        Notify::default(),
+                        None,
                     );
                 }
             }
@@ -911,28 +859,23 @@ impl Sim {
                 self.feed(owner, Input::ElReplicaAck { replica, up_to });
                 self.pump(owner);
             }
-            TKind::CmPush {
-                from,
-                to,
-                index,
-                bytes,
-            } => {
-                let slot = self.cm_owner_slot(to);
-                self.cm_store[slot].push_back((from, index, bytes));
-                self.cm_try_forward(to);
+            TKind::CmReq { owner, req } => {
+                for reply in self.cms[owner].handle(req) {
+                    let bytes = match &reply {
+                        // The sender does not wait for the push ack: the
+                        // cost model leaves it off the wire.
+                        CmReply::PushAck => continue,
+                        CmReply::Msg { msg, .. } => msg.payload.len() as u64,
+                        CmReply::ProbeAck { .. } => self.cfg.event_bytes,
+                    };
+                    let kind = TKind::CmReply { owner, reply };
+                    self.start_transfer(dst, owner, bytes, 0, kind, None);
+                }
             }
-            TKind::CmPull { owner } => {
-                let slot = self.cm_owner_slot(owner);
-                self.cm_pulled[slot] += 1;
-                self.cm_try_forward(owner);
-            }
-            TKind::CmForward {
-                from,
-                to,
-                index,
-                bytes,
-            } => {
-                self.rank_arrival(to, from, index, Arrival::Eager { bytes });
+            TKind::CmReply { owner, reply } => {
+                let e = self.ranks[owner].v1.as_mut().expect("a V1 rank");
+                e.on_cm_reply(reply);
+                self.pump(owner);
             }
             TKind::CkptImage { rank } => {
                 self.checkpoints += 1;
@@ -963,34 +906,8 @@ impl Sim {
         }
     }
 
-    /// V1 Channel Memory: forward the next stored message if the owner has
-    /// an outstanding pull.
-    fn cm_try_forward(&mut self, owner: usize) {
-        let slot = self.cm_owner_slot(owner);
-        while self.cm_forwarded[slot] < self.cm_pulled[slot] {
-            let Some((from, index, bytes)) = self.cm_store[slot].pop_front() else {
-                return;
-            };
-            self.cm_forwarded[slot] += 1;
-            let cm = self.cm_for(owner);
-            self.start_transfer(
-                cm,
-                owner,
-                bytes,
-                0,
-                TKind::CmForward {
-                    from,
-                    to: owner,
-                    index,
-                    bytes,
-                },
-                Notify::default(),
-            );
-        }
-    }
-
     // ------------------------------------------------------------------
-    // The V2 engines
+    // The V1 and V2 engines
     // ------------------------------------------------------------------
 
     /// Feed one input to `r`'s engine; the outputs wait for [`Sim::pump`].
@@ -1001,25 +918,51 @@ impl Sim {
     }
 
     /// Perform every output of `r`'s engine, posting a receive whenever
-    /// the rank is blocked on something only a delivery can resolve.
+    /// the rank is blocked on something only a delivery can resolve (as
+    /// the runtime's `Mpi` pumps its channel only inside a blocked call).
     fn pump(&mut self, r: usize) {
         loop {
             while let Some(out) = self.ranks[r].engine.as_mut().and_then(V2Engine::pop_output) {
                 self.perform(r, out);
             }
+            while let Some(out) = self.ranks[r].v1.as_mut().and_then(V1Engine::pop_output) {
+                self.perform_v1(r, out, None);
+            }
             let rk = &self.ranks[r];
             if rk.blocked == Some(Block::Quiesce) {
                 let e = rk.engine.as_ref().expect("a quiescing rank is live");
                 if e.gate_open() && e.gated_send_count() == 0 {
-                    self.wake(r);
+                    self.unblock(r);
+                    self.resume(r);
                 }
                 return;
             }
-            if rk.engine.is_none() || rk.recv_posted || !rk.awaits_delivery() {
+            let daemon = rk.engine.is_some() || rk.v1.is_some();
+            if !daemon || rk.recv_posted || !rk.awaits_delivery() {
                 return;
             }
             self.ranks[r].recv_posted = true;
-            self.feed(r, Input::AppRecv);
+            match &mut self.ranks[r].v1 {
+                Some(e) => e.app_recv(),
+                None => self.feed(r, Input::AppRecv),
+            }
+        }
+    }
+
+    /// Perform one output of `r`'s V1 engine; `notify` completes a push.
+    fn perform_v1(&mut self, r: usize, out: V1Output, notify: Notify) {
+        match out {
+            V1Output::ToCm { owner, req } => {
+                let owner = owner.idx();
+                let bytes = match &req {
+                    CmRequest::Push(msg) => msg.payload.len() as u64,
+                    CmRequest::Pull { .. } | CmRequest::Probe { .. } => self.cfg.event_bytes,
+                };
+                let cm = self.cm_for(owner);
+                self.start_transfer(r, cm, bytes, 0, TKind::CmReq { owner, req }, notify);
+            }
+            V1Output::Deliver { from, .. } => self.on_deliver(r, from.idx()),
+            V1Output::ProbeAnswer(_) => {}
         }
     }
 
@@ -1042,7 +985,7 @@ impl Sim {
                     _ => self.cfg.event_bytes,
                 };
                 let kind = TKind::Peer { from: r, to, msg };
-                self.start_transfer(r, to, bytes, 0, kind, Notify::default());
+                self.start_transfer(r, to, bytes, 0, kind, None);
             }
             Output::LogEvents(batch) => {
                 let last = self.cfg.el_replicas.max(1) as u32 - 1;
@@ -1060,15 +1003,7 @@ impl Sim {
                     self.el_request(r, replica, ElRequest::Truncate { rank, up_to });
                 }
             }
-            Output::Deliver { from, .. } => {
-                let from = from.idx();
-                let rk = &mut self.ranks[r];
-                rk.recv_posted = false;
-                let pos = rk.proc.chan_recvd[from] as usize;
-                rk.proc.chan_recvd[from] += 1;
-                let msg = self.ranks[from].sent[r][pos];
-                self.mpi_arrival(r, from, msg);
-            }
+            Output::Deliver { from, .. } => self.on_deliver(r, from.idx()),
             Output::ProbeAnswer(_) | Output::ReplayComplete => {}
         }
     }
@@ -1085,43 +1020,47 @@ impl Sim {
             replica,
             req,
         };
-        self.start_transfer(r, el, bytes, 0, kind, Notify::default());
+        self.start_transfer(r, el, bytes, 0, kind, None);
     }
 
     // ------------------------------------------------------------------
-    // The MPI layer: channel messages, matching, rendezvous
+    // The MPI layer: each rank's `MpiCore`, and what its frames cost
     // ------------------------------------------------------------------
 
-    /// Wire size of a channel message.
-    fn wire_bytes(&self, msg: &Msg) -> u64 {
-        match *msg {
-            Msg::Eager { bytes, .. } | Msg::Rndv { bytes, .. } => bytes,
-            Msg::Rts { .. } | Msg::Cts { .. } => self.cfg.event_bytes,
-        }
-    }
-
-    /// Send one channel message: straight onto the wire under P4, through
-    /// the engine under V2 (which logs, gates or suppresses it).
-    fn chan_send(&mut self, r: usize, dst: usize, msg: Msg, notify: Notify) {
-        let bytes = self.wire_bytes(&msg);
-        if self.ranks[r].engine.is_none() {
+    /// Send one MPI frame: straight onto the wire under P4, through the
+    /// daemon under V1 (a push to the receiver's Channel Memory) and V2
+    /// (the engine logs, gates or suppresses it). The daemons carry the
+    /// frame's wire size; the pair's list keeps the frame itself.
+    fn chan_send(&mut self, r: usize, dst: usize, frame: MpiFrame, notify: Notify) {
+        let bytes = frame
+            .body()
+            .map_or(self.cfg.event_bytes, |b| b.len() as u64);
+        if self.cfg.protocol == Protocol::P4 {
             let kind = TKind::Mpi {
                 from: r,
                 to: dst,
-                msg,
+                frame,
             };
             self.start_transfer(r, dst, bytes, 0, kind, notify);
             return;
         }
-        let cfg = &self.cfg;
         let payload = self.zeros.slice(..bytes as usize);
         let rk = &mut self.ranks[r];
         let pos = rk.proc.chan_sent[dst] as usize;
         rk.proc.chan_sent[dst] += 1;
-        if pos == rk.sent[dst].len() {
-            rk.sent[dst].push(msg);
+        // Only a re-execution re-sends a position the list holds.
+        if pos >= rk.sent[dst].len() {
+            rk.sent[dst].push_back(frame);
+        } else {
+            assert_eq!(rk.sent[dst][pos], frame, "re-execution diverged");
         }
-        assert_eq!(rk.sent[dst][pos], msg, "re-execution diverged");
+        if let Some(e) = &mut rk.v1 {
+            e.app_send(Rank(dst as u32), payload);
+            let push = e.pop_output().expect("a push to the receiver's CM");
+            self.perform_v1(r, push, notify);
+            return;
+        }
+        let cfg = &self.cfg;
         // The sender-based copy: charged on every send, re-executed ones
         // included (the log must be rebuilt, Lemma 1), at disk speed once
         // the log has outgrown RAM.
@@ -1134,11 +1073,8 @@ impl Sim {
         let copy = transfer_ns(bytes, bw);
         let e = rk.engine();
         let suppressed = e.metrics().transmissions_suppressed;
-        let dst_rank = Rank(dst as u32);
-        if let Err(err) = e.handle(Input::AppSend {
-            dst: dst_rank,
-            payload,
-        }) {
+        let dst = Rank(dst as u32);
+        if let Err(err) = e.handle(Input::AppSend { dst, payload }) {
             panic!("rank {r}: {err}");
         }
         let (h, logged) = (e.clock(), e.logged_bytes());
@@ -1155,149 +1091,160 @@ impl Sim {
         if suppressed {
             // The peer already holds it: the send completes after the copy.
             self.fire(self.now + copy, r, notify);
-        } else if notify.token.is_some() || notify.op.is_some() {
-            self.ranks[r].proc.pending_tx.insert((dst, h), notify);
+        } else if notify.is_some() {
+            self.ranks[r].proc.pending_tx.insert((dst.idx(), h), notify);
         }
     }
 
-    /// Start an application send: eager, or a rendezvous request whose
-    /// payload follows the CTS (V1 pushes to the Channel Memory).
-    fn app_send(&mut self, r: usize, dst: usize, bytes: u64, notify: Notify) {
-        let index = self.ranks[r].proc.sent_count[dst];
-        self.ranks[r].proc.sent_count[dst] = index + 1;
-        if self.cfg.protocol == Protocol::V1 {
-            let cm = self.cm_for(dst);
-            let kind = TKind::CmPush {
-                from: r,
-                to: dst,
-                index,
-                bytes,
+    /// Start an application send of `bytes` to `dst` in `r`'s MPI core,
+    /// which picks the protocol.
+    fn mpi_start(&mut self, r: usize, dst: usize, bytes: u64) -> SendStart {
+        let zeros = &self.zeros;
+        let body = || zeros.slice(..bytes as usize);
+        let core = &mut self.ranks[r].proc.core;
+        core.start_send(
+            Rank(dst as u32),
+            Context::PointToPoint,
+            0,
+            bytes as usize,
+            body,
+        )
+    }
+
+    /// Ship a send the core started: an eager body now, completing
+    /// `notify` once it has left; a held one when the peer's
+    /// clear-to-send releases it (completing the request that holds its
+    /// id). Returns the core's id of a held send.
+    fn ship(
+        &mut self,
+        r: usize,
+        dst: usize,
+        bytes: u64,
+        start: SendStart,
+        notify: Notify,
+    ) -> Option<u64> {
+        match start {
+            SendStart::Eager => {
+                let body = self.zeros.slice(..bytes as usize);
+                let context = Context::PointToPoint;
+                let frame = MpiFrame::Eager {
+                    context,
+                    tag: 0,
+                    body,
+                };
+                self.chan_send(r, dst, frame, notify);
+                None
+            }
+            SendStart::Rendezvous(id) => {
+                self.drain_core(r);
+                Some(id)
+            }
+            SendStart::Local => {
+                self.fire(self.now, r, notify);
+                None
+            }
+        }
+    }
+
+    /// Post a receive from `src` in `r`'s core; a clear-to-send it grants
+    /// goes out now.
+    fn post_recv(&mut self, r: usize, src: usize) -> u64 {
+        let from = Source::Rank(Rank(src as u32));
+        let seq = (self.ranks[r].proc.core).post_recv(from, Tag::Any, Context::PointToPoint);
+        self.drain_core(r);
+        seq
+    }
+
+    /// Send every frame `r`'s core has queued; the frame carrying a held
+    /// send's body completes that send's request.
+    fn drain_core(&mut self, r: usize) {
+        while let Some((dst, frame)) = self.ranks[r].proc.core.pop_output() {
+            // Rendezvous data completes the send that held its body.
+            let notify = match &frame {
+                MpiFrame::RndvData { rndv_id, .. } => self.ranks[r]
+                    .proc
+                    .reqs
+                    .iter()
+                    .find(|(_, &q)| matches!(q, Req::Send(Some(h)) if h == *rndv_id))
+                    .map(|(&op, _)| op),
+                _ => None,
             };
-            self.start_transfer(r, cm, bytes, 0, kind, notify);
-        } else if bytes >= self.cfg.rndv_threshold {
-            self.ranks[r]
-                .proc
-                .rndv_pending
-                .insert((dst, index), (bytes, notify));
-            self.chan_send(r, dst, Msg::Rts { index, bytes }, Notify::default());
+            self.chan_send(r, dst.idx(), frame, notify);
+        }
+    }
+
+    /// The daemon delivered `r`'s next frame from `from`: the one at that
+    /// position in the pair's list.
+    fn on_deliver(&mut self, r: usize, from: usize) {
+        let rk = &mut self.ranks[r];
+        rk.recv_posted = false;
+        let pos = rk.proc.chan_recvd[from] as usize;
+        rk.proc.chan_recvd[from] += 1;
+        let sent = &mut self.ranks[from].sent[r];
+        let frame = if self.keep_sent {
+            sent[pos].clone()
         } else {
-            self.chan_send(r, dst, Msg::Eager { index, bytes }, notify);
-        }
-    }
-
-    /// A channel message reached rank `to`'s MPI layer.
-    fn mpi_arrival(&mut self, to: usize, from: usize, msg: Msg) {
-        match msg {
-            Msg::Eager { index, bytes } => {
-                self.rank_arrival(to, from, index, Arrival::Eager { bytes })
-            }
-            Msg::Rts { index, .. } => {
-                let arr = Arrival::RndvAnnounce { cts_sent: false };
-                self.rank_arrival(to, from, index, arr)
-            }
-            Msg::Rndv { index, bytes } => {
-                self.rank_arrival(to, from, index, Arrival::RndvHere { bytes })
-            }
-            Msg::Cts { index } => {
-                if let Some((bytes, notify)) =
-                    self.ranks[to].proc.rndv_pending.remove(&(from, index))
-                {
-                    self.chan_send(to, from, Msg::Rndv { index, bytes }, notify);
-                }
-            }
-        }
-    }
-
-    fn rank_arrival(&mut self, to: usize, from: usize, index: u64, arr: Arrival) {
-        // A rendezvous payload overwrites its announcement.
-        self.ranks[to].proc.arrivals[from].insert(index, arr);
-        self.grant_pending_cts(to, from);
-        self.progress_pair(to, from);
-        // V1: a forwarded message that did not satisfy the outstanding
-        // pull (wrong source for the blocked receive) consumes the pull;
-        // ask the Channel Memory for the next one.
-        if self.cfg.protocol == Protocol::V1
-            && self.ranks[to].proc.arrivals[from].contains_key(&index)
-            && self.ranks[to].proc.waiters.iter().any(|w| !w.is_empty())
-        {
-            let cm = self.cm_for(to);
-            let kind = TKind::CmPull { owner: to };
-            self.start_transfer(to, cm, self.cfg.event_bytes, 0, kind, Notify::default());
-        }
-    }
-
-    /// Send CTS for announced rendezvous messages that a posted receive is
-    /// already waiting for.
-    fn grant_pending_cts(&mut self, r: usize, src: usize) {
-        let p = &mut self.ranks[r].proc;
-        let (lo, hi) = (p.consumed_count[src], p.reserved_count[src]);
-        if lo >= hi {
-            return;
-        }
-        let mut to_grant: Vec<u64> = Vec::new();
-        for (idx, a) in p.arrivals[src].range_mut(lo..hi) {
-            if let Arrival::RndvAnnounce { cts_sent } = a {
-                if !*cts_sent {
-                    *cts_sent = true;
-                    to_grant.push(*idx);
-                }
-            }
-        }
-        for index in to_grant {
-            self.chan_send(r, src, Msg::Cts { index }, Notify::default());
-        }
-    }
-
-    /// Is the next in-order arrival from `src` deliverable?
-    fn consumable_now(&self, r: usize, src: usize) -> bool {
-        let p = &self.ranks[r].proc;
-        p.arrivals[src]
-            .get(&p.consumed_count[src])
-            .map(|a| a.consumable())
-            .unwrap_or(false)
-    }
-
-    /// Deliver the next in-order arrival from `src` (must be consumable).
-    fn consume_one(&mut self, r: usize, src: usize) {
-        let p = &mut self.ranks[r].proc;
-        let idx = p.consumed_count[src];
-        let bytes = match p.arrivals[src].remove(&idx) {
-            Some(Arrival::Eager { bytes }) | Some(Arrival::RndvHere { bytes }) => bytes,
-            other => panic!("consume_one on non-consumable arrival {other:?}"),
+            sent.pop_front().expect("a frame sent")
         };
-        p.consumed_count[src] = idx + 1;
-        #[cfg(test)]
-        p.consumed.push((src, bytes));
+        self.mpi_arrival(r, from, frame);
+    }
+
+    /// A frame reached rank `r`'s MPI core.
+    fn mpi_arrival(&mut self, r: usize, from: usize, frame: MpiFrame) {
+        if let Err(e) = self.ranks[r].proc.core.on_frame(Rank(from as u32), frame) {
+            panic!("rank {r}: {e}");
+        }
+        self.drain_core(r);
+        self.try_resume(r);
+    }
+
+    /// Count a message the application took.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn consume(&mut self, r: usize, (src, _, body): RecvMsg) {
         self.msgs_delivered += 1;
-        self.bytes_delivered += bytes;
+        self.bytes_delivered += body.len() as u64;
+        #[cfg(test)]
+        self.ranks[r]
+            .proc
+            .consumed
+            .push((src.idx(), body.len() as u64));
     }
 
-    /// Consume consumable arrivals in index order, completing waiters.
-    fn progress_pair(&mut self, r: usize, src: usize) {
-        while !self.ranks[r].proc.waiters[src].is_empty() && self.consumable_now(r, src) {
-            self.consume_one(r, src);
-            let w = self.ranks[r].proc.waiters[src]
-                .pop_front()
-                .expect("checked nonempty");
-            match w {
-                Waiter::Blocking => {
-                    debug_assert_eq!(self.ranks[r].blocked, Some(Block::Recv { src }));
-                    self.wake(r);
+    /// If what `r` is blocked on has completed, take the messages it
+    /// receives and clear the block; true if so.
+    fn settle(&mut self, r: usize) -> bool {
+        let rk = &mut self.ranks[r];
+        let p = &mut rk.proc;
+        match rk.blocked {
+            Some(Block::WaitReq { op }) if p.req_done(op) => {
+                if let Some(m) = p.retire(op) {
+                    self.consume(r, m);
                 }
-                Waiter::Req(op) => self.complete_req(r, op),
             }
+            Some(Block::WaitAll) if p.reqs.keys().all(|&op| p.req_done(op)) => {
+                while let Some(&op) = self.ranks[r].proc.reqs.keys().next() {
+                    if let Some(m) = self.ranks[r].proc.retire(op) {
+                        self.consume(r, m);
+                    }
+                }
+            }
+            _ => return false,
+        }
+        self.unblock(r);
+        true
+    }
+
+    /// Resume `r` if what it is blocked on has completed.
+    fn try_resume(&mut self, r: usize) {
+        if self.settle(r) {
+            self.resume(r);
         }
     }
 
+    /// Send request `op`'s payload has left the node.
     fn complete_req(&mut self, r: usize, op: usize) {
-        let p = &mut self.ranks[r].proc;
-        p.reqs.insert(op, true);
-        p.incomplete_reqs.remove(&op);
-        match self.ranks[r].blocked {
-            Some(Block::WaitReq { op: w }) if w == op => self.wake(r),
-            Some(Block::WaitAll) if self.ranks[r].proc.incomplete_reqs.is_empty() => self.wake(r),
-            _ => {}
-        }
+        self.ranks[r].proc.reqs.remove(&op);
+        self.try_resume(r);
     }
 
     // ------------------------------------------------------------------
@@ -1327,11 +1274,10 @@ impl Sim {
         rk.blocked = None;
     }
 
-    /// A completion resolved `r`'s block. A V2 rank resumes through the
-    /// event queue: its completions arrive while its engine's outputs are
-    /// being performed.
-    fn wake(&mut self, r: usize) {
-        self.unblock(r);
+    /// Continue `r`'s interpreter after its block cleared. A V2 rank
+    /// resumes through the event queue: its completions arrive while its
+    /// engine's outputs are being performed.
+    fn resume(&mut self, r: usize) {
         if self.ranks[r].engine.is_some() {
             self.push_ready(self.now, r);
         } else {
@@ -1374,119 +1320,59 @@ impl Sim {
                 self.push_ready(self.now + dur, r);
                 false
             }
-            Op::Send { dst, bytes } => {
+            Op::Send { dst, bytes } | Op::Isend { dst, bytes } => {
+                let blocking = matches!(op, Op::Send { .. });
+                let class = if blocking {
+                    OpClass::Send
+                } else {
+                    OpClass::Isend
+                };
+                let start = self.mpi_start(r, dst, bytes);
                 if p4 && bytes <= self.cfg.p4_socket_buffer {
-                    // Fits the socket buffer: MPI_Send returns after
-                    // the kernel memcpy; the kernel drains it.
-                    self.app_send(r, dst, bytes, Notify::default());
-                    self.block(r, Block::Compute, OpClass::Send);
+                    // Fits the socket buffer: the call returns, its
+                    // buffer reusable, after the kernel memcpy; the
+                    // kernel drains it.
+                    self.ship(r, dst, bytes, start, None);
                     let memcpy = transfer_ns(bytes, self.cfg.log_copy_bw);
+                    self.block(r, Block::Compute, class);
                     self.push_ready(self.now + self.cfg.isend_post_cost + memcpy, r);
                     return false;
                 }
-                let token = self.ranks[r].proc.new_token();
-                let notify = Notify {
-                    token: Some(token),
-                    op: None,
-                };
-                self.app_send(r, dst, bytes, notify);
-                self.block(r, Block::Send { token }, OpClass::Send);
-                false
-            }
-            Op::Isend { dst, bytes } => {
-                self.ranks[r].proc.reqs.insert(pc, false);
-                self.ranks[r].proc.incomplete_reqs.insert(pc);
-                let req = Notify {
-                    token: None,
-                    op: Some(pc),
-                };
-                if p4 && bytes <= self.cfg.p4_socket_buffer {
-                    // Fits the socket buffer: the request is complete
-                    // (buffer reusable) right after the memcpy.
-                    self.app_send(r, dst, bytes, Notify::default());
-                    let done = self.now
-                        + self.cfg.isend_post_cost
-                        + transfer_ns(bytes, self.cfg.log_copy_bw);
-                    self.fire(done, r, req);
-                    self.block(r, Block::Compute, OpClass::Isend);
-                    self.push_ready(done, r);
-                    return false;
-                }
-                if p4 && bytes < self.cfg.rndv_threshold {
-                    // Payload pushed during Isend: block the app for
-                    // the tx (the Table-1 behaviour). Rendezvous-sized
-                    // sends cannot push during Isend even under P4
-                    // (the payload waits for the CTS), so they fall
-                    // through to the asynchronous path.
-                    let token = self.ranks[r].proc.new_token();
-                    let notify = Notify {
-                        token: Some(token),
-                        op: Some(pc),
-                    };
-                    self.app_send(r, dst, bytes, notify);
-                    self.block(r, Block::Send { token }, OpClass::Isend);
+                let held = self.ship(r, dst, bytes, start, Some(pc));
+                self.ranks[r].proc.reqs.insert(pc, Req::Send(held));
+                if blocking || (p4 && start == SendStart::Eager) {
+                    // A send blocks until its payload has left; so
+                    // does a P4 eager Isend, which pushes the payload
+                    // during the call (the Table-1 behaviour). A
+                    // rendezvous send cannot push during Isend even
+                    // under P4 (the payload waits for the CTS).
+                    self.block(r, Block::WaitReq { op: pc }, class);
                     return false;
                 }
                 // V1/V2 (and P4 rendezvous): post only; the transfer
                 // is asynchronous and Wait pays for it.
-                self.app_send(r, dst, bytes, req);
-                self.block(r, Block::Compute, OpClass::Isend);
+                self.block(r, Block::Compute, class);
                 self.push_ready(self.now + self.cfg.isend_post_cost, r);
                 false
             }
-            Op::Recv { src } => {
-                // Reserve the next reception index; fast-path an
-                // already-available in-order message (no queued
-                // waiters to overtake).
-                self.reserve_recv(r, src);
-                if self.ranks[r].proc.waiters[src].is_empty() && self.consumable_now(r, src) {
-                    self.consume_one(r, src);
+            Op::Recv { src } | Op::Irecv { src } => {
+                let seq = self.post_recv(r, src);
+                self.ranks[r].proc.reqs.insert(pc, Req::Recv(seq));
+                if matches!(op, Op::Irecv { .. }) {
                     return true;
                 }
-                self.ranks[r].proc.waiters[src].push_back(Waiter::Blocking);
-                self.block(r, Block::Recv { src }, OpClass::Recv);
-                false
-            }
-            Op::Irecv { src } => {
-                self.ranks[r].proc.reqs.insert(pc, false);
-                self.ranks[r].proc.incomplete_reqs.insert(pc);
-                self.reserve_recv(r, src);
-                if self.ranks[r].proc.waiters[src].is_empty() && self.consumable_now(r, src) {
-                    self.consume_one(r, src);
-                    self.ranks[r].proc.reqs.insert(pc, true);
-                    self.ranks[r].proc.incomplete_reqs.remove(&pc);
-                } else {
-                    self.ranks[r].proc.waiters[src].push_back(Waiter::Req(pc));
-                }
-                true
+                self.block(r, Block::WaitReq { op: pc }, OpClass::Recv);
+                self.settle(r)
             }
             Op::Wait { req } => {
-                if *self.ranks[r].proc.reqs.get(&req).unwrap_or(&false) {
-                    return true;
-                }
                 self.block(r, Block::WaitReq { op: req }, OpClass::Wait);
-                false
+                self.settle(r)
             }
             Op::WaitAll => {
-                if self.ranks[r].proc.incomplete_reqs.is_empty() {
-                    return true;
-                }
                 self.block(r, Block::WaitAll, OpClass::Wait);
-                false
+                self.settle(r)
             }
             Op::CheckpointSite => self.checkpoint_site(r),
-        }
-    }
-
-    fn reserve_recv(&mut self, r: usize, src: usize) {
-        self.ranks[r].proc.reserved_count[src] += 1;
-        if self.cfg.protocol == Protocol::V1 {
-            // Pull request to our own Channel Memory.
-            let cm = self.cm_for(r);
-            let kind = TKind::CmPull { owner: r };
-            self.start_transfer(r, cm, self.cfg.event_bytes, 0, kind, Notify::default());
-        } else {
-            self.grant_pending_cts(r, src);
         }
     }
 
@@ -1534,7 +1420,7 @@ impl Sim {
             image_bytes,
         });
         let kind = TKind::CkptImage { rank: r };
-        self.start_transfer(r, self.cs_nid, image_bytes, 0, kind, Notify::default());
+        self.start_transfer(r, self.cs_nid, image_bytes, 0, kind, None);
         true
     }
 
@@ -1587,6 +1473,7 @@ impl Sim {
 
     /// End `v`'s incarnation: its engine, in-flight work and lanes die.
     fn take_down(&mut self, v: usize) {
+        assert!(self.keep_sent, "a re-execution needs every frame sent");
         if self.ranks[v].blocked.is_some() {
             // Close out the blocked-time attribution.
             let dt = self.now - self.ranks[v].block_start;
@@ -1626,7 +1513,7 @@ impl Sim {
         let n = self.n;
         let (proc, engine) = match &self.ranks[v].snapshot {
             Some(s) => (s.proc.clone(), V2Engine::restore(s.engine.clone())),
-            None => (Proc::new(n), V2Engine::fresh(Rank(v as u32), n as u32)),
+            None => (Proc::new(v, n), V2Engine::fresh(Rank(v as u32), n as u32)),
         };
         let mut engine = self.configured(v, engine);
         // DownloadEL(H_v) as the runtime does it: the union of the
@@ -1666,6 +1553,7 @@ impl Sim {
             "faults and checkpoints are modelled for V2 only"
         );
         self.ckpt_sched = Scheduler::new(Policy::Random, self.n as u32, plan.seed);
+        self.keep_sent |= !plan.faults.is_empty();
         for &(t, v) in &plan.faults {
             self.push_ev(t, Ev::Crash(v));
         }
@@ -1711,24 +1599,15 @@ impl Sim {
                 Ev::ChunkArrive { tid, bytes, last } => self.on_chunk_arrive(tid, bytes, last),
                 Ev::TxNextChunk { tid } => self.tx_chunk(tid),
                 Ev::Delivered { tid } => self.on_delivered(tid),
-                Ev::SendTxDone { rank, token, gen } => {
+                Ev::SendTxDone { rank, op, gen } => {
                     if self.ranks[rank].generation == gen {
-                        self.on_send_tx_done(rank, token);
+                        self.complete_req(rank, op);
                     }
                 }
                 Ev::Crash(v) => self.crash(v),
                 Ev::Restart(v) => self.restart(v),
                 Ev::SchedulerKick => self.pick_ckpt_victim(),
             }
-        }
-    }
-
-    fn on_send_tx_done(&mut self, r: usize, token: u64) {
-        // Tokens in the upper range encode request completions.
-        if token > u64::MAX / 2 {
-            self.complete_req(r, (u64::MAX - token) as usize);
-        } else if self.ranks[r].blocked == Some(Block::Send { token }) {
-            self.wake(r);
         }
     }
 
@@ -1799,6 +1678,7 @@ pub fn simulate_replay(cfg: ClusterConfig, traces: Vec<Vec<Op>>, restarted: &[us
         "re-execution is modelled for V2 only"
     );
     let mut sim = Sim::new(cfg, traces);
+    sim.keep_sent = true;
     sim.start(&FaultPlan::default());
     sim.run();
     sim.run_until(|_| false);
@@ -1836,7 +1716,7 @@ pub fn simulate_replay(cfg: ClusterConfig, traces: Vec<Vec<Op>>, restarted: &[us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceBuilder;
+    use crate::trace::{ReqHandle, TraceBuilder};
 
     fn cfg(p: Protocol, n: usize) -> ClusterConfig {
         ClusterConfig::paper_cluster(p, n)
@@ -1924,11 +1804,11 @@ mod tests {
             "large eager must stall"
         );
         // Rendezvous (300 kB): full duplex => ~1x wire time + handshake.
-        let t_rndv = simulate(c.clone(), bidir(300 << 10)).makespan;
+        let t_handshake = simulate(c.clone(), bidir(300 << 10)).makespan;
         assert!(
-            (t_rndv as f64) < 1.5 * wire(300 << 10) as f64,
+            (t_handshake as f64) < 1.5 * wire(300 << 10) as f64,
             "rendezvous must not stall: {} vs wire {}",
-            t_rndv,
+            t_handshake,
             wire(300 << 10)
         );
     }
@@ -2173,6 +2053,170 @@ mod tests {
         let audit = mvr_obs::audit(None, &timeline).expect("well-formed sim timeline");
         assert!(audit.findings.is_empty(), "{:?}", audit.findings);
         assert_eq!(audit.spans.spans.len(), 2 * iters, "one span per message");
+    }
+
+    #[test]
+    fn a_receive_completes_when_its_data_lands() {
+        // From one source: a rendezvous message, then an eager one. The
+        // eager one's Wait returns before the rendezvous data has landed.
+        let big = mvr_mpi::RNDV_THRESHOLD as u64 + 1;
+        let mut a = TraceBuilder::new();
+        a.isend(1, big);
+        a.isend(1, 64);
+        a.waitall();
+        let mut b = TraceBuilder::new();
+        let first = b.irecv(0);
+        let second = b.irecv(0);
+        b.wait(second);
+        b.compute(crate::time::secs(1));
+        b.wait(first);
+        for p in Protocol::all() {
+            let mut sim = Sim::new(cfg(p, 2), vec![a.clone().build(), b.clone().build()]);
+            sim.start(&FaultPlan::default());
+            // Rank 1 is past `Wait(second)`, in the compute after it.
+            sim.run_until(|s| s.ranks[1].proc.pc > second + 2);
+            assert!(!sim.ranks[1].proc.req_done(first), "{p:?}");
+            sim.run();
+            assert_eq!(sim.ranks[1].proc.consumed, [(0, 64), (0, big)], "{p:?}");
+        }
+    }
+
+    /// One message of a generated program: (source, hop to the
+    /// destination, bytes, sender's mode, receiver's mode, sender's
+    /// compute before it). Mode 0 is blocking; mode `d + 1` is
+    /// nonblocking, waited `d` posts of the rank later.
+    type Msg = (usize, usize, u64, usize, usize, u64);
+
+    /// A tagless program on `n` ranks, deadlock-free by construction: the
+    /// messages run in one global order, each rank posts its sends and
+    /// receives in that order, and a nonblocking request's `Wait` comes
+    /// after its post (`delay` posts of its rank later, or in the
+    /// closing `WaitAll`). Every blocked rank makes progress on its
+    /// posted requests, so the earliest incomplete message always can.
+    fn program(n: usize, msgs: &[Msg]) -> Vec<Vec<Op>> {
+        let mut ranks = vec![TraceBuilder::new(); n];
+        let mut waits: Vec<Vec<(usize, ReqHandle)>> = vec![Vec::new(); n];
+        let mut post = |r: usize, mode: usize, ops: &mut Vec<TraceBuilder>, op: Op| {
+            let t = &mut ops[r];
+            waits[r].retain_mut(|(left, h)| {
+                *left -= 1;
+                if *left == 0 {
+                    t.wait(*h);
+                }
+                *left > 0
+            });
+            let h = match (op, mode) {
+                (Op::Send { dst, bytes }, 0) => {
+                    t.send(dst, bytes);
+                    return;
+                }
+                (Op::Send { dst, bytes }, _) => t.isend(dst, bytes),
+                (Op::Recv { src }, 0) => {
+                    t.recv(src);
+                    return;
+                }
+                (Op::Recv { src }, _) => t.irecv(src),
+                _ => unreachable!(),
+            };
+            match mode - 1 {
+                0 => {
+                    t.wait(h);
+                }
+                d => waits[r].push((d, h)),
+            }
+        };
+        for &(src, hop, bytes, send_mode, recv_mode, compute) in msgs {
+            let src = src % n;
+            let dst = (src + 1 + hop % (n - 1)) % n;
+            ranks[src].compute(compute);
+            post(src, send_mode, &mut ranks, Op::Send { dst, bytes });
+            post(dst, recv_mode, &mut ranks, Op::Recv { src });
+        }
+        ranks
+            .into_iter()
+            .map(|mut t| {
+                t.waitall();
+                t.build()
+            })
+            .collect()
+    }
+
+    /// What each rank of `traces` receives through `mvr_mpi`'s
+    /// in-process cluster, as (source, bytes) in the order the program
+    /// takes the messages.
+    fn consumed_on_mpi(traces: &[Vec<Op>]) -> Vec<Vec<(usize, u64)>> {
+        use mvr_mpi::{Source, Tag};
+        let zeros = vec![0u8; 1 << 20];
+        let rank = |r: usize| Rank(r as u32);
+        mvr_mpi::testing::run_local(traces.len() as u32, |mut mpi| {
+            let mut reqs = BTreeMap::new();
+            let mut got = Vec::new();
+            let mut take = |m: Option<RecvMsg>| {
+                if let Some((src, _, body)) = m {
+                    got.push((src.idx(), body.len() as u64));
+                }
+            };
+            for (pc, op) in traces[mpi.rank().idx()].iter().enumerate() {
+                match *op {
+                    Op::Compute(_) | Op::CheckpointSite => {}
+                    Op::Send { dst, bytes } => mpi.send(rank(dst), 0, &zeros[..bytes as usize])?,
+                    Op::Isend { dst, bytes } => {
+                        reqs.insert(pc, mpi.isend(rank(dst), 0, &zeros[..bytes as usize])?);
+                    }
+                    Op::Recv { src } => take(Some(mpi.recv(Source::Rank(rank(src)), Tag::Any)?)),
+                    Op::Irecv { src } => {
+                        reqs.insert(pc, mpi.irecv(Source::Rank(rank(src)), Tag::Any)?);
+                    }
+                    Op::Wait { req } => take(mpi.wait(reqs.remove(&req).expect("posted"))?),
+                    Op::WaitAll => {
+                        let all = std::mem::take(&mut reqs).into_values().collect();
+                        mpi.waitall(all)?.into_iter().for_each(&mut take);
+                    }
+                }
+            }
+            mpi.finalize()?;
+            Ok(got)
+        })
+        .expect("the program runs on mvr-mpi")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..Default::default()
+        })]
+
+        /// P4, V1 and V2 all run `mvr-mpi`'s core: whatever the costs
+        /// around it, every rank takes the same messages, in the same
+        /// order, as the same program on `mvr_mpi` itself.
+        #[test]
+        fn the_simulator_receives_what_mvr_mpi_receives(
+            n in 2usize..=4,
+            msgs in proptest::collection::vec(
+                (
+                    0usize..4,
+                    0usize..3,
+                    proptest::prop_oneof![
+                        0u64..2048,
+                        mvr_mpi::RNDV_THRESHOLD as u64 - 8..mvr_mpi::RNDV_THRESHOLD as u64 + 40_000,
+                    ],
+                    0usize..4,
+                    0usize..4,
+                    0u64..300_000,
+                ),
+                1..14,
+            ),
+        ) {
+            let traces = program(n, &msgs);
+            let reference = consumed_on_mpi(&traces);
+            for p in Protocol::all() {
+                let mut sim = Sim::new(cfg(p, n), traces.clone());
+                sim.start(&FaultPlan::default());
+                sim.run();
+                let got: Vec<_> = sim.ranks.iter().map(|r| r.proc.consumed.clone()).collect();
+                proptest::prop_assert_eq!(&got, &reference, "{:?} on {} ranks: {:?}", p, n, msgs);
+            }
+        }
     }
 
     #[test]

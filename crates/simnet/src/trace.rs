@@ -3,8 +3,10 @@
 //!
 //! Workload generators (`mvr-workloads`) lower each benchmark — including
 //! its collectives — into per-rank sequences of these primitive ops.
-//! Matching is per-source FIFO (tags are unnecessary at this level: the
-//! NAS trace models are deterministic programs).
+//! The simulator runs each rank's ops through `mvr-mpi`'s core: a send
+//! carries tag 0 and a receive names its source and any tag, so matching
+//! is per-source FIFO (tags are unnecessary at this level: the NAS trace
+//! models are deterministic programs).
 
 use serde::{Deserialize, Serialize};
 
