@@ -130,6 +130,18 @@ where
 
         // One coalesced ack per daemon per pass, in first-log order.
         let mut pending_acks: Vec<(Rank, u64)> = Vec::new();
+        // Downloads are served after the pass's appends. On the
+        // in-process fabric a reincarnation asks only after its
+        // predecessor's death, and every batch the dead incarnation
+        // shipped was queued before that death completed, so it is in
+        // this pass or an earlier one. Served in lane order, the download
+        // could miss some of them, which the store would then append
+        // after the reincarnation had begun logging a different history
+        // in their place. (Over sockets each connection has its own
+        // reader thread, so a dead child's last frames can still be
+        // unread when its successor's download arrives; this pass order
+        // does not cover that case.)
+        let mut downloads: Vec<(Rank, Rank, u64)> = Vec::new();
         let mut store = store.lock();
         let mut backlog = backlog.into_iter().peekable();
         while let Some(pkt) = backlog.next() {
@@ -176,17 +188,19 @@ where
                         None => pending_acks.push((pkt.from, up_to)),
                     }
                 }
-                other => {
-                    if let Some(r) = store.handle(other) {
-                        if matches!(r, ElReply::Events(_)) {
-                            stats.downloads += 1;
-                        }
-                        // Best effort: the peer may have died; its restart
-                        // will re-download.
-                        let _ = reply(pkt.from, r);
-                    }
+                ElRequest::Download { rank, after_clock } => {
+                    downloads.push((pkt.from, rank, after_clock))
+                }
+                ElRequest::Truncate { rank, up_to } => {
+                    store.truncate(rank, up_to);
                 }
             }
+        }
+        for (from, rank, after_clock) in downloads {
+            stats.downloads += 1;
+            // Best effort: the peer may have died; its restart will
+            // re-download.
+            let _ = reply(from, ElReply::Events(store.download(rank, after_clock)));
         }
         // Publish the unique-event count before the acks leave: once a
         // daemon has seen an ack, the covered events are visible in the
@@ -272,6 +286,63 @@ mod tests {
         assert_eq!(stats.acks, 1);
         assert_eq!(stats.downloads, 1);
         assert_eq!(store.events_held(Rank(3)), 1);
+    }
+
+    #[test]
+    fn a_download_sees_every_batch_its_dead_predecessor_shipped() {
+        // Rank 3's first incarnation ships two batches and dies; its
+        // reincarnation asks for its events before the EL has served
+        // either batch. The two incarnations have a lane each, which the
+        // EL drains round-robin: in lane order the download sits between
+        // the two batches.
+        let fabric = Fabric::new();
+        let el_node = NodeId::EventLogger(0);
+        let rank = NodeId::Computing(Rank(3));
+        let (mb, _id) = fabric.register::<ElPacket>(el_node);
+        let ev = |rc: u64| ReceptionEvent {
+            sender: Rank(1),
+            sender_clock: rc,
+            receiver_clock: rc,
+            probes: 0,
+        };
+        let log = |events: Vec<ReceptionEvent>| ElPacket {
+            from: Rank(3),
+            req: ElRequest::Log(EventBatch {
+                owner: Rank(3),
+                events,
+            }),
+        };
+        let (_dead_mb, dead) = fabric.register::<()>(rank);
+        dead.send(el_node, log(vec![ev(1), ev(2)])).unwrap();
+        dead.send(el_node, log(vec![ev(3), ev(4)])).unwrap();
+        fabric.kill(rank);
+        let (_mb, reborn) = fabric.register::<()>(rank);
+        let download = ElRequest::Download {
+            rank: Rank(3),
+            after_clock: 0,
+        };
+        reborn
+            .send(
+                el_node,
+                ElPacket {
+                    from: Rank(3),
+                    req: download,
+                },
+            )
+            .unwrap();
+        let (tx, rx) = mpsc::channel::<(Rank, ElReply)>();
+        let h = thread::spawn(move || {
+            run_event_logger(mb, move |r, reply| tx.send((r, reply)).is_ok())
+        });
+        let events = loop {
+            if let (_, ElReply::Events(v)) = rx.recv().unwrap() {
+                break v;
+            }
+        };
+        let clocks: Vec<u64> = events.iter().map(|e| e.receiver_clock).collect();
+        assert_eq!(clocks, [1, 2, 3, 4], "the whole predecessor history");
+        fabric.kill(el_node);
+        h.join().unwrap();
     }
 
     #[test]

@@ -11,11 +11,19 @@
 //! the protocol never depends on.
 //!
 //! The receiver is woken through an eventcount-style parker: producers
-//! bump an atomic depth counter and only touch the condvar when the
-//! receiver has announced it is (about to be) asleep, so an actively
-//! draining receiver costs producers two atomic ops per message and no
-//! lock. The depth counter doubles as a lock-free [`Mailbox::len`] for
-//! diagnostics and the health endpoint.
+//! bump an atomic depth counter and only touch the parker when the
+//! receiver has announced it is (about to be) asleep. While the receiver
+//! drains, a push costs two atomic ops and no lock; otherwise it costs
+//! one `futex` wake per sleep, not per message: the first push posts the
+//! wake token and notifies, and every push after it, until the woken
+//! thread has run and taken the token, finds the token posted and
+//! returns without a system call. The depth counter doubles as a
+//! lock-free [`Mailbox::len`] for diagnostics and the health endpoint.
+//!
+//! Skipping that notification is sound because at most one thread parks
+//! per role (`park` debug-asserts it): a posted token's one sleeper has
+//! either been notified already or has yet to check the token, which it
+//! does under the token's lock before it waits.
 //!
 //! A computing node's mailbox is drained by whichever of two threads
 //! holds the node — its communication daemon or its MPI process — so
@@ -69,6 +77,10 @@ struct Parker {
     sleepers: AtomicUsize,
     token: Mutex<bool>,
     cv: Condvar,
+    /// Condvar notifications issued, for the tests that pin the
+    /// one-per-sleep rule.
+    #[cfg(test)]
+    notified: AtomicUsize,
 }
 
 impl Default for Parker {
@@ -77,13 +89,26 @@ impl Default for Parker {
             sleepers: AtomicUsize::new(0),
             token: Mutex::new(false),
             cv: Condvar::new(),
+            #[cfg(test)]
+            notified: AtomicUsize::new(0),
         }
     }
 }
 
 impl Parker {
+    /// Post the wake token and notify, once per sleep: a wake that finds
+    /// the token still posted returns (see the module docs for why that
+    /// is sound). A kill (`all`) notifies regardless.
     fn wake(&self, all: bool) {
-        *self.token.lock() = true;
+        {
+            let mut token = self.token.lock();
+            if *token && !all {
+                return;
+            }
+            *token = true;
+        }
+        #[cfg(test)]
+        self.notified.fetch_add(1, Ordering::Relaxed);
         if all {
             self.cv.notify_all();
         } else {
@@ -200,7 +225,8 @@ impl<M> MailCore<M> {
     /// or there is observably work for it or a kill. Consumes the token.
     fn park(&self, who: Waiter, deadline: Option<Instant>) {
         let parker = &self.parkers[who as usize];
-        parker.sleepers.fetch_add(1, Ordering::SeqCst);
+        let others = parker.sleepers.fetch_add(1, Ordering::SeqCst);
+        debug_assert_eq!(others, 0, "a second {who:?} parks on one mailbox");
         let mut token = parker.token.lock();
         loop {
             if *token {
@@ -560,11 +586,18 @@ mod tests {
 
     #[test]
     fn kill_wakes_blocked_receiver() {
+        // Both roles parked for real: the daemon in `recv`, the process
+        // in its wait.
         let (lane, mb) = pair();
-        let h = thread::spawn(move || mb.recv());
-        thread::sleep(Duration::from_millis(20));
+        let signal = mb.signal();
+        let core = mb.core.clone();
+        let daemon = thread::spawn(move || mb.recv());
+        let process = thread::spawn(move || signal.wait(Waiter::Process));
+        until_parked(&core, Waiter::Daemon);
+        until_parked(&core, Waiter::Process);
         lane.core.kill();
-        assert_eq!(h.join().unwrap(), Err(RecvError::Killed));
+        assert_eq!(daemon.join().unwrap(), Err(RecvError::Killed));
+        assert_eq!(process.join().unwrap(), Err(RecvError::Killed));
     }
 
     #[test]
@@ -689,12 +722,42 @@ mod tests {
         }
     }
 
+    /// Both roles back awake, as after their parks returned.
+    fn both_awake<M>(mb: &Mailbox<M>) {
+        for parker in &mb.core.parkers {
+            parker.sleepers.store(0, Ordering::SeqCst);
+        }
+    }
+
     /// Which roles hold a wake token; takes the tokens.
     fn rung<M>(mb: &Mailbox<M>) -> [bool; 2] {
         mb.core
             .parkers
             .each_ref()
             .map(|p| std::mem::take(&mut *p.token.lock()))
+    }
+
+    /// Condvar notifications issued so far, per role.
+    fn notified<M>(mb: &Mailbox<M>) -> [usize; 2] {
+        mb.core
+            .parkers
+            .each_ref()
+            .map(|p| p.notified.load(Ordering::Relaxed))
+    }
+
+    /// Wait until a thread has announced it parks as `who`.
+    fn until_parked<M>(core: &MailCore<M>, who: Waiter) {
+        while core.parkers[who as usize].sleepers.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
+    }
+
+    /// Park as `who` with a long deadline and say whether it returned at
+    /// once (a posted token) rather than at the deadline.
+    fn park_returns_at_once<M>(mb: &Mailbox<M>, who: Waiter) -> bool {
+        let t0 = Instant::now();
+        mb.core.park(who, Some(t0 + Duration::from_secs(10)));
+        t0.elapsed() < Duration::from_secs(5)
     }
 
     #[test]
@@ -707,6 +770,7 @@ mod tests {
         assert_eq!(rung(&mb), [false, true], "[daemon, process]");
         // The process is the waiter the queued message is for: its wait
         // returns at once.
+        both_awake(&mb);
         assert_eq!(signal.wait(Waiter::Process), Ok(()));
     }
 
@@ -720,6 +784,7 @@ mod tests {
         assert_eq!(rung(&mb), [false, false], "nothing queued, nobody woken");
         lane.push(1).unwrap();
         assert_eq!(rung(&mb), [true, false]);
+        both_awake(&mb);
         assert_eq!(signal.wait(Waiter::Daemon), Ok(()));
     }
 
@@ -756,8 +821,153 @@ mod tests {
         signal.register(Waiter::Process);
         mb.core.kill();
         assert_eq!(rung(&mb), [true, true]);
+        assert_eq!(notified(&mb), [1, 1]);
+        // Tokens already posted do not coalesce a kill away.
+        signal.ring(Waiter::Daemon);
+        signal.ring(Waiter::Process);
+        assert_eq!(notified(&mb), [2, 2]);
+        mb.core.kill();
+        assert_eq!(notified(&mb), [3, 3], "a kill is never coalesced");
         assert_eq!(signal.wait(Waiter::Process), Err(RecvError::Killed));
         assert_eq!(signal.wait(Waiter::Daemon), Err(RecvError::Killed));
+    }
+
+    #[test]
+    fn a_burst_to_a_parked_receiver_notifies_it_once() {
+        let (lane, mb) = pair();
+        both_asleep(&mb);
+        for i in 0..64 {
+            lane.push(i).unwrap();
+        }
+        assert_eq!(notified(&mb), [1, 0], "one notification per sleep");
+        // The receiver wakes on the one token and drains the whole burst
+        // without parking again.
+        both_awake(&mb);
+        let mut out = Vec::new();
+        assert_eq!(mb.recv_many(&mut out, 64), Ok(64));
+        // The token it never needed returns its next park at once; the
+        // sleep after that is notified afresh.
+        assert!(park_returns_at_once(&mb, Waiter::Daemon));
+        both_asleep(&mb);
+        lane.push(64).unwrap();
+        assert_eq!(notified(&mb), [2, 0]);
+    }
+
+    #[test]
+    fn a_ring_or_a_hand_back_notifies_nobody_while_a_wake_is_posted() {
+        let (lane, mb) = pair();
+        let signal = mb.signal();
+        both_asleep(&mb);
+        lane.push(1).unwrap();
+        signal.ring(Waiter::Process);
+        assert_eq!(notified(&mb), [1, 1], "[daemon, process]");
+        signal.ring(Waiter::Daemon);
+        signal.ring(Waiter::Process);
+        signal.register(Waiter::Process);
+        lane.push(2).unwrap();
+        // A message is queued: the hand-back wakes the daemon, whose
+        // token is already posted.
+        signal.register(Waiter::Daemon);
+        assert_eq!(notified(&mb), [1, 1], "both roles were already woken");
+        assert_eq!(rung(&mb), [true, true]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a second Daemon parks")]
+    fn a_second_thread_parking_in_one_role_is_refused() {
+        let (_lane, mb) = pair();
+        both_asleep(&mb);
+        mb.core.park(Waiter::Daemon, Some(Instant::now()));
+    }
+
+    #[test]
+    fn a_stale_token_returns_the_next_park_and_suppresses_no_later_wake() {
+        let (lane, mb) = pair();
+        // A push lands as a deadline park times out: it saw the receiver
+        // announced asleep and posts a token that nobody consumes, and
+        // the receiver drains the message on its way out.
+        mb.core.park(
+            Waiter::Daemon,
+            Some(Instant::now() + Duration::from_millis(1)),
+        );
+        both_asleep(&mb);
+        lane.push(1).unwrap();
+        both_awake(&mb);
+        assert_eq!(mb.try_recv(), Ok(Some(1)));
+        assert_eq!(notified(&mb), [1, 0]);
+        // The next park returns at once on the stale token and takes it.
+        assert!(park_returns_at_once(&mb, Waiter::Daemon));
+        assert_eq!(rung(&mb), [false, false]);
+        // A later push to a receiver parked for real still wakes it.
+        let core = mb.core.clone();
+        let receiver = thread::spawn(move || mb.recv_timeout(Duration::from_secs(10)));
+        until_parked(&core, Waiter::Daemon);
+        lane.push(2).unwrap();
+        assert_eq!(receiver.join().unwrap(), Ok(2));
+        let parker = &core.parkers[Waiter::Daemon as usize];
+        assert_eq!(parker.notified.load(Ordering::Relaxed), 2);
+    }
+
+    /// Two threads hand a counter back and forth through two mailboxes.
+    /// Every third hand-off is received in deadline parks of a few
+    /// microseconds and pushed after a pause of about as long, so pushes
+    /// land as parks time out and leave stale tokens behind; every other
+    /// receive parks under one long deadline, whose expiry can only be a
+    /// lost wake-up.
+    #[test]
+    fn two_thread_hand_offs_lose_no_wake_up() {
+        const HANDOFFS: u32 = if cfg!(miri) { 200 } else { 100_000 };
+        const LOST: Duration = Duration::from_secs(10);
+        // Every third hand-off: (its short park deadline, its push pause).
+        let short = |i: u32| {
+            let us = u64::from(i / 3 % 40);
+            i.is_multiple_of(3).then(|| {
+                let pause = (us + u64::from(i % 5)).saturating_sub(2);
+                (Duration::from_micros(us), Duration::from_micros(pause))
+            })
+        };
+        let recv = move |mb: &Mailbox<u32>, i: u32| -> u32 {
+            let lost = Instant::now() + LOST;
+            let timeout = short(i).map_or(LOST, |(deadline, _)| deadline);
+            loop {
+                match mb.recv_timeout(timeout) {
+                    Ok(v) => return v,
+                    Err(RecvError::Timeout) => {
+                        assert!(Instant::now() < lost, "lost wake-up at hand-off {i}")
+                    }
+                    Err(e) => panic!("hand-off {i}: {e:?}"),
+                }
+            }
+        };
+        let push = move |lane: &Lane<u32>, i: u32, v: u32| {
+            if let Some((_, pause)) = short(i) {
+                let t0 = Instant::now();
+                while t0.elapsed() < pause {
+                    std::hint::spin_loop();
+                }
+            }
+            lane.push(v).unwrap();
+        };
+        let t0 = Instant::now();
+        let (to_echo, echo_mb) = pair();
+        let (to_main, main_mb) = pair();
+        let echo = thread::spawn(move || {
+            for i in 0..HANDOFFS {
+                assert_eq!(recv(&echo_mb, i), i, "hand-offs in order");
+                push(&to_main, i, i + 1);
+            }
+        });
+        for i in 0..HANDOFFS {
+            push(&to_echo, i, i);
+            assert_eq!(recv(&main_mb, i), i + 1);
+        }
+        echo.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(120),
+            "{:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]
