@@ -17,11 +17,21 @@
 //! plus the zigzagged varint, a byte body is [`T_BYTES`] plus its varint
 //! length and the raw bytes.
 //!
+//! A message is built as a [`Head`] on the stack, then joined with its
+//! body in one buffer. The MPI encoders join them in the sending
+//! process's [`FrameArena`] ([`Head::with_body`]): a frame of
+//! `ARENA_MIN_FRAME` bytes or more lands in a huge-page chunk shared
+//! with the frames sent before it, a smaller one in an exact-size
+//! allocation ([`Head::finish`] and [`Head::into_vec`] always make one).
+//! [`Head::with_payload`] returns a body that already sits behind its
+//! head as that frame (`bytes::Bytes::preceded_by`), which is how a
+//! rendezvous body is copied once.
+//!
 //! [`Reader`] is strict: it accepts only what an [`Encoder`] writes
 //! (minimal varints, `u32` fields within range, the exact variant name),
 //! so whatever a codec built on it decodes re-encodes to the same bytes.
 
-use crate::payload::Payload;
+use crate::payload::{FrameArena, Payload};
 
 /// Tag of an unsigned integer.
 pub const T_U64: u8 = 3;
@@ -125,7 +135,8 @@ impl Encoder for Vec<u8> {
 }
 
 /// A message's fixed part built on the stack, then joined with its body
-/// in one exact-size allocation.
+/// in one allocation: an exact-size one, or a place in a [`FrameArena`]
+/// chunk for a large frame.
 pub struct Head {
     buf: [u8; MAX_HEAD],
     len: usize,
@@ -162,11 +173,24 @@ impl Head {
         &self.buf[..self.len]
     }
 
-    /// The head followed by `body` as a byte field, in one shared buffer.
+    /// The head followed by `body` as a byte field, in one shared buffer
+    /// (in `arena` when the frame is large enough).
     #[inline]
-    pub fn with_body(mut self, body: &[u8]) -> Payload {
+    pub fn with_body(mut self, body: &[u8], arena: &mut FrameArena) -> Payload {
         self.body_len(body.len());
-        Payload::concat(&[self.as_slice(), body])
+        arena.concat(&[self.as_slice(), body])
+    }
+
+    /// [`with_body`](Head::with_body) for a shared body. A body that was
+    /// written right behind this very head, as the tail of its frame, is
+    /// that frame again, without a copy.
+    #[inline]
+    pub fn with_payload(mut self, body: &Payload, arena: &mut FrameArena) -> Payload {
+        self.body_len(body.len());
+        match body.bytes().preceded_by(self.as_slice()) {
+            Some(frame) => Payload::from(frame),
+            None => arena.concat(&[self.as_slice(), body]),
+        }
     }
 
     /// The head alone, as a shared buffer.
@@ -350,6 +374,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::ARENA_MIN_FRAME;
     use serde::Serialize;
 
     /// Each primitive writes bincode's bytes for the value it stands for.
@@ -366,11 +391,21 @@ mod tests {
             v.i32(n);
             check(v, bincode::serialize(&n).unwrap());
         }
-        let body = Payload::from_vec(vec![1, 2, 3]);
-        check(
-            Head::default().with_body(&body).to_vec(),
-            bincode::serialize(&body).unwrap(),
-        );
+        let arena = &mut FrameArena::new();
+        for len in [3, ARENA_MIN_FRAME] {
+            let body = Payload::filled(9, len);
+            let reference = bincode::serialize(&body).unwrap();
+            check(
+                Head::default().with_body(&body, arena).to_vec(),
+                reference.clone(),
+            );
+            // A body written behind its head comes back as its frame.
+            let frame = Head::default().with_payload(&body, arena);
+            check(frame.to_vec(), reference);
+            let tail = frame.slice(frame.len() - len..);
+            let again = Head::default().with_payload(&tail, arena);
+            assert_eq!(again.as_slice().as_ptr(), frame.as_slice().as_ptr());
+        }
         #[derive(Serialize)]
         enum E {
             A,

@@ -73,7 +73,7 @@ pub use envelope::{
 pub use event::{EventBatch, ReceptionEvent, DEFAULT_BATCH_MAX_EVENTS};
 pub use ids::{MsgId, NodeId, Rank};
 pub use metrics::Metrics;
-pub use payload::Payload;
+pub use payload::{FrameArena, Payload};
 pub use pessimism::PessimismGate;
 pub use recovery::Watermarks;
 pub use replay::{Offer, ProbeVerdict, ReplayError, ReplayPlan};

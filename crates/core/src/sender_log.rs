@@ -25,7 +25,10 @@ use std::collections::{BTreeMap, VecDeque};
 pub struct SavedMsg {
     /// Sender clock at emission (`h`).
     pub sender_clock: u64,
-    /// The copied payload.
+    /// The copied payload: the very frame that was sent, sharing its
+    /// bytes. A frame of `ARENA_MIN_FRAME` bytes or more lives in its
+    /// sending rank's huge-page arena chunk, which this entry keeps
+    /// alive until it is collected (see `crate::payload`).
     pub payload: Payload,
 }
 
@@ -272,6 +275,30 @@ mod tests {
         // this flat one; the 24-byte handle (`u32` offset and length)
         // with the flat log lowered it by 4–12 %.
         assert!(std::mem::size_of::<Payload>() <= 24);
+    }
+
+    #[test]
+    fn a_collected_log_holds_no_arena_chunk() {
+        use crate::payload::{FrameArena, ARENA_CHUNK, ARENA_MIN_FRAME};
+        // A chunk's worth of large frames, sent alternately to two
+        // destinations and each read back, as re-sends would.
+        let arena = &mut FrameArena::new();
+        let mut l = SenderLog::new();
+        let per_chunk = (ARENA_CHUNK / ARENA_MIN_FRAME) as u64;
+        let mut start = None;
+        for clock in 0..per_chunk {
+            let frame = arena.concat(&[&[clock as u8; ARENA_MIN_FRAME]]);
+            start.get_or_insert(frame.as_slice().as_ptr());
+            l.append(Rank((clock % 2) as u32 + 1), clock, frame);
+        }
+        assert_eq!(l.resend_after(Rank(1), 0).count() as u64, per_chunk / 2 - 1);
+        l.collect(Rank(1), per_chunk);
+        assert!(l.get(Rank(2), 1).is_some());
+        l.collect(Rank(2), per_chunk);
+        assert_eq!((l.msgs_held(), l.bytes_held()), (0, 0));
+        // Nothing holds the full chunk any more: the arena writes it again.
+        let next = arena.concat(&[&[0xEE; ARENA_MIN_FRAME]]);
+        assert_eq!(Some(next.as_slice().as_ptr()), start);
     }
 
     /// One step of the model test.

@@ -9,14 +9,15 @@ use crate::channel::{Channel, ChannelInfo};
 use crate::core::{MpiCore, SendStart};
 use crate::error::{MpiError, MpiResult};
 use crate::request::{ReqKind, Request};
-use crate::wire::{encode_eager, Context, MpiFrame, Source, Tag};
-use mvr_core::{Payload, Rank};
+use crate::wire::{encode_eager, rndv_data_body, Context, MpiFrame, Source, Tag};
+use mvr_core::{FrameArena, Payload, Rank};
 
 pub use crate::core::RecvMsg;
 
 /// The MPI handle of one process: the blocking shell around one
 /// [`MpiCore`]. A pump is `brecv` → core → `bsend` of every frame the
-/// core emits.
+/// core emits. Every frame it sends is written into its own
+/// [`FrameArena`], one per process incarnation.
 ///
 /// Single-threaded by design (one MPI process per OS thread, as in
 /// MPICH's `ch_p4` device).
@@ -25,6 +26,7 @@ pub struct Mpi<C: Channel> {
     size: u32,
     finalized: bool,
     core: MpiCore,
+    arena: FrameArena,
 }
 
 impl<C: Channel> Mpi<C> {
@@ -47,6 +49,7 @@ impl<C: Channel> Mpi<C> {
                 size,
                 finalized: false,
                 core,
+                arena: FrameArena::new(),
             },
             restored_app_state,
         ))
@@ -312,9 +315,10 @@ impl<C: Channel> Mpi<C> {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Start a send; returns how it completes. An eager send copies
-    /// `body` once, into the frame; self-sends and rendezvous keep their
-    /// own copy in the core until matched.
+    /// Start a send; returns how it completes. Every send copies `body`
+    /// once: an eager one into its frame, a rendezvous one into its data
+    /// frame, which the core holds until the clear-to-send, and a
+    /// self-send into the core's queue.
     fn start_send(
         &mut self,
         dst: Rank,
@@ -322,13 +326,16 @@ impl<C: Channel> Mpi<C> {
         tag: i32,
         body: &[u8],
     ) -> MpiResult<ReqKind> {
-        match self
-            .core
-            .start_send(dst, context, tag, body.len(), || Payload::from(body))
-        {
+        let arena = &mut self.arena;
+        let keep = |rndv: Option<u64>| match rndv {
+            Some(id) => rndv_data_body(id, body, arena),
+            None => Payload::from(body),
+        };
+        match self.core.start_send(dst, context, tag, body.len(), keep) {
             SendStart::Local => Ok(ReqKind::Done),
             SendStart::Eager => {
-                self.chan.bsend(dst, encode_eager(context, tag, body))?;
+                let frame = encode_eager(context, tag, body, &mut self.arena);
+                self.chan.bsend(dst, frame)?;
                 Ok(ReqKind::Done)
             }
             SendStart::Rendezvous(rndv_id) => {
@@ -374,7 +381,7 @@ impl<C: Channel> Mpi<C> {
     /// Send every frame the core has queued.
     fn flush(&mut self) -> MpiResult<()> {
         while let Some((dst, frame)) = self.core.pop_output() {
-            self.chan.bsend(dst, frame.encode())?;
+            self.chan.bsend(dst, frame.encode(&mut self.arena))?;
         }
         Ok(())
     }

@@ -18,7 +18,8 @@
 //! The core never copies a body. An eager send is shipped by the caller,
 //! from the caller's buffer ([`SendStart::Eager`]); a rendezvous or
 //! self-send body is taken once, as a [`Payload`], when the core must
-//! keep it.
+//! keep it, and the caller is told the rendezvous id it will travel
+//! under, so that it can write the body into its data frame at once.
 
 use crate::error::{MpiError, MpiResult};
 use crate::wire::{Context, MpiFrame, Source, Tag, RNDV_THRESHOLD};
@@ -158,18 +159,20 @@ impl MpiCore {
     }
 
     /// Start a send of `len` bytes, choosing the protocol. `body` is
-    /// called only when the core must keep the body (self-sends and
-    /// rendezvous); an eager body stays with the caller.
+    /// called only when the core must keep the body: with `None` for a
+    /// self-send, with `Some(rndv_id)` for a rendezvous whose data will
+    /// travel as `MpiFrame::RndvData { rndv_id, .. }`. An eager body
+    /// stays with the caller.
     pub fn start_send(
         &mut self,
         dst: Rank,
         context: Context,
         tag: i32,
         len: usize,
-        body: impl FnOnce() -> Payload,
+        body: impl FnOnce(Option<u64>) -> Payload,
     ) -> SendStart {
         if dst == self.rank {
-            self.st.self_queue.push_back((context, tag, body()));
+            self.st.self_queue.push_back((context, tag, body(None)));
             // A self-send may satisfy an already-posted receive.
             self.match_self_queue();
             return SendStart::Local;
@@ -186,7 +189,8 @@ impl MpiCore {
             len: len as u64,
         };
         self.out.push_back((dst, req));
-        self.pending_rndv.insert(rndv_id, (dst, body()));
+        self.pending_rndv
+            .insert(rndv_id, (dst, body(Some(rndv_id))));
         SendStart::Rendezvous(rndv_id)
     }
 
@@ -393,10 +397,13 @@ mod tests {
     #[test]
     fn the_threshold_picks_the_protocol() {
         let mut a = MpiCore::new(Rank(0));
-        let small = a.start_send(Rank(1), P2P, 0, RNDV_THRESHOLD - 1, || unreachable!());
+        let small = a.start_send(Rank(1), P2P, 0, RNDV_THRESHOLD - 1, |_| unreachable!());
         assert_eq!(small, SendStart::Eager);
         assert!(a.pop_output().is_none(), "the caller ships an eager body");
-        let large = a.start_send(Rank(1), P2P, 0, RNDV_THRESHOLD, || body(RNDV_THRESHOLD));
+        let large = a.start_send(Rank(1), P2P, 0, RNDV_THRESHOLD, |id| {
+            assert_eq!(id, Some(0), "told the id its data travels under");
+            body(RNDV_THRESHOLD)
+        });
         assert_eq!(large, SendStart::Rendezvous(0));
         assert!(matches!(
             a.pop_output(),
@@ -404,7 +411,10 @@ mod tests {
         ));
         assert!(!a.send_done(0));
         assert_eq!(
-            a.start_send(Rank(0), P2P, 0, 1 << 20, || body(1)),
+            a.start_send(Rank(0), P2P, 0, 1 << 20, |id| {
+                assert_eq!(id, None, "a self-send has no rendezvous");
+                body(1)
+            }),
             SendStart::Local
         );
     }
@@ -417,7 +427,7 @@ mod tests {
         let big = RNDV_THRESHOLD + 1;
         let first = b.post_recv(Source::Rank(Rank(0)), Tag::Any, P2P);
         let second = b.post_recv(Source::Rank(Rank(0)), Tag::Any, P2P);
-        let SendStart::Rendezvous(id) = a.start_send(Rank(1), P2P, 1, big, || body(big)) else {
+        let SendStart::Rendezvous(id) = a.start_send(Rank(1), P2P, 1, big, |_| body(big)) else {
             panic!("rendezvous expected")
         };
         shuttle(&mut a, &mut b);

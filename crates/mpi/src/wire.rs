@@ -11,15 +11,19 @@
 //! The frame format is the vendored bincode's bytes, written by hand; the
 //! conformance test against `bincode::serialize` is the definition. The
 //! hand-written codec is what makes an MPI message cost one copy: an
-//! eager send copies the caller's slice once into an exact-size frame
-//! ([`encode_eager`]), and [`MpiFrame::decode`] hands the body out as a
-//! slice of the delivered frame, without copying. The decoder is strict:
+//! eager send copies the caller's slice once into its frame
+//! ([`encode_eager`]), a rendezvous send once into its data frame
+//! ([`rndv_data_body`]), and [`MpiFrame::decode`] hands the body out as a
+//! slice of the delivered frame, without copying. Every encoder writes
+//! into the sending process's [`FrameArena`], which puts a frame of
+//! `ARENA_MIN_FRAME` bytes or more into a huge-page chunk
+//! (`mvr_core::payload`). The decoder is strict:
 //! it accepts only what the encoder writes, so a frame that decodes
 //! re-encodes to the same bytes.
 
 use crate::error::{MpiError, MpiResult};
 use mvr_core::codec::{Encoder, Head, Parse, Reader, T_VARIANT_TUPLE, T_VARIANT_UNIT};
-use mvr_core::Payload;
+use mvr_core::{FrameArena, Payload};
 use serde::{Deserialize, Serialize};
 
 /// Rendezvous threshold in bytes (MPICH 1.2.5 default). Payloads of this
@@ -109,13 +113,34 @@ fn put_context(h: &mut Head, c: Context) {
     }
 }
 
-/// Encode an eager frame straight from the caller's buffer: the one copy
-/// of the body a send makes.
-pub fn encode_eager(context: Context, tag: i32, body: &[u8]) -> Payload {
+/// The head of an eager frame.
+fn eager_head(context: Context, tag: i32) -> Head {
     let mut h = head(0);
     put_context(&mut h, context);
     h.i32(tag);
-    h.with_body(body)
+    h
+}
+
+/// The head of a rendezvous data frame.
+fn rndv_data_head(rndv_id: u64) -> Head {
+    let mut h = head(3);
+    h.u64(rndv_id);
+    h
+}
+
+/// Encode an eager frame straight from the caller's buffer: the one copy
+/// of the body a send makes.
+pub fn encode_eager(context: Context, tag: i32, body: &[u8], arena: &mut FrameArena) -> Payload {
+    eager_head(context, tag).with_body(body, arena)
+}
+
+/// The body of rendezvous send `rndv_id`, copied once from the caller's
+/// buffer as the tail of its data frame: encoding
+/// `MpiFrame::RndvData { rndv_id, body }` later returns that frame
+/// without copying the body again.
+pub fn rndv_data_body(rndv_id: u64, body: &[u8], arena: &mut FrameArena) -> Payload {
+    let frame = rndv_data_head(rndv_id).with_body(body, arena);
+    frame.slice(frame.len() - body.len()..)
 }
 
 fn read_context(r: &mut Reader<'_>) -> Parse<Context> {
@@ -162,10 +187,14 @@ impl MpiFrame {
         }
     }
 
-    /// Serialize for the channel.
-    pub fn encode(&self) -> Payload {
+    /// Serialize for the channel, into `arena`. A body that is already
+    /// the tail of this very frame (a [`rndv_data_body`], or the body of
+    /// a decoded frame) is not copied: the frame is returned as it is.
+    pub fn encode(&self, arena: &mut FrameArena) -> Payload {
         match self {
-            MpiFrame::Eager { context, tag, body } => encode_eager(*context, *tag, body),
+            MpiFrame::Eager { context, tag, body } => {
+                eager_head(*context, *tag).with_payload(body, arena)
+            }
             MpiFrame::RndvReq {
                 context,
                 tag,
@@ -185,9 +214,7 @@ impl MpiFrame {
                 h.finish()
             }
             MpiFrame::RndvData { rndv_id, body } => {
-                let mut h = head(3);
-                h.u64(*rndv_id);
-                h.with_body(body)
+                rndv_data_head(*rndv_id).with_payload(body, arena)
             }
         }
     }
@@ -265,8 +292,9 @@ mod tests {
                 body: Payload::filled(0, 8),
             },
         ];
+        let arena = &mut FrameArena::new();
         for f in frames {
-            let enc = f.encode();
+            let enc = f.encode(arena);
             assert_eq!(MpiFrame::decode(&enc).unwrap(), f);
         }
     }
@@ -318,7 +346,11 @@ mod tests {
     /// re-encodes to exactly the bytes it came from.
     fn canonical_or_protocol_error(bytes: &Payload) {
         match MpiFrame::decode(bytes) {
-            Ok(f) => assert_eq!(f.encode(), *bytes, "accepted non-canonical bytes as {f:?}"),
+            Ok(f) => assert_eq!(
+                f.encode(&mut FrameArena::new()),
+                *bytes,
+                "accepted non-canonical bytes as {f:?}"
+            ),
             Err(e) => assert!(matches!(e, MpiError::Protocol(_)), "{e:?}"),
         }
     }
@@ -329,7 +361,7 @@ mod tests {
         #[test]
         fn encode_writes_the_bincode_bytes(frame in frames()) {
             let reference = bincode::serialize(&frame).unwrap();
-            let ours = frame.encode();
+            let ours = frame.encode(&mut FrameArena::new());
             prop_assert_eq!(ours.as_slice(), &reference[..]);
             // Decoding bincode's bytes gives the frame back, its body a
             // view into the input buffer.
@@ -346,7 +378,7 @@ mod tests {
 
         #[test]
         fn prefixes_and_byte_flips_never_decode_wrongly(frame in frames()) {
-            let enc = frame.encode();
+            let enc = frame.encode(&mut FrameArena::new());
             // Every strict prefix (zero-copy views of the frame).
             for n in 0..enc.len() {
                 canonical_or_protocol_error(&enc.slice(..n));
@@ -380,7 +412,9 @@ mod tests {
     fn overlong_varints_are_rejected() {
         // `RndvCts { rndv_id: 5 }` with the id written as two bytes:
         // bincode would read it, but it is not what the encoder writes.
-        let mut bytes = MpiFrame::RndvCts { rndv_id: 5 }.encode().to_vec();
+        let mut bytes = MpiFrame::RndvCts { rndv_id: 5 }
+            .encode(&mut FrameArena::new())
+            .to_vec();
         let last = bytes.len() - 1;
         bytes[last] = 0x85;
         bytes.push(0);
@@ -389,6 +423,32 @@ mod tests {
             MpiFrame::decode(&Payload::from_vec(bytes)),
             Err(MpiError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn a_rendezvous_body_is_copied_once_and_encodes_as_its_frame() {
+        let arena = &mut FrameArena::new();
+        let data: Vec<u8> = (0..RNDV_THRESHOLD + 5).map(|i| i as u8).collect();
+        let body = rndv_data_body(9, &data, arena);
+        assert_eq!(body.as_slice(), &data[..]);
+        let frame = MpiFrame::RndvData {
+            rndv_id: 9,
+            body: body.clone(),
+        };
+        let enc = frame.encode(arena);
+        assert_eq!(enc.to_vec(), bincode::serialize(&frame).unwrap());
+        let body_at = enc.len() - data.len();
+        assert_eq!(
+            enc[body_at..].as_ptr(),
+            body.as_slice().as_ptr(),
+            "no second copy"
+        );
+        // Under another id the bytes before the body do not match: copied.
+        let other = MpiFrame::RndvData { rndv_id: 10, body };
+        assert_eq!(
+            other.encode(arena).to_vec(),
+            bincode::serialize(&other).unwrap()
+        );
     }
 
     #[test]

@@ -1685,10 +1685,11 @@ mod tests {
 
     #[test]
     fn an_eager_frame_is_one_buffer_from_send_through_log_and_wire_to_receive() {
+        use mvr_core::FrameArena;
         use mvr_mpi::wire::{encode_eager, Context, MpiFrame};
         let r = rig();
         // Sent: the frame the MPI layer built is what the fabric delivers.
-        let frame = encode_eager(Context::PointToPoint, 7, &[5; 100]);
+        let frame = encode_eager(Context::PointToPoint, 7, &[5; 100], &mut FrameArena::new());
         r.node.with(|c| c.app_send(PEER, frame.clone())).unwrap();
         let delivered: Vec<Payload> = drained(&r.peer_mb)
             .into_iter()

@@ -452,7 +452,7 @@ mod tests {
     /// out of the read buffer, no layer copies it again.
     #[test]
     fn a_data_body_received_over_tcp_is_a_view_of_the_delivered_frame() {
-        use mvr_core::{DataMsg, MsgId, Payload};
+        use mvr_core::{DataMsg, FrameArena, MsgId, Payload};
         use mvr_mpi::wire::{encode_eager, Context, MpiFrame};
         use mvr_net::{TcpConfig, TcpTransport};
         let (r0, r1) = (NodeId::Computing(Rank(0)), NodeId::Computing(Rank(1)));
@@ -482,7 +482,7 @@ mod tests {
             msg: PeerMsg::Data(DataMsg {
                 id: MsgId::new(Rank(0), 1),
                 dst: Rank(1),
-                payload: encode_eager(Context::PointToPoint, 7, &[5; 100]),
+                payload: encode_eager(Context::PointToPoint, 7, &[5; 100], &mut FrameArena::new()),
             }),
         };
         a.send(r1, wire.encode()).expect("routed");

@@ -2,13 +2,39 @@
 //! (Channel Memory logging, from-scratch replay recovery) and MPICH-P4
 //! (no fault tolerance — a crash kills the run).
 
-use mvr_core::{Payload, Rank};
+use mvr_core::{NodeId, Payload, Rank};
 use mvr_mpi::ReduceOp;
-use mvr_runtime::{run_cluster, Cluster, ClusterConfig, ClusterError, NodeMpi, RuntimeProtocol};
+use mvr_runtime::{
+    fail_stop_group, run_cluster, Cluster, ClusterConfig, ClusterError, CountTrigger, NodeMpi,
+    RuntimeProtocol, TurbulenceConfig,
+};
 use mvr_workloads::apps::{check_ring, ring_app};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// `protocol` on `world` ranks, each of `kills` killing the rank it
+/// watches fail-stop as that rank's node makes its `at`-th fabric send
+/// (counted across incarnations).
+fn with_kills(protocol: RuntimeProtocol, world: u32, kills: &[(u32, u64)]) -> ClusterConfig {
+    let crash_on_send = kills
+        .iter()
+        .map(|&(rank, at)| CountTrigger {
+            watch: NodeId::Computing(Rank(rank)),
+            at,
+            kill: fail_stop_group(Rank(rank)),
+        })
+        .collect();
+    ClusterConfig {
+        world,
+        protocol,
+        turbulence: Some(TurbulenceConfig {
+            crash_on_send,
+            ..Default::default()
+        }),
+        ..Default::default()
+    }
+}
 
 #[test]
 fn v1_fault_free_ring() {
@@ -52,25 +78,17 @@ fn v1_recovers_from_a_crash_via_channel_memory_replay() {
     // in the correct order by requesting them to its Channel Memory" —
     // with no checkpoint image, recovery is a from-scratch replay, fully
     // independent of the other processes.
+    // Rank 2 dies a fifth of the way through the ring and rank 0 at
+    // about two fifths (a V1 lap is about two sends per rank: the token
+    // to the successor's Channel Memory, the request to its own), each
+    // well before the end, so both kills land.
     let (n, iters) = (4, 500);
-    let cluster = Cluster::launch(
-        ClusterConfig {
-            world: n,
-            protocol: RuntimeProtocol::V1,
-            ..Default::default()
-        },
-        ring_app(iters),
-    );
-    let handle = cluster.fault_handle();
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(10));
-        handle.kill(Rank(2));
-        std::thread::sleep(Duration::from_millis(15));
-        handle.kill(Rank(0));
-    });
-    let results = cluster.wait(TIMEOUT).expect("V1 recovers via CM replay");
-    killer.join().unwrap();
-    check_ring(&results, iters).unwrap();
+    let cfg = with_kills(RuntimeProtocol::V1, n, &[(2, 200), (0, 400)]);
+    let report = Cluster::launch(cfg, ring_app(iters))
+        .wait_report(TIMEOUT)
+        .expect("V1 recovers via CM replay");
+    check_ring(&report.results, iters).unwrap();
+    assert_eq!(report.restarts, 2, "ranks 2 and 0 restart once each");
 }
 
 #[test]
@@ -91,23 +109,11 @@ fn p4_fault_free_ring() {
 
 #[test]
 fn p4_crash_is_fatal() {
-    let cluster = Cluster::launch(
-        ClusterConfig {
-            world: 3,
-            protocol: RuntimeProtocol::P4,
-            ..Default::default()
-        },
-        ring_app(100_000), // long enough that the kill lands mid-run
-    );
-    let handle = cluster.fault_handle();
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(10));
-        handle.kill(Rank(1));
-    });
-    let err = cluster
+    // Rank 1 dies at its 100th send, a fifth of the way through.
+    let cfg = with_kills(RuntimeProtocol::P4, 3, &[(1, 100)]);
+    let err = Cluster::launch(cfg, ring_app(500))
         .wait(TIMEOUT)
         .expect_err("P4 cannot survive a crash");
-    killer.join().unwrap();
     match err {
         ClusterError::AppFailed { rank, error } => {
             assert_eq!(rank, Rank(1));

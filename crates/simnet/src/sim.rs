@@ -1100,7 +1100,7 @@ impl Sim {
     /// which picks the protocol.
     fn mpi_start(&mut self, r: usize, dst: usize, bytes: u64) -> SendStart {
         let zeros = &self.zeros;
-        let body = || zeros.slice(..bytes as usize);
+        let body = |_| zeros.slice(..bytes as usize);
         let core = &mut self.ranks[r].proc.core;
         core.start_send(
             Rank(dst as u32),
